@@ -43,7 +43,14 @@ from .explain import (
     write_explanations_csv,
     write_inlier_medians_csv,
 )
-from .gam import DEFAULT_CATEGORICALS, AdditiveModel, TrainConfig, fit, write_shape_curves_csv
+from .gam import (
+    DEFAULT_CATEGORICALS,
+    AdditiveModel,
+    TrainConfig,
+    fit,
+    write_shape_curves_csv,
+    write_train_history_csv,
+)
 from .ingest import (
     LABEL_INLIER,
     RouteThresholds,
@@ -97,6 +104,8 @@ DEFAULT_CONFIG = {
         "bags": 8,
         "validation_fraction": 0.15,
         "seed": 0,
+        # read by nothing (bags train in one batched state); model.json
+        # stores the train config, so the key stays until its format changes
         "workers": 1,
     },
     "split": {"fraction": 0.9, "seed": 0},
@@ -151,9 +160,6 @@ class RunContext:
         if args.seed is not None:
             config = _merge(config, {"train": {"seed": args.seed}, "split": {"seed": args.seed}})
             overrides["seed"] = args.seed
-        if args.workers is not None:
-            config = _merge(config, {"train": {"workers": args.workers}})
-            overrides["workers"] = args.workers
         return cls(config, overrides)
 
     # -- shared tables -------------------------------------------------------
@@ -364,10 +370,12 @@ def stage_train(ctx: RunContext) -> None:
     write_report_json(metrics, metrics_path)
     metrics_csv = ctx.out_dir / "train_metrics.csv"
     write_report_csv([metrics], MODEL_METRICS_COLUMNS, metrics_csv)
+    history_path = ctx.out_dir / "train_history.csv"
+    write_train_history_csv(model, history_path)
     ctx.record_stage(
         "train",
         inputs=[training_path],
-        outputs=[model_path, curves_path, metrics_path, metrics_csv],
+        outputs=[model_path, curves_path, metrics_path, metrics_csv, history_path],
     )
     print(
         f"train: mape={metrics.median_vehicle_mape:.2f}% ({metrics.mape_category}), "
@@ -572,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override every stage seed")
-        p.add_argument("--workers", type=int, default=None, help="worker count for training bags")
         p.add_argument("--out", default=None, help="output directory")
     return parser
 

@@ -6,17 +6,27 @@ contributions.  Training bins every feature on quantile cut points, then
 cycles over features fitting a tiny depth-limited regression tree (over
 contiguous bin segments) to the current residuals, accumulating each
 tree's shrunken leaf values into the feature's shape.  Several bags of
-bootstrap samples are trained independently and their shapes averaged;
-each bag early-stops on a held-out validation slice.  After averaging,
-shapes are mean-centered over the training data and the removed mass is
-folded into the intercept.
+bootstrap samples are trained and their shapes averaged; each bag
+early-stops on a held-out validation slice.  After averaging, shapes are
+mean-centered over the training data and the removed mass is folded into
+the intercept.
+
+All bags train together in one batched state: residuals and validation
+predictions are (rows x bags) arrays, and each column's step is one
+histogram over flat ``bag * (nb + 1) + bin + 1`` ids, one cumulative sum
+and a split search vectorised across bags.  Every bag draws the same rows
+and performs the same floating-point operations in the same order as if
+it were trained alone, so the model is bit-identical to per-bag training.
+A bag that early-stops leaves the batch.  The flat ids are built once per
+batch and take 8 bytes per bag, row and column with more than one bin:
+at most 2.4 MB for 8 bags, 1,000 rows and 37 columns, linear in rows.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -49,6 +59,8 @@ class TrainConfig:
     bags: int = 8
     validation_fraction: float = 0.15
     seed: int = 0
+    #: read by nothing: bags train in one batched state.  Kept because
+    #: model.json stores the config and existing model files carry the key.
     workers: int = 1
 
     def __post_init__(self):
@@ -162,60 +174,105 @@ def _bin_indices(col: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     return np.searchsorted(cuts, col, side="right").astype(np.int64)
 
 
-def _best_split(csum, ccnt, lo, hi):
-    """Best split position and gain for segment [lo, hi) of a histogram."""
-    if hi - lo < 2:
-        return None
-    base_s = csum[lo - 1] if lo > 0 else 0.0
-    base_c = ccnt[lo - 1] if lo > 0 else 0.0
-    total_s = csum[hi - 1] - base_s
-    total_c = ccnt[hi - 1] - base_c
-    if total_c <= 0:
-        return None
-    ls = csum[lo : hi - 1] - base_s
-    lc = ccnt[lo : hi - 1] - base_c
-    rs = total_s - ls
-    rc = total_c - lc
-    valid = (lc > 0) & (rc > 0)
-    if not valid.any():
-        return None
-    gain = np.full(ls.shape, -np.inf)
-    np.divide(ls * ls, lc, out=gain, where=valid)
-    gain[valid] += (rs * rs)[valid] / rc[valid]
-    gain -= total_s * total_s / total_c
-    gain[~valid] = -np.inf
-    k = int(np.argmax(gain))  # first max: lowest bin index wins ties
-    if gain[k] <= 0:
-        return None
-    return lo + 1 + k, float(gain[k])
+def _draw_bags(n: int, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Bootstrap and validation rows of every bag, as (bags x rows) arrays.
+
+    Each bag draws from its own spawned seed: a permutation whose head is
+    the validation slice, then a bootstrap resample of the rest.
+    """
+    n_val = max(1, int(round(n * config.validation_fraction)))
+    boot, val = [], []
+    for seed_seq in np.random.SeedSequence(config.seed).spawn(config.bags):
+        rng = np.random.default_rng(seed_seq)
+        perm = rng.permutation(n)
+        pool = perm[n_val:]
+        val.append(perm[:n_val])
+        boot.append(rng.choice(pool, size=pool.size, replace=True))
+    return np.stack(boot), np.stack(val)
 
 
-def _tree_update(sums: np.ndarray, cnts: np.ndarray, max_leaves: int, lr: float) -> np.ndarray:
-    """One boosting step for one feature: shrunken leaf means per bin."""
-    csum = np.cumsum(sums)
-    ccnt = np.cumsum(cnts)
-    nb = sums.shape[0]
-    segments = [(0, nb)]
-    while len(segments) < max_leaves:
-        best = None
-        best_seg = -1
-        for i, (lo, hi) in enumerate(segments):
-            cand = _best_split(csum, ccnt, lo, hi)
-            if cand is not None and (best is None or cand[1] > best[1]):
-                best = cand
-                best_seg = i
-        if best is None:
+class _Column:
+    """One column's flat bin ids and bin counts over the bags of a batch.
+
+    Ids are ``bag * (nb + 1) + bin + 1``: the +1 leaves column 0 of every
+    bag's histogram empty, so cumulative sums start at zero and bins
+    [lo, hi) sum to C[hi] - C[lo].  Counts never change while the set of
+    bags is fixed, so they, and the count-only terms of the first split,
+    are built once per batch.
+    """
+
+    def __init__(self, boot_bins: np.ndarray, val_bins: np.ndarray, nb: int):
+        bags = boot_bins.shape[0]
+        self.offsets = np.arange(bags, dtype=np.int64)[:, None] * (nb + 1)
+        # ids run row by row, bags side by side, like the residuals
+        self.ids = (boot_bins + (self.offsets + 1)).T.ravel()
+        self.val_ids = (val_bins + (self.offsets + 1)).T.ravel()
+        counts = np.bincount(self.ids, minlength=bags * (nb + 1)).astype(np.float64)
+        self.counts = np.cumsum(counts.reshape(bags, nb + 1), axis=1)
+        self.first_rc = self.counts[:, -1:] - self.counts
+        self.first_empty = (self.counts <= 0) | (self.first_rc <= 0)
+
+
+def _split_gains(ls, lc, rs, rc, penalty, empty):
+    """Position and gain of each bag's best split within one segment.
+
+    Arguments hold, at each split position p (left = bins < p), the left
+    and right residual sums and counts of splitting the segment at p, and
+    the segment's own sum-of-squares term.  A position with an empty side
+    gets -inf, which covers every position outside the segment; np.argmax
+    keeps the first maximum, so the lowest position wins ties.
+    """
+    gain = ls * ls / lc + rs * rs / rc - penalty
+    gain[empty] = -np.inf
+    return gain.argmax(axis=-1), gain.max(axis=-1)
+
+
+def _tree_deltas(C: np.ndarray, col: _Column, max_leaves: int, lr: float) -> np.ndarray:
+    """One boosting step for one column in every bag: shrunken leaf means.
+
+    C holds each bag's cumulative residual sums over the column's bins, in
+    the layout of ``col.counts``.  Each bag's tree greedily splits the
+    segment whose best split has the highest gain (the earliest segment
+    on a tie), up to max_leaves segments; a best gain <= 0 ends that
+    bag's tree.  Segments are kept as sorted bounds [0, cuts..., nb] per
+    bag; a bag whose tree has ended pads with empty segments [nb, nb).
+    The result is in the layout of C: column b + 1 holds bin b's value.
+    """
+    N = col.counts
+    bags, width = C.shape
+    nb = width - 1
+    rows = np.arange(bags)
+    bounds = np.repeat(np.array([[0, nb]]), bags, axis=0)
+    seg_s, seg_c = C[:, -1:], N[:, -1:]
+    live = np.ones(bags, dtype=bool)
+    for split in range(1, max_leaves):
+        if split == 1:  # the one segment [0, nb): its count terms are cached
+            pos, gain = _split_gains(
+                C, N, seg_s - C, col.first_rc, seg_s * seg_s / seg_c, col.first_empty
+            )
+        else:  # every segment at once, along a middle axis
+            ls = C[:, None, :] - start_s[:, :-1, None]
+            lc = N[:, None, :] - start_c[:, :-1, None]
+            rc = seg_c[:, :, None] - lc
+            pos, gain = _split_gains(
+                ls, lc, seg_s[:, :, None] - ls, rc, (seg_s * seg_s / seg_c)[:, :, None],
+                (lc <= 0) | (rc <= 0),
+            )
+            best = gain.argmax(axis=1)  # the earliest segment wins ties
+            pos, gain = pos[rows, best], gain[rows, best]
+        live &= gain > 0
+        if not live.any():
             break
-        lo, hi = segments[best_seg]
-        segments[best_seg : best_seg + 1] = [(lo, best[0]), (best[0], hi)]
-    delta = np.zeros(nb, dtype=np.float64)
-    for lo, hi in segments:
-        base_s = csum[lo - 1] if lo > 0 else 0.0
-        base_c = ccnt[lo - 1] if lo > 0 else 0.0
-        seg_c = ccnt[hi - 1] - base_c
-        if seg_c > 0:
-            delta[lo:hi] = lr * (csum[hi - 1] - base_s) / seg_c
-    return delta
+        bounds = np.sort(np.concatenate([bounds, np.where(live, pos, nb)[:, None]], axis=1), axis=1)
+        at = col.offsets + bounds
+        start_s, start_c = C.ravel()[at], N.ravel()[at]
+        seg_s = start_s[:, 1:] - start_s[:, :-1]
+        seg_c = start_c[:, 1:] - start_c[:, :-1]
+    value = np.where(seg_c > 0, lr * seg_s / seg_c, 0.0)
+    # each segment's value repeated over its bins; the first also fills column 0
+    lengths = bounds[:, 1:] - bounds[:, :-1]
+    lengths[:, 0] += 1
+    return np.repeat(value.ravel(), lengths.ravel()).reshape(bags, width)
 
 
 @dataclass
@@ -226,59 +283,92 @@ class BagHistory:
     stopped_round: int = -1
 
 
-def _fit_bag(
-    bag_index: int,
-    seed_seq: np.random.SeedSequence,
+def _fit_bags(
     y: np.ndarray,
     bins: list[np.ndarray],
     n_bins: list[int],
     config: TrainConfig,
-) -> tuple[float, list[np.ndarray], BagHistory]:
-    rng = np.random.default_rng(seed_seq)
-    n = y.shape[0]
-    perm = rng.permutation(n)
-    n_val = max(1, int(round(n * config.validation_fraction)))
-    val_idx = perm[:n_val]
-    pool = perm[n_val:]
-    boot_idx = rng.choice(pool, size=pool.size, replace=True)
+) -> tuple[list[float], list[np.ndarray], list[BagHistory]]:
+    """Train every bag in one batched state; see the module docstring.
 
-    tb = [b[boot_idx] for b in bins]
-    vb = [b[val_idx] for b in bins]
-    y_boot = y[boot_idx]
-    y_val = y[val_idx]
+    Returns each bag's intercept, each column's (bags x nb) best-round
+    shapes, and each bag's history.
+    """
+    boot, val = _draw_bags(y.shape[0], config)
+    n_boot = boot.shape[1]
+    intercepts = [float(y[rows].mean()) for rows in boot]
+    # State is (rows x bags) in C order.  A bag still sums its rows in
+    # order, but consecutive adds go to different bags' cells, which keeps
+    # bincount fast on single-bin columns; ravel() stays a view.
+    residual = np.ascontiguousarray(y[boot.T]) - np.asarray(intercepts)
+    val_pred = np.repeat(np.asarray(intercepts)[None, :], val.shape[1], axis=0)
+    y_val = np.ascontiguousarray(y[val.T])
+    starts = np.concatenate([[0], np.cumsum(n_bins)])
+    shapes = np.zeros((config.bags, int(starts[-1])), dtype=np.float64)
+    best_shapes = shapes.copy()
+    histories = [BagHistory() for _ in range(config.bags)]
+    best_val = np.full(config.bags, np.inf)
+    stale = np.zeros(config.bags, dtype=np.int64)
+    lr = config.learning_rate
 
-    intercept = float(y_boot.mean())
-    shapes = [np.zeros(nb, dtype=np.float64) for nb in n_bins]
-    residual = y_boot - intercept
-    val_pred = np.full(y_val.shape, intercept, dtype=np.float64)
+    def batch(active):
+        columns = [
+            None if nb == 1 else _Column(b[boot[active]], b[val[active]], nb)
+            for b, nb in zip(bins, n_bins)
+        ]
+        return columns, np.tile(np.arange(active.size), n_boot)
 
-    history = BagHistory()
-    best_val = np.inf
-    best_shapes = [s.copy() for s in shapes]
-    stale = 0
-    d = len(bins)
-    for rnd in range(config.max_rounds):
-        for j in range(d):
-            sums = np.bincount(tb[j], weights=residual, minlength=n_bins[j])
-            cnts = np.bincount(tb[j], minlength=n_bins[j]).astype(np.float64)
-            delta = _tree_update(sums, cnts, config.max_leaves, config.learning_rate)
-            shapes[j] += delta
-            residual -= delta[tb[j]]
-            val_pred += delta[vb[j]]
-        history.train_rmse.append(float(np.sqrt(np.mean(residual * residual))))
-        val_rmse = float(np.sqrt(np.mean((y_val - val_pred) ** 2)))
-        history.val_rmse.append(val_rmse)
-        if val_rmse < best_val:
-            best_val = val_rmse
-            best_shapes = [s.copy() for s in shapes]
-            history.best_round = rnd
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    history.stopped_round = len(history.val_rmse) - 1
-    return intercept, best_shapes, history
+    active = np.arange(config.bags)
+    columns, bag_ids = batch(active)
+    # split positions with an empty side divide by zero; their gain is masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rnd in range(config.max_rounds):
+            res_flat = residual.ravel()
+            for j, col in enumerate(columns):
+                if col is None:  # one leaf: the bag's mean residual
+                    delta = lr * np.bincount(bag_ids, weights=res_flat) / n_boot
+                    shapes[:, starts[j]] += delta
+                    residual -= delta
+                    val_pred += delta
+                    continue
+                sums = np.bincount(col.ids, weights=res_flat, minlength=col.counts.size)
+                C = np.cumsum(sums.reshape(col.counts.shape), axis=1)
+                delta = _tree_deltas(C, col, config.max_leaves, lr)
+                shapes[:, starts[j] : starts[j + 1]] += delta[:, 1:]
+                flat = delta.ravel()
+                residual -= flat[col.ids].reshape(residual.shape)
+                val_pred += flat[col.val_ids].reshape(val_pred.shape)
+
+            # each bag's mean over its own contiguous rows, as when trained alone
+            sq_train = np.ascontiguousarray((residual * residual).T)
+            sq_val = np.ascontiguousarray(((y_val - val_pred) ** 2).T)
+            train_rmse = np.sqrt(np.mean(sq_train, axis=1))
+            val_rmse = np.sqrt(np.mean(sq_val, axis=1))
+            for b, tr, va in zip(active.tolist(), train_rmse.tolist(), val_rmse.tolist()):
+                histories[b].train_rmse.append(tr)
+                histories[b].val_rmse.append(va)
+            improved = val_rmse < best_val[active]
+            if improved.any():
+                best_shapes[active[improved]] = shapes[improved]
+                best_val[active[improved]] = val_rmse[improved]
+                for b in active[improved].tolist():
+                    histories[b].best_round = rnd
+            stale[active] = np.where(improved, 0, stale[active] + 1)
+
+            keep = stale[active] < config.patience
+            if not keep.all():  # early-stopped bags leave the batch
+                active = active[keep]
+                if active.size == 0:
+                    break
+                residual = np.ascontiguousarray(residual[:, keep])
+                val_pred = np.ascontiguousarray(val_pred[:, keep])
+                y_val = np.ascontiguousarray(y_val[:, keep])
+                shapes = shapes[keep]
+                columns, bag_ids = batch(active)
+    for h in histories:
+        h.stopped_round = len(h.val_rmse) - 1
+    bag_shapes = [best_shapes[:, starts[j] : starts[j + 1]] for j in range(len(n_bins))]
+    return intercepts, bag_shapes, histories
 
 
 @dataclass
@@ -292,6 +382,13 @@ class AdditiveModel:
     config: TrainConfig
     link: str = "identity"
     history: list[BagHistory] = field(default_factory=list, repr=False)
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # name -> position; the first of any repeated name wins, as in a scan
+        self._index = {}
+        for j, col in enumerate(self.columns):
+            self._index.setdefault(col.name, j)
 
     # -- encoding ----------------------------------------------------------
 
@@ -346,10 +443,10 @@ class AdditiveModel:
         ]
 
     def _column_index(self, name: str) -> int:
-        for j, col in enumerate(self.columns):
-            if col.name == name:
-                return j
-        raise KeyError(f"model has no feature {name!r}")
+        j = self._index.get(name)
+        if j is None:
+            raise KeyError(f"model has no feature {name!r}")
+        return j
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -460,24 +557,9 @@ def fit_matrix(
             config=config,
         )
 
-    seeds = np.random.SeedSequence(config.seed).spawn(config.bags)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = [
-                pool.submit(_fit_bag, b, seeds[b], y, bins, n_bins, config)
-                for b in range(config.bags)
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            _fit_bag(b, seeds[b], y, bins, n_bins, config) for b in range(config.bags)
-        ]
-
-    intercept = float(np.mean([r[0] for r in results]))
-    values = []
-    for j in range(len(columns)):
-        stacked = np.stack([r[1][j] for r in results])
-        values.append(stacked.mean(axis=0))
+    intercepts, bag_shapes, histories = _fit_bags(y, bins, n_bins, config)
+    intercept = float(np.mean(intercepts))
+    values = [shape.mean(axis=0) for shape in bag_shapes]
 
     # center each shape over the training rows; fold the mass into the intercept
     for j in range(len(columns)):
@@ -491,7 +573,7 @@ def fit_matrix(
         cuts=cuts,
         values=values,
         config=config,
-        history=[r[2] for r in results],
+        history=histories,
     )
 
 
@@ -499,11 +581,25 @@ SHAPE_CSV_COLUMNS = ("feature", "bin_lo", "bin_hi", "value")
 
 
 def write_shape_curves_csv(model: AdditiveModel, path: str | Path) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SHAPE_CSV_COLUMNS)
         for col in model.columns:
             for lo, hi, value in model.shape_curve(col.name):
                 writer.writerow([col.name, repr(lo), repr(hi), repr(value)])
+
+
+HISTORY_CSV_COLUMNS = ("bag", "round", "train_rmse", "val_rmse", "best")
+
+
+def write_train_history_csv(model: AdditiveModel, path: str | Path) -> None:
+    """Each bag's RMSE curves, one row per round up to its stopped round.
+
+    ``best`` is 1 on the round whose shapes the bag contributed, else 0.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(HISTORY_CSV_COLUMNS)
+        for bag, h in enumerate(model.history):
+            for rnd, (train, val) in enumerate(zip(h.train_rmse, h.val_rmse)):
+                writer.writerow([bag, rnd, repr(train), repr(val), int(rnd == h.best_round)])

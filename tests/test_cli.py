@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import shutil
 
@@ -94,6 +95,29 @@ class TestSmokePipeline:
             "impact",
         }
         assert manifest["config"]["fleet_id"] == "t1"
+
+
+class TestTrainHistory:
+    def test_history_rows_and_manifest(self, workdir):
+        cfg = synth_config(workdir)
+        for stage in ("ingest", "clean", "train"):
+            assert run(stage, "--config", cfg) == 0
+        out = workdir / "out"
+        with open(out / "train_history.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        bags = sorted({int(r["bag"]) for r in rows})
+        assert bags == list(range(SMALL_CONFIG["train"]["bags"]))
+        for bag in bags:
+            rounds = [int(r["round"]) for r in rows if int(r["bag"]) == bag]
+            # rounds 0..stopped_round, each once, and exactly one best round
+            assert rounds == list(range(len(rounds)))
+            assert sum(r["best"] == "1" for r in rows if int(r["bag"]) == bag) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        outputs = manifest["stages"]["train"]["outputs"]
+        assert any(name.endswith("train_history.csv") for name in outputs)
+
+    def test_workers_flag_removed(self, workdir):
+        assert run("train", "--workers", "2") == 1
 
 
 class TestPrerequisites:

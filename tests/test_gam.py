@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import json
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetfuel.errors import DataError, MissingFeatureError
 from fleetfuel.gam import (
     AdditiveModel,
+    BagHistory,
     FeatureColumn,
     TrainConfig,
     build_bins,
@@ -18,7 +23,9 @@ from fleetfuel.gam import (
     fit_matrix,
     one_hot,
     write_shape_curves_csv,
+    write_train_history_csv,
 )
+from fleetfuel.gam import _Column, _tree_deltas
 
 from .conftest import make_record
 
@@ -318,3 +325,270 @@ class TestDesignMatrix:
         numeric = [c.name for c in columns if c.kind == "numeric"]
         assert numeric == list(small_registry.names)
         assert X.shape == (2, len(columns))
+
+
+# ---------------------------------------------------------------------------
+# Reference trainer: each bag boosted on its own, one Python loop per bag.
+# The batched trainer must reproduce it bit for bit.
+
+
+def _ref_best_split(csum, ccnt, lo, hi):
+    if hi - lo < 2:
+        return None
+    base_s = csum[lo - 1] if lo > 0 else 0.0
+    base_c = ccnt[lo - 1] if lo > 0 else 0.0
+    total_s = csum[hi - 1] - base_s
+    total_c = ccnt[hi - 1] - base_c
+    if total_c <= 0:
+        return None
+    ls = csum[lo : hi - 1] - base_s
+    lc = ccnt[lo : hi - 1] - base_c
+    rs = total_s - ls
+    rc = total_c - lc
+    valid = (lc > 0) & (rc > 0)
+    if not valid.any():
+        return None
+    gain = np.full(ls.shape, -np.inf)
+    np.divide(ls * ls, lc, out=gain, where=valid)
+    gain[valid] += (rs * rs)[valid] / rc[valid]
+    gain -= total_s * total_s / total_c
+    gain[~valid] = -np.inf
+    k = int(np.argmax(gain))
+    if gain[k] <= 0:
+        return None
+    return lo + 1 + k, float(gain[k])
+
+
+def _ref_tree_update(sums, cnts, max_leaves, lr):
+    csum = np.cumsum(sums)
+    ccnt = np.cumsum(cnts)
+    nb = sums.shape[0]
+    segments = [(0, nb)]
+    while len(segments) < max_leaves:
+        best = None
+        best_seg = -1
+        for i, (lo, hi) in enumerate(segments):
+            cand = _ref_best_split(csum, ccnt, lo, hi)
+            if cand is not None and (best is None or cand[1] > best[1]):
+                best = cand
+                best_seg = i
+        if best is None:
+            break
+        lo, hi = segments[best_seg]
+        segments[best_seg : best_seg + 1] = [(lo, best[0]), (best[0], hi)]
+    delta = np.zeros(nb, dtype=np.float64)
+    for lo, hi in segments:
+        base_s = csum[lo - 1] if lo > 0 else 0.0
+        base_c = ccnt[lo - 1] if lo > 0 else 0.0
+        seg_c = ccnt[hi - 1] - base_c
+        if seg_c > 0:
+            delta[lo:hi] = lr * (csum[hi - 1] - base_s) / seg_c
+    return delta
+
+
+def _ref_fit_bag(seed_seq, y, bins, n_bins, config):
+    rng = np.random.default_rng(seed_seq)
+    n = y.shape[0]
+    perm = rng.permutation(n)
+    n_val = max(1, int(round(n * config.validation_fraction)))
+    val_idx = perm[:n_val]
+    pool = perm[n_val:]
+    boot_idx = rng.choice(pool, size=pool.size, replace=True)
+    tb = [b[boot_idx] for b in bins]
+    vb = [b[val_idx] for b in bins]
+    y_boot = y[boot_idx]
+    y_val = y[val_idx]
+    intercept = float(y_boot.mean())
+    shapes = [np.zeros(nb, dtype=np.float64) for nb in n_bins]
+    residual = y_boot - intercept
+    val_pred = np.full(y_val.shape, intercept, dtype=np.float64)
+    history = BagHistory()
+    best_val = np.inf
+    best_shapes = [s.copy() for s in shapes]
+    stale = 0
+    for rnd in range(config.max_rounds):
+        for j in range(len(bins)):
+            sums = np.bincount(tb[j], weights=residual, minlength=n_bins[j])
+            cnts = np.bincount(tb[j], minlength=n_bins[j]).astype(np.float64)
+            delta = _ref_tree_update(sums, cnts, config.max_leaves, config.learning_rate)
+            shapes[j] += delta
+            residual -= delta[tb[j]]
+            val_pred += delta[vb[j]]
+        history.train_rmse.append(float(np.sqrt(np.mean(residual * residual))))
+        val_rmse = float(np.sqrt(np.mean((y_val - val_pred) ** 2)))
+        history.val_rmse.append(val_rmse)
+        if val_rmse < best_val:
+            best_val = val_rmse
+            best_shapes = [s.copy() for s in shapes]
+            history.best_round = rnd
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    history.stopped_round = len(history.val_rmse) - 1
+    return intercept, best_shapes, history
+
+
+def _ref_fit_matrix(X, y, columns, config):
+    cuts = build_bins(X, config.max_bins)
+    n_bins = [c.size + 1 for c in cuts]
+    bins = [np.searchsorted(cuts[j], X[:, j], side="right") for j in range(X.shape[1])]
+    seeds = np.random.SeedSequence(config.seed).spawn(config.bags)
+    results = [_ref_fit_bag(seeds[b], y, bins, n_bins, config) for b in range(config.bags)]
+    intercept = float(np.mean([r[0] for r in results]))
+    values = [np.stack([r[1][j] for r in results]).mean(axis=0) for j in range(len(columns))]
+    for j in range(len(columns)):
+        mass = float(values[j][bins[j]].mean())
+        values[j] = values[j] - mass
+        intercept += mass
+    return AdditiveModel(
+        intercept=intercept,
+        columns=list(columns),
+        cuts=cuts,
+        values=values,
+        config=config,
+        history=[r[2] for r in results],
+    )
+
+
+def _mixed_problem(seed, n, duplicate=False):
+    """Constant, binary, few-level and 256-bin columns with a planted signal."""
+    rng = np.random.default_rng(seed)
+    cols = [
+        np.full(n, 2.5),
+        rng.integers(0, 2, n).astype(float),
+        rng.integers(0, 6, n).astype(float),
+        rng.uniform(0, 1, n),
+    ]
+    if duplicate:
+        cols.append(cols[3].copy())
+    X = np.column_stack(cols)
+    y = 6.0 + 0.8 * X[:, 1] + 0.3 * X[:, 2] + 2.0 * (X[:, 3] > 0.6) + rng.normal(0, 0.3, n)
+    return X, y, [numeric_column(f"c{j}") for j in range(X.shape[1])]
+
+
+def _assert_same_as_reference(X, y, columns, config):
+    batched = fit_matrix(X, y, columns, config)
+    reference = _ref_fit_matrix(X, y, columns, config)
+    assert json.dumps(batched.to_dict()) == json.dumps(reference.to_dict())
+    assert batched.history == reference.history
+    return batched
+
+
+class TestBatchedMatchesPerBag:
+    def test_mixed_columns_and_uneven_early_stops(self):
+        X, y, columns = _mixed_problem(11, 600)
+        config = TrainConfig(learning_rate=0.1, max_rounds=300, patience=8, bags=5, seed=3)
+        model = _assert_same_as_reference(X, y, columns, config)
+        assert [c.size for c in model.cuts][:2] == [0, 1]
+        assert model.cuts[3].size == 255
+        stops = [h.stopped_round for h in model.history]
+        assert len(set(stops)) > 1 and max(stops) < config.max_rounds - 1
+
+    @pytest.mark.parametrize("max_leaves", [2, 3, 4])
+    def test_max_leaves(self, max_leaves):
+        X, y, columns = _mixed_problem(12, 400)
+        config = TrainConfig(
+            learning_rate=0.2, max_rounds=60, patience=10, bags=3, seed=1, max_leaves=max_leaves
+        )
+        _assert_same_as_reference(X, y, columns, config)
+
+    def test_single_bag(self):
+        X, y, columns = _mixed_problem(13, 300)
+        config = TrainConfig(learning_rate=0.1, max_rounds=80, patience=15, bags=1, seed=8)
+        _assert_same_as_reference(X, y, columns, config)
+
+    def test_identical_columns_tie(self):
+        X, y, columns = _mixed_problem(14, 400, duplicate=True)
+        config = TrainConfig(learning_rate=0.1, max_rounds=60, patience=60, bags=3, seed=2)
+        model = _assert_same_as_reference(X, y, columns, config)
+        assert model.cuts[3].tolist() == model.cuts[4].tolist()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(30, 250),
+        d=st.integers(1, 4),
+        bags=st.integers(1, 4),
+        max_leaves=st.integers(2, 4),
+        max_bins=st.sampled_from([2, 5, 32, 256]),
+        patience=st.integers(1, 12),
+    )
+    def test_random_problems(self, seed, n, d, bags, max_leaves, max_bins, patience):
+        rng = np.random.default_rng(seed)
+        levels = rng.integers(1, 40, size=d)
+        X = np.column_stack([rng.integers(0, k, n).astype(float) for k in levels])
+        y = 4.0 + X @ rng.normal(0, 0.2, d) + rng.normal(0, 0.5, n)
+        config = TrainConfig(
+            learning_rate=0.15,
+            max_rounds=30,
+            patience=patience,
+            bags=bags,
+            seed=seed,
+            max_leaves=max_leaves,
+            max_bins=max_bins,
+        )
+        columns = [numeric_column(f"x{j}") for j in range(d)]
+        _assert_same_as_reference(X, y, columns, config)
+
+
+class TestBatchedTreeStep:
+    """Small integer histograms make equal gains and zero gains common."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        bags=st.integers(1, 4),
+        nb=st.integers(2, 9),
+        rows=st.integers(1, 24),
+        max_leaves=st.integers(2, 5),
+    )
+    def test_matches_per_bag_tree(self, seed, bags, nb, rows, max_leaves):
+        rng = np.random.default_rng(seed)
+        bins = rng.integers(0, nb, size=(bags, rows))
+        residual = rng.integers(-2, 3, size=(bags, rows)).astype(float)
+        col = _Column(bins, bins, nb)
+        sums = np.zeros((bags, nb + 1))
+        for b in range(bags):
+            sums[b, 1:] = np.bincount(bins[b], weights=residual[b], minlength=nb)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = _tree_deltas(np.cumsum(sums, axis=1), col, max_leaves, 0.5)
+        for b in range(bags):
+            cnts = np.bincount(bins[b], minlength=nb).astype(float)
+            expected = _ref_tree_update(sums[b, 1:], cnts, max_leaves, 0.5)
+            assert delta[b, 1:].tolist() == expected.tolist()
+
+
+    def test_equal_gains_in_two_segments_split_the_earlier(self):
+        # after the cut at bin 3, splitting [0, 3) at 1 and [3, 6) at 4 gain
+        # exactly the same; the per-bag loop splits the earlier segment
+        bins = np.array([[0, 1, 2, 2, 3, 4, 4, 5]])
+        residual = np.array([[0.0, -1.0, -1.0, -1.0, 1.0, 0.0, 0.0, 0.0]])
+        col = _Column(bins, bins, 6)
+        sums = np.concatenate([[0.0], np.bincount(bins[0], weights=residual[0])])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = _tree_deltas(np.cumsum(sums)[None, :], col, 3, 1.0)
+        assert delta[0, 1:].tolist() == [0.0, -1.0, -1.0, 0.25, 0.25, 0.25]
+        cnts = np.bincount(bins[0]).astype(float)
+        assert delta[0, 1:].tolist() == _ref_tree_update(sums[1:], cnts, 3, 1.0).tolist()
+
+
+class TestTrainHistory:
+    def test_rows_per_bag_and_one_best(self, tmp_path):
+        X, y, columns = _mixed_problem(15, 300)
+        config = TrainConfig(learning_rate=0.1, max_rounds=200, patience=6, bags=3, seed=4)
+        model = fit_matrix(X, y, columns, config)
+        path = tmp_path / "train_history.csv"
+        write_train_history_csv(model, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["bag", "round", "train_rmse", "val_rmse", "best"]
+        for bag, h in enumerate(model.history):
+            mine = [r for r in rows if int(r["bag"]) == bag]
+            assert len(mine) == h.stopped_round + 1
+            assert [int(r["round"]) for r in mine] == list(range(h.stopped_round + 1))
+            assert [int(r["round"]) for r in mine if r["best"] == "1"] == [h.best_round]
+            assert [float(r["val_rmse"]) for r in mine] == h.val_rmse
+            assert [float(r["train_rmse"]) for r in mine] == h.train_rmse
+
