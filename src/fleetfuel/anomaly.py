@@ -243,16 +243,19 @@ def read_limits_csv(path: str | Path) -> LimitTable:
         if missing:
             raise FeedFormatError(f"{path}: limits table missing {sorted(missing)}")
         limits = {}
-        for row in reader:
-            lim = AnomalyLimits(
-                vehicle_group=int(row["vehicle_group"]),
-                route_type=row["route_type"],
-                q1=float(row["q1"]),
-                q3=float(row["q3"]),
-                lim_inf=float(row["lim_inf"]),
-                lim_sup=float(row["lim_sup"]),
-                n_support=int(row["n_support"]),
-                borrowed=row["borrowed_flag"] == "1",
-            )
-            limits[(lim.vehicle_group, lim.route_type)] = lim
+        try:
+            for row in reader:
+                lim = AnomalyLimits(
+                    vehicle_group=int(row["vehicle_group"]),
+                    route_type=row["route_type"],
+                    q1=float(row["q1"]),
+                    q3=float(row["q3"]),
+                    lim_inf=float(row["lim_inf"]),
+                    lim_sup=float(row["lim_sup"]),
+                    n_support=int(row["n_support"]),
+                    borrowed=row["borrowed_flag"] == "1",
+                )
+                limits[(lim.vehicle_group, lim.route_type)] = lim
+        except (ValueError, TypeError, csv.Error) as exc:
+            raise FeedFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     return LimitTable(limits)

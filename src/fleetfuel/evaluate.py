@@ -557,13 +557,19 @@ def _csv_cell(value) -> str:
 
 
 def write_report_json(payload, path: str | Path) -> None:
+    """Sorted, indented JSON; a NaN or infinity raises DataError naming the file."""
+
     def default(obj):
         if hasattr(obj, "__dataclass_fields__"):
             return asdict(obj)
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, default=default, allow_nan=False)
+    except ValueError as exc:
+        raise DataError(f"{path}: report is not valid JSON: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=default)
+        fh.write(text)
         fh.write("\n")
 
 

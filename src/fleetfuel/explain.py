@@ -14,6 +14,17 @@ rules then prune the rows:
        features, below it for Negative ones;
   BR5  drop whole days whose total claimed saving exceeds 80% of the
        day's fuel (not physically possible).
+
+Savings come from one contribution matrix.  The model encodes every
+priced day into an (n days x d columns) design matrix and looks up each
+column's shape values in one ``searchsorted`` over all days; reference
+values are priced once per (group, route) cell and gathered to the days,
+so the savings are ``C(x) - C(x_ref)`` over the actionable columns.  The
+arithmetic per entry is the scalar lookup's, so rows are bit-identical to
+pricing day by day.  The matrices take 8 bytes per day and model column
+each (about 0.5 MB for 1,600 days x 37 columns).  Categorical origins,
+priced against the cell's most common inlier level, use a cache per
+(origin, level).
 """
 
 from __future__ import annotations
@@ -26,11 +37,13 @@ from datetime import date as date_type
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .anomaly import LimitTable
 from .errors import FeedFormatError
 from .gam import KIND_NUMERIC, AdditiveModel
 from .ingest import FarRecord
-from .registry import FeatureRegistry
+from .registry import FeatureRegistry, median
 
 logger = logging.getLogger(__name__)
 
@@ -58,13 +71,6 @@ EXPLANATION_COLUMNS = (
     "y_diff",
     "y_fuel_new",
 )
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    return ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def _mode(values: list[str]) -> str:
@@ -124,12 +130,12 @@ class ReferencePolicy:
                 mode_cell.setdefault((rec.vehicle_group, rec.route_type, cat), []).append(level)
                 mode_fleet.setdefault(cat, []).append(level)
 
-        policy._cell = {k: _median(v) for k, v in cell_vals.items()}
-        policy._route = {k: _median(v) for k, v in route_vals.items()}
-        policy._fleet = {k: _median(v) for k, v in fleet_vals.items()}
-        policy._fuel_cell = {k: _median(v) for k, v in fuel_cell.items()}
-        policy._fuel_route = {k: _median(v) for k, v in fuel_route.items()}
-        policy._fuel_fleet = _median(fuel_fleet) if fuel_fleet else None
+        policy._cell = {k: median(v) for k, v in cell_vals.items()}
+        policy._route = {k: median(v) for k, v in route_vals.items()}
+        policy._fleet = {k: median(v) for k, v in fleet_vals.items()}
+        policy._fuel_cell = {k: median(v) for k, v in fuel_cell.items()}
+        policy._fuel_route = {k: median(v) for k, v in fuel_route.items()}
+        policy._fuel_fleet = median(fuel_fleet) if fuel_fleet else None
         policy._mode_cell = {k: _mode(v) for k, v in mode_cell.items()}
         policy._mode_fleet = {k: _mode(v) for k, v in mode_fleet.items()}
         return policy
@@ -220,10 +226,15 @@ def recompute_fuel_new(avg_fuel: float, y_diffs: Iterable[float]) -> float:
     return avg_fuel - sum(y_diffs)
 
 
-def _set_fuel_new(rows: list[ExplanationRow]) -> list[ExplanationRow]:
+def _day_totals(rows: Sequence[ExplanationRow]) -> dict[tuple, float]:
     totals: dict[tuple, float] = {}
     for row in rows:
         totals[row.day_key] = totals.get(row.day_key, 0.0) + row.y_diff
+    return totals
+
+
+def _set_fuel_new(rows: list[ExplanationRow]) -> list[ExplanationRow]:
+    totals = _day_totals(rows)
     return [
         replace(row, y_fuel_new=recompute_fuel_new(row.avg_fuel_consumption, [totals[row.day_key]]))
         for row in rows
@@ -241,52 +252,73 @@ def generate_daily_explanations(
     Rows cover actionable registry features and, so the categorical filter
     has real work to do, the model's categorical origins priced against the
     group's most common inlier level.  Records whose cell has no published
-    limit are skipped.
+    limit are skipped.  Rows come day by day in (vehicle, date) order, each
+    day's numeric features in model column order before its categoricals.
     """
     registry = policy.registry
-    numeric_names = [
-        col.name
-        for col in model.columns
+    cols = [
+        j
+        for j, col in enumerate(model.columns)
         if col.kind == KIND_NUMERIC and col.name in registry and registry[col.name].actionable
     ]
+    names = [model.columns[j].name for j in cols]
     cat_origins: list[str] = []
     for col in model.columns:
         if col.kind != KIND_NUMERIC and col.origin not in cat_origins:
             cat_origins.append(col.origin)
 
-    rows: list[ExplanationRow] = []
-    skipped = 0
+    kept: list[FarRecord] = []
+    lim_sup: list[float] = []
     for rec in sorted(records, key=lambda r: r.day_key):
-        if rec.avg_fuel_consumption is None:
-            skipped += 1
-            continue
-        lim = limits.lookup(rec.vehicle_group, rec.route_type)
-        if lim is None:
-            skipped += 1
-            continue
-        y_pred = model.predict(rec)
-        day_rows: list[ExplanationRow] = []
-        for name in numeric_names:
-            x_ref = policy.reference_value(name, rec.vehicle_group, rec.route_type)
-            diff = fuel_saving(model, rec, name, x_ref)
-            if diff <= 0:
-                continue
-            day_rows.append(
+        lim = None if rec.avg_fuel_consumption is None else limits.lookup(rec.vehicle_group, rec.route_type)
+        if lim is not None:
+            kept.append(rec)
+            lim_sup.append(lim.lim_sup)
+    if len(kept) < len(records):
+        logger.info("explanations skipped %d records without fuel or limits", len(records) - len(kept))
+
+    C = model.contributions(model.encode(kept))
+    y_pred = (model.intercept + C.sum(axis=1)).tolist()
+
+    # reference values once per (group, route) cell, priced like the days
+    cell_ids: dict[tuple[int, str], int] = {}
+    cell_of = [cell_ids.setdefault(rec.group_route, len(cell_ids)) for rec in kept]
+    targets = [[policy.reference_value(name, g, r) for name in names] for g, r in cell_ids]
+    X_ref = np.zeros((len(cell_ids), len(model.columns)), dtype=np.float64)
+    X_ref[:, cols] = np.asarray(targets, dtype=np.float64).reshape(len(cell_ids), len(cols))
+    C_ref = model.contributions(X_ref)[:, cols]
+
+    relevance = C[:, cols]
+    saving = relevance - C_ref[cell_of]
+    # row-major, so hits come record by record in column order; "not <= 0"
+    # keeps a NaN saving as the scalar test did
+    hit_i, hit_k = np.nonzero(~(saving <= 0))
+    hit_saving = saving[hit_i, hit_k].tolist()
+    hit_relevance = relevance[hit_i, hit_k].tolist()
+    starts = np.searchsorted(hit_i, np.arange(len(kept) + 1)).tolist()
+    hit_k = hit_k.tolist()
+
+    cat_cache: dict[tuple[str, str], float] = {}
+
+    def cat_relevance(origin: str, level: str) -> float:
+        key = (origin, level)
+        if key not in cat_cache:
+            cat_cache[key] = _categorical_relevance(model, origin, level)
+        return cat_cache[key]
+
+    intercept = model.intercept
+    rows: list[ExplanationRow] = []
+    for i, rec in enumerate(kept):
+        day = (rec.vehicle_id, rec.date, rec.route_type, rec.vehicle_group, intercept)
+        fuel = (rec.avg_fuel_consumption, lim_sup[i], y_pred[i])
+        cell_targets = targets[cell_of[i]]
+        for p in range(starts[i], starts[i + 1]):
+            k = hit_k[p]
+            name = names[k]
+            rows.append(
                 ExplanationRow(
-                    vehicle_id=rec.vehicle_id,
-                    date_tx=rec.date,
-                    route_type=rec.route_type,
-                    vehicle_group=rec.vehicle_group,
-                    intercept=model.intercept,
-                    feature=name,
-                    feature_relevance=model.contribution_at(name, rec.features[name]),
-                    feature_value=rec.features[name],
-                    target_value=x_ref,
-                    avg_fuel_consumption=rec.avg_fuel_consumption,
-                    limit_group=lim.lim_sup,
-                    y_pred=y_pred,
-                    y_diff=diff,
-                    y_fuel_new=0.0,
+                    *day, name, hit_relevance[p], rec.features[name], cell_targets[k],
+                    *fuel, hit_saving[p], 0.0,
                 )
             )
         for origin in cat_origins:
@@ -294,33 +326,18 @@ def generate_daily_explanations(
             if ref_level is None:
                 continue
             current_level = str(getattr(rec, origin))
-            current = _categorical_relevance(model, origin, current_level)
-            ref = _categorical_relevance(model, origin, ref_level)
-            diff = current - ref
+            current = cat_relevance(origin, current_level)
+            diff = current - cat_relevance(origin, ref_level)
             if diff <= 0:
                 continue
-            day_rows.append(
-                ExplanationRow(
-                    vehicle_id=rec.vehicle_id,
-                    date_tx=rec.date,
-                    route_type=rec.route_type,
-                    vehicle_group=rec.vehicle_group,
-                    intercept=model.intercept,
-                    feature=origin,
-                    feature_relevance=current,
-                    feature_value=current_level,
-                    target_value=ref_level,
-                    avg_fuel_consumption=rec.avg_fuel_consumption,
-                    limit_group=lim.lim_sup,
-                    y_pred=y_pred,
-                    y_diff=diff,
-                    y_fuel_new=0.0,
-                )
+            rows.append(
+                ExplanationRow(*day, origin, current, current_level, ref_level, *fuel, diff, 0.0)
             )
-        rows.extend(day_rows)
-    if skipped:
-        logger.info("explanations skipped %d records without fuel or limits", skipped)
-    return _set_fuel_new(rows)
+
+    totals = _day_totals(rows)
+    for row in rows:
+        row.y_fuel_new = recompute_fuel_new(row.avg_fuel_consumption, [totals[row.day_key]])
+    return rows
 
 
 def _categorical_relevance(model: AdditiveModel, origin: str, level: str) -> float:
@@ -332,6 +349,11 @@ def _categorical_relevance(model: AdditiveModel, origin: str, level: str) -> flo
     return total
 
 
+# json.dumps(..., sort_keys=True) builds an encoder per call; one shared
+# encoder writes the same bytes
+_AUDIT_JSON = json.JSONEncoder(sort_keys=True)
+
+
 @dataclass
 class AuditEntry:
     rule_id: str
@@ -341,15 +363,14 @@ class AuditEntry:
     values: dict
 
     def to_json(self) -> str:
-        return json.dumps(
+        return _AUDIT_JSON.encode(
             {
                 "rule_id": self.rule_id,
                 "vehicle_id": self.vehicle_id,
                 "date": self.date_tx,
                 "feature": self.feature,
                 "values": self.values,
-            },
-            sort_keys=True,
+            }
         )
 
 
@@ -481,40 +502,46 @@ def write_explanations_csv(rows: Iterable[ExplanationRow], path: str | Path) -> 
             )
 
 
+def _maybe_float(text: str) -> float | str:
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def read_explanations_csv(path: str | Path) -> list[ExplanationRow]:
+    """Rows written by write_explanations_csv; a bad row raises FeedFormatError naming file and line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(EXPLANATION_COLUMNS):
             raise FeedFormatError(f"{path}: unexpected explanation columns {header}")
         rows = []
-        for raw in reader:
-            vals = dict(zip(header, raw))
-
-            def _maybe_float(text: str):
-                try:
-                    return float(text)
-                except ValueError:
-                    return text
-
-            rows.append(
-                ExplanationRow(
-                    vehicle_id=vals["vehicle_id"],
-                    date_tx=date_type.fromisoformat(vals["date_tx"]),
-                    route_type=vals["route_type"],
-                    vehicle_group=int(vals["vehicle_group"]),
-                    intercept=float(vals["intercept"]),
-                    feature=vals["feature"],
-                    feature_relevance=float(vals["feature_relevance"]),
-                    feature_value=_maybe_float(vals["feature_value"]),
-                    target_value=_maybe_float(vals["target_value"]),
-                    avg_fuel_consumption=float(vals["avg_fuel_consumption"]),
-                    limit_group=float(vals["limit_group"]),
-                    y_pred=float(vals["y_pred"]),
-                    y_diff=float(vals["y_diff"]),
-                    y_fuel_new=float(vals["y_fuel_new"]),
+        try:
+            for (
+                vehicle_id, date_tx, route_type, vehicle_group, intercept, feature, relevance,
+                value, target, avg_fuel, limit_group, y_pred, y_diff, y_fuel_new,
+            ) in reader:
+                rows.append(
+                    ExplanationRow(
+                        vehicle_id,
+                        date_type.fromisoformat(date_tx),
+                        route_type,
+                        int(vehicle_group),
+                        float(intercept),
+                        feature,
+                        float(relevance),
+                        _maybe_float(value),
+                        _maybe_float(target),
+                        float(avg_fuel),
+                        float(limit_group),
+                        float(y_pred),
+                        float(y_diff),
+                        float(y_fuel_new),
+                    )
                 )
-            )
+        except (ValueError, csv.Error) as exc:
+            raise FeedFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     return rows
 
 

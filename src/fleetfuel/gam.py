@@ -390,41 +390,60 @@ class AdditiveModel:
         for j, col in enumerate(self.columns):
             self._index.setdefault(col.name, j)
 
-    # -- encoding ----------------------------------------------------------
+    # -- matrix path -------------------------------------------------------
 
-    def _encode_record(self, rec: FarRecord) -> np.ndarray:
-        row = np.empty(len(self.columns), dtype=np.float64)
+    def encode(self, records: Sequence[FarRecord]) -> np.ndarray:
+        """(records x columns) design matrix in model column order.
+
+        Numeric columns read the record's feature; a missing or non-finite
+        value raises as ``_numeric_value`` does, for the first offending
+        (record, column) in record-major order.  Indicator columns are 1.0
+        where the record's categorical field equals the column's level.
+        """
+        X = np.empty((len(records), len(self.columns)), dtype=np.float64)
+        numeric = [j for j, col in enumerate(self.columns) if col.kind == KIND_NUMERIC]
+        names = [self.columns[j].name for j in numeric]
+        if numeric and records:
+            try:
+                block = np.array([[rec.features[n] for n in names] for rec in records], dtype=np.float64)
+                valid = bool(np.isfinite(block).all())
+            except (KeyError, TypeError, ValueError):
+                valid = False
+            if not valid:
+                # the scalar checks raise on the first bad cell
+                block = np.array(
+                    [[_numeric_value(rec, n) for n in names] for rec in records], dtype=np.float64
+                )
+            X[:, numeric] = block
+        origins: dict[str, list[str]] = {}
         for j, col in enumerate(self.columns):
             if col.kind == KIND_NUMERIC:
-                row[j] = _numeric_value(rec, col.name)
-            else:
-                row[j] = 1.0 if str(getattr(rec, col.origin)) == col.level else 0.0
-        return row
+                continue
+            if col.origin not in origins:
+                origins[col.origin] = [str(getattr(rec, col.origin)) for rec in records]
+            X[:, j] = [1.0 if level == col.level else 0.0 for level in origins[col.origin]]
+        return X
 
-    def _contribution_row(self, rec: FarRecord) -> np.ndarray:
-        raw = self._encode_record(rec)
-        out = np.empty(len(self.columns), dtype=np.float64)
-        for j in range(len(self.columns)):
-            b = int(np.searchsorted(self.cuts[j], raw[j], side="right"))
-            out[j] = self.values[j][b]
-        return out
+    def contributions(self, X: np.ndarray) -> np.ndarray:
+        """Per-column shape values f_j(X[:, j]): one bin lookup per column."""
+        C = np.empty(X.shape, dtype=np.float64)
+        for j in range(X.shape[1]):
+            C[:, j] = self.values[j][np.searchsorted(self.cuts[j], X[:, j], side="right")]
+        return C
 
     # -- public API --------------------------------------------------------
 
     def predict(self, rec: FarRecord) -> float:
         """Intercept plus the sum of per-feature contributions."""
-        return self.intercept + float(self._contribution_row(rec).sum())
+        return float(self.predict_many([rec])[0])
 
     def predict_many(self, records: Sequence[FarRecord]) -> np.ndarray:
-        out = np.empty(len(records), dtype=np.float64)
-        for i, rec in enumerate(records):
-            out[i] = self.intercept + self._contribution_row(rec).sum()
-        return out
+        return self.intercept + self.contributions(self.encode(records)).sum(axis=1)
 
     def feature_relevance(self, rec: FarRecord) -> dict[str, float]:
         """Per-feature contribution f_i(x_i); sums (plus intercept) to predict."""
-        row = self._contribution_row(rec)
-        return {col.name: float(row[j]) for j, col in enumerate(self.columns)}
+        row = self.contributions(self.encode([rec]))[0].tolist()
+        return {col.name: row[j] for j, col in enumerate(self.columns)}
 
     def contribution_at(self, column_name: str, value: float) -> float:
         """Shape-function value for one column at a raw feature value."""
@@ -494,6 +513,10 @@ class AdditiveModel:
             )
             cuts.append(np.asarray(feat["cuts"], dtype=np.float64))
             values.append(np.asarray(feat["values"], dtype=np.float64))
+            if cuts[-1].ndim != 1 or values[-1].shape != (cuts[-1].size + 1,):
+                raise FeedFormatError(
+                    f"feature {feat['name']!r} needs one more value than cuts"
+                )
         return cls(
             intercept=float(data["intercept"]),
             columns=columns,
@@ -510,8 +533,12 @@ class AdditiveModel:
 
     @classmethod
     def load_json(cls, path: str | Path) -> "AdditiveModel":
+        """Read a model file; a truncated or malformed one raises FeedFormatError naming it."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except (ValueError, KeyError, TypeError, AttributeError, DataError, FeedFormatError) as exc:
+                raise FeedFormatError(f"{path}: bad model file ({type(exc).__name__}: {exc})") from exc
 
 
 def fit(

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import DataError, FeedFormatError
-from .registry import FeatureRegistry, VehicleClassRow, VehicleIdentity
+from .registry import FeatureRegistry, VehicleClassRow, VehicleIdentity, median
 
 logger = logging.getLogger(__name__)
 
@@ -310,13 +310,6 @@ def assign_vehicle_class(
     return best.vehicle_class
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    return ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def assign_classes(
     records: Iterable[FarRecord], class_table: Sequence[VehicleClassRow]
 ) -> dict[int, int]:
@@ -327,7 +320,7 @@ def assign_classes(
         if rec.avg_fuel_consumption is not None:
             by_group.setdefault(rec.vehicle_group, []).append(rec.avg_fuel_consumption)
     classes = {
-        group: assign_vehicle_class(_median(vals), class_table)
+        group: assign_vehicle_class(median(vals), class_table)
         for group, vals in by_group.items()
     }
     for rec in recs:
@@ -402,8 +395,8 @@ def impute_missing(
             group_values.setdefault((rec.vehicle_group, name), []).append(value)
             fleet_values.setdefault(name, []).append(value)
 
-    group_median = {key: _median(vals) for key, vals in group_values.items()}
-    fleet_median = {name: _median(vals) for name, vals in fleet_values.items()}
+    group_median = {key: median(vals) for key, vals in group_values.items()}
+    fleet_median = {name: median(vals) for name, vals in fleet_values.items()}
 
     for rec in records:
         for name in registry.names:
@@ -478,30 +471,35 @@ def read_far_csv(path: str | Path, registry: FeatureRegistry) -> list[FarRecord]
                 f"{path}: FAR columns mismatch (missing {missing}, unexpected {extra})"
             )
         records = []
-        for row in reader:
-            vals = dict(zip(header, row))
-            rec = FarRecord(
-                vehicle_id=vals["vehicle_id"],
-                date=date.fromisoformat(vals["date"]),
-                route_type=vals["route_type"],
-                vehicle_group=int(vals["vehicle_group"]),
-                vehicle_class=int(vals["vehicle_class"]),
-                anomaly_label=vals["anomaly_label"],
-                trip_kms=float(vals["trip_kms"]) if vals["trip_kms"] else None,
-                trip_fuel_used=(
-                    float(vals["trip_fuel_used"]) if vals["trip_fuel_used"] else None
-                ),
-                per_time_city=(
-                    float(vals["per_time_city"]) if vals["per_time_city"] else None
-                ),
-                avg_fuel_consumption=(
-                    float(vals["avg_fuel_consumption"])
-                    if vals["avg_fuel_consumption"]
-                    else None
-                ),
-            )
-            for name in registry.names:
-                if vals[name] != "":
-                    rec.features[name] = float(vals[name])
-            records.append(rec)
+        try:
+            for row in reader:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                vals = dict(zip(header, row))
+                rec = FarRecord(
+                    vehicle_id=vals["vehicle_id"],
+                    date=date.fromisoformat(vals["date"]),
+                    route_type=vals["route_type"],
+                    vehicle_group=int(vals["vehicle_group"]),
+                    vehicle_class=int(vals["vehicle_class"]),
+                    anomaly_label=vals["anomaly_label"],
+                    trip_kms=float(vals["trip_kms"]) if vals["trip_kms"] else None,
+                    trip_fuel_used=(
+                        float(vals["trip_fuel_used"]) if vals["trip_fuel_used"] else None
+                    ),
+                    per_time_city=(
+                        float(vals["per_time_city"]) if vals["per_time_city"] else None
+                    ),
+                    avg_fuel_consumption=(
+                        float(vals["avg_fuel_consumption"])
+                        if vals["avg_fuel_consumption"]
+                        else None
+                    ),
+                )
+                for name in registry.names:
+                    if vals[name] != "":
+                        rec.features[name] = float(vals[name])
+                records.append(rec)
+        except (ValueError, csv.Error) as exc:
+            raise FeedFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     return records

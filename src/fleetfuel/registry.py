@@ -18,6 +18,19 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import FeedFormatError
 
+
+def median(values: Sequence[float]) -> float:
+    """Median of a non-empty sequence; an even count averages the middle pair.
+
+    Pure Python on purpose: the tables it serves hold a few to a few thousand
+    values, and the result stays the exact float ``(a + b) / 2.0``.
+    """
+    ordered = sorted(values)
+    n = len(ordered)
+    mid = n // 2
+    return ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
 # Known (category, subcategory) pairs for fuel factors.  Registry rows must
 # use one of these; "Other" and "Rain" are excluded from limit verdicts.
 TAXONOMY: frozenset[tuple[str, str]] = frozenset(
@@ -389,14 +402,7 @@ class CatalogTable:
                 )
             key = (ref.make, ref.model, ref.year, ref.fuel_type, ref.route_type)
             buckets.setdefault(key, []).append(ref.l_per_100km)
-        self._median: dict[tuple, float] = {}
-        for key, vals in buckets.items():
-            vals.sort()
-            n = len(vals)
-            mid = n // 2
-            self._median[key] = (
-                vals[mid] if n % 2 else (vals[mid - 1] + vals[mid]) / 2.0
-            )
+        self._median = {key: median(vals) for key, vals in buckets.items()}
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "CatalogTable":

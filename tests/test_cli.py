@@ -179,3 +179,68 @@ class TestDeterminism:
         base = (workdir / "out" / "model.json").read_bytes()
         assert run("train", "--config", cfg, "--seed", "99") == 0
         assert (workdir / "out" / "model.json").read_bytes() != base
+
+
+@pytest.fixture(scope="class")
+def finished_run(tmp_path_factory):
+    """One small pipeline run; each test corrupts a copy of its outputs."""
+    root = tmp_path_factory.mktemp("finished")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        cfg = synth_config(root)
+        assert run("pipeline", "--config", cfg) == 0
+    return root / "out", cfg
+
+
+def _corrupt_cell(path, line: int, column: str, text: str) -> None:
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[line - 1][rows[0].index(column)] = text
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+class TestCorruptInputs:
+    """A corrupt artifact exits 2 with a message naming it, not 3 with a traceback."""
+
+    def _copy(self, finished_run, tmp_path):
+        out, cfg = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        return copy, cfg
+
+    def _fails_naming(self, capsys, stage, cfg, out, *names):
+        capsys.readouterr()
+        assert run(stage, "--config", cfg, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        for name in names:
+            assert name in err
+
+    def test_far_labeled_bad_cell(self, finished_run, tmp_path, capsys):
+        out, cfg = self._copy(finished_run, tmp_path)
+        _corrupt_cell(out / "far_labeled.csv", 6, "avg_fuel_consumption", "seven")
+        self._fails_naming(capsys, "explain", cfg, out, "far_labeled.csv", "line 6")
+
+    @pytest.mark.parametrize("how", ["truncated", "no-features"])
+    def test_model_json(self, finished_run, tmp_path, capsys, how):
+        out, cfg = self._copy(finished_run, tmp_path)
+        path = out / "model.json"
+        text = path.read_text()
+        if how == "truncated":
+            path.write_text(text[: len(text) // 3])
+        else:
+            data = json.loads(text)
+            del data["features"]
+            path.write_text(json.dumps(data))
+        self._fails_naming(capsys, "explain", cfg, out, "model.json")
+
+    def test_explanations_bad_cell(self, finished_run, tmp_path, capsys):
+        out, cfg = self._copy(finished_run, tmp_path)
+        _corrupt_cell(out / "explanations.csv", 3, "y_diff", "0.1.2")
+        self._fails_naming(capsys, "impact", cfg, out, "explanations.csv", "line 3")
+
+    def test_limits_bad_cell(self, finished_run, tmp_path, capsys):
+        out, cfg = self._copy(finished_run, tmp_path)
+        _corrupt_cell(out / "limits.csv", 2, "lim_sup", "high")
+        self._fails_naming(capsys, "explain", cfg, out, "limits.csv", "line 2")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import json
+from dataclasses import asdict, dataclass
 from datetime import date
 
 import numpy as np
@@ -25,6 +27,7 @@ from fleetfuel.evaluate import (
     outlier_vs_explained,
     signed_rank_test,
     train_test_split,
+    write_report_json,
 )
 from fleetfuel.explain import ReferencePolicy
 from fleetfuel.registry import (
@@ -472,3 +475,31 @@ class TestMedianVehicleMape:
         ]
         preds = [11.0, 12.0, 13.0]  # per-vehicle mapes 10, 20, 30
         assert median_vehicle_mape(records, preds) == pytest.approx(20.0)
+
+
+class TestWriteReportJson:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_is_a_data_error_naming_the_file(self, tmp_path, bad):
+        path = tmp_path / "report_x.json"
+        with pytest.raises(DataError, match="report_x.json"):
+            write_report_json({"fleet": "f", "nested": [{"p_value": bad}]}, path)
+        assert not path.exists()
+
+    def test_finite_payload_bytes_unchanged(self, tmp_path):
+        @dataclass
+        class Item:
+            name: str
+            share: float
+            n: int | None
+
+        payload = {
+            "fleet": "f",
+            "rows": [Item("a", 0.1 + 0.2, 3), Item("b", -0.0, None)],
+            "value": 1e-300,
+            "none": None,
+        }
+        path = tmp_path / "report.json"
+        write_report_json(payload, path)
+        plain = {**payload, "rows": [asdict(r) for r in payload["rows"]]}
+        expected = json.dumps(plain, indent=2, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == expected

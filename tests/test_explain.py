@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetfuel.anomaly import compute_limits
+from fleetfuel.errors import DataError, FeedFormatError, MissingFeatureError
 from fleetfuel.explain import (
     BR_ORDER,
     ExplanationRow,
@@ -21,9 +25,10 @@ from fleetfuel.explain import (
     write_explanations_csv,
     write_inlier_medians_csv,
 )
-from fleetfuel.gam import AdditiveModel, FeatureColumn, TrainConfig
+from fleetfuel.gam import AdditiveModel, FeatureColumn, TrainConfig, _numeric_value
+from fleetfuel.registry import FeatureSpec
 
-from .conftest import make_record
+from .conftest import make_record, make_registry
 
 
 def step_model(shapes: dict[str, tuple[list[float], list[float]]], intercept=7.0,
@@ -323,3 +328,297 @@ class TestCsvRoundTrip:
         text = path.read_text()
         assert "avg_fuel_consumption" in text
         assert "mean_speed_hwy" in text
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-record loop that priced every (day, feature) with scalar
+# bin lookups.  The matrix path must reproduce its rows exactly.
+
+
+def _reference_predict(model, rec):
+    row = np.empty(len(model.columns), dtype=np.float64)
+    for j, col in enumerate(model.columns):
+        if col.kind == "numeric":
+            raw = _numeric_value(rec, col.name)
+        else:
+            raw = 1.0 if str(getattr(rec, col.origin)) == col.level else 0.0
+        row[j] = model.values[j][int(np.searchsorted(model.cuts[j], raw, side="right"))]
+    return model.intercept + float(row.sum())
+
+
+def _reference_categorical(model, origin, level):
+    total = 0.0
+    for col in model.columns:
+        if col.kind != "numeric" and col.origin == origin:
+            total += model.contribution_at(col.name, 1.0 if col.level == level else 0.0)
+    return total
+
+
+def reference_explanations(model, records, policy, limits):
+    registry = policy.registry
+    numeric_names = [
+        col.name
+        for col in model.columns
+        if col.kind == "numeric" and col.name in registry and registry[col.name].actionable
+    ]
+    cat_origins = []
+    for col in model.columns:
+        if col.kind != "numeric" and col.origin not in cat_origins:
+            cat_origins.append(col.origin)
+    rows = []
+    for rec in sorted(records, key=lambda r: r.day_key):
+        if rec.avg_fuel_consumption is None:
+            continue
+        lim = limits.lookup(rec.vehicle_group, rec.route_type)
+        if lim is None:
+            continue
+        y_pred = _reference_predict(model, rec)
+        common = dict(
+            vehicle_id=rec.vehicle_id,
+            date_tx=rec.date,
+            route_type=rec.route_type,
+            vehicle_group=rec.vehicle_group,
+            intercept=model.intercept,
+            avg_fuel_consumption=rec.avg_fuel_consumption,
+            limit_group=lim.lim_sup,
+            y_pred=y_pred,
+            y_fuel_new=0.0,
+        )
+        for name in numeric_names:
+            x_ref = policy.reference_value(name, rec.vehicle_group, rec.route_type)
+            diff = fuel_saving(model, rec, name, x_ref)
+            if diff <= 0:
+                continue
+            rows.append(
+                ExplanationRow(
+                    feature=name,
+                    feature_relevance=model.contribution_at(name, rec.features[name]),
+                    feature_value=rec.features[name],
+                    target_value=x_ref,
+                    y_diff=diff,
+                    **common,
+                )
+            )
+        for origin in cat_origins:
+            ref_level = policy.categorical_mode(rec.vehicle_group, rec.route_type, origin)
+            if ref_level is None:
+                continue
+            current_level = str(getattr(rec, origin))
+            current = _reference_categorical(model, origin, current_level)
+            diff = current - _reference_categorical(model, origin, ref_level)
+            if diff <= 0:
+                continue
+            rows.append(
+                ExplanationRow(
+                    feature=origin,
+                    feature_relevance=current,
+                    feature_value=current_level,
+                    target_value=ref_level,
+                    y_diff=diff,
+                    **common,
+                )
+            )
+    totals = {}
+    for row in rows:
+        totals[row.day_key] = totals.get(row.day_key, 0.0) + row.y_diff
+    return [
+        replace(row, y_fuel_new=recompute_fuel_new(row.avg_fuel_consumption, [totals[row.day_key]]))
+        for row in rows
+    ]
+
+
+def categorical_fallback_setup(small_registry):
+    """One outlier day in group 1 on a highway, where every inlier is group 0.
+
+    Group 1's highway cell has one day, so it borrows the highway limits,
+    and with no inlier of its own the group's mode falls back to the fleet's.
+    """
+    model = step_model(
+        {
+            "rpm_high": ([5.0], [0.0, 0.6]),
+            "mean_speed_hwy": ([85.0], [0.0, 0.9]),
+            "mean_exterior_temp": ([280.0], [0.4, 0.0]),
+        },
+        intercept=7.25,
+        indicators={"vehicle_group": ["0", "1"]},
+    )
+    inliers = [
+        make_record(
+            vehicle_id=f"in{i}",
+            avg=7.0 + 0.05 * i,
+            label="inlier",
+            features={"rpm_high": 1.0, "mean_speed_hwy": 75.0 + i, "mean_exterior_temp": 284.0 + i},
+        )
+        for i in range(5)
+    ]
+    target = make_record(
+        vehicle_id="vgrp1",
+        vehicle_group=1,
+        avg=9.96,
+        label="outlier",
+        features={"rpm_high": 9.0, "mean_speed_hwy": 99.5, "mean_exterior_temp": 275.0},
+    )
+    limits = compute_limits(inliers + [target])
+    policy = ReferencePolicy.from_records(small_registry, inliers, ("vehicle_group",))
+    return model, inliers, target, limits, policy
+
+
+class TestMatchesReferenceLoop:
+    def test_step_model_setups(self, small_registry):
+        model, inliers, target, limits, policy = explanation_setup(small_registry)
+        other = make_record(
+            vehicle_id="zzz",
+            avg=8.5,
+            features={"rpm_high": 7.0, "mean_speed_hwy": 90.0, "mean_exterior_temp": 279.0},
+        )
+        resting = make_record(
+            vehicle_id="calm",
+            avg=7.0,
+            features={"rpm_high": 0.0, "mean_speed_hwy": 76.0, "mean_exterior_temp": 286.0},
+        )
+        for records in ([target], [target, other], [resting], [other, resting, target], inliers, []):
+            expected = reference_explanations(model, records, policy, limits)
+            assert generate_daily_explanations(model, records, policy, limits) == expected
+
+    def test_categorical_fallback_row(self, small_registry):
+        model, inliers, target, limits, policy = categorical_fallback_setup(small_registry)
+        assert limits.lookup(1, "highway").borrowed
+        assert policy.categorical_mode(1, "highway", "vehicle_group") == "0"
+        rows = generate_daily_explanations(model, [target] + inliers, policy, limits)
+        assert rows == reference_explanations(model, [target] + inliers, policy, limits)
+        cat = [r for r in rows if r.feature == "vehicle_group"]
+        assert len(cat) == 1
+        assert (cat[0].vehicle_id, cat[0].feature_value, cat[0].target_value) == ("vgrp1", "1", "0")
+        assert cat[0].y_diff == 0.05
+        # the categorical row counts in the day's pre-filter total
+        day_total = sum(r.y_diff for r in rows if r.vehicle_id == "vgrp1")
+        assert cat[0].y_fuel_new == 9.96 - day_total
+        kept, audit = apply_business_rules(rows, policy)
+        assert all(r.feature != "vehicle_group" for r in kept)
+        assert [(a.rule_id, a.vehicle_id, a.feature) for a in audit if a.rule_id == "BR1"] == [
+            ("BR1", "vgrp1", "vehicle_group")
+        ]
+
+    def test_missing_feature_raises(self, small_registry):
+        model, inliers, target, limits, policy = explanation_setup(small_registry)
+        lacking = make_record(vehicle_id="lack", avg=9.0, features={"rpm_high": 3.0, "mean_speed_hwy": 80.0})
+        for fn in (reference_explanations, generate_daily_explanations):
+            with pytest.raises(MissingFeatureError, match="mean_exterior_temp"):
+                fn(model, [target, lacking], policy, limits)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_feature_raises(self, small_registry, bad):
+        model, inliers, target, limits, policy = explanation_setup(small_registry)
+        broken = make_record(
+            vehicle_id="bad",
+            avg=9.0,
+            features={"rpm_high": 3.0, "mean_speed_hwy": bad, "mean_exterior_temp": 280.0},
+        )
+        for fn in (reference_explanations, generate_daily_explanations):
+            with pytest.raises(DataError, match="mean_speed_hwy"):
+                fn(model, [target, broken], policy, limits)
+
+    def test_skipped_records_are_not_checked(self, small_registry):
+        # a day without fuel or limits is skipped before its features are read
+        model, inliers, target, limits, policy = explanation_setup(small_registry)
+        no_fuel = make_record(vehicle_id="nofuel", trip_fuel_used=None, features={})
+        no_fuel.avg_fuel_consumption = None
+        no_limit = make_record(vehicle_id="nolim", route_type="city", avg=9.0, features={})
+        records = [target, no_fuel, no_limit]
+        rows = generate_daily_explanations(model, records, policy, limits)
+        assert rows == reference_explanations(model, records, policy, limits)
+        assert {r.vehicle_id for r in rows} == {"vhigh"}
+
+
+_GRID = st.integers(0, 16).map(lambda i: i / 4.0)
+_VALUES = st.integers(-6, 6).map(lambda i: i / 10.0)
+_NAMES = ("rpm_high", "mean_speed_hwy", "mean_exterior_temp", "payload")
+
+
+def _property_registry():
+    payload = FeatureSpec(
+        name="payload",
+        unit="kg",
+        aggregator="mean",
+        impact_type="Positive",
+        reference_zero=False,
+        category="Operational Mass",
+        subcategory="Vehicle Extra Mass",
+        actionable=False,
+    )
+    return make_registry(list(make_registry()) + [payload])
+
+
+@st.composite
+def explain_problems(draw):
+    columns, cuts, values = [], [], []
+    for name in _NAMES:
+        c = sorted(set(draw(st.lists(_GRID, min_size=1, max_size=4))))
+        columns.append(FeatureColumn(name=name, kind="numeric", origin=name))
+        cuts.append(np.asarray(c, dtype=np.float64))
+        values.append(np.asarray(draw(st.lists(_VALUES, min_size=len(c) + 1, max_size=len(c) + 1))))
+    for origin, levels in (("vehicle_group", ["0", "1", "2"]), ("route_type", ["city", "highway"])):
+        if draw(st.booleans()):
+            for level in levels:
+                columns.append(FeatureColumn(f"{origin}={level}", "indicator", origin, level))
+                cuts.append(np.asarray([0.5]))
+                values.append(np.asarray(draw(st.lists(_VALUES, min_size=2, max_size=2))))
+    model = AdditiveModel(
+        intercept=draw(_VALUES) + 7.0, columns=columns, cuts=cuts, values=values, config=TrainConfig()
+    )
+    records = []
+    for i in range(draw(st.integers(1, 14))):
+        rec = make_record(
+            vehicle_id=f"v{draw(st.integers(0, 3))}",
+            day=f"2021-01-0{draw(st.integers(1, 3))}",
+            vehicle_group=draw(st.integers(0, 2)),
+            route_type=draw(st.sampled_from(["city", "highway"])),
+            avg=draw(st.integers(24, 48)) / 4.0,
+            label=draw(st.sampled_from(["inlier", "outlier"])),
+            features={name: draw(_GRID) for name in _NAMES},
+        )
+        if draw(st.integers(0, 9)) == 0:
+            rec.avg_fuel_consumption = None
+        records.append(rec)
+    # days that only back the limits: a route drawn here has fleet-wide
+    # support, so its small cells borrow limits instead of being skipped
+    support = [
+        make_record(vehicle_id=f"s{i}", vehicle_group=9, route_type=route, avg=8.0 + i / 4.0)
+        for route in draw(st.sampled_from([("city", "highway")] * 3 + [("city",), ("highway",), ()]))
+        for i in range(4)
+    ]
+    return model, records, support
+
+
+class TestReferenceProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=explain_problems())
+    def test_rows_equal_reference(self, problem):
+        model, records, support = problem
+        registry = _property_registry()
+        inliers = [r for r in records if r.anomaly_label == "inlier"]
+        policy = ReferencePolicy.from_records(registry, inliers, ("vehicle_group", "route_type"))
+        limits = compute_limits(records + support)
+        expected = reference_explanations(model, records, policy, limits)
+        assert generate_daily_explanations(model, records, policy, limits) == expected
+
+
+class TestReadExplanationsCsv:
+    def test_bad_cell_names_file_and_line(self, small_registry, tmp_path):
+        model, inliers, target, limits, policy = explanation_setup(small_registry)
+        path = tmp_path / "expl.csv"
+        write_explanations_csv(generate_daily_explanations(model, [target], policy, limits), path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("vhigh,2021-01-05", "vhigh,not-a-date")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FeedFormatError, match=r"expl\.csv: line 3"):
+            read_explanations_csv(path)
+
+    def test_short_row_is_a_format_error(self, tmp_path):
+        path = tmp_path / "expl.csv"
+        path.write_text(",".join(("vehicle_id", "date_tx", "route_type", "vehicle_group", "intercept",
+                                  "feature", "feature_relevance", "feature_value", "target_value",
+                                  "avg_fuel_consumption", "limit_group", "y_pred", "y_diff",
+                                  "y_fuel_new")) + "\nv1,2021-01-05\n")
+        with pytest.raises(FeedFormatError, match="line 2"):
+            read_explanations_csv(path)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetfuel.errors import DataError, MissingFeatureError
+from fleetfuel.errors import DataError, FeedFormatError, MissingFeatureError
 from fleetfuel.gam import (
     AdditiveModel,
     BagHistory,
@@ -54,7 +54,7 @@ class TestOneHot:
         _, columns = one_hot(train, ("route_type",))
         model = _tiny_model(columns)
         unseen = make_record(vehicle_id="v3", route_type="combined")
-        row = model._encode_record(unseen)
+        row = model.encode([unseen])[0]
         assert row.tolist() == [0.0, 0.0]
 
 
@@ -304,6 +304,25 @@ class TestSerialization:
         for rec in records[:10]:
             assert loaded.predict(rec) == model.predict(rec)
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "features"}),
+            lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "format"}),
+            lambda text: text.replace('"values": [', '"values": [0.5, ', 1),
+            lambda text: "[1, 2]",
+        ],
+        ids=["truncated", "no-features", "no-format", "value-count", "not-an-object"],
+    )
+    def test_bad_model_file_names_it(self, tmp_path, mangle):
+        X = np.random.default_rng(9).uniform(0, 1, size=(60, 1))
+        path = tmp_path / "model.json"
+        fit_matrix(X, 5.0 + X[:, 0], [numeric_column("a")], FAST).save_json(path)
+        path.write_text(mangle(path.read_text()))
+        with pytest.raises(FeedFormatError, match="model.json"):
+            AdditiveModel.load_json(path)
+
     def test_save_is_deterministic(self, tmp_path):
         X = np.random.default_rng(9).uniform(0, 1, size=(100, 2))
         y = 5.0 + X[:, 0]
@@ -313,6 +332,71 @@ class TestSerialization:
         m.save_json(p1)
         fit_matrix(X, y, cols, FAST).save_json(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestMatrixPath:
+    """encode + contributions against scalar lookups, bit for bit."""
+
+    def _model_and_records(self, small_registry):
+        rng = np.random.default_rng(11)
+        records = [
+            make_record(
+                vehicle_id=f"v{i}",
+                avg=6.0 + rng.uniform(0, 2),
+                vehicle_group=i % 3,
+                route_type=("city", "highway")[i % 2],
+                features={
+                    "rpm_high": float(rng.integers(0, 10)),
+                    "mean_speed_hwy": float(rng.uniform(60, 120)),
+                    "mean_exterior_temp": float(rng.uniform(270, 300)),
+                },
+            )
+            for i in range(60)
+        ]
+        return fit(records, small_registry, FAST), records
+
+    def test_contributions_equal_scalar_lookups(self, small_registry):
+        model, records = self._model_and_records(small_registry)
+        unseen = make_record(vehicle_id="u", vehicle_group=7, route_type="offroad",
+                             features={n: 95.0 for n in small_registry.names})
+        # a value equal to a cut point falls in the bin above it
+        at_cut = {}
+        for n in small_registry.names:
+            j = model._column_index(n)
+            k = int(np.flatnonzero(np.diff(model.values[j]))[0])
+            at_cut[n] = float(model.cuts[j][k])
+        at_cut = make_record(vehicle_id="c", features=at_cut)
+        records = records + [unseen, at_cut]
+        X = model.encode(records)
+        C = model.contributions(X)
+        for i, rec in enumerate(records):
+            for j, col in enumerate(model.columns):
+                if col.kind == "numeric":
+                    raw = rec.features[col.name]
+                else:
+                    raw = 1.0 if str(getattr(rec, col.origin)) == col.level else 0.0
+                assert X[i, j] == raw
+                assert C[i, j] == model.contribution_at(col.name, raw)
+
+    def test_predict_many_matches_predict(self, small_registry):
+        model, records = self._model_and_records(small_registry)
+        many = model.predict_many(records)
+        for i, rec in enumerate(records):
+            assert many[i] == model.predict(rec)
+            relevance = model.feature_relevance(rec)
+            assert model.predict(rec) == model.intercept + float(np.array(list(relevance.values())).sum())
+        assert model.predict_many([]).shape == (0,)
+
+    def test_encode_reports_first_bad_record(self, small_registry):
+        model, records = self._model_and_records(small_registry)
+        nan_first = make_record(vehicle_id="a", features={"rpm_high": 1.0, "mean_speed_hwy": float("nan"),
+                                                          "mean_exterior_temp": 280.0})
+        missing_later = make_record(vehicle_id="b", features={"rpm_high": 1.0})
+        with pytest.raises(DataError) as info:
+            model.encode([nan_first, missing_later])
+        assert not isinstance(info.value, MissingFeatureError)
+        with pytest.raises(MissingFeatureError, match="mean_speed_hwy"):
+            model.encode([missing_later, nan_first])
 
 
 class TestDesignMatrix:

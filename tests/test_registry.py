@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import statistics
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fleetfuel.errors import FeedFormatError
 from fleetfuel.registry import (
@@ -14,6 +18,7 @@ from fleetfuel.registry import (
     assign_groups,
     load_class_table,
     load_sota_limits,
+    median,
     read_identities_csv,
     write_identities_csv,
 )
@@ -103,6 +108,18 @@ class TestClassTable:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(FeedFormatError):
             load_class_table(path)
+
+
+class TestMedian:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64), min_size=1))
+    def test_matches_statistics_median_bit_for_bit(self, values):
+        got = median(values)
+        assert got == statistics.median(values)
+        assert repr(got) == repr(statistics.median(values))
+
+    def test_even_count_averages_middle_pair(self):
+        assert median([4.0, 1.0, 3.0, 2.0]) == 2.5
+        assert median([0.1, 0.2]) == (0.1 + 0.2) / 2.0
 
 
 class TestCatalog:
