@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import FeedFormatError, InsufficientSupportError
+from .errors import InsufficientSupportError
 from .ingest import LABEL_INLIER, LABEL_OUTLIER, LABEL_UNASSIGNED, FarRecord
+from .registry import read_table
 
 MIN_SUPPORT = 4
 WHISKER = 1.5
@@ -236,26 +237,19 @@ def write_limits_csv(limits: LimitTable, path: str | Path) -> None:
             )
 
 
+def _anomaly_limits(row: dict[str, str]) -> AnomalyLimits:
+    return AnomalyLimits(
+        vehicle_group=int(row["vehicle_group"]),
+        route_type=row["route_type"],
+        q1=float(row["q1"]),
+        q3=float(row["q3"]),
+        lim_inf=float(row["lim_inf"]),
+        lim_sup=float(row["lim_sup"]),
+        n_support=int(row["n_support"]),
+        borrowed=row["borrowed_flag"] == "1",
+    )
+
+
 def read_limits_csv(path: str | Path) -> LimitTable:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(LIMITS_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise FeedFormatError(f"{path}: limits table missing {sorted(missing)}")
-        limits = {}
-        try:
-            for row in reader:
-                lim = AnomalyLimits(
-                    vehicle_group=int(row["vehicle_group"]),
-                    route_type=row["route_type"],
-                    q1=float(row["q1"]),
-                    q3=float(row["q3"]),
-                    lim_inf=float(row["lim_inf"]),
-                    lim_sup=float(row["lim_sup"]),
-                    n_support=int(row["n_support"]),
-                    borrowed=row["borrowed_flag"] == "1",
-                )
-                limits[(lim.vehicle_group, lim.route_type)] = lim
-        except (ValueError, TypeError, csv.Error) as exc:
-            raise FeedFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
-    return LimitTable(limits)
+    rows = read_table(path, None, LIMITS_COLUMNS, _anomaly_limits)
+    return LimitTable({(lim.vehicle_group, lim.route_type): lim for lim in rows})

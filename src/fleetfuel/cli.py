@@ -23,7 +23,11 @@ from . import __version__
 from .anomaly import flag_outliers, read_limits_csv, two_phase_clean, write_limits_csv
 from .errors import FeedFormatError, FleetFuelError, MissingStageError
 from .evaluate import (
-    MODEL_METRICS_COLUMNS,
+    CatalogMapeReport,
+    CategoryImpact,
+    ModelMetrics,
+    MonthlyImpact,
+    OutlierComparison,
     aggregate_category_impact,
     catalog_mape,
     model_metrics,
@@ -369,7 +373,7 @@ def stage_train(ctx: RunContext) -> None:
     metrics_path = ctx.out_dir / "train_metrics.json"
     write_report_json(metrics, metrics_path)
     metrics_csv = ctx.out_dir / "train_metrics.csv"
-    write_report_csv([metrics], MODEL_METRICS_COLUMNS, metrics_csv)
+    write_report_csv([metrics], ModelMetrics, metrics_csv)
     history_path = ctx.out_dir / "train_history.csv"
     write_train_history_csv(model, history_path)
     ctx.record_stage(
@@ -383,18 +387,19 @@ def stage_train(ctx: RunContext) -> None:
     )
 
 
-def _load_explain_inputs(ctx: RunContext):
+def _load_labeled_inputs(ctx: RunContext):
     registry = ctx.registry()
-    model = AdditiveModel.load_json(ctx.artifact("model.json", "train"))
     labeled = read_far_csv(ctx.artifact("far_labeled.csv", "clean"), registry)
     limits = read_limits_csv(ctx.artifact("limits.csv", "clean"))
     inliers = [r for r in labeled if r.anomaly_label == LABEL_INLIER]
     policy = ReferencePolicy.from_records(registry, inliers, DEFAULT_CATEGORICALS)
-    return registry, model, labeled, limits, policy
+    return registry, labeled, limits, policy
 
 
 def stage_explain(ctx: RunContext) -> None:
-    registry, model, labeled, limits, policy = _load_explain_inputs(ctx)
+    # the model first: with several artifacts missing, the report names train
+    model = AdditiveModel.load_json(ctx.artifact("model.json", "train"))
+    registry, labeled, limits, policy = _load_labeled_inputs(ctx)
     rules_cfg = ctx.config["rules"]
     pre_rows = generate_daily_explanations(model, labeled, policy, limits)
     final_rows, audit = apply_business_rules(
@@ -429,7 +434,7 @@ def stage_explain(ctx: RunContext) -> None:
 
 
 def stage_evaluate(ctx: RunContext) -> None:
-    registry, model, labeled, limits, policy = _load_explain_inputs(ctx)
+    registry, labeled, limits, policy = _load_labeled_inputs(ctx)
     fleet = ctx.config["fleet_id"]
     final_rows = read_explanations_csv(ctx.artifact("explanations.csv", "explain"))
     pre_rows = read_explanations_csv(ctx.artifact("explanations_prefilter.csv", "explain"))
@@ -463,52 +468,25 @@ def stage_evaluate(ctx: RunContext) -> None:
     write_report_json(train_metrics, p)
     outputs.append(p)
     p = ctx.out_dir / "report_model_metrics.csv"
-    write_report_csv([train_metrics], MODEL_METRICS_COLUMNS, p)
+    write_report_csv([train_metrics], ModelMetrics, p)
     outputs.append(p)
     p = ctx.out_dir / "report_category_impact.json"
     write_report_json({"fleet": fleet, "impacts": impacts}, p)
     outputs.append(p)
     p = ctx.out_dir / "report_category_impact.csv"
-    write_report_csv(
-        impacts,
-        ("category", "subcategory", "fleet", "median_impact_pct", "n_days", "min_pct", "max_pct", "verdict"),
-        p,
-    )
+    write_report_csv(impacts, CategoryImpact, p)
     outputs.append(p)
     p = ctx.out_dir / "report_outlier_explained.json"
     write_report_json({"fleet": fleet, "comparison": comparison}, p)
     outputs.append(p)
     p = ctx.out_dir / "report_outlier_explained.csv"
-    write_report_csv(
-        [comparison] if comparison is not None else [],
-        ("fleet", "n_outlier_days", "median_explained", "median_anomalous", "w_statistic", "p_value"),
-        p,
-    )
+    write_report_csv([comparison] if comparison is not None else [], OutlierComparison, p)
     outputs.append(p)
     p = ctx.out_dir / "report_catalog_mape.json"
     write_report_json(catalog_report, p)
     outputs.append(p)
     p = ctx.out_dir / "report_catalog_mape.csv"
-    write_report_csv(
-        [catalog_report],
-        (
-            "fleet",
-            "mape_1",
-            "mape_2",
-            "mape_3",
-            "pct_mape1_lt_50",
-            "pct_mape1_lt_20",
-            "pct_mape1_lt_10",
-            "pct_mape2_lt_50",
-            "pct_mape2_lt_20",
-            "pct_mape2_lt_10",
-            "pct_below_catalog",
-            "n_days",
-            "n_catalog_days",
-            "n_unmatched",
-        ),
-        p,
-    )
+    write_report_csv([catalog_report], CatalogMapeReport, p)
     outputs.append(p)
     ctx.record_stage(
         "evaluate",
@@ -542,11 +520,7 @@ def stage_impact(ctx: RunContext) -> None:
     json_path = ctx.out_dir / "monthly_impact.json"
     write_report_json({"fleet": fleet, "months": table}, json_path)
     csv_path = ctx.out_dir / "monthly_impact.csv"
-    write_report_csv(
-        table,
-        ("fleet", "month", "total_fuel_l", "extra_fuel_all_l", "extra_fuel_behaviour_l", "co2_kg", "cost"),
-        csv_path,
-    )
+    write_report_csv(table, MonthlyImpact, csv_path)
     ctx.record_stage(
         "impact",
         inputs=[ctx.out_dir / "explanations.csv"],

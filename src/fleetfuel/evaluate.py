@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -29,6 +29,7 @@ from .registry import (
     SotaLimit,
     UNCHECKED_SUBCATEGORIES,
     VehicleIdentity,
+    csv_cell,
 )
 
 CO2_KG_PER_LITER = 2.67633
@@ -148,19 +149,6 @@ class ModelMetrics:
     n_test: int
     n_predictors: int
     n_unscoreable: int
-
-
-MODEL_METRICS_COLUMNS = (
-    "fleet",
-    "median_vehicle_mape",
-    "mape_category",
-    "adjusted_r2",
-    "r2_category",
-    "n_train",
-    "n_test",
-    "n_predictors",
-    "n_unscoreable",
-)
 
 
 def model_metrics(
@@ -548,14 +536,6 @@ def monthly_impact(
 # Report output
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_report_json(payload, path: str | Path) -> None:
     """Sorted, indented JSON; a NaN or infinity raises DataError naming the file."""
 
@@ -573,10 +553,16 @@ def write_report_json(payload, path: str | Path) -> None:
         fh.write("\n")
 
 
-def write_report_csv(items: Iterable, columns: Sequence[str], path: str | Path) -> None:
+def write_report_csv(items: Iterable, row_type: type, path: str | Path) -> None:
+    """One row per item, columns in the field order of the ``row_type`` dataclass.
+
+    Items are instances of row_type or dicts keyed by its field names (a
+    report read back from JSON); a missing key writes an empty cell.
+    """
+    columns = [f.name for f in fields(row_type)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for item in items:
             data = asdict(item) if hasattr(item, "__dataclass_fields__") else dict(item)
-            writer.writerow([_csv_cell(data.get(col)) for col in columns])
+            writer.writerow([csv_cell(data.get(col)) for col in columns])

@@ -43,7 +43,7 @@ from .anomaly import LimitTable
 from .errors import FeedFormatError
 from .gam import KIND_NUMERIC, AdditiveModel
 from .ingest import FarRecord
-from .registry import FeatureRegistry, median
+from .registry import FeatureRegistry, csv_cell, median
 
 logger = logging.getLogger(__name__)
 
@@ -171,18 +171,6 @@ class ReferencePolicy:
         if self.reference_kind(feature) == REFERENCE_ZERO:
             return 0.0
         return self.feature_median(vehicle_group, route_type, feature)
-
-
-def reference_value(
-    feature: str,
-    vehicle_group: int,
-    route_type: str,
-    registry: FeatureRegistry,
-    inlier_records: Sequence[FarRecord],
-) -> float:
-    """Convenience wrapper building a one-shot policy from inlier records."""
-    policy = ReferencePolicy.from_records(registry, inlier_records)
-    return policy.reference_value(feature, vehicle_group, route_type)
 
 
 def fuel_saving(
@@ -448,9 +436,7 @@ def apply_business_rules(
                     )
             current = kept
         elif rule == "BR5":
-            totals: dict[tuple, float] = {}
-            for row in current:
-                totals[row.day_key] = totals.get(row.day_key, 0.0) + row.y_diff
+            totals = _day_totals(current)
             kept = []
             for row in current:
                 total = totals[row.day_key]
@@ -473,10 +459,6 @@ def apply_business_rules(
 # CSV / JSONL round trips
 
 
-def _fmt_value(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def write_explanations_csv(rows: Iterable[ExplanationRow], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -491,8 +473,8 @@ def write_explanations_csv(rows: Iterable[ExplanationRow], path: str | Path) -> 
                     repr(row.intercept),
                     row.feature,
                     repr(row.feature_relevance),
-                    _fmt_value(row.feature_value),
-                    _fmt_value(row.target_value),
+                    csv_cell(row.feature_value),
+                    csv_cell(row.target_value),
                     repr(row.avg_fuel_consumption),
                     repr(row.limit_group),
                     repr(row.y_pred),

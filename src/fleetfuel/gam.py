@@ -93,6 +93,40 @@ def _level_sort_key(levels: set[str]) -> list[str]:
         return sorted(levels)
 
 
+def encode(records: Sequence[FarRecord], columns: Sequence[FeatureColumn]) -> np.ndarray:
+    """(records x columns) design matrix, the one encoder of the module.
+
+    Numeric columns read the record's feature; a missing or non-finite
+    value raises as ``_numeric_value`` does, for the first offending
+    (record, column) in record-major order.  Indicator columns are 1.0
+    where the record's categorical field equals the column's level, so a
+    level without a column encodes as all zeros.
+    """
+    X = np.empty((len(records), len(columns)), dtype=np.float64)
+    numeric = [j for j, col in enumerate(columns) if col.kind == KIND_NUMERIC]
+    names = [columns[j].name for j in numeric]
+    if numeric and records:
+        try:
+            block = np.array([[rec.features[n] for n in names] for rec in records], dtype=np.float64)
+            valid = bool(np.isfinite(block).all())
+        except (KeyError, TypeError, ValueError):
+            valid = False
+        if not valid:
+            # the scalar checks raise on the first bad cell
+            block = np.array(
+                [[_numeric_value(rec, n) for n in names] for rec in records], dtype=np.float64
+            )
+        X[:, numeric] = block
+    origins: dict[str, list[str]] = {}
+    for j, col in enumerate(columns):
+        if col.kind == KIND_NUMERIC:
+            continue
+        if col.origin not in origins:
+            origins[col.origin] = [str(getattr(rec, col.origin)) for rec in records]
+        X[:, j] = [1.0 if level == col.level else 0.0 for level in origins[col.origin]]
+    return X
+
+
 def one_hot(
     records: Sequence[FarRecord], categorical_names: Sequence[str]
 ) -> tuple[np.ndarray, list[FeatureColumn]]:
@@ -110,13 +144,7 @@ def one_hot(
                     name=f"{name}={level}", kind=KIND_INDICATOR, origin=name, level=level
                 )
             )
-    matrix = np.empty((len(records), len(columns)), dtype=np.float64)
-    for j, col in enumerate(columns):
-        matrix[:, j] = [
-            1.0 if str(getattr(rec, col.origin)) == col.level else 0.0
-            for rec in records
-        ]
-    return matrix, columns
+    return encode(records, columns), columns
 
 
 def _numeric_value(rec: FarRecord, name: str) -> float:
@@ -141,11 +169,8 @@ def build_design(
         FeatureColumn(name=name, kind=KIND_NUMERIC, origin=name)
         for name in registry.names
     ]
-    X_num = np.empty((len(records), len(numeric)), dtype=np.float64)
-    for j, col in enumerate(numeric):
-        X_num[:, j] = [_numeric_value(rec, col.name) for rec in records]
     X_cat, cat_columns = one_hot(records, categoricals)
-    return np.hstack([X_num, X_cat]), numeric + cat_columns
+    return np.hstack([encode(records, numeric), X_cat]), numeric + cat_columns
 
 
 def build_bins(matrix: np.ndarray, max_bins: int = 256) -> list[np.ndarray]:
@@ -393,36 +418,8 @@ class AdditiveModel:
     # -- matrix path -------------------------------------------------------
 
     def encode(self, records: Sequence[FarRecord]) -> np.ndarray:
-        """(records x columns) design matrix in model column order.
-
-        Numeric columns read the record's feature; a missing or non-finite
-        value raises as ``_numeric_value`` does, for the first offending
-        (record, column) in record-major order.  Indicator columns are 1.0
-        where the record's categorical field equals the column's level.
-        """
-        X = np.empty((len(records), len(self.columns)), dtype=np.float64)
-        numeric = [j for j, col in enumerate(self.columns) if col.kind == KIND_NUMERIC]
-        names = [self.columns[j].name for j in numeric]
-        if numeric and records:
-            try:
-                block = np.array([[rec.features[n] for n in names] for rec in records], dtype=np.float64)
-                valid = bool(np.isfinite(block).all())
-            except (KeyError, TypeError, ValueError):
-                valid = False
-            if not valid:
-                # the scalar checks raise on the first bad cell
-                block = np.array(
-                    [[_numeric_value(rec, n) for n in names] for rec in records], dtype=np.float64
-                )
-            X[:, numeric] = block
-        origins: dict[str, list[str]] = {}
-        for j, col in enumerate(self.columns):
-            if col.kind == KIND_NUMERIC:
-                continue
-            if col.origin not in origins:
-                origins[col.origin] = [str(getattr(rec, col.origin)) for rec in records]
-            X[:, j] = [1.0 if level == col.level else 0.0 for level in origins[col.origin]]
-        return X
+        """(records x columns) design matrix in model column order; see ``encode``."""
+        return encode(records, self.columns)
 
     def contributions(self, X: np.ndarray) -> np.ndarray:
         """Per-column shape values f_j(X[:, j]): one bin lookup per column."""

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import DataError, FeedFormatError
-from .registry import FeatureRegistry, VehicleClassRow, VehicleIdentity, median
+from .registry import FeatureRegistry, VehicleClassRow, VehicleIdentity, csv_cell, median
 
 logger = logging.getLogger(__name__)
 
@@ -41,7 +41,6 @@ ROUTE_TYPES = (ROUTE_CITY, ROUTE_COMBINED, ROUTE_HIGHWAY)
 
 LABEL_INLIER = "inlier"
 LABEL_OUTLIER = "outlier"
-LABEL_NOISE = "noise"
 LABEL_UNASSIGNED = "unassigned"
 
 MIN_TRIP_KMS = 5.0
@@ -340,18 +339,12 @@ class RemovalReport:
         return sum(self.reasons.values())
 
 
-def quality_filter(
-    records: Iterable[FarRecord],
-    lower_limits=None,
-    upper_noise_limits=None,
-) -> tuple[list[FarRecord], RemovalReport]:
+def quality_filter(records: Iterable[FarRecord]) -> tuple[list[FarRecord], RemovalReport]:
     """Drop records unusable for modelling; count each removal reason.
 
-    Removes records with a missing or short trip (< 5 km), missing fuel,
-    fuel below the group's lower whisker, or fuel above the group's noise
-    whisker.  Both limit arguments are optional lookup tables keyed by
-    (vehicle_group, route_type); records removed on the noise side are
-    marked with the noise label.
+    Removes records with a missing or short trip (< 5 km) or missing fuel.
+    Implausibly low and noisy fuel is removed later, against whisker limits,
+    by ``anomaly.two_phase_clean``.
     """
     kept: list[FarRecord] = []
     report = RemovalReport()
@@ -365,17 +358,6 @@ def quality_filter(
         if rec.trip_fuel_used is None or rec.avg_fuel_consumption is None:
             report.count("missing_fuel")
             continue
-        if lower_limits is not None:
-            lim = lower_limits.lookup(rec.vehicle_group, rec.route_type)
-            if lim is not None and rec.avg_fuel_consumption < lim.lim_inf:
-                report.count("low_fuel")
-                continue
-        if upper_noise_limits is not None:
-            lim = upper_noise_limits.lookup(rec.vehicle_group, rec.route_type)
-            if lim is not None and rec.avg_fuel_consumption > lim.lim_sup:
-                rec.anomaly_label = LABEL_NOISE
-                report.count("noise_fuel")
-                continue
         kept.append(rec)
     return kept, report
 
@@ -428,10 +410,6 @@ FAR_FIXED_COLUMNS = (
 )
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
 def write_far_csv(
     records: Iterable[FarRecord], registry: FeatureRegistry, path: str | Path
 ) -> None:
@@ -448,12 +426,12 @@ def write_far_csv(
                 str(rec.vehicle_group),
                 str(rec.vehicle_class),
                 rec.anomaly_label,
-                _fmt(rec.trip_kms),
-                _fmt(rec.trip_fuel_used),
-                _fmt(rec.per_time_city),
-                _fmt(rec.avg_fuel_consumption),
+                csv_cell(rec.trip_kms),
+                csv_cell(rec.trip_fuel_used),
+                csv_cell(rec.per_time_city),
+                csv_cell(rec.avg_fuel_consumption),
             ]
-            row.extend(_fmt(rec.features.get(name)) for name in names)
+            row.extend(csv_cell(rec.features.get(name)) for name in names)
             writer.writerow(row)
 
 

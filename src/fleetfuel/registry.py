@@ -1,7 +1,10 @@
 """Config tables: feature registry, vehicle identity, class table, catalog, limits.
 
-Every external CSV the pipeline consumes is loaded and validated here, so the
-file schemas live in one place.  The feature registry drives aggregation,
+Every config table the pipeline consumes, and the small artifact tables it
+reads back, goes through one reader, ``read_table``, so the table format and
+its error reporting live in one place: a missing column, a row with the
+wrong field count or a cell that does not parse raises FeedFormatError
+naming the file and line.  The feature registry drives aggregation,
 imputation, reference policies and the explanation taxonomy; the VIN map and
 class table drive vehicle grouping; the catalog and SOTA-limit tables drive
 the domain evaluations.
@@ -11,12 +14,58 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .errors import FeedFormatError
+from .errors import FeedFormatError, FleetFuelError
+
+T = TypeVar("T")
+
+
+def read_table(
+    path: str | Path | None,
+    packaged: str | None,
+    columns: Sequence[str],
+    parse: Callable[[dict[str, str]], T],
+) -> list[T]:
+    """Rows of a CSV table, each parsed from a dict of its stripped cells.
+
+    Reads ``path``, or the packaged data file named ``packaged`` when path
+    is None.  The header must hold every name in ``columns``; blank lines
+    are skipped.  A missing column, a row whose field count differs from
+    the header's, or a row whose ``parse`` raises ValueError or
+    FleetFuelError raises FeedFormatError as ``<file>: line N: <reason>``.
+    """
+    if path is None:
+        origin = f"<packaged {packaged}>"
+        fh = io.StringIO(resources.files("fleetfuel.data").joinpath(packaged).read_text(encoding="utf-8"))
+    else:
+        origin = str(path)
+        fh = open(path, newline="", encoding="utf-8")
+    with fh:
+        reader = csv.DictReader(fh)
+        try:
+            missing = sorted(set(columns) - set(reader.fieldnames or ()))
+            if missing:
+                raise ValueError(f"missing columns {missing}")
+            rows = []
+            for row in reader:
+                # surplus cells land under the key None; missing cells read None
+                if None in row or None in row.values():
+                    raise ValueError(f"row does not have the header's {len(reader.fieldnames)} fields")
+                rows.append(parse({name: cell.strip() for name, cell in row.items()}))
+        except (ValueError, csv.Error, FleetFuelError) as exc:
+            raise FeedFormatError(f"{origin}: line {reader.line_num}: {exc}") from exc
+    return rows
+
+
+def csv_cell(value) -> str:
+    """One written CSV cell: "" for None, repr for a float (exact round trip), else str."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def median(values: Sequence[float]) -> float:
@@ -65,7 +114,7 @@ _FALSE = {"no", "n", "false", "0", ""}
 
 
 def _parse_flag(raw: str, column: str) -> bool:
-    val = raw.strip().lower()
+    val = raw.lower()
     if val in _TRUE:
         return True
     if val in _FALSE:
@@ -150,41 +199,25 @@ class FeatureRegistry:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureRegistry":
-        with open(path, newline="", encoding="utf-8") as fh:
-            return cls._read(fh, str(path))
-
-    @classmethod
-    def _read(cls, fh, origin: str) -> "FeatureRegistry":
-        reader = csv.DictReader(fh)
-        missing = set(REGISTRY_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise FeedFormatError(
-                f"{origin}: registry is missing columns {sorted(missing)}"
-            )
-        specs = []
-        for row in reader:
-            specs.append(
-                FeatureSpec(
-                    name=row["name"].strip(),
-                    unit=row["unit"].strip(),
-                    aggregator=row["aggregator"].strip(),
-                    impact_type=row["impact_type"].strip(),
-                    reference_zero=_parse_flag(row["reference_zero"], "reference_zero"),
-                    category=row["category"].strip(),
-                    subcategory=row["subcategory"].strip(),
-                    actionable=_parse_flag(row["actionable"], "actionable"),
-                    description=(row.get("description") or "").strip(),
-                )
-            )
-        return cls(specs)
+        return cls(read_table(path, None, REGISTRY_COLUMNS, _feature_spec))
 
     @classmethod
     def default(cls) -> "FeatureRegistry":
-        return cls._read(io.StringIO(_load_data("feature_registry.csv")), "<packaged>")
+        return cls(read_table(None, "feature_registry.csv", REGISTRY_COLUMNS, _feature_spec))
 
 
-def _load_data(name: str) -> str:
-    return resources.files("fleetfuel.data").joinpath(name).read_text(encoding="utf-8")
+def _feature_spec(row: dict[str, str]) -> FeatureSpec:
+    return FeatureSpec(
+        name=row["name"],
+        unit=row["unit"],
+        aggregator=row["aggregator"],
+        impact_type=row["impact_type"],
+        reference_zero=_parse_flag(row["reference_zero"], "reference_zero"),
+        category=row["category"],
+        subcategory=row["subcategory"],
+        actionable=_parse_flag(row["actionable"], "actionable"),
+        description=row.get("description", ""),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,25 +256,7 @@ class VinMap:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "VinMap":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = set(VIN_MAP_COLUMNS) - set(reader.fieldnames or ())
-            if missing:
-                raise FeedFormatError(
-                    f"{path}: VIN map is missing columns {sorted(missing)}"
-                )
-            entries = {}
-            for row in reader:
-                prefix = row["vin_prefix"].strip()
-                if not prefix:
-                    raise FeedFormatError(f"{path}: empty vin_prefix")
-                entries[prefix] = (
-                    row["make"].strip(),
-                    row["model"].strip(),
-                    row["year"].strip(),
-                    row["fuel_type"].strip(),
-                )
-        return cls(entries)
+        return cls(dict(read_table(path, None, VIN_MAP_COLUMNS, _vin_entry)))
 
     def lookup(self, vehicle_id: str) -> tuple[str, str, str, str]:
         """Longest vin_prefix matching the start of vehicle_id, else unknown."""
@@ -249,6 +264,12 @@ class VinMap:
             if vehicle_id.startswith(prefix):
                 return self._entries[prefix]
         return UNKNOWN_IDENTITY
+
+
+def _vin_entry(row: dict[str, str]) -> tuple[str, tuple[str, str, str, str]]:
+    if not row["vin_prefix"]:
+        raise ValueError("empty vin_prefix")
+    return row["vin_prefix"], (row["make"], row["model"], row["year"], row["fuel_type"])
 
 
 def assign_groups(vehicle_ids: Sequence[str], vin_map: VinMap) -> dict[str, VehicleIdentity]:
@@ -304,24 +325,20 @@ def write_identities_csv(
             )
 
 
+def _identity(row: dict[str, str]) -> VehicleIdentity:
+    return VehicleIdentity(
+        vehicle_id=row["vehicle_id"],
+        make=row["make"],
+        model=row["model"],
+        year=row["year"],
+        fuel_type=row["fuel_type"],
+        vehicle_group=int(row["vehicle_group"]),
+        vehicle_class=int(row["vehicle_class"]),
+    )
+
+
 def read_identities_csv(path: str | Path) -> dict[str, VehicleIdentity]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(IDENTITY_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise FeedFormatError(f"{path}: identities missing {sorted(missing)}")
-        out = {}
-        for row in reader:
-            out[row["vehicle_id"]] = VehicleIdentity(
-                vehicle_id=row["vehicle_id"],
-                make=row["make"],
-                model=row["model"],
-                year=row["year"],
-                fuel_type=row["fuel_type"],
-                vehicle_group=int(row["vehicle_group"]),
-                vehicle_class=int(row["vehicle_class"]),
-            )
-    return out
+    return {ident.vehicle_id: ident for ident in read_table(path, None, IDENTITY_COLUMNS, _identity)}
 
 
 # ---------------------------------------------------------------------------
@@ -339,36 +356,21 @@ class VehicleClassRow:
 CLASS_TABLE_COLUMNS = ("l100km_min", "l100km_max", "l100km_med", "vehicle_class")
 
 
+def _class_row(row: dict[str, str]) -> VehicleClassRow:
+    return VehicleClassRow(
+        l100km_min=float(row["l100km_min"]),
+        l100km_max=float(row["l100km_max"]),
+        l100km_med=float(row["l100km_med"]),
+        vehicle_class=int(row["vehicle_class"]),
+    )
+
+
 def load_class_table(path: str | Path | None = None) -> list[VehicleClassRow]:
     """Class table sorted by class id; packaged default when path is None."""
-    if path is None:
-        text = _load_data("vehicle_classes.csv")
-        fh: Iterable[str] = io.StringIO(text)
-        origin = "<packaged>"
-    else:
-        fh = open(path, newline="", encoding="utf-8")
-        origin = str(path)
-    try:
-        reader = csv.DictReader(fh)
-        missing = set(CLASS_TABLE_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise FeedFormatError(f"{origin}: class table missing {sorted(missing)}")
-        rows = [
-            VehicleClassRow(
-                l100km_min=float(r["l100km_min"]),
-                l100km_max=float(r["l100km_max"]),
-                l100km_med=float(r["l100km_med"]),
-                vehicle_class=int(r["vehicle_class"]),
-            )
-            for r in reader
-        ]
-    finally:
-        if path is not None:
-            fh.close()  # type: ignore[union-attr]
-    rows.sort(key=lambda r: r.vehicle_class)
+    rows = read_table(path, "vehicle_classes.csv", CLASS_TABLE_COLUMNS, _class_row)
     if not rows:
-        raise FeedFormatError(f"{origin}: class table is empty")
-    return rows
+        raise FeedFormatError(f"{path or '<packaged vehicle_classes.csv>'}: class table is empty")
+    return sorted(rows, key=lambda r: r.vehicle_class)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +388,10 @@ class CatalogReference:
     route_type: str
     l_per_100km: float
 
+    def __post_init__(self):
+        if not self.l_per_100km > 0:
+            raise FeedFormatError(f"catalog fuel must be positive, got {self.l_per_100km}")
+
 
 CATALOG_COLUMNS = ("make", "model", "year", "fuel_type", "route_type", "l_per_100km")
 
@@ -396,41 +402,30 @@ class CatalogTable:
     def __init__(self, refs: Iterable[CatalogReference]):
         buckets: dict[tuple, list[float]] = {}
         for ref in refs:
-            if not ref.l_per_100km > 0:
-                raise FeedFormatError(
-                    f"catalog fuel must be positive, got {ref.l_per_100km}"
-                )
             key = (ref.make, ref.model, ref.year, ref.fuel_type, ref.route_type)
             buckets.setdefault(key, []).append(ref.l_per_100km)
         self._median = {key: median(vals) for key, vals in buckets.items()}
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "CatalogTable":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = set(CATALOG_COLUMNS) - set(reader.fieldnames or ())
-            if missing:
-                raise FeedFormatError(
-                    f"{path}: catalog is missing columns {sorted(missing)}"
-                )
-            refs = [
-                CatalogReference(
-                    make=r["make"].strip(),
-                    model=r["model"].strip(),
-                    year=r["year"].strip(),
-                    fuel_type=r["fuel_type"].strip(),
-                    route_type=r["route_type"].strip(),
-                    l_per_100km=float(r["l_per_100km"]),
-                )
-                for r in reader
-            ]
-        return cls(refs)
+        return cls(read_table(path, None, CATALOG_COLUMNS, _catalog_reference))
 
     def lookup(
         self, identity: VehicleIdentity, route_type: str
     ) -> float | None:
         key = (identity.make, identity.model, identity.year, identity.fuel_type, route_type)
         return self._median.get(key)
+
+
+def _catalog_reference(row: dict[str, str]) -> CatalogReference:
+    return CatalogReference(
+        make=row["make"],
+        model=row["model"],
+        year=row["year"],
+        fuel_type=row["fuel_type"],
+        route_type=row["route_type"],
+        l_per_100km=float(row["l_per_100km"]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,29 +443,16 @@ class SotaLimit:
 SOTA_COLUMNS = ("category", "subcategory", "min_pct", "max_pct")
 
 
+def _sota_limit(row: dict[str, str]) -> SotaLimit:
+    return SotaLimit(
+        category=row["category"],
+        subcategory=row["subcategory"],
+        min_pct=float(row["min_pct"]),
+        max_pct=float(row["max_pct"]),
+    )
+
+
 def load_sota_limits(path: str | Path | None = None) -> dict[tuple[str, str], SotaLimit]:
     """Literature impact limits per (category, subcategory), in percent."""
-    if path is None:
-        fh: Iterable[str] = io.StringIO(_load_data("sota_limits.csv"))
-        origin = "<packaged>"
-    else:
-        fh = open(path, newline="", encoding="utf-8")
-        origin = str(path)
-    try:
-        reader = csv.DictReader(fh)
-        missing = set(SOTA_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise FeedFormatError(f"{origin}: limits table missing {sorted(missing)}")
-        out = {}
-        for r in reader:
-            lim = SotaLimit(
-                category=r["category"].strip(),
-                subcategory=r["subcategory"].strip(),
-                min_pct=float(r["min_pct"]),
-                max_pct=float(r["max_pct"]),
-            )
-            out[(lim.category, lim.subcategory)] = lim
-    finally:
-        if path is not None:
-            fh.close()  # type: ignore[union-attr]
-    return out
+    limits = read_table(path, "sota_limits.csv", SOTA_COLUMNS, _sota_limit)
+    return {(lim.category, lim.subcategory): lim for lim in limits}

@@ -26,7 +26,6 @@ import json
 from dataclasses import asdict, dataclass, field
 from datetime import date as date_type, timedelta
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -541,32 +540,3 @@ def _write_truth_savings(spec: SynthSpec, days: list[TruthDay], path: Path) -> N
                         [d.vehicle_id, d.date.isoformat(), f.name, repr(saving)]
                     )
 
-
-def read_truth_days(path: str | Path, feature_names: Sequence[str]) -> list[TruthDay]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        days = []
-        for row in reader:
-            days.append(
-                TruthDay(
-                    vehicle_id=row["vehicle_id"],
-                    date=date_type.fromisoformat(row["date"]),
-                    synth_group=int(row["synth_group"]),
-                    make=row["make"],
-                    model=row["model"],
-                    year=row["year"],
-                    fuel_type=row["fuel_type"],
-                    route_type=row["route_type"],
-                    trip_kms=float(row["trip_kms"]),
-                    per_time_city=float(row["per_time_city"]),
-                    fuel_l100=float(row["fuel_l100"]),
-                    clean_fuel_l100=float(row["clean_fuel_l100"]),
-                    planted_outlier=row["planted_outlier"] == "1",
-                    boost_added=float(row["boost_added"]),
-                    base_fuel=float(row["base_fuel"]),
-                    noise_residual=float(row["noise_residual"]),
-                    feature_values={n: float(row[f"value_{n}"]) for n in feature_names},
-                    contributions={n: float(row[f"contrib_{n}"]) for n in feature_names},
-                )
-            )
-    return days

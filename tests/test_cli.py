@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import json
 import shutil
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -244,3 +246,48 @@ class TestCorruptInputs:
         out, cfg = self._copy(finished_run, tmp_path)
         _corrupt_cell(out / "limits.csv", 2, "lim_sup", "high")
         self._fails_naming(capsys, "explain", cfg, out, "limits.csv", "line 2")
+
+    @pytest.mark.parametrize(
+        "stage, table, line, column, text",
+        [
+            ("evaluate", "identities.csv", 3, "vehicle_group", "bad"),
+            ("evaluate", "catalog.csv", 2, "l_per_100km", "bad"),
+        ],
+    )
+    def test_table_artifact_bad_cell(self, finished_run, tmp_path, capsys, stage, table, line, column, text):
+        out, cfg = self._copy(finished_run, tmp_path)
+        _corrupt_cell(out / table, line, column, text)
+        self._fails_naming(capsys, stage, cfg, out, table, f"line {line}")
+
+    @pytest.mark.parametrize(
+        "stage, key, packaged, line, column, text",
+        [
+            ("clean", "class_table", "vehicle_classes.csv", 4, "l100km_max", "wide"),
+            ("evaluate", "sota_limits", "sota_limits.csv", 5, "min_pct", "low"),
+            ("clean", "registry", "feature_registry.csv", 7, "actionable", "maybe"),
+        ],
+    )
+    def test_config_table_bad_cell(self, finished_run, tmp_path, capsys, stage, key, packaged, line, column, text):
+        out, cfg = self._copy(finished_run, tmp_path)
+        table = tmp_path / f"my_{packaged}"
+        table.write_text(resources.files("fleetfuel.data").joinpath(packaged).read_text(encoding="utf-8"))
+        _corrupt_cell(table, line, column, text)
+        cfg = _config_with_paths(cfg, tmp_path, **{key: table})
+        self._fails_naming(capsys, stage, cfg, out, table.name, f"line {line}")
+
+    def test_vin_map_short_row(self, finished_run, tmp_path, capsys):
+        out, cfg = self._copy(finished_run, tmp_path)
+        table = tmp_path / "my_vin_map.csv"
+        lines = (out / "vin_map.csv").read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:3])
+        table.write_text("\n".join(lines) + "\n")
+        cfg = _config_with_paths(cfg, tmp_path, vin_map=table)
+        self._fails_naming(capsys, "ingest", cfg, out, table.name, "line 2")
+
+
+def _config_with_paths(cfg: str, tmp_path, **paths) -> str:
+    config = json.loads(Path(cfg).read_text(encoding="utf-8"))
+    config["paths"].update({key: str(value) for key, value in paths.items()})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return str(path)

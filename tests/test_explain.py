@@ -21,7 +21,6 @@ from fleetfuel.explain import (
     generate_daily_explanations,
     read_explanations_csv,
     recompute_fuel_new,
-    reference_value,
     write_explanations_csv,
     write_inlier_medians_csv,
 )
@@ -70,19 +69,20 @@ def inlier_pool(registry):
 
 class TestReferenceValue:
     def test_reference_zero_feature(self, small_registry):
-        assert reference_value("rpm_high", 0, "highway", small_registry, inlier_pool(small_registry)) == 0.0
+        policy = ReferencePolicy.from_records(small_registry, inlier_pool(small_registry))
+        assert policy.reference_value("rpm_high", 0, "highway") == 0.0
 
     def test_median_inlier_feature(self, small_registry):
-        ref = reference_value("mean_speed_hwy", 0, "highway", small_registry, inlier_pool(small_registry))
-        assert ref == 75.73
+        policy = ReferencePolicy.from_records(small_registry, inlier_pool(small_registry))
+        assert policy.reference_value("mean_speed_hwy", 0, "highway") == 75.73
 
     def test_fleet_fallback(self, small_registry):
         pool = [
             make_record(vehicle_id="other", vehicle_group=9, route_type="city", label="inlier",
                         features={"mean_speed_hwy": 5.0})
         ]
-        ref = reference_value("mean_speed_hwy", 0, "highway", small_registry, pool)
-        assert ref == 5.0
+        policy = ReferencePolicy.from_records(small_registry, pool)
+        assert policy.reference_value("mean_speed_hwy", 0, "highway") == 5.0
 
     def test_kind_matches_registry_flag(self, small_registry):
         policy = ReferencePolicy.from_records(small_registry, inlier_pool(small_registry))

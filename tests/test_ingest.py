@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from fleetfuel.errors import DataError, FeedFormatError
 from fleetfuel.ingest import (
-    LABEL_NOISE,
     RouteThresholds,
     aggregate_daily,
     assign_vehicle_class,
@@ -224,19 +223,6 @@ class TestVehicleClass:
         assert assign_vehicle_class(15.0, table) == 3
 
 
-class _Limits:
-    """Minimal stand-in for a limit lookup table."""
-
-    def __init__(self, lim_inf=None, lim_sup=None):
-        self.lim_inf = lim_inf
-        self.lim_sup = lim_sup
-
-    def lookup(self, group, route):
-        if self.lim_inf is None and self.lim_sup is None:
-            return None
-        return self
-
-
 class TestQualityFilter:
     def test_low_distance_removed(self):
         kept, report = quality_filter([make_record(trip_kms=3.0)])
@@ -252,21 +238,6 @@ class TestQualityFilter:
         kept, report = quality_filter([make_record(trip_kms=5.0, trip_fuel_used=0.5)])
         assert len(kept) == 1
         assert report.n_removed == 0
-
-    def test_low_fuel_limit(self):
-        rec = make_record(avg=1.0)
-        kept, report = quality_filter([rec], lower_limits=_Limits(lim_inf=2.0, lim_sup=99.0))
-        assert kept == []
-        assert report.reasons == {"low_fuel": 1}
-
-    def test_noise_limit_marks_label(self):
-        rec = make_record(avg=50.0)
-        kept, report = quality_filter(
-            [rec], upper_noise_limits=_Limits(lim_inf=0.0, lim_sup=20.0)
-        )
-        assert kept == []
-        assert report.reasons == {"noise_fuel": 1}
-        assert rec.anomaly_label == LABEL_NOISE
 
 
 class TestImputeMissing:
