@@ -19,6 +19,8 @@ from .errors import (
 )
 from .explain import (
     ExplanationRow,
+    ExplanationTable,
+    FuelMedians,
     ReferencePolicy,
     apply_business_rules,
     fuel_saving,
@@ -47,11 +49,13 @@ __all__ = [
     "CatalogTable",
     "DataError",
     "ExplanationRow",
+    "ExplanationTable",
     "FarRecord",
     "FeatureRegistry",
     "FeatureSpec",
     "FeedFormatError",
     "FleetFuelError",
+    "FuelMedians",
     "InsufficientSupportError",
     "LimitTable",
     "MissingFeatureError",

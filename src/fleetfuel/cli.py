@@ -39,6 +39,7 @@ from .evaluate import (
 )
 from .explain import (
     BR_ORDER,
+    FuelMedians,
     ReferencePolicy,
     apply_business_rules,
     generate_daily_explanations,
@@ -392,14 +393,14 @@ def _load_labeled_inputs(ctx: RunContext):
     labeled = read_far_csv(ctx.artifact("far_labeled.csv", "clean"), registry)
     limits = read_limits_csv(ctx.artifact("limits.csv", "clean"))
     inliers = [r for r in labeled if r.anomaly_label == LABEL_INLIER]
-    policy = ReferencePolicy.from_records(registry, inliers, DEFAULT_CATEGORICALS)
-    return registry, labeled, limits, policy
+    return registry, labeled, limits, inliers
 
 
 def stage_explain(ctx: RunContext) -> None:
     # the model first: with several artifacts missing, the report names train
     model = AdditiveModel.load_json(ctx.artifact("model.json", "train"))
-    registry, labeled, limits, policy = _load_labeled_inputs(ctx)
+    registry, labeled, limits, inliers = _load_labeled_inputs(ctx)
+    policy = ReferencePolicy.from_records(registry, inliers, DEFAULT_CATEGORICALS)
     rules_cfg = ctx.config["rules"]
     pre_rows = generate_daily_explanations(model, labeled, policy, limits)
     final_rows, audit = apply_business_rules(
@@ -428,20 +429,22 @@ def stage_explain(ctx: RunContext) -> None:
     )
     print(
         f"explain: {len(final_rows)} rows on "
-        f"{len({r.day_key for r in final_rows})} vehicle-days "
+        f"{final_rows.n_vehicle_days()} vehicle-days "
         f"({len(audit)} rows dropped by rules)"
     )
 
 
 def stage_evaluate(ctx: RunContext) -> None:
-    registry, labeled, limits, policy = _load_labeled_inputs(ctx)
+    registry, labeled, limits, inliers = _load_labeled_inputs(ctx)
+    # BR1-BR3 and the catalog comparison read only fuel medians
+    fuel = FuelMedians.from_records(registry, inliers)
     fleet = ctx.config["fleet_id"]
     final_rows = read_explanations_csv(ctx.artifact("explanations.csv", "explain"))
     pre_rows = read_explanations_csv(ctx.artifact("explanations_prefilter.csv", "explain"))
     rules_cfg = ctx.config["rules"]
 
     impact_rows, _ = apply_business_rules(
-        pre_rows, policy, ("BR1", "BR3", "BR2"), br2_threshold=float(rules_cfg["br2_threshold"])
+        pre_rows, fuel, ("BR1", "BR3", "BR2"), br2_threshold=float(rules_cfg["br2_threshold"])
     )
     sota = load_sota_limits(ctx.config["paths"]["sota_limits"])
     impacts = aggregate_category_impact(impact_rows, registry, sota, fleet)
@@ -456,7 +459,7 @@ def stage_evaluate(ctx: RunContext) -> None:
         labeled,
         identities,
         catalog,
-        policy,
+        fuel,
         fleet,
         offset=float(ctx.config["catalog_offset"]),
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .anomaly import LimitTable
 from .errors import DataError
-from .explain import ExplanationRow, ReferencePolicy
+from .explain import ExplanationTable, FuelMedians
 from .ingest import LABEL_OUTLIER, FarRecord
 from .registry import (
     CatalogTable,
@@ -258,7 +258,7 @@ class CategoryImpact:
 
 
 def aggregate_category_impact(
-    rows: Sequence[ExplanationRow],
+    table: ExplanationTable,
     registry: FeatureRegistry,
     sota_limits: Mapping[tuple[str, str], SotaLimit],
     fleet: str,
@@ -270,14 +270,19 @@ def aggregate_category_impact(
     appears.  Subcategories outside the limits config, plus the unchecked
     ones, are reported without a verdict.
     """
-    per_day: dict[tuple, dict[tuple[str, str], float]] = {}
-    for row in rows:
-        spec = registry.get(row.feature)
-        if spec is None:
+    subcategory = [
+        None if spec is None else (spec.category, spec.subcategory) for spec in map(registry.get, table.features)
+    ]
+    keys, _ = table.day_ids()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (table.y_diff / table.avg_fuel[table.day]).tolist()
+    per_day: dict[int, dict[tuple[str, str], float]] = {}
+    for day, f, r in zip(keys[table.day].tolist(), table.feature.tolist(), ratio):
+        key = subcategory[f]
+        if key is None:
             continue
-        impacts = per_day.setdefault(row.day_key, {})
-        key = (spec.category, spec.subcategory)
-        impacts[key] = impacts.get(key, 0.0) + row.y_diff / row.avg_fuel_consumption
+        impacts = per_day.setdefault(day, {})
+        impacts[key] = impacts.get(key, 0.0) + r
 
     buckets: dict[tuple[str, str], list[float]] = {}
     for impacts in per_day.values():
@@ -330,7 +335,7 @@ class OutlierComparison:
 
 
 def outlier_vs_explained(
-    rows: Sequence[ExplanationRow],
+    table: ExplanationTable,
     limits: LimitTable,
     records: Sequence[FarRecord],
     fleet: str,
@@ -342,10 +347,7 @@ def outlier_vs_explained(
     the same fuel.  Days without surviving explanations count as explaining
     nothing.  Returns None when the fleet has no outlier days.
     """
-    explained_by_day: dict[tuple, float] = {}
-    for row in rows:
-        explained_by_day[row.day_key] = explained_by_day.get(row.day_key, 0.0) + row.y_diff
-
+    explained_by_day = table.day_totals()
     explained: list[float] = []
     anomalous: list[float] = []
     for rec in sorted(records, key=lambda r: r.day_key):
@@ -398,11 +400,11 @@ def _share_below(values: list[float], cutoff: float) -> float:
 
 
 def catalog_mape(
-    rows: Sequence[ExplanationRow],
+    table: ExplanationTable,
     records: Sequence[FarRecord],
     identities: Mapping[str, VehicleIdentity],
     catalog: CatalogTable,
-    policy: ReferencePolicy,
+    fuel: FuelMedians,
     fleet: str,
     offset: float = 1.0,
 ) -> CatalogMapeReport:
@@ -416,9 +418,12 @@ def catalog_mape(
     Vehicles with no catalog identity are excluded from the catalog
     comparison and counted.
     """
-    day_rows: dict[tuple, ExplanationRow] = {}
-    for row in rows:
-        day_rows.setdefault(row.day_key, row)
+    # the day slot of each (vehicle, date)'s first row carries its projected fuel
+    keys, key_days = table.day_ids()
+    row_keys = keys[table.day]
+    _, first = np.unique(row_keys, return_index=True)
+    day_slot = dict(zip((key_days[k] for k in row_keys[first].tolist()), table.day[first].tolist()))
+    fuel_new = table.y_fuel_new.tolist()
     label_by_day = {rec.day_key: rec.anomaly_label for rec in records}
 
     mape1: list[float] = []
@@ -427,11 +432,12 @@ def catalog_mape(
     below = 0
     n_catalog_days = 0
     unmatched = 0
-    for key in sorted(day_rows):
-        row = day_rows[key]
-        y_new = row.y_fuel_new
-        ident = identities.get(row.vehicle_id)
-        ref = catalog.lookup(ident, row.route_type) if ident is not None else None
+    for key in sorted(day_slot):
+        d = day_slot[key]
+        y_new = fuel_new[d]
+        route = table.route_type[d]
+        ident = identities.get(table.vehicle_id[d])
+        ref = catalog.lookup(ident, route) if ident is not None else None
         if ref is None:
             unmatched += 1
         else:
@@ -439,7 +445,7 @@ def catalog_mape(
             mape1.append(abs(y_new - ref) / ref)
             if y_new < ref - offset:
                 below += 1
-        med = policy.fuel_median(row.vehicle_group, row.route_type)
+        med = fuel.fuel_median(table.vehicle_group[d], route)
         if med is not None and med > 0:
             value = abs(y_new - med) / med
             mape2.append(value)
@@ -458,7 +464,7 @@ def catalog_mape(
         pct_mape2_lt_20=_share_below(mape2, 0.2) if mape2 else None,
         pct_mape2_lt_10=_share_below(mape2, 0.1) if mape2 else None,
         pct_below_catalog=(100.0 * below / n_catalog_days) if n_catalog_days else None,
-        n_days=len(day_rows),
+        n_days=len(day_slot),
         n_catalog_days=n_catalog_days,
         n_unmatched=unmatched,
     )
@@ -480,7 +486,7 @@ class MonthlyImpact:
 
 
 def monthly_impact(
-    rows: Sequence[ExplanationRow],
+    table: ExplanationTable,
     records: Sequence[FarRecord],
     registry: FeatureRegistry,
     fleet: str,
@@ -503,15 +509,19 @@ def monthly_impact(
 
     extra_all: dict[str, float] = {}
     extra_beh: dict[str, float] = {}
-    for row in rows:
-        kms = kms_by_day.get(row.day_key)
+    day_kms = [kms_by_day.get(key) for key in zip(table.vehicle_id, table.date_tx)]
+    day_month = [f"{d.year:04d}-{d.month:02d}" for d in table.date_tx]
+    behaviour = [
+        spec is not None and spec.category == behaviour_category for spec in map(registry.get, table.features)
+    ]
+    for d, f, y_diff in zip(table.day.tolist(), table.feature.tolist(), table.y_diff.tolist()):
+        kms = day_kms[d]
         if kms is None:
             continue
-        liters = row.y_diff * kms / 100.0
-        month = f"{row.date_tx.year:04d}-{row.date_tx.month:02d}"
+        liters = y_diff * kms / 100.0
+        month = day_month[d]
         extra_all[month] = extra_all.get(month, 0.0) + liters
-        spec = registry.get(row.feature)
-        if spec is not None and spec.category == behaviour_category:
+        if behaviour[f]:
             extra_beh[month] = extra_beh.get(month, 0.0) + liters
 
     out = []

@@ -25,17 +25,36 @@ pricing day by day.  The matrices take 8 bytes per day and model column
 each (about 0.5 MB for 1,600 days x 37 columns).  Categorical origins,
 priced against the cell's most common inlier level, use a cache per
 (origin, level).
+
+The rows live in one ``ExplanationTable``: per-row arrays (day slot,
+feature code, relevance, value, target, saving) next to per-day columns
+(vehicle, date, route, group, intercept, fuel, limit, prediction, new
+fuel) that every row of a day shares.  A row takes 48 bytes of arrays:
+six 8-byte cells, of which value and target are references to floats the
+records and the reference cells already hold; an ``ExplanationRow`` object
+takes about 350 bytes before its floats.  Each business rule is one
+boolean mask over the surviving rows, with the comparison a row-by-row
+filter makes, so a NaN falls the same way; audit entries are built for the
+dropped rows only.  Day totals (BR5 and ``y_fuel_new``) are ``np.bincount``
+sums, which add in row order exactly as a running per-day sum does.  The
+CSV writer formats each day's cells once, and audit lines are assembled
+from cached JSON string escapes and ``float.__repr__``, byte for byte what
+``json.dumps(..., sort_keys=True)`` writes.  ``ExplanationRow`` remains the
+table's row view, for tests, demos and callers that want objects.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from datetime import date as date_type
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,21 +99,62 @@ def _mode(values: list[str]) -> str:
     return min(counts, key=lambda k: (-counts[k], k))
 
 
-class ReferencePolicy:
-    """Reference values and inlier medians keyed by (group, route).
+class FuelMedians:
+    """Inlier fuel medians keyed by (group, route), with the feature registry.
+
+    A missing cell falls back to the route across the fleet, then to the
+    whole fleet; with no inlier fuel at all the median is None.  This is all
+    that BR1-BR3 and the catalog comparison read; ``ReferencePolicy`` adds
+    the feature medians and categorical modes behind BR4 and the targets.
+    """
+
+    def __init__(self, registry: FeatureRegistry):
+        self.registry = registry
+        self._fuel_cell: dict[tuple[int, str], float] = {}
+        self._fuel_route: dict[str, float] = {}
+        self._fuel_fleet: float | None = None
+
+    @classmethod
+    def from_records(cls, registry: FeatureRegistry, inlier_records: Sequence[FarRecord]) -> "FuelMedians":
+        medians = cls(registry)
+        medians._add_fuel(inlier_records)
+        return medians
+
+    def _add_fuel(self, inlier_records: Sequence[FarRecord]) -> None:
+        cell: dict[tuple[int, str], list[float]] = {}
+        route: dict[str, list[float]] = {}
+        fleet: list[float] = []
+        for rec in inlier_records:
+            fuel = rec.avg_fuel_consumption
+            if fuel is not None:
+                cell.setdefault(rec.group_route, []).append(fuel)
+                route.setdefault(rec.route_type, []).append(fuel)
+                fleet.append(fuel)
+        self._fuel_cell = {k: median(v) for k, v in cell.items()}
+        self._fuel_route = {k: median(v) for k, v in route.items()}
+        self._fuel_fleet = median(fleet) if fleet else None
+
+    def fuel_median(self, vehicle_group: int, route_type: str) -> float | None:
+        value = self._fuel_cell.get((vehicle_group, route_type))
+        if value is None:
+            value = self._fuel_route.get(route_type)
+        if value is None:
+            value = self._fuel_fleet
+        return value
+
+
+class ReferencePolicy(FuelMedians):
+    """Reference values, inlier medians and categorical modes keyed by (group, route).
 
     Medians tier down like imputation does: the (group, route) cell, then
     the route across the fleet, then the whole fleet, then zero.
     """
 
     def __init__(self, registry: FeatureRegistry):
-        self.registry = registry
+        super().__init__(registry)
         self._cell: dict[tuple[int, str, str], float] = {}
         self._route: dict[tuple[str, str], float] = {}
         self._fleet: dict[str, float] = {}
-        self._fuel_cell: dict[tuple[int, str], float] = {}
-        self._fuel_route: dict[str, float] = {}
-        self._fuel_fleet: float | None = None
         self._mode_cell: dict[tuple[int, str, str], str] = {}
         self._mode_fleet: dict[str, str] = {}
 
@@ -106,12 +166,10 @@ class ReferencePolicy:
         categoricals: Sequence[str] = (),
     ) -> "ReferencePolicy":
         policy = cls(registry)
+        policy._add_fuel(inlier_records)
         cell_vals: dict[tuple[int, str, str], list[float]] = {}
         route_vals: dict[tuple[str, str], list[float]] = {}
         fleet_vals: dict[str, list[float]] = {}
-        fuel_cell: dict[tuple[int, str], list[float]] = {}
-        fuel_route: dict[str, list[float]] = {}
-        fuel_fleet: list[float] = []
         mode_cell: dict[tuple[int, str, str], list[str]] = {}
         mode_fleet: dict[str, list[str]] = {}
         for rec in inlier_records:
@@ -121,10 +179,6 @@ class ReferencePolicy:
                 cell_vals.setdefault((rec.vehicle_group, rec.route_type, name), []).append(value)
                 route_vals.setdefault((rec.route_type, name), []).append(value)
                 fleet_vals.setdefault(name, []).append(value)
-            if rec.avg_fuel_consumption is not None:
-                fuel_cell.setdefault(rec.group_route, []).append(rec.avg_fuel_consumption)
-                fuel_route.setdefault(rec.route_type, []).append(rec.avg_fuel_consumption)
-                fuel_fleet.append(rec.avg_fuel_consumption)
             for cat in categoricals:
                 level = str(getattr(rec, cat))
                 mode_cell.setdefault((rec.vehicle_group, rec.route_type, cat), []).append(level)
@@ -133,9 +187,6 @@ class ReferencePolicy:
         policy._cell = {k: median(v) for k, v in cell_vals.items()}
         policy._route = {k: median(v) for k, v in route_vals.items()}
         policy._fleet = {k: median(v) for k, v in fleet_vals.items()}
-        policy._fuel_cell = {k: median(v) for k, v in fuel_cell.items()}
-        policy._fuel_route = {k: median(v) for k, v in fuel_route.items()}
-        policy._fuel_fleet = median(fuel_fleet) if fuel_fleet else None
         policy._mode_cell = {k: _mode(v) for k, v in mode_cell.items()}
         policy._mode_fleet = {k: _mode(v) for k, v in mode_fleet.items()}
         return policy
@@ -151,14 +202,6 @@ class ReferencePolicy:
         if value is None:
             value = self._fleet.get(feature)
         return 0.0 if value is None else value
-
-    def fuel_median(self, vehicle_group: int, route_type: str) -> float | None:
-        value = self._fuel_cell.get((vehicle_group, route_type))
-        if value is None:
-            value = self._fuel_route.get(route_type)
-        if value is None:
-            value = self._fuel_fleet
-        return value
 
     def categorical_mode(self, vehicle_group: int, route_type: str, field_name: str) -> str | None:
         value = self._mode_cell.get((vehicle_group, route_type, field_name))
@@ -187,7 +230,7 @@ def fuel_saving(
 
 @dataclass
 class ExplanationRow:
-    """One (vehicle, date, feature) recommendation."""
+    """One (vehicle, date, feature) recommendation: the row view of an ExplanationTable."""
 
     vehicle_id: str
     date_tx: date_type
@@ -214,19 +257,162 @@ def recompute_fuel_new(avg_fuel: float, y_diffs: Iterable[float]) -> float:
     return avg_fuel - sum(y_diffs)
 
 
-def _day_totals(rows: Sequence[ExplanationRow]) -> dict[tuple, float]:
-    totals: dict[tuple, float] = {}
-    for row in rows:
-        totals[row.day_key] = totals.get(row.day_key, 0.0) + row.y_diff
-    return totals
+def _objects(values: Sequence) -> np.ndarray:
+    """A 1-D object array holding the given Python objects themselves."""
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
 
 
-def _set_fuel_new(rows: list[ExplanationRow]) -> list[ExplanationRow]:
-    totals = _day_totals(rows)
-    return [
-        replace(row, y_fuel_new=recompute_fuel_new(row.avg_fuel_consumption, [totals[row.day_key]]))
-        for row in rows
-    ]
+def _sum_by(ids: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Per-id sums; bincount adds the weights one at a time in order, as a running sum does."""
+    return np.bincount(ids, weights=weights, minlength=n).astype(np.float64, copy=False)
+
+
+# the per-day fields of a row, in the order _from_columns takes them
+_DAY_FIELDS = (
+    "vehicle_id", "date_tx", "route_type", "vehicle_group", "intercept",
+    "avg_fuel_consumption", "limit_group", "y_pred", "y_fuel_new",
+)
+
+
+@dataclass(eq=False)
+class ExplanationTable:
+    """Explanation rows as columns: per-row arrays that index per-day columns.
+
+    Row p recommends moving ``features[feature[p]]`` on day slot ``day[p]``
+    from ``value[p]`` to ``target[p]``, saving ``y_diff[p]`` L/100 km.  A
+    day slot holds what every row of one vehicle-day repeats.  Tables
+    filtered from one another share their day columns, except ``y_fuel_new``,
+    which each table computes from its own rows.  Slots are storage, not
+    identities: two slots may hold the same (vehicle, date), and day totals
+    are taken per (vehicle, date).  ``value`` and ``target`` hold floats, or
+    levels (str) on categorical rows.
+    """
+
+    # per day slot
+    vehicle_id: list[str]
+    date_tx: list[date_type]
+    route_type: list[str]
+    vehicle_group: list[int]
+    intercept: np.ndarray
+    avg_fuel: np.ndarray
+    limit_group: np.ndarray
+    y_pred: np.ndarray
+    y_fuel_new: np.ndarray
+    # per row
+    features: tuple[str, ...]
+    day: np.ndarray
+    feature: np.ndarray
+    relevance: np.ndarray
+    value: np.ndarray
+    target: np.ndarray
+    y_diff: np.ndarray
+
+    @classmethod
+    def _from_columns(
+        cls, days: list[tuple], features: Sequence[str], day: list, feature: list, relevance: list,
+        value: list, target: list, y_diff: list,
+    ) -> "ExplanationTable":
+        """A table from per-day tuples (in ``_DAY_FIELDS`` order) and per-row lists."""
+        vid, dates, routes, groups, intercept, avg, limit, y_pred, fuel_new = (
+            [list(c) for c in zip(*days)] if days else [[] for _ in _DAY_FIELDS]
+        )
+
+        def f64(c):
+            return np.array(c, dtype=np.float64)
+
+        return cls(
+            vid, dates, routes, groups, f64(intercept), f64(avg), f64(limit), f64(y_pred), f64(fuel_new),
+            tuple(features), np.array(day, dtype=np.intp), np.array(feature, dtype=np.intp),
+            f64(relevance), _objects(value), _objects(target), f64(y_diff),
+        )
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[ExplanationRow]) -> "ExplanationTable":
+        """The table of these rows, in order; consecutive rows with equal day fields share a slot."""
+        days: list[tuple] = []
+        codes: dict[str, int] = {}
+        cols: tuple[list, ...] = ([], [], [], [], [], [])
+        day_of, feature_of, relevance, value, target, y_diff = cols
+        previous = None
+        for row in rows:
+            head = tuple(getattr(row, name) for name in _DAY_FIELDS)
+            if head != previous:
+                days.append(head)
+                previous = head
+            day_of.append(len(days) - 1)
+            feature_of.append(codes.setdefault(row.feature, len(codes)))
+            relevance.append(row.feature_relevance)
+            value.append(row.feature_value)
+            target.append(row.target_value)
+            y_diff.append(row.y_diff)
+        return cls._from_columns(days, list(codes), *cols)
+
+    def __len__(self) -> int:
+        return len(self.day)
+
+    def __iter__(self) -> Iterator[ExplanationRow]:
+        return iter(self.rows())
+
+    def rows(self) -> list[ExplanationRow]:
+        """Every row as an ExplanationRow, with Python floats."""
+        day = self.day
+
+        def per_row(column: Sequence) -> list:
+            # gathers references, so a day's values are one object per slot
+            return _objects(column)[day].tolist()
+
+        return list(
+            map(
+                ExplanationRow,
+                per_row(self.vehicle_id),
+                per_row(self.date_tx),
+                per_row(self.route_type),
+                per_row(self.vehicle_group),
+                per_row(self.intercept.tolist()),
+                _objects(self.features)[self.feature].tolist(),
+                self.relevance.tolist(),
+                self.value.tolist(),
+                self.target.tolist(),
+                per_row(self.avg_fuel.tolist()),
+                per_row(self.limit_group.tolist()),
+                per_row(self.y_pred.tolist()),
+                self.y_diff.tolist(),
+                per_row(self.y_fuel_new.tolist()),
+            )
+        )
+
+    def day_ids(self) -> tuple[np.ndarray, list[tuple[str, date_type]]]:
+        """Per slot, the id of its (vehicle, date), and the (vehicle, date) of each id."""
+        ids: dict[tuple[str, date_type], int] = {}
+        keys = [ids.setdefault(key, len(ids)) for key in zip(self.vehicle_id, self.date_tx)]
+        return np.array(keys, dtype=np.intp), list(ids)
+
+    def day_totals(self) -> dict[tuple[str, date_type], float]:
+        """Summed y_diff per (vehicle, date), added in row order."""
+        keys, days = self.day_ids()
+        return dict(zip(days, _sum_by(keys[self.day], self.y_diff, len(days)).tolist()))
+
+    def n_vehicle_days(self) -> int:
+        """Distinct (vehicle, date) among the rows."""
+        keys, _ = self.day_ids()
+        return int(np.unique(keys[self.day]).size)
+
+    def _select(self, index: np.ndarray, keys: np.ndarray, n_keys: int) -> "ExplanationTable":
+        """The rows at ``index``, in order, with y_fuel_new recomputed over them."""
+        day, y_diff = self.day[index], self.y_diff[index]
+        totals = _sum_by(keys[day], y_diff, n_keys)
+        return replace(
+            self,
+            y_fuel_new=self.avg_fuel - totals[keys],
+            day=day,
+            feature=self.feature[index],
+            relevance=self.relevance[index],
+            value=self.value[index],
+            target=self.target[index],
+            y_diff=y_diff,
+        )
 
 
 def generate_daily_explanations(
@@ -234,7 +420,7 @@ def generate_daily_explanations(
     records: Sequence[FarRecord],
     policy: ReferencePolicy,
     limits: LimitTable,
-) -> list[ExplanationRow]:
+) -> ExplanationTable:
     """Raw explanation rows (positive savings only), before business rules.
 
     Rows cover actionable registry features and, so the categorical filter
@@ -266,7 +452,7 @@ def generate_daily_explanations(
         logger.info("explanations skipped %d records without fuel or limits", len(records) - len(kept))
 
     C = model.contributions(model.encode(kept))
-    y_pred = (model.intercept + C.sum(axis=1)).tolist()
+    y_pred = model.intercept + C.sum(axis=1)
 
     # reference values once per (group, route) cell, priced like the days
     cell_ids: dict[tuple[int, str], int] = {}
@@ -281,10 +467,12 @@ def generate_daily_explanations(
     # row-major, so hits come record by record in column order; "not <= 0"
     # keeps a NaN saving as the scalar test did
     hit_i, hit_k = np.nonzero(~(saving <= 0))
-    hit_saving = saving[hit_i, hit_k].tolist()
-    hit_relevance = relevance[hit_i, hit_k].tolist()
-    starts = np.searchsorted(hit_i, np.arange(len(kept) + 1)).tolist()
-    hit_k = hit_k.tolist()
+    row_relevance = relevance[hit_i, hit_k]
+    row_saving = saving[hit_i, hit_k]
+    values = [[rec.features[name] for name in names] for rec in kept]
+    hits_i, hits_k = hit_i.tolist(), hit_k.tolist()
+    row_value = _objects([values[i][k] for i, k in zip(hits_i, hits_k)])
+    row_target = _objects([targets[cell_of[i]][k] for i, k in zip(hits_i, hits_k)])
 
     cat_cache: dict[tuple[str, str], float] = {}
 
@@ -294,22 +482,9 @@ def generate_daily_explanations(
             cat_cache[key] = _categorical_relevance(model, origin, level)
         return cat_cache[key]
 
-    intercept = model.intercept
-    rows: list[ExplanationRow] = []
+    cat_rows = []
     for i, rec in enumerate(kept):
-        day = (rec.vehicle_id, rec.date, rec.route_type, rec.vehicle_group, intercept)
-        fuel = (rec.avg_fuel_consumption, lim_sup[i], y_pred[i])
-        cell_targets = targets[cell_of[i]]
-        for p in range(starts[i], starts[i + 1]):
-            k = hit_k[p]
-            name = names[k]
-            rows.append(
-                ExplanationRow(
-                    *day, name, hit_relevance[p], rec.features[name], cell_targets[k],
-                    *fuel, hit_saving[p], 0.0,
-                )
-            )
-        for origin in cat_origins:
+        for o, origin in enumerate(cat_origins):
             ref_level = policy.categorical_mode(rec.vehicle_group, rec.route_type, origin)
             if ref_level is None:
                 continue
@@ -318,14 +493,42 @@ def generate_daily_explanations(
             diff = current - cat_relevance(origin, ref_level)
             if diff <= 0:
                 continue
-            rows.append(
-                ExplanationRow(*day, origin, current, current_level, ref_level, *fuel, diff, 0.0)
-            )
+            cat_rows.append((i, len(names) + o, current, current_level, ref_level, diff))
 
-    totals = _day_totals(rows)
-    for row in rows:
-        row.y_fuel_new = recompute_fuel_new(row.avg_fuel_consumption, [totals[row.day_key]])
-    return rows
+    day, feature = hit_i, hit_k
+    if cat_rows:
+        c_day, c_feature, c_relevance, c_value, c_target, c_saving = zip(*cat_rows)
+        # a stable sort by day puts each day's categoricals after its numeric rows
+        order = np.argsort(np.concatenate([day, c_day]), kind="stable")
+        day = np.concatenate([day, c_day])[order]
+        feature = np.concatenate([feature, c_feature])[order]
+        row_relevance = np.concatenate([row_relevance, c_relevance])[order]
+        row_saving = np.concatenate([row_saving, c_saving])[order]
+        row_value = np.concatenate([row_value, _objects(c_value)])[order]
+        row_target = np.concatenate([row_target, _objects(c_target)])[order]
+
+    n = len(kept)
+    table = ExplanationTable(
+        vehicle_id=[rec.vehicle_id for rec in kept],
+        date_tx=[rec.date for rec in kept],
+        route_type=[rec.route_type for rec in kept],
+        vehicle_group=[rec.vehicle_group for rec in kept],
+        intercept=np.full(n, model.intercept, dtype=np.float64),
+        avg_fuel=np.array([rec.avg_fuel_consumption for rec in kept], dtype=np.float64),
+        limit_group=np.array(lim_sup, dtype=np.float64),
+        y_pred=y_pred,
+        y_fuel_new=np.zeros(n, dtype=np.float64),  # set below, from the day totals
+        features=tuple(names + cat_origins),
+        day=np.asarray(day, dtype=np.intp),
+        feature=np.asarray(feature, dtype=np.intp),
+        relevance=np.asarray(row_relevance, dtype=np.float64),
+        value=row_value,
+        target=row_target,
+        y_diff=np.asarray(row_saving, dtype=np.float64),
+    )
+    keys, days = table.day_ids()
+    table.y_fuel_new = table.avg_fuel - _sum_by(keys[table.day], table.y_diff, len(days))[keys]
+    return table
 
 
 def _categorical_relevance(model: AdditiveModel, origin: str, level: str) -> float:
@@ -337,11 +540,6 @@ def _categorical_relevance(model: AdditiveModel, origin: str, level: str) -> flo
     return total
 
 
-# json.dumps(..., sort_keys=True) builds an encoder per call; one shared
-# encoder writes the same bytes
-_AUDIT_JSON = json.JSONEncoder(sort_keys=True)
-
-
 @dataclass
 class AuditEntry:
     rule_id: str
@@ -350,138 +548,169 @@ class AuditEntry:
     feature: str
     values: dict
 
-    def to_json(self) -> str:
-        return _AUDIT_JSON.encode(
-            {
-                "rule_id": self.rule_id,
-                "vehicle_id": self.vehicle_id,
-                "date": self.date_tx,
-                "feature": self.feature,
-                "values": self.values,
-            }
-        )
-
 
 def apply_business_rules(
-    rows: Sequence[ExplanationRow],
-    policy: ReferencePolicy,
+    table: ExplanationTable,
+    policy: FuelMedians,
     rules: Sequence[str] = BR_ORDER,
     br2_threshold: float = DEFAULT_BR2_THRESHOLD,
     br5_cap: float = DEFAULT_BR5_CAP,
-) -> tuple[list[ExplanationRow], list[AuditEntry]]:
+) -> tuple[ExplanationTable, list[AuditEntry]]:
     """Filter rows through the requested rules, logging every drop.
 
     Cheap structural rules run first and the physical cap last so it sees
     the final per-day totals; y_fuel_new is recomputed on the survivors.
+    Each rule is one boolean mask over the surviving rows, with the
+    comparison a row-by-row filter would make, so a NaN falls the same way;
+    audit entries are built for the dropped rows only, in row order.  BR1-BR3
+    need only fuel medians; BR4 needs a ReferencePolicy.
     """
     registry = policy.registry
+    names = table.features
+    keys, key_days = table.day_ids()
+    avg = table.avg_fuel
+    avg_list = avg.tolist()
+    iso = [d.isoformat() for d in table.date_tx]
+    alive = np.arange(len(table))
     audit: list[AuditEntry] = []
-    current = list(rows)
 
-    def drop(row: ExplanationRow, rule: str, values: dict) -> None:
-        audit.append(
-            AuditEntry(
-                rule_id=rule,
-                vehicle_id=row.vehicle_id,
-                date_tx=row.date_tx.isoformat(),
-                feature=row.feature,
-                values=values,
-            )
+    def drop(rule: str, rows: np.ndarray, values: Iterable[dict]) -> None:
+        audit.extend(
+            AuditEntry(rule, table.vehicle_id[d], iso[d], names[f], v)
+            for d, f, v in zip(table.day[rows].tolist(), table.feature[rows].tolist(), values)
         )
 
     for rule in rules:
+        day = table.day[alive]
         if rule == "BR1":
-            kept = []
-            for row in current:
-                if row.feature in registry:
-                    kept.append(row)
-                else:
-                    drop(row, "BR1", {"reason": "categorical"})
-            current = kept
+            known = np.array([name in registry for name in names], dtype=bool)
+            keep = known[table.feature[alive]]
+            dropped = alive[~keep]
+            drop("BR1", dropped, ({"reason": "categorical"} for _ in range(len(dropped))))
         elif rule == "BR2":
-            kept = []
-            for row in current:
-                impact = row.y_diff / row.avg_fuel_consumption
-                if impact < br2_threshold:
-                    drop(row, "BR2", {"relative_impact": impact})
-                else:
-                    kept.append(row)
-            current = kept
+            with np.errstate(divide="ignore", invalid="ignore"):
+                impact = table.y_diff[alive] / avg[day]
+            keep = ~(impact < br2_threshold)
+            drop("BR2", alive[~keep], ({"relative_impact": x} for x in impact[~keep].tolist()))
         elif rule == "BR3":
-            kept = []
-            for row in current:
-                median = policy.fuel_median(row.vehicle_group, row.route_type)
-                if median is None or row.avg_fuel_consumption > median:
-                    kept.append(row)
-                else:
-                    drop(row, "BR3", {"avg_fuel": row.avg_fuel_consumption, "median_inlier": median})
-            current = kept
+            medians = [policy.fuel_median(g, r) for g, r in zip(table.vehicle_group, table.route_type)]
+            # a missing median keeps the day; a NaN stand-in would compare False
+            known = np.array([m is not None for m in medians], dtype=bool)
+            level = np.array([np.nan if m is None else m for m in medians], dtype=np.float64)
+            keep = ~known[day] | (avg[day] > level[day])
+            drop(
+                "BR3",
+                alive[~keep],
+                ({"avg_fuel": avg_list[d], "median_inlier": medians[d]} for d in day[~keep].tolist()),
+            )
         elif rule == "BR4":
-            kept = []
-            for row in current:
-                spec = registry.get(row.feature)
-                if spec is None:
-                    kept.append(row)
-                    continue
-                median = policy.feature_median(row.vehicle_group, row.route_type, row.feature)
-                value = row.feature_value
-                ok = value > median if spec.impact_type == "Positive" else value < median
-                if ok:
-                    kept.append(row)
-                else:
-                    drop(
-                        row,
-                        "BR4",
-                        {"feature_value": value, "median_inlier": median, "impact_type": spec.impact_type},
-                    )
-            current = kept
+            specs = [registry.get(name) for name in names]
+            checked = np.flatnonzero(np.array([s is not None for s in specs], dtype=bool)[table.feature[alive]])
+            rows = alive[checked]
+            row_day, row_feature = table.day[rows], table.feature[rows]
+            # one median per (group, route, feature)
+            cells: dict[tuple[int, str], int] = {}
+            cell_of = np.array(
+                [cells.setdefault(c, len(cells)) for c in zip(table.vehicle_group, table.route_type)],
+                dtype=np.intp,
+            )
+            cell_keys = list(cells)
+            pair, inverse = np.unique(cell_of[row_day] * len(names) + row_feature, return_inverse=True)
+            pair_median = [
+                policy.feature_median(*cell_keys[p // len(names)], names[p % len(names)]) for p in pair.tolist()
+            ]
+            median = np.array(pair_median, dtype=np.float64)[inverse]
+            value = table.value[rows]
+            positive = np.array([s is not None and s.impact_type == "Positive" for s in specs], dtype=bool)
+            x = value.astype(np.float64)
+            ok = np.where(positive[row_feature], x > median, x < median)
+            bad = np.flatnonzero(~ok)
+            keep = np.ones(len(alive), dtype=bool)
+            keep[checked[bad]] = False
+            drop(
+                "BR4",
+                rows[bad],
+                (
+                    {"feature_value": v, "median_inlier": pair_median[j], "impact_type": specs[f].impact_type}
+                    for v, j, f in zip(value[bad].tolist(), inverse[bad].tolist(), row_feature[bad].tolist())
+                ),
+            )
         elif rule == "BR5":
-            totals = _day_totals(current)
-            kept = []
-            for row in current:
-                total = totals[row.day_key]
-                if total > br5_cap * row.avg_fuel_consumption:
-                    drop(
-                        row,
-                        "BR5",
-                        {"total_saving": total, "avg_fuel": row.avg_fuel_consumption, "cap": br5_cap},
-                    )
-                else:
-                    kept.append(row)
-            current = kept
+            total = _sum_by(keys[day], table.y_diff[alive], len(key_days))[keys[day]]
+            over = total > br5_cap * avg[day]
+            keep = ~over
+            drop(
+                "BR5",
+                alive[over],
+                (
+                    {"total_saving": t, "avg_fuel": avg_list[d], "cap": br5_cap}
+                    for t, d in zip(total[over].tolist(), day[over].tolist())
+                ),
+            )
         else:
             raise ValueError(f"unknown business rule {rule!r}")
+        alive = alive[keep]
 
-    return _set_fuel_new(current), audit
+    return table._select(alive, keys, len(key_days)), audit
 
 
 # ---------------------------------------------------------------------------
 # CSV / JSONL round trips
 
 
-def write_explanations_csv(rows: Iterable[ExplanationRow], path: str | Path) -> None:
+def _csv_fields(fields: Sequence[str]) -> str:
+    """The fields joined as csv.writer writes them inside a row, without the line end."""
+    buf = io.StringIO()
+    # a trailing empty field keeps a lone empty field from being quoted
+    csv.writer(buf, lineterminator="").writerow([*fields, ""])
+    return buf.getvalue()[:-1]
+
+
+def write_explanations_csv(table: ExplanationTable, path: str | Path) -> None:
+    """One CSV line per explanation row, the bytes csv.writer writes for its cells.
+
+    The per-day cells of each day slot the rows use and each distinct text
+    cell are formatted once, through the csv module; a float cell is
+    ``repr`` of a Python float (never of a numpy scalar), which needs no
+    quoting and round-trips exactly.
+    """
+    n_slots = len(table.vehicle_id)
+    heads, fuel, fuel_new = [""] * n_slots, [""] * n_slots, [""] * n_slots
+    intercept, avg, limit = table.intercept.tolist(), table.avg_fuel.tolist(), table.limit_group.tolist()
+    y_pred, y_new = table.y_pred.tolist(), table.y_fuel_new.tolist()
+    for d in np.unique(table.day).tolist():
+        heads[d] = _csv_fields(
+            (table.vehicle_id[d], table.date_tx[d].isoformat(), table.route_type[d],
+             str(table.vehicle_group[d]), repr(intercept[d]))
+        )
+        fuel[d] = f"{avg[d]!r},{limit[d]!r},{y_pred[d]!r}"
+        fuel_new[d] = repr(y_new[d])
+    names = [_csv_fields([name]) for name in table.features]
+    quoted: dict[str, str] = {}
+
+    def text(v) -> str:
+        cell = csv_cell(v)
+        out = quoted.get(cell)
+        if out is None:
+            out = quoted[cell] = _csv_fields([cell])
+        return out
+
+    def cells(column: np.ndarray) -> Iterator[str]:
+        return (repr(v) if type(v) is float else text(v) for v in column.tolist())
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EXPLANATION_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.vehicle_id,
-                    row.date_tx.isoformat(),
-                    row.route_type,
-                    str(row.vehicle_group),
-                    repr(row.intercept),
-                    row.feature,
-                    repr(row.feature_relevance),
-                    csv_cell(row.feature_value),
-                    csv_cell(row.target_value),
-                    repr(row.avg_fuel_consumption),
-                    repr(row.limit_group),
-                    repr(row.y_pred),
-                    repr(row.y_diff),
-                    repr(row.y_fuel_new),
-                ]
+        fh.write(_csv_fields(EXPLANATION_COLUMNS) + "\n")
+        fh.writelines(
+            f"{heads[d]},{names[f]},{rel},{v},{t},{fuel[d]},{dy},{fuel_new[d]}\n"
+            for d, f, rel, v, t, dy in zip(
+                table.day.tolist(),
+                table.feature.tolist(),
+                map(repr, table.relevance.tolist()),
+                cells(table.value),
+                cells(table.target),
+                map(repr, table.y_diff.tolist()),
             )
+        )
 
 
 def _maybe_float(text: str) -> float | str:
@@ -491,47 +720,107 @@ def _maybe_float(text: str) -> float | str:
         return text
 
 
-def read_explanations_csv(path: str | Path) -> list[ExplanationRow]:
-    """Rows written by write_explanations_csv; a bad row raises FeedFormatError naming file and line."""
+def read_explanations_csv(path: str | Path) -> ExplanationTable:
+    """The table written by write_explanations_csv; a bad row raises FeedFormatError naming file and line.
+
+    Consecutive rows with the same per-day cells share a day slot, so those
+    cells are parsed once per day.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(EXPLANATION_COLUMNS):
             raise FeedFormatError(f"{path}: unexpected explanation columns {header}")
-        rows = []
+        days: list[tuple] = []
+        codes: dict[str, int] = {}
+        cols: tuple[list, ...] = ([], [], [], [], [], [])
+        day_of, feature_of, relevance, value, target, y_diff = cols
+        previous = None
         try:
             for (
-                vehicle_id, date_tx, route_type, vehicle_group, intercept, feature, relevance,
-                value, target, avg_fuel, limit_group, y_pred, y_diff, y_fuel_new,
+                vehicle_id, date_tx, route_type, vehicle_group, intercept, feature, rel,
+                val, tgt, avg_fuel, limit_group, y_pred, dy, y_fuel_new,
             ) in reader:
-                rows.append(
-                    ExplanationRow(
-                        vehicle_id,
-                        date_type.fromisoformat(date_tx),
-                        route_type,
-                        int(vehicle_group),
-                        float(intercept),
-                        feature,
-                        float(relevance),
-                        _maybe_float(value),
-                        _maybe_float(target),
-                        float(avg_fuel),
-                        float(limit_group),
-                        float(y_pred),
-                        float(y_diff),
-                        float(y_fuel_new),
-                    )
+                head = (
+                    vehicle_id, date_tx, route_type, vehicle_group, intercept,
+                    avg_fuel, limit_group, y_pred, y_fuel_new,
                 )
+                if head != previous:
+                    days.append(
+                        (
+                            vehicle_id,
+                            date_type.fromisoformat(date_tx),
+                            route_type,
+                            int(vehicle_group),
+                            float(intercept),
+                            float(avg_fuel),
+                            float(limit_group),
+                            float(y_pred),
+                            float(y_fuel_new),
+                        )
+                    )
+                    previous = head
+                day_of.append(len(days) - 1)
+                feature_of.append(codes.setdefault(feature, len(codes)))
+                relevance.append(float(rel))
+                value.append(_maybe_float(val))
+                target.append(_maybe_float(tgt))
+                y_diff.append(float(dy))
         except (ValueError, csv.Error) as exc:
             raise FeedFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
-    return rows
+    return ExplanationTable._from_columns(days, list(codes), *cols)
+
+
+# json.dumps writes non-finite floats under these names
+_JSON_NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 
 def write_audit_log(entries: Iterable[AuditEntry], path: str | Path) -> None:
+    """One JSON object per dropped row, keys sorted: the bytes of ``json.dumps(entry, sort_keys=True)``.
+
+    Each distinct string is escaped once with the json module's own ASCII
+    escaper, each distinct float is written once with ``float.__repr__``
+    as the encoder does, and each rule's value keys are sorted once; values
+    of any other type go through ``json.dumps``.
+    """
+    strings: dict[str, str] = {}
+    floats: dict[float, str] = {}
+    layouts: dict[tuple[str, ...], list[tuple[str, str]]] = {}
+
+    def string(s: str) -> str:
+        out = strings.get(s)
+        if out is None:
+            out = strings[s] = encode_basestring_ascii(s)
+        return out
+
+    def number(x: float) -> str:
+        out = floats.get(x)
+        if out is None:
+            out = "NaN" if x != x else _JSON_NON_FINITE.get(x) or float.__repr__(x)
+            if x:  # 0.0 and -0.0 are one key with two texts
+                floats[x] = out
+        return out
+
+    def value(v) -> str:
+        if type(v) is float:
+            return number(v)
+        if type(v) is str:
+            return string(v)
+        return json.dumps(v, sort_keys=True)
+
+    def values(d: dict) -> str:
+        keys = tuple(d)
+        layout = layouts.get(keys)
+        if layout is None:
+            layout = layouts[keys] = [(k, f"{string(k)}: ") for k in sorted(keys)]
+        return ", ".join([prefix + value(d[k]) for k, prefix in layout])
+
     with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(entry.to_json())
-            fh.write("\n")
+        fh.writelines(
+            f'{{"date": {string(e.date_tx)}, "feature": {string(e.feature)}, "rule_id": {string(e.rule_id)}, '
+            f'"values": {{{values(e.values)}}}, "vehicle_id": {string(e.vehicle_id)}}}\n'
+            for e in entries
+        )
 
 
 MEDIANS_COLUMNS = ("vehicle_group", "route_type", "feature", "median_value")

@@ -162,8 +162,12 @@ def parse_feed(stream: TextIO | Iterable[str]) -> ParsedFeed:
 
 
 def parse_feed_csv(path: str | Path) -> ParsedFeed:
+    """parse_feed over a file; a missing or wrong header names the file."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return parse_feed(fh)
+        try:
+            return parse_feed(fh)
+        except FeedFormatError as exc:
+            raise FeedFormatError(f"{path}: {exc}") from exc
 
 
 def _aggregate(values: list[tuple[datetime, float]], how: str) -> float:
@@ -436,6 +440,10 @@ def write_far_csv(
 
 
 def read_far_csv(path: str | Path, registry: FeatureRegistry) -> list[FarRecord]:
+    """Records written by write_far_csv, unpacked by position under an exact header.
+
+    A bad row raises FeedFormatError naming the file and line.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -448,36 +456,30 @@ def read_far_csv(path: str | Path, registry: FeatureRegistry) -> list[FarRecord]
             raise FeedFormatError(
                 f"{path}: FAR columns mismatch (missing {missing}, unexpected {extra})"
             )
+        names = registry.names
+        width = len(header)
+        n_fixed = len(FAR_FIXED_COLUMNS)
         records = []
         try:
             for row in reader:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                vals = dict(zip(header, row))
-                rec = FarRecord(
-                    vehicle_id=vals["vehicle_id"],
-                    date=date.fromisoformat(vals["date"]),
-                    route_type=vals["route_type"],
-                    vehicle_group=int(vals["vehicle_group"]),
-                    vehicle_class=int(vals["vehicle_class"]),
-                    anomaly_label=vals["anomaly_label"],
-                    trip_kms=float(vals["trip_kms"]) if vals["trip_kms"] else None,
-                    trip_fuel_used=(
-                        float(vals["trip_fuel_used"]) if vals["trip_fuel_used"] else None
-                    ),
-                    per_time_city=(
-                        float(vals["per_time_city"]) if vals["per_time_city"] else None
-                    ),
-                    avg_fuel_consumption=(
-                        float(vals["avg_fuel_consumption"])
-                        if vals["avg_fuel_consumption"]
-                        else None
-                    ),
+                if len(row) != width:
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                vehicle_id, day, route_type, group, vclass, label, kms, fuel, city, avg = row[:n_fixed]
+                records.append(
+                    FarRecord(
+                        vehicle_id=vehicle_id,
+                        date=date.fromisoformat(day),
+                        route_type=route_type,
+                        vehicle_group=int(group),
+                        vehicle_class=int(vclass),
+                        anomaly_label=label,
+                        trip_kms=float(kms) if kms else None,
+                        trip_fuel_used=float(fuel) if fuel else None,
+                        per_time_city=float(city) if city else None,
+                        avg_fuel_consumption=float(avg) if avg else None,
+                        features={name: float(cell) for name, cell in zip(names, row[n_fixed:]) if cell != ""},
+                    )
                 )
-                for name in registry.names:
-                    if vals[name] != "":
-                        rec.features[name] = float(vals[name])
-                records.append(rec)
         except (ValueError, csv.Error) as exc:
             raise FeedFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     return records

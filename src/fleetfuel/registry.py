@@ -199,25 +199,34 @@ class FeatureRegistry:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureRegistry":
-        return cls(read_table(path, None, REGISTRY_COLUMNS, _feature_spec))
+        return cls(_read_specs(path))
 
     @classmethod
     def default(cls) -> "FeatureRegistry":
-        return cls(read_table(None, "feature_registry.csv", REGISTRY_COLUMNS, _feature_spec))
+        return cls(_read_specs(None))
 
 
-def _feature_spec(row: dict[str, str]) -> FeatureSpec:
-    return FeatureSpec(
-        name=row["name"],
-        unit=row["unit"],
-        aggregator=row["aggregator"],
-        impact_type=row["impact_type"],
-        reference_zero=_parse_flag(row["reference_zero"], "reference_zero"),
-        category=row["category"],
-        subcategory=row["subcategory"],
-        actionable=_parse_flag(row["actionable"], "actionable"),
-        description=row.get("description", ""),
-    )
+def _read_specs(path: str | Path | None) -> list[FeatureSpec]:
+    """Registry rows of a file (the packaged one for None); a repeated name is an error on its line."""
+    seen: set[str] = set()
+
+    def parse(row: dict[str, str]) -> FeatureSpec:
+        if row["name"] in seen:
+            raise ValueError(f"duplicate feature name {row['name']!r}")
+        seen.add(row["name"])
+        return FeatureSpec(
+            name=row["name"],
+            unit=row["unit"],
+            aggregator=row["aggregator"],
+            impact_type=row["impact_type"],
+            reference_zero=_parse_flag(row["reference_zero"], "reference_zero"),
+            category=row["category"],
+            subcategory=row["subcategory"],
+            actionable=_parse_flag(row["actionable"], "actionable"),
+            description=row.get("description", ""),
+        )
+
+    return read_table(path, "feature_registry.csv", REGISTRY_COLUMNS, parse)
 
 
 # ---------------------------------------------------------------------------

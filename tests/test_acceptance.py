@@ -21,7 +21,7 @@ import pytest
 from fleetfuel.anomaly import flag_outliers, two_phase_clean
 from fleetfuel.cli import main as cli_main
 from fleetfuel.evaluate import monthly_impact
-from fleetfuel.explain import recompute_fuel_new
+from fleetfuel.explain import ExplanationTable, recompute_fuel_new
 from fleetfuel.gam import AdditiveModel, FeatureColumn, TrainConfig, fit
 from fleetfuel.ingest import (
     RouteThresholds,
@@ -166,7 +166,7 @@ def test_c01_explanation_anchor():
 def test_c02_co2_anchor(small_registry):
     rec = make_record(day="2021-02-10", trip_kms=100.0, trip_fuel_used=50.0)
     row_like = _behaviour_row(y_diff=14631.0)
-    table = monthly_impact([row_like], [rec], small_registry, "anchor")
+    table = monthly_impact(ExplanationTable.from_rows([row_like]), [rec], small_registry, "anchor")
     co2 = table[0].co2_kg
     ok = abs(co2 - 39157) <= 1.0
     report(2, ok, f"14631 L -> {co2:.2f} kg CO2 (want 39157 +/- 1)")

@@ -284,6 +284,29 @@ class TestCorruptInputs:
         cfg = _config_with_paths(cfg, tmp_path, vin_map=table)
         self._fails_naming(capsys, "ingest", cfg, out, table.name, "line 2")
 
+    @pytest.mark.parametrize(
+        "header", ["time_tx,vehicle,variable_id,variable_value\n", ""], ids=["vehicle-header", "empty"]
+    )
+    def test_feed_header(self, finished_run, tmp_path, capsys, header):
+        out, cfg = self._copy(finished_run, tmp_path)
+        feed = tmp_path / "my_feed.csv"
+        rows = (out / "feed.csv").read_text().splitlines(keepends=True)[1:4]
+        feed.write_text(header + "".join(rows) if header else "")
+        cfg = _config_with_paths(cfg, tmp_path, feed=feed)
+        self._fails_naming(capsys, "ingest", cfg, out, str(feed))
+
+    def test_registry_duplicate_feature(self, finished_run, tmp_path, capsys):
+        out, cfg = self._copy(finished_run, tmp_path)
+        table = tmp_path / "my_registry.csv"
+        lines = resources.files("fleetfuel.data").joinpath("feature_registry.csv").read_text(encoding="utf-8")
+        lines = lines.splitlines(keepends=True)
+        table.write_text("".join(lines + [lines[3]]))
+        cfg = _config_with_paths(cfg, tmp_path, registry=table)
+        name = lines[3].split(",")[0]
+        self._fails_naming(
+            capsys, "ingest", cfg, out, table.name, f"line {len(lines) + 1}", f"duplicate feature name {name!r}"
+        )
+
 
 def _config_with_paths(cfg: str, tmp_path, **paths) -> str:
     config = json.loads(Path(cfg).read_text(encoding="utf-8"))

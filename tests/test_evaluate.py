@@ -29,7 +29,7 @@ from fleetfuel.evaluate import (
     train_test_split,
     write_report_json,
 )
-from fleetfuel.explain import ReferencePolicy
+from fleetfuel.explain import ExplanationTable, ReferencePolicy
 from fleetfuel.registry import (
     CatalogReference,
     CatalogTable,
@@ -235,7 +235,7 @@ class TestCategoryImpact:
 
     def test_single_bucket(self, small_registry):
         rows = [base_row(y_diff=1.0, avg_fuel_consumption=10.0)]
-        impacts = aggregate_category_impact(rows, small_registry, self.limits(), "d1")
+        impacts = aggregate_category_impact(ExplanationTable.from_rows(rows), small_registry, self.limits(), "d1")
         assert len(impacts) == 1
         assert impacts[0].median_impact_pct == pytest.approx(10.0)
         assert impacts[0].verdict == "within"
@@ -246,21 +246,21 @@ class TestCategoryImpact:
             base_row(feature="mean_speed_hwy", y_diff=0.6),
             base_row(feature="mean_exterior_temp", y_diff=0.5),
         ]
-        impacts = aggregate_category_impact(rows, small_registry, self.limits(), "d1")
+        impacts = aggregate_category_impact(ExplanationTable.from_rows(rows), small_registry, self.limits(), "d1")
         total_rel = sum(r.y_diff for r in rows) / rows[0].avg_fuel_consumption * 100
         assert sum(i.median_impact_pct for i in impacts) == pytest.approx(total_rel)
 
     def test_verdicts(self, small_registry):
         low = [base_row(y_diff=0.05, avg_fuel_consumption=10.0)]
-        impacts = aggregate_category_impact(low, small_registry, self.limits(), "d1")
+        impacts = aggregate_category_impact(ExplanationTable.from_rows(low), small_registry, self.limits(), "d1")
         assert impacts[0].verdict == "below_min"
         high = [base_row(y_diff=5.0, avg_fuel_consumption=10.0)]
-        impacts = aggregate_category_impact(high, small_registry, self.limits(), "d1")
+        impacts = aggregate_category_impact(ExplanationTable.from_rows(high), small_registry, self.limits(), "d1")
         assert impacts[0].verdict == "above_max"
 
     def test_unconfigured_subcategory_no_verdict(self, small_registry):
         rows = [base_row(feature="mean_exterior_temp", y_diff=1.0)]
-        impacts = aggregate_category_impact(rows, small_registry, {}, "d1")
+        impacts = aggregate_category_impact(ExplanationTable.from_rows(rows), small_registry, {}, "d1")
         assert impacts[0].verdict is None
 
 
@@ -283,7 +283,7 @@ class TestOutlierVsExplained:
             base_row(vehicle_id="id1", feature=f, y_diff=d, avg_fuel_consumption=9.96)
             for f, d in (("rpm_high", 1.0), ("mean_speed_hwy", 0.65))
         ]
-        report = outlier_vs_explained(rows, limits, records, "d1")
+        report = outlier_vs_explained(ExplanationTable.from_rows(rows), limits, records, "d1")
         assert report.n_outlier_days == 1
         assert report.median_explained == pytest.approx(1.65 / 9.96)
         assert report.median_anomalous == pytest.approx((9.96 - lim.lim_sup) / 9.96)
@@ -293,7 +293,7 @@ class TestOutlierVsExplained:
         limits = compute_limits(
             [make_record(vehicle_id=f"l{i}", avg=7.0 + i * 0.1) for i in range(4)]
         )
-        assert outlier_vs_explained([], limits, records, "d1") is None
+        assert outlier_vs_explained(ExplanationTable.from_rows([]), limits, records, "d1") is None
 
     def test_null_case_p_near_one(self):
         records, limits, lim = self.setup_outliers()
@@ -312,7 +312,7 @@ class TestOutlierVsExplained:
                     avg_fuel_consumption=9.96,
                 )
             )
-        report = outlier_vs_explained(rows, limits, days, "d1")
+        report = outlier_vs_explained(ExplanationTable.from_rows(rows), limits, days, "d1")
         assert report.p_value == pytest.approx(1.0)
 
     def test_planted_direction_significant(self):
@@ -331,7 +331,7 @@ class TestOutlierVsExplained:
                     avg_fuel_consumption=11.0,
                 )
             )
-        report = outlier_vs_explained(rows, limits, records, "d1")
+        report = outlier_vs_explained(ExplanationTable.from_rows(rows), limits, records, "d1")
         assert report.median_explained > report.median_anomalous
         assert report.p_value < 0.01
 
@@ -353,7 +353,7 @@ class TestCatalogMape:
         return ReferencePolicy.from_records(small_registry, inlier_pool(small_registry))
 
     def test_exact_match_zero(self, small_registry):
-        rows = [base_row(y_fuel_new=8.31)]
+        rows = ExplanationTable.from_rows([base_row(y_fuel_new=8.31)])
         records = [make_record(vehicle_id="v1", day="2020-04-17", avg=9.96, label="outlier")]
         report = catalog_mape(
             rows, records, {"v1": identity()}, catalog_with(8.31), self.policy(small_registry), "d1"
@@ -362,7 +362,7 @@ class TestCatalogMape:
         assert report.n_catalog_days == 1
 
     def test_offset_rule(self, small_registry):
-        rows = [base_row(y_fuel_new=7.0)]
+        rows = ExplanationTable.from_rows([base_row(y_fuel_new=7.0)])
         records = [make_record(vehicle_id="v1", day="2020-04-17", avg=9.96)]
         report = catalog_mape(
             rows, records, {"v1": identity()}, catalog_with(8.5), self.policy(small_registry), "d1"
@@ -370,7 +370,7 @@ class TestCatalogMape:
         assert report.pct_below_catalog == 100.0  # 7.0 < 8.5 - 1
 
     def test_not_below_within_offset(self, small_registry):
-        rows = [base_row(y_fuel_new=7.8)]
+        rows = ExplanationTable.from_rows([base_row(y_fuel_new=7.8)])
         records = [make_record(vehicle_id="v1", day="2020-04-17", avg=9.96)]
         report = catalog_mape(
             rows, records, {"v1": identity()}, catalog_with(8.5), self.policy(small_registry), "d1"
@@ -379,7 +379,7 @@ class TestCatalogMape:
 
     def test_inlier_median_ratio(self, small_registry):
         # inlier fuel medians 8.0/8.1/8.2 -> cell median 8.1
-        rows = [base_row(y_fuel_new=9.0)]
+        rows = ExplanationTable.from_rows([base_row(y_fuel_new=9.0)])
         records = [make_record(vehicle_id="v1", day="2020-04-17", avg=9.96, label="outlier")]
         report = catalog_mape(
             rows, records, {"v1": identity()}, catalog_with(9.0), self.policy(small_registry), "d1"
@@ -388,7 +388,7 @@ class TestCatalogMape:
         assert report.mape_3 == report.mape_2  # the only day is an outlier
 
     def test_unmatched_excluded_and_counted(self, small_registry):
-        rows = [base_row(y_fuel_new=8.31)]
+        rows = ExplanationTable.from_rows([base_row(y_fuel_new=8.31)])
         records = [make_record(vehicle_id="v1", day="2020-04-17", avg=9.96)]
         report = catalog_mape(
             rows, records, {}, catalog_with(8.31), self.policy(small_registry), "d1"
@@ -402,7 +402,7 @@ class TestMonthlyImpact:
         # one explanation of 1 L/100km over 100 km in one month -> 1 liter
         rec = make_record(vehicle_id="v1", day="2020-04-17", trip_kms=100.0, trip_fuel_used=10.0)
         row = base_row(y_diff=1.0)
-        table = monthly_impact([row], [rec], small_registry, "d1")
+        table = monthly_impact(ExplanationTable.from_rows([row]), [rec], small_registry, "d1")
         assert table[0].extra_fuel_all_l == pytest.approx(1.0)
         assert table[0].co2_kg == pytest.approx(1.0 * CO2_KG_PER_LITER)
 
@@ -414,7 +414,7 @@ class TestMonthlyImpact:
 
     def test_no_explanations_month(self, small_registry):
         rec = make_record(vehicle_id="v1", day="2020-07-02", trip_kms=50.0, trip_fuel_used=5.0)
-        table = monthly_impact([], [rec], small_registry, "d1")
+        table = monthly_impact(ExplanationTable.from_rows([]), [rec], small_registry, "d1")
         assert table[0].extra_fuel_all_l == 0.0
         assert table[0].co2_kg == 0.0
         assert table[0].total_fuel_l == 5.0
@@ -425,7 +425,7 @@ class TestMonthlyImpact:
             base_row(feature="rpm_high", y_diff=0.5),
             base_row(feature="mean_exterior_temp", y_diff=0.25),
         ]
-        table = monthly_impact(rows, [rec], small_registry, "d1")
+        table = monthly_impact(ExplanationTable.from_rows(rows), [rec], small_registry, "d1")
         assert table[0].extra_fuel_all_l == pytest.approx(1.5)
         assert table[0].extra_fuel_behaviour_l == pytest.approx(1.0)
         assert table[0].co2_kg == pytest.approx(1.0 * CO2_KG_PER_LITER)
@@ -449,7 +449,7 @@ class TestMonthlyImpact:
                     y_diff=float(rng.uniform(0.1, 0.9)),
                 )
             )
-        table = monthly_impact(rows, records, small_registry, "d1")
+        table = monthly_impact(ExplanationTable.from_rows(rows), records, small_registry, "d1")
         kms_by_day = {r.day_key: r.trip_kms for r in records}
         for entry in table:
             expected_total = sum(

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import csv
+import json
+import math
+import tempfile
 from dataclasses import replace
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,18 +19,23 @@ from fleetfuel.anomaly import compute_limits
 from fleetfuel.errors import DataError, FeedFormatError, MissingFeatureError
 from fleetfuel.explain import (
     BR_ORDER,
+    EXPLANATION_COLUMNS,
+    AuditEntry,
     ExplanationRow,
+    ExplanationTable,
+    FuelMedians,
     ReferencePolicy,
     apply_business_rules,
     fuel_saving,
     generate_daily_explanations,
     read_explanations_csv,
     recompute_fuel_new,
+    write_audit_log,
     write_explanations_csv,
     write_inlier_medians_csv,
 )
 from fleetfuel.gam import AdditiveModel, FeatureColumn, TrainConfig, _numeric_value
-from fleetfuel.registry import FeatureSpec
+from fleetfuel.registry import FeatureSpec, csv_cell
 
 from .conftest import make_record, make_registry
 
@@ -164,7 +174,7 @@ class TestGenerateDailyExplanations:
             features={"rpm_high": 0.0, "mean_speed_hwy": 76.0, "mean_exterior_temp": 286.0},
         )
         rows = generate_daily_explanations(model, [resting], policy, limits)
-        assert rows == []
+        assert rows.rows() == []
 
     def test_locality_under_unrelated_vehicles(self, small_registry):
         model, inliers, target, limits, policy = explanation_setup(small_registry)
@@ -176,7 +186,7 @@ class TestGenerateDailyExplanations:
         )
         both = generate_daily_explanations(model, [target, other], policy, limits)
         mine = [r for r in both if r.vehicle_id == "vhigh"]
-        assert mine == alone
+        assert mine == alone.rows()
 
     def test_target_values_follow_policy(self, small_registry):
         model, inliers, target, limits, policy = explanation_setup(small_registry)
@@ -213,40 +223,40 @@ class TestBusinessRules:
 
     def test_br1_drops_categorical(self, small_registry):
         rows = [base_row(feature="vehicle_group", feature_value="14", target_value="0")]
-        kept, audit = apply_business_rules(rows, self.policy(small_registry))
-        assert kept == []
+        kept, audit = apply_business_rules(ExplanationTable.from_rows(rows), self.policy(small_registry))
+        assert kept.rows() == []
         assert audit[0].rule_id == "BR1"
 
     def test_br2_drops_below_one_percent(self, small_registry):
         rows = [base_row(avg_fuel_consumption=10.0, y_diff=0.05, feature_value=9.0)]
-        kept, audit = apply_business_rules(rows, self.policy(small_registry))
-        assert kept == []
+        kept, audit = apply_business_rules(ExplanationTable.from_rows(rows), self.policy(small_registry))
+        assert kept.rows() == []
         assert any(a.rule_id == "BR2" for a in audit)
 
     def test_br2_keeps_exactly_one_percent(self, small_registry):
         rows = [base_row(avg_fuel_consumption=10.0, y_diff=0.1, feature_value=9.0)]
-        kept, _ = apply_business_rules(rows, self.policy(small_registry))
+        kept, _ = apply_business_rules(ExplanationTable.from_rows(rows), self.policy(small_registry))
         assert len(kept) == 1
 
     def test_br3_requires_above_median_day(self, small_registry):
         # inlier fuel medians: 8.0, 8.1, 8.2 -> median 8.1
         low_day = base_row(avg_fuel_consumption=7.9, y_diff=0.5, feature_value=9.0)
-        kept, audit = apply_business_rules([low_day], self.policy(small_registry))
-        assert kept == []
+        kept, audit = apply_business_rules(ExplanationTable.from_rows([low_day]), self.policy(small_registry))
+        assert kept.rows() == []
         assert any(a.rule_id == "BR3" for a in audit)
 
     def test_br4_positive_needs_value_above_median(self, small_registry):
         # rpm_high inlier median is 3.0; a value below it fails the direction check
         row = base_row(feature_value=1.0, y_diff=0.5)
-        kept, audit = apply_business_rules([row], self.policy(small_registry))
-        assert kept == []
+        kept, audit = apply_business_rules(ExplanationTable.from_rows([row]), self.policy(small_registry))
+        assert kept.rows() == []
         assert any(a.rule_id == "BR4" for a in audit)
 
     def test_br4_negative_needs_value_below_median(self, small_registry):
         # mean_exterior_temp inlier median is 286.0 and the impact type Negative
         ok = base_row(feature="mean_exterior_temp", feature_value=280.0, y_diff=0.5)
         bad = base_row(feature="mean_exterior_temp", feature_value=290.0, y_diff=0.5)
-        kept, audit = apply_business_rules([ok, bad], self.policy(small_registry))
+        kept, audit = apply_business_rules(ExplanationTable.from_rows([ok, bad]), self.policy(small_registry))
         assert [r.feature_value for r in kept] == [280.0]
         assert any(a.rule_id == "BR4" for a in audit)
 
@@ -255,9 +265,9 @@ class TestBusinessRules:
             base_row(feature="rpm_high", feature_value=9.0, y_diff=5.0),
             base_row(feature="mean_speed_hwy", feature_value=99.0, y_diff=4.0),
         ]
-        kept, audit = apply_business_rules(rows, self.policy(small_registry), BR_ORDER)
+        kept, audit = apply_business_rules(ExplanationTable.from_rows(rows), self.policy(small_registry), BR_ORDER)
         # total 9.0 on avg 9.96 is above the 80% cap
-        assert kept == []
+        assert kept.rows() == []
         assert sum(1 for a in audit if a.rule_id == "BR5") == 2
 
     def test_fuel_new_recomputed_on_survivors(self, small_registry):
@@ -265,10 +275,10 @@ class TestBusinessRules:
             base_row(feature="rpm_high", feature_value=9.0, y_diff=1.0),
             base_row(feature="mean_speed_hwy", feature_value=99.0, y_diff=0.05),
         ]
-        kept, _ = apply_business_rules(rows, self.policy(small_registry))
+        kept, _ = apply_business_rules(ExplanationTable.from_rows(rows), self.policy(small_registry))
         # the 0.05 row dies under BR2; fuel_new reflects only the surviving 1.0
         assert len(kept) == 1
-        assert kept[0].y_fuel_new == pytest.approx(9.96 - 1.0)
+        assert kept.rows()[0].y_fuel_new == pytest.approx(9.96 - 1.0)
 
     def test_post_filter_invariants(self, small_registry):
         rng = np.random.default_rng(0)
@@ -285,7 +295,7 @@ class TestBusinessRules:
                 )
             )
         policy = self.policy(small_registry)
-        kept, _ = apply_business_rules(rows, policy)
+        kept, _ = apply_business_rules(ExplanationTable.from_rows(rows), policy)
         totals = {}
         for row in kept:
             totals.setdefault(row.day_key, []).append(row)
@@ -319,7 +329,7 @@ class TestCsvRoundTrip:
         path = tmp_path / "expl.csv"
         write_explanations_csv(rows, path)
         loaded = read_explanations_csv(path)
-        assert loaded == rows
+        assert loaded.rows() == rows.rows()
 
     def test_medians_export(self, small_registry, tmp_path):
         _, inliers, target, _, policy = explanation_setup(small_registry)
@@ -478,14 +488,14 @@ class TestMatchesReferenceLoop:
         )
         for records in ([target], [target, other], [resting], [other, resting, target], inliers, []):
             expected = reference_explanations(model, records, policy, limits)
-            assert generate_daily_explanations(model, records, policy, limits) == expected
+            assert generate_daily_explanations(model, records, policy, limits).rows() == expected
 
     def test_categorical_fallback_row(self, small_registry):
         model, inliers, target, limits, policy = categorical_fallback_setup(small_registry)
         assert limits.lookup(1, "highway").borrowed
         assert policy.categorical_mode(1, "highway", "vehicle_group") == "0"
         rows = generate_daily_explanations(model, [target] + inliers, policy, limits)
-        assert rows == reference_explanations(model, [target] + inliers, policy, limits)
+        assert rows.rows() == reference_explanations(model, [target] + inliers, policy, limits)
         cat = [r for r in rows if r.feature == "vehicle_group"]
         assert len(cat) == 1
         assert (cat[0].vehicle_id, cat[0].feature_value, cat[0].target_value) == ("vgrp1", "1", "0")
@@ -493,7 +503,7 @@ class TestMatchesReferenceLoop:
         # the categorical row counts in the day's pre-filter total
         day_total = sum(r.y_diff for r in rows if r.vehicle_id == "vgrp1")
         assert cat[0].y_fuel_new == 9.96 - day_total
-        kept, audit = apply_business_rules(rows, policy)
+        kept, audit = apply_business_rules(ExplanationTable.from_rows(rows), policy)
         assert all(r.feature != "vehicle_group" for r in kept)
         assert [(a.rule_id, a.vehicle_id, a.feature) for a in audit if a.rule_id == "BR1"] == [
             ("BR1", "vgrp1", "vehicle_group")
@@ -526,7 +536,7 @@ class TestMatchesReferenceLoop:
         no_limit = make_record(vehicle_id="nolim", route_type="city", avg=9.0, features={})
         records = [target, no_fuel, no_limit]
         rows = generate_daily_explanations(model, records, policy, limits)
-        assert rows == reference_explanations(model, records, policy, limits)
+        assert rows.rows() == reference_explanations(model, records, policy, limits)
         assert {r.vehicle_id for r in rows} == {"vhigh"}
 
 
@@ -600,7 +610,7 @@ class TestReferenceProperty:
         policy = ReferencePolicy.from_records(registry, inliers, ("vehicle_group", "route_type"))
         limits = compute_limits(records + support)
         expected = reference_explanations(model, records, policy, limits)
-        assert generate_daily_explanations(model, records, policy, limits) == expected
+        assert generate_daily_explanations(model, records, policy, limits).rows() == expected
 
 
 class TestReadExplanationsCsv:
@@ -622,3 +632,248 @@ class TestReadExplanationsCsv:
                                   "y_fuel_new")) + "\nv1,2021-01-05\n")
         with pytest.raises(FeedFormatError, match="line 2"):
             read_explanations_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the row loops that filtered, wrote and logged explanation rows
+# one at a time.  The table's rule masks, CSV writer and audit writer must
+# reproduce their rows, audit entries and bytes exactly.
+
+
+def _reference_day_totals(rows):
+    totals = {}
+    for row in rows:
+        totals[row.day_key] = totals.get(row.day_key, 0.0) + row.y_diff
+    return totals
+
+
+def reference_business_rules(rows, policy, rules=BR_ORDER, br2_threshold=0.01, br5_cap=0.8):
+    registry = policy.registry
+    audit = []
+    current = list(rows)
+
+    def drop(row, rule, values):
+        audit.append(AuditEntry(rule, row.vehicle_id, row.date_tx.isoformat(), row.feature, values))
+
+    for rule in rules:
+        kept = []
+        if rule == "BR1":
+            for row in current:
+                if row.feature in registry:
+                    kept.append(row)
+                else:
+                    drop(row, "BR1", {"reason": "categorical"})
+        elif rule == "BR2":
+            for row in current:
+                impact = row.y_diff / row.avg_fuel_consumption
+                if impact < br2_threshold:
+                    drop(row, "BR2", {"relative_impact": impact})
+                else:
+                    kept.append(row)
+        elif rule == "BR3":
+            for row in current:
+                median = policy.fuel_median(row.vehicle_group, row.route_type)
+                if median is None or row.avg_fuel_consumption > median:
+                    kept.append(row)
+                else:
+                    drop(row, "BR3", {"avg_fuel": row.avg_fuel_consumption, "median_inlier": median})
+        elif rule == "BR4":
+            for row in current:
+                spec = registry.get(row.feature)
+                if spec is None:
+                    kept.append(row)
+                    continue
+                median = policy.feature_median(row.vehicle_group, row.route_type, row.feature)
+                value = row.feature_value
+                if value > median if spec.impact_type == "Positive" else value < median:
+                    kept.append(row)
+                else:
+                    drop(
+                        row,
+                        "BR4",
+                        {"feature_value": value, "median_inlier": median, "impact_type": spec.impact_type},
+                    )
+        elif rule == "BR5":
+            totals = _reference_day_totals(current)
+            for row in current:
+                total = totals[row.day_key]
+                if total > br5_cap * row.avg_fuel_consumption:
+                    drop(row, "BR5", {"total_saving": total, "avg_fuel": row.avg_fuel_consumption, "cap": br5_cap})
+                else:
+                    kept.append(row)
+        current = kept
+    totals = _reference_day_totals(current)
+    return [
+        replace(row, y_fuel_new=recompute_fuel_new(row.avg_fuel_consumption, [totals[row.day_key]]))
+        for row in current
+    ], audit
+
+
+def reference_write_csv(rows, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(EXPLANATION_COLUMNS)
+        for row in rows:
+            writer.writerow(
+                [
+                    row.vehicle_id,
+                    row.date_tx.isoformat(),
+                    row.route_type,
+                    str(row.vehicle_group),
+                    repr(row.intercept),
+                    row.feature,
+                    repr(row.feature_relevance),
+                    csv_cell(row.feature_value),
+                    csv_cell(row.target_value),
+                    repr(row.avg_fuel_consumption),
+                    repr(row.limit_group),
+                    repr(row.y_pred),
+                    repr(row.y_diff),
+                    repr(row.y_fuel_new),
+                ]
+            )
+
+
+_REFERENCE_JSON = json.JSONEncoder(sort_keys=True)
+
+
+def reference_write_audit(entries, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for e in entries:
+            fh.write(
+                _REFERENCE_JSON.encode(
+                    {"rule_id": e.rule_id, "vehicle_id": e.vehicle_id, "date": e.date_tx,
+                     "feature": e.feature, "values": e.values}
+                )
+            )
+            fh.write("\n")
+
+
+# vehicle ids with non-ASCII letters (JSON escapes) and CSV specials (quoting)
+_VEHICLES = ("v1", "v2", "k\u00fchl-3", "\u8eca4", 'v,"5')
+_ROUTES = ("city", "highway")
+_FUEL = st.sampled_from([8.0, 10.0, 12.5, 9.75])
+# 0.1 and 0.2 on a 10.0 day sit exactly on the BR2 thresholds 0.01 and 0.02
+_SAVING = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.05]),
+    st.floats(0.01, 0.6, allow_nan=False),
+    st.just(math.nan),
+)
+_LEVEL_VALUES = {"vehicle_group": ("0", "1", "2"), "route_type": _ROUTES}
+# savings with full 53-bit mantissas, so that sums depend on their order
+_BUSY_SAVING = st.integers(1, 10**6).map(lambda k: 0.9 + k / 2e6)
+
+
+@st.composite
+def rule_problems(draw):
+    """Random pre-filter rows plus the policy and rule settings they are filtered with."""
+    registry = _property_registry()
+    no_fuel = draw(st.integers(0, 5)) == 0  # every fuel median is None
+    inliers = [
+        make_record(
+            vehicle_id=f"in{i}",
+            vehicle_group=draw(st.integers(0, 2)),
+            route_type=draw(st.sampled_from(_ROUTES)),
+            avg=None if no_fuel else draw(st.sampled_from([8.0, 9.0, 10.0, 11.0])),
+            label="inlier",
+            features={name: draw(_GRID) for name in _NAMES},
+        )
+        for i in range(draw(st.integers(0, 6)))
+    ]
+    if no_fuel:
+        for rec in inliers:
+            rec.avg_fuel_consumption = None
+    policy = ReferencePolicy.from_records(registry, inliers, ("vehicle_group", "route_type"))
+    # one record per drawn day; two records may share a vehicle and date
+    days = [
+        dict(
+            vehicle_id=draw(st.sampled_from(_VEHICLES)),
+            date_tx=date(2021, 1, draw(st.integers(1, 3))),
+            route_type=draw(st.sampled_from(_ROUTES)),
+            vehicle_group=draw(st.integers(0, 2)),
+            intercept=7.0,
+            avg_fuel_consumption=draw(_FUEL),
+            limit_group=9.0,
+            y_pred=draw(st.floats(6.0, 14.0)),
+            y_fuel_new=0.0,
+        )
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        day = days[draw(st.integers(0, len(days) - 1))]
+        feature = draw(st.sampled_from(_NAMES + tuple(_LEVEL_VALUES)))
+        if feature in _LEVEL_VALUES:
+            value, target = (draw(st.sampled_from(_LEVEL_VALUES[feature])) for _ in range(2))
+        else:
+            value, target = draw(_GRID), draw(_GRID)
+        rows.append(
+            ExplanationRow(
+                feature=feature, feature_relevance=draw(_SAVING), feature_value=value, target_value=target,
+                y_diff=draw(_SAVING), **day,
+            )
+        )
+    # a busy record of the first day's vehicle and date, above every fuel
+    # median, whose rows pass BR2-BR4: enough of them that a pairwise sum
+    # rounds differently, and often enough saving for BR5 to drop the day
+    if draw(st.integers(0, 3)):
+        day = dict(days[0], avg_fuel_consumption=12.5)
+        for name in draw(st.lists(st.sampled_from(_NAMES[:3]), min_size=9, max_size=16)):
+            spec = registry[name]
+            rows.append(
+                ExplanationRow(
+                    feature=name,
+                    feature_relevance=0.5,
+                    feature_value=4.0 if spec.impact_type == "Positive" else 0.0,
+                    target_value=0.0,
+                    y_diff=draw(_BUSY_SAVING),
+                    **day,
+                )
+            )
+    rules = draw(st.sampled_from([BR_ORDER, ("BR1", "BR3", "BR2")]))
+    if rules != BR_ORDER:
+        policy = FuelMedians.from_records(registry, inliers)
+    return rows, policy, rules, draw(st.sampled_from([0.01, 0.02])), draw(st.sampled_from([0.8, 0.6]))
+
+
+class TestTableMatchesRowLoops:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=rule_problems())
+    def test_rules_and_writers_equal_reference(self, problem):
+        rows, policy, rules, br2, cap = problem
+        table = ExplanationTable.from_rows(rows)
+        kept, audit = apply_business_rules(table, policy, rules, br2_threshold=br2, br5_cap=cap)
+        expected_rows, expected_audit = reference_business_rules(rows, policy, rules, br2, cap)
+        # repr compares NaN savings and the float/str type of every cell
+        assert repr(kept.rows()) == repr(expected_rows)
+        assert repr(audit) == repr(expected_audit)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            for name, written, expected in (("pre", table, rows), ("final", kept, expected_rows)):
+                write_explanations_csv(written, out / f"{name}.csv")
+                reference_write_csv(expected, out / f"{name}_ref.csv")
+                assert (out / f"{name}.csv").read_bytes() == (out / f"{name}_ref.csv").read_bytes()
+            write_audit_log(audit, out / "audit.jsonl")
+            reference_write_audit(expected_audit, out / "audit_ref.jsonl")
+            assert (out / "audit.jsonl").read_bytes() == (out / "audit_ref.jsonl").read_bytes()
+
+    def test_empty_table(self, small_registry, tmp_path):
+        policy = ReferencePolicy.from_records(small_registry, inlier_pool(small_registry))
+        kept, audit = apply_business_rules(ExplanationTable.from_rows([]), policy)
+        assert (len(kept), audit, kept.rows(), kept.n_vehicle_days()) == (0, [], [], 0)
+        write_explanations_csv(kept, tmp_path / "e.csv")
+        reference_write_csv([], tmp_path / "r.csv")
+        assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+        assert read_explanations_csv(tmp_path / "e.csv").rows() == []
+
+    def test_audit_escapes_and_non_finite_values(self, tmp_path):
+        entries = [
+            AuditEntry("BR2", "\u8eca-\u00fc", "2021-01-01", 'f"q', {"relative_impact": math.nan}),
+            AuditEntry("BR5", "v", "2021-01-02", "f", {"total_saving": math.inf, "avg_fuel": -0.0, "cap": 1}),
+            AuditEntry(
+                "BR4", "v", "2021-01-02", "f", {"feature_value": 3, "median_inlier": 0.0, "impact_type": "Positive"}
+            ),
+        ]
+        write_audit_log(entries, tmp_path / "a.jsonl")
+        reference_write_audit(entries, tmp_path / "r.jsonl")
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "r.jsonl").read_bytes()
