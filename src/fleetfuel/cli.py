@@ -2,9 +2,11 @@
 
 One JSON config file carries paths and every tunable constant; flags
 override the config, the config overrides built-in defaults.  Every stage
-writes its artifacts into the output directory and records inputs/outputs
-(with content digests) in manifest.json, which is enough to re-execute the
-run.  Outputs are byte-stable for a fixed config and seed.
+writes its artifacts into the output directory.  ``RunContext`` records
+each input as the stage opens it, with its sha256 taken on opening, and
+each output as the stage names it; when the stage ends both go into
+manifest.json, which is enough to re-execute the run.  Outputs are
+byte-stable for a fixed config and seed.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 internal error.
 """
@@ -16,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from . import __version__
 from .anomaly import flag_outliers, read_limits_csv, two_phase_clean, write_limits_csv
 from .errors import FeedFormatError, FleetFuelError, MissingStageError
 from .evaluate import (
+    CO2_KG_PER_LITER,
     CatalogMapeReport,
     CategoryImpact,
     ModelMetrics,
@@ -39,6 +43,8 @@ from .evaluate import (
 )
 from .explain import (
     BR_ORDER,
+    DEFAULT_BR2_THRESHOLD,
+    DEFAULT_BR5_CAP,
     FuelMedians,
     ReferencePolicy,
     apply_business_rules,
@@ -99,24 +105,12 @@ DEFAULT_CONFIG = {
         "synth_spec": None,
         "out_dir": "out",
     },
-    "route_thresholds": {"th_kms": 30.0, "low_th_time": 0.5, "high_th_time": 0.65},
-    "train": {
-        "learning_rate": 0.01,
-        "max_rounds": 5000,
-        "patience": 50,
-        "max_bins": 256,
-        "max_leaves": 3,
-        "bags": 8,
-        "validation_fraction": 0.15,
-        "seed": 0,
-        # read by nothing (bags train in one batched state); model.json
-        # stores the train config, so the key stays until its format changes
-        "workers": 1,
-    },
+    "route_thresholds": dataclasses.asdict(RouteThresholds()),
+    "train": dataclasses.asdict(TrainConfig()),
     "split": {"fraction": 0.9, "seed": 0},
-    "rules": {"br2_threshold": 0.01, "br5_cap": 0.8},
+    "rules": {"br2_threshold": DEFAULT_BR2_THRESHOLD, "br5_cap": DEFAULT_BR5_CAP},
     "catalog_offset": 1.0,
-    "co2_per_liter": 2.67633,
+    "co2_per_liter": CO2_KG_PER_LITER,
     "price_per_liter": None,
     "ignore_channels": [],
 }
@@ -137,13 +131,24 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
 
 
 class RunContext:
-    """Resolved config plus lazy loaders for shared tables."""
+    """Resolved config, lazy shared tables and the files the running stage touches.
+
+    A stage names each file once.  ``config_file`` and ``artifact`` check
+    that a file the stage is about to read exists and record it with its
+    sha256 taken then; ``output`` returns a path in the output directory
+    and records it.  ``record_stage`` writes the record into manifest.json
+    and clears it for the next stage.
+    """
 
     def __init__(self, config: dict, overrides: dict):
         self.config = config
         self.overrides = overrides
         self.out_dir = Path(config["paths"]["out_dir"])
         self._registry: FeatureRegistry | None = None
+        self._inputs: dict[str, str] = {}
+        self._outputs: list[Path] = []
+        # read before any stage runs, so a corrupt manifest stops it early
+        self._manifest = _read_manifest(self.out_dir / "manifest.json")
 
     @classmethod
     def from_args(cls, args) -> "RunContext":
@@ -167,57 +172,85 @@ class RunContext:
             overrides["seed"] = args.seed
         return cls(config, overrides)
 
+    # -- files of the running stage ------------------------------------------
+
+    def _read(self, path: Path) -> Path:
+        self._inputs[str(path)] = _digest(path)
+        return path
+
+    def config_file(self, key: str, default: str | None = None) -> Path | None:
+        """Input ``paths.<key>`` of the config, else ``out_dir/default``, else None."""
+        configured = self.config["paths"][key]
+        if not configured and default is None:
+            return None
+        path = Path(configured) if configured else self.out_dir / default
+        if not path.exists():
+            raise FeedFormatError(f"missing file: {path}")
+        return self._read(path)
+
+    def artifact(self, name: str, producer: str) -> Path:
+        """Input ``out_dir/name``; MissingStageError names its producer when absent."""
+        path = self.out_dir / name
+        if not path.exists():
+            raise MissingStageError(producer)
+        return self._read(path)
+
+    def output(self, name: str) -> Path:
+        path = self.out_dir / name
+        self._outputs.append(path)
+        return path
+
+    def report(self, stem: str, payload, rows, row_type: type) -> None:
+        """Outputs ``<stem>.json`` holding payload and ``<stem>.csv`` with one line per row."""
+        write_report_json(payload, self.output(f"{stem}.json"))
+        write_report_csv(rows, row_type, self.output(f"{stem}.csv"))
+
     # -- shared tables -------------------------------------------------------
 
     def registry(self) -> FeatureRegistry:
+        path = self.config_file("registry")
         if self._registry is None:
-            path = self.config["paths"]["registry"]
-            self._registry = (
-                FeatureRegistry.default() if path is None else FeatureRegistry.from_csv(self._existing(path))
-            )
+            self._registry = FeatureRegistry.default() if path is None else FeatureRegistry.from_csv(path)
         return self._registry
 
-    def _existing(self, path: str) -> Path:
-        p = Path(path)
-        if not p.exists():
-            raise FeedFormatError(f"missing file: {p}")
-        return p
-
-    def artifact(self, name: str, producer: str) -> Path:
-        p = self.out_dir / name
-        if not p.exists():
-            raise MissingStageError(producer)
-        return p
-
     def route_thresholds(self) -> RouteThresholds:
-        rt = self.config["route_thresholds"]
-        return RouteThresholds(
-            th_kms=float(rt["th_kms"]),
-            low_th_time=float(rt["low_th_time"]),
-            high_th_time=float(rt["high_th_time"]),
-        )
+        return RouteThresholds(**{k: float(v) for k, v in self.config["route_thresholds"].items()})
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(**self.config["train"])
 
     # -- manifest -------------------------------------------------------------
 
-    def record_stage(self, stage: str, inputs: list[Path], outputs: list[Path]) -> None:
-        manifest_path = self.out_dir / "manifest.json"
-        manifest = {"package_version": __version__, "config": self.config, "stages": {}}
-        if manifest_path.exists():
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-            manifest["package_version"] = __version__
-            manifest["config"] = self.config
+    def record_stage(self, stage: str) -> None:
+        """Write the stage's inputs and outputs into manifest.json and start a new record."""
+        manifest = self._manifest
+        manifest["package_version"] = __version__
+        manifest["config"] = self.config
         manifest.setdefault("stages", {})[stage] = {
-            "inputs": {str(p): _digest(p) for p in inputs},
-            "outputs": {str(p): _digest(p) for p in outputs},
+            "inputs": self._inputs,
+            "outputs": {str(p): _digest(p) for p in self._outputs},
             "overrides": self.overrides,
         }
-        with open(manifest_path, "w", encoding="utf-8") as fh:
+        self._inputs, self._outputs = {}, []
+        path = self.out_dir / "manifest.json"
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        os.replace(tmp, path)
+
+
+def _read_manifest(path: Path) -> dict:
+    if not path.exists():
+        return {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise FeedFormatError(f"{path}: manifest is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FeedFormatError(f"{path}: manifest is not a JSON object")
+    return manifest
 
 
 def _digest(path: Path) -> str:
@@ -233,36 +266,26 @@ def _digest(path: Path) -> str:
 
 
 def stage_synth(ctx: RunContext) -> None:
-    spec_path = ctx.config["paths"]["synth_spec"]
+    spec_path = ctx.config_file("synth_spec")
     if spec_path is None:
         spec = default_spec(seed=ctx.config["train"]["seed"])
     else:
-        spec = SynthSpec.from_json(ctx._existing(spec_path))
+        spec = SynthSpec.from_json(spec_path)
         if "seed" in ctx.overrides:
             spec.seed = ctx.overrides["seed"]
     ctx.out_dir.mkdir(parents=True, exist_ok=True)
     fleet = generate(spec, ctx.out_dir)
-    spec_echo = ctx.out_dir / "synth_spec.json"
-    spec.to_json(spec_echo)
-    ctx.record_stage(
-        "synth",
-        inputs=[],
-        outputs=[
-            fleet.feed_path,
-            fleet.vin_map_path,
-            fleet.catalog_path,
-            fleet.truth_days_path,
-            fleet.truth_savings_path,
-            spec_echo,
-        ],
-    )
+    for path in (fleet.feed_path, fleet.vin_map_path, fleet.catalog_path, fleet.truth_days_path,
+                 fleet.truth_savings_path):
+        ctx.output(path.name)
+    spec.to_json(ctx.output("synth_spec.json"))
+    ctx.record_stage("synth")
     print(f"synth: {len(fleet.days)} vehicle-days -> {fleet.feed_path}")
 
 
 def stage_ingest(ctx: RunContext) -> None:
-    paths = ctx.config["paths"]
-    feed_path = ctx._existing(paths["feed"] or ctx.out_dir / "feed.csv")
-    vin_path = ctx._existing(paths["vin_map"] or ctx.out_dir / "vin_map.csv")
+    feed_path = ctx.config_file("feed", "feed.csv")
+    vin_path = ctx.config_file("vin_map", "vin_map.csv")
     registry = ctx.registry()
     ctx.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -274,9 +297,7 @@ def stage_ingest(ctx: RunContext) -> None:
     identities = assign_groups(sorted({r.vehicle_id for r in records}), vin_map)
     records = enrich_records(records, identities, ctx.route_thresholds())
 
-    far_path = ctx.out_dir / "far_raw.csv"
-    write_far_csv(records, registry, far_path)
-    report_path = ctx.out_dir / "ingest_report.json"
+    write_far_csv(records, registry, ctx.output("far_raw.csv"))
     write_report_json(
         {
             "n_readings": agg_report.n_readings,
@@ -284,26 +305,19 @@ def stage_ingest(ctx: RunContext) -> None:
             "rejects": parsed.rejects,
             "unknown_channels": agg_report.unknown_channels,
         },
-        report_path,
+        ctx.output("ingest_report.json"),
     )
-    identities_path = ctx.out_dir / "identities.csv"
-    write_identities_csv(identities, identities_path)
-    ctx.record_stage(
-        "ingest",
-        inputs=[feed_path, vin_path],
-        outputs=[far_path, report_path, identities_path],
-    )
+    write_identities_csv(identities, ctx.output("identities.csv"))
+    ctx.record_stage("ingest")
     print(f"ingest: {agg_report.n_records} records, {parsed.n_rejected} rejected rows")
 
 
 def stage_clean(ctx: RunContext) -> None:
     registry = ctx.registry()
-    far_path = ctx.artifact("far_raw.csv", "ingest")
-    records = read_far_csv(far_path, registry)
+    records = read_far_csv(ctx.artifact("far_raw.csv", "ingest"), registry)
 
     base, removal = quality_filter(records)
-    class_table = load_class_table(ctx.config["paths"]["class_table"])
-    classes = assign_classes(base, class_table)
+    classes = assign_classes(base, load_class_table(ctx.config_file("class_table")))
 
     training, limits, noise = two_phase_clean(base)
     low_keys = set(noise.low_days)
@@ -311,21 +325,17 @@ def stage_clean(ctx: RunContext) -> None:
     labeled = flag_outliers(labeled, limits)
     impute_missing(labeled, registry)
 
+    # recorded with ingest's digest: it is read here before it is rewritten
     identities = read_identities_csv(ctx.artifact("identities.csv", "ingest"))
     identities = {
         vid: dataclasses.replace(ident, vehicle_class=classes.get(ident.vehicle_group, 0))
         for vid, ident in identities.items()
     }
 
-    labeled_path = ctx.out_dir / "far_labeled.csv"
-    write_far_csv(labeled, registry, labeled_path)
-    training_path = ctx.out_dir / "far_training.csv"
-    write_far_csv(training, registry, training_path)
-    limits_path = ctx.out_dir / "limits.csv"
-    write_limits_csv(limits, limits_path)
-    identities_path = ctx.out_dir / "identities.csv"
-    write_identities_csv(identities, identities_path)
-    report_path = ctx.out_dir / "clean_report.json"
+    write_far_csv(labeled, registry, ctx.output("far_labeled.csv"))
+    write_far_csv(training, registry, ctx.output("far_training.csv"))
+    write_limits_csv(limits, ctx.output("limits.csv"))
+    write_identities_csv(identities, ctx.output("identities.csv"))
     write_report_json(
         {
             "structural_removals": removal.reasons,
@@ -336,13 +346,9 @@ def stage_clean(ctx: RunContext) -> None:
             "n_labeled": len(labeled),
             "n_training": len(training),
         },
-        report_path,
+        ctx.output("clean_report.json"),
     )
-    ctx.record_stage(
-        "clean",
-        inputs=[far_path],
-        outputs=[labeled_path, training_path, limits_path, identities_path, report_path],
-    )
+    ctx.record_stage("clean")
     print(
         f"clean: {len(labeled)} labeled, {len(training)} training "
         f"({removal.n_removed} structural, {noise.n_low} low, {noise.n_noise} noise)"
@@ -351,14 +357,12 @@ def stage_clean(ctx: RunContext) -> None:
 
 def stage_train(ctx: RunContext) -> None:
     registry = ctx.registry()
-    training_path = ctx.artifact("far_training.csv", "clean")
-    records = read_far_csv(training_path, registry)
+    records = read_far_csv(ctx.artifact("far_training.csv", "clean"), registry)
     split_cfg = ctx.config["split"]
     train_records, test_records = train_test_split(
         records, float(split_cfg["fraction"]), int(split_cfg["seed"])
     )
-    config = ctx.train_config()
-    model = fit(train_records, registry, config)
+    model = fit(train_records, registry, ctx.train_config())
     predictions = model.predict_many(test_records)
     metrics = model_metrics(
         ctx.config["fleet_id"],
@@ -367,21 +371,11 @@ def stage_train(ctx: RunContext) -> None:
         n_predictors=len(model.columns),
         n_train=len(train_records),
     )
-    model_path = ctx.out_dir / "model.json"
-    model.save_json(model_path)
-    curves_path = ctx.out_dir / "shape_curves.csv"
-    write_shape_curves_csv(model, curves_path)
-    metrics_path = ctx.out_dir / "train_metrics.json"
-    write_report_json(metrics, metrics_path)
-    metrics_csv = ctx.out_dir / "train_metrics.csv"
-    write_report_csv([metrics], ModelMetrics, metrics_csv)
-    history_path = ctx.out_dir / "train_history.csv"
-    write_train_history_csv(model, history_path)
-    ctx.record_stage(
-        "train",
-        inputs=[training_path],
-        outputs=[model_path, curves_path, metrics_path, metrics_csv, history_path],
-    )
+    model.save_json(ctx.output("model.json"))
+    write_shape_curves_csv(model, ctx.output("shape_curves.csv"))
+    ctx.report("train_metrics", metrics, [metrics], ModelMetrics)
+    write_train_history_csv(model, ctx.output("train_history.csv"))
+    ctx.record_stage("train")
     print(
         f"train: mape={metrics.median_vehicle_mape:.2f}% ({metrics.mape_category}), "
         f"adj_r2={metrics.adjusted_r2:.3f} ({metrics.r2_category})"
@@ -410,23 +404,11 @@ def stage_explain(ctx: RunContext) -> None:
         br2_threshold=float(rules_cfg["br2_threshold"]),
         br5_cap=float(rules_cfg["br5_cap"]),
     )
-    explanations_path = ctx.out_dir / "explanations.csv"
-    write_explanations_csv(final_rows, explanations_path)
-    prefilter_path = ctx.out_dir / "explanations_prefilter.csv"
-    write_explanations_csv(pre_rows, prefilter_path)
-    audit_path = ctx.out_dir / "audit.jsonl"
-    write_audit_log(audit, audit_path)
-    medians_path = ctx.out_dir / "inlier_medians.csv"
-    write_inlier_medians_csv(policy, labeled, medians_path)
-    ctx.record_stage(
-        "explain",
-        inputs=[
-            ctx.out_dir / "model.json",
-            ctx.out_dir / "far_labeled.csv",
-            ctx.out_dir / "limits.csv",
-        ],
-        outputs=[explanations_path, prefilter_path, audit_path, medians_path],
-    )
+    write_explanations_csv(final_rows, ctx.output("explanations.csv"))
+    write_explanations_csv(pre_rows, ctx.output("explanations_prefilter.csv"))
+    write_audit_log(audit, ctx.output("audit.jsonl"))
+    write_inlier_medians_csv(policy, labeled, ctx.output("inlier_medians.csv"))
+    ctx.record_stage("explain")
     print(
         f"explain: {len(final_rows)} rows on "
         f"{final_rows.n_vehicle_days()} vehicle-days "
@@ -446,14 +428,13 @@ def stage_evaluate(ctx: RunContext) -> None:
     impact_rows, _ = apply_business_rules(
         pre_rows, fuel, ("BR1", "BR3", "BR2"), br2_threshold=float(rules_cfg["br2_threshold"])
     )
-    sota = load_sota_limits(ctx.config["paths"]["sota_limits"])
+    sota = load_sota_limits(ctx.config_file("sota_limits"))
     impacts = aggregate_category_impact(impact_rows, registry, sota, fleet)
 
     comparison = outlier_vs_explained(final_rows, limits, labeled, fleet)
 
     identities = read_identities_csv(ctx.artifact("identities.csv", "clean"))
-    catalog_path = ctx.config["paths"]["catalog"] or ctx.out_dir / "catalog.csv"
-    catalog = CatalogTable.from_csv(ctx._existing(catalog_path))
+    catalog = CatalogTable.from_csv(ctx.config_file("catalog", "catalog.csv"))
     catalog_report = catalog_mape(
         final_rows,
         labeled,
@@ -464,38 +445,18 @@ def stage_evaluate(ctx: RunContext) -> None:
         offset=float(ctx.config["catalog_offset"]),
     )
 
-    outputs = []
     # model-metrics passthrough so the evaluation directory is self-contained
     train_metrics = json.loads(ctx.artifact("train_metrics.json", "train").read_text())
-    p = ctx.out_dir / "report_model_metrics.json"
-    write_report_json(train_metrics, p)
-    outputs.append(p)
-    p = ctx.out_dir / "report_model_metrics.csv"
-    write_report_csv([train_metrics], ModelMetrics, p)
-    outputs.append(p)
-    p = ctx.out_dir / "report_category_impact.json"
-    write_report_json({"fleet": fleet, "impacts": impacts}, p)
-    outputs.append(p)
-    p = ctx.out_dir / "report_category_impact.csv"
-    write_report_csv(impacts, CategoryImpact, p)
-    outputs.append(p)
-    p = ctx.out_dir / "report_outlier_explained.json"
-    write_report_json({"fleet": fleet, "comparison": comparison}, p)
-    outputs.append(p)
-    p = ctx.out_dir / "report_outlier_explained.csv"
-    write_report_csv([comparison] if comparison is not None else [], OutlierComparison, p)
-    outputs.append(p)
-    p = ctx.out_dir / "report_catalog_mape.json"
-    write_report_json(catalog_report, p)
-    outputs.append(p)
-    p = ctx.out_dir / "report_catalog_mape.csv"
-    write_report_csv([catalog_report], CatalogMapeReport, p)
-    outputs.append(p)
-    ctx.record_stage(
-        "evaluate",
-        inputs=[ctx.out_dir / "explanations.csv", ctx.out_dir / "explanations_prefilter.csv"],
-        outputs=outputs,
+    ctx.report("report_model_metrics", train_metrics, [train_metrics], ModelMetrics)
+    ctx.report("report_category_impact", {"fleet": fleet, "impacts": impacts}, impacts, CategoryImpact)
+    ctx.report(
+        "report_outlier_explained",
+        {"fleet": fleet, "comparison": comparison},
+        [comparison] if comparison is not None else [],
+        OutlierComparison,
     )
+    ctx.report("report_catalog_mape", catalog_report, [catalog_report], CatalogMapeReport)
+    ctx.record_stage("evaluate")
     if comparison is not None:
         print(
             f"evaluate: median explained {comparison.median_explained:.3f} vs "
@@ -520,15 +481,8 @@ def stage_impact(ctx: RunContext) -> None:
             None if ctx.config["price_per_liter"] is None else float(ctx.config["price_per_liter"])
         ),
     )
-    json_path = ctx.out_dir / "monthly_impact.json"
-    write_report_json({"fleet": fleet, "months": table}, json_path)
-    csv_path = ctx.out_dir / "monthly_impact.csv"
-    write_report_csv(table, MonthlyImpact, csv_path)
-    ctx.record_stage(
-        "impact",
-        inputs=[ctx.out_dir / "explanations.csv"],
-        outputs=[json_path, csv_path],
-    )
+    ctx.report("monthly_impact", {"fleet": fleet, "months": table}, table, MonthlyImpact)
+    ctx.record_stage("impact")
     for row in table:
         print(
             f"impact {row.month}: {row.total_fuel_l:.0f} L total, "

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import logging
 import math
@@ -62,7 +63,7 @@ from .anomaly import LimitTable
 from .errors import FeedFormatError
 from .gam import KIND_NUMERIC, AdditiveModel
 from .ingest import FarRecord
-from .registry import FeatureRegistry, csv_cell, median
+from .registry import FallbackMedians, FeatureRegistry, csv_cell
 
 logger = logging.getLogger(__name__)
 
@@ -99,6 +100,13 @@ def _mode(values: list[str]) -> str:
     return min(counts, key=lambda k: (-counts[k], k))
 
 
+def _fuel_items(inlier_records: Sequence[FarRecord]) -> Iterator[tuple[tuple, float]]:
+    # fuel sits under the feature None, which no registry feature can take
+    for rec in inlier_records:
+        if rec.avg_fuel_consumption is not None:
+            yield (None, rec.route_type, rec.vehicle_group), rec.avg_fuel_consumption
+
+
 class FuelMedians:
     """Inlier fuel medians keyed by (group, route), with the feature registry.
 
@@ -108,55 +116,29 @@ class FuelMedians:
     the feature medians and categorical modes behind BR4 and the targets.
     """
 
-    def __init__(self, registry: FeatureRegistry):
+    def __init__(self, registry: FeatureRegistry, medians: FallbackMedians):
         self.registry = registry
-        self._fuel_cell: dict[tuple[int, str], float] = {}
-        self._fuel_route: dict[str, float] = {}
-        self._fuel_fleet: float | None = None
+        self._medians = medians
 
     @classmethod
     def from_records(cls, registry: FeatureRegistry, inlier_records: Sequence[FarRecord]) -> "FuelMedians":
-        medians = cls(registry)
-        medians._add_fuel(inlier_records)
-        return medians
-
-    def _add_fuel(self, inlier_records: Sequence[FarRecord]) -> None:
-        cell: dict[tuple[int, str], list[float]] = {}
-        route: dict[str, list[float]] = {}
-        fleet: list[float] = []
-        for rec in inlier_records:
-            fuel = rec.avg_fuel_consumption
-            if fuel is not None:
-                cell.setdefault(rec.group_route, []).append(fuel)
-                route.setdefault(rec.route_type, []).append(fuel)
-                fleet.append(fuel)
-        self._fuel_cell = {k: median(v) for k, v in cell.items()}
-        self._fuel_route = {k: median(v) for k, v in route.items()}
-        self._fuel_fleet = median(fleet) if fleet else None
+        return cls(registry, FallbackMedians(_fuel_items(inlier_records)))
 
     def fuel_median(self, vehicle_group: int, route_type: str) -> float | None:
-        value = self._fuel_cell.get((vehicle_group, route_type))
-        if value is None:
-            value = self._fuel_route.get(route_type)
-        if value is None:
-            value = self._fuel_fleet
-        return value
+        return self._medians.get((None, route_type, vehicle_group))
 
 
 class ReferencePolicy(FuelMedians):
     """Reference values, inlier medians and categorical modes keyed by (group, route).
 
     Medians tier down like imputation does: the (group, route) cell, then
-    the route across the fleet, then the whole fleet, then zero.
+    the route across the fleet, then the whole fleet, then zero.  Modes go
+    from the cell straight to the fleet.
     """
 
-    def __init__(self, registry: FeatureRegistry):
-        super().__init__(registry)
-        self._cell: dict[tuple[int, str, str], float] = {}
-        self._route: dict[tuple[str, str], float] = {}
-        self._fleet: dict[str, float] = {}
-        self._mode_cell: dict[tuple[int, str, str], str] = {}
-        self._mode_fleet: dict[str, str] = {}
+    def __init__(self, registry: FeatureRegistry, medians: FallbackMedians, modes: FallbackMedians):
+        super().__init__(registry, medians)
+        self._modes = modes
 
     @classmethod
     def from_records(
@@ -165,49 +147,29 @@ class ReferencePolicy(FuelMedians):
         inlier_records: Sequence[FarRecord],
         categoricals: Sequence[str] = (),
     ) -> "ReferencePolicy":
-        policy = cls(registry)
-        policy._add_fuel(inlier_records)
-        cell_vals: dict[tuple[int, str, str], list[float]] = {}
-        route_vals: dict[tuple[str, str], list[float]] = {}
-        fleet_vals: dict[str, list[float]] = {}
-        mode_cell: dict[tuple[int, str, str], list[str]] = {}
-        mode_fleet: dict[str, list[str]] = {}
-        for rec in inlier_records:
-            for name, value in rec.features.items():
-                if name not in registry:
-                    continue
-                cell_vals.setdefault((rec.vehicle_group, rec.route_type, name), []).append(value)
-                route_vals.setdefault((rec.route_type, name), []).append(value)
-                fleet_vals.setdefault(name, []).append(value)
-            for cat in categoricals:
-                level = str(getattr(rec, cat))
-                mode_cell.setdefault((rec.vehicle_group, rec.route_type, cat), []).append(level)
-                mode_fleet.setdefault(cat, []).append(level)
-
-        policy._cell = {k: median(v) for k, v in cell_vals.items()}
-        policy._route = {k: median(v) for k, v in route_vals.items()}
-        policy._fleet = {k: median(v) for k, v in fleet_vals.items()}
-        policy._mode_cell = {k: _mode(v) for k, v in mode_cell.items()}
-        policy._mode_fleet = {k: _mode(v) for k, v in mode_fleet.items()}
-        return policy
+        features = (
+            ((name, rec.route_type, rec.vehicle_group), value)
+            for rec in inlier_records
+            for name, value in rec.features.items()
+            if name in registry
+        )
+        levels = (((cat, rec.group_route), str(getattr(rec, cat))) for rec in inlier_records for cat in categoricals)
+        return cls(
+            registry,
+            FallbackMedians(itertools.chain(_fuel_items(inlier_records), features)),
+            FallbackMedians(levels, reduce=_mode),
+        )
 
     def reference_kind(self, feature: str) -> str:
         return REFERENCE_ZERO if self.registry[feature].reference_zero else REFERENCE_MEDIAN
 
     def feature_median(self, vehicle_group: int, route_type: str, feature: str) -> float:
         """Inlier median with route / fleet fallbacks (0.0 when unobserved)."""
-        value = self._cell.get((vehicle_group, route_type, feature))
-        if value is None:
-            value = self._route.get((route_type, feature))
-        if value is None:
-            value = self._fleet.get(feature)
+        value = self._medians.get((feature, route_type, vehicle_group))
         return 0.0 if value is None else value
 
     def categorical_mode(self, vehicle_group: int, route_type: str, field_name: str) -> str | None:
-        value = self._mode_cell.get((vehicle_group, route_type, field_name))
-        if value is None:
-            value = self._mode_fleet.get(field_name)
-        return value
+        return self._modes.get((field_name, (vehicle_group, route_type)))
 
     def reference_value(self, feature: str, vehicle_group: int, route_type: str) -> float:
         """Counterfactual target for the feature on this group and route."""

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import DataError, FeedFormatError
-from .registry import FeatureRegistry, VehicleClassRow, VehicleIdentity, csv_cell, median
+from .registry import FallbackMedians, FeatureRegistry, VehicleClassRow, VehicleIdentity, csv_cell, median
 
 logger = logging.getLogger(__name__)
 
@@ -115,54 +115,57 @@ def parse_feed(stream: TextIO | Iterable[str]) -> ParsedFeed:
 
     Malformed rows (bad timestamp, non-numeric or non-finite value, wrong
     field count) are dropped and counted by reason.  A missing or wrong
-    header is fatal.
+    header, or a row the csv module cannot read, is fatal.
     """
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FeedFormatError("feed is empty: missing header row") from None
-    names = tuple(h.strip() for h in header)
-    if set(names) != set(FEED_COLUMNS):
-        raise FeedFormatError(
-            f"feed header {list(names)} does not match expected {list(FEED_COLUMNS)}"
-        )
-    idx = {name: names.index(name) for name in FEED_COLUMNS}
-
     readings: list[RawReading] = []
     rejects = {"bad_field_count": 0, "bad_timestamp": 0, "bad_value": 0}
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(names):
-            rejects["bad_field_count"] += 1
-            continue
-        try:
-            ts = _parse_timestamp(row[idx["time_tx"]])
-        except ValueError:
-            rejects["bad_timestamp"] += 1
-            continue
-        try:
-            value = float(row[idx["variable_value"]])
-        except ValueError:
-            rejects["bad_value"] += 1
-            continue
-        if not math.isfinite(value):
-            rejects["bad_value"] += 1
-            continue
-        readings.append(
-            RawReading(
-                time_tx=ts,
-                vehicle_id=row[idx["vehicle_id"]].strip(),
-                variable_id=row[idx["variable_id"]].strip(),
-                variable_value=value,
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise FeedFormatError("feed is empty: missing header row")
+        names = tuple(h.strip() for h in header)
+        if set(names) != set(FEED_COLUMNS):
+            raise FeedFormatError(
+                f"feed header {list(names)} does not match expected {list(FEED_COLUMNS)}"
             )
-        )
+        idx = {name: names.index(name) for name in FEED_COLUMNS}
+
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(names):
+                rejects["bad_field_count"] += 1
+                continue
+            try:
+                ts = _parse_timestamp(row[idx["time_tx"]])
+            except ValueError:
+                rejects["bad_timestamp"] += 1
+                continue
+            try:
+                value = float(row[idx["variable_value"]])
+            except ValueError:
+                rejects["bad_value"] += 1
+                continue
+            if not math.isfinite(value):
+                rejects["bad_value"] += 1
+                continue
+            readings.append(
+                RawReading(
+                    time_tx=ts,
+                    vehicle_id=row[idx["vehicle_id"]].strip(),
+                    variable_id=row[idx["variable_id"]].strip(),
+                    variable_value=value,
+                )
+            )
+    except csv.Error as exc:
+        # e.g. a field over the csv module's size limit
+        raise FeedFormatError(f"line {reader.line_num}: {exc}") from exc
     return ParsedFeed(readings=readings, rejects=rejects)
 
 
 def parse_feed_csv(path: str | Path) -> ParsedFeed:
-    """parse_feed over a file; a missing or wrong header names the file."""
+    """parse_feed over a file; a fatal format error names the file."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             return parse_feed(fh)
@@ -374,26 +377,14 @@ def impute_missing(
     Observed values are never altered.  After this pass every registry
     feature is present on every record.
     """
-    group_values: dict[tuple[int, str], list[float]] = {}
-    fleet_values: dict[str, list[float]] = {}
-    for rec in records:
-        for name, value in rec.features.items():
-            group_values.setdefault((rec.vehicle_group, name), []).append(value)
-            fleet_values.setdefault(name, []).append(value)
-
-    group_median = {key: median(vals) for key, vals in group_values.items()}
-    fleet_median = {name: median(vals) for name, vals in fleet_values.items()}
-
+    medians = FallbackMedians(
+        ((name, rec.vehicle_group), value) for rec in records for name, value in rec.features.items()
+    )
     for rec in records:
         for name in registry.names:
-            if name in rec.features:
-                continue
-            value = group_median.get((rec.vehicle_group, name))
-            if value is None:
-                value = fleet_median.get(name)
-            if value is None:
-                value = 0.0
-            rec.features[name] = value
+            if name not in rec.features:
+                value = medians.get((name, rec.vehicle_group))
+                rec.features[name] = 0.0 if value is None else value
     return list(records)
 
 

@@ -80,6 +80,35 @@ def median(values: Sequence[float]) -> float:
     return ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
+class FallbackMedians:
+    """A reduced value (the median by default) for every prefix of each key.
+
+    Keys order their context widest first, e.g. (feature, route, group), so
+    ``get`` tries the whole key, then ever shorter prefixes down to the
+    feature alone, and returns None when no prefix was ever seen.
+    """
+
+    def __init__(self, items: Iterable[tuple[tuple, T]], reduce: Callable[[list[T]], T] = median):
+        groups: dict[tuple, list[T]] = {}
+        # each key's prefix lists, found once per key; values keep item order
+        targets: dict[tuple, list[list[T]]] = {}
+        for key, value in items:
+            lists = targets.get(key)
+            if lists is None:
+                lists = targets[key] = [groups.setdefault(key[:n], []) for n in range(1, len(key) + 1)]
+            for values in lists:
+                values.append(value)
+        self._values = {key: reduce(values) for key, values in groups.items()}
+
+    def get(self, key: tuple):
+        while key:
+            value = self._values.get(key)
+            if value is not None:
+                return value
+            key = key[:-1]
+        return None
+
+
 # Known (category, subcategory) pairs for fuel factors.  Registry rows must
 # use one of these; "Other" and "Rain" are excluded from limit verdicts.
 TAXONOMY: frozenset[tuple[str, str]] = frozenset(

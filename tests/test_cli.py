@@ -194,6 +194,42 @@ def finished_run(tmp_path_factory):
     return root / "out", cfg
 
 
+class TestManifest:
+    # every file each stage reads, beyond those the run's config names
+    INPUTS = {
+        "synth": {"spec.json"},
+        "ingest": {"out/feed.csv", "out/vin_map.csv"},
+        "clean": {"out/far_raw.csv", "out/identities.csv"},
+        "train": {"out/far_training.csv"},
+        "explain": {"out/model.json", "out/far_labeled.csv", "out/limits.csv"},
+        "evaluate": {
+            "out/far_labeled.csv",
+            "out/limits.csv",
+            "out/explanations.csv",
+            "out/explanations_prefilter.csv",
+            "out/identities.csv",
+            "out/catalog.csv",
+            "out/train_metrics.json",
+        },
+        "impact": {"out/explanations.csv", "out/far_labeled.csv"},
+    }
+
+    def test_inputs_are_every_file_a_stage_reads(self, finished_run):
+        out, _ = finished_run
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {stage: set(entry["inputs"]) for stage, entry in manifest["stages"].items()} == self.INPUTS
+        assert not list(out.glob("*.tmp"))
+
+    def test_input_digest_is_taken_on_reading(self, finished_run):
+        out, _ = finished_run
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        # clean reads ingest's identities.csv, then rewrites it with vehicle classes
+        read = stages["clean"]["inputs"]["out/identities.csv"]
+        assert read == stages["ingest"]["outputs"]["out/identities.csv"]
+        assert read != stages["clean"]["outputs"]["out/identities.csv"]
+        assert stages["evaluate"]["inputs"]["out/identities.csv"] == stages["clean"]["outputs"]["out/identities.csv"]
+
+
 def _corrupt_cell(path, line: int, column: str, text: str) -> None:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -294,6 +330,26 @@ class TestCorruptInputs:
         feed.write_text(header + "".join(rows) if header else "")
         cfg = _config_with_paths(cfg, tmp_path, feed=feed)
         self._fails_naming(capsys, "ingest", cfg, out, str(feed))
+
+    def test_feed_field_over_csv_limit(self, finished_run, tmp_path, capsys):
+        out, cfg = self._copy(finished_run, tmp_path)
+        feed = tmp_path / "my_feed.csv"
+        lines = (out / "feed.csv").read_text().splitlines(keepends=True)[:4]
+        time_tx, vehicle, variable, _ = lines[1].split(",")
+        # the csv module refuses fields over 131,072 characters
+        lines.append(",".join([time_tx, vehicle, variable, "1" * 140_000]) + "\n")
+        feed.write_text("".join(lines))
+        cfg = _config_with_paths(cfg, tmp_path, feed=feed)
+        self._fails_naming(capsys, "ingest", cfg, out, str(feed), "line 5")
+
+    def test_manifest_not_json(self, finished_run, tmp_path, capsys):
+        out, cfg = self._copy(finished_run, tmp_path)
+        manifest = out / "manifest.json"
+        text = manifest.read_text()
+        manifest.write_text(text[: len(text) // 2])
+        self._fails_naming(capsys, "clean", cfg, out, str(manifest))
+        # refused before the stage ran: nothing rewrote the manifest
+        assert manifest.read_text() == text[: len(text) // 2]
 
     def test_registry_duplicate_feature(self, finished_run, tmp_path, capsys):
         out, cfg = self._copy(finished_run, tmp_path)

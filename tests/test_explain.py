@@ -100,6 +100,49 @@ class TestReferenceValue:
         assert policy.reference_kind("mean_speed_hwy") == "median_inlier"
 
 
+def fallback_pool():
+    """Inliers whose cell, route and fleet medians and modes all differ.
+
+    Fuel and mean_speed_hwy: cell (0, highway) is 8, the highway route over
+    groups 0 and 1 is 9, the fleet is 10.  vehicle_class: the (1, city)
+    cell's mode is 2, which is also the city route's, and the fleet's is 1.
+    """
+    cells = [(0, "highway", 8.0, 1), (1, "highway", 10.0, 1), (1, "highway", 10.0, 1),
+             (0, "highway", 8.0, 1), (1, "city", 12.0, 2), (1, "city", 12.0, 2), (1, "city", 20.0, 2)]
+    records = []
+    for i, (group, route, value, cls) in enumerate(cells):
+        rec = make_record(vehicle_id=f"f{i}", vehicle_group=group, route_type=route, avg=value,
+                          label="inlier", features={"mean_speed_hwy": value})
+        rec.vehicle_class = cls
+        records.append(rec)
+    return records
+
+
+class TestFallbackChains:
+    def test_fuel_median_cell_route_fleet_none(self, small_registry):
+        for medians in (FuelMedians.from_records(small_registry, fallback_pool()),
+                        ReferencePolicy.from_records(small_registry, fallback_pool())):
+            assert medians.fuel_median(0, "highway") == 8.0
+            assert medians.fuel_median(5, "highway") == 9.0
+            assert medians.fuel_median(0, "combined") == 10.0
+        assert FuelMedians.from_records(small_registry, []).fuel_median(0, "highway") is None
+        assert ReferencePolicy.from_records(small_registry, []).fuel_median(0, "highway") is None
+
+    def test_feature_median_cell_route_fleet_zero(self, small_registry):
+        policy = ReferencePolicy.from_records(small_registry, fallback_pool())
+        assert policy.feature_median(0, "highway", "mean_speed_hwy") == 8.0
+        assert policy.feature_median(5, "highway", "mean_speed_hwy") == 9.0
+        assert policy.feature_median(0, "combined", "mean_speed_hwy") == 10.0
+        assert policy.feature_median(0, "highway", "rpm_high") == 0.0
+
+    def test_categorical_mode_cell_then_fleet_skipping_route(self, small_registry):
+        policy = ReferencePolicy.from_records(small_registry, fallback_pool(), ("vehicle_class",))
+        assert policy.categorical_mode(1, "city", "vehicle_class") == "2"
+        # no (0, city) cell: the fleet's mode, not the city route's
+        assert policy.categorical_mode(0, "city", "vehicle_class") == "1"
+        assert policy.categorical_mode(0, "highway", "vehicle_group") is None
+
+
 class TestFuelSaving:
     def test_direct_difference(self, small_registry):
         model = step_model({"rpm_high": ([5.0], [0.2, 0.5])})

@@ -258,6 +258,19 @@ class TestImputeMissing:
         impute_missing([other_group, target], small_registry)
         assert target.features["rpm_high"] == 10.0
 
+    def test_group_then_fleet_then_zero(self, small_registry):
+        observed = [
+            make_record(vehicle_id=f"g{i}", vehicle_group=group, features={"mean_speed_hwy": value})
+            for i, (group, value) in enumerate([(0, 30.0), (0, 32.0), (0, 34.0), (5, 100.0), (5, 100.0),
+                                                (5, 100.0), (5, 100.0)])
+        ]
+        in_group = make_record(vehicle_id="t0", vehicle_group=0)
+        no_group = make_record(vehicle_id="t7", vehicle_group=7)
+        impute_missing(observed + [in_group, no_group], small_registry)
+        assert in_group.features["mean_speed_hwy"] == 32.0
+        assert no_group.features["mean_speed_hwy"] == 100.0
+        assert in_group.features["rpm_high"] == no_group.features["rpm_high"] == 0.0
+
     def test_zero_when_unobserved_anywhere(self, small_registry):
         target = make_record(features={"mean_speed_hwy": 80})
         impute_missing([target], small_registry)
