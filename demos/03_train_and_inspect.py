@@ -13,9 +13,9 @@ import numpy as np
 
 from fleetfuel.anomaly import two_phase_clean
 from fleetfuel.evaluate import model_metrics, train_test_split
-from fleetfuel.gam import TrainConfig, fit
+from fleetfuel.gam import fit
 from fleetfuel.ingest import aggregate_daily, enrich_records, impute_missing, parse_feed_csv, quality_filter
-from fleetfuel.registry import FeatureRegistry, VinMap, assign_groups
+from fleetfuel.registry import FeatureRegistry, TrainConfig, VinMap, assign_groups
 from fleetfuel.synthgen import default_spec, generate
 
 fleet_dir = Path("demo_out/fleet")

@@ -4,87 +4,62 @@ Turns raw vehicle telemetry into daily records, trains an interpretable
 additive fuel model, detects anomalous consumption with boxplot whiskers,
 prices per-feature fuel savings against reference values, and evaluates
 the results against configurable domain-knowledge limits.
+
+Importing the package loads none of its modules: each name below is
+imported from its home module on first access (PEP 562), so a CLI stage
+that needs no model loads no numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .anomaly import AnomalyLimits, LimitTable, compute_limits, flag_outliers, quartiles, two_phase_clean
-from .errors import (
-    DataError,
-    FeedFormatError,
-    FleetFuelError,
-    InsufficientSupportError,
-    MissingFeatureError,
-    MissingStageError,
-)
-from .explain import (
-    ExplanationRow,
-    ExplanationTable,
-    FuelMedians,
-    ReferencePolicy,
-    apply_business_rules,
-    fuel_saving,
-    generate_daily_explanations,
-    recompute_fuel_new,
-)
-from .gam import AdditiveModel, TrainConfig, build_bins, fit, one_hot
-from .ingest import (
-    FarRecord,
-    RawReading,
-    RouteThresholds,
-    aggregate_daily,
-    assign_vehicle_class,
-    classify_route,
-    compute_avg_fuel,
-    impute_missing,
-    parse_feed,
-    quality_filter,
-)
-from .registry import CatalogTable, FeatureRegistry, FeatureSpec, VehicleIdentity, VinMap
-from .synthgen import SynthSpec, default_spec, generate
+# home module of every public name
+_EXPORTS = {
+    "anomaly": ("AnomalyLimits", "LimitTable", "compute_limits", "flag_outliers", "quartiles", "two_phase_clean"),
+    "errors": (
+        "DataError",
+        "FeedFormatError",
+        "FleetFuelError",
+        "InsufficientSupportError",
+        "MissingFeatureError",
+        "MissingStageError",
+    ),
+    "explain": (
+        "ExplanationRow",
+        "ExplanationTable",
+        "FuelMedians",
+        "ReferencePolicy",
+        "apply_business_rules",
+        "fuel_saving",
+        "generate_daily_explanations",
+        "recompute_fuel_new",
+    ),
+    "gam": ("AdditiveModel", "build_bins", "fit", "one_hot"),
+    "ingest": (
+        "FarRecord",
+        "RawReading",
+        "RouteThresholds",
+        "aggregate_daily",
+        "assign_vehicle_class",
+        "classify_route",
+        "compute_avg_fuel",
+        "impute_missing",
+        "parse_feed",
+        "quality_filter",
+    ),
+    "registry": ("CatalogTable", "FeatureRegistry", "FeatureSpec", "TrainConfig", "VehicleIdentity", "VinMap"),
+    "synthgen": ("SynthSpec", "default_spec", "generate"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "AdditiveModel",
-    "AnomalyLimits",
-    "CatalogTable",
-    "DataError",
-    "ExplanationRow",
-    "ExplanationTable",
-    "FarRecord",
-    "FeatureRegistry",
-    "FeatureSpec",
-    "FeedFormatError",
-    "FleetFuelError",
-    "FuelMedians",
-    "InsufficientSupportError",
-    "LimitTable",
-    "MissingFeatureError",
-    "MissingStageError",
-    "RawReading",
-    "ReferencePolicy",
-    "RouteThresholds",
-    "SynthSpec",
-    "TrainConfig",
-    "VehicleIdentity",
-    "VinMap",
-    "aggregate_daily",
-    "apply_business_rules",
-    "assign_vehicle_class",
-    "build_bins",
-    "classify_route",
-    "compute_avg_fuel",
-    "compute_limits",
-    "default_spec",
-    "fit",
-    "flag_outliers",
-    "fuel_saving",
-    "generate",
-    "generate_daily_explanations",
-    "impute_missing",
-    "one_hot",
-    "parse_feed",
-    "quality_filter",
-    "quartiles",
-    "recompute_fuel_new",
-    "two_phase_clean",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -8,6 +8,10 @@ each output as the stage names it; when the stage ends both go into
 manifest.json, which is enough to re-execute the run.  Outputs are
 byte-stable for a fixed config and seed.
 
+A stage imports only the modules it runs.  ingest and clean load no
+numpy; train, explain, evaluate, impact and synth import their numpy
+modules on first use, explain without evaluate or synthgen.
+
 Exit codes: 0 success, 1 usage, 2 data error, 3 internal error.
 """
 
@@ -16,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import importlib
 import json
 import logging
 import os
@@ -25,43 +30,6 @@ from pathlib import Path
 from . import __version__
 from .anomaly import flag_outliers, read_limits_csv, two_phase_clean, write_limits_csv
 from .errors import FeedFormatError, FleetFuelError, MissingStageError
-from .evaluate import (
-    CO2_KG_PER_LITER,
-    CatalogMapeReport,
-    CategoryImpact,
-    ModelMetrics,
-    MonthlyImpact,
-    OutlierComparison,
-    aggregate_category_impact,
-    catalog_mape,
-    model_metrics,
-    monthly_impact,
-    outlier_vs_explained,
-    train_test_split,
-    write_report_csv,
-    write_report_json,
-)
-from .explain import (
-    BR_ORDER,
-    DEFAULT_BR2_THRESHOLD,
-    DEFAULT_BR5_CAP,
-    FuelMedians,
-    ReferencePolicy,
-    apply_business_rules,
-    generate_daily_explanations,
-    read_explanations_csv,
-    write_audit_log,
-    write_explanations_csv,
-    write_inlier_medians_csv,
-)
-from .gam import (
-    DEFAULT_CATEGORICALS,
-    AdditiveModel,
-    TrainConfig,
-    fit,
-    write_shape_curves_csv,
-    write_train_history_csv,
-)
 from .ingest import (
     LABEL_INLIER,
     RouteThresholds,
@@ -75,16 +43,54 @@ from .ingest import (
     write_far_csv,
 )
 from .registry import (
+    CO2_KG_PER_LITER,
+    DEFAULT_BR2_THRESHOLD,
+    DEFAULT_BR5_CAP,
     CatalogTable,
     FeatureRegistry,
+    TrainConfig,
     VinMap,
     assign_groups,
     load_class_table,
     load_sota_limits,
     read_identities_csv,
     write_identities_csv,
+    write_report_csv,
+    write_report_json,
 )
-from .synthgen import SynthSpec, default_spec, generate
+
+
+def _deferred(module: str, name: str):
+    """Stand-in for ``fleetfuel.<module>.<name>`` that imports the module on its first call.
+
+    The numpy modules load only in the stages that call into them, while
+    every call still goes through this module's globals under the
+    function's own name, where a tracer that wraps them by name finds it.
+    """
+
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f"fleetfuel.{module}"), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    call.__module__ = f"fleetfuel.{module}"
+    return call
+
+
+fit = _deferred("gam", "fit")
+write_shape_curves_csv = _deferred("gam", "write_shape_curves_csv")
+write_train_history_csv = _deferred("gam", "write_train_history_csv")
+generate_daily_explanations = _deferred("explain", "generate_daily_explanations")
+apply_business_rules = _deferred("explain", "apply_business_rules")
+read_explanations_csv = _deferred("explain", "read_explanations_csv")
+write_explanations_csv = _deferred("explain", "write_explanations_csv")
+write_audit_log = _deferred("explain", "write_audit_log")
+write_inlier_medians_csv = _deferred("explain", "write_inlier_medians_csv")
+train_test_split = _deferred("evaluate", "train_test_split")
+model_metrics = _deferred("evaluate", "model_metrics")
+aggregate_category_impact = _deferred("evaluate", "aggregate_category_impact")
+outlier_vs_explained = _deferred("evaluate", "outlier_vs_explained")
+catalog_mape = _deferred("evaluate", "catalog_mape")
+monthly_impact = _deferred("evaluate", "monthly_impact")
 
 logger = logging.getLogger(__name__)
 
@@ -148,7 +154,8 @@ class RunContext:
         self._inputs: dict[str, str] = {}
         self._outputs: list[Path] = []
         # read before any stage runs, so a corrupt manifest stops it early
-        self._manifest = _read_manifest(self.out_dir / "manifest.json")
+        manifest = self.out_dir / "manifest.json"
+        self._manifest = _read_json_object(manifest, "manifest") if manifest.exists() else {}
 
     @classmethod
     def from_args(cls, args) -> "RunContext":
@@ -240,17 +247,16 @@ class RunContext:
         os.replace(tmp, path)
 
 
-def _read_manifest(path: Path) -> dict:
-    if not path.exists():
-        return {}
+def _read_json_object(path: Path, what: str) -> dict:
+    """The JSON object in ``path``; anything else raises FeedFormatError naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+            data = json.load(fh)
     except ValueError as exc:
-        raise FeedFormatError(f"{path}: manifest is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise FeedFormatError(f"{path}: manifest is not a JSON object")
-    return manifest
+        raise FeedFormatError(f"{path}: {what} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise FeedFormatError(f"{path}: {what} is not a JSON object")
+    return data
 
 
 def _digest(path: Path) -> str:
@@ -266,6 +272,8 @@ def _digest(path: Path) -> str:
 
 
 def stage_synth(ctx: RunContext) -> None:
+    from .synthgen import SynthSpec, default_spec, generate
+
     spec_path = ctx.config_file("synth_spec")
     if spec_path is None:
         spec = default_spec(seed=ctx.config["train"]["seed"])
@@ -356,6 +364,8 @@ def stage_clean(ctx: RunContext) -> None:
 
 
 def stage_train(ctx: RunContext) -> None:
+    from .evaluate import ModelMetrics
+
     registry = ctx.registry()
     records = read_far_csv(ctx.artifact("far_training.csv", "clean"), registry)
     split_cfg = ctx.config["split"]
@@ -391,6 +401,9 @@ def _load_labeled_inputs(ctx: RunContext):
 
 
 def stage_explain(ctx: RunContext) -> None:
+    from .explain import BR_ORDER, ReferencePolicy
+    from .gam import DEFAULT_CATEGORICALS, AdditiveModel
+
     # the model first: with several artifacts missing, the report names train
     model = AdditiveModel.load_json(ctx.artifact("model.json", "train"))
     registry, labeled, limits, inliers = _load_labeled_inputs(ctx)
@@ -417,6 +430,9 @@ def stage_explain(ctx: RunContext) -> None:
 
 
 def stage_evaluate(ctx: RunContext) -> None:
+    from .evaluate import CatalogMapeReport, CategoryImpact, ModelMetrics, OutlierComparison
+    from .explain import FuelMedians
+
     registry, labeled, limits, inliers = _load_labeled_inputs(ctx)
     # BR1-BR3 and the catalog comparison read only fuel medians
     fuel = FuelMedians.from_records(registry, inliers)
@@ -446,7 +462,7 @@ def stage_evaluate(ctx: RunContext) -> None:
     )
 
     # model-metrics passthrough so the evaluation directory is self-contained
-    train_metrics = json.loads(ctx.artifact("train_metrics.json", "train").read_text())
+    train_metrics = _read_json_object(ctx.artifact("train_metrics.json", "train"), "train metrics")
     ctx.report("report_model_metrics", train_metrics, [train_metrics], ModelMetrics)
     ctx.report("report_category_impact", {"fleet": fleet, "impacts": impacts}, impacts, CategoryImpact)
     ctx.report(
@@ -467,6 +483,8 @@ def stage_evaluate(ctx: RunContext) -> None:
 
 
 def stage_impact(ctx: RunContext) -> None:
+    from .evaluate import MonthlyImpact
+
     registry = ctx.registry()
     fleet = ctx.config["fleet_id"]
     final_rows = read_explanations_csv(ctx.artifact("explanations.csv", "explain"))

@@ -10,12 +10,9 @@ CO2 impact table.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import asdict, dataclass, fields
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,15 +21,13 @@ from .errors import DataError
 from .explain import ExplanationTable, FuelMedians
 from .ingest import LABEL_OUTLIER, FarRecord
 from .registry import (
+    CO2_KG_PER_LITER,
     CatalogTable,
     FeatureRegistry,
     SotaLimit,
     UNCHECKED_SUBCATEGORIES,
     VehicleIdentity,
-    csv_cell,
 )
-
-CO2_KG_PER_LITER = 2.67633
 
 MAPE_HIGHLY_ACCURATE = "highly_accurate"
 MAPE_GOOD = "good"
@@ -540,39 +535,3 @@ def monthly_impact(
             )
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# Report output
-
-
-def write_report_json(payload, path: str | Path) -> None:
-    """Sorted, indented JSON; a NaN or infinity raises DataError naming the file."""
-
-    def default(obj):
-        if hasattr(obj, "__dataclass_fields__"):
-            return asdict(obj)
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, default=default, allow_nan=False)
-    except ValueError as exc:
-        raise DataError(f"{path}: report is not valid JSON: {exc}") from exc
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
-
-
-def write_report_csv(items: Iterable, row_type: type, path: str | Path) -> None:
-    """One row per item, columns in the field order of the ``row_type`` dataclass.
-
-    Items are instances of row_type or dicts keyed by its field names (a
-    report read back from JSON); a missing key writes an empty cell.
-    """
-    columns = [f.name for f in fields(row_type)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for item in items:
-            data = asdict(item) if hasattr(item, "__dataclass_fields__") else dict(item)
-            writer.writerow([csv_cell(data.get(col)) for col in columns])

@@ -63,7 +63,7 @@ from .anomaly import LimitTable
 from .errors import FeedFormatError
 from .gam import KIND_NUMERIC, AdditiveModel
 from .ingest import FarRecord
-from .registry import FallbackMedians, FeatureRegistry, csv_cell
+from .registry import DEFAULT_BR2_THRESHOLD, DEFAULT_BR5_CAP, FallbackMedians, FeatureRegistry, csv_cell
 
 logger = logging.getLogger(__name__)
 
@@ -71,9 +71,6 @@ REFERENCE_ZERO = "zero"
 REFERENCE_MEDIAN = "median_inlier"
 
 BR_ORDER = ("BR1", "BR3", "BR4", "BR2", "BR5")
-
-DEFAULT_BR2_THRESHOLD = 0.01
-DEFAULT_BR5_CAP = 0.8
 
 EXPLANATION_COLUMNS = (
     "vehicle_id",

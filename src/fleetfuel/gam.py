@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DataError, FeedFormatError, MissingFeatureError
 from .ingest import FarRecord
-from .registry import FeatureRegistry
+from .registry import FeatureRegistry, TrainConfig
 
 logger = logging.getLogger(__name__)
 
@@ -47,33 +47,6 @@ DEFAULT_CATEGORICALS = ("route_type", "vehicle_group", "vehicle_class")
 
 KIND_NUMERIC = "numeric"
 KIND_INDICATOR = "indicator"
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.01
-    max_rounds: int = 5000
-    patience: int = 50
-    max_bins: int = 256
-    max_leaves: int = 3
-    bags: int = 8
-    validation_fraction: float = 0.15
-    seed: int = 0
-    #: read by nothing: bags train in one batched state.  Kept because
-    #: model.json stores the config and existing model files carry the key.
-    workers: int = 1
-
-    def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise DataError("learning_rate must be positive")
-        if self.max_bins < 2:
-            raise DataError("max_bins must be at least 2")
-        if not 0.0 < self.validation_fraction < 0.5:
-            raise DataError("validation_fraction must be in (0, 0.5)")
-        if self.max_leaves < 2:
-            raise DataError("max_leaves must be at least 2")
-        if self.bags < 1 or self.max_rounds < 1 or self.patience < 1:
-            raise DataError("bags, max_rounds and patience must be positive")
 
 
 @dataclass(frozen=True)

@@ -375,12 +375,17 @@ def impute_missing(
     """Fill missing feature values: group median, then fleet median, then 0.
 
     Observed values are never altered.  After this pass every registry
-    feature is present on every record.
+    feature is present on every record.  Medians are built only when some
+    record lacks a feature.
     """
+    required = set(registry.names)
+    lacking = [rec for rec in records if not required <= rec.features.keys()]
+    if not lacking:
+        return list(records)
     medians = FallbackMedians(
         ((name, rec.vehicle_group), value) for rec in records for name, value in rec.features.items()
     )
-    for rec in records:
+    for rec in lacking:
         for name in registry.names:
             if name not in rec.features:
                 value = medians.get((name, rec.vehicle_group))

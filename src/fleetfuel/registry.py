@@ -7,19 +7,22 @@ wrong field count or a cell that does not parse raises FeedFormatError
 naming the file and line.  The feature registry drives aggregation,
 imputation, reference policies and the explanation taxonomy; the VIN map and
 class table drive vehicle grouping; the catalog and SOTA-limit tables drive
-the domain evaluations.
+the domain evaluations.  The module also holds what the CLI needs before
+it knows which stage runs: the training config, the rule and CO2 defaults
+and the report writers.  It imports no numpy.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
-from .errors import FeedFormatError, FleetFuelError
+from .errors import DataError, FeedFormatError, FleetFuelError
 
 T = TypeVar("T")
 
@@ -494,3 +497,71 @@ def load_sota_limits(path: str | Path | None = None) -> dict[tuple[str, str], So
     """Literature impact limits per (category, subcategory), in percent."""
     limits = read_table(path, "sota_limits.csv", SOTA_COLUMNS, _sota_limit)
     return {(lim.category, lim.subcategory): lim for lim in limits}
+
+
+# ---------------------------------------------------------------------------
+# Stage settings and report writers: numpy-free, so the CLI can build its
+# defaults and write ingest's and clean's reports without the model modules
+
+CO2_KG_PER_LITER = 2.67633
+DEFAULT_BR2_THRESHOLD = 0.01
+DEFAULT_BR5_CAP = 0.8
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    learning_rate: float = 0.01
+    max_rounds: int = 5000
+    patience: int = 50
+    max_bins: int = 256
+    max_leaves: int = 3
+    bags: int = 8
+    validation_fraction: float = 0.15
+    seed: int = 0
+    #: read by nothing: bags train in one batched state.  Kept because
+    #: model.json stores the config and existing model files carry the key.
+    workers: int = 1
+
+    def __post_init__(self):
+        if not self.learning_rate > 0:
+            raise DataError("learning_rate must be positive")
+        if self.max_bins < 2:
+            raise DataError("max_bins must be at least 2")
+        if not 0.0 < self.validation_fraction < 0.5:
+            raise DataError("validation_fraction must be in (0, 0.5)")
+        if self.max_leaves < 2:
+            raise DataError("max_leaves must be at least 2")
+        if self.bags < 1 or self.max_rounds < 1 or self.patience < 1:
+            raise DataError("bags, max_rounds and patience must be positive")
+
+
+def write_report_json(payload, path: str | Path) -> None:
+    """Sorted, indented JSON; a NaN or infinity raises DataError naming the file."""
+
+    def default(obj):
+        if hasattr(obj, "__dataclass_fields__"):
+            return asdict(obj)
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, default=default, allow_nan=False)
+    except ValueError as exc:
+        raise DataError(f"{path}: report is not valid JSON: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.write("\n")
+
+
+def write_report_csv(items: Iterable, row_type: type, path: str | Path) -> None:
+    """One row per item, columns in the field order of the ``row_type`` dataclass.
+
+    Items are instances of row_type or dicts keyed by its field names (a
+    report read back from JSON); a missing key writes an empty cell.
+    """
+    columns = [f.name for f in fields(row_type)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for item in items:
+            data = asdict(item) if hasattr(item, "__dataclass_fields__") else dict(item)
+            writer.writerow([csv_cell(data.get(col)) for col in columns])

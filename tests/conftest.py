@@ -1,11 +1,16 @@
-"""Shared fixtures: a small feature registry and record builders."""
+"""Shared fixtures: a small feature registry, record builders, a fresh interpreter."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import pytest
 
+import fleetfuel
 from fleetfuel.ingest import FarRecord
 from fleetfuel.registry import FeatureRegistry, FeatureSpec
 
@@ -80,3 +85,12 @@ def make_record(
 @pytest.fixture
 def small_registry() -> FeatureRegistry:
     return make_registry()
+
+
+def run_python(script: str, cwd=None) -> str:
+    """Stdout of ``script`` run in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(fleetfuel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -22,7 +22,7 @@ from fleetfuel.anomaly import flag_outliers, two_phase_clean
 from fleetfuel.cli import main as cli_main
 from fleetfuel.evaluate import monthly_impact
 from fleetfuel.explain import ExplanationTable, recompute_fuel_new
-from fleetfuel.gam import AdditiveModel, FeatureColumn, TrainConfig, fit
+from fleetfuel.gam import AdditiveModel, FeatureColumn, fit
 from fleetfuel.ingest import (
     RouteThresholds,
     aggregate_daily,
@@ -32,7 +32,7 @@ from fleetfuel.ingest import (
     parse_feed_csv,
     quality_filter,
 )
-from fleetfuel.registry import FeatureRegistry, VinMap, assign_groups
+from fleetfuel.registry import FeatureRegistry, TrainConfig, VinMap, assign_groups
 from fleetfuel.synthgen import default_spec, generate
 
 from .conftest import make_record

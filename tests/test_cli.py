@@ -12,6 +12,8 @@ import pytest
 
 from fleetfuel.cli import main
 
+from .conftest import run_python
+
 SMALL_CONFIG = {
     "fleet_id": "t1",
     "paths": {"out_dir": "out"},
@@ -230,6 +232,35 @@ class TestManifest:
         assert stages["evaluate"]["inputs"]["out/identities.csv"] == stages["clean"]["outputs"]["out/identities.csv"]
 
 
+class TestStageImports:
+    """A stage run in a fresh interpreter imports only the modules it runs."""
+
+    def _modules_after(self, finished_run, tmp_path, *stages) -> set[str]:
+        out, cfg = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        stdout = run_python(
+            "import sys\n"
+            "from fleetfuel.cli import main\n"
+            f"for stage in {list(stages)!r}:\n"
+            f"    assert main([stage, '--config', {cfg!r}, '--out', {str(copy)!r}]) == 0, stage\n"
+            "print(*sorted(sys.modules))\n",
+            cwd=tmp_path,
+        )
+        return set(stdout.splitlines()[-1].split())
+
+    def test_ingest_and_clean_load_no_numpy(self, finished_run, tmp_path):
+        loaded = self._modules_after(finished_run, tmp_path, "ingest", "clean")
+        assert {"fleetfuel.ingest", "fleetfuel.anomaly"} <= loaded
+        unwanted = {"numpy", "fleetfuel.gam", "fleetfuel.explain", "fleetfuel.evaluate", "fleetfuel.synthgen"}
+        assert loaded & unwanted == set()
+
+    def test_explain_loads_neither_evaluate_nor_synthgen(self, finished_run, tmp_path):
+        loaded = self._modules_after(finished_run, tmp_path, "explain")
+        assert {"numpy", "fleetfuel.gam", "fleetfuel.explain"} <= loaded
+        assert loaded & {"fleetfuel.evaluate", "fleetfuel.synthgen"} == set()
+
+
 def _corrupt_cell(path, line: int, column: str, text: str) -> None:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -272,6 +303,13 @@ class TestCorruptInputs:
             del data["features"]
             path.write_text(json.dumps(data))
         self._fails_naming(capsys, "explain", cfg, out, "model.json")
+
+    @pytest.mark.parametrize("how", ["truncated", "not-object"])
+    def test_train_metrics_json(self, finished_run, tmp_path, capsys, how):
+        out, cfg = self._copy(finished_run, tmp_path)
+        path = out / "train_metrics.json"
+        path.write_text(path.read_text()[:100] if how == "truncated" else "[]")
+        self._fails_naming(capsys, "evaluate", cfg, out, str(path))
 
     def test_explanations_bad_cell(self, finished_run, tmp_path, capsys):
         out, cfg = self._copy(finished_run, tmp_path)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from fleetfuel.anomaly import compute_limits
 from fleetfuel.errors import DataError
 from fleetfuel.evaluate import (
-    CO2_KG_PER_LITER,
     adjusted_r2,
     aggregate_category_impact,
     catalog_mape,
@@ -27,14 +26,15 @@ from fleetfuel.evaluate import (
     outlier_vs_explained,
     signed_rank_test,
     train_test_split,
-    write_report_json,
 )
 from fleetfuel.explain import ExplanationTable, ReferencePolicy
 from fleetfuel.registry import (
+    CO2_KG_PER_LITER,
     CatalogReference,
     CatalogTable,
     SotaLimit,
     VehicleIdentity,
+    write_report_json,
 )
 
 from .conftest import make_record

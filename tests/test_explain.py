@@ -34,8 +34,8 @@ from fleetfuel.explain import (
     write_explanations_csv,
     write_inlier_medians_csv,
 )
-from fleetfuel.gam import AdditiveModel, FeatureColumn, TrainConfig, _numeric_value
-from fleetfuel.registry import FeatureSpec, csv_cell
+from fleetfuel.gam import AdditiveModel, FeatureColumn, _numeric_value
+from fleetfuel.registry import FeatureSpec, TrainConfig, csv_cell
 
 from .conftest import make_record, make_registry
 

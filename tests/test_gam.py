@@ -16,7 +16,6 @@ from fleetfuel.gam import (
     AdditiveModel,
     BagHistory,
     FeatureColumn,
-    TrainConfig,
     build_bins,
     build_design,
     fit,
@@ -26,6 +25,7 @@ from fleetfuel.gam import (
     write_train_history_csv,
 )
 from fleetfuel.gam import _Column, _tree_deltas
+from fleetfuel.registry import TrainConfig
 
 from .conftest import make_record
 

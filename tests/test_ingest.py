@@ -291,6 +291,19 @@ class TestImputeMissing:
             for name, value in before.items():
                 assert rec.features[name] == value
 
+    def test_complete_table_builds_no_medians(self, small_registry, monkeypatch):
+        def refuse(items):
+            raise AssertionError("medians built for a table that misses no value")
+
+        monkeypatch.setattr("fleetfuel.ingest.FallbackMedians", refuse)
+        records = [
+            make_record(vehicle_id=f"v{i}", features={name: float(i) for name in small_registry.names})
+            for i in range(3)
+        ]
+        snapshot = [dict(r.features) for r in records]
+        assert impute_missing(records, small_registry) == records
+        assert [r.features for r in records] == snapshot
+
     def test_no_required_feature_missing_after(self, small_registry):
         records = [make_record(features={}), make_record(vehicle_id="w", features={"rpm_high": 4.0})]
         impute_missing(records, small_registry)
