@@ -9,14 +9,13 @@ second upper whisker is the published outlier threshold for the group.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InsufficientSupportError
 from .ingest import LABEL_INLIER, LABEL_OUTLIER, LABEL_UNASSIGNED, FarRecord
-from .registry import read_table
+from .registry import read_table, write_table
 
 MIN_SUPPORT = 4
 WHISKER = 1.5
@@ -126,17 +125,7 @@ def compute_limits(records: Iterable[FarRecord]) -> LimitTable:
         if len(values) >= MIN_SUPPORT:
             limits[(group, route)] = AnomalyLimits.from_values(group, route, values)
         elif route in fleet:
-            base = fleet[route]
-            limits[(group, route)] = AnomalyLimits(
-                vehicle_group=group,
-                route_type=route,
-                q1=base.q1,
-                q3=base.q3,
-                lim_inf=base.lim_inf,
-                lim_sup=base.lim_sup,
-                n_support=base.n_support,
-                borrowed=True,
-            )
+            limits[(group, route)] = replace(fleet[route], vehicle_group=group, route_type=route, borrowed=True)
         else:
             skipped.append((group, route))
     return LimitTable(limits, skipped)
@@ -219,22 +208,11 @@ LIMITS_COLUMNS = (
 
 
 def write_limits_csv(limits: LimitTable, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LIMITS_COLUMNS)
-        for (group, route), lim in limits.items():
-            writer.writerow(
-                [
-                    str(group),
-                    route,
-                    repr(lim.q1),
-                    repr(lim.q3),
-                    repr(lim.lim_inf),
-                    repr(lim.lim_sup),
-                    str(lim.n_support),
-                    "1" if lim.borrowed else "0",
-                ]
-            )
+    rows = (
+        (group, route, lim.q1, lim.q3, lim.lim_inf, lim.lim_sup, lim.n_support, int(lim.borrowed))
+        for (group, route), lim in limits.items()
+    )
+    write_table(path, LIMITS_COLUMNS, rows)
 
 
 def _anomaly_limits(row: dict[str, str]) -> AnomalyLimits:

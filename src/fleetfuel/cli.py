@@ -23,7 +23,6 @@ import hashlib
 import importlib
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -50,6 +49,7 @@ from .registry import (
     FeatureRegistry,
     TrainConfig,
     VinMap,
+    artifact_file,
     assign_groups,
     load_class_table,
     load_sota_limits,
@@ -239,12 +239,9 @@ class RunContext:
             "overrides": self.overrides,
         }
         self._inputs, self._outputs = {}, []
-        path = self.out_dir / "manifest.json"
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with artifact_file(self.out_dir / "manifest.json") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        os.replace(tmp, path)
 
 
 def _read_json_object(path: Path, what: str) -> dict:

@@ -27,6 +27,7 @@ from .registry import (
     SotaLimit,
     UNCHECKED_SUBCATEGORIES,
     VehicleIdentity,
+    median,
 )
 
 MAPE_HIGHLY_ACCURATE = "highly_accurate"
@@ -103,7 +104,7 @@ def median_vehicle_mape(
             continue
     if not values:
         raise DataError("no vehicle had scoreable records")
-    return float(np.median(values))
+    return median(values)
 
 
 def adjusted_r2(
@@ -287,16 +288,16 @@ def aggregate_category_impact(
     out = []
     for key in sorted(buckets):
         values = buckets[key]
-        median = float(np.median(values))
+        impact = median(values)
         limit = sota_limits.get(key)
         if key[1] in UNCHECKED_SUBCATEGORIES or limit is None:
             verdict = None
             min_pct = max_pct = None
         else:
             min_pct, max_pct = limit.min_pct, limit.max_pct
-            if median < min_pct:
+            if impact < min_pct:
                 verdict = "below_min"
-            elif median > max_pct:
+            elif impact > max_pct:
                 verdict = "above_max"
             else:
                 verdict = "within"
@@ -305,7 +306,7 @@ def aggregate_category_impact(
                 category=key[0],
                 subcategory=key[1],
                 fleet=fleet,
-                median_impact_pct=median,
+                median_impact_pct=impact,
                 n_days=len(values),
                 min_pct=min_pct,
                 max_pct=max_pct,
@@ -361,8 +362,8 @@ def outlier_vs_explained(
     return OutlierComparison(
         fleet=fleet,
         n_outlier_days=len(explained),
-        median_explained=float(np.median(explained)),
-        median_anomalous=float(np.median(anomalous)),
+        median_explained=median(explained),
+        median_anomalous=median(anomalous),
         w_statistic=w,
         p_value=p,
     )
@@ -449,9 +450,9 @@ def catalog_mape(
 
     return CatalogMapeReport(
         fleet=fleet,
-        mape_1=float(np.median(mape1)) if mape1 else None,
-        mape_2=float(np.median(mape2)) if mape2 else None,
-        mape_3=float(np.median(mape3)) if mape3 else None,
+        mape_1=median(mape1) if mape1 else None,
+        mape_2=median(mape2) if mape2 else None,
+        mape_3=median(mape3) if mape3 else None,
         pct_mape1_lt_50=_share_below(mape1, 0.5) if mape1 else None,
         pct_mape1_lt_20=_share_below(mape1, 0.2) if mape1 else None,
         pct_mape1_lt_10=_share_below(mape1, 0.1) if mape1 else None,

@@ -63,7 +63,14 @@ from .anomaly import LimitTable
 from .errors import FeedFormatError
 from .gam import KIND_NUMERIC, AdditiveModel
 from .ingest import FarRecord
-from .registry import DEFAULT_BR2_THRESHOLD, DEFAULT_BR5_CAP, FallbackMedians, FeatureRegistry, csv_cell
+from .registry import (
+    DEFAULT_BR2_THRESHOLD,
+    DEFAULT_BR5_CAP,
+    FallbackMedians,
+    FeatureRegistry,
+    artifact_file,
+    write_table,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -645,19 +652,18 @@ def write_explanations_csv(table: ExplanationTable, path: str | Path) -> None:
         fuel[d] = f"{avg[d]!r},{limit[d]!r},{y_pred[d]!r}"
         fuel_new[d] = repr(y_new[d])
     names = [_csv_fields([name]) for name in table.features]
-    quoted: dict[str, str] = {}
+    quoted: dict[object, str] = {}
 
     def text(v) -> str:
-        cell = csv_cell(v)
-        out = quoted.get(cell)
+        out = quoted.get(v)
         if out is None:
-            out = quoted[cell] = _csv_fields([cell])
+            out = quoted[v] = _csv_fields([v])
         return out
 
     def cells(column: np.ndarray) -> Iterator[str]:
         return (repr(v) if type(v) is float else text(v) for v in column.tolist())
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with artifact_file(path) as fh:
         fh.write(_csv_fields(EXPLANATION_COLUMNS) + "\n")
         fh.writelines(
             f"{heads[d]},{names[f]},{rel},{v},{t},{fuel[d]},{dy},{fuel_new[d]}\n"
@@ -774,7 +780,7 @@ def write_audit_log(entries: Iterable[AuditEntry], path: str | Path) -> None:
             layout = layouts[keys] = [(k, f"{string(k)}: ") for k in sorted(keys)]
         return ", ".join([prefix + value(d[k]) for k, prefix in layout])
 
-    with open(path, "w", encoding="utf-8") as fh:
+    with artifact_file(path) as fh:
         fh.writelines(
             f'{{"date": {string(e.date_tx)}, "feature": {string(e.feature)}, "rule_id": {string(e.rule_id)}, '
             f'"values": {{{values(e.values)}}}, "vehicle_id": {string(e.vehicle_id)}}}\n'
@@ -794,15 +800,10 @@ def write_inlier_medians_csv(
 
     Fuel medians are written under the pseudo-feature avg_fuel_consumption.
     """
-    cells = sorted({rec.group_route for rec in records})
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MEDIANS_COLUMNS)
-        for group, route in cells:
-            fuel = policy.fuel_median(group, route)
-            if fuel is not None:
-                writer.writerow([str(group), route, "avg_fuel_consumption", repr(fuel)])
-            for name in policy.registry.names:
-                writer.writerow(
-                    [str(group), route, name, repr(policy.feature_median(group, route, name))]
-                )
+    rows = []
+    for group, route in sorted({rec.group_route for rec in records}):
+        fuel = policy.fuel_median(group, route)
+        if fuel is not None:
+            rows.append((group, route, "avg_fuel_consumption", fuel))
+        rows += ((group, route, name, policy.feature_median(group, route, name)) for name in policy.registry.names)
+    write_table(path, MEDIANS_COLUMNS, rows)

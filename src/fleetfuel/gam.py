@@ -24,7 +24,6 @@ at most 2.4 MB for 8 bags, 1,000 rows and 37 columns, linear in rows.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import asdict, dataclass, field
@@ -35,7 +34,7 @@ import numpy as np
 
 from .errors import DataError, FeedFormatError, MissingFeatureError
 from .ingest import FarRecord
-from .registry import FeatureRegistry, TrainConfig
+from .registry import FeatureRegistry, TrainConfig, artifact_file, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -497,7 +496,7 @@ class AdditiveModel:
         )
 
     def save_json(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with artifact_file(path) as fh:
             json.dump(self.to_dict(), fh, indent=1)
             fh.write("\n")
 
@@ -578,12 +577,8 @@ SHAPE_CSV_COLUMNS = ("feature", "bin_lo", "bin_hi", "value")
 
 
 def write_shape_curves_csv(model: AdditiveModel, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SHAPE_CSV_COLUMNS)
-        for col in model.columns:
-            for lo, hi, value in model.shape_curve(col.name):
-                writer.writerow([col.name, repr(lo), repr(hi), repr(value)])
+    rows = ((col.name, *segment) for col in model.columns for segment in model.shape_curve(col.name))
+    write_table(path, SHAPE_CSV_COLUMNS, rows)
 
 
 HISTORY_CSV_COLUMNS = ("bag", "round", "train_rmse", "val_rmse", "best")
@@ -594,9 +589,9 @@ def write_train_history_csv(model: AdditiveModel, path: str | Path) -> None:
 
     ``best`` is 1 on the round whose shapes the bag contributed, else 0.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HISTORY_CSV_COLUMNS)
-        for bag, h in enumerate(model.history):
-            for rnd, (train, val) in enumerate(zip(h.train_rmse, h.val_rmse)):
-                writer.writerow([bag, rnd, repr(train), repr(val), int(rnd == h.best_round)])
+    rows = (
+        (bag, rnd, train, val, int(rnd == h.best_round))
+        for bag, h in enumerate(model.history)
+        for rnd, (train, val) in enumerate(zip(h.train_rmse, h.val_rmse))
+    )
+    write_table(path, HISTORY_CSV_COLUMNS, rows)

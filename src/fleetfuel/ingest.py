@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import DataError, FeedFormatError
-from .registry import FallbackMedians, FeatureRegistry, VehicleClassRow, VehicleIdentity, csv_cell, median
+from .registry import FallbackMedians, FeatureRegistry, VehicleClassRow, VehicleIdentity, median, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -415,24 +415,15 @@ def write_far_csv(
 ) -> None:
     """One row per vehicle-day, fixed columns then registry features."""
     names = registry.names
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FAR_FIXED_COLUMNS + names)
-        for rec in sorted(records, key=lambda r: r.day_key):
-            row = [
-                rec.vehicle_id,
-                rec.date.isoformat(),
-                rec.route_type,
-                str(rec.vehicle_group),
-                str(rec.vehicle_class),
-                rec.anomaly_label,
-                csv_cell(rec.trip_kms),
-                csv_cell(rec.trip_fuel_used),
-                csv_cell(rec.per_time_city),
-                csv_cell(rec.avg_fuel_consumption),
-            ]
-            row.extend(csv_cell(rec.features.get(name)) for name in names)
-            writer.writerow(row)
+    rows = (
+        (
+            rec.vehicle_id, rec.date, rec.route_type, rec.vehicle_group, rec.vehicle_class,
+            rec.anomaly_label, rec.trip_kms, rec.trip_fuel_used, rec.per_time_city,
+            rec.avg_fuel_consumption, *map(rec.features.get, names),
+        )
+        for rec in sorted(records, key=lambda r: r.day_key)
+    )
+    write_table(path, FAR_FIXED_COLUMNS + names, rows)
 
 
 def read_far_csv(path: str | Path, registry: FeatureRegistry) -> list[FarRecord]:

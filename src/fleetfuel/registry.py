@@ -1,10 +1,12 @@
 """Config tables: feature registry, vehicle identity, class table, catalog, limits.
 
-Every config table the pipeline consumes, and the small artifact tables it
-reads back, goes through one reader, ``read_table``, so the table format and
-its error reporting live in one place: a missing column, a row with the
-wrong field count or a cell that does not parse raises FeedFormatError
-naming the file and line.  The feature registry drives aggregation,
+The module holds the one table reader and the one artifact writer.  Every
+config table the pipeline consumes, and the small artifact tables it reads
+back, goes through ``read_table``: a missing column, a row with the wrong
+field count or a cell that does not parse raises FeedFormatError naming the
+file and line.  Every artifact a stage writes goes through ``artifact_file``
+(CSV tables through ``write_table``), so it appears whole or not at all.
+The feature registry drives aggregation,
 imputation, reference policies and the explanation taxonomy; the VIN map and
 class table drive vehicle grouping; the catalog and SOTA-limit tables drive
 the domain evaluations.  The module also holds what the CLI needs before
@@ -17,10 +19,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .errors import DataError, FeedFormatError, FleetFuelError
 
@@ -64,11 +68,36 @@ def read_table(
     return rows
 
 
-def csv_cell(value) -> str:
-    """One written CSV cell: "" for None, repr for a float (exact round trip), else str."""
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
+@contextmanager
+def artifact_file(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text handle without newline translation that replaces ``path`` when the block ends.
+
+    The block writes ``<path>.tmp``, which is moved over ``path`` when the
+    block ends cleanly and removed when it raises, so ``path`` holds either
+    its previous bytes or the whole new file.  There is no fsync: the move
+    guards against a writer that fails, not against a host that crashes.
+    """
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_table(path: str | Path, columns: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """A CSV artifact: the header, then one line per row, through ``artifact_file``.
+
+    ``rows`` may be a generator; it is written as it is consumed.  The csv
+    module formats the cells: None is an empty cell, a float its shortest
+    round-trip repr, anything else its ``str``.
+    """
+    with artifact_file(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def median(values: Sequence[float]) -> float:
@@ -348,22 +377,11 @@ IDENTITY_COLUMNS = (
 def write_identities_csv(
     identities: Mapping[str, VehicleIdentity], path: str | Path
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(IDENTITY_COLUMNS)
-        for vid in sorted(identities):
-            ident = identities[vid]
-            writer.writerow(
-                [
-                    ident.vehicle_id,
-                    ident.make,
-                    ident.model,
-                    ident.year,
-                    ident.fuel_type,
-                    str(ident.vehicle_group),
-                    str(ident.vehicle_class),
-                ]
-            )
+    rows = (
+        (i.vehicle_id, i.make, i.model, i.year, i.fuel_type, i.vehicle_group, i.vehicle_class)
+        for _, i in sorted(identities.items())
+    )
+    write_table(path, IDENTITY_COLUMNS, rows)
 
 
 def _identity(row: dict[str, str]) -> VehicleIdentity:
@@ -547,9 +565,8 @@ def write_report_json(payload, path: str | Path) -> None:
         text = json.dumps(payload, indent=2, sort_keys=True, default=default, allow_nan=False)
     except ValueError as exc:
         raise DataError(f"{path}: report is not valid JSON: {exc}") from exc
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    with artifact_file(path) as fh:
+        fh.write(text + "\n")
 
 
 def write_report_csv(items: Iterable, row_type: type, path: str | Path) -> None:
@@ -559,9 +576,5 @@ def write_report_csv(items: Iterable, row_type: type, path: str | Path) -> None:
     report read back from JSON); a missing key writes an empty cell.
     """
     columns = [f.name for f in fields(row_type)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for item in items:
-            data = asdict(item) if hasattr(item, "__dataclass_fields__") else dict(item)
-            writer.writerow([csv_cell(data.get(col)) for col in columns])
+    dicts = (asdict(item) if hasattr(item, "__dataclass_fields__") else dict(item) for item in items)
+    write_table(path, columns, ([data.get(col) for col in columns] for data in dicts))

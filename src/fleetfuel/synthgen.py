@@ -21,7 +21,6 @@ small share of ordinary days that visit them individually.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, field
 from datetime import date as date_type, timedelta
@@ -41,6 +40,7 @@ from .ingest import (
     TRIP_KMS_CHANNEL,
     compute_avg_fuel,
 )
+from .registry import CATALOG_COLUMNS, VIN_MAP_COLUMNS, artifact_file, median, write_table
 
 # distances whose /100 factor is a power of two, keyed by route type
 ROUTE_KMS = {
@@ -121,9 +121,8 @@ class SynthSpec:
             raise DataError("noise_sigma cannot be negative")
 
     def to_json(self, path: str | Path) -> None:
-        payload = asdict(self)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        with artifact_file(path) as fh:
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
@@ -406,9 +405,8 @@ def _apply_outlier_boosts(
 def _write_feed(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
     """Two half-readings per sum channel, two equal readings per mean channel."""
     by_agg = {f.name: f.aggregator for f in spec.features}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FEED_COLUMNS)
+
+    def rows():
         for d in days:
             stamp_a = f"{d.date.isoformat()} 08:%02d:00+00:00"
             stamp_b = f"{d.date.isoformat()} 16:%02d:00+00:00"
@@ -432,15 +430,14 @@ def _write_feed(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
                 minute = idx % 60
                 stamps = (stamp_a % minute, stamp_b % minute)
                 for k, value in enumerate(readings):
-                    writer.writerow([stamps[k], d.vehicle_id, name, repr(value)])
+                    yield stamps[k], d.vehicle_id, name, value
+
+    write_table(path, FEED_COLUMNS, rows())
 
 
 def _write_vin_map(spec: SynthSpec, path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("vin_prefix", "make", "model", "year", "fuel_type"))
-        for g, group in enumerate(spec.groups):
-            writer.writerow([f"VG{g:02d}", group.make, group.model, group.year, group.fuel_type])
+    rows = ((f"VG{g:02d}", grp.make, grp.model, grp.year, grp.fuel_type) for g, grp in enumerate(spec.groups))
+    write_table(path, VIN_MAP_COLUMNS, rows)
 
 
 def _write_catalog(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
@@ -450,13 +447,8 @@ def _write_catalog(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
         if not d.planted_outlier:
             key = (d.make, d.model, d.year, d.fuel_type, d.route_type)
             cells.setdefault(key, []).append(d.clean_fuel_l100)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("make", "model", "year", "fuel_type", "route_type", "l_per_100km"))
-        for key in sorted(cells):
-            med = float(np.median(cells[key]))
-            for jitter in (-0.1, 0.1):
-                writer.writerow([*key, repr(med + jitter)])
+    rows = ((*key, median(cells[key]) + jitter) for key in sorted(cells) for jitter in (-0.1, 0.1))
+    write_table(path, CATALOG_COLUMNS, rows)
 
 
 def _write_truth_days(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
@@ -481,31 +473,17 @@ def _write_truth_days(spec: SynthSpec, days: list[TruthDay], path: Path) -> None
     ]
     header += [f"value_{n}" for n in feature_names]
     header += [f"contrib_{n}" for n in feature_names]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for d in days:
-            row = [
-                d.vehicle_id,
-                d.date.isoformat(),
-                str(d.synth_group),
-                d.make,
-                d.model,
-                d.year,
-                d.fuel_type,
-                d.route_type,
-                repr(d.trip_kms),
-                repr(d.per_time_city),
-                repr(d.fuel_l100),
-                repr(d.clean_fuel_l100),
-                "1" if d.planted_outlier else "0",
-                repr(d.boost_added),
-                repr(d.base_fuel),
-                repr(d.noise_residual),
-            ]
-            row += [repr(d.feature_values[n]) for n in feature_names]
-            row += [repr(d.contributions[n]) for n in feature_names]
-            writer.writerow(row)
+    rows = (
+        (
+            d.vehicle_id, d.date, d.synth_group, d.make, d.model, d.year, d.fuel_type,
+            d.route_type, d.trip_kms, d.per_time_city, d.fuel_l100, d.clean_fuel_l100,
+            int(d.planted_outlier), d.boost_added, d.base_fuel, d.noise_residual,
+            *(d.feature_values[n] for n in feature_names),
+            *(d.contributions[n] for n in feature_names),
+        )
+        for d in days
+    )
+    write_table(path, header, rows)
 
 
 def _write_truth_savings(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
@@ -523,11 +501,9 @@ def _write_truth_savings(spec: SynthSpec, days: list[TruthDay], path: Path) -> N
         for name, value in d.feature_values.items():
             cell_values.setdefault((d.synth_group, d.route_type, name), []).append(value)
     for key, values in cell_values.items():
-        medians[key] = float(np.median(values))
+        medians[key] = median(values)
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("vehicle_id", "date", "feature", "true_saving"))
+    def rows():
         for d in days:
             for f in spec.features:
                 if f.reference_zero:
@@ -536,7 +512,7 @@ def _write_truth_savings(spec: SynthSpec, days: list[TruthDay], path: Path) -> N
                     ref = medians.get((d.synth_group, d.route_type, f.name), 0.0)
                 saving = d.contributions[f.name] - f.contribution(ref)
                 if saving > 0:
-                    writer.writerow(
-                        [d.vehicle_id, d.date.isoformat(), f.name, repr(saving)]
-                    )
+                    yield d.vehicle_id, d.date, f.name, saving
+
+    write_table(path, ("vehicle_id", "date", "feature", "true_saving"), rows())
 

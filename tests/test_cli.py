@@ -220,7 +220,8 @@ class TestManifest:
         out, _ = finished_run
         manifest = json.loads((out / "manifest.json").read_text())
         assert {stage: set(entry["inputs"]) for stage, entry in manifest["stages"].items()} == self.INPUTS
-        assert not list(out.glob("*.tmp"))
+        # every artifact is written to a temporary file and moved into place
+        assert not list(out.rglob("*.tmp"))
 
     def test_input_digest_is_taken_on_reading(self, finished_run):
         out, _ = finished_run

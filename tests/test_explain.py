@@ -35,7 +35,7 @@ from fleetfuel.explain import (
     write_inlier_medians_csv,
 )
 from fleetfuel.gam import AdditiveModel, FeatureColumn, _numeric_value
-from fleetfuel.registry import FeatureSpec, TrainConfig, csv_cell
+from fleetfuel.registry import FeatureSpec, TrainConfig
 
 from .conftest import make_record, make_registry
 
@@ -750,6 +750,13 @@ def reference_business_rules(rows, policy, rules=BR_ORDER, br2_threshold=0.01, b
         replace(row, y_fuel_new=recompute_fuel_new(row.avg_fuel_consumption, [totals[row.day_key]]))
         for row in current
     ], audit
+
+
+def csv_cell(value) -> str:
+    """One CSV cell as the writers format it: "" for None, repr for a float, else str."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def reference_write_csv(rows, path):

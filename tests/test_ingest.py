@@ -327,6 +327,17 @@ class TestFarCsvRoundTrip:
         loaded = read_far_csv(path, small_registry)
         assert loaded == sorted(records, key=lambda r: r.day_key)
 
+    def test_failed_write_keeps_previous_file(self, small_registry, tmp_path):
+        path = tmp_path / "far.csv"
+        write_far_csv([make_record(features={"rpm_high": 3.0})], small_registry, path)
+        before = path.read_bytes()
+        broken = make_record(vehicle_id="v2")
+        broken.features = None
+        with pytest.raises(AttributeError):
+            write_far_csv([make_record(vehicle_id="v1"), broken], small_registry, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_schema_mismatch_fatal(self, small_registry, tmp_path):
         path = tmp_path / "far.csv"
         path.write_text("vehicle_id,date\nv1,2021-01-01\n")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,12 +16,14 @@ from fleetfuel.registry import (
     FeatureRegistry,
     FeatureSpec,
     VinMap,
+    artifact_file,
     assign_groups,
     load_class_table,
     load_sota_limits,
     median,
     read_identities_csv,
     write_identities_csv,
+    write_table,
 )
 
 
@@ -116,6 +119,13 @@ class TestMedian:
         got = median(values)
         assert got == statistics.median(values)
         assert repr(got) == repr(statistics.median(values))
+        # numpy, the helper's other oracle, sums the middle pair the same way
+        # (overflowing to inf alike) but may pick the other sign when 0.0 and
+        # -0.0 tie in the middle; the callers' values hold no -0.0
+        with np.errstate(over="ignore"):
+            expected = float(np.median(values))
+        assert got == expected
+        assert got == 0.0 or repr(got) == repr(expected)
 
     def test_even_count_averages_middle_pair(self):
         assert median([4.0, 1.0, 3.0, 2.0]) == 2.5
@@ -163,3 +173,41 @@ class TestIdentitiesCsv:
         write_identities_csv(identities, path)
         loaded = read_identities_csv(path)
         assert loaded == identities
+
+
+class TestArtifactWriter:
+    def test_write_table_formats_cells_with_the_csv_module(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = (row for row in [("a,b", None, 0.1, 3), ("", 1e-300, -0.0, True)])
+        write_table(path, ("text", "none", "float", "other"), rows)
+        assert path.read_bytes() == b'text,none,float,other\n"a,b",,0.1,3\n,1e-300,-0.0,True\n'
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_clean_block_replaces_the_file(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("old\n")
+        with artifact_file(path) as fh:
+            fh.write("new\r\n")
+            assert path.read_text() == "old\n"
+        assert path.read_bytes() == b"new\r\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_raising_block_keeps_the_previous_bytes(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"old\n")
+
+        def rows():
+            yield ("x",)
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            write_table(path, ("col",), rows())
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_raising_block_creates_no_file(self, tmp_path):
+        with pytest.raises(KeyboardInterrupt):
+            with artifact_file(tmp_path / "new.json") as fh:
+                fh.write("{")
+                raise KeyboardInterrupt
+        assert list(tmp_path.iterdir()) == []
