@@ -215,7 +215,12 @@ def write_limits_csv(limits: LimitTable, path: str | Path) -> None:
     write_table(path, LIMITS_COLUMNS, rows)
 
 
+_BORROWED = {"0": False, "1": True}
+
+
 def _anomaly_limits(row: dict[str, str]) -> AnomalyLimits:
+    if row["borrowed_flag"] not in _BORROWED:
+        raise ValueError(f"borrowed_flag must be 0 or 1, got {row['borrowed_flag']!r}")
     return AnomalyLimits(
         vehicle_group=int(row["vehicle_group"]),
         route_type=row["route_type"],
@@ -224,7 +229,7 @@ def _anomaly_limits(row: dict[str, str]) -> AnomalyLimits:
         lim_inf=float(row["lim_inf"]),
         lim_sup=float(row["lim_sup"]),
         n_support=int(row["n_support"]),
-        borrowed=row["borrowed_flag"] == "1",
+        borrowed=_BORROWED[row["borrowed_flag"]],
     )
 
 

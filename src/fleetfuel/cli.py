@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import importlib
@@ -28,7 +29,7 @@ from pathlib import Path
 
 from . import __version__
 from .anomaly import flag_outliers, read_limits_csv, two_phase_clean, write_limits_csv
-from .errors import FeedFormatError, FleetFuelError, MissingStageError
+from .errors import DataError, FeedFormatError, FleetFuelError, MissingStageError
 from .ingest import (
     LABEL_INLIER,
     RouteThresholds,
@@ -256,6 +257,18 @@ def _read_json_object(path: Path, what: str) -> dict:
     return data
 
 
+@contextlib.contextmanager
+def _naming_lines(path: Path, records: list):
+    """Re-raise a DataError about one of ``records``, read from ``path`` in file order, naming its line."""
+    try:
+        yield
+    except DataError as exc:
+        line = next((i + 2 for i, rec in enumerate(records) if rec is exc.record), None)
+        if line is None:
+            raise
+        raise FeedFormatError(f"{path}: line {line}: {exc}") from exc
+
+
 def _digest(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -364,13 +377,15 @@ def stage_train(ctx: RunContext) -> None:
     from .evaluate import ModelMetrics
 
     registry = ctx.registry()
-    records = read_far_csv(ctx.artifact("far_training.csv", "clean"), registry)
+    path = ctx.artifact("far_training.csv", "clean")
+    records = read_far_csv(path, registry)
     split_cfg = ctx.config["split"]
     train_records, test_records = train_test_split(
         records, float(split_cfg["fraction"]), int(split_cfg["seed"])
     )
-    model = fit(train_records, registry, ctx.train_config())
-    predictions = model.predict_many(test_records)
+    with _naming_lines(path, records):
+        model = fit(train_records, registry, ctx.train_config())
+        predictions = model.predict_many(test_records)
     metrics = model_metrics(
         ctx.config["fleet_id"],
         test_records,
@@ -391,10 +406,11 @@ def stage_train(ctx: RunContext) -> None:
 
 def _load_labeled_inputs(ctx: RunContext):
     registry = ctx.registry()
-    labeled = read_far_csv(ctx.artifact("far_labeled.csv", "clean"), registry)
+    path = ctx.artifact("far_labeled.csv", "clean")
+    labeled = read_far_csv(path, registry)
     limits = read_limits_csv(ctx.artifact("limits.csv", "clean"))
     inliers = [r for r in labeled if r.anomaly_label == LABEL_INLIER]
-    return registry, labeled, limits, inliers
+    return registry, path, labeled, limits, inliers
 
 
 def stage_explain(ctx: RunContext) -> None:
@@ -403,10 +419,11 @@ def stage_explain(ctx: RunContext) -> None:
 
     # the model first: with several artifacts missing, the report names train
     model = AdditiveModel.load_json(ctx.artifact("model.json", "train"))
-    registry, labeled, limits, inliers = _load_labeled_inputs(ctx)
+    registry, path, labeled, limits, inliers = _load_labeled_inputs(ctx)
     policy = ReferencePolicy.from_records(registry, inliers, DEFAULT_CATEGORICALS)
     rules_cfg = ctx.config["rules"]
-    pre_rows = generate_daily_explanations(model, labeled, policy, limits)
+    with _naming_lines(path, labeled):
+        pre_rows = generate_daily_explanations(model, labeled, policy, limits)
     final_rows, audit = apply_business_rules(
         pre_rows,
         policy,
@@ -430,7 +447,7 @@ def stage_evaluate(ctx: RunContext) -> None:
     from .evaluate import CatalogMapeReport, CategoryImpact, ModelMetrics, OutlierComparison
     from .explain import FuelMedians
 
-    registry, labeled, limits, inliers = _load_labeled_inputs(ctx)
+    registry, _, labeled, limits, inliers = _load_labeled_inputs(ctx)
     # BR1-BR3 and the catalog comparison read only fuel medians
     fuel = FuelMedians.from_records(registry, inliers)
     fleet = ctx.config["fleet_id"]

@@ -10,7 +10,14 @@ class FeedFormatError(FleetFuelError):
 
 
 class DataError(FleetFuelError):
-    """Input values violate a precondition (bad ratio, empty sample, ...)."""
+    """Input values violate a precondition (bad ratio, empty sample, ...).
+
+    ``record`` is the record at fault, when there is one.
+    """
+
+    def __init__(self, message: str = "", record=None):
+        super().__init__(message)
+        self.record = record
 
 
 class InsufficientSupportError(DataError):

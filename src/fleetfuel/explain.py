@@ -15,16 +15,19 @@ rules then prune the rows:
   BR5  drop whole days whose total claimed saving exceeds 80% of the
        day's fuel (not physically possible).
 
-Savings come from one contribution matrix.  The model encodes every
-priced day into an (n days x d columns) design matrix and looks up each
-column's shape values in one ``searchsorted`` over all days; reference
-values are priced once per (group, route) cell and gathered to the days,
-so the savings are ``C(x) - C(x_ref)`` over the actionable columns.  The
-arithmetic per entry is the scalar lookup's, so rows are bit-identical to
-pricing day by day.  The matrices take 8 bytes per day and model column
-each (about 0.5 MB for 1,600 days x 37 columns).  Categorical origins,
-priced against the cell's most common inlier level, use a cache per
-(origin, level).
+Every row, numeric or categorical, is priced from one contribution
+matrix: the model encodes every priced day into an (n days x d columns)
+design matrix and looks up each column's shape values in one
+``searchsorted`` over all days, and one reference row per (group, route)
+cell, holding the numeric targets with each categorical origin's
+indicators set at the cell's most common inlier level, is priced the same
+way.  An origin's relevance is the running sum of its indicator columns in
+model column order.  Savings are relevance minus the cell's reference
+relevance; their positive entries, row-major, are the rows, except where
+the cell has no mode.  The arithmetic per entry is the scalar lookup's,
+so rows are bit-identical to pricing day by day.  The matrices take 8
+bytes per day and model column each (about 0.5 MB for 1,600 days x 37
+columns).
 
 The rows live in one ``ExplanationTable``: per-row arrays (day slot,
 feature code, relevance, value, target, saving) next to per-day columns
@@ -40,7 +43,10 @@ sums, which add in row order exactly as a running per-day sum does.  The
 CSV writer formats each day's cells once, and audit lines are assembled
 from cached JSON string escapes and ``float.__repr__``, byte for byte what
 ``json.dumps(..., sort_keys=True)`` writes.  ``ExplanationRow`` remains the
-table's row view, for tests, demos and callers that want objects.
+table's row view, for tests, demos and callers that want objects; its
+fields are the CSV columns, and ``from_rows`` and the CSV reader share
+``ExplanationTable._build``, which gives consecutive rows with equal day
+cells one slot.
 """
 
 from __future__ import annotations
@@ -51,11 +57,12 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date as date_type
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,23 +85,6 @@ REFERENCE_ZERO = "zero"
 REFERENCE_MEDIAN = "median_inlier"
 
 BR_ORDER = ("BR1", "BR3", "BR4", "BR2", "BR5")
-
-EXPLANATION_COLUMNS = (
-    "vehicle_id",
-    "date_tx",
-    "route_type",
-    "vehicle_group",
-    "intercept",
-    "feature",
-    "feature_relevance",
-    "feature_value",
-    "target_value",
-    "avg_fuel_consumption",
-    "limit_group",
-    "y_pred",
-    "y_diff",
-    "y_fuel_new",
-)
 
 
 def _mode(values: list[str]) -> str:
@@ -218,6 +208,9 @@ class ExplanationRow:
         return (self.vehicle_id, self.date_tx)
 
 
+EXPLANATION_COLUMNS = tuple(f.name for f in fields(ExplanationRow))
+
+
 def recompute_fuel_new(avg_fuel: float, y_diffs: Iterable[float]) -> float:
     """New daily fuel after applying every surviving recommendation."""
     return avg_fuel - sum(y_diffs)
@@ -235,11 +228,8 @@ def _sum_by(ids: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(ids, weights=weights, minlength=n).astype(np.float64, copy=False)
 
 
-# the per-day fields of a row, in the order _from_columns takes them
-_DAY_FIELDS = (
-    "vehicle_id", "date_tx", "route_type", "vehicle_group", "intercept",
-    "avg_fuel_consumption", "limit_group", "y_pred", "y_fuel_new",
-)
+def _same(x):
+    return x
 
 
 @dataclass(eq=False)
@@ -276,44 +266,42 @@ class ExplanationTable:
     y_diff: np.ndarray
 
     @classmethod
-    def _from_columns(
-        cls, days: list[tuple], features: Sequence[str], day: list, feature: list, relevance: list,
-        value: list, target: list, y_diff: list,
+    def _build(
+        cls, rows: Iterable[Sequence], day_cells: Callable = _same, number: Callable = _same, level: Callable = _same
     ) -> "ExplanationTable":
-        """A table from per-day tuples (in ``_DAY_FIELDS`` order) and per-row lists."""
-        vid, dates, routes, groups, intercept, avg, limit, y_pred, fuel_new = (
-            [list(c) for c in zip(*days)] if days else [[] for _ in _DAY_FIELDS]
-        )
+        """The table of rows given as cells in ``EXPLANATION_COLUMNS`` order, in order.
 
-        def f64(c):
-            return np.array(c, dtype=np.float64)
-
+        Consecutive rows with equal day cells share a slot, whose fields
+        ``day_cells`` makes once; ``number`` makes each relevance and y_diff,
+        ``level`` each value and target.  A row of another length raises
+        ValueError.
+        """
+        days: list[tuple] = []
+        codes: dict[str, int] = {}
+        day, feature, relevance, value, target, y_diff = [], [], [], [], [], []
+        previous, slot = None, -1
+        for vid, date_tx, route, group, icpt, name, rel, val, tgt, avg, limit, pred, dy, fuel_new in rows:
+            head = (vid, date_tx, route, group, icpt, avg, limit, pred, fuel_new)
+            if head != previous:
+                days.append(day_cells(head))
+                previous, slot = head, slot + 1
+            day.append(slot)
+            feature.append(codes.setdefault(name, len(codes)))
+            relevance.append(number(rel))
+            value.append(level(val))
+            target.append(level(tgt))
+            y_diff.append(number(dy))
+        columns = [list(c) for c in zip(*days)] if days else [[] for _ in range(9)]
         return cls(
-            vid, dates, routes, groups, f64(intercept), f64(avg), f64(limit), f64(y_pred), f64(fuel_new),
-            tuple(features), np.array(day, dtype=np.intp), np.array(feature, dtype=np.intp),
-            f64(relevance), _objects(value), _objects(target), f64(y_diff),
+            *columns[:4], *(np.array(c, dtype=np.float64) for c in columns[4:]), tuple(codes),
+            np.array(day, dtype=np.intp), np.array(feature, dtype=np.intp), np.array(relevance, dtype=np.float64),
+            _objects(value), _objects(target), np.array(y_diff, dtype=np.float64),
         )
 
     @classmethod
     def from_rows(cls, rows: Iterable[ExplanationRow]) -> "ExplanationTable":
         """The table of these rows, in order; consecutive rows with equal day fields share a slot."""
-        days: list[tuple] = []
-        codes: dict[str, int] = {}
-        cols: tuple[list, ...] = ([], [], [], [], [], [])
-        day_of, feature_of, relevance, value, target, y_diff = cols
-        previous = None
-        for row in rows:
-            head = tuple(getattr(row, name) for name in _DAY_FIELDS)
-            if head != previous:
-                days.append(head)
-                previous = head
-            day_of.append(len(days) - 1)
-            feature_of.append(codes.setdefault(row.feature, len(codes)))
-            relevance.append(row.feature_relevance)
-            value.append(row.feature_value)
-            target.append(row.target_value)
-            y_diff.append(row.y_diff)
-        return cls._from_columns(days, list(codes), *cols)
+        return cls._build(map(attrgetter(*EXPLANATION_COLUMNS), rows))
 
     def __len__(self) -> int:
         return len(self.day)
@@ -391,7 +379,7 @@ def generate_daily_explanations(
 
     Rows cover actionable registry features and, so the categorical filter
     has real work to do, the model's categorical origins priced against the
-    group's most common inlier level.  Records whose cell has no published
+    cell's most common inlier level.  Records whose cell has no published
     limit are skipped.  Rows come day by day in (vehicle, date) order, each
     day's numeric features in model column order before its categoricals.
     """
@@ -402,10 +390,11 @@ def generate_daily_explanations(
         if col.kind == KIND_NUMERIC and col.name in registry and registry[col.name].actionable
     ]
     names = [model.columns[j].name for j in cols]
-    cat_origins: list[str] = []
-    for col in model.columns:
-        if col.kind != KIND_NUMERIC and col.origin not in cat_origins:
-            cat_origins.append(col.origin)
+    # each categorical origin's indicator columns, in model column order
+    origins: dict[str, list[int]] = {}
+    for j, col in enumerate(model.columns):
+        if col.kind != KIND_NUMERIC:
+            origins.setdefault(col.origin, []).append(j)
 
     kept: list[FarRecord] = []
     lim_sup: list[float] = []
@@ -418,92 +407,62 @@ def generate_daily_explanations(
         logger.info("explanations skipped %d records without fuel or limits", len(records) - len(kept))
 
     C = model.contributions(model.encode(kept))
-    y_pred = model.intercept + C.sum(axis=1)
 
-    # reference values once per (group, route) cell, priced like the days
+    # one reference row per (group, route) cell: the numeric targets, and
+    # each origin's indicators at the cell's mode
     cell_ids: dict[tuple[int, str], int] = {}
     cell_of = [cell_ids.setdefault(rec.group_route, len(cell_ids)) for rec in kept]
-    targets = [[policy.reference_value(name, g, r) for name in names] for g, r in cell_ids]
+    targets = [
+        [policy.reference_value(name, g, r) for name in names] + [policy.categorical_mode(g, r, o) for o in origins]
+        for g, r in cell_ids
+    ]
+    width = len(cols) + len(origins)
     X_ref = np.zeros((len(cell_ids), len(model.columns)), dtype=np.float64)
-    X_ref[:, cols] = np.asarray(targets, dtype=np.float64).reshape(len(cell_ids), len(cols))
-    C_ref = model.contributions(X_ref)[:, cols]
+    X_ref[:, cols] = np.reshape([t[: len(cols)] for t in targets], (len(cell_ids), len(cols)))
+    for k, js in enumerate(origins.values(), start=len(cols)):
+        for j in js:
+            X_ref[:, j] = [t[k] == model.columns[j].level for t in targets]
+    priced = np.array([t is not None for row in targets for t in row], dtype=bool).reshape(len(cell_ids), width)
 
-    relevance = C[:, cols]
-    saving = relevance - C_ref[cell_of]
-    # row-major, so hits come record by record in column order; "not <= 0"
-    # keeps a NaN saving as the scalar test did
-    hit_i, hit_k = np.nonzero(~(saving <= 0))
-    row_relevance = relevance[hit_i, hit_k]
-    row_saving = saving[hit_i, hit_k]
-    values = [[rec.features[name] for name in names] for rec in kept]
-    hits_i, hits_k = hit_i.tolist(), hit_k.tolist()
-    row_value = _objects([values[i][k] for i, k in zip(hits_i, hits_k)])
-    row_target = _objects([targets[cell_of[i]][k] for i, k in zip(hits_i, hits_k)])
+    def relevance_of(C: np.ndarray) -> np.ndarray:
+        # numeric columns as they are; an origin adds its indicators from 0.0
+        # in column order, as a scalar sum does (np.sum regroups the terms)
+        out = np.zeros((len(C), width), dtype=np.float64)
+        out[:, : len(cols)] = C[:, cols]
+        for k, js in enumerate(origins.values(), start=len(cols)):
+            for j in js:
+                out[:, k] += C[:, j]
+        return out
 
-    cat_cache: dict[tuple[str, str], float] = {}
+    relevance = relevance_of(C)
+    saving = relevance - relevance_of(model.contributions(X_ref))[cell_of]
+    # row-major, so hits come record by record, numeric columns before
+    # origins; "not <= 0" keeps a NaN saving as the scalar test did
+    hit_i, hit_k = np.nonzero(~(saving <= 0) & priced[cell_of])
+    values = [[rec.features[name] for name in names] + [str(getattr(rec, o)) for o in origins] for rec in kept]
+    hits = list(zip(hit_i.tolist(), hit_k.tolist()))
 
-    def cat_relevance(origin: str, level: str) -> float:
-        key = (origin, level)
-        if key not in cat_cache:
-            cat_cache[key] = _categorical_relevance(model, origin, level)
-        return cat_cache[key]
-
-    cat_rows = []
-    for i, rec in enumerate(kept):
-        for o, origin in enumerate(cat_origins):
-            ref_level = policy.categorical_mode(rec.vehicle_group, rec.route_type, origin)
-            if ref_level is None:
-                continue
-            current_level = str(getattr(rec, origin))
-            current = cat_relevance(origin, current_level)
-            diff = current - cat_relevance(origin, ref_level)
-            if diff <= 0:
-                continue
-            cat_rows.append((i, len(names) + o, current, current_level, ref_level, diff))
-
-    day, feature = hit_i, hit_k
-    if cat_rows:
-        c_day, c_feature, c_relevance, c_value, c_target, c_saving = zip(*cat_rows)
-        # a stable sort by day puts each day's categoricals after its numeric rows
-        order = np.argsort(np.concatenate([day, c_day]), kind="stable")
-        day = np.concatenate([day, c_day])[order]
-        feature = np.concatenate([feature, c_feature])[order]
-        row_relevance = np.concatenate([row_relevance, c_relevance])[order]
-        row_saving = np.concatenate([row_saving, c_saving])[order]
-        row_value = np.concatenate([row_value, _objects(c_value)])[order]
-        row_target = np.concatenate([row_target, _objects(c_target)])[order]
-
-    n = len(kept)
+    avg_fuel = np.array([rec.avg_fuel_consumption for rec in kept], dtype=np.float64)
     table = ExplanationTable(
         vehicle_id=[rec.vehicle_id for rec in kept],
         date_tx=[rec.date for rec in kept],
         route_type=[rec.route_type for rec in kept],
         vehicle_group=[rec.vehicle_group for rec in kept],
-        intercept=np.full(n, model.intercept, dtype=np.float64),
-        avg_fuel=np.array([rec.avg_fuel_consumption for rec in kept], dtype=np.float64),
+        intercept=np.full(len(kept), model.intercept, dtype=np.float64),
+        avg_fuel=avg_fuel,
         limit_group=np.array(lim_sup, dtype=np.float64),
-        y_pred=y_pred,
-        y_fuel_new=np.zeros(n, dtype=np.float64),  # set below, from the day totals
-        features=tuple(names + cat_origins),
-        day=np.asarray(day, dtype=np.intp),
-        feature=np.asarray(feature, dtype=np.intp),
-        relevance=np.asarray(row_relevance, dtype=np.float64),
-        value=row_value,
-        target=row_target,
-        y_diff=np.asarray(row_saving, dtype=np.float64),
+        y_pred=model.intercept + C.sum(axis=1),
+        y_fuel_new=avg_fuel,  # replaced by _select, from the day totals
+        features=tuple(names + list(origins)),
+        day=hit_i,
+        feature=hit_k,
+        relevance=relevance[hit_i, hit_k],
+        value=_objects([values[i][k] for i, k in hits]),
+        target=_objects([targets[cell_of[i]][k] for i, k in hits]),
+        y_diff=saving[hit_i, hit_k],
     )
     keys, days = table.day_ids()
-    table.y_fuel_new = table.avg_fuel - _sum_by(keys[table.day], table.y_diff, len(days))[keys]
-    return table
-
-
-def _categorical_relevance(model: AdditiveModel, origin: str, level: str) -> float:
-    """Total contribution of one categorical field at a given level."""
-    total = 0.0
-    for col in model.columns:
-        if col.kind != KIND_NUMERIC and col.origin == origin:
-            total += model.contribution_at(col.name, 1.0 if col.level == level else 0.0)
-    return total
+    return table._select(np.arange(len(table)), keys, len(days))
 
 
 @dataclass
@@ -685,6 +644,11 @@ def _maybe_float(text: str) -> float | str:
         return text
 
 
+def _parse_day(cells: tuple[str, ...]) -> tuple:
+    vehicle_id, date_tx, route_type, vehicle_group, *numbers = cells
+    return (vehicle_id, date_type.fromisoformat(date_tx), route_type, int(vehicle_group), *map(float, numbers))
+
+
 def read_explanations_csv(path: str | Path) -> ExplanationTable:
     """The table written by write_explanations_csv; a bad row raises FeedFormatError naming file and line.
 
@@ -696,44 +660,10 @@ def read_explanations_csv(path: str | Path) -> ExplanationTable:
         header = next(reader, None)
         if header != list(EXPLANATION_COLUMNS):
             raise FeedFormatError(f"{path}: unexpected explanation columns {header}")
-        days: list[tuple] = []
-        codes: dict[str, int] = {}
-        cols: tuple[list, ...] = ([], [], [], [], [], [])
-        day_of, feature_of, relevance, value, target, y_diff = cols
-        previous = None
         try:
-            for (
-                vehicle_id, date_tx, route_type, vehicle_group, intercept, feature, rel,
-                val, tgt, avg_fuel, limit_group, y_pred, dy, y_fuel_new,
-            ) in reader:
-                head = (
-                    vehicle_id, date_tx, route_type, vehicle_group, intercept,
-                    avg_fuel, limit_group, y_pred, y_fuel_new,
-                )
-                if head != previous:
-                    days.append(
-                        (
-                            vehicle_id,
-                            date_type.fromisoformat(date_tx),
-                            route_type,
-                            int(vehicle_group),
-                            float(intercept),
-                            float(avg_fuel),
-                            float(limit_group),
-                            float(y_pred),
-                            float(y_fuel_new),
-                        )
-                    )
-                    previous = head
-                day_of.append(len(days) - 1)
-                feature_of.append(codes.setdefault(feature, len(codes)))
-                relevance.append(float(rel))
-                value.append(_maybe_float(val))
-                target.append(_maybe_float(tgt))
-                y_diff.append(float(dy))
+            return ExplanationTable._build(reader, _parse_day, float, _maybe_float)
         except (ValueError, csv.Error) as exc:
             raise FeedFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
-    return ExplanationTable._from_columns(days, list(codes), *cols)
 
 
 # json.dumps writes non-finite floats under these names

@@ -123,11 +123,9 @@ def _numeric_value(rec: FarRecord, name: str) -> float:
     try:
         value = rec.features[name]
     except KeyError:
-        raise MissingFeatureError(
-            f"record {rec.vehicle_id}/{rec.date} lacks feature {name!r}"
-        ) from None
+        raise MissingFeatureError(f"record {rec.vehicle_id}/{rec.date} lacks feature {name!r}", rec) from None
     if not np.isfinite(value):
-        raise DataError(f"feature {name!r} is not finite on {rec.vehicle_id}/{rec.date}")
+        raise DataError(f"feature {name!r} is not finite on {rec.vehicle_id}/{rec.date}", rec)
     return value
 
 

@@ -292,7 +292,14 @@ class TestCorruptInputs:
         _corrupt_cell(out / "far_labeled.csv", 6, "avg_fuel_consumption", "seven")
         self._fails_naming(capsys, "explain", cfg, out, "far_labeled.csv", "line 6")
 
-    @pytest.mark.parametrize("how", ["truncated", "no-features"])
+    @pytest.mark.parametrize("text", ["", "nan"], ids=["blank", "nan"])
+    @pytest.mark.parametrize("stage, table", [("train", "far_training.csv"), ("explain", "far_labeled.csv")])
+    def test_far_feature_cell(self, finished_run, tmp_path, capsys, stage, table, text):
+        out, cfg = self._copy(finished_run, tmp_path)
+        _corrupt_cell(out / table, 6, "rpm_high", text)
+        self._fails_naming(capsys, stage, cfg, out, table, "line 6", "'rpm_high'")
+
+    @pytest.mark.parametrize("how", ["truncated", "no-features", "version"])
     def test_model_json(self, finished_run, tmp_path, capsys, how):
         out, cfg = self._copy(finished_run, tmp_path)
         path = out / "model.json"
@@ -301,7 +308,10 @@ class TestCorruptInputs:
             path.write_text(text[: len(text) // 3])
         else:
             data = json.loads(text)
-            del data["features"]
+            if how == "version":
+                data["version"] = 2
+            else:
+                del data["features"]
             path.write_text(json.dumps(data))
         self._fails_naming(capsys, "explain", cfg, out, "model.json")
 
@@ -317,9 +327,12 @@ class TestCorruptInputs:
         _corrupt_cell(out / "explanations.csv", 3, "y_diff", "0.1.2")
         self._fails_naming(capsys, "impact", cfg, out, "explanations.csv", "line 3")
 
-    def test_limits_bad_cell(self, finished_run, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "column, text", [("lim_sup", "high"), ("borrowed_flag", "maybe")], ids=["lim_sup", "borrowed_flag"]
+    )
+    def test_limits_bad_cell(self, finished_run, tmp_path, capsys, column, text):
         out, cfg = self._copy(finished_run, tmp_path)
-        _corrupt_cell(out / "limits.csv", 2, "lim_sup", "high")
+        _corrupt_cell(out / "limits.csv", 2, column, text)
         self._fails_naming(capsys, "explain", cfg, out, "limits.csv", "line 2")
 
     @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ from fleetfuel.explain import (
     write_explanations_csv,
     write_inlier_medians_csv,
 )
-from fleetfuel.gam import AdditiveModel, FeatureColumn, _numeric_value
+from fleetfuel.gam import DEFAULT_CATEGORICALS, AdditiveModel, FeatureColumn, _numeric_value
 from fleetfuel.registry import FeatureSpec, TrainConfig
 
 from .conftest import make_record, make_registry
@@ -651,6 +651,89 @@ class TestReferenceProperty:
         registry = _property_registry()
         inliers = [r for r in records if r.anomaly_label == "inlier"]
         policy = ReferencePolicy.from_records(registry, inliers, ("vehicle_group", "route_type"))
+        limits = compute_limits(records + support)
+        expected = reference_explanations(model, records, policy, limits)
+        assert generate_daily_explanations(model, records, policy, limits).rows() == expected
+
+
+# nonzero tenths: a sum of these rounds differently when its terms are regrouped
+_TERMS = st.sampled_from((0.1, 0.2, 0.3, 0.7, -0.1, -0.2, -0.3))
+_LEVELS = {
+    "route_type": ["city", "highway"],
+    "vehicle_group": ["0", "1", "2"],
+    "vehicle_class": [str(c) for c in range(10)],
+}
+
+
+def _column_levels(origin):
+    """A drawn order of the origin's levels, all but up to three of them."""
+    levels = _LEVELS[origin]
+    return st.lists(st.sampled_from(levels), min_size=max(1, len(levels) - 3), unique=True)
+
+
+@st.composite
+def categorical_problems(draw):
+    """Small fleets priced by a model with indicator columns for every default categorical.
+
+    Each origin has columns for a drawn subset of its levels, so some days
+    hold a level without a column, and the indicator columns come in a
+    drawn order; vehicle_class has seven to ten, and numpy's pairwise sum
+    regroups eight or more terms.  A (group, route) cell may hold no
+    inlier, so the fleet's mode applies there, and a fleet without inliers
+    has no mode at all.
+    """
+    names = make_registry().names
+    columns, cuts, values = [], [], []
+    for name in names:
+        c = sorted(set(draw(st.lists(_GRID, min_size=1, max_size=3))))
+        columns.append(FeatureColumn(name=name, kind="numeric", origin=name))
+        cuts.append(np.asarray(c, dtype=np.float64))
+        values.append(np.asarray(draw(st.lists(_VALUES, min_size=len(c) + 1, max_size=len(c) + 1))))
+    indicators = [
+        FeatureColumn(f"{origin}={level}", "indicator", origin, level)
+        for origin in DEFAULT_CATEGORICALS
+        for level in draw(_column_levels(origin))
+    ]
+    for col in draw(st.permutations(indicators)):
+        columns.append(col)
+        cuts.append(np.asarray([0.5]))
+        values.append(np.asarray(draw(st.lists(_TERMS, min_size=2, max_size=2))))
+    model = AdditiveModel(
+        intercept=draw(_VALUES) + 7.0, columns=columns, cuts=cuts, values=values, config=TrainConfig()
+    )
+    records = []
+    for _ in range(draw(st.integers(1, 4))):
+        group, route = draw(st.integers(0, 2)), draw(st.sampled_from(_LEVELS["route_type"]))
+        labels = st.sampled_from(["outlier"] if draw(st.booleans()) else ["inlier", "outlier"])
+        for _ in range(draw(st.integers(1, 4))):
+            rec = make_record(
+                vehicle_id=f"v{draw(st.integers(0, 3))}",
+                day=f"2021-01-0{draw(st.integers(1, 3))}",
+                vehicle_group=group,
+                route_type=route,
+                avg=draw(st.integers(24, 48)) / 4.0,
+                label=draw(labels),
+                features={name: draw(_GRID) for name in names},
+            )
+            rec.vehicle_class = draw(st.integers(0, 9))
+            records.append(rec)
+    # days that only back the limits, so every drawn cell has one
+    support = [
+        make_record(vehicle_id=f"s{i}", vehicle_group=9, route_type=route, avg=8.0 + i / 4.0)
+        for route in _LEVELS["route_type"]
+        for i in range(4)
+    ]
+    return model, records, support
+
+
+class TestCategoricalProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=categorical_problems())
+    def test_rows_equal_reference(self, problem):
+        model, records, support = problem
+        registry = make_registry()
+        inliers = [r for r in records if r.anomaly_label == "inlier"]
+        policy = ReferencePolicy.from_records(registry, inliers, DEFAULT_CATEGORICALS)
         limits = compute_limits(records + support)
         expected = reference_explanations(model, records, policy, limits)
         assert generate_daily_explanations(model, records, policy, limits).rows() == expected
