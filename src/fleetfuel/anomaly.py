@@ -9,13 +9,13 @@ second upper whisker is the published outlier threshold for the group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InsufficientSupportError
 from .ingest import LABEL_INLIER, LABEL_OUTLIER, LABEL_UNASSIGNED, FarRecord
-from .registry import read_table, write_table
+from .registry import read_table, row_parser, table_columns, write_table
 
 MIN_SUPPORT = 4
 WHISKER = 1.5
@@ -195,42 +195,20 @@ def flag_outliers(records: Iterable[FarRecord], limits: LimitTable) -> list[FarR
     return out
 
 
-LIMITS_COLUMNS = (
-    "vehicle_group",
-    "route_type",
-    "q1",
-    "q3",
-    "lim_inf",
-    "lim_sup",
-    "n_support",
-    "borrowed_flag",
-)
+#: AnomalyLimits's fields, with ``borrowed`` written as a 0/1 ``borrowed_flag``
+LIMITS_COLUMNS = (*table_columns(AnomalyLimits)[:-1], "borrowed_flag")
 
 
 def write_limits_csv(limits: LimitTable, path: str | Path) -> None:
-    rows = (
-        (group, route, lim.q1, lim.q3, lim.lim_inf, lim.lim_sup, lim.n_support, int(lim.borrowed))
-        for (group, route), lim in limits.items()
-    )
+    rows = ((*astuple(lim)[:-1], int(lim.borrowed)) for _, lim in limits.items())
     write_table(path, LIMITS_COLUMNS, rows)
 
 
-_BORROWED = {"0": False, "1": True}
-
-
 def _anomaly_limits(row: dict[str, str]) -> AnomalyLimits:
-    if row["borrowed_flag"] not in _BORROWED:
-        raise ValueError(f"borrowed_flag must be 0 or 1, got {row['borrowed_flag']!r}")
-    return AnomalyLimits(
-        vehicle_group=int(row["vehicle_group"]),
-        route_type=row["route_type"],
-        q1=float(row["q1"]),
-        q3=float(row["q3"]),
-        lim_inf=float(row["lim_inf"]),
-        lim_sup=float(row["lim_sup"]),
-        n_support=int(row["n_support"]),
-        borrowed=_BORROWED[row["borrowed_flag"]],
-    )
+    flag = row["borrowed_flag"]
+    if flag not in ("0", "1"):
+        raise ValueError(f"column 'borrowed_flag': must be 0 or 1, got {flag!r}")
+    return row_parser(AnomalyLimits)({**row, "borrowed": flag})
 
 
 def read_limits_csv(path: str | Path) -> LimitTable:

@@ -55,6 +55,7 @@ from .registry import (
     load_class_table,
     load_sota_limits,
     read_identities_csv,
+    read_json_object,
     write_identities_csv,
     write_report_csv,
     write_report_json,
@@ -126,14 +127,22 @@ STAGES = ("ingest", "clean", "train", "explain", "evaluate", "impact")
 
 
 def _merge(defaults: dict, override: dict, path: str = "") -> dict:
+    """``defaults`` updated by ``override``, whose every value has its default's type, unconverted.
+
+    An int passes for a float, a bool never for a number; a key whose default is None takes anything.
+    """
     out = dict(defaults)
     for key, value in override.items():
         if key not in defaults:
             raise UsageError(f"unknown config key {path + key!r}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            out[key] = _merge(defaults[key], value, f"{path}{key}.")
-        else:
-            out[key] = value
+        default = defaults[key]
+        if isinstance(default, dict) and isinstance(value, dict):
+            out[key] = _merge(default, value, f"{path}{key}.")
+            continue
+        fits = isinstance(value, (int, float) if type(default) is float else type(default))
+        if default is not None and (not fits or isinstance(value, bool) != isinstance(default, bool)):
+            raise UsageError(f"config key {path + key!r} must be {type(default).__name__}, got {value!r}")
+        out[key] = value
     return out
 
 
@@ -156,7 +165,7 @@ class RunContext:
         self._outputs: list[Path] = []
         # read before any stage runs, so a corrupt manifest stops it early
         manifest = self.out_dir / "manifest.json"
-        self._manifest = _read_json_object(manifest, "manifest") if manifest.exists() else {}
+        self._manifest = read_json_object(manifest, "manifest") if manifest.exists() else {}
 
     @classmethod
     def from_args(cls, args) -> "RunContext":
@@ -165,11 +174,10 @@ class RunContext:
             cfg_path = Path(args.config)
             if not cfg_path.exists():
                 raise FeedFormatError(f"missing file: {cfg_path}")
-            with open(cfg_path, encoding="utf-8") as fh:
-                try:
-                    user = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise UsageError(f"config {cfg_path} is not valid JSON: {exc}") from exc
+            try:
+                user = read_json_object(cfg_path, "config")
+            except FeedFormatError as exc:
+                raise UsageError(str(exc)) from exc
             config = _merge(DEFAULT_CONFIG, user)
         overrides = {}
         if args.out is not None:
@@ -243,18 +251,6 @@ class RunContext:
         with artifact_file(self.out_dir / "manifest.json") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def _read_json_object(path: Path, what: str) -> dict:
-    """The JSON object in ``path``; anything else raises FeedFormatError naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except ValueError as exc:
-        raise FeedFormatError(f"{path}: {what} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise FeedFormatError(f"{path}: {what} is not a JSON object")
-    return data
 
 
 @contextlib.contextmanager
@@ -451,8 +447,8 @@ def stage_evaluate(ctx: RunContext) -> None:
     # BR1-BR3 and the catalog comparison read only fuel medians
     fuel = FuelMedians.from_records(registry, inliers)
     fleet = ctx.config["fleet_id"]
-    final_rows = read_explanations_csv(ctx.artifact("explanations.csv", "explain"))
-    pre_rows = read_explanations_csv(ctx.artifact("explanations_prefilter.csv", "explain"))
+    final_rows = read_explanations_csv(ctx.artifact("explanations.csv", "explain"), registry)
+    pre_rows = read_explanations_csv(ctx.artifact("explanations_prefilter.csv", "explain"), registry)
     rules_cfg = ctx.config["rules"]
 
     impact_rows, _ = apply_business_rules(
@@ -476,7 +472,7 @@ def stage_evaluate(ctx: RunContext) -> None:
     )
 
     # model-metrics passthrough so the evaluation directory is self-contained
-    train_metrics = _read_json_object(ctx.artifact("train_metrics.json", "train"), "train metrics")
+    train_metrics = read_json_object(ctx.artifact("train_metrics.json", "train"), "train metrics")
     ctx.report("report_model_metrics", train_metrics, [train_metrics], ModelMetrics)
     ctx.report("report_category_impact", {"fleet": fleet, "impacts": impacts}, impacts, CategoryImpact)
     ctx.report(
@@ -501,7 +497,7 @@ def stage_impact(ctx: RunContext) -> None:
 
     registry = ctx.registry()
     fleet = ctx.config["fleet_id"]
-    final_rows = read_explanations_csv(ctx.artifact("explanations.csv", "explain"))
+    final_rows = read_explanations_csv(ctx.artifact("explanations.csv", "explain"), registry)
     labeled = read_far_csv(ctx.artifact("far_labeled.csv", "clean"), registry)
     table = monthly_impact(
         final_rows,

@@ -57,7 +57,7 @@ import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from datetime import date as date_type
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -76,6 +76,7 @@ from .registry import (
     FallbackMedians,
     FeatureRegistry,
     artifact_file,
+    table_columns,
     write_table,
 )
 
@@ -208,7 +209,7 @@ class ExplanationRow:
         return (self.vehicle_id, self.date_tx)
 
 
-EXPLANATION_COLUMNS = tuple(f.name for f in fields(ExplanationRow))
+EXPLANATION_COLUMNS = table_columns(ExplanationRow)
 
 
 def recompute_fuel_new(avg_fuel: float, y_diffs: Iterable[float]) -> float:
@@ -267,17 +268,20 @@ class ExplanationTable:
 
     @classmethod
     def _build(
-        cls, rows: Iterable[Sequence], day_cells: Callable = _same, number: Callable = _same, level: Callable = _same
+        cls, rows: Iterable[Sequence], day_cells: Callable = _same, number: Callable = _same,
+        level: Callable[[str], Callable] = lambda feature: _same,
     ) -> "ExplanationTable":
         """The table of rows given as cells in ``EXPLANATION_COLUMNS`` order, in order.
 
         Consecutive rows with equal day cells share a slot, whose fields
         ``day_cells`` makes once; ``number`` makes each relevance and y_diff,
-        ``level`` each value and target.  A row of another length raises
+        and ``level(feature)``, asked once per feature, makes each value and
+        target of that feature's rows.  A row of another length raises
         ValueError.
         """
         days: list[tuple] = []
         codes: dict[str, int] = {}
+        levels: list[Callable] = []
         day, feature, relevance, value, target, y_diff = [], [], [], [], [], []
         previous, slot = None, -1
         for vid, date_tx, route, group, icpt, name, rel, val, tgt, avg, limit, pred, dy, fuel_new in rows:
@@ -285,11 +289,15 @@ class ExplanationTable:
             if head != previous:
                 days.append(day_cells(head))
                 previous, slot = head, slot + 1
+            code = codes.get(name)
+            if code is None:
+                code = codes[name] = len(levels)
+                levels.append(level(name))
             day.append(slot)
-            feature.append(codes.setdefault(name, len(codes)))
+            feature.append(code)
             relevance.append(number(rel))
-            value.append(level(val))
-            target.append(level(tgt))
+            value.append(levels[code](val))
+            target.append(levels[code](tgt))
             y_diff.append(number(dy))
         columns = [list(c) for c in zip(*days)] if days else [[] for _ in range(9)]
         return cls(
@@ -637,23 +645,18 @@ def write_explanations_csv(table: ExplanationTable, path: str | Path) -> None:
         )
 
 
-def _maybe_float(text: str) -> float | str:
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def _parse_day(cells: tuple[str, ...]) -> tuple:
     vehicle_id, date_tx, route_type, vehicle_group, *numbers = cells
     return (vehicle_id, date_type.fromisoformat(date_tx), route_type, int(vehicle_group), *map(float, numbers))
 
 
-def read_explanations_csv(path: str | Path) -> ExplanationTable:
+def read_explanations_csv(path: str | Path, registry: FeatureRegistry) -> ExplanationTable:
     """The table written by write_explanations_csv; a bad row raises FeedFormatError naming file and line.
 
     Consecutive rows with the same per-day cells share a day slot, so those
-    cells are parsed once per day.
+    cells are parsed once per day.  As BR1 does, a row is numeric when its
+    feature is in the registry: its value and target are floats.  Any other
+    row is categorical and keeps its levels as text.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -661,7 +664,9 @@ def read_explanations_csv(path: str | Path) -> ExplanationTable:
         if header != list(EXPLANATION_COLUMNS):
             raise FeedFormatError(f"{path}: unexpected explanation columns {header}")
         try:
-            return ExplanationTable._build(reader, _parse_day, float, _maybe_float)
+            return ExplanationTable._build(
+                reader, _parse_day, float, lambda feature: float if feature in registry else _same
+            )
         except (ValueError, csv.Error) as exc:
             raise FeedFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
 

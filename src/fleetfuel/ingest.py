@@ -18,15 +18,16 @@ import logging
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import DataError, FeedFormatError
-from .registry import FallbackMedians, FeatureRegistry, VehicleClassRow, VehicleIdentity, median, write_table
+from .registry import (
+    FallbackMedians, FeatureRegistry, VehicleClassRow, VehicleIdentity, median, table_columns, write_table,
+)
 
 logger = logging.getLogger(__name__)
-
-FEED_COLUMNS = ("time_tx", "vehicle_id", "variable_id", "variable_value")
 
 # Core channels consumed into dedicated FarRecord fields.
 TRIP_FUEL_CHANNEL = "TripFuel"
@@ -56,21 +57,24 @@ class RawReading:
     variable_value: float
 
 
+FEED_COLUMNS = table_columns(RawReading)
+
+
 @dataclass
 class FarRecord:
-    """Aggregated daily record for one vehicle."""
+    """Aggregated daily record for one vehicle; the fields before ``features`` are the FAR's fixed columns."""
 
     vehicle_id: str
     date: date
-    features: dict[str, float] = field(default_factory=dict)
-    trip_kms: float | None = None
-    trip_fuel_used: float | None = None
-    per_time_city: float | None = None
-    avg_fuel_consumption: float | None = None
     route_type: str = ROUTE_COMBINED
     vehicle_group: int = -1
     vehicle_class: int = 0
     anomaly_label: str = LABEL_UNASSIGNED
+    trip_kms: float | None = None
+    trip_fuel_used: float | None = None
+    per_time_city: float | None = None
+    avg_fuel_consumption: float | None = None
+    features: dict[str, float] = field(default_factory=dict)
 
     @property
     def day_key(self) -> tuple[str, date]:
@@ -396,18 +400,7 @@ def impute_missing(
 # ---------------------------------------------------------------------------
 # FAR CSV round trip
 
-FAR_FIXED_COLUMNS = (
-    "vehicle_id",
-    "date",
-    "route_type",
-    "vehicle_group",
-    "vehicle_class",
-    "anomaly_label",
-    "trip_kms",
-    "trip_fuel_used",
-    "per_time_city",
-    "avg_fuel_consumption",
-)
+FAR_FIXED_COLUMNS = table_columns(FarRecord)[:-1]
 
 
 def write_far_csv(
@@ -415,14 +408,8 @@ def write_far_csv(
 ) -> None:
     """One row per vehicle-day, fixed columns then registry features."""
     names = registry.names
-    rows = (
-        (
-            rec.vehicle_id, rec.date, rec.route_type, rec.vehicle_group, rec.vehicle_class,
-            rec.anomaly_label, rec.trip_kms, rec.trip_fuel_used, rec.per_time_city,
-            rec.avg_fuel_consumption, *map(rec.features.get, names),
-        )
-        for rec in sorted(records, key=lambda r: r.day_key)
-    )
+    fixed = attrgetter(*FAR_FIXED_COLUMNS)
+    rows = ((*fixed(rec), *map(rec.features.get, names)) for rec in sorted(records, key=lambda r: r.day_key))
     write_table(path, FAR_FIXED_COLUMNS + names, rows)
 
 

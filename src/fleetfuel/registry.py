@@ -6,12 +6,15 @@ back, goes through ``read_table``: a missing column, a row with the wrong
 field count or a cell that does not parse raises FeedFormatError naming the
 file and line.  Every artifact a stage writes goes through ``artifact_file``
 (CSV tables through ``write_table``), so it appears whole or not at all.
-The feature registry drives aggregation,
-imputation, reference policies and the explanation taxonomy; the VIN map and
-class table drive vehicle grouping; the catalog and SOTA-limit tables drive
-the domain evaluations.  The module also holds what the CLI needs before
-it knows which stage runs: the training config, the rule and CO2 defaults
-and the report writers.  It imports no numpy.
+A table is declared once, by its row dataclass: ``table_columns`` gives
+its columns and ``row_parser`` converts each cell by its field's type,
+naming the column of a cell that does not convert.  The feature registry
+drives aggregation, imputation, reference policies and the explanation
+taxonomy; the VIN map and class table drive vehicle grouping; the catalog
+and SOTA-limit tables drive the domain evaluations.  The module also holds
+what the CLI needs before it knows which stage runs: the training config,
+the rule and CO2 defaults, the JSON object reader and the report writers.
+It imports no numpy.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ import io
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
+from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar, get_type_hints
 
 from .errors import DataError, FeedFormatError, FleetFuelError
 
@@ -52,20 +56,68 @@ def read_table(
         origin = str(path)
         fh = open(path, newline="", encoding="utf-8")
     with fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            missing = sorted(set(columns) - set(reader.fieldnames or ()))
+            header = next(reader, [])
+            missing = sorted(set(columns) - set(header))
             if missing:
                 raise ValueError(f"missing columns {missing}")
             rows = []
-            for row in reader:
-                # surplus cells land under the key None; missing cells read None
-                if None in row or None in row.values():
-                    raise ValueError(f"row does not have the header's {len(reader.fieldnames)} fields")
-                rows.append(parse({name: cell.strip() for name, cell in row.items()}))
+            for row in filter(None, reader):  # an empty list is a blank line
+                if len(row) != len(header):
+                    raise ValueError(f"row does not have the header's {len(header)} fields")
+                rows.append(parse(dict(zip(header, map(str.strip, row)))))
         except (ValueError, csv.Error, FleetFuelError) as exc:
             raise FeedFormatError(f"{origin}: line {reader.line_num}: {exc}") from exc
     return rows
+
+
+def table_columns(row_type: type) -> tuple[str, ...]:
+    """The field names of the ``row_type`` dataclass, in order: the columns of its table."""
+    return tuple(f.name for f in fields(row_type))
+
+
+_TRUE = {"yes", "y", "true", "1"}
+_FALSE = {"no", "n", "false", "0", ""}
+
+
+def _parse_flag(raw: str) -> bool:
+    val = raw.lower()
+    if val in _TRUE:
+        return True
+    if val in _FALSE:
+        return False
+    raise ValueError(f"cannot parse flag value {raw!r}")
+
+
+_CELL_PARSERS = {str: str, int: int, float: float, bool: _parse_flag}
+
+
+@cache
+def row_parser(row_type: type[T]) -> Callable[[dict[str, str]], T]:
+    """A ``read_table`` parse that builds the ``row_type`` dataclass from a row's cells.
+
+    Each field's converter follows its type and is worked out once per
+    type: ``str``, ``int``, ``float``, or ``bool`` through the flag parser
+    (yes/y/true/1, no/n/false/0 or blank).  A column the row lacks
+    takes the field's default; a cell that does not convert raises
+    ValueError naming its column.
+    """
+    hints = get_type_hints(row_type)
+    converters = [(f.name, _CELL_PARSERS[hints[f.name]]) for f in fields(row_type)]
+
+    def parse(row: dict[str, str]) -> T:
+        values = {}
+        for name, convert in converters:
+            cell = row.get(name)
+            if cell is not None:
+                try:
+                    values[name] = convert(cell)
+                except ValueError as exc:
+                    raise ValueError(f"column {name!r}: {exc}") from exc
+        return row_type(**values)
+
+    return parse
 
 
 @contextmanager
@@ -170,19 +222,6 @@ UNCHECKED_SUBCATEGORIES: frozenset[str] = frozenset({"Other", "Rain"})
 AGGREGATORS = ("sum", "mean", "max", "count", "last")
 IMPACT_TYPES = ("Positive", "Negative")
 
-_TRUE = {"yes", "y", "true", "1"}
-_FALSE = {"no", "n", "false", "0", ""}
-
-
-def _parse_flag(raw: str, column: str) -> bool:
-    val = raw.lower()
-    if val in _TRUE:
-        return True
-    if val in _FALSE:
-        return False
-    raise FeedFormatError(f"column {column!r}: cannot parse flag value {raw!r}")
-
-
 @dataclass(frozen=True)
 class FeatureSpec:
     """Registry entry describing one telemetry-derived feature."""
@@ -211,18 +250,6 @@ class FeatureSpec:
                 f"feature {self.name!r}: ({self.category!r}, {self.subcategory!r}) "
                 "is not in the factor taxonomy"
             )
-
-
-REGISTRY_COLUMNS = (
-    "name",
-    "unit",
-    "aggregator",
-    "impact_type",
-    "reference_zero",
-    "category",
-    "subcategory",
-    "actionable",
-)
 
 
 class FeatureRegistry:
@@ -270,24 +297,16 @@ class FeatureRegistry:
 def _read_specs(path: str | Path | None) -> list[FeatureSpec]:
     """Registry rows of a file (the packaged one for None); a repeated name is an error on its line."""
     seen: set[str] = set()
+    spec = row_parser(FeatureSpec)
 
     def parse(row: dict[str, str]) -> FeatureSpec:
         if row["name"] in seen:
             raise ValueError(f"duplicate feature name {row['name']!r}")
         seen.add(row["name"])
-        return FeatureSpec(
-            name=row["name"],
-            unit=row["unit"],
-            aggregator=row["aggregator"],
-            impact_type=row["impact_type"],
-            reference_zero=_parse_flag(row["reference_zero"], "reference_zero"),
-            category=row["category"],
-            subcategory=row["subcategory"],
-            actionable=_parse_flag(row["actionable"], "actionable"),
-            description=row.get("description", ""),
-        )
+        return spec(row)
 
-    return read_table(path, "feature_registry.csv", REGISTRY_COLUMNS, parse)
+    required = [name for name in table_columns(FeatureSpec) if name != "description"]
+    return read_table(path, "feature_registry.csv", required, parse)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +323,6 @@ class VehicleIdentity:
     year: str
     fuel_type: str
     vehicle_group: int
-    vin: str | None = None
     vehicle_class: int = 0
 
     @property
@@ -363,41 +381,16 @@ def assign_groups(vehicle_ids: Sequence[str], vin_map: VinMap) -> dict[str, Vehi
     }
 
 
-IDENTITY_COLUMNS = (
-    "vehicle_id",
-    "make",
-    "model",
-    "year",
-    "fuel_type",
-    "vehicle_group",
-    "vehicle_class",
-)
-
-
 def write_identities_csv(
     identities: Mapping[str, VehicleIdentity], path: str | Path
 ) -> None:
-    rows = (
-        (i.vehicle_id, i.make, i.model, i.year, i.fuel_type, i.vehicle_group, i.vehicle_class)
-        for _, i in sorted(identities.items())
-    )
-    write_table(path, IDENTITY_COLUMNS, rows)
-
-
-def _identity(row: dict[str, str]) -> VehicleIdentity:
-    return VehicleIdentity(
-        vehicle_id=row["vehicle_id"],
-        make=row["make"],
-        model=row["model"],
-        year=row["year"],
-        fuel_type=row["fuel_type"],
-        vehicle_group=int(row["vehicle_group"]),
-        vehicle_class=int(row["vehicle_class"]),
-    )
+    rows = (astuple(ident) for _, ident in sorted(identities.items()))
+    write_table(path, table_columns(VehicleIdentity), rows)
 
 
 def read_identities_csv(path: str | Path) -> dict[str, VehicleIdentity]:
-    return {ident.vehicle_id: ident for ident in read_table(path, None, IDENTITY_COLUMNS, _identity)}
+    rows = read_table(path, None, table_columns(VehicleIdentity), row_parser(VehicleIdentity))
+    return {ident.vehicle_id: ident for ident in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +405,9 @@ class VehicleClassRow:
     vehicle_class: int
 
 
-CLASS_TABLE_COLUMNS = ("l100km_min", "l100km_max", "l100km_med", "vehicle_class")
-
-
-def _class_row(row: dict[str, str]) -> VehicleClassRow:
-    return VehicleClassRow(
-        l100km_min=float(row["l100km_min"]),
-        l100km_max=float(row["l100km_max"]),
-        l100km_med=float(row["l100km_med"]),
-        vehicle_class=int(row["vehicle_class"]),
-    )
-
-
 def load_class_table(path: str | Path | None = None) -> list[VehicleClassRow]:
     """Class table sorted by class id; packaged default when path is None."""
-    rows = read_table(path, "vehicle_classes.csv", CLASS_TABLE_COLUMNS, _class_row)
+    rows = read_table(path, "vehicle_classes.csv", table_columns(VehicleClassRow), row_parser(VehicleClassRow))
     if not rows:
         raise FeedFormatError(f"{path or '<packaged vehicle_classes.csv>'}: class table is empty")
     return sorted(rows, key=lambda r: r.vehicle_class)
@@ -452,9 +433,6 @@ class CatalogReference:
             raise FeedFormatError(f"catalog fuel must be positive, got {self.l_per_100km}")
 
 
-CATALOG_COLUMNS = ("make", "model", "year", "fuel_type", "route_type", "l_per_100km")
-
-
 class CatalogTable:
     """Catalog fuel references; duplicate entries collapse to their median."""
 
@@ -467,24 +445,13 @@ class CatalogTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "CatalogTable":
-        return cls(read_table(path, None, CATALOG_COLUMNS, _catalog_reference))
+        return cls(read_table(path, None, table_columns(CatalogReference), row_parser(CatalogReference)))
 
     def lookup(
         self, identity: VehicleIdentity, route_type: str
     ) -> float | None:
         key = (identity.make, identity.model, identity.year, identity.fuel_type, route_type)
         return self._median.get(key)
-
-
-def _catalog_reference(row: dict[str, str]) -> CatalogReference:
-    return CatalogReference(
-        make=row["make"],
-        model=row["model"],
-        year=row["year"],
-        fuel_type=row["fuel_type"],
-        route_type=row["route_type"],
-        l_per_100km=float(row["l_per_100km"]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -499,21 +466,9 @@ class SotaLimit:
     max_pct: float
 
 
-SOTA_COLUMNS = ("category", "subcategory", "min_pct", "max_pct")
-
-
-def _sota_limit(row: dict[str, str]) -> SotaLimit:
-    return SotaLimit(
-        category=row["category"],
-        subcategory=row["subcategory"],
-        min_pct=float(row["min_pct"]),
-        max_pct=float(row["max_pct"]),
-    )
-
-
 def load_sota_limits(path: str | Path | None = None) -> dict[tuple[str, str], SotaLimit]:
     """Literature impact limits per (category, subcategory), in percent."""
-    limits = read_table(path, "sota_limits.csv", SOTA_COLUMNS, _sota_limit)
+    limits = read_table(path, "sota_limits.csv", table_columns(SotaLimit), row_parser(SotaLimit))
     return {(lim.category, lim.subcategory): lim for lim in limits}
 
 
@@ -553,6 +508,18 @@ class TrainConfig:
             raise DataError("bags, max_rounds and patience must be positive")
 
 
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in ``path``; anything else raises FeedFormatError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except ValueError as exc:
+        raise FeedFormatError(f"{path}: {what} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise FeedFormatError(f"{path}: {what} is not a JSON object")
+    return data
+
+
 def write_report_json(payload, path: str | Path) -> None:
     """Sorted, indented JSON; a NaN or infinity raises DataError naming the file."""
 
@@ -575,6 +542,6 @@ def write_report_csv(items: Iterable, row_type: type, path: str | Path) -> None:
     Items are instances of row_type or dicts keyed by its field names (a
     report read back from JSON); a missing key writes an empty cell.
     """
-    columns = [f.name for f in fields(row_type)]
+    columns = table_columns(row_type)
     dicts = (asdict(item) if hasattr(item, "__dataclass_fields__") else dict(item) for item in items)
     write_table(path, columns, ([data.get(col) for col in columns] for data in dicts))

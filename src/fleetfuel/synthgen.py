@@ -24,12 +24,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from datetime import date as date_type, timedelta
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .anomaly import quartiles
-from .errors import DataError
+from .errors import DataError, FeedFormatError
 from .ingest import (
     CITY_TIME_CHANNEL,
     FEED_COLUMNS,
@@ -40,7 +41,9 @@ from .ingest import (
     TRIP_KMS_CHANNEL,
     compute_avg_fuel,
 )
-from .registry import CATALOG_COLUMNS, VIN_MAP_COLUMNS, artifact_file, median, write_table
+from .registry import (
+    VIN_MAP_COLUMNS, CatalogReference, artifact_file, median, read_json_object, table_columns, write_table,
+)
 
 # distances whose /100 factor is a power of two, keyed by route type
 ROUTE_KMS = {
@@ -127,16 +130,17 @@ class SynthSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SynthSpec":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        payload["groups"] = [SynthGroup(**g) for g in payload.get("groups", [])]
-        payload["features"] = [
-            SynthFeature(
-                **{**f, "cuts": tuple(f["cuts"]), "values": tuple(f["values"])}
-            )
-            for f in payload.get("features", [])
-        ]
-        return cls(**payload)
+        """The spec ``to_json`` wrote; a spec that cannot be built raises FeedFormatError naming the file."""
+        payload = read_json_object(path, "synth spec")
+        try:
+            payload["groups"] = [SynthGroup(**g) for g in payload.get("groups", [])]
+            payload["features"] = [
+                SynthFeature(**{**f, "cuts": tuple(f["cuts"]), "values": tuple(f["values"])})
+                for f in payload.get("features", [])
+            ]
+            return cls(**payload)
+        except (TypeError, KeyError, DataError) as exc:
+            raise FeedFormatError(f"{path}: bad synth spec: {exc}") from exc
 
 
 def default_spec(seed: int = 0, n_vehicles: int = 250, n_days: int = 20, **overrides) -> SynthSpec:
@@ -448,36 +452,18 @@ def _write_catalog(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
             key = (d.make, d.model, d.year, d.fuel_type, d.route_type)
             cells.setdefault(key, []).append(d.clean_fuel_l100)
     rows = ((*key, median(cells[key]) + jitter) for key in sorted(cells) for jitter in (-0.1, 0.1))
-    write_table(path, CATALOG_COLUMNS, rows)
+    write_table(path, table_columns(CatalogReference), rows)
 
 
 def _write_truth_days(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
+    """The fields but the two dicts (the bool as 0/1), then each feature's value, then its contribution."""
     feature_names = [f.name for f in spec.features]
-    header = [
-        "vehicle_id",
-        "date",
-        "synth_group",
-        "make",
-        "model",
-        "year",
-        "fuel_type",
-        "route_type",
-        "trip_kms",
-        "per_time_city",
-        "fuel_l100",
-        "clean_fuel_l100",
-        "planted_outlier",
-        "boost_added",
-        "base_fuel",
-        "noise_residual",
-    ]
-    header += [f"value_{n}" for n in feature_names]
-    header += [f"contrib_{n}" for n in feature_names]
+    fixed = table_columns(TruthDay)[:-2]
+    header = [*fixed, *(f"value_{n}" for n in feature_names), *(f"contrib_{n}" for n in feature_names)]
+    scalars = attrgetter(*fixed)
     rows = (
         (
-            d.vehicle_id, d.date, d.synth_group, d.make, d.model, d.year, d.fuel_type,
-            d.route_type, d.trip_kms, d.per_time_city, d.fuel_l100, d.clean_fuel_l100,
-            int(d.planted_outlier), d.boost_added, d.base_fuel, d.noise_residual,
+            *(int(v) if type(v) is bool else v for v in scalars(d)),
             *(d.feature_values[n] for n in feature_names),
             *(d.contributions[n] for n in feature_names),
         )

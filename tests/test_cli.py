@@ -160,6 +160,32 @@ class TestExitCodes:
     def test_missing_config_file(self, workdir):
         assert run("ingest", "--config", "absent.json") == 2
 
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ([1, 2], "bad.json"),
+            ({"train": {"bags": "8"}}, "'train.bags'"),
+            ({"train": {"seed": True}}, "'train.seed'"),
+            ({"split": {"fraction": "x"}}, "'split.fraction'"),
+            ({"rules": {"br2_threshold": "x"}}, "'rules.br2_threshold'"),
+            ({"train": 8}, "'train'"),
+        ],
+        ids=["not-object", "str-for-int", "bool-for-int", "str-for-float", "rules-str", "scalar-for-section"],
+    )
+    def test_config_of_wrong_shape_is_usage(self, workdir, capsys, config, named):
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(config))
+        assert run("ingest", "--config", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and named in err
+
+    def test_int_for_float_is_accepted(self, workdir, capsys):
+        # the config passes; ingest then stops at the missing feed
+        cfg = workdir / "ints.json"
+        cfg.write_text(json.dumps({"paths": {"out_dir": "empty"}, "catalog_offset": 1, "rules": {"br5_cap": 1}}))
+        assert run("ingest", "--config", str(cfg)) == 2
+        assert "feed.csv" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, workdir):
@@ -333,7 +359,7 @@ class TestCorruptInputs:
     def test_limits_bad_cell(self, finished_run, tmp_path, capsys, column, text):
         out, cfg = self._copy(finished_run, tmp_path)
         _corrupt_cell(out / "limits.csv", 2, column, text)
-        self._fails_naming(capsys, "explain", cfg, out, "limits.csv", "line 2")
+        self._fails_naming(capsys, "explain", cfg, out, "limits.csv", "line 2", f"column {column!r}")
 
     @pytest.mark.parametrize(
         "stage, table, line, column, text",
@@ -345,7 +371,7 @@ class TestCorruptInputs:
     def test_table_artifact_bad_cell(self, finished_run, tmp_path, capsys, stage, table, line, column, text):
         out, cfg = self._copy(finished_run, tmp_path)
         _corrupt_cell(out / table, line, column, text)
-        self._fails_naming(capsys, stage, cfg, out, table, f"line {line}")
+        self._fails_naming(capsys, stage, cfg, out, table, f"line {line}", f"column {column!r}")
 
     @pytest.mark.parametrize(
         "stage, key, packaged, line, column, text",
@@ -361,7 +387,17 @@ class TestCorruptInputs:
         table.write_text(resources.files("fleetfuel.data").joinpath(packaged).read_text(encoding="utf-8"))
         _corrupt_cell(table, line, column, text)
         cfg = _config_with_paths(cfg, tmp_path, **{key: table})
-        self._fails_naming(capsys, stage, cfg, out, table.name, f"line {line}")
+        self._fails_naming(capsys, stage, cfg, out, table.name, f"line {line}", f"column {column!r}")
+
+    @pytest.mark.parametrize("how", ["truncated", "unknown-key", "not-object"])
+    def test_synth_spec(self, finished_run, tmp_path, capsys, how):
+        out, cfg = self._copy(finished_run, tmp_path)
+        spec = tmp_path / "my_spec.json"
+        text = (out / "synth_spec.json").read_text()
+        bad = {"truncated": text[: len(text) // 2], "unknown-key": '{"seed": 1, "bogus": 2}', "not-object": "[1, 2]"}
+        spec.write_text(bad[how])
+        cfg = _config_with_paths(cfg, tmp_path, synth_spec=spec)
+        self._fails_naming(capsys, "synth", cfg, out, str(spec))
 
     def test_vin_map_short_row(self, finished_run, tmp_path, capsys):
         out, cfg = self._copy(finished_run, tmp_path)

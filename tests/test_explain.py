@@ -371,8 +371,18 @@ class TestCsvRoundTrip:
         rows = generate_daily_explanations(model, [target], policy, limits)
         path = tmp_path / "expl.csv"
         write_explanations_csv(rows, path)
-        loaded = read_explanations_csv(path)
+        loaded = read_explanations_csv(path, small_registry)
         assert loaded.rows() == rows.rows()
+
+    def test_round_trip_keeps_numeric_looking_levels(self, small_registry, tmp_path):
+        model, inliers, target, limits, policy = categorical_fallback_setup(small_registry)
+        rows = generate_daily_explanations(model, [target] + inliers, policy, limits)
+        path = tmp_path / "expl.csv"
+        write_explanations_csv(rows, path)
+        loaded = read_explanations_csv(path, small_registry)
+        assert loaded.rows() == rows.rows()
+        levels = [(r.feature_value, r.target_value) for r in loaded if r.feature == "vehicle_group"]
+        assert levels == [("1", "0")]
 
     def test_medians_export(self, small_registry, tmp_path):
         _, inliers, target, _, policy = explanation_setup(small_registry)
@@ -748,16 +758,16 @@ class TestReadExplanationsCsv:
         lines[2] = lines[2].replace("vhigh,2021-01-05", "vhigh,not-a-date")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FeedFormatError, match=r"expl\.csv: line 3"):
-            read_explanations_csv(path)
+            read_explanations_csv(path, small_registry)
 
-    def test_short_row_is_a_format_error(self, tmp_path):
+    def test_short_row_is_a_format_error(self, small_registry, tmp_path):
         path = tmp_path / "expl.csv"
         path.write_text(",".join(("vehicle_id", "date_tx", "route_type", "vehicle_group", "intercept",
                                   "feature", "feature_relevance", "feature_value", "target_value",
                                   "avg_fuel_consumption", "limit_group", "y_pred", "y_diff",
                                   "y_fuel_new")) + "\nv1,2021-01-05\n")
         with pytest.raises(FeedFormatError, match="line 2"):
-            read_explanations_csv(path)
+            read_explanations_csv(path, small_registry)
 
 
 # ---------------------------------------------------------------------------
@@ -997,7 +1007,7 @@ class TestTableMatchesRowLoops:
         write_explanations_csv(kept, tmp_path / "e.csv")
         reference_write_csv([], tmp_path / "r.csv")
         assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
-        assert read_explanations_csv(tmp_path / "e.csv").rows() == []
+        assert read_explanations_csv(tmp_path / "e.csv", small_registry).rows() == []
 
     def test_audit_escapes_and_non_finite_values(self, tmp_path):
         entries = [
