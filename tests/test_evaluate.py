@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass
 from datetime import date
 
@@ -27,7 +28,7 @@ from fleetfuel.evaluate import (
     signed_rank_test,
     train_test_split,
 )
-from fleetfuel.explain import ExplanationTable, ReferencePolicy
+from fleetfuel.explain import BR_ORDER, ExplanationTable, FuelMedians, ReferencePolicy, apply_business_rules
 from fleetfuel.registry import (
     CO2_KG_PER_LITER,
     CatalogReference,
@@ -179,6 +180,19 @@ def oracle_signed_rank(diffs):
     return min(1.0, 2 * min(p_low, p_high))
 
 
+# (W+, p) of the exact count up to 25 pairs and of the approximation beyond
+PINNED_SIGNED_RANK = {
+    1: (1.0, 1.0), 2: (1.0, 1.0), 3: (4.0, 0.75), 4: (4.0, 0.875), 5: (9.0, 0.8125),
+    6: (15.0, 0.4375), 7: (18.5, 0.484375), 8: (25.0, 0.3671875), 9: (27.5, 0.59765625),
+    10: (37.0, 0.373046875), 11: (48.0, 0.201171875), 12: (48.5, 0.4892578125),
+    13: (57.0, 0.46533203125), 14: (62.5, 0.558837890625), 15: (75.0, 0.416015625),
+    16: (89.5, 0.27972412109375), 17: (91.5, 0.4966888427734375), 18: (109.0, 0.32517242431640625),
+    19: (119.0, 0.3512153625488281), 20: (134.0, 0.2894306182861328), 21: (151.5, 0.21752357482910156),
+    22: (156.5, 0.34253358840942383), 23: (178.0, 0.2314903736114502), 24: (179.0, 0.4233129024505615),
+    25: (195.0, 0.394260048866272), 26: (214.0, 0.33291899244091616), 40: (508.0, 0.18854387009010942),
+}
+
+
 class TestSignedRank:
     def test_empty_differences(self):
         assert signed_rank_test([0.0, 0.0]) == (0.0, 1.0)
@@ -220,6 +234,89 @@ class TestSignedRank:
         d = rng.normal(1.0, 0.3, size=80)
         _, p = signed_rank_test(list(d))
         assert p < 0.001
+
+    @pytest.mark.parametrize("n", sorted(PINNED_SIGNED_RANK))
+    def test_pinned_values(self, n):
+        # n non-zero differences whose magnitudes tie, with a zero after every fifth
+        diffs = []
+        for k in range(n):
+            diffs.append((1.0 if (k * 3) % 5 < 3 else -1.0) * (1 + (k * 7) % 6) / 4)
+            if k % 5 == 4:
+                diffs.append(0.0)
+        assert signed_rank_test(diffs) == PINNED_SIGNED_RANK[n]
+
+
+class TestZeroFuelAndNanSaving:
+    """A day at 0.0 L/100 km and a NaN saving: division gives ±inf or NaN, and sums carry the NaN.
+
+    The expected values were recorded from the numpy table (``np.errstate``
+    division, ``np.bincount`` day sums) and are compared through repr, so
+    NaN, infinities and the order of every sum are pinned.
+    """
+
+    def table(self):
+        def row(vehicle, day, avg, feature, y_diff, value=4.0):
+            return base_row(
+                vehicle_id=vehicle, date_tx=date(2021, 1, day), feature=feature, feature_value=value,
+                avg_fuel_consumption=avg, y_diff=y_diff,
+            )
+
+        return ExplanationTable.from_rows([
+            row("v1", 4, 0.0, "rpm_high", 0.5),
+            row("v1", 4, 0.0, "mean_speed_hwy", 0.0, 90.0),
+            row("v1", 4, 0.0, "mean_exterior_temp", -0.25, 270.0),
+            row("v1", 4, 0.0, "vehicle_group", 0.1, "1"),
+            row("v2", 5, 9.96, "rpm_high", math.nan),
+            row("v2", 5, 9.96, "mean_speed_hwy", 0.3, 90.0),
+            row("v3", 6, 12.0, "rpm_high", 0.05),
+            row("v3", 6, 12.0, "mean_exterior_temp", 1.5, 270.0),
+        ])
+
+    def outcome(self, small_registry, policy, rules):
+        kept, audit = apply_business_rules(self.table(), policy, rules)
+        limits = {
+            ("Driving Behaviour", "Aggressive Driving"): SotaLimit("Driving Behaviour", "Aggressive Driving", 2.0, 40.0)
+        }
+        impacts = aggregate_category_impact(kept, small_registry, limits, "f")
+        return [
+            repr([(r.vehicle_id, r.feature, r.y_diff, r.y_fuel_new) for r in kept.rows()]),
+            repr([(e.rule_id, e.vehicle_id, e.feature, e.values) for e in audit]),
+            repr([(i.subcategory, i.median_impact_pct, i.n_days, i.verdict) for i in impacts]),
+            repr(list(kept.day_totals().values())),
+        ]
+
+    def test_evaluate_rules(self, small_registry):
+        # no inlier fuel, so BR3 keeps every day and BR2 divides by 0.0
+        assert self.outcome(small_registry, FuelMedians.from_records(small_registry, []), ("BR1", "BR3", "BR2")) == [
+            "[('v1', 'rpm_high', 0.5, -0.5), ('v1', 'mean_speed_hwy', 0.0, -0.5), ('v2', 'rpm_high', nan, nan),"
+            " ('v2', 'mean_speed_hwy', 0.3, nan), ('v3', 'mean_exterior_temp', 1.5, 10.5)]",
+            "[('BR1', 'v1', 'vehicle_group', {'reason': 'categorical'}),"
+            " ('BR2', 'v1', 'mean_exterior_temp', {'relative_impact': -inf}),"
+            " ('BR2', 'v3', 'rpm_high', {'relative_impact': 0.004166666666666667})]",
+            "[('Aggressive Driving', nan, 2, 'within'), ('Ambient Temperature', 12.5, 1, None)]",
+            "[0.5, nan, 1.5]",
+        ]
+
+    def test_every_rule(self, small_registry):
+        assert self.outcome(small_registry, ReferencePolicy.from_records(small_registry, []), BR_ORDER) == [
+            "[('v2', 'rpm_high', nan, nan), ('v2', 'mean_speed_hwy', 0.3, nan)]",
+            "[('BR1', 'v1', 'vehicle_group', {'reason': 'categorical'}),"
+            " ('BR4', 'v1', 'mean_exterior_temp', {'feature_value': 270.0, 'median_inlier': 0.0,"
+            " 'impact_type': 'Negative'}),"
+            " ('BR4', 'v3', 'mean_exterior_temp', {'feature_value': 270.0, 'median_inlier': 0.0,"
+            " 'impact_type': 'Negative'}),"
+            " ('BR2', 'v3', 'rpm_high', {'relative_impact': 0.004166666666666667}),"
+            " ('BR5', 'v1', 'rpm_high', {'total_saving': 0.5, 'avg_fuel': 0.0, 'cap': 0.8}),"
+            " ('BR5', 'v1', 'mean_speed_hwy', {'total_saving': 0.5, 'avg_fuel': 0.0, 'cap': 0.8})]",
+            "[('Aggressive Driving', nan, 1, 'within')]",
+            "[0.0, nan, 0.0]",
+        ]
+
+    def test_day_totals(self):
+        assert repr(self.table().day_totals()) == (
+            "{('v1', datetime.date(2021, 1, 4)): 0.35, ('v2', datetime.date(2021, 1, 5)): nan,"
+            " ('v3', datetime.date(2021, 1, 6)): 1.55}"
+        )
 
 
 class TestCategoryImpact:
