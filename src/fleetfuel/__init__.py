@@ -7,7 +7,7 @@ the results against configurable domain-knowledge limits.
 
 Importing the package loads none of its modules: each name below is
 imported from its home module on first access (PEP 562), so a CLI stage
-that needs no model loads no numpy.
+that needs no model (ingest, clean, evaluate, impact) loads no numpy.
 """
 
 import importlib

@@ -8,9 +8,10 @@ each output as the stage names it; when the stage ends both go into
 manifest.json, which is enough to re-execute the run.  Outputs are
 byte-stable for a fixed config and seed.
 
-A stage imports only the modules it runs.  ingest and clean load no
-numpy; train, explain, evaluate, impact and synth import their numpy
-modules on first use, explain without evaluate or synthgen.
+A stage imports only the modules it runs, on first use.  numpy loads only
+where the model is, in train, explain and synth: ingest, clean, evaluate
+and impact start without it, and explain loads neither evaluate nor
+synthgen.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 internal error.
 """
@@ -52,6 +53,7 @@ from .registry import (
     VinMap,
     artifact_file,
     assign_groups,
+    fits,
     load_class_table,
     load_sota_limits,
     read_identities_csv,
@@ -65,7 +67,7 @@ from .registry import (
 def _deferred(module: str, name: str):
     """Stand-in for ``fleetfuel.<module>.<name>`` that imports the module on its first call.
 
-    The numpy modules load only in the stages that call into them, while
+    A stage module loads only in the stages that call into it, while
     every call still goes through this module's globals under the
     function's own name, where a tracer that wraps them by name finds it.
     """
@@ -139,8 +141,7 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
         if isinstance(default, dict) and isinstance(value, dict):
             out[key] = _merge(default, value, f"{path}{key}.")
             continue
-        fits = isinstance(value, (int, float) if type(default) is float else type(default))
-        if default is not None and (not fits or isinstance(value, bool) != isinstance(default, bool)):
+        if default is not None and not fits(value, type(default)):
             raise UsageError(f"config key {path + key!r} must be {type(default).__name__}, got {value!r}")
         out[key] = value
     return out

@@ -10,15 +10,15 @@ CO2 impact table.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .anomaly import LimitTable
 from .errors import DataError
-from .explain import ExplanationTable, FuelMedians
+from .explain import ExplanationTable, FuelMedians, divide
 from .ingest import LABEL_OUTLIER, FarRecord
 from .registry import (
     CO2_KG_PER_LITER,
@@ -49,6 +49,8 @@ def train_test_split(
     Records are ordered by (vehicle, date) before shuffling so the split
     does not depend on input ordering.
     """
+    import numpy as np
+
     if len(records) < 10:
         raise DataError(f"split needs at least 10 records, got {len(records)}")
     if not 0.0 < fraction < 1.0:
@@ -111,6 +113,8 @@ def adjusted_r2(
     actuals: Sequence[float], predictions: Sequence[float], p: int
 ) -> tuple[float, str]:
     """Adjusted R² with its Chin category: 1 - (1 - R²)(n - 1)/(n - p - 1)."""
+    import numpy as np
+
     y = np.asarray(actuals, dtype=np.float64)
     yhat = np.asarray(predictions, dtype=np.float64)
     n = y.size
@@ -184,23 +188,18 @@ def signed_rank_test(differences: Sequence[float]) -> tuple[float, float]:
     normal approximation with tie correction and continuity correction
     beyond.
     """
-    d = np.asarray([x for x in differences if x != 0.0], dtype=np.float64)
-    n = d.size
+    d = [x for x in differences if x != 0.0]
+    n = len(d)
     if n == 0:
         return 0.0, 1.0
-    order = np.argsort(np.abs(d), kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    mags = np.abs(d)[order]
-    i = 0
+    ranks = [0.0] * n
     pos = 1
-    while i < n:
-        j = i
-        while j + 1 < n and mags[j + 1] == mags[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (pos + (pos + (j - i))) / 2.0
-        pos += j - i + 1
-        i = j + 1
-    w_plus = float(ranks[d > 0].sum())
+    for _, tied in itertools.groupby(sorted(range(n), key=lambda i: abs(d[i])), key=lambda i: abs(d[i])):
+        tied = list(tied)
+        for k in tied:
+            ranks[k] = (pos + (pos + len(tied) - 1)) / 2.0
+        pos += len(tied)
+    w_plus = sum(r for r, x in zip(ranks, d) if x > 0)
 
     if n <= EXACT_LIMIT:
         p = _exact_two_sided(ranks, w_plus)
@@ -209,27 +208,22 @@ def signed_rank_test(differences: Sequence[float]) -> tuple[float, float]:
     return w_plus, min(1.0, max(0.0, p))
 
 
-def _exact_two_sided(ranks: np.ndarray, w_plus: float) -> float:
-    doubled = np.rint(ranks * 2).astype(np.int64)
-    total = int(doubled.sum())
-    counts = np.zeros(total + 1, dtype=np.float64)
-    counts[0] = 1.0
-    for r in doubled:
-        shifted = np.zeros_like(counts)
-        shifted[r:] = counts[: total + 1 - r]
-        counts = counts + shifted
-    n_assignments = counts.sum()
-    w2 = int(round(w_plus * 2))
-    p_low = counts[: w2 + 1].sum() / n_assignments
-    p_high = counts[w2:].sum() / n_assignments
+def _exact_two_sided(ranks: list[float], w_plus: float) -> float:
+    # counts[w] is the number of sign assignments whose doubled W+ is w
+    counts = [1]
+    for r in (round(r * 2) for r in ranks):
+        counts = [a + b for a, b in zip(counts + [0] * r, [0] * r + counts)]
+    n_assignments = sum(counts)
+    w2 = round(w_plus * 2)
+    p_low = sum(counts[: w2 + 1]) / n_assignments
+    p_high = sum(counts[w2:]) / n_assignments
     return 2.0 * min(p_low, p_high)
 
 
-def _approx_two_sided(ranks: np.ndarray, w_plus: float, n: int) -> float:
+def _approx_two_sided(ranks: list[float], w_plus: float, n: int) -> float:
     mu = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    _, tie_counts = np.unique(ranks, return_counts=True)
-    var -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
+    var -= sum(t**3 - t for t in collections.Counter(ranks).values()) / 48.0
     if var <= 0:
         return 1.0
     diff = w_plus - mu
@@ -270,15 +264,14 @@ def aggregate_category_impact(
         None if spec is None else (spec.category, spec.subcategory) for spec in map(registry.get, table.features)
     ]
     keys, _ = table.day_ids()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (table.y_diff / table.avg_fuel[table.day]).tolist()
+    avg = table.avg_fuel.tolist()
     per_day: dict[int, dict[tuple[str, str], float]] = {}
-    for day, f, r in zip(keys[table.day].tolist(), table.feature.tolist(), ratio):
+    for d, f, y_diff in zip(table.day, table.feature, table.y_diff):
         key = subcategory[f]
         if key is None:
             continue
-        impacts = per_day.setdefault(day, {})
-        impacts[key] = impacts.get(key, 0.0) + r
+        impacts = per_day.setdefault(keys[d], {})
+        impacts[key] = impacts.get(key, 0.0) + divide(y_diff, avg[d])
 
     buckets: dict[tuple[str, str], list[float]] = {}
     for impacts in per_day.values():
@@ -416,9 +409,9 @@ def catalog_mape(
     """
     # the day slot of each (vehicle, date)'s first row carries its projected fuel
     keys, key_days = table.day_ids()
-    row_keys = keys[table.day]
-    _, first = np.unique(row_keys, return_index=True)
-    day_slot = dict(zip((key_days[k] for k in row_keys[first].tolist()), table.day[first].tolist()))
+    day_slot: dict[tuple, int] = {}
+    for d in table.day:
+        day_slot.setdefault(key_days[keys[d]], d)
     fuel_new = table.y_fuel_new.tolist()
     label_by_day = {rec.day_key: rec.anomaly_label for rec in records}
 
@@ -510,7 +503,7 @@ def monthly_impact(
     behaviour = [
         spec is not None and spec.category == behaviour_category for spec in map(registry.get, table.features)
     ]
-    for d, f, y_diff in zip(table.day.tolist(), table.feature.tolist(), table.y_diff.tolist()):
+    for d, f, y_diff in zip(table.day, table.feature, table.y_diff):
         kms = day_kms[d]
         if kms is None:
             continue

@@ -27,26 +27,28 @@ relevance; their positive entries, row-major, are the rows, except where
 the cell has no mode.  The arithmetic per entry is the scalar lookup's,
 so rows are bit-identical to pricing day by day.  The matrices take 8
 bytes per day and model column each (about 0.5 MB for 1,600 days x 37
-columns).
+columns).  Pricing is the module's only numpy code: it imports numpy and
+the model module itself and converts its result once, into the table, so
+a stage that reads explanations back loads neither.
 
-The rows live in one ``ExplanationTable``: per-row arrays (day slot,
+The rows live in one ``ExplanationTable``: per-row lists (day slot,
 feature code, relevance, value, target, saving) next to per-day columns
-(vehicle, date, route, group, intercept, fuel, limit, prediction, new
-fuel) that every row of a day shares.  A row takes 48 bytes of arrays:
-six 8-byte cells, of which value and target are references to floats the
-records and the reference cells already hold; an ``ExplanationRow`` object
-takes about 350 bytes before its floats.  Each business rule is one
-boolean mask over the surviving rows, with the comparison a row-by-row
-filter makes, so a NaN falls the same way; audit entries are built for the
-dropped rows only.  Day totals (BR5 and ``y_fuel_new``) are ``np.bincount``
-sums, which add in row order exactly as a running per-day sum does.  The
-CSV writer formats each day's cells once, and audit lines are assembled
-from cached JSON string escapes and ``float.__repr__``, byte for byte what
-``json.dumps(..., sort_keys=True)`` writes.  ``ExplanationRow`` remains the
-table's row view, for tests, demos and callers that want objects; its
-fields are the CSV columns, and ``from_rows`` and the CSV reader share
-``ExplanationTable._build``, which gives consecutive rows with equal day
-cells one slot.
+that every row of a day shares (vehicle, date, route and group as lists,
+the five fuel figures as ``array('d')``).  A row takes six 8-byte list
+cells and two 24-byte floats, as value and target refer to floats the
+records and reference cells already hold; an ``ExplanationRow`` object
+takes about 350 bytes before its floats.  Each business rule is one list
+mask over the surviving rows, with the comparison a row-by-row filter
+makes, so a NaN falls the same way, and a ratio to a zero fuel is ±inf or
+NaN as IEEE 754 divides; audit entries are built for the dropped rows
+only.  Day totals (BR5 and ``y_fuel_new``) are running per-day sums in row
+order.  The CSV writer formats each day's cells and each repeated float
+once, and audit lines are assembled from cached JSON string escapes and
+``float.__repr__``, byte for byte what ``json.dumps(..., sort_keys=True)``
+writes.  ``ExplanationRow`` is the table's row view, for tests, demos and
+callers that want objects; its fields are the CSV columns, and
+``from_rows`` and the CSV reader share ``ExplanationTable._build``, which
+gives consecutive rows with equal day cells one slot.
 """
 
 from __future__ import annotations
@@ -57,18 +59,16 @@ import itertools
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass, replace
 from datetime import date as date_type
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, not_
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .anomaly import LimitTable
 from .errors import FeedFormatError
-from .gam import KIND_NUMERIC, AdditiveModel
 from .ingest import FarRecord
 from .registry import (
     DEFAULT_BR2_THRESHOLD,
@@ -76,9 +76,13 @@ from .registry import (
     FallbackMedians,
     FeatureRegistry,
     artifact_file,
+    csv_reader,
     table_columns,
     write_table,
 )
+
+if TYPE_CHECKING:
+    from .gam import AdditiveModel
 
 logger = logging.getLogger(__name__)
 
@@ -217,16 +221,27 @@ def recompute_fuel_new(avg_fuel: float, y_diffs: Iterable[float]) -> float:
     return avg_fuel - sum(y_diffs)
 
 
-def _objects(values: Sequence) -> np.ndarray:
-    """A 1-D object array holding the given Python objects themselves."""
-    out = np.empty(len(values), dtype=object)
-    out[:] = values
+def _sum_by(ids: Iterable[int], weights: Iterable[float], n: int) -> list[float]:
+    """Per-id sums, each added from 0.0 one weight at a time, in order."""
+    out = [0.0] * n
+    for i, w in zip(ids, weights):
+        out[i] += w
     return out
 
 
-def _sum_by(ids: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    """Per-id sums; bincount adds the weights one at a time in order, as a running sum does."""
-    return np.bincount(ids, weights=weights, minlength=n).astype(np.float64, copy=False)
+def _at(column: Sequence, index: Sequence[int], rows: Iterable[int]) -> Iterator:
+    """``column[index[r]]`` for each of ``rows``: a per-slot or per-feature cell of each row."""
+    return map(column.__getitem__, map(index.__getitem__, rows))
+
+
+def divide(x: float, y: float) -> float:
+    """``x / y`` as IEEE 754 divides: a zero ``y`` gives ±inf, or NaN for a zero or NaN ``x``, never raises."""
+    try:
+        return x / y
+    except ZeroDivisionError:
+        if x == 0.0 or x != x:
+            return math.nan
+        return math.copysign(math.inf, x) * math.copysign(1.0, y)
 
 
 def _same(x):
@@ -235,7 +250,7 @@ def _same(x):
 
 @dataclass(eq=False)
 class ExplanationTable:
-    """Explanation rows as columns: per-row arrays that index per-day columns.
+    """Explanation rows as columns: per-row columns that index per-day columns.
 
     Row p recommends moving ``features[feature[p]]`` on day slot ``day[p]``
     from ``value[p]`` to ``target[p]``, saving ``y_diff[p]`` L/100 km.  A
@@ -243,7 +258,8 @@ class ExplanationTable:
     filtered from one another share their day columns, except ``y_fuel_new``,
     which each table computes from its own rows.  Slots are storage, not
     identities: two slots may hold the same (vehicle, date), and day totals
-    are taken per (vehicle, date).  ``value`` and ``target`` hold floats, or
+    are taken per (vehicle, date).  The per-day floats are ``array('d')``,
+    every other column a list; ``value`` and ``target`` hold floats, or
     levels (str) on categorical rows.
     """
 
@@ -252,23 +268,23 @@ class ExplanationTable:
     date_tx: list[date_type]
     route_type: list[str]
     vehicle_group: list[int]
-    intercept: np.ndarray
-    avg_fuel: np.ndarray
-    limit_group: np.ndarray
-    y_pred: np.ndarray
-    y_fuel_new: np.ndarray
+    intercept: array
+    avg_fuel: array
+    limit_group: array
+    y_pred: array
+    y_fuel_new: array
     # per row
     features: tuple[str, ...]
-    day: np.ndarray
-    feature: np.ndarray
-    relevance: np.ndarray
-    value: np.ndarray
-    target: np.ndarray
-    y_diff: np.ndarray
+    day: list[int]
+    feature: list[int]
+    relevance: list[float]
+    value: list
+    target: list
+    y_diff: list[float]
 
     @classmethod
     def _build(
-        cls, rows: Iterable[Sequence], day_cells: Callable = _same, number: Callable = _same,
+        cls, rows: Iterable[Sequence], day_cells: Callable = _same, number: Callable = float,
         level: Callable[[str], Callable] = lambda feature: _same,
     ) -> "ExplanationTable":
         """The table of rows given as cells in ``EXPLANATION_COLUMNS`` order, in order.
@@ -301,9 +317,8 @@ class ExplanationTable:
             y_diff.append(number(dy))
         columns = [list(c) for c in zip(*days)] if days else [[] for _ in range(9)]
         return cls(
-            *columns[:4], *(np.array(c, dtype=np.float64) for c in columns[4:]), tuple(codes),
-            np.array(day, dtype=np.intp), np.array(feature, dtype=np.intp), np.array(relevance, dtype=np.float64),
-            _objects(value), _objects(target), np.array(y_diff, dtype=np.float64),
+            *columns[:4], *(array("d", c) for c in columns[4:]), tuple(codes),
+            day, feature, relevance, value, target, y_diff,
         )
 
     @classmethod
@@ -319,62 +334,42 @@ class ExplanationTable:
 
     def rows(self) -> list[ExplanationRow]:
         """Every row as an ExplanationRow, with Python floats."""
-        day = self.day
-
-        def per_row(column: Sequence) -> list:
-            # gathers references, so a day's values are one object per slot
-            return _objects(column)[day].tolist()
-
-        return list(
-            map(
-                ExplanationRow,
-                per_row(self.vehicle_id),
-                per_row(self.date_tx),
-                per_row(self.route_type),
-                per_row(self.vehicle_group),
-                per_row(self.intercept.tolist()),
-                _objects(self.features)[self.feature].tolist(),
-                self.relevance.tolist(),
-                self.value.tolist(),
-                self.target.tolist(),
-                per_row(self.avg_fuel.tolist()),
-                per_row(self.limit_group.tolist()),
-                per_row(self.y_pred.tolist()),
-                self.y_diff.tolist(),
-                per_row(self.y_fuel_new.tolist()),
+        # gathers references, so a day's values are one object per slot
+        vid, date_tx, route, group, icpt, avg, limit, pred, fuel_new = (
+            map(column.__getitem__, self.day)
+            for column in (
+                self.vehicle_id, self.date_tx, self.route_type, self.vehicle_group, self.intercept.tolist(),
+                self.avg_fuel.tolist(), self.limit_group.tolist(), self.y_pred.tolist(), self.y_fuel_new.tolist(),
             )
         )
+        feature = map(self.features.__getitem__, self.feature)
+        return list(map(ExplanationRow, vid, date_tx, route, group, icpt, feature, self.relevance, self.value,
+                        self.target, avg, limit, pred, self.y_diff, fuel_new))
 
-    def day_ids(self) -> tuple[np.ndarray, list[tuple[str, date_type]]]:
+    def day_ids(self) -> tuple[list[int], list[tuple[str, date_type]]]:
         """Per slot, the id of its (vehicle, date), and the (vehicle, date) of each id."""
         ids: dict[tuple[str, date_type], int] = {}
         keys = [ids.setdefault(key, len(ids)) for key in zip(self.vehicle_id, self.date_tx)]
-        return np.array(keys, dtype=np.intp), list(ids)
+        return keys, list(ids)
 
     def day_totals(self) -> dict[tuple[str, date_type], float]:
         """Summed y_diff per (vehicle, date), added in row order."""
         keys, days = self.day_ids()
-        return dict(zip(days, _sum_by(keys[self.day], self.y_diff, len(days)).tolist()))
+        return dict(zip(days, _sum_by(map(keys.__getitem__, self.day), self.y_diff, len(days))))
 
     def n_vehicle_days(self) -> int:
         """Distinct (vehicle, date) among the rows."""
         keys, _ = self.day_ids()
-        return int(np.unique(keys[self.day]).size)
+        return len({keys[d] for d in set(self.day)})
 
-    def _select(self, index: np.ndarray, keys: np.ndarray, n_keys: int) -> "ExplanationTable":
-        """The rows at ``index``, in order, with y_fuel_new recomputed over them."""
-        day, y_diff = self.day[index], self.y_diff[index]
-        totals = _sum_by(keys[day], y_diff, n_keys)
-        return replace(
-            self,
-            y_fuel_new=self.avg_fuel - totals[keys],
-            day=day,
-            feature=self.feature[index],
-            relevance=self.relevance[index],
-            value=self.value[index],
-            target=self.target[index],
-            y_diff=y_diff,
-        )
+    def _select(self, index: Sequence[int] | None, keys: list[int], n_keys: int) -> "ExplanationTable":
+        """The rows at ``index`` (every row when None), in order, with y_fuel_new recomputed over them."""
+        columns = ("day", "feature", "relevance", "value", "target", "y_diff")
+        rows = {} if index is None else {c: list(map(getattr(self, c).__getitem__, index)) for c in columns}
+        table = replace(self, **rows)
+        totals = _sum_by(map(keys.__getitem__, table.day), table.y_diff, n_keys)
+        table.y_fuel_new = array("d", [avg - totals[k] for avg, k in zip(self.avg_fuel, keys)])
+        return table
 
 
 def generate_daily_explanations(
@@ -391,6 +386,10 @@ def generate_daily_explanations(
     limit are skipped.  Rows come day by day in (vehicle, date) order, each
     day's numeric features in model column order before its categoricals.
     """
+    import numpy as np
+
+    from .gam import KIND_NUMERIC
+
     registry = policy.registry
     cols = [
         j
@@ -448,29 +447,28 @@ def generate_daily_explanations(
     # origins; "not <= 0" keeps a NaN saving as the scalar test did
     hit_i, hit_k = np.nonzero(~(saving <= 0) & priced[cell_of])
     values = [[rec.features[name] for name in names] + [str(getattr(rec, o)) for o in origins] for rec in kept]
-    hits = list(zip(hit_i.tolist(), hit_k.tolist()))
+    day, feature = hit_i.tolist(), hit_k.tolist()
 
-    avg_fuel = np.array([rec.avg_fuel_consumption for rec in kept], dtype=np.float64)
     table = ExplanationTable(
         vehicle_id=[rec.vehicle_id for rec in kept],
         date_tx=[rec.date for rec in kept],
         route_type=[rec.route_type for rec in kept],
         vehicle_group=[rec.vehicle_group for rec in kept],
-        intercept=np.full(len(kept), model.intercept, dtype=np.float64),
-        avg_fuel=avg_fuel,
-        limit_group=np.array(lim_sup, dtype=np.float64),
-        y_pred=model.intercept + C.sum(axis=1),
-        y_fuel_new=avg_fuel,  # replaced by _select, from the day totals
+        intercept=array("d", [model.intercept]) * len(kept),
+        avg_fuel=array("d", [rec.avg_fuel_consumption for rec in kept]),
+        limit_group=array("d", lim_sup),
+        y_pred=array("d", (model.intercept + C.sum(axis=1)).tolist()),
+        y_fuel_new=array("d"),  # made by _select, from the day totals
         features=tuple(names + list(origins)),
-        day=hit_i,
-        feature=hit_k,
-        relevance=relevance[hit_i, hit_k],
-        value=_objects([values[i][k] for i, k in hits]),
-        target=_objects([targets[cell_of[i]][k] for i, k in hits]),
-        y_diff=saving[hit_i, hit_k],
+        day=day,
+        feature=feature,
+        relevance=relevance[hit_i, hit_k].tolist(),
+        value=[values[i][k] for i, k in zip(day, feature)],
+        target=[targets[cell_of[i]][k] for i, k in zip(day, feature)],
+        y_diff=saving[hit_i, hit_k].tolist(),
     )
     keys, days = table.day_ids()
-    return table._select(np.arange(len(table)), keys, len(days))
+    return table._select(None, keys, len(days))
 
 
 @dataclass
@@ -493,96 +491,68 @@ def apply_business_rules(
 
     Cheap structural rules run first and the physical cap last so it sees
     the final per-day totals; y_fuel_new is recomputed on the survivors.
-    Each rule is one boolean mask over the surviving rows, with the
-    comparison a row-by-row filter would make, so a NaN falls the same way;
-    audit entries are built for the dropped rows only, in row order.  BR1-BR3
+    Each rule is one pass over the surviving rows, with the comparison a
+    row-by-row filter would make, so a NaN falls the same way; audit
+    entries are built for the dropped rows only, in row order.  BR1-BR3
     need only fuel medians; BR4 needs a ReferencePolicy.
     """
     registry = policy.registry
     names = table.features
     keys, key_days = table.day_ids()
-    avg = table.avg_fuel
-    avg_list = avg.tolist()
+    day, feature, value, y_diff = table.day, table.feature, table.value, table.y_diff
+    avg = table.avg_fuel.tolist()
     iso = [d.isoformat() for d in table.date_tx]
-    alive = np.arange(len(table))
+    cells = list(zip(table.vehicle_group, table.route_type))
+    alive: Sequence[int] = range(len(table))
     audit: list[AuditEntry] = []
 
-    def drop(rule: str, rows: np.ndarray, values: Iterable[dict]) -> None:
-        audit.extend(
-            AuditEntry(rule, table.vehicle_id[d], iso[d], names[f], v)
-            for d, f, v in zip(table.day[rows].tolist(), table.feature[rows].tolist(), values)
-        )
-
     for rule in rules:
-        day = table.day[alive]
         if rule == "BR1":
-            known = np.array([name in registry for name in names], dtype=bool)
-            keep = known[table.feature[alive]]
-            dropped = alive[~keep]
-            drop("BR1", dropped, ({"reason": "categorical"} for _ in range(len(dropped))))
+            known = [name in registry for name in names]
+            keep = list(_at(known, feature, alive))
+            why = lambda j: {"reason": "categorical"}
         elif rule == "BR2":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                impact = table.y_diff[alive] / avg[day]
-            keep = ~(impact < br2_threshold)
-            drop("BR2", alive[~keep], ({"relative_impact": x} for x in impact[~keep].tolist()))
+            # a zero fuel divides as IEEE 754 does
+            pairs = zip(map(y_diff.__getitem__, alive), _at(avg, day, alive))
+            impact = [y / a if a else divide(y, a) for y, a in pairs]
+            keep = [not x < br2_threshold for x in impact]
+            why = lambda j: {"relative_impact": impact[j]}
         elif rule == "BR3":
-            medians = [policy.fuel_median(g, r) for g, r in zip(table.vehicle_group, table.route_type)]
-            # a missing median keeps the day; a NaN stand-in would compare False
-            known = np.array([m is not None for m in medians], dtype=bool)
-            level = np.array([np.nan if m is None else m for m in medians], dtype=np.float64)
-            keep = ~known[day] | (avg[day] > level[day])
-            drop(
-                "BR3",
-                alive[~keep],
-                ({"avg_fuel": avg_list[d], "median_inlier": medians[d]} for d in day[~keep].tolist()),
-            )
+            fuel = {cell: policy.fuel_median(*cell) for cell in set(cells)}
+            medians = list(map(fuel.__getitem__, cells))
+            # a missing median keeps the day
+            above = [m is None or a > m for a, m in zip(avg, medians)]
+            keep = list(_at(above, day, alive))
+            why = lambda j: {"avg_fuel": avg[day[alive[j]]], "median_inlier": medians[day[alive[j]]]}
         elif rule == "BR4":
             specs = [registry.get(name) for name in names]
-            checked = np.flatnonzero(np.array([s is not None for s in specs], dtype=bool)[table.feature[alive]])
-            rows = alive[checked]
-            row_day, row_feature = table.day[rows], table.feature[rows]
-            # one median per (group, route, feature)
-            cells: dict[tuple[int, str], int] = {}
-            cell_of = np.array(
-                [cells.setdefault(c, len(cells)) for c in zip(table.vehicle_group, table.route_type)],
-                dtype=np.intp,
-            )
-            cell_keys = list(cells)
-            pair, inverse = np.unique(cell_of[row_day] * len(names) + row_feature, return_inverse=True)
-            pair_median = [
-                policy.feature_median(*cell_keys[p // len(names)], names[p % len(names)]) for p in pair.tolist()
+            positive = [s is not None and s.impact_type == "Positive" for s in specs]
+            # per slot, one median per feature, shared by the slots of a (group, route); None where unchecked
+            by_cell = {
+                cell: [None if spec is None else policy.feature_median(*cell, spec.name) for spec in specs]
+                for cell in set(cells)
+            }
+            slot_medians = list(map(by_cell.__getitem__, cells))
+            median = [slot_medians[day[p]][feature[p]] for p in alive]
+            keep = [
+                m is None or (v > m if positive[f] else v < m)
+                for m, v, f in zip(median, map(value.__getitem__, alive), map(feature.__getitem__, alive))
             ]
-            median = np.array(pair_median, dtype=np.float64)[inverse]
-            value = table.value[rows]
-            positive = np.array([s is not None and s.impact_type == "Positive" for s in specs], dtype=bool)
-            x = value.astype(np.float64)
-            ok = np.where(positive[row_feature], x > median, x < median)
-            bad = np.flatnonzero(~ok)
-            keep = np.ones(len(alive), dtype=bool)
-            keep[checked[bad]] = False
-            drop(
-                "BR4",
-                rows[bad],
-                (
-                    {"feature_value": v, "median_inlier": pair_median[j], "impact_type": specs[f].impact_type}
-                    for v, j, f in zip(value[bad].tolist(), inverse[bad].tolist(), row_feature[bad].tolist())
-                ),
-            )
+            why = lambda j: {"feature_value": value[alive[j]], "median_inlier": median[j],
+                             "impact_type": specs[feature[alive[j]]].impact_type}
         elif rule == "BR5":
-            total = _sum_by(keys[day], table.y_diff[alive], len(key_days))[keys[day]]
-            over = total > br5_cap * avg[day]
-            keep = ~over
-            drop(
-                "BR5",
-                alive[over],
-                (
-                    {"total_saving": t, "avg_fuel": avg_list[d], "cap": br5_cap}
-                    for t, d in zip(total[over].tolist(), day[over].tolist())
-                ),
-            )
+            row_keys = list(_at(keys, day, alive))
+            totals = _sum_by(row_keys, map(y_diff.__getitem__, alive), len(key_days))
+            total = list(map(totals.__getitem__, row_keys))
+            keep = [not t > br5_cap * a for t, a in zip(total, _at(avg, day, alive))]
+            why = lambda j: {"total_saving": total[j], "avg_fuel": avg[day[alive[j]]], "cap": br5_cap}
         else:
             raise ValueError(f"unknown business rule {rule!r}")
-        alive = alive[keep]
+        dropped = list(itertools.compress(range(len(keep)), map(not_, keep)))
+        rows = list(map(alive.__getitem__, dropped))
+        audit += map(AuditEntry, itertools.repeat(rule), _at(table.vehicle_id, day, rows), _at(iso, day, rows),
+                     _at(names, feature, rows), map(why, dropped))
+        alive = list(itertools.compress(alive, keep))
 
     return table._select(alive, keys, len(key_days)), audit
 
@@ -599,19 +569,31 @@ def _csv_fields(fields: Sequence[str]) -> str:
     return buf.getvalue()[:-1]
 
 
+class _Reprs(dict):
+    """``repr`` of each float looked up, made once per value; a zero is not kept, as 0.0 and -0.0 are one key."""
+
+    def __missing__(self, x: float) -> str:
+        out = repr(x)
+        if x:
+            self[x] = out
+        return out
+
+
 def write_explanations_csv(table: ExplanationTable, path: str | Path) -> None:
     """One CSV line per explanation row, the bytes csv.writer writes for its cells.
 
     The per-day cells of each day slot the rows use and each distinct text
     cell are formatted once, through the csv module; a float cell is
     ``repr`` of a Python float (never of a numpy scalar), which needs no
-    quoting and round-trips exactly.
+    quoting and round-trips exactly.  Relevance, target and saving repeat
+    a few values over many rows (one per bin and cell), so each of their
+    distinct values is formatted once.
     """
     n_slots = len(table.vehicle_id)
     heads, fuel, fuel_new = [""] * n_slots, [""] * n_slots, [""] * n_slots
     intercept, avg, limit = table.intercept.tolist(), table.avg_fuel.tolist(), table.limit_group.tolist()
     y_pred, y_new = table.y_pred.tolist(), table.y_fuel_new.tolist()
-    for d in np.unique(table.day).tolist():
+    for d in set(table.day):
         heads[d] = _csv_fields(
             (table.vehicle_id[d], table.date_tx[d].isoformat(), table.route_type[d],
              str(table.vehicle_group[d]), repr(intercept[d]))
@@ -627,20 +609,18 @@ def write_explanations_csv(table: ExplanationTable, path: str | Path) -> None:
             out = quoted[v] = _csv_fields([v])
         return out
 
-    def cells(column: np.ndarray) -> Iterator[str]:
-        return (repr(v) if type(v) is float else text(v) for v in column.tolist())
+    def cells(column: list, number: Callable[[float], str]) -> Iterator[str]:
+        return (number(v) if type(v) is float else text(v) for v in column)
+
+    reprs = _Reprs()
 
     with artifact_file(path) as fh:
         fh.write(_csv_fields(EXPLANATION_COLUMNS) + "\n")
         fh.writelines(
             f"{heads[d]},{names[f]},{rel},{v},{t},{fuel[d]},{dy},{fuel_new[d]}\n"
             for d, f, rel, v, t, dy in zip(
-                table.day.tolist(),
-                table.feature.tolist(),
-                map(repr, table.relevance.tolist()),
-                cells(table.value),
-                cells(table.target),
-                map(repr, table.y_diff.tolist()),
+                table.day, table.feature, map(reprs.__getitem__, table.relevance), cells(table.value, repr),
+                cells(table.target, reprs.__getitem__), map(reprs.__getitem__, table.y_diff),
             )
         )
 
@@ -658,17 +638,12 @@ def read_explanations_csv(path: str | Path, registry: FeatureRegistry) -> Explan
     feature is in the registry: its value and target are floats.  Any other
     row is categorical and keeps its levels as text.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with csv_reader(path) as reader:
         header = next(reader, None)
         if header != list(EXPLANATION_COLUMNS):
             raise FeedFormatError(f"{path}: unexpected explanation columns {header}")
-        try:
-            return ExplanationTable._build(
-                reader, _parse_day, float, lambda feature: float if feature in registry else _same
-            )
-        except (ValueError, csv.Error) as exc:
-            raise FeedFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+        level = lambda feature: float if feature in registry else _same
+        return ExplanationTable._build(reader, _parse_day, float, level)
 
 
 # json.dumps writes non-finite floats under these names

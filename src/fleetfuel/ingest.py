@@ -24,7 +24,8 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import DataError, FeedFormatError
 from .registry import (
-    FallbackMedians, FeatureRegistry, VehicleClassRow, VehicleIdentity, median, table_columns, write_table,
+    FallbackMedians, FeatureRegistry, VehicleClassRow, VehicleIdentity, csv_reader, median, table_columns, utf8_text,
+    write_table,
 )
 
 logger = logging.getLogger(__name__)
@@ -170,7 +171,7 @@ def parse_feed(stream: TextIO | Iterable[str]) -> ParsedFeed:
 
 def parse_feed_csv(path: str | Path) -> ParsedFeed:
     """parse_feed over a file; a fatal format error names the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         try:
             return parse_feed(fh)
         except FeedFormatError as exc:
@@ -418,8 +419,7 @@ def read_far_csv(path: str | Path, registry: FeatureRegistry) -> list[FarRecord]
 
     A bad row raises FeedFormatError naming the file and line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
             raise FeedFormatError(f"{path}: empty FAR file")
@@ -434,26 +434,23 @@ def read_far_csv(path: str | Path, registry: FeatureRegistry) -> list[FarRecord]
         width = len(header)
         n_fixed = len(FAR_FIXED_COLUMNS)
         records = []
-        try:
-            for row in reader:
-                if len(row) != width:
-                    raise ValueError(f"expected {width} fields, got {len(row)}")
-                vehicle_id, day, route_type, group, vclass, label, kms, fuel, city, avg = row[:n_fixed]
-                records.append(
-                    FarRecord(
-                        vehicle_id=vehicle_id,
-                        date=date.fromisoformat(day),
-                        route_type=route_type,
-                        vehicle_group=int(group),
-                        vehicle_class=int(vclass),
-                        anomaly_label=label,
-                        trip_kms=float(kms) if kms else None,
-                        trip_fuel_used=float(fuel) if fuel else None,
-                        per_time_city=float(city) if city else None,
-                        avg_fuel_consumption=float(avg) if avg else None,
-                        features={name: float(cell) for name, cell in zip(names, row[n_fixed:]) if cell != ""},
-                    )
+        for row in reader:
+            if len(row) != width:
+                raise ValueError(f"expected {width} fields, got {len(row)}")
+            vehicle_id, day, route_type, group, vclass, label, kms, fuel, city, avg = row[:n_fixed]
+            records.append(
+                FarRecord(
+                    vehicle_id=vehicle_id,
+                    date=date.fromisoformat(day),
+                    route_type=route_type,
+                    vehicle_group=int(group),
+                    vehicle_class=int(vclass),
+                    anomaly_label=label,
+                    trip_kms=float(kms) if kms else None,
+                    trip_fuel_used=float(fuel) if fuel else None,
+                    per_time_city=float(city) if city else None,
+                    avg_fuel_consumption=float(avg) if avg else None,
+                    features={name: float(cell) for name, cell in zip(names, row[n_fixed:]) if cell != ""},
                 )
-        except (ValueError, csv.Error) as exc:
-            raise FeedFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+            )
     return records

@@ -4,7 +4,9 @@ The module holds the one table reader and the one artifact writer.  Every
 config table the pipeline consumes, and the small artifact tables it reads
 back, goes through ``read_table``: a missing column, a row with the wrong
 field count or a cell that does not parse raises FeedFormatError naming the
-file and line.  Every artifact a stage writes goes through ``artifact_file``
+file and line.  Every CSV file the pipeline reads is opened through
+``utf8_text``, so a byte that is not UTF-8 raises FeedFormatError naming
+the file.  Every artifact a stage writes goes through ``artifact_file``
 (CSV tables through ``write_table``), so it appears whole or not at all.
 A table is declared once, by its row dataclass: ``table_columns`` gives
 its columns and ``row_parser`` converts each cell by its field's type,
@@ -47,29 +49,59 @@ def read_table(
     is None.  The header must hold every name in ``columns``; blank lines
     are skipped.  A missing column, a row whose field count differs from
     the header's, or a row whose ``parse`` raises ValueError or
-    FleetFuelError raises FeedFormatError as ``<file>: line N: <reason>``.
+    FleetFuelError raises FeedFormatError as ``<file>: line N: <reason>``,
+    and a byte that is not UTF-8 as ``<file>: not UTF-8 text``.
+    """
+    with csv_reader(path, packaged, (ValueError, csv.Error, FleetFuelError)) as reader:
+        header = next(reader, [])
+        missing = sorted(set(columns) - set(header))
+        if missing:
+            raise ValueError(f"missing columns {missing}")
+        rows = []
+        for row in filter(None, reader):  # an empty list is a blank line
+            if len(row) != len(header):
+                raise ValueError(f"row does not have the header's {len(header)} fields")
+            rows.append(parse(dict(zip(header, map(str.strip, row)))))
+    return rows
+
+
+@contextmanager
+def utf8_text(path: str | Path | None, packaged: str | None = None) -> Iterator[TextIO]:
+    """A text handle on the UTF-8 file ``path``, or on the packaged data file ``packaged`` when path is None.
+
+    A byte that is not UTF-8, wherever the block meets it, raises FeedFormatError naming the file.
     """
     if path is None:
-        origin = f"<packaged {packaged}>"
         fh = io.StringIO(resources.files("fleetfuel.data").joinpath(packaged).read_text(encoding="utf-8"))
     else:
-        origin = str(path)
         fh = open(path, newline="", encoding="utf-8")
     with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FeedFormatError(f"{path or f'<packaged {packaged}>'}: not UTF-8 text ({exc})") from exc
+
+
+@contextmanager
+def csv_reader(path: str | Path | None, packaged: str | None = None, catch: tuple = (ValueError, csv.Error)):
+    """A csv.reader over ``utf8_text(path, packaged)``.
+
+    An exception of a ``catch`` type in the block raises FeedFormatError as
+    ``<file>: line N: <reason>``; a byte that is not UTF-8 names the file, not a line.
+    """
+    with utf8_text(path, packaged) as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, [])
-            missing = sorted(set(columns) - set(header))
-            if missing:
-                raise ValueError(f"missing columns {missing}")
-            rows = []
-            for row in filter(None, reader):  # an empty list is a blank line
-                if len(row) != len(header):
-                    raise ValueError(f"row does not have the header's {len(header)} fields")
-                rows.append(parse(dict(zip(header, map(str.strip, row)))))
-        except (ValueError, csv.Error, FleetFuelError) as exc:
-            raise FeedFormatError(f"{origin}: line {reader.line_num}: {exc}") from exc
-    return rows
+            yield reader
+        except UnicodeDecodeError:
+            raise
+        except catch as exc:
+            raise FeedFormatError(f"{path or f'<packaged {packaged}>'}: line {reader.line_num}: {exc}") from exc
+
+
+def fits(value, kind: type) -> bool:
+    """Whether ``value`` is a ``kind`` as it stands: an int passes for a float, a bool never for a number."""
+    return isinstance(value, (int, float) if kind is float else kind) and isinstance(value, bool) == (kind is bool)
 
 
 def table_columns(row_type: type) -> tuple[str, ...]:

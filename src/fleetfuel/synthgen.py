@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import date as date_type, timedelta
 from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .ingest import (
     compute_avg_fuel,
 )
 from .registry import (
-    VIN_MAP_COLUMNS, CatalogReference, artifact_file, median, read_json_object, table_columns, write_table,
+    VIN_MAP_COLUMNS, CatalogReference, artifact_file, fits, median, read_json_object, table_columns, write_table,
 )
 
 # distances whose /100 factor is a power of two, keyed by route type
@@ -133,14 +134,34 @@ class SynthSpec:
         """The spec ``to_json`` wrote; a spec that cannot be built raises FeedFormatError naming the file."""
         payload = read_json_object(path, "synth spec")
         try:
-            payload["groups"] = [SynthGroup(**g) for g in payload.get("groups", [])]
+            payload["groups"] = [SynthGroup(**_typed(SynthGroup, g)) for g in payload.get("groups", [])]
             payload["features"] = [
-                SynthFeature(**{**f, "cuts": tuple(f["cuts"]), "values": tuple(f["values"])})
+                SynthFeature(**{**_typed(SynthFeature, f), "cuts": tuple(f["cuts"]), "values": tuple(f["values"])})
                 for f in payload.get("features", [])
             ]
-            return cls(**payload)
-        except (TypeError, KeyError, DataError) as exc:
+            return cls(**_typed(cls, payload))
+        except (TypeError, KeyError, AttributeError, DataError) as exc:
             raise FeedFormatError(f"{path}: bad synth spec: {exc}") from exc
+
+
+# fields of numbers, with the JSON container that holds them
+_NUMBERS = {tuple[float, ...]: list, dict[str, float]: dict}
+
+
+def _typed(row_type: type, payload: dict) -> dict:
+    """``payload`` if each value, or each number of a list or map, has its field's type; else DataError."""
+    hints = get_type_hints(row_type)
+    for name, value in payload.items():
+        kind = hints.get(name)
+        container = _NUMBERS.get(kind)
+        if container is not None:
+            numbers = value.values() if isinstance(value, dict) else value
+            ok = fits(value, container) and all(fits(x, float) for x in numbers)
+        else:
+            ok = kind not in (int, float, str, bool) or fits(value, kind)
+        if not ok:
+            raise DataError(f"{name!r} must be {kind if container else kind.__name__}, got {value!r}")
+    return payload
 
 
 def default_spec(seed: int = 0, n_vehicles: int = 250, n_days: int = 20, **overrides) -> SynthSpec:

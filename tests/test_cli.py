@@ -282,6 +282,11 @@ class TestStageImports:
         unwanted = {"numpy", "fleetfuel.gam", "fleetfuel.explain", "fleetfuel.evaluate", "fleetfuel.synthgen"}
         assert loaded & unwanted == set()
 
+    def test_evaluate_and_impact_load_no_numpy(self, finished_run, tmp_path):
+        loaded = self._modules_after(finished_run, tmp_path, "evaluate", "impact")
+        assert {"fleetfuel.explain", "fleetfuel.evaluate"} <= loaded
+        assert loaded & {"numpy", "fleetfuel.gam", "fleetfuel.synthgen"} == set()
+
     def test_explain_loads_neither_evaluate_nor_synthgen(self, finished_run, tmp_path):
         loaded = self._modules_after(finished_run, tmp_path, "explain")
         assert {"numpy", "fleetfuel.gam", "fleetfuel.explain"} <= loaded
@@ -398,6 +403,49 @@ class TestCorruptInputs:
         spec.write_text(bad[how])
         cfg = _config_with_paths(cfg, tmp_path, synth_spec=spec)
         self._fails_naming(capsys, "synth", cfg, out, str(spec))
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ((), "n_days", "3"),
+            ((), "noise_sigma", True),
+            ((), "route_mix", {"city": "0.3"}),
+            (("groups", 0), "base_fuel", "8.0"),
+            (("features", 0), "cuts", ["40", 80, 150]),
+            (("features", 0), "integer", 1),
+        ],
+        ids=["str-for-int", "bool-for-float", "str-in-route-mix", "str-for-group-float", "str-cut", "int-for-bool"],
+    )
+    def test_synth_spec_value_type(self, finished_run, tmp_path, capsys, where, key, value):
+        out, cfg = self._copy(finished_run, tmp_path)
+        spec = json.loads((out / "synth_spec.json").read_text())
+        node = spec
+        for step in where:
+            node = node[step]
+        node[key] = value
+        path = tmp_path / "my_spec.json"
+        path.write_text(json.dumps(spec))
+        cfg = _config_with_paths(cfg, tmp_path, synth_spec=path)
+        self._fails_naming(capsys, "synth", cfg, out, str(path), repr(key))
+
+    @pytest.mark.parametrize(
+        "stage, name",
+        [
+            ("ingest", "feed.csv"),
+            ("explain", "far_labeled.csv"),
+            ("impact", "far_labeled.csv"),
+            ("impact", "explanations.csv"),
+            ("evaluate", "explanations_prefilter.csv"),
+            ("evaluate", "identities.csv"),
+        ],
+    )
+    def test_not_utf8(self, finished_run, tmp_path, capsys, stage, name):
+        out, cfg = self._copy(finished_run, tmp_path)
+        path = out / name
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+        self._fails_naming(capsys, stage, cfg, out, str(path), "not UTF-8")
 
     def test_vin_map_short_row(self, finished_run, tmp_path, capsys):
         out, cfg = self._copy(finished_run, tmp_path)

@@ -28,7 +28,7 @@ from fleetfuel.evaluate import (
     signed_rank_test,
     train_test_split,
 )
-from fleetfuel.explain import BR_ORDER, ExplanationTable, FuelMedians, ReferencePolicy, apply_business_rules
+from fleetfuel.explain import BR_ORDER, ExplanationTable, FuelMedians, ReferencePolicy, apply_business_rules, divide
 from fleetfuel.registry import (
     CO2_KG_PER_LITER,
     CatalogReference,
@@ -311,6 +311,12 @@ class TestZeroFuelAndNanSaving:
             "[('Aggressive Driving', nan, 1, 'within')]",
             "[0.0, nan, 0.0]",
         ]
+
+    def test_divide_matches_numpy(self):
+        special = [0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for x, y in itertools.product(special, special):
+                assert repr(divide(x, y)) == repr(float(np.float64(x) / np.float64(y))), (x, y)
 
     def test_day_totals(self):
         assert repr(self.table().day_totals()) == (

@@ -896,9 +896,10 @@ def reference_write_audit(entries, path):
 _VEHICLES = ("v1", "v2", "k\u00fchl-3", "\u8eca4", 'v,"5')
 _ROUTES = ("city", "highway")
 _FUEL = st.sampled_from([8.0, 10.0, 12.5, 9.75])
-# 0.1 and 0.2 on a 10.0 day sit exactly on the BR2 thresholds 0.01 and 0.02
+# 0.1 and 0.2 on a 10.0 day sit exactly on the BR2 thresholds 0.01 and 0.02;
+# 0.0 and -0.0 are equal floats with different texts
 _SAVING = st.one_of(
-    st.sampled_from([0.1, 0.2, 0.05]),
+    st.sampled_from([0.1, 0.2, 0.05, 0.0, -0.0]),
     st.floats(0.01, 0.6, allow_nan=False),
     st.just(math.nan),
 )
