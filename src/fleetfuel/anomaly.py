@@ -136,7 +136,6 @@ class NoiseReport:
     n_low: int = 0
     n_noise: int = 0
     low_days: list[tuple[str, str]] = field(default_factory=list)
-    noise_days: list[tuple[str, str]] = field(default_factory=list)
     emptied_cells: list[tuple[int, str]] = field(default_factory=list)
 
 
@@ -164,7 +163,6 @@ def two_phase_clean(
             continue
         if rec.avg_fuel_consumption > lim.lim_sup:
             report.n_noise += 1
-            report.noise_days.append((rec.vehicle_id, rec.date.isoformat()))
             continue
         survivors.append(rec)
 

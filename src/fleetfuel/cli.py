@@ -387,7 +387,7 @@ def stage_train(ctx: RunContext) -> None:
         ctx.config["fleet_id"],
         test_records,
         predictions,
-        n_predictors=len(model.columns),
+        n_predictors=sum(1 for cuts in model.cuts if cuts.size),
         n_train=len(train_records),
     )
     model.save_json(ctx.output("model.json"))

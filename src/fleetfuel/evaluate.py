@@ -73,7 +73,7 @@ def mape(actuals: Sequence[float], predictions: Sequence[float]) -> float:
     ]
     if not pairs:
         raise DataError("MAPE needs at least one positive actual")
-    return float(sum(abs(y - p) / y for y, p in pairs) / len(pairs) * 100.0)
+    return float(math.fsum(abs(y - p) / y for y, p in pairs) / len(pairs) * 100.0)
 
 
 def classify_mape(value: float) -> str:
@@ -228,7 +228,7 @@ def _approx_two_sided(ranks: list[float], w_plus: float, n: int) -> float:
         return 1.0
     diff = w_plus - mu
     z = (diff - math.copysign(0.5, diff)) / math.sqrt(var) if diff != 0 else 0.0
-    return 2.0 * (1.0 - 0.5 * (1.0 + math.erf(abs(z) / math.sqrt(2.0))))
+    return math.erfc(abs(z) / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,10 @@ EXPLANATION_COLUMNS = table_columns(ExplanationRow)
 
 def recompute_fuel_new(avg_fuel: float, y_diffs: Iterable[float]) -> float:
     """New daily fuel after applying every surviving recommendation."""
-    return avg_fuel - sum(y_diffs)
+    total = 0.0
+    for y_diff in y_diffs:  # left to right: from Python 3.12, sum() compensates
+        total += y_diff
+    return avg_fuel - total
 
 
 def _sum_by(ids: Iterable[int], weights: Iterable[float], n: int) -> list[float]:

@@ -3,9 +3,11 @@
 The model is an intercept plus one piecewise-constant shape function per
 input feature; a prediction decomposes exactly into those per-feature
 contributions.  Training bins every feature on quantile cut points, then
-cycles over features fitting a tiny depth-limited regression tree (over
-contiguous bin segments) to the current residuals, accumulating each
-tree's shrunken leaf values into the feature's shape.  Several bags of
+cycles over the features that have more than one bin, fitting a tiny
+depth-limited regression tree (over contiguous bin segments) to the
+current residuals and accumulating each tree's shrunken leaf values into
+the feature's shape.  A single-bin feature cannot split: it is not
+boosted and its one value stays exactly 0.  Several bags of
 bootstrap samples are trained and their shapes averaged; each bag
 early-stops on a held-out validation slice.  After averaging, shapes are
 mean-centered over the training data and the removed mass is folded into
@@ -18,8 +20,12 @@ and a split search vectorised across bags.  Every bag draws the same rows
 and performs the same floating-point operations in the same order as if
 it were trained alone, so the model is bit-identical to per-bag training.
 A bag that early-stops leaves the batch.  The flat ids are built once per
-batch and take 8 bytes per bag, row and column with more than one bin:
-at most 2.4 MB for 8 bags, 1,000 rows and 37 columns, linear in rows.
+batch and take 8 bytes per bag, row and boosted column: at most 2.4 MB
+for 8 bags, 1,000 rows and 37 columns, linear in rows.
+
+``model.json`` (version 2) holds the intercept, the training config and,
+per design column in order, its name, kind, origin, level, cuts and
+values; a single-bin column has no cuts and the one value 0.0.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .registry import FeatureRegistry, TrainConfig, artifact_file, write_table
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "fleetfuel-additive-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 #: FarRecord fields treated as categorical context features.
 DEFAULT_CATEGORICALS = ("route_type", "vehicle_group", "vehicle_class")
@@ -286,15 +292,13 @@ def _fit_bags(
 ) -> tuple[list[float], list[np.ndarray], list[BagHistory]]:
     """Train every bag in one batched state; see the module docstring.
 
-    Returns each bag's intercept, each column's (bags x nb) best-round
-    shapes, and each bag's history.
+    Every column has more than one bin.  Returns each bag's intercept,
+    each column's (bags x nb) best-round shapes, and each bag's history.
     """
     boot, val = _draw_bags(y.shape[0], config)
-    n_boot = boot.shape[1]
     intercepts = [float(y[rows].mean()) for rows in boot]
-    # State is (rows x bags) in C order.  A bag still sums its rows in
-    # order, but consecutive adds go to different bags' cells, which keeps
-    # bincount fast on single-bin columns; ravel() stays a view.
+    # State is (rows x bags) in C order, the order of the flat ids, so
+    # ravel() stays a view; a bag still sums its own rows in order.
     residual = np.ascontiguousarray(y[boot.T]) - np.asarray(intercepts)
     val_pred = np.repeat(np.asarray(intercepts)[None, :], val.shape[1], axis=0)
     y_val = np.ascontiguousarray(y[val.T])
@@ -307,25 +311,15 @@ def _fit_bags(
     lr = config.learning_rate
 
     def batch(active):
-        columns = [
-            None if nb == 1 else _Column(b[boot[active]], b[val[active]], nb)
-            for b, nb in zip(bins, n_bins)
-        ]
-        return columns, np.tile(np.arange(active.size), n_boot)
+        return [_Column(b[boot[active]], b[val[active]], nb) for b, nb in zip(bins, n_bins)]
 
     active = np.arange(config.bags)
-    columns, bag_ids = batch(active)
+    columns = batch(active)
     # split positions with an empty side divide by zero; their gain is masked
     with np.errstate(divide="ignore", invalid="ignore"):
         for rnd in range(config.max_rounds):
             res_flat = residual.ravel()
             for j, col in enumerate(columns):
-                if col is None:  # one leaf: the bag's mean residual
-                    delta = lr * np.bincount(bag_ids, weights=res_flat) / n_boot
-                    shapes[:, starts[j]] += delta
-                    residual -= delta
-                    val_pred += delta
-                    continue
                 sums = np.bincount(col.ids, weights=res_flat, minlength=col.counts.size)
                 C = np.cumsum(sums.reshape(col.counts.shape), axis=1)
                 delta = _tree_deltas(C, col, config.max_leaves, lr)
@@ -359,7 +353,7 @@ def _fit_bags(
                 val_pred = np.ascontiguousarray(val_pred[:, keep])
                 y_val = np.ascontiguousarray(y_val[:, keep])
                 shapes = shapes[keep]
-                columns, bag_ids = batch(active)
+                columns = batch(active)
     for h in histories:
         h.stopped_round = len(h.val_rmse) - 1
     bag_shapes = [best_shapes[:, starts[j] : starts[j + 1]] for j in range(len(n_bins))]
@@ -375,7 +369,6 @@ class AdditiveModel:
     cuts: list[np.ndarray]
     values: list[np.ndarray]
     config: TrainConfig
-    link: str = "identity"
     history: list[BagHistory] = field(default_factory=list, repr=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
@@ -444,7 +437,6 @@ class AdditiveModel:
         return {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
-            "link": self.link,
             "intercept": self.intercept,
             "config": asdict(self.config),
             "features": [
@@ -490,7 +482,6 @@ class AdditiveModel:
             cuts=cuts,
             values=values,
             config=TrainConfig(**data["config"]),
-            link=data.get("link", "identity"),
         )
 
     def save_json(self, path: str | Path) -> None:
@@ -538,28 +529,24 @@ def fit_matrix(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     cuts = build_bins(X, config.max_bins)
-    n_bins = [c.size + 1 for c in cuts]
     bins = [_bin_indices(X[:, j], cuts[j]) for j in range(X.shape[1])]
+    values = [np.zeros(c.size + 1, dtype=np.float64) for c in cuts]
+    intercept, histories = float(y.mean()), []
 
     if float(np.var(y)) == 0.0:
         logger.warning("zero-variance training target: constant model")
-        return AdditiveModel(
-            intercept=float(y.mean()),
-            columns=list(columns),
-            cuts=cuts,
-            values=[np.zeros(nb, dtype=np.float64) for nb in n_bins],
-            config=config,
+    else:
+        boosted = [j for j, c in enumerate(cuts) if c.size]
+        intercepts, bag_shapes, histories = _fit_bags(
+            y, [bins[j] for j in boosted], [values[j].size for j in boosted], config
         )
-
-    intercepts, bag_shapes, histories = _fit_bags(y, bins, n_bins, config)
-    intercept = float(np.mean(intercepts))
-    values = [shape.mean(axis=0) for shape in bag_shapes]
-
-    # center each shape over the training rows; fold the mass into the intercept
-    for j in range(len(columns)):
-        mass = float(values[j][bins[j]].mean())
-        values[j] = values[j] - mass
-        intercept += mass
+        intercept = float(np.mean(intercepts))
+        # center each shape over the training rows; fold the mass into the intercept
+        for j, shape in zip(boosted, bag_shapes):
+            value = shape.mean(axis=0)
+            mass = float(value[bins[j]].mean())
+            values[j] = value - mass
+            intercept += mass
 
     return AdditiveModel(
         intercept=intercept,

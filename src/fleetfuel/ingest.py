@@ -179,16 +179,20 @@ def parse_feed_csv(path: str | Path) -> ParsedFeed:
 
 
 def _aggregate(values: list[tuple[datetime, float]], how: str) -> float:
-    """Aggregate one day's samples of one channel, order-independently."""
-    ordered = sorted(v for _, v in values)
+    """Aggregate one day's samples of one channel, order-independently.
+
+    ``math.fsum`` is exactly rounded: its sums depend neither on the order
+    of the samples nor on the Python version.
+    """
+    samples = [v for _, v in values]
     if how == "sum":
-        return float(sum(ordered))
+        return math.fsum(samples)
     if how == "mean":
-        return float(sum(ordered) / len(ordered))
+        return math.fsum(samples) / len(samples)
     if how == "max":
-        return ordered[-1]
+        return max(samples)
     if how == "count":
-        return float(len(ordered))
+        return float(len(samples))
     if how == "last":
         return max(values)[1]
     raise DataError(f"unknown aggregator {how!r}")

@@ -523,9 +523,6 @@ class TrainConfig:
     bags: int = 8
     validation_fraction: float = 0.15
     seed: int = 0
-    #: read by nothing: bags train in one batched state.  Kept because
-    #: model.json stores the config and existing model files carry the key.
-    workers: int = 1
 
     def __post_init__(self):
         if not self.learning_rate > 0:

@@ -323,7 +323,10 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> GeneratedFleet:
             noise = float(rng.normal(0.0, spec.noise_sigma)) if spec.noise_sigma else 0.0
             planted = bool(rng.random() < spec.outlier_rate)
             contribs = {f.name: f.contribution(values[f.name]) for f in spec.features}
-            clean = _snap_roundtrip(group.base_fuel + sum(contribs.values()) + noise)
+            planted_sum = 0.0
+            for contrib in contribs.values():  # left to right: from Python 3.12, sum() compensates
+                planted_sum += contrib
+            clean = _snap_roundtrip(group.base_fuel + planted_sum + noise)
             days.append(
                 TruthDay(
                     vehicle_id=vehicle_ids[v],

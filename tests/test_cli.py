@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from fleetfuel.cli import main
+from fleetfuel.synthgen import default_spec
 
 from .conftest import run_python
 
@@ -169,8 +170,12 @@ class TestExitCodes:
             ({"split": {"fraction": "x"}}, "'split.fraction'"),
             ({"rules": {"br2_threshold": "x"}}, "'rules.br2_threshold'"),
             ({"train": 8}, "'train'"),
+            ({"train": {"workers": 2}}, "'train.workers'"),
         ],
-        ids=["not-object", "str-for-int", "bool-for-int", "str-for-float", "rules-str", "scalar-for-section"],
+        ids=[
+            "not-object", "str-for-int", "bool-for-int", "str-for-float", "rules-str", "scalar-for-section",
+            "removed-key",
+        ],
     )
     def test_config_of_wrong_shape_is_usage(self, workdir, capsys, config, named):
         bad = workdir / "bad.json"
@@ -220,6 +225,25 @@ def finished_run(tmp_path_factory):
         cfg = synth_config(root)
         assert run("pipeline", "--config", cfg) == 0
     return root / "out", cfg
+
+
+class TestModelFormat:
+    def test_small_fleet_model_and_predictors(self, workdir):
+        # 35 test days against 37 design columns, 16 of them single-bin
+        default_spec(seed=3, n_vehicles=30, n_days=12).to_json(workdir / "spec.json")
+        cfg = workdir / "config.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "paths": {"out_dir": "out", "synth_spec": "spec.json"}}))
+        assert run("synth", "--config", str(cfg)) == 0
+        assert run("pipeline", "--config", str(cfg)) == 0
+        model = json.loads((workdir / "out" / "model.json").read_text())
+        assert model["version"] == 2
+        assert "link" not in model and "workers" not in model["config"]
+        single_bin = [feat for feat in model["features"] if not feat["cuts"]]
+        assert single_bin
+        assert all(feat["values"] == [0.0] for feat in single_bin)
+        # adjusted R² counts the columns with cuts
+        metrics = json.loads((workdir / "out" / "train_metrics.json").read_text())
+        assert metrics["n_predictors"] == len(model["features"]) - len(single_bin)
 
 
 class TestManifest:
@@ -340,7 +364,7 @@ class TestCorruptInputs:
         else:
             data = json.loads(text)
             if how == "version":
-                data["version"] = 2
+                data["version"] = 1
             else:
                 del data["features"]
             path.write_text(json.dumps(data))

@@ -189,7 +189,7 @@ PINNED_SIGNED_RANK = {
     16: (89.5, 0.27972412109375), 17: (91.5, 0.4966888427734375), 18: (109.0, 0.32517242431640625),
     19: (119.0, 0.3512153625488281), 20: (134.0, 0.2894306182861328), 21: (151.5, 0.21752357482910156),
     22: (156.5, 0.34253358840942383), 23: (178.0, 0.2314903736114502), 24: (179.0, 0.4233129024505615),
-    25: (195.0, 0.394260048866272), 26: (214.0, 0.33291899244091616), 40: (508.0, 0.18854387009010942),
+    25: (195.0, 0.394260048866272), 26: (214.0, 0.33291899244091616), 40: (508.0, 0.18854387009010956),
 }
 
 
@@ -234,6 +234,18 @@ class TestSignedRank:
         d = rng.normal(1.0, 0.3, size=80)
         _, p = signed_rank_test(list(d))
         assert p < 0.001
+
+    # expected p from scipy 1.17.1: wilcoxon(d, correction=True, method="approx").pvalue
+    @pytest.mark.parametrize(
+        "seed, n, shift, expected",
+        [(1, 289, 1.0, 3.7667921600714075e-34), (2, 60, 2.0, 1.9692672315796035e-11)],
+        ids=["p-4e-34", "p-2e-11"],
+    )
+    def test_small_p_matches_scipy(self, seed, n, shift, expected):
+        # ties and zeros from rounding; p far in the tail, where 1 - erf cancels
+        d = np.round(np.random.default_rng(seed).normal(shift, 1.0, size=n), 1)
+        _, p = signed_rank_test(d.tolist())
+        assert p == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("n", sorted(PINNED_SIGNED_RANK))
     def test_pinned_values(self, n):

@@ -141,19 +141,13 @@ class TestFit:
         m2 = fit_matrix(X, y, cols, FAST)
         assert json.dumps(m1.to_dict()) == json.dumps(m2.to_dict())
 
-    def test_workers_do_not_change_result(self):
+    def test_all_single_bin_columns_give_zero_shapes(self):
         rng = np.random.default_rng(2)
-        X = rng.uniform(0, 1, size=(200, 2))
-        y = 6.0 + 1.5 * (X[:, 1] > 0.3) + rng.normal(0, 0.05, 200)
-        cols = [numeric_column("a"), numeric_column("b")]
-        base = fit_matrix(X, y, cols, FAST)
-        threaded = fit_matrix(
-            X, y, cols, TrainConfig(**{**FAST.__dict__, "workers": 4})
-        )
-        assert json.dumps(base.to_dict()["features"]) == json.dumps(
-            threaded.to_dict()["features"]
-        )
-        assert base.intercept == threaded.intercept
+        X = np.tile([0.0, 1.0, 873.25], (200, 1))
+        y = 6.0 + rng.normal(0, 0.5, 200)
+        model = fit_matrix(X, y, [numeric_column(n) for n in "abc"], FAST)
+        assert [c.tolist() for c in model.cuts] == [[], [], []]
+        assert [v.tolist() for v in model.values] == [[0.0], [0.0], [0.0]]
 
     def test_centering_over_training_rows(self):
         rng = np.random.default_rng(3)
@@ -492,6 +486,8 @@ def _ref_fit_bag(seed_seq, y, bins, n_bins, config):
     stale = 0
     for rnd in range(config.max_rounds):
         for j in range(len(bins)):
+            if n_bins[j] == 1:
+                continue
             sums = np.bincount(tb[j], weights=residual, minlength=n_bins[j])
             cnts = np.bincount(tb[j], minlength=n_bins[j]).astype(np.float64)
             delta = _ref_tree_update(sums, cnts, config.max_leaves, config.learning_rate)

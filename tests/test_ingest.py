@@ -107,6 +107,16 @@ class TestAggregateDaily:
         records, _ = aggregate_daily(readings, small_registry)
         assert records[0].trip_fuel_used == 3.1
 
+    def test_sum_is_exactly_rounded(self, small_registry):
+        # adding the sorted samples left to right loses the 1.0; math.fsum keeps it
+        readings = self.feed(
+            "2020-10-31 01:00:00+00:00,b1,TripFuel,-1e16\n"
+            "2020-10-31 02:00:00+00:00,b1,TripFuel,1.0\n"
+            "2020-10-31 03:00:00+00:00,b1,TripFuel,1e16\n"
+        )
+        records, _ = aggregate_daily(readings, small_registry)
+        assert records[0].trip_fuel_used == 1.0
+
     def test_grouping_cardinality(self, small_registry):
         rows = []
         for v in ("a", "b"):
