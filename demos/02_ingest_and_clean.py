@@ -26,7 +26,7 @@ if not fleet_dir.exists():
     generate(default_spec(seed=42, n_vehicles=60, n_days=15, outlier_rate=0.04), fleet_dir)
 
 registry = FeatureRegistry.default()
-parsed = parse_feed_csv(fleet_dir / "feed.csv")
+parsed = parse_feed_csv(fleet_dir / "feed.csv", registry)
 print(f"parsed {len(parsed.readings)} readings, {parsed.n_rejected} rejected")
 
 records, report = aggregate_daily(parsed.readings, registry)

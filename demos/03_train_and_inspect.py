@@ -23,7 +23,7 @@ if not fleet_dir.exists():
     generate(default_spec(seed=42, n_vehicles=60, n_days=15, outlier_rate=0.04), fleet_dir)
 
 registry = FeatureRegistry.default()
-records, _ = aggregate_daily(parse_feed_csv(fleet_dir / "feed.csv").readings, registry)
+records, _ = aggregate_daily(parse_feed_csv(fleet_dir / "feed.csv", registry).readings, registry)
 identities = assign_groups(sorted({r.vehicle_id for r in records}), VinMap.from_csv(fleet_dir / "vin_map.csv"))
 records = enrich_records(records, identities)
 kept, _ = quality_filter(records)

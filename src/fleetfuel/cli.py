@@ -304,7 +304,7 @@ def stage_ingest(ctx: RunContext) -> None:
     registry = ctx.registry()
     ctx.out_dir.mkdir(parents=True, exist_ok=True)
 
-    parsed = parse_feed_csv(feed_path)
+    parsed = parse_feed_csv(feed_path, registry)
     records, agg_report = aggregate_daily(
         parsed.readings, registry, ctx.config["ignore_channels"]
     )

@@ -6,6 +6,9 @@ vehicle and calendar day, classifies the day's route context, resolves
 vehicle identities and classes, applies data-quality filters and fills
 missing feature values from group medians.
 
+``parse_feed`` puts each row straight into its (vehicle, UTC day) and
+channel sample list; ``aggregate_daily`` reduces and frees them day by day.
+
 Channel naming: a feed variable_id either names a feature declared in the
 registry (aggregated by that feature's declared aggregator) or one of the
 three core channels below, which feed the record's dedicated fields.
@@ -14,8 +17,10 @@ three core channels below, which feed the record's dedicated fields.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from operator import attrgetter
@@ -50,7 +55,7 @@ MIN_TRIP_KMS = 5.0
 
 @dataclass(frozen=True)
 class RawReading:
-    """One timestamped telemetry sample."""
+    """One feed row; its fields declare the feed's columns."""
 
     time_tx: datetime
     vehicle_id: str
@@ -96,8 +101,26 @@ class RouteThresholds:
 
 
 @dataclass
+class DayReadings:
+    """Accepted feed rows by (vehicle, UTC day), then by channel.
+
+    A ``last`` channel keeps (time, value) samples, any other channel bare
+    values.  Rows of undeclared channels are only counted, in ``other`` in
+    order of first sight.  ``len()`` counts every accepted row.
+    """
+
+    registry: FeatureRegistry
+    days: dict[tuple[str, date], dict[str, list]]
+    other: dict[str, int]
+    n_rows: int
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+
+@dataclass
 class ParsedFeed:
-    readings: list[RawReading]
+    readings: DayReadings
     rejects: dict[str, int]
 
     @property
@@ -105,36 +128,45 @@ class ParsedFeed:
         return sum(self.rejects.values())
 
 
-def _parse_timestamp(raw: str) -> datetime:
+@functools.lru_cache(maxsize=4096)
+def _day_and_time(raw: str) -> tuple[date, datetime]:
+    """UTC day and time of a feed timestamp; naive times are taken as UTC."""
     text = raw.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     ts = datetime.fromisoformat(text)
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    ts = ts.astimezone(timezone.utc)
+    return ts.date(), ts
 
 
-def parse_feed(stream: TextIO | Iterable[str]) -> ParsedFeed:
-    """Parse the raw CSV feed, keeping row order.
+def parse_feed(stream: TextIO | Iterable[str], registry: FeatureRegistry) -> ParsedFeed:
+    """Parse the raw CSV feed in one pass, grouping rows as DayReadings.
 
-    Malformed rows (bad timestamp, non-numeric or non-finite value, wrong
-    field count) are dropped and counted by reason.  A missing or wrong
-    header, or a row the csv module cannot read, is fatal.
+    Each distinct timestamp text is parsed once, through a memo bounded at
+    4,096 entries.  Malformed rows (bad timestamp, non-numeric or non-finite
+    value, wrong field count) are dropped and counted by reason.  A missing
+    header, one that does not name each feed column exactly once, or a row
+    the csv module cannot read, is fatal.
     """
     reader = csv.reader(stream)
-    readings: list[RawReading] = []
+    days: dict[tuple[str, date], dict[str, list]] = defaultdict(lambda: defaultdict(list))
+    other: dict[str, int] = {}
+    n_rows = 0
+    declared = {name: name for name in (*registry.names, *CORE_CHANNELS)}
+    timed = {spec.name for spec in registry if spec.aggregator == "last"} - CORE_CHANNELS
     rejects = {"bad_field_count": 0, "bad_timestamp": 0, "bad_value": 0}
     try:
         header = next(reader, None)
         if header is None:
             raise FeedFormatError("feed is empty: missing header row")
-        names = tuple(h.strip() for h in header)
-        if set(names) != set(FEED_COLUMNS):
+        names = [h.strip() for h in header]
+        if sorted(names) != sorted(FEED_COLUMNS):
             raise FeedFormatError(
-                f"feed header {list(names)} does not match expected {list(FEED_COLUMNS)}"
+                f"feed header {names} does not match expected {list(FEED_COLUMNS)}"
             )
-        idx = {name: names.index(name) for name in FEED_COLUMNS}
+        i_time, i_vehicle, i_channel, i_value = map(names.index, FEED_COLUMNS)
 
         for row in reader:
             if not row:
@@ -143,58 +175,62 @@ def parse_feed(stream: TextIO | Iterable[str]) -> ParsedFeed:
                 rejects["bad_field_count"] += 1
                 continue
             try:
-                ts = _parse_timestamp(row[idx["time_tx"]])
-            except ValueError:
+                day, ts = _day_and_time(row[i_time])
+            except (ValueError, OverflowError):
                 rejects["bad_timestamp"] += 1
                 continue
             try:
-                value = float(row[idx["variable_value"]])
+                value = float(row[i_value])
             except ValueError:
                 rejects["bad_value"] += 1
                 continue
             if not math.isfinite(value):
                 rejects["bad_value"] += 1
                 continue
-            readings.append(
-                RawReading(
-                    time_tx=ts,
-                    vehicle_id=row[idx["vehicle_id"]].strip(),
-                    variable_id=row[idx["variable_id"]].strip(),
-                    variable_value=value,
-                )
-            )
+            n_rows += 1
+            text = row[i_channel].strip()
+            channel = declared.get(text)  # the registry's own string, shared by every day
+            if channel is None:
+                other[text] = other.get(text, 0) + 1
+            else:
+                days[row[i_vehicle].strip(), day][channel].append((ts, value) if channel in timed else value)
     except csv.Error as exc:
         # e.g. a field over the csv module's size limit
         raise FeedFormatError(f"line {reader.line_num}: {exc}") from exc
-    return ParsedFeed(readings=readings, rejects=rejects)
+    return ParsedFeed(DayReadings(registry, days, other, n_rows), rejects)
 
 
-def parse_feed_csv(path: str | Path) -> ParsedFeed:
+def parse_feed_csv(path: str | Path, registry: FeatureRegistry) -> ParsedFeed:
     """parse_feed over a file; a fatal format error names the file."""
     with utf8_text(path) as fh:
         try:
-            return parse_feed(fh)
+            return parse_feed(fh, registry)
         except FeedFormatError as exc:
             raise FeedFormatError(f"{path}: {exc}") from exc
 
 
-def _aggregate(values: list[tuple[datetime, float]], how: str) -> float:
+def _ranked(value: float) -> tuple[float, float]:
+    """Sort key that puts 0.0 above -0.0, so a tie does not depend on order."""
+    return value, math.copysign(1.0, value)
+
+
+def _aggregate(samples: list, how: str) -> float:
     """Aggregate one day's samples of one channel, order-independently.
 
-    ``math.fsum`` is exactly rounded: its sums depend neither on the order
-    of the samples nor on the Python version.
+    ``last`` samples are (time, value) pairs: the latest time wins, then
+    the largest value.  ``math.fsum`` is exactly rounded: its sums depend
+    neither on the order of the samples nor on the Python version.
     """
-    samples = [v for _, v in values]
     if how == "sum":
         return math.fsum(samples)
     if how == "mean":
         return math.fsum(samples) / len(samples)
     if how == "max":
-        return max(samples)
+        return max(samples, key=_ranked)
     if how == "count":
         return float(len(samples))
     if how == "last":
-        return max(values)[1]
+        return max(samples, key=lambda s: (s[0], *_ranked(s[1])))[1]
     raise DataError(f"unknown aggregator {how!r}")
 
 
@@ -206,37 +242,30 @@ class AggregateReport:
 
 
 def aggregate_daily(
-    readings: Sequence[RawReading],
+    readings: DayReadings,
     registry: FeatureRegistry,
     ignore: Iterable[str] = (),
 ) -> tuple[list[FarRecord], AggregateReport]:
-    """Group readings into one FarRecord per (vehicle, UTC calendar day).
+    """Reduce grouped readings to one FarRecord per (vehicle, UTC day), in day order.
 
     Each registry feature is reduced by its declared aggregator; the three
     core channels fill trip_kms / trip_fuel_used / per_time_city.  Channels
-    neither declared nor ignored are skipped with a warning.
+    neither declared nor ignored are skipped with a warning.  A day's
+    samples are dropped from ``readings`` once its record is built.
     """
+    if tuple(readings.registry) != tuple(registry):
+        raise DataError("readings were grouped under a different feature registry")
     ignore_set = set(ignore)
-    buckets: dict[tuple[str, date], dict[str, list[tuple[datetime, float]]]] = {}
     report = AggregateReport(n_readings=len(readings))
-    for r in readings:
-        known = r.variable_id in registry or r.variable_id in CORE_CHANNELS
-        if not known:
-            if r.variable_id not in ignore_set:
-                if r.variable_id not in report.unknown_channels:
-                    logger.warning("unknown channel %r skipped", r.variable_id)
-                    report.unknown_channels[r.variable_id] = 0
-                report.unknown_channels[r.variable_id] += 1
-            continue
-        day = r.time_tx.date()
-        buckets.setdefault((r.vehicle_id, day), {}).setdefault(
-            r.variable_id, []
-        ).append((r.time_tx, r.variable_value))
+    for channel, count in readings.other.items():
+        if channel not in ignore_set:
+            logger.warning("unknown channel %r skipped", channel)
+            report.unknown_channels[channel] = count
 
     records = []
-    for (vehicle_id, day), channels in sorted(buckets.items()):
+    for vehicle_id, day in sorted(readings.days):
         rec = FarRecord(vehicle_id=vehicle_id, date=day)
-        for channel, samples in channels.items():
+        for channel, samples in readings.days.pop((vehicle_id, day)).items():
             if channel == TRIP_FUEL_CHANNEL:
                 rec.trip_fuel_used = _aggregate(samples, "sum")
             elif channel == TRIP_KMS_CHANNEL:

@@ -97,7 +97,7 @@ def noiseless_fit(tmp_path_factory):
     spec = default_spec(seed=29, n_vehicles=250, n_days=20, noise_sigma=0.0, outlier_rate=0.0)
     fleet = generate(spec, root)
     registry = FeatureRegistry.default()
-    parsed = parse_feed_csv(fleet.feed_path)
+    parsed = parse_feed_csv(fleet.feed_path, registry)
     records, _ = aggregate_daily(parsed.readings, registry)
     identities = assign_groups(
         sorted({r.vehicle_id for r in records}), VinMap.from_csv(fleet.vin_map_path)
@@ -341,7 +341,7 @@ def test_c07_anomaly_recall(tmp_path):
     spec = default_spec(seed=21, n_vehicles=250, n_days=40, outlier_rate=0.05)
     fleet = generate(spec, tmp_path / "c7")
     registry = FeatureRegistry.default()
-    parsed = parse_feed_csv(fleet.feed_path)
+    parsed = parse_feed_csv(fleet.feed_path, registry)
     records, _ = aggregate_daily(parsed.readings, registry)
     identities = assign_groups(
         sorted({r.vehicle_id for r in records}), VinMap.from_csv(fleet.vin_map_path)

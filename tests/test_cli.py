@@ -481,7 +481,9 @@ class TestCorruptInputs:
         self._fails_naming(capsys, "ingest", cfg, out, table.name, "line 2")
 
     @pytest.mark.parametrize(
-        "header", ["time_tx,vehicle,variable_id,variable_value\n", ""], ids=["vehicle-header", "empty"]
+        "header",
+        ["time_tx,vehicle,variable_id,variable_value\n", "", "time_tx,vehicle_id,variable_id,variable_value,vehicle_id\n"],
+        ids=["vehicle-header", "empty", "duplicated-column"],
     )
     def test_feed_header(self, finished_run, tmp_path, capsys, header):
         out, cfg = self._copy(finished_run, tmp_path)

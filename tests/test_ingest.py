@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import csv
+import functools
 import io
+import math
 import random
-from datetime import date
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleetfuel import ingest
 from fleetfuel.errors import DataError, FeedFormatError
 from fleetfuel.ingest import (
+    CORE_CHANNELS,
+    FEED_COLUMNS,
+    FarRecord,
+    RawReading,
     RouteThresholds,
     aggregate_daily,
     assign_vehicle_class,
@@ -23,7 +31,7 @@ from fleetfuel.ingest import (
     read_far_csv,
     write_far_csv,
 )
-from fleetfuel.registry import load_class_table
+from fleetfuel.registry import AGGREGATORS, FeatureSpec, load_class_table
 
 from .conftest import make_record, make_registry
 
@@ -40,60 +48,224 @@ def brute_force_route(ptc: float, kms: float, th: RouteThresholds) -> str:
         return "combined"
 
 
+def probe_registry(aggregators=AGGREGATORS):
+    """One ``<aggregator>_probe`` feature per aggregator."""
+    return make_registry(
+        [
+            FeatureSpec(
+                name=f"{agg}_probe", unit="u", aggregator=agg, impact_type="Positive",
+                reference_zero=True, category="Driving Behaviour",
+                subcategory="Eco-Driving", actionable=True,
+            )
+            for agg in aggregators
+        ]
+    )
+
+
+# ---------------------------------------------------------------------------
+# Reference loop: the two-pass ingest, one RawReading per row, then grouping.
+# The aggregators state the order-independent rule on their own: the latest
+# time wins a `last`, the larger value a tie, and 0.0 a tie with -0.0.
+
+
+def _signed(v):
+    return (v, math.copysign(1.0, v))
+
+
+def _ref_parse_timestamp(raw):
+    text = raw.strip()
+    if text.endswith("Z"):
+        text = text[:-1] + "+00:00"
+    ts = datetime.fromisoformat(text)
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return ts.astimezone(timezone.utc)
+
+
+def _ref_parse_feed(text):
+    reader = csv.reader(io.StringIO(text))
+    names = [h.strip() for h in next(reader)]
+    idx = {name: names.index(name) for name in FEED_COLUMNS}
+    readings = []
+    rejects = {"bad_field_count": 0, "bad_timestamp": 0, "bad_value": 0}
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(names):
+            rejects["bad_field_count"] += 1
+            continue
+        try:
+            ts = _ref_parse_timestamp(row[idx["time_tx"]])
+        except (ValueError, OverflowError):
+            rejects["bad_timestamp"] += 1
+            continue
+        try:
+            value = float(row[idx["variable_value"]])
+        except ValueError:
+            rejects["bad_value"] += 1
+            continue
+        if not math.isfinite(value):
+            rejects["bad_value"] += 1
+            continue
+        readings.append(
+            RawReading(ts, row[idx["vehicle_id"]].strip(), row[idx["variable_id"]].strip(), value)
+        )
+    return readings, rejects
+
+
+def _ref_aggregate(samples, how):
+    values = [v for _, v in samples]
+    if how == "sum":
+        return math.fsum(values)
+    if how == "mean":
+        return math.fsum(values) / len(values)
+    if how == "max":
+        return max(values, key=_signed)
+    if how == "count":
+        return float(len(values))
+    assert how == "last"
+    return max(samples, key=lambda tv: (tv[0], *_signed(tv[1])))[1]
+
+
+def _ref_aggregate_daily(readings, registry, ignore=()):
+    buckets = {}
+    unknown = {}
+    for r in readings:
+        if r.variable_id not in registry and r.variable_id not in CORE_CHANNELS:
+            if r.variable_id not in ignore:
+                unknown[r.variable_id] = unknown.get(r.variable_id, 0) + 1
+            continue
+        buckets.setdefault((r.vehicle_id, r.time_tx.date()), {}).setdefault(r.variable_id, []).append(
+            (r.time_tx, r.variable_value)
+        )
+    records = []
+    for (vehicle_id, day), channels in sorted(buckets.items()):
+        rec = FarRecord(vehicle_id=vehicle_id, date=day)
+        for channel, samples in channels.items():
+            if channel == "TripFuel":
+                rec.trip_fuel_used = _ref_aggregate(samples, "sum")
+            elif channel == "TripKms":
+                rec.trip_kms = _ref_aggregate(samples, "sum")
+            elif channel == "PerTimeCity":
+                rec.per_time_city = _ref_aggregate(samples, "mean")
+            else:
+                rec.features[channel] = _ref_aggregate(samples, registry[channel].aggregator)
+        records.append(rec)
+    return records, unknown
+
+
 class TestParseFeed:
     def test_sample_row(self):
         stream = io.StringIO(
-            HEADER + "2020-10-31 00:02:34.073000+00:00, b123, EngineSpeed, 1200\n"
+            HEADER + "2020-10-31 00:02:34.073000+00:00, b123, last_probe, 1200\n"
         )
-        parsed = parse_feed(stream)
+        parsed = parse_feed(stream, probe_registry())
         assert len(parsed.readings) == 1
-        r = parsed.readings[0]
-        assert (r.vehicle_id, r.variable_id, r.variable_value) == ("b123", "EngineSpeed", 1200.0)
-        assert r.time_tx.microsecond == 73000
+        assert parsed.readings.days == {
+            ("b123", date(2020, 10, 31)): {
+                "last_probe": [(datetime(2020, 10, 31, 0, 2, 34, 73000, tzinfo=timezone.utc), 1200.0)]
+            }
+        }
+        assert parsed.readings.other == {}
 
-    def test_header_only_yields_empty(self):
-        parsed = parse_feed(io.StringIO(HEADER))
-        assert parsed.readings == []
+    def test_header_only_yields_empty(self, small_registry):
+        parsed = parse_feed(io.StringIO(HEADER), small_registry)
+        assert len(parsed.readings) == 0
+        assert (parsed.readings.days, parsed.readings.other) == ({}, {})
         assert parsed.n_rejected == 0
 
-    def test_bad_value_rejected_and_counted(self):
+    def test_bad_value_rejected_and_counted(self, small_registry):
         stream = io.StringIO(HEADER + "2020-10-31 00:02:34+00:00,b1,EngineSpeed,abc\n")
-        parsed = parse_feed(stream)
-        assert parsed.readings == []
+        parsed = parse_feed(stream, small_registry)
+        assert len(parsed.readings) == 0
+        assert (parsed.readings.days, parsed.readings.other) == ({}, {})
         assert parsed.rejects["bad_value"] == 1
 
-    def test_bad_timestamp_rejected(self):
+    def test_bad_timestamp_rejected(self, small_registry):
         stream = io.StringIO(HEADER + "not-a-time,b1,EngineSpeed,5\n")
-        parsed = parse_feed(stream)
+        parsed = parse_feed(stream, small_registry)
         assert parsed.rejects["bad_timestamp"] == 1
 
-    def test_non_finite_value_rejected(self):
+    def test_timestamp_out_of_range_rejected(self, small_registry):
+        # year 1 at +01:00 is before the first UTC instant datetime can hold
+        stream = io.StringIO(HEADER + "0001-01-01T00:00:00+01:00,b1,rpm_high,5\n")
+        parsed = parse_feed(stream, small_registry)
+        assert parsed.rejects["bad_timestamp"] == 1
+        assert len(parsed.readings) == 0
+
+    def test_non_finite_value_rejected(self, small_registry):
         stream = io.StringIO(HEADER + "2020-10-31 00:02:34+00:00,b1,EngineSpeed,inf\n")
-        parsed = parse_feed(stream)
+        parsed = parse_feed(stream, small_registry)
         assert parsed.rejects["bad_value"] == 1
 
-    def test_missing_header_fatal(self):
+    def test_missing_header_fatal(self, small_registry):
         with pytest.raises(FeedFormatError):
-            parse_feed(io.StringIO("a,b,c\n1,2,3\n"))
+            parse_feed(io.StringIO("a,b,c\n1,2,3\n"), small_registry)
 
-    def test_row_order_preserved(self):
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "time_tx,vehicle_id,variable_id,variable_value,vehicle_id\n",
+            "time_tx,vehicle_id,variable_id,vehicle_id\n",
+        ],
+        ids=["duplicate-added", "duplicate-replaces"],
+    )
+    def test_duplicated_header_column_fatal(self, small_registry, header):
+        with pytest.raises(FeedFormatError, match="does not match"):
+            parse_feed(io.StringIO(header + "2020-10-31 00:02:34+00:00,b1,rpm_high,5\n"), small_registry)
+
+    def test_columns_in_any_order(self, small_registry):
+        stream = io.StringIO("variable_value, vehicle_id,time_tx,variable_id\n5,b1,2020-10-31T01:00:00Z,rpm_high\n")
+        parsed = parse_feed(stream, small_registry)
+        assert parsed.readings.days == {("b1", date(2020, 10, 31)): {"rpm_high": [5.0]}}
+
+    def test_row_order_preserved(self, small_registry):
         rows = "".join(
-            f"2020-10-31 00:0{i}:00+00:00,b1,EngineSpeed,{i}\n" for i in range(5)
+            f"2020-10-31 00:0{i}:00+00:00,b1,rpm_high,{i}\n" for i in range(5)
         )
-        parsed = parse_feed(io.StringIO(HEADER + rows))
-        assert [r.variable_value for r in parsed.readings] == [0, 1, 2, 3, 4]
+        parsed = parse_feed(io.StringIO(HEADER + rows), small_registry)
+        assert parsed.readings.days[("b1", date(2020, 10, 31))]["rpm_high"] == [0, 1, 2, 3, 4]
+
+    def test_times_kept_only_for_last_channels(self):
+        rows = "".join(f"2020-10-31T01:00:00Z,b1,{agg}_probe,1\n" for agg in AGGREGATORS)
+        parsed = parse_feed(io.StringIO(HEADER + rows), probe_registry())
+        (channels,) = parsed.readings.days.values()
+        assert {name: type(samples[0]) for name, samples in channels.items()} == {
+            "sum_probe": float, "mean_probe": float, "max_probe": float, "count_probe": float,
+            "last_probe": tuple,
+        }
+
+    def test_unknown_channels_counted_not_kept(self, small_registry):
+        rows = "".join(
+            f"2020-10-31T01:00:00Z,b1,{name},1\n" for name in ("Zeta", "rpm_high", " Alpha", "Zeta", "Beta")
+        )
+        parsed = parse_feed(io.StringIO(HEADER + rows), small_registry)
+        assert len(parsed.readings) == 5
+        assert list(parsed.readings.other.items()) == [("Zeta", 2), ("Alpha", 1), ("Beta", 1)]
+        assert list(parsed.readings.days[("b1", date(2020, 10, 31))]) == ["rpm_high"]
+        _, report = aggregate_daily(parsed.readings, small_registry, ignore=("Alpha",))
+        assert list(report.unknown_channels.items()) == [("Zeta", 2), ("Beta", 1)]
+
+    def test_timestamp_memo_is_bounded(self, small_registry):
+        rows = [f"2020-10-31T00:00:{i // 1000:02d}.{i % 1000:03d}Z,b1,rpm_high,{i}\n" for i in range(5000)]
+        ingest._day_and_time.cache_clear()
+        parsed = parse_feed(io.StringIO(HEADER + "".join(rows)), small_registry)
+        info = ingest._day_and_time.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (5000, 4096, 4096)
+        assert len(parsed.readings) == 5000
 
 
 class TestAggregateDaily:
-    def feed(self, rows):
-        parsed = parse_feed(io.StringIO(HEADER + rows))
+    def feed(self, rows, registry):
+        parsed = parse_feed(io.StringIO(HEADER + rows), registry)
         assert parsed.n_rejected == 0
         return parsed.readings
 
     def test_mean_aggregator(self, small_registry):
         readings = self.feed(
             "2020-10-31 01:00:00+00:00,b1,mean_speed_hwy,1000\n"
-            "2020-10-31 02:00:00+00:00,b1,mean_speed_hwy,1400\n"
+            "2020-10-31 02:00:00+00:00,b1,mean_speed_hwy,1400\n",
+            small_registry,
         )
         records, _ = aggregate_daily(readings, small_registry)
         assert len(records) == 1
@@ -102,7 +274,8 @@ class TestAggregateDaily:
     def test_trip_fuel_sum(self, small_registry):
         readings = self.feed(
             "2020-10-31 01:00:00+00:00,b1,TripFuel,1.0\n"
-            "2020-10-31 02:00:00+00:00,b1,TripFuel,2.1\n"
+            "2020-10-31 02:00:00+00:00,b1,TripFuel,2.1\n",
+            small_registry,
         )
         records, _ = aggregate_daily(readings, small_registry)
         assert records[0].trip_fuel_used == 3.1
@@ -112,7 +285,8 @@ class TestAggregateDaily:
         readings = self.feed(
             "2020-10-31 01:00:00+00:00,b1,TripFuel,-1e16\n"
             "2020-10-31 02:00:00+00:00,b1,TripFuel,1.0\n"
-            "2020-10-31 03:00:00+00:00,b1,TripFuel,1e16\n"
+            "2020-10-31 03:00:00+00:00,b1,TripFuel,1e16\n",
+            small_registry,
         )
         records, _ = aggregate_daily(readings, small_registry)
         assert records[0].trip_fuel_used == 1.0
@@ -122,57 +296,151 @@ class TestAggregateDaily:
         for v in ("a", "b"):
             for d in (1, 2, 3):
                 rows.append(f"2020-10-0{d} 01:00:00+00:00,{v},rpm_high,1\n")
-        records, _ = aggregate_daily(self.feed("".join(rows)), small_registry)
+        records, _ = aggregate_daily(self.feed("".join(rows), small_registry), small_registry)
         assert len(records) == 6
 
     def test_unknown_channel_skipped_with_warning(self, small_registry):
-        readings = self.feed("2020-10-31 01:00:00+00:00,b1,Mystery,5\n")
+        readings = self.feed("2020-10-31 01:00:00+00:00,b1,Mystery,5\n", small_registry)
         records, report = aggregate_daily(readings, small_registry)
         assert records == []
         assert report.unknown_channels == {"Mystery": 1}
 
     def test_ignore_list_silences_channel(self, small_registry):
-        readings = self.feed("2020-10-31 01:00:00+00:00,b1,Mystery,5\n")
+        readings = self.feed("2020-10-31 01:00:00+00:00,b1,Mystery,5\n", small_registry)
         _, report = aggregate_daily(readings, small_registry, ignore=("Mystery",))
         assert report.unknown_channels == {}
+        assert report.n_readings == 1
 
     def test_max_count_last_aggregators(self):
-        from fleetfuel.registry import FeatureSpec
-
-        registry = make_registry(
-            [
-                FeatureSpec(
-                    name=f"{agg}_probe", unit="u", aggregator=agg, impact_type="Positive",
-                    reference_zero=True, category="Driving Behaviour",
-                    subcategory="Eco-Driving", actionable=True,
-                )
-                for agg in ("max", "count", "last")
-            ]
-        )
+        registry = probe_registry(("max", "count", "last"))
         rows = "".join(
             f"2020-10-31 0{i}:00:00+00:00,b1,{name},{v}\n"
             for name in ("max_probe", "count_probe", "last_probe")
             for i, v in enumerate((4.0, 9.0, 2.0))
         )
-        records, _ = aggregate_daily(self.feed(rows), registry)
+        records, _ = aggregate_daily(self.feed(rows, registry), registry)
         assert records[0].features["max_probe"] == 9.0
         assert records[0].features["count_probe"] == 3.0
         assert records[0].features["last_probe"] == 2.0  # latest timestamp wins
 
-    def test_permutation_invariant(self, small_registry):
-        rows = [
-            f"2020-10-31 0{i}:0{j}:00+00:00,b{j},rpm_high,{i * 0.37 + j}\n"
-            for i in range(5)
+    def test_core_channel_sums_even_if_declared_last(self):
+        registry = make_registry(
+            [FeatureSpec(name="TripFuel", unit="l", aggregator="last", impact_type="Positive",
+                         reference_zero=True, category="Driving Behaviour", subcategory="Eco-Driving",
+                         actionable=True)]
+        )
+        rows = "2020-10-31T01:00:00Z,b1,TripFuel,1.5\n2020-10-31T02:00:00Z,b1,TripFuel,2\n"
+        records, _ = aggregate_daily(self.feed(rows, registry), registry)
+        assert (records[0].trip_fuel_used, records[0].features) == (3.5, {})
+
+    def test_day_samples_freed_once_aggregated(self, small_registry):
+        readings = self.feed("2020-10-31T01:00:00Z,b1,rpm_high,1\n2020-11-01T01:00:00Z,b1,rpm_high,1\n", small_registry)
+        records, report = aggregate_daily(readings, small_registry)
+        assert (len(records), readings.days, len(readings), report.n_readings) == (2, {}, 2, 2)
+
+    def test_other_registry_refused(self, small_registry):
+        readings = self.feed("2020-10-31T01:00:00Z,b1,rpm_high,1\n", small_registry)
+        with pytest.raises(DataError, match="different feature registry"):
+            aggregate_daily(readings, probe_registry())
+        # an equal registry loaded on its own is the same registry
+        records, _ = aggregate_daily(readings, make_registry())
+        assert records[0].features == {"rpm_high": 1.0}
+
+    def test_permutation_invariant(self):
+        registry = probe_registry()
+        # per channel: 0.0 and -0.0 tie as the maximum, and at the latest time
+        lines = [
+            f"2020-10-31T0{hour}:00:00Z,b{j},{agg}_probe,{value}\n"
             for j in range(3)
+            for agg in AGGREGATORS
+            for hour, value in ((1, -2.5), (2, "0.0"), (2, "-0.0"), (2, -1.0), (1, "-0.0"), (1, j * 0.37))
         ]
-        readings = self.feed("".join(rows))
-        base, _ = aggregate_daily(readings, small_registry)
+        lines += [f"2020-10-31T02:00:00Z,b1,TripFuel,{v}\n" for v in ("0.0", "-0.0", "-0.0")]
         rng = random.Random(7)
-        for _ in range(5):
-            shuffled = list(readings)
-            rng.shuffle(shuffled)
-            result, _ = aggregate_daily(shuffled, small_registry)
-            assert result == base
+        results = set()
+        for _ in range(20):
+            rng.shuffle(lines)
+            records, _ = aggregate_daily(self.feed("".join(lines), registry), registry)
+            for rec in records:  # a day's features are keyed in order of first sight
+                rec.features = dict(sorted(rec.features.items()))
+            results.add(repr(records))
+        assert len(results) == 1
+        assert [repr(rec.features["max_probe"]) for rec in records] == ["0.0", "0.37", "0.74"]
+        assert {repr(rec.features["last_probe"]) for rec in records} == {"0.0"}
+        assert repr(records[1].trip_fuel_used) == "0.0"
+
+
+_SMALL_MEMO = functools.lru_cache(maxsize=4)(ingest._day_and_time.__wrapped__)
+
+# 22:00-02:00 UTC, written as Z, naive, or at a UTC offset that moves the local day
+_INSTANTS = [datetime(2020, 10, 30, 22, tzinfo=timezone.utc) + timedelta(minutes=37 * k) for k in range(7)]
+_OFFSETS = [timedelta(0), timedelta(hours=-8), timedelta(hours=5, minutes=30), timedelta(hours=14)]
+
+
+@st.composite
+def feed_text(draw):
+    order = draw(st.permutations(FEED_COLUMNS))
+    channels = ["sum_probe", "mean_probe", "max_probe", "count_probe", "last_probe",
+                "TripFuel", "TripKms", "PerTimeCity", "Mystery", "Ignored", "Aux"]
+    lines = [",".join(order) + "\n"]
+    for _ in range(draw(st.integers(0, 40))):
+        instant = draw(st.sampled_from(_INSTANTS))
+        style = draw(st.sampled_from(["Z", "naive", "offset", "offset", "offset", "bad", "overflow"]))
+        if style == "offset":
+            offset = timezone(draw(st.sampled_from(_OFFSETS)))
+            time_tx = instant.astimezone(offset).isoformat(sep=draw(st.sampled_from([" ", "T"])))
+        elif style in ("Z", "naive"):
+            time_tx = instant.replace(tzinfo=None).isoformat() + ("Z" if style == "Z" else "")
+        else:
+            time_tx = "not-a-time" if style == "bad" else "0001-01-01T00:00:00+01:00"
+        fields = {
+            "time_tx": time_tx,
+            "vehicle_id": draw(st.sampled_from(["a", "b", " b"])),
+            "variable_id": draw(st.sampled_from(channels + [" max_probe"])),
+            "variable_value": draw(st.sampled_from(["1.5", "-2", "0.0", "-0.0", "3e2", "0.25", "abc", "inf", "nan", "1e400"])),
+        }
+        row = [fields[name] for name in order]
+        extra = draw(st.sampled_from([[], [], [], ["x"], None]))
+        row = row[:3] if extra is None else row + extra
+        lines.append(",".join(row) + "\n")
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("\n")
+    return "".join(lines)
+
+
+class TestMatchesTwoPassReference:
+    @settings(max_examples=150, deadline=None)
+    @given(text=feed_text(), memo=st.booleans())
+    def test_records_and_report_equal_reference(self, text, memo):
+        registry = probe_registry()
+        ref_readings, ref_rejects = _ref_parse_feed(text)
+        ref_records, ref_unknown = _ref_aggregate_daily(ref_readings, registry, ("Ignored",))
+        with pytest.MonkeyPatch.context() as mp:
+            if memo:  # fewer entries than the feed has distinct timestamps
+                mp.setattr(ingest, "_day_and_time", _SMALL_MEMO)
+            parsed = parse_feed(io.StringIO(text), registry)
+        records, report = aggregate_daily(parsed.readings, registry, ("Ignored",))
+        assert repr(records) == repr(ref_records)
+        assert (report.n_readings, parsed.rejects, list(report.unknown_channels.items())) == (
+            len(ref_readings), ref_rejects, list(ref_unknown.items())
+        )
+        assert report.n_records == len(records)
+
+    def test_more_timestamps_than_the_memo_holds(self):
+        registry = probe_registry()
+        rng = random.Random(3)
+        rows = [
+            f"{(datetime(2020, 10, 30, 20) + timedelta(seconds=7 * i)).isoformat()}Z,v{rng.randrange(3)},"
+            f"{rng.choice(AGGREGATORS)}_probe,{rng.choice(['0.0', '-0.0', '1.25', '-3'])}\n"
+            for i in range(6000)
+        ]
+        rows += rows[:500]  # repeated timestamps, long evicted from the memo
+        rng.shuffle(rows)
+        text = HEADER + "".join(rows)
+        ref_records, _ = _ref_aggregate_daily(_ref_parse_feed(text)[0], registry)
+        records, report = aggregate_daily(parse_feed(io.StringIO(text), registry).readings, registry)
+        assert repr(records) == repr(ref_records)
+        assert report.n_readings == 6500
 
 
 class TestAvgFuel:

@@ -37,7 +37,7 @@ class TestNoiselessIdentity:
     def test_avg_fuel_equals_planted_exactly(self, tmp_path):
         spec, fleet = small_fleet(tmp_path, noise_sigma=0.0, outlier_rate=0.0)
         registry = FeatureRegistry.default()
-        parsed = parse_feed_csv(fleet.feed_path)
+        parsed = parse_feed_csv(fleet.feed_path, registry)
         assert parsed.n_rejected == 0
         records, report = aggregate_daily(parsed.readings, registry)
         assert report.unknown_channels == {}
