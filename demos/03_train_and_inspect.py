@@ -7,9 +7,8 @@ feature values, so the model can be printed, plotted and audited.
 Run:  python demos/03_train_and_inspect.py   (after 01/02 or standalone)
 """
 
+import math
 from pathlib import Path
-
-import numpy as np
 
 from fleetfuel.anomaly import two_phase_clean
 from fleetfuel.evaluate import model_metrics, train_test_split
@@ -41,8 +40,8 @@ print(f"adjusted R2 {metrics.adjusted_r2:.3f} ({metrics.r2_category})")
 
 print("\nshape of rpm_high (events with very high engine speed):")
 for lo, hi, value in model.shape_curve("rpm_high"):
-    lo_s = "-inf" if lo == -np.inf else f"{lo:7.1f}"
-    hi_s = "+inf" if hi == np.inf else f"{hi:7.1f}"
+    lo_s = "-inf" if lo == -math.inf else f"{lo:7.1f}"
+    hi_s = "+inf" if hi == math.inf else f"{hi:7.1f}"
     print(f"  [{lo_s}, {hi_s})  {value:+.3f} L/100km")
 
 rec = test[0]
@@ -65,8 +64,8 @@ try:
         curve = model.shape_curve(name)
         xs, ys = [], []
         for lo, hi, value in curve:
-            lo = curve[1][0] - 1 if lo == -np.inf else lo
-            hi = curve[-2][1] + 1 if hi == np.inf else hi
+            lo = curve[1][0] - 1 if lo == -math.inf else lo
+            hi = curve[-2][1] + 1 if hi == math.inf else hi
             xs += [lo, hi]
             ys += [value, value]
         ax.plot(xs, ys, drawstyle="steps-post")

@@ -13,8 +13,9 @@ from pathlib import Path
 
 from fleetfuel.anomaly import flag_outliers, two_phase_clean
 from fleetfuel.explain import BR_ORDER, ReferencePolicy, apply_business_rules, generate_daily_explanations
-from fleetfuel.gam import DEFAULT_CATEGORICALS, fit
+from fleetfuel.gam import fit
 from fleetfuel.ingest import aggregate_daily, enrich_records, impute_missing, parse_feed_csv, quality_filter
+from fleetfuel.model import DEFAULT_CATEGORICALS
 from fleetfuel.registry import FeatureRegistry, TrainConfig, VinMap, assign_groups
 from fleetfuel.synthgen import default_spec, generate
 

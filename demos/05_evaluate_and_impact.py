@@ -22,8 +22,9 @@ from fleetfuel.evaluate import (
     outlier_vs_explained,
 )
 from fleetfuel.explain import BR_ORDER, ReferencePolicy, apply_business_rules, generate_daily_explanations
-from fleetfuel.gam import DEFAULT_CATEGORICALS, fit
+from fleetfuel.gam import fit
 from fleetfuel.ingest import aggregate_daily, enrich_records, impute_missing, parse_feed_csv, quality_filter
+from fleetfuel.model import DEFAULT_CATEGORICALS
 from fleetfuel.registry import CatalogTable, FeatureRegistry, TrainConfig, VinMap, assign_groups, load_sota_limits
 from fleetfuel.synthgen import default_spec, generate
 

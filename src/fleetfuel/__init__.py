@@ -7,7 +7,7 @@ the results against configurable domain-knowledge limits.
 
 Importing the package loads none of its modules: each name below is
 imported from its home module on first access (PEP 562), so a CLI stage
-that needs no model (ingest, clean, evaluate, impact) loads no numpy.
+that trains nothing (all but train and synth) loads no numpy.
 """
 
 import importlib
@@ -35,7 +35,7 @@ _EXPORTS = {
         "generate_daily_explanations",
         "recompute_fuel_new",
     ),
-    "gam": ("AdditiveModel", "build_bins", "fit", "one_hot"),
+    "gam": ("build_bins", "fit", "one_hot"),
     "ingest": (
         "FarRecord",
         "RawReading",
@@ -48,6 +48,7 @@ _EXPORTS = {
         "parse_feed",
         "quality_filter",
     ),
+    "model": ("AdditiveModel",),
     "registry": ("CatalogTable", "FeatureRegistry", "FeatureSpec", "TrainConfig", "VehicleIdentity", "VinMap"),
     "synthgen": ("SynthSpec", "default_spec", "generate"),
 }

@@ -9,9 +9,9 @@ manifest.json, which is enough to re-execute the run.  Outputs are
 byte-stable for a fixed config and seed.
 
 A stage imports only the modules it runs, on first use.  numpy loads only
-where the model is, in train, explain and synth: ingest, clean, evaluate
-and impact start without it, and explain loads neither evaluate nor
-synthgen.
+where the trainer is, in train and synth: ingest, clean, explain, evaluate
+and impact start without it.  explain loads the numpy-free model module,
+and neither the trainer (gam), evaluate nor synthgen.
 
 Exit codes: 0 success, 1 usage, 2 data error, 3 internal error.
 """
@@ -387,7 +387,7 @@ def stage_train(ctx: RunContext) -> None:
         ctx.config["fleet_id"],
         test_records,
         predictions,
-        n_predictors=sum(1 for cuts in model.cuts if cuts.size),
+        n_predictors=sum(1 for cuts in model.cuts if cuts),
         n_train=len(train_records),
     )
     model.save_json(ctx.output("model.json"))
@@ -412,7 +412,7 @@ def _load_labeled_inputs(ctx: RunContext):
 
 def stage_explain(ctx: RunContext) -> None:
     from .explain import BR_ORDER, ReferencePolicy
-    from .gam import DEFAULT_CATEGORICALS, AdditiveModel
+    from .model import DEFAULT_CATEGORICALS, AdditiveModel
 
     # the model first: with several artifacts missing, the report names train
     model = AdditiveModel.load_json(ctx.artifact("model.json", "train"))

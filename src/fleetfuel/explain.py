@@ -16,20 +16,20 @@ rules then prune the rows:
        day's fuel (not physically possible).
 
 Every row, numeric or categorical, is priced from one contribution
-matrix: the model encodes every priced day into an (n days x d columns)
-design matrix and looks up each column's shape values in one
-``searchsorted`` over all days, and one reference row per (group, route)
-cell, holding the numeric targets with each categorical origin's
-indicators set at the cell's most common inlier level, is priced the same
-way.  An origin's relevance is the running sum of its indicator columns in
-model column order.  Savings are relevance minus the cell's reference
-relevance; their positive entries, row-major, are the rows, except where
-the cell has no mode.  The arithmetic per entry is the scalar lookup's,
-so rows are bit-identical to pricing day by day.  The matrices take 8
-bytes per day and model column each (about 0.5 MB for 1,600 days x 37
-columns).  Pricing is the module's only numpy code: it imports numpy and
-the model module itself and converts its result once, into the table, so
-a stage that reads explanations back loads neither.
+matrix, kept column by column in plain lists: the model encodes every
+priced day, one list per model column, and looks up each cell's shape
+value with ``bisect_right``; one reference row per (group, route) cell,
+holding the numeric targets with each categorical origin's indicators set
+at the cell's most common inlier level, is looked up the same way, for the
+priced columns only.  An origin's relevance is the running sum of its
+indicator columns in model column order.  Savings are relevance minus the
+cell's reference relevance; their positive entries, row-major, are the
+rows, except where the cell has no mode.  The arithmetic per entry is the
+scalar lookup's, so rows are bit-identical to pricing day by day, and
+``y_pred`` adds each day's contributions in numpy's pairwise order
+(``model.row_sums``).  The columns take 8 bytes per day and model column
+(about 0.5 MB for 1,600 days x 37 columns), as their floats are the
+records' and the model's own.  The module imports no numpy.
 
 The rows live in one ``ExplanationTable``: per-row lists (day slot,
 feature code, relevance, value, target, saving) next to per-day columns
@@ -63,7 +63,7 @@ from array import array
 from dataclasses import dataclass, replace
 from datetime import date as date_type
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, not_
+from operator import add, and_, attrgetter, floordiv, getitem, le, mod, not_, sub
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -82,7 +82,7 @@ from .registry import (
 )
 
 if TYPE_CHECKING:
-    from .gam import AdditiveModel
+    from .model import AdditiveModel
 
 logger = logging.getLogger(__name__)
 
@@ -389,9 +389,7 @@ def generate_daily_explanations(
     limit are skipped.  Rows come day by day in (vehicle, date) order, each
     day's numeric features in model column order before its categoricals.
     """
-    import numpy as np
-
-    from .gam import KIND_NUMERIC
+    from .model import KIND_NUMERIC, row_sums
 
     registry = policy.registry
     cols = [
@@ -416,10 +414,11 @@ def generate_daily_explanations(
     if len(kept) < len(records):
         logger.info("explanations skipped %d records without fuel or limits", len(records) - len(kept))
 
-    C = model.contributions(model.encode(kept))
+    X = model.encode(kept)
+    C = model.contributions(X)
 
     # one reference row per (group, route) cell: the numeric targets, and
-    # each origin's indicators at the cell's mode
+    # each origin's indicators at the cell's mode; only priced columns are looked up
     cell_ids: dict[tuple[int, str], int] = {}
     cell_of = [cell_ids.setdefault(rec.group_route, len(cell_ids)) for rec in kept]
     targets = [
@@ -427,30 +426,40 @@ def generate_daily_explanations(
         for g, r in cell_ids
     ]
     width = len(cols) + len(origins)
-    X_ref = np.zeros((len(cell_ids), len(model.columns)), dtype=np.float64)
-    X_ref[:, cols] = np.reshape([t[: len(cols)] for t in targets], (len(cell_ids), len(cols)))
+    by_column = [[t[k] for t in targets] for k in range(width)]
+    C_ref = {j: model.lookup(j, by_column[k]) for k, j in enumerate(cols)}
     for k, js in enumerate(origins.values(), start=len(cols)):
         for j in js:
-            X_ref[:, j] = [t[k] == model.columns[j].level for t in targets]
-    priced = np.array([t is not None for row in targets for t in row], dtype=bool).reshape(len(cell_ids), width)
+            C_ref[j] = model.lookup(j, [float(mode == model.columns[j].level) for mode in by_column[k]])
+    priced = [[t is not None for t in row] for row in targets]
 
-    def relevance_of(C: np.ndarray) -> np.ndarray:
-        # numeric columns as they are; an origin adds its indicators from 0.0
-        # in column order, as a scalar sum does (np.sum regroups the terms)
-        out = np.zeros((len(C), width), dtype=np.float64)
-        out[:, : len(cols)] = C[:, cols]
-        for k, js in enumerate(origins.values(), start=len(cols)):
+    def relevance_of(C, n: int) -> list[list[float]]:
+        # numeric columns as they are; an origin adds its indicators from
+        # 0.0 in column order, as a scalar sum does
+        out = [C[j] for j in cols]
+        for js in origins.values():
+            total = [0.0] * n
             for j in js:
-                out[:, k] += C[:, j]
+                total = list(map(add, total, C[j]))
+            out.append(total)
         return out
 
-    relevance = relevance_of(C)
-    saving = relevance - relevance_of(model.contributions(X_ref))[cell_of]
-    # row-major, so hits come record by record, numeric columns before
-    # origins; "not <= 0" keeps a NaN saving as the scalar test did
-    hit_i, hit_k = np.nonzero(~(saving <= 0) & priced[cell_of])
-    values = [[rec.features[name] for name in names] + [str(getattr(rec, o)) for o in origins] for rec in kept]
-    day, feature = hit_i.tolist(), hit_k.tolist()
+    relevance = relevance_of(C, len(kept))
+    saving = [
+        list(map(sub, rel, map(ref.__getitem__, cell_of)))
+        for rel, ref in zip(relevance, relevance_of(C_ref, len(cell_ids)))
+    ]
+    # entry i * width + k of the flat savings is day i's k-th priced column,
+    # so hits come record by record, numeric columns before origins; "not
+    # <= 0" keeps a NaN saving as the scalar test did
+    flat_saving = itertools.chain.from_iterable(zip(*saving))
+    positive = map(not_, map(le, flat_saving, itertools.repeat(0.0)))
+    in_cell = itertools.chain.from_iterable(map(priced.__getitem__, cell_of))
+    hits = list(itertools.compress(itertools.count(), map(and_, positive, in_cell)))
+    day = list(map(floordiv, hits, itertools.repeat(width)))
+    feature = list(map(mod, hits, itertools.repeat(width)))
+    at_hits = lambda columns: list(map(getitem, map(columns.__getitem__, feature), day))
+    values = [X[j] for j in cols] + [[str(getattr(rec, o)) for rec in kept] for o in origins]
 
     table = ExplanationTable(
         vehicle_id=[rec.vehicle_id for rec in kept],
@@ -460,15 +469,15 @@ def generate_daily_explanations(
         intercept=array("d", [model.intercept]) * len(kept),
         avg_fuel=array("d", [rec.avg_fuel_consumption for rec in kept]),
         limit_group=array("d", lim_sup),
-        y_pred=array("d", (model.intercept + C.sum(axis=1)).tolist()),
+        y_pred=array("d", [model.intercept + s for s in row_sums(C, len(kept))]),
         y_fuel_new=array("d"),  # made by _select, from the day totals
         features=tuple(names + list(origins)),
         day=day,
         feature=feature,
-        relevance=relevance[hit_i, hit_k].tolist(),
-        value=[values[i][k] for i, k in zip(day, feature)],
-        target=[targets[cell_of[i]][k] for i, k in zip(day, feature)],
-        y_diff=saving[hit_i, hit_k].tolist(),
+        relevance=at_hits(relevance),
+        value=at_hits(values),
+        target=list(map(getitem, map(targets.__getitem__, map(cell_of.__getitem__, day)), feature)),
+        y_diff=at_hits(saving),
     )
     keys, days = table.day_ids()
     return table._select(None, keys, len(days))

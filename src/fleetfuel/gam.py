@@ -1,17 +1,18 @@
-"""Interpretable additive fuel model trained by cyclic residual boosting.
+"""The numpy trainer of the additive fuel model: cyclic residual boosting.
 
-The model is an intercept plus one piecewise-constant shape function per
-input feature; a prediction decomposes exactly into those per-feature
-contributions.  Training bins every feature on quantile cut points, then
-cycles over the features that have more than one bin, fitting a tiny
-depth-limited regression tree (over contiguous bin segments) to the
-current residuals and accumulating each tree's shrunken leaf values into
-the feature's shape.  A single-bin feature cannot split: it is not
-boosted and its one value stays exactly 0.  Several bags of
+The model itself, ``AdditiveModel`` with its encoder, lookups and
+``model.json`` format, is numpy-free and lives in ``fleetfuel.model``; this
+module re-exports its names.  Training bins every design column on
+quantile cut points, then cycles over the columns that have more than one
+bin, fitting a tiny depth-limited regression tree (over contiguous bin
+segments) to the current residuals and accumulating each tree's shrunken
+leaf values into the column's shape.  A single-bin column cannot split: it
+is not boosted and its one value stays exactly 0.  Several bags of
 bootstrap samples are trained and their shapes averaged; each bag
 early-stops on a held-out validation slice.  After averaging, shapes are
 mean-centered over the training data and the removed mass is folded into
-the intercept.
+the intercept.  The returned model's cuts and values are lists of Python
+floats.
 
 All bags train together in one batched state: residuals and validation
 predictions are (rows x bags) arrays, and each column's step is one
@@ -22,46 +23,25 @@ it were trained alone, so the model is bit-identical to per-bag training.
 A bag that early-stops leaves the batch.  The flat ids are built once per
 batch and take 8 bytes per bag, row and boosted column: at most 2.4 MB
 for 8 bags, 1,000 rows and 37 columns, linear in rows.
-
-``model.json`` (version 2) holds the intercept, the training config and,
-per design column in order, its name, kind, origin, level, cuts and
-values; a single-bin column has no cuts and the one value 0.0.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, FeedFormatError, MissingFeatureError
+from .errors import DataError
 from .ingest import FarRecord
-from .registry import FeatureRegistry, TrainConfig, artifact_file, write_table
+# the model's names, re-exported for the trainer's callers
+from .model import (DEFAULT_CATEGORICALS, KIND_INDICATOR, KIND_NUMERIC, MODEL_FORMAT, MODEL_VERSION,
+                    AdditiveModel, FeatureColumn, encode)
+from .registry import FeatureRegistry, TrainConfig, write_table
 
 logger = logging.getLogger(__name__)
-
-MODEL_FORMAT = "fleetfuel-additive-model"
-MODEL_VERSION = 2
-
-#: FarRecord fields treated as categorical context features.
-DEFAULT_CATEGORICALS = ("route_type", "vehicle_group", "vehicle_class")
-
-KIND_NUMERIC = "numeric"
-KIND_INDICATOR = "indicator"
-
-
-@dataclass(frozen=True)
-class FeatureColumn:
-    """One model input: a numeric feature or a one-hot indicator."""
-
-    name: str
-    kind: str
-    origin: str
-    level: str | None = None
 
 
 def _level_sort_key(levels: set[str]) -> list[str]:
@@ -71,38 +51,19 @@ def _level_sort_key(levels: set[str]) -> list[str]:
         return sorted(levels)
 
 
-def encode(records: Sequence[FarRecord], columns: Sequence[FeatureColumn]) -> np.ndarray:
-    """(records x columns) design matrix, the one encoder of the module.
+def _design(records: Sequence[FarRecord], columns: Sequence[FeatureColumn]) -> np.ndarray:
+    """(records x columns) float64 matrix of the shared encoder's columns."""
+    cells = np.array(encode(records, columns), dtype=np.float64)
+    return np.ascontiguousarray(cells.reshape(len(columns), len(records)).T)
 
-    Numeric columns read the record's feature; a missing or non-finite
-    value raises as ``_numeric_value`` does, for the first offending
-    (record, column) in record-major order.  Indicator columns are 1.0
-    where the record's categorical field equals the column's level, so a
-    level without a column encodes as all zeros.
-    """
-    X = np.empty((len(records), len(columns)), dtype=np.float64)
-    numeric = [j for j, col in enumerate(columns) if col.kind == KIND_NUMERIC]
-    names = [columns[j].name for j in numeric]
-    if numeric and records:
-        try:
-            block = np.array([[rec.features[n] for n in names] for rec in records], dtype=np.float64)
-            valid = bool(np.isfinite(block).all())
-        except (KeyError, TypeError, ValueError):
-            valid = False
-        if not valid:
-            # the scalar checks raise on the first bad cell
-            block = np.array(
-                [[_numeric_value(rec, n) for n in names] for rec in records], dtype=np.float64
-            )
-        X[:, numeric] = block
-    origins: dict[str, list[str]] = {}
-    for j, col in enumerate(columns):
-        if col.kind == KIND_NUMERIC:
-            continue
-        if col.origin not in origins:
-            origins[col.origin] = [str(getattr(rec, col.origin)) for rec in records]
-        X[:, j] = [1.0 if level == col.level else 0.0 for level in origins[col.origin]]
-    return X
+
+def _indicator_columns(records: Sequence[FarRecord], categorical_names: Sequence[str]) -> list[FeatureColumn]:
+    """One indicator column per (field, level), over the level set observed in the records."""
+    return [
+        FeatureColumn(name=f"{name}={level}", kind=KIND_INDICATOR, origin=name, level=level)
+        for name in categorical_names
+        for level in _level_sort_key({str(getattr(rec, name)) for rec in records})
+    ]
 
 
 def one_hot(
@@ -113,26 +74,8 @@ def one_hot(
     One column per (field, level) using the level set observed in the
     given records; encoding an unseen level later yields all zeros.
     """
-    columns: list[FeatureColumn] = []
-    for name in categorical_names:
-        levels = {str(getattr(rec, name)) for rec in records}
-        for level in _level_sort_key(levels):
-            columns.append(
-                FeatureColumn(
-                    name=f"{name}={level}", kind=KIND_INDICATOR, origin=name, level=level
-                )
-            )
-    return encode(records, columns), columns
-
-
-def _numeric_value(rec: FarRecord, name: str) -> float:
-    try:
-        value = rec.features[name]
-    except KeyError:
-        raise MissingFeatureError(f"record {rec.vehicle_id}/{rec.date} lacks feature {name!r}", rec) from None
-    if not np.isfinite(value):
-        raise DataError(f"feature {name!r} is not finite on {rec.vehicle_id}/{rec.date}", rec)
-    return value
+    columns = _indicator_columns(records, categorical_names)
+    return _design(records, columns), columns
 
 
 def build_design(
@@ -141,12 +84,9 @@ def build_design(
     categoricals: Sequence[str] = DEFAULT_CATEGORICALS,
 ) -> tuple[np.ndarray, list[FeatureColumn]]:
     """Design matrix: registry features in order, then one-hot indicators."""
-    numeric = [
-        FeatureColumn(name=name, kind=KIND_NUMERIC, origin=name)
-        for name in registry.names
-    ]
-    X_cat, cat_columns = one_hot(records, categoricals)
-    return np.hstack([encode(records, numeric), X_cat]), numeric + cat_columns
+    numeric = [FeatureColumn(name=name, kind=KIND_NUMERIC, origin=name) for name in registry.names]
+    columns = numeric + _indicator_columns(records, categoricals)
+    return _design(records, columns), columns
 
 
 def build_bins(matrix: np.ndarray, max_bins: int = 256) -> list[np.ndarray]:
@@ -360,145 +300,6 @@ def _fit_bags(
     return intercepts, bag_shapes, histories
 
 
-@dataclass
-class AdditiveModel:
-    """Fitted additive model: intercept plus one shape function per column."""
-
-    intercept: float
-    columns: list[FeatureColumn]
-    cuts: list[np.ndarray]
-    values: list[np.ndarray]
-    config: TrainConfig
-    history: list[BagHistory] = field(default_factory=list, repr=False)
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # name -> position; the first of any repeated name wins, as in a scan
-        self._index = {}
-        for j, col in enumerate(self.columns):
-            self._index.setdefault(col.name, j)
-
-    # -- matrix path -------------------------------------------------------
-
-    def encode(self, records: Sequence[FarRecord]) -> np.ndarray:
-        """(records x columns) design matrix in model column order; see ``encode``."""
-        return encode(records, self.columns)
-
-    def contributions(self, X: np.ndarray) -> np.ndarray:
-        """Per-column shape values f_j(X[:, j]): one bin lookup per column."""
-        C = np.empty(X.shape, dtype=np.float64)
-        for j in range(X.shape[1]):
-            C[:, j] = self.values[j][np.searchsorted(self.cuts[j], X[:, j], side="right")]
-        return C
-
-    # -- public API --------------------------------------------------------
-
-    def predict(self, rec: FarRecord) -> float:
-        """Intercept plus the sum of per-feature contributions."""
-        return float(self.predict_many([rec])[0])
-
-    def predict_many(self, records: Sequence[FarRecord]) -> np.ndarray:
-        return self.intercept + self.contributions(self.encode(records)).sum(axis=1)
-
-    def feature_relevance(self, rec: FarRecord) -> dict[str, float]:
-        """Per-feature contribution f_i(x_i); sums (plus intercept) to predict."""
-        row = self.contributions(self.encode([rec]))[0].tolist()
-        return {col.name: row[j] for j, col in enumerate(self.columns)}
-
-    def contribution_at(self, column_name: str, value: float) -> float:
-        """Shape-function value for one column at a raw feature value."""
-        j = self._column_index(column_name)
-        b = int(np.searchsorted(self.cuts[j], value, side="right"))
-        return float(self.values[j][b])
-
-    def shape_curve(self, column_name: str) -> list[tuple[float, float, float]]:
-        """Piecewise-constant curve as (bin_lo, bin_hi, value) segments."""
-        j = self._column_index(column_name)
-        cuts = self.cuts[j]
-        edges = [-np.inf, *cuts.tolist(), np.inf]
-        return [
-            (edges[k], edges[k + 1], float(self.values[j][k]))
-            for k in range(len(self.values[j]))
-        ]
-
-    def _column_index(self, name: str) -> int:
-        j = self._index.get(name)
-        if j is None:
-            raise KeyError(f"model has no feature {name!r}")
-        return j
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return tuple(col.name for col in self.columns)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "format": MODEL_FORMAT,
-            "version": MODEL_VERSION,
-            "intercept": self.intercept,
-            "config": asdict(self.config),
-            "features": [
-                {
-                    "name": col.name,
-                    "kind": col.kind,
-                    "origin": col.origin,
-                    "level": col.level,
-                    "cuts": self.cuts[j].tolist(),
-                    "values": self.values[j].tolist(),
-                }
-                for j, col in enumerate(self.columns)
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "AdditiveModel":
-        if data.get("format") != MODEL_FORMAT:
-            raise FeedFormatError(f"not a model file (format={data.get('format')!r})")
-        if data.get("version") != MODEL_VERSION:
-            raise FeedFormatError(f"unsupported model version {data.get('version')!r}")
-        columns = []
-        cuts = []
-        values = []
-        for feat in data["features"]:
-            columns.append(
-                FeatureColumn(
-                    name=feat["name"],
-                    kind=feat["kind"],
-                    origin=feat["origin"],
-                    level=feat["level"],
-                )
-            )
-            cuts.append(np.asarray(feat["cuts"], dtype=np.float64))
-            values.append(np.asarray(feat["values"], dtype=np.float64))
-            if cuts[-1].ndim != 1 or values[-1].shape != (cuts[-1].size + 1,):
-                raise FeedFormatError(
-                    f"feature {feat['name']!r} needs one more value than cuts"
-                )
-        return cls(
-            intercept=float(data["intercept"]),
-            columns=columns,
-            cuts=cuts,
-            values=values,
-            config=TrainConfig(**data["config"]),
-        )
-
-    def save_json(self, path: str | Path) -> None:
-        with artifact_file(path) as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def load_json(cls, path: str | Path) -> "AdditiveModel":
-        """Read a model file; a truncated or malformed one raises FeedFormatError naming it."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                return cls.from_dict(json.load(fh))
-            except (ValueError, KeyError, TypeError, AttributeError, DataError, FeedFormatError) as exc:
-                raise FeedFormatError(f"{path}: bad model file ({type(exc).__name__}: {exc})") from exc
-
-
 def fit(
     records: Sequence[FarRecord],
     registry: FeatureRegistry,
@@ -551,8 +352,8 @@ def fit_matrix(
     return AdditiveModel(
         intercept=intercept,
         columns=list(columns),
-        cuts=cuts,
-        values=values,
+        cuts=[c.tolist() for c in cuts],
+        values=[v.tolist() for v in values],
         config=config,
         history=histories,
     )

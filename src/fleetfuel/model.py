@@ -1,0 +1,247 @@
+"""The fitted additive fuel model in plain Python, without numpy.
+
+A prediction is the intercept plus one piecewise-constant shape value per
+design column: column j's value at x is ``values[j][bisect_right(cuts[j],
+x)]``, the bin ``np.searchsorted(..., side="right")`` gives, so a value on
+a cut falls in the bin above it.  Cuts and values are lists of Python
+floats; the numpy trainer is ``fleetfuel.gam``.  ``encode`` is the one
+record encoder, the trainer's included, and ``row_sums`` adds a record's
+contributions as numpy's ``sum(axis=1)`` does, so predictions keep their
+bits.  ``model.json`` (version 2) holds the intercept, the training config
+and, per design column in order, its name, kind, origin, level, cuts and
+values (a single-bin column: no cuts, the one value 0.0).  Loading accepts
+only strictly increasing finite cuts and one more finite value than cuts.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, field
+from itertools import repeat
+from operator import add, eq, itemgetter
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+
+from .errors import DataError, FeedFormatError, MissingFeatureError
+from .registry import TrainConfig, artifact_file
+
+if TYPE_CHECKING:
+    from .ingest import FarRecord
+
+MODEL_FORMAT = "fleetfuel-additive-model"
+MODEL_VERSION = 2
+
+#: FarRecord fields treated as categorical context features.
+DEFAULT_CATEGORICALS = ("route_type", "vehicle_group", "vehicle_class")
+
+KIND_NUMERIC = "numeric"
+KIND_INDICATOR = "indicator"
+
+
+@dataclass(frozen=True)
+class FeatureColumn:
+    """One model input: a numeric feature or a one-hot indicator."""
+
+    name: str
+    kind: str
+    origin: str
+    level: str | None = None
+
+
+def _numeric_value(rec: FarRecord, name: str) -> float:
+    try:
+        value = rec.features[name]
+    except KeyError:
+        raise MissingFeatureError(f"record {rec.vehicle_id}/{rec.date} lacks feature {name!r}", rec) from None
+    if not math.isfinite(value):
+        raise DataError(f"feature {name!r} is not finite on {rec.vehicle_id}/{rec.date}", rec)
+    return value
+
+
+def encode(records: Sequence[FarRecord], columns: Sequence[FeatureColumn]) -> list[list[float]]:
+    """The (records x columns) design as one list per column: the one encoder.
+
+    A numeric column reads the record's feature; a missing or non-finite
+    value raises as ``_numeric_value`` does, for the first offending
+    (record, column) in record-major order.  An indicator column is 1.0
+    where the record's categorical field equals the column's level, so a
+    level without a column encodes as all zeros.
+    """
+    features = [rec.features for rec in records]
+    levels: dict[str, list[str]] = {}
+    out: list[list[float]] = []
+    valid = True
+    for col in columns:
+        if col.kind == KIND_NUMERIC:
+            try:
+                cells = list(map(itemgetter(col.name), features))
+                valid = valid and all(map(math.isfinite, cells))
+            except (KeyError, TypeError):
+                cells, valid = [], False
+        else:
+            if col.origin not in levels:
+                levels[col.origin] = [str(getattr(rec, col.origin)) for rec in records]
+            cells = list(map(float, map(eq, levels[col.origin], repeat(col.level))))
+        out.append(cells)
+    if not valid:
+        # the scalar checks raise on the first bad cell
+        names = [col.name for col in columns if col.kind == KIND_NUMERIC]
+        for rec in records:
+            for name in names:
+                _numeric_value(rec, name)
+    return out
+
+
+def _pairwise(columns: Sequence[Sequence[float]], n_rows: int) -> list[float]:
+    n = len(columns)
+    if n < 8:
+        res = [0.0] * n_rows
+        for col in columns:
+            res = list(map(add, res, col))
+        return res
+    if n <= 128:
+        r = list(columns[:8])
+        tail = n - n % 8
+        for i in range(8, tail, 8):
+            r = [list(map(add, acc, col)) for acc, col in zip(r, columns[i : i + 8])]
+        res = map(add, map(add, map(add, r[0], r[1]), map(add, r[2], r[3])),
+                  map(add, map(add, r[4], r[5]), map(add, r[6], r[7])))
+        for col in columns[tail:]:
+            res = map(add, res, col)
+        return list(res)
+    half = n // 2
+    half -= half % 8
+    return list(map(add, _pairwise(columns[:half], n_rows), _pairwise(columns[half:], n_rows)))
+
+
+def row_sums(columns: Sequence[Sequence[float]], n_rows: int) -> list[float]:
+    """Each row's sum over the columns, bit for bit numpy's ``sum(axis=1)`` of the (rows x columns) matrix.
+
+    numpy adds to 0.0 a row's pairwise sum: under 8 terms left to right; up
+    to 128 in eight strided accumulators combined as ``((r0+r1)+(r2+r3))+
+    ((r4+r5)+(r6+r7))``, then the tail left to right; above 128 split at
+    half the terms rounded down to a multiple of 8.  The built-in ``sum``
+    compensates from Python 3.12, so it is not used.
+    """
+    return list(map(add, repeat(0.0), _pairwise(columns, n_rows)))
+
+
+def _finite_numbers(cells, what: str) -> list[float]:
+    if type(cells) is not list or not all(type(x) in (float, int) and math.isfinite(x) for x in cells):
+        raise FeedFormatError(f"{what} must be a list of finite numbers")
+    return [float(x) for x in cells]
+
+
+@dataclass
+class AdditiveModel:
+    """Fitted additive model: intercept plus one shape function per column."""
+
+    intercept: float
+    columns: list[FeatureColumn]
+    cuts: list[list[float]]
+    values: list[list[float]]
+    config: TrainConfig
+    history: list = field(default_factory=list, repr=False)  # gam.BagHistory per bag, when trained
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # name -> position; the first of any repeated name wins, as in a scan
+        self._index = {}
+        for j, col in enumerate(self.columns):
+            self._index.setdefault(col.name, j)
+
+    def encode(self, records: Sequence[FarRecord]) -> list[list[float]]:
+        """The records' design, one list per model column; see ``encode``."""
+        return encode(records, self.columns)
+
+    def lookup(self, j: int, xs: Iterable[float]) -> list[float]:
+        """Column j's shape values at the raw values xs."""
+        return list(map(self.values[j].__getitem__, map(bisect_right, repeat(self.cuts[j]), xs)))
+
+    def contributions(self, X: Sequence[Sequence[float]]) -> list[list[float]]:
+        """Per-column shape values f_j(X[j]) of a design given column by column."""
+        return [self.lookup(j, xs) for j, xs in enumerate(X)]
+
+    def predict(self, rec: FarRecord) -> float:
+        """Intercept plus the sum of per-feature contributions."""
+        return self.predict_many([rec])[0]
+
+    def predict_many(self, records: Sequence[FarRecord]) -> list[float]:
+        sums = row_sums(self.contributions(self.encode(records)), len(records))
+        return [self.intercept + s for s in sums]
+
+    def feature_relevance(self, rec: FarRecord) -> dict[str, float]:
+        """Per-feature contribution f_i(x_i); sums (plus intercept) to predict."""
+        contributions = self.contributions(self.encode([rec]))
+        return {col.name: c[0] for col, c in zip(self.columns, contributions)}
+
+    def contribution_at(self, column_name: str, value: float) -> float:
+        """Shape-function value for one column at a raw feature value."""
+        j = self._column_index(column_name)
+        return self.values[j][bisect_right(self.cuts[j], value)]
+
+    def shape_curve(self, column_name: str) -> list[tuple[float, float, float]]:
+        """Piecewise-constant curve as (bin_lo, bin_hi, value) segments."""
+        j = self._column_index(column_name)
+        edges = [-math.inf, *self.cuts[j], math.inf]
+        return [(edges[k], edges[k + 1], value) for k, value in enumerate(self.values[j])]
+
+    def _column_index(self, name: str) -> int:
+        j = self._index.get(name)
+        if j is None:
+            raise KeyError(f"model has no feature {name!r}")
+        return j
+
+    # -- serialization -----------------------------------------------------
+
+    def to_dict(self) -> dict:
+        return {
+            "format": MODEL_FORMAT,
+            "version": MODEL_VERSION,
+            "intercept": self.intercept,
+            "config": asdict(self.config),
+            "features": [
+                {**asdict(col), "cuts": cuts, "values": values}
+                for col, cuts, values in zip(self.columns, self.cuts, self.values)
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "AdditiveModel":
+        if data.get("format") != MODEL_FORMAT:
+            raise FeedFormatError(f"not a model file (format={data.get('format')!r})")
+        if data.get("version") != MODEL_VERSION:
+            raise FeedFormatError(f"unsupported model version {data.get('version')!r}")
+        columns, cuts, values = [], [], []
+        for feat in data["features"]:
+            name = feat["name"]
+            columns.append(FeatureColumn(name=name, kind=feat["kind"], origin=feat["origin"], level=feat["level"]))
+            cuts.append(_finite_numbers(feat["cuts"], f"feature {name!r} cuts"))
+            values.append(_finite_numbers(feat["values"], f"feature {name!r} values"))
+            if any(a >= b for a, b in zip(cuts[-1], cuts[-1][1:])):
+                raise FeedFormatError(f"feature {name!r} cuts are not strictly increasing")
+            if len(values[-1]) != len(cuts[-1]) + 1:
+                raise FeedFormatError(f"feature {name!r} needs one more value than cuts")
+        return cls(
+            intercept=_finite_numbers([data["intercept"]], "intercept")[0],
+            columns=columns,
+            cuts=cuts,
+            values=values,
+            config=TrainConfig(**data["config"]),
+        )
+
+    def save_json(self, path: str | Path) -> None:
+        with artifact_file(path) as fh:
+            json.dump(self.to_dict(), fh, indent=1)
+            fh.write("\n")
+
+    @classmethod
+    def load_json(cls, path: str | Path) -> "AdditiveModel":
+        """Read a model file; a truncated or malformed one raises FeedFormatError naming it."""
+        with open(path, encoding="utf-8") as fh:
+            try:
+                return cls.from_dict(json.load(fh))
+            except (ValueError, KeyError, TypeError, AttributeError, DataError, FeedFormatError) as exc:
+                raise FeedFormatError(f"{path}: bad model file ({type(exc).__name__}: {exc})") from exc

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import struct
 import time
 from datetime import date
 from pathlib import Path
@@ -22,7 +23,7 @@ from fleetfuel.anomaly import flag_outliers, two_phase_clean
 from fleetfuel.cli import main as cli_main
 from fleetfuel.evaluate import monthly_impact
 from fleetfuel.explain import ExplanationTable, recompute_fuel_new
-from fleetfuel.gam import AdditiveModel, FeatureColumn, fit
+from fleetfuel.gam import fit
 from fleetfuel.ingest import (
     RouteThresholds,
     aggregate_daily,
@@ -31,7 +32,9 @@ from fleetfuel.ingest import (
     impute_missing,
     parse_feed_csv,
     quality_filter,
+    read_far_csv,
 )
+from fleetfuel.model import AdditiveModel, FeatureColumn
 from fleetfuel.registry import FeatureRegistry, TrainConfig, VinMap, assign_groups
 from fleetfuel.synthgen import default_spec, generate
 
@@ -146,8 +149,8 @@ def test_c01_explanation_anchor():
     model = AdditiveModel(
         intercept=7.25,
         columns=[FeatureColumn(name=n, kind="numeric", origin=n) for n in names],
-        cuts=[np.array([]) for _ in names],
-        values=[np.array([c]) for c in contributions],
+        cuts=[[] for _ in names],
+        values=[[c] for c in contributions],
         config=TrainConfig(),
     )
     record = make_record(
@@ -273,6 +276,33 @@ def test_c05_decomposition_identity(pipeline_run):
         if model.predict(rec) != total:
             failures += 1
     report(5, failures == 0, f"{failures} of 10000 records broke predict == b0 + sum(f_i)")
+
+
+def _numpy_predictions(model, records) -> list[float]:
+    """intercept + C.sum(axis=1), with C looked up by np.searchsorted over a numpy design matrix."""
+    X = np.array(
+        [
+            [rec.features[col.name] if col.kind == "numeric" else float(str(getattr(rec, col.origin)) == col.level)
+             for col in model.columns]
+            for rec in records
+        ]
+    )
+    C = np.column_stack(
+        [np.asarray(v)[np.searchsorted(np.asarray(c), X[:, j], side="right")]
+         for j, (c, v) in enumerate(zip(model.cuts, model.values))]
+    )
+    return (model.intercept + C.sum(axis=1)).tolist()
+
+
+def test_predict_many_equals_numpy_row_sums(pipeline_run, noiseless_fit):
+    """The numpy-free predictions have numpy's bits on both fleets."""
+    model = AdditiveModel.load_json(pipeline_run["out"] / "model.json")
+    records = read_far_csv(pipeline_run["out"] / "far_labeled.csv", FeatureRegistry.default())
+    _, _, noiseless_model, noiseless_records = noiseless_fit
+    for m, recs in ((model, records), (noiseless_model, noiseless_records)):
+        got = m.predict_many(recs)
+        assert all(type(x) is float for x in got)
+        assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", x) for x in _numpy_predictions(m, recs)]
 
 
 # ---------------------------------------------------------------------------

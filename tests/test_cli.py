@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import shutil
 from importlib import resources
 from pathlib import Path
@@ -313,8 +314,8 @@ class TestStageImports:
 
     def test_explain_loads_neither_evaluate_nor_synthgen(self, finished_run, tmp_path):
         loaded = self._modules_after(finished_run, tmp_path, "explain")
-        assert {"numpy", "fleetfuel.gam", "fleetfuel.explain"} <= loaded
-        assert loaded & {"fleetfuel.evaluate", "fleetfuel.synthgen"} == set()
+        assert {"fleetfuel.model", "fleetfuel.explain"} <= loaded
+        assert loaded & {"numpy", "fleetfuel.gam", "fleetfuel.evaluate", "fleetfuel.synthgen"} == set()
 
 
 def _corrupt_cell(path, line: int, column: str, text: str) -> None:
@@ -347,14 +348,17 @@ class TestCorruptInputs:
         _corrupt_cell(out / "far_labeled.csv", 6, "avg_fuel_consumption", "seven")
         self._fails_naming(capsys, "explain", cfg, out, "far_labeled.csv", "line 6")
 
-    @pytest.mark.parametrize("text", ["", "nan"], ids=["blank", "nan"])
+    @pytest.mark.parametrize("text", ["", "nan", "inf"], ids=["blank", "nan", "inf"])
     @pytest.mark.parametrize("stage, table", [("train", "far_training.csv"), ("explain", "far_labeled.csv")])
     def test_far_feature_cell(self, finished_run, tmp_path, capsys, stage, table, text):
         out, cfg = self._copy(finished_run, tmp_path)
         _corrupt_cell(out / table, 6, "rpm_high", text)
         self._fails_naming(capsys, stage, cfg, out, table, "line 6", "'rpm_high'")
 
-    @pytest.mark.parametrize("how", ["truncated", "no-features", "version"])
+    @pytest.mark.parametrize(
+        "how",
+        ["truncated", "no-features", "version", "unordered-cuts", "nan-cut", "string-cut", "inf-value", "bool-value"],
+    )
     def test_model_json(self, finished_run, tmp_path, capsys, how):
         out, cfg = self._copy(finished_run, tmp_path)
         path = out / "model.json"
@@ -363,10 +367,21 @@ class TestCorruptInputs:
             path.write_text(text[: len(text) // 3])
         else:
             data = json.loads(text)
+            feature = next(f for f in data["features"] if len(f["cuts"]) >= 2)
             if how == "version":
                 data["version"] = 1
-            else:
+            elif how == "no-features":
                 del data["features"]
+            elif how == "unordered-cuts":
+                feature["cuts"].reverse()
+            elif how == "nan-cut":
+                feature["cuts"][0] = math.nan
+            elif how == "string-cut":
+                feature["cuts"][0] = str(feature["cuts"][0])
+            elif how == "inf-value":
+                feature["values"][0] = math.inf
+            else:
+                feature["values"][0] = True
             path.write_text(json.dumps(data))
         self._fails_naming(capsys, "explain", cfg, out, "model.json")
 

@@ -34,7 +34,7 @@ from fleetfuel.explain import (
     write_explanations_csv,
     write_inlier_medians_csv,
 )
-from fleetfuel.gam import DEFAULT_CATEGORICALS, AdditiveModel, FeatureColumn, _numeric_value
+from fleetfuel.model import DEFAULT_CATEGORICALS, AdditiveModel, FeatureColumn, _numeric_value
 from fleetfuel.registry import FeatureSpec, TrainConfig
 
 from .conftest import make_record, make_registry
@@ -46,16 +46,16 @@ def step_model(shapes: dict[str, tuple[list[float], list[float]]], intercept=7.0
     columns, cuts, values = [], [], []
     for name, (c, v) in shapes.items():
         columns.append(FeatureColumn(name=name, kind="numeric", origin=name))
-        cuts.append(np.asarray(c, dtype=float))
-        values.append(np.asarray(v, dtype=float))
+        cuts.append([float(x) for x in c])
+        values.append([float(x) for x in v])
     for origin, levels in (indicators or {}).items():
         for i, level in enumerate(levels):
             columns.append(
                 FeatureColumn(name=f"{origin}={level}", kind="indicator", origin=origin, level=level)
             )
-            cuts.append(np.asarray([0.5]))
+            cuts.append([0.5])
             # active level i contributes 0.05 * i at value 1, 0 at value 0
-            values.append(np.asarray([0.0, 0.05 * i]))
+            values.append([0.0, 0.05 * i])
     return AdditiveModel(
         intercept=intercept, columns=columns, cuts=cuts, values=values, config=TrainConfig()
     )
@@ -618,14 +618,14 @@ def explain_problems(draw):
     for name in _NAMES:
         c = sorted(set(draw(st.lists(_GRID, min_size=1, max_size=4))))
         columns.append(FeatureColumn(name=name, kind="numeric", origin=name))
-        cuts.append(np.asarray(c, dtype=np.float64))
-        values.append(np.asarray(draw(st.lists(_VALUES, min_size=len(c) + 1, max_size=len(c) + 1))))
+        cuts.append(c)
+        values.append(draw(st.lists(_VALUES, min_size=len(c) + 1, max_size=len(c) + 1)))
     for origin, levels in (("vehicle_group", ["0", "1", "2"]), ("route_type", ["city", "highway"])):
         if draw(st.booleans()):
             for level in levels:
                 columns.append(FeatureColumn(f"{origin}={level}", "indicator", origin, level))
-                cuts.append(np.asarray([0.5]))
-                values.append(np.asarray(draw(st.lists(_VALUES, min_size=2, max_size=2))))
+                cuts.append([0.5])
+                values.append(draw(st.lists(_VALUES, min_size=2, max_size=2)))
     model = AdditiveModel(
         intercept=draw(_VALUES) + 7.0, columns=columns, cuts=cuts, values=values, config=TrainConfig()
     )
@@ -697,8 +697,8 @@ def categorical_problems(draw):
     for name in names:
         c = sorted(set(draw(st.lists(_GRID, min_size=1, max_size=3))))
         columns.append(FeatureColumn(name=name, kind="numeric", origin=name))
-        cuts.append(np.asarray(c, dtype=np.float64))
-        values.append(np.asarray(draw(st.lists(_VALUES, min_size=len(c) + 1, max_size=len(c) + 1))))
+        cuts.append(c)
+        values.append(draw(st.lists(_VALUES, min_size=len(c) + 1, max_size=len(c) + 1)))
     indicators = [
         FeatureColumn(f"{origin}={level}", "indicator", origin, level)
         for origin in DEFAULT_CATEGORICALS
@@ -706,8 +706,8 @@ def categorical_problems(draw):
     ]
     for col in draw(st.permutations(indicators)):
         columns.append(col)
-        cuts.append(np.asarray([0.5]))
-        values.append(np.asarray(draw(st.lists(_TERMS, min_size=2, max_size=2))))
+        cuts.append([0.5])
+        values.append(draw(st.lists(_TERMS, min_size=2, max_size=2)))
     model = AdditiveModel(
         intercept=draw(_VALUES) + 7.0, columns=columns, cuts=cuts, values=values, config=TrainConfig()
     )
