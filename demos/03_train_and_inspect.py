@@ -44,7 +44,7 @@ for lo, hi, value in model.shape_curve("rpm_high"):
     hi_s = "+inf" if hi == math.inf else f"{hi:7.1f}"
     print(f"  [{lo_s}, {hi_s})  {value:+.3f} L/100km")
 
-rec = test[0]
+rec = next(iter(test))  # the first test day, as a FarRecord
 relevance = model.feature_relevance(rec)
 top = sorted(relevance.items(), key=lambda kv: -abs(kv[1]))[:5]
 print(f"\n{rec.vehicle_id} on {rec.date}: actual {rec.avg_fuel_consumption:.2f}, "

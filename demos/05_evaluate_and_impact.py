@@ -37,11 +37,11 @@ records, _ = aggregate_daily(parse_feed_csv(fleet_dir / "feed.csv", registry).re
 identities = assign_groups(sorted({r.vehicle_id for r in records}), VinMap.from_csv(fleet_dir / "vin_map.csv"))
 records = enrich_records(records, identities)
 kept, _ = quality_filter(records)
+impute_missing(kept, registry)  # before the training rows are copied out of the table
 training, limits, _ = two_phase_clean(kept)
 labeled = flag_outliers(kept, limits)
-impute_missing(labeled, registry)
 model = fit(training, registry, TrainConfig(learning_rate=0.05, max_rounds=400, patience=30, bags=4, seed=2))
-inliers = [r for r in labeled if r.anomaly_label == "inlier"]
+inliers = labeled.take([i for i, label in enumerate(labeled.anomaly_label) if label == "inlier"])
 policy = ReferencePolicy.from_records(registry, inliers, DEFAULT_CATEGORICALS)
 raw = generate_daily_explanations(model, labeled, policy, limits)
 rows, _ = apply_business_rules(raw, policy, BR_ORDER)

@@ -37,6 +37,7 @@ _EXPORTS = {
     ),
     "gam": ("build_bins", "fit", "one_hot"),
     "ingest": (
+        "DayTable",
         "FarRecord",
         "RawReading",
         "RouteThresholds",

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InsufficientSupportError
-from .ingest import LABEL_INLIER, LABEL_OUTLIER, LABEL_UNASSIGNED, FarRecord
+from .ingest import LABEL_INLIER, LABEL_OUTLIER, LABEL_UNASSIGNED, DayTable
 from .registry import read_table, row_parser, table_columns, write_table
 
 MIN_SUPPORT = 4
@@ -100,7 +100,7 @@ class LimitTable:
         return sorted(self._limits.items())
 
 
-def compute_limits(records: Iterable[FarRecord]) -> LimitTable:
+def compute_limits(table: DayTable) -> LimitTable:
     """Whisker limits over avg fuel for every (group, route) cell.
 
     Fleet-wide per-route limits back small cells; a small cell whose route
@@ -108,11 +108,11 @@ def compute_limits(records: Iterable[FarRecord]) -> LimitTable:
     """
     by_cell: dict[tuple[int, str], list[float]] = {}
     by_route: dict[str, list[float]] = {}
-    for rec in records:
-        if rec.avg_fuel_consumption is None:
+    for avg, group, route in zip(table.avg_fuel_consumption, table.vehicle_group, table.route_type):
+        if avg is None:
             continue
-        by_cell.setdefault(rec.group_route, []).append(rec.avg_fuel_consumption)
-        by_route.setdefault(rec.route_type, []).append(rec.avg_fuel_consumption)
+        by_cell.setdefault((group, route), []).append(avg)
+        by_route.setdefault(route, []).append(avg)
 
     fleet: dict[str, AnomalyLimits] = {}
     for route, values in by_route.items():
@@ -139,58 +139,46 @@ class NoiseReport:
     emptied_cells: list[tuple[int, str]] = field(default_factory=list)
 
 
-def two_phase_clean(
-    records: Sequence[FarRecord],
-) -> tuple[list[FarRecord], LimitTable, NoiseReport]:
+def two_phase_clean(table: DayTable) -> tuple[DayTable, LimitTable, NoiseReport]:
     """Two-pass whisker cleaning.
 
-    Phase 1 computes limits on the input and removes records below the
-    lower whisker (implausibly low fuel) and above the upper whisker
-    (noise).  Phase 2 recomputes limits on the survivors; those are the
-    published outlier thresholds.
+    Phase 1 computes limits on the input and removes rows below the lower
+    whisker (implausibly low fuel) and above the upper whisker (noise).
+    Phase 2 recomputes limits on the survivors; those are the published
+    outlier thresholds.
     """
-    phase1 = compute_limits(records)
-    survivors: list[FarRecord] = []
+    phase1 = compute_limits(table)
+    kept: list[int] = []
     report = NoiseReport()
-    for rec in records:
-        lim = phase1.lookup(rec.vehicle_group, rec.route_type)
-        if lim is None or rec.avg_fuel_consumption is None:
-            survivors.append(rec)
-            continue
-        if rec.avg_fuel_consumption < lim.lim_inf:
+    for i, (avg, group, route) in enumerate(zip(table.avg_fuel_consumption, table.vehicle_group, table.route_type)):
+        lim = phase1.lookup(group, route)
+        if lim is None or avg is None:
+            kept.append(i)
+        elif avg < lim.lim_inf:
             report.n_low += 1
-            report.low_days.append((rec.vehicle_id, rec.date.isoformat()))
-            continue
-        if rec.avg_fuel_consumption > lim.lim_sup:
+            report.low_days.append((table.vehicle_id[i], table.date[i].isoformat()))
+        elif avg > lim.lim_sup:
             report.n_noise += 1
-            continue
-        survivors.append(rec)
+        else:
+            kept.append(i)
+    survivors = table.take(kept)
 
     final = compute_limits(survivors)
-    seen = {key for key, _ in final.items()}
-    for key, _ in phase1.items():
-        if key not in seen:
-            report.emptied_cells.append(key)
+    report.emptied_cells = [key for key, _ in phase1.items() if final.lookup(*key) is None]
     return survivors, final, report
 
 
-def flag_outliers(records: Iterable[FarRecord], limits: LimitTable) -> list[FarRecord]:
-    """Label records against the published upper whisker.
+def flag_outliers(table: DayTable, limits: LimitTable) -> DayTable:
+    """Label every row against the published upper whisker, in place.
 
     A day is an outlier only when its fuel strictly exceeds the limit;
-    records whose cell has no limits stay unassigned.
+    rows whose cell has no limits stay unassigned.
     """
-    out = []
-    for rec in records:
-        lim = limits.lookup(rec.vehicle_group, rec.route_type)
-        if lim is None or rec.avg_fuel_consumption is None:
-            rec.anomaly_label = LABEL_UNASSIGNED
-        elif rec.avg_fuel_consumption > lim.lim_sup:
-            rec.anomaly_label = LABEL_OUTLIER
-        else:
-            rec.anomaly_label = LABEL_INLIER
-        out.append(rec)
-    return out
+    table.anomaly_label = [
+        LABEL_UNASSIGNED if lim is None or avg is None else LABEL_OUTLIER if avg > lim.lim_sup else LABEL_INLIER
+        for avg, lim in zip(table.avg_fuel_consumption, map(limits.lookup, table.vehicle_group, table.route_type))
+    ]
+    return table
 
 
 #: AnomalyLimits's fields, with ``borrowed`` written as a 0/1 ``borrowed_flag``

@@ -8,6 +8,11 @@ each output as the stage names it; when the stage ends both go into
 manifest.json, which is enough to re-execute the run.  Outputs are
 byte-stable for a fixed config and seed.
 
+From ingest to impact a stage holds its vehicle-days in one
+``ingest.DayTable``.  The tables clean writes are read back with their
+features, distance and fuel checked finite, so a bad cell exits 2 naming
+its file and line before any split or sort.
+
 A stage imports only the modules it runs, on first use.  numpy loads only
 where the trainer is, in train and synth: ingest, clean, explain, evaluate
 and impact start without it.  explain loads the numpy-free model module,
@@ -33,6 +38,7 @@ from .anomaly import flag_outliers, read_limits_csv, two_phase_clean, write_limi
 from .errors import DataError, FeedFormatError, FleetFuelError, MissingStageError
 from .ingest import (
     LABEL_INLIER,
+    DayTable,
     RouteThresholds,
     aggregate_daily,
     assign_classes,
@@ -255,15 +261,24 @@ class RunContext:
 
 
 @contextlib.contextmanager
-def _naming_lines(path: Path, records: list):
-    """Re-raise a DataError about one of ``records``, read from ``path`` in file order, naming its line."""
+def _naming(path: Path):
+    """Re-raise a DataError about the data read from ``path`` as a FeedFormatError naming the file."""
     try:
         yield
     except DataError as exc:
-        line = next((i + 2 for i, rec in enumerate(records) if rec is exc.record), None)
-        if line is None:
-            raise
-        raise FeedFormatError(f"{path}: line {line}: {exc}") from exc
+        raise FeedFormatError(f"{path}: {exc}") from exc
+
+
+def _read_cleaned_far(path: Path, registry: FeatureRegistry) -> DayTable:
+    """read_far_csv of a table clean wrote: its features, distance, fuel and avg fuel are finite numbers on every row.
+
+    The first bad cell, row by row, raises FeedFormatError naming its line: row i is on line i + 2.
+    """
+    table = read_far_csv(path, registry)
+    bad = table.bad_cell(("trip_kms", "trip_fuel_used", "avg_fuel_consumption", *table.features))
+    if bad is not None:
+        raise FeedFormatError(f"{path}: line {bad[0] + 2}: {bad[1]}") from bad[1]
+    return table
 
 
 def _digest(path: Path) -> str:
@@ -305,14 +320,13 @@ def stage_ingest(ctx: RunContext) -> None:
     ctx.out_dir.mkdir(parents=True, exist_ok=True)
 
     parsed = parse_feed_csv(feed_path, registry)
-    records, agg_report = aggregate_daily(
-        parsed.readings, registry, ctx.config["ignore_channels"]
-    )
+    with _naming(feed_path):
+        table, agg_report = aggregate_daily(parsed.readings, registry, ctx.config["ignore_channels"])
     vin_map = VinMap.from_csv(vin_path)
-    identities = assign_groups(sorted({r.vehicle_id for r in records}), vin_map)
-    records = enrich_records(records, identities, ctx.route_thresholds())
+    identities = assign_groups(sorted(set(table.vehicle_id)), vin_map)
+    table = enrich_records(table, identities, ctx.route_thresholds())
 
-    write_far_csv(records, registry, ctx.output("far_raw.csv"))
+    write_far_csv(table, registry, ctx.output("far_raw.csv"))
     write_report_json(
         {
             "n_readings": agg_report.n_readings,
@@ -329,16 +343,18 @@ def stage_ingest(ctx: RunContext) -> None:
 
 def stage_clean(ctx: RunContext) -> None:
     registry = ctx.registry()
-    records = read_far_csv(ctx.artifact("far_raw.csv", "ingest"), registry)
+    table = read_far_csv(ctx.artifact("far_raw.csv", "ingest"), registry)
 
-    base, removal = quality_filter(records)
+    base, removal = quality_filter(table)
     classes = assign_classes(base, load_class_table(ctx.config_file("class_table")))
 
     training, limits, noise = two_phase_clean(base)
-    low_keys = set(noise.low_days)
-    labeled = [r for r in base if (r.vehicle_id, r.date.isoformat()) not in low_keys]
-    labeled = flag_outliers(labeled, limits)
-    impute_missing(labeled, registry)
+    low = set(noise.low_days)
+    labeled = base.take([i for i, (vid, day) in enumerate(base.day_keys()) if (vid, day.isoformat()) not in low])
+    labeled = impute_missing(flag_outliers(labeled, limits), registry)
+    # the survivors of cleaning, as labeled and imputed above
+    survivors = set(training.day_keys())
+    training = labeled.take([i for i, key in enumerate(labeled.day_keys()) if key in survivors])
 
     # recorded with ingest's digest: it is read here before it is rewritten
     identities = read_identities_csv(ctx.artifact("identities.csv", "ingest"))
@@ -375,21 +391,14 @@ def stage_train(ctx: RunContext) -> None:
 
     registry = ctx.registry()
     path = ctx.artifact("far_training.csv", "clean")
-    records = read_far_csv(path, registry)
+    table = _read_cleaned_far(path, registry)
     split_cfg = ctx.config["split"]
-    train_records, test_records = train_test_split(
-        records, float(split_cfg["fraction"]), int(split_cfg["seed"])
-    )
-    with _naming_lines(path, records):
-        model = fit(train_records, registry, ctx.train_config())
-        predictions = model.predict_many(test_records)
-    metrics = model_metrics(
-        ctx.config["fleet_id"],
-        test_records,
-        predictions,
-        n_predictors=sum(1 for cuts in model.cuts if cuts),
-        n_train=len(train_records),
-    )
+    with _naming(path):
+        train_table, test_table = train_test_split(table, float(split_cfg["fraction"]), int(split_cfg["seed"]))
+        model = fit(train_table, registry, ctx.train_config())
+    predictions = model.predict_many(test_table)
+    n_predictors = sum(1 for cuts in model.cuts if cuts)
+    metrics = model_metrics(ctx.config["fleet_id"], test_table, predictions, n_predictors, len(train_table))
     model.save_json(ctx.output("model.json"))
     write_shape_curves_csv(model, ctx.output("shape_curves.csv"))
     ctx.report("train_metrics", metrics, [metrics], ModelMetrics)
@@ -403,11 +412,10 @@ def stage_train(ctx: RunContext) -> None:
 
 def _load_labeled_inputs(ctx: RunContext):
     registry = ctx.registry()
-    path = ctx.artifact("far_labeled.csv", "clean")
-    labeled = read_far_csv(path, registry)
+    labeled = _read_cleaned_far(ctx.artifact("far_labeled.csv", "clean"), registry)
     limits = read_limits_csv(ctx.artifact("limits.csv", "clean"))
-    inliers = [r for r in labeled if r.anomaly_label == LABEL_INLIER]
-    return registry, path, labeled, limits, inliers
+    inliers = labeled.take([i for i, label in enumerate(labeled.anomaly_label) if label == LABEL_INLIER])
+    return registry, labeled, limits, inliers
 
 
 def stage_explain(ctx: RunContext) -> None:
@@ -416,11 +424,10 @@ def stage_explain(ctx: RunContext) -> None:
 
     # the model first: with several artifacts missing, the report names train
     model = AdditiveModel.load_json(ctx.artifact("model.json", "train"))
-    registry, path, labeled, limits, inliers = _load_labeled_inputs(ctx)
+    registry, labeled, limits, inliers = _load_labeled_inputs(ctx)
     policy = ReferencePolicy.from_records(registry, inliers, DEFAULT_CATEGORICALS)
     rules_cfg = ctx.config["rules"]
-    with _naming_lines(path, labeled):
-        pre_rows = generate_daily_explanations(model, labeled, policy, limits)
+    pre_rows = generate_daily_explanations(model, labeled, policy, limits)
     final_rows, audit = apply_business_rules(
         pre_rows,
         policy,
@@ -444,7 +451,7 @@ def stage_evaluate(ctx: RunContext) -> None:
     from .evaluate import CatalogMapeReport, CategoryImpact, ModelMetrics, OutlierComparison
     from .explain import FuelMedians
 
-    registry, _, labeled, limits, inliers = _load_labeled_inputs(ctx)
+    registry, labeled, limits, inliers = _load_labeled_inputs(ctx)
     # BR1-BR3 and the catalog comparison read only fuel medians
     fuel = FuelMedians.from_records(registry, inliers)
     fleet = ctx.config["fleet_id"]
@@ -499,7 +506,7 @@ def stage_impact(ctx: RunContext) -> None:
     registry = ctx.registry()
     fleet = ctx.config["fleet_id"]
     final_rows = read_explanations_csv(ctx.artifact("explanations.csv", "explain"), registry)
-    labeled = read_far_csv(ctx.artifact("far_labeled.csv", "clean"), registry)
+    labeled = _read_cleaned_far(ctx.artifact("far_labeled.csv", "clean"), registry)
     table = monthly_impact(
         final_rows,
         labeled,

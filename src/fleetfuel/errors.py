@@ -10,14 +10,7 @@ class FeedFormatError(FleetFuelError):
 
 
 class DataError(FleetFuelError):
-    """Input values violate a precondition (bad ratio, empty sample, ...).
-
-    ``record`` is the record at fault, when there is one.
-    """
-
-    def __init__(self, message: str = "", record=None):
-        super().__init__(message)
-        self.record = record
+    """Input values violate a precondition (bad ratio, empty sample, ...)."""
 
 
 class InsufficientSupportError(DataError):
@@ -25,7 +18,7 @@ class InsufficientSupportError(DataError):
 
 
 class MissingFeatureError(DataError):
-    """A record lacks a feature the model requires."""
+    """A vehicle-day lacks a feature the model requires."""
 
 
 class MissingStageError(FleetFuelError):

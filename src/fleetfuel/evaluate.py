@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .anomaly import LimitTable
 from .errors import DataError
 from .explain import ExplanationTable, FuelMedians, divide
-from .ingest import LABEL_OUTLIER, FarRecord
+from .ingest import LABEL_OUTLIER, DayTable
 from .registry import (
     CO2_KG_PER_LITER,
     CatalogTable,
@@ -41,26 +41,23 @@ R2_WEAK = "weak"
 R2_NONE = "none"
 
 
-def train_test_split(
-    records: Sequence[FarRecord], fraction: float = 0.9, seed: int = 0
-) -> tuple[list[FarRecord], list[FarRecord]]:
+def train_test_split(table: DayTable, fraction: float = 0.9, seed: int = 0) -> tuple[DayTable, DayTable]:
     """Seeded shuffle then split; both partitions non-empty.
 
-    Records are ordered by (vehicle, date) before shuffling so the split
+    Rows are ordered by (vehicle, date) before shuffling so the split
     does not depend on input ordering.
     """
     import numpy as np
 
-    if len(records) < 10:
-        raise DataError(f"split needs at least 10 records, got {len(records)}")
+    n = len(table)
+    if n < 10:
+        raise DataError(f"split needs at least 10 records, got {n}")
     if not 0.0 < fraction < 1.0:
         raise DataError("split fraction must be in (0, 1)")
-    ordered = sorted(records, key=lambda r: r.day_key)
-    perm = np.random.default_rng(seed).permutation(len(ordered))
-    n_train = min(max(int(round(len(ordered) * fraction)), 1), len(ordered) - 1)
-    train = [ordered[i] for i in perm[:n_train]]
-    test = [ordered[i] for i in perm[n_train:]]
-    return train, test
+    order = table.by_day()
+    perm = np.random.default_rng(seed).permutation(n).tolist()
+    n_train = min(max(int(round(n * fraction)), 1), n - 1)
+    return table.take([order[i] for i in perm[:n_train]]), table.take([order[i] for i in perm[n_train:]])
 
 
 def mape(actuals: Sequence[float], predictions: Sequence[float]) -> float:
@@ -89,14 +86,12 @@ def classify_mape(value: float) -> str:
     return MAPE_INACCURATE
 
 
-def median_vehicle_mape(
-    records: Sequence[FarRecord], predictions: Sequence[float]
-) -> float:
+def median_vehicle_mape(table: DayTable, predictions: Sequence[float]) -> float:
     """Median over vehicles of each vehicle's MAPE."""
     by_vehicle: dict[str, tuple[list[float], list[float]]] = {}
-    for rec, pred in zip(records, predictions, strict=True):
-        ys, ps = by_vehicle.setdefault(rec.vehicle_id, ([], []))
-        ys.append(rec.avg_fuel_consumption or 0.0)
+    for vehicle_id, avg, pred in zip(table.vehicle_id, table.avg_fuel_consumption, predictions, strict=True):
+        ys, ps = by_vehicle.setdefault(vehicle_id, ([], []))
+        ys.append(avg or 0.0)
         ps.append(pred)
     values = []
     for ys, ps in by_vehicle.values():
@@ -152,14 +147,10 @@ class ModelMetrics:
 
 
 def model_metrics(
-    fleet: str,
-    test_records: Sequence[FarRecord],
-    predictions: Sequence[float],
-    n_predictors: int,
-    n_train: int,
+    fleet: str, test_table: DayTable, predictions: Sequence[float], n_predictors: int, n_train: int
 ) -> ModelMetrics:
-    med = median_vehicle_mape(test_records, predictions)
-    actuals = [r.avg_fuel_consumption or 0.0 for r in test_records]
+    med = median_vehicle_mape(test_table, predictions)
+    actuals = [avg or 0.0 for avg in test_table.avg_fuel_consumption]
     adj, r2_cat = adjusted_r2(actuals, predictions, n_predictors)
     return ModelMetrics(
         fleet=fleet,
@@ -168,7 +159,7 @@ def model_metrics(
         adjusted_r2=adj,
         r2_category=r2_cat,
         n_train=n_train,
-        n_test=len(test_records),
+        n_test=len(test_table),
         n_predictors=n_predictors,
         n_unscoreable=sum(1 for y in actuals if not y > 0),
     )
@@ -324,10 +315,7 @@ class OutlierComparison:
 
 
 def outlier_vs_explained(
-    table: ExplanationTable,
-    limits: LimitTable,
-    records: Sequence[FarRecord],
-    fleet: str,
+    table: ExplanationTable, limits: LimitTable, days: DayTable, fleet: str
 ) -> OutlierComparison | None:
     """Per outlier day, explained extra vs whisker excess, with a rank test.
 
@@ -339,19 +327,17 @@ def outlier_vs_explained(
     explained_by_day = table.day_totals()
     explained: list[float] = []
     anomalous: list[float] = []
-    for rec in sorted(records, key=lambda r: r.day_key):
-        if rec.anomaly_label != LABEL_OUTLIER or rec.avg_fuel_consumption is None:
+    keys = days.day_keys()
+    for i in days.by_day():
+        avg = days.avg_fuel_consumption[i]
+        lim = limits.lookup(days.vehicle_group[i], days.route_type[i])
+        if days.anomaly_label[i] != LABEL_OUTLIER or avg is None or lim is None:
             continue
-        lim = limits.lookup(rec.vehicle_group, rec.route_type)
-        if lim is None:
-            continue
-        avg = rec.avg_fuel_consumption
-        explained.append(explained_by_day.get(rec.day_key, 0.0) / avg)
+        explained.append(explained_by_day.get(keys[i], 0.0) / avg)
         anomalous.append((avg - lim.lim_sup) / avg)
     if not explained:
         return None
-    diffs = [e - a for e, a in zip(explained, anomalous)]
-    w, p = signed_rank_test(diffs)
+    w, p = signed_rank_test([e - a for e, a in zip(explained, anomalous)])
     return OutlierComparison(
         fleet=fleet,
         n_outlier_days=len(explained),
@@ -390,7 +376,7 @@ def _share_below(values: list[float], cutoff: float) -> float:
 
 def catalog_mape(
     table: ExplanationTable,
-    records: Sequence[FarRecord],
+    days: DayTable,
     identities: Mapping[str, VehicleIdentity],
     catalog: CatalogTable,
     fuel: FuelMedians,
@@ -413,7 +399,7 @@ def catalog_mape(
     for d in table.day:
         day_slot.setdefault(key_days[keys[d]], d)
     fuel_new = table.y_fuel_new.tolist()
-    label_by_day = {rec.day_key: rec.anomaly_label for rec in records}
+    label_by_day = dict(zip(days.day_keys(), days.anomaly_label))
 
     mape1: list[float] = []
     mape2: list[float] = []
@@ -476,7 +462,7 @@ class MonthlyImpact:
 
 def monthly_impact(
     table: ExplanationTable,
-    records: Sequence[FarRecord],
+    days: DayTable,
     registry: FeatureRegistry,
     fleet: str,
     co2_per_liter: float = CO2_KG_PER_LITER,
@@ -488,13 +474,13 @@ def monthly_impact(
     Extra liters for a row are its saving per 100 km scaled by the day's
     distance; the CO2 column converts the driving-behaviour share.
     """
-    kms_by_day = {rec.day_key: rec.trip_kms for rec in records}
+    kms_by_day = dict(zip(days.day_keys(), days.trip_kms))
     total: dict[str, float] = {}
-    for rec in records:
-        if rec.trip_fuel_used is None:
+    for day, fuel in zip(days.date, days.trip_fuel_used):
+        if fuel is None:
             continue
-        month = f"{rec.date.year:04d}-{rec.date.month:02d}"
-        total[month] = total.get(month, 0.0) + rec.trip_fuel_used
+        month = f"{day.year:04d}-{day.month:02d}"
+        total[month] = total.get(month, 0.0) + fuel
 
     extra_all: dict[str, float] = {}
     extra_beh: dict[str, float] = {}

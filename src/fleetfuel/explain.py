@@ -16,28 +16,25 @@ rules then prune the rows:
        day's fuel (not physically possible).
 
 Every row, numeric or categorical, is priced from one contribution
-matrix, kept column by column in plain lists: the model encodes every
-priced day, one list per model column, and looks up each cell's shape
-value with ``bisect_right``; one reference row per (group, route) cell,
-holding the numeric targets with each categorical origin's indicators set
-at the cell's most common inlier level, is looked up the same way, for the
-priced columns only.  An origin's relevance is the running sum of its
-indicator columns in model column order.  Savings are relevance minus the
-cell's reference relevance; their positive entries, row-major, are the
-rows, except where the cell has no mode.  The arithmetic per entry is the
-scalar lookup's, so rows are bit-identical to pricing day by day, and
-``y_pred`` adds each day's contributions in numpy's pairwise order
-(``model.row_sums``).  The columns take 8 bytes per day and model column
-(about 0.5 MB for 1,600 days x 37 columns), as their floats are the
-records' and the model's own.  The module imports no numpy.
+matrix kept column by column in plain lists.  The priced days are taken
+from the ``DayTable`` in (vehicle, date) order; the model encodes them,
+one list per model column (a numeric column is the table's own), and looks
+up each cell's shape value with ``bisect_right``.  One reference row per
+(group, route) cell, holding the numeric targets with each categorical
+origin's indicators set at the cell's most common inlier level, is looked
+up the same way, for the priced columns only.  An origin's relevance is
+the running sum of its indicator columns in model column order.  Savings
+are relevance minus the cell's reference relevance; their positive
+entries, row-major, are the rows, except where the cell has no mode.  The
+arithmetic per entry is the scalar lookup's, and ``y_pred`` adds each
+day's contributions in numpy's pairwise order (``model.row_sums``).  The
+reference medians and modes group the inlier rows by cell once
+(``FallbackMedians``).  The module imports no numpy.
 
 The rows live in one ``ExplanationTable``: per-row lists (day slot,
 feature code, relevance, value, target, saving) next to per-day columns
 that every row of a day shares (vehicle, date, route and group as lists,
-the five fuel figures as ``array('d')``).  A row takes six 8-byte list
-cells and two 24-byte floats, as value and target refer to floats the
-records and reference cells already hold; an ``ExplanationRow`` object
-takes about 350 bytes before its floats.  Each business rule is one list
+the five fuel figures as ``array('d')``).  Each business rule is one list
 mask over the surviving rows, with the comparison a row-by-row filter
 makes, so a NaN falls the same way, and a ratio to a zero fuel is ±inf or
 NaN as IEEE 754 divides; audit entries are built for the dropped rows
@@ -45,10 +42,10 @@ only.  Day totals (BR5 and ``y_fuel_new``) are running per-day sums in row
 order.  The CSV writer formats each day's cells and each repeated float
 once, and audit lines are assembled from cached JSON string escapes and
 ``float.__repr__``, byte for byte what ``json.dumps(..., sort_keys=True)``
-writes.  ``ExplanationRow`` is the table's row view, for tests, demos and
-callers that want objects; its fields are the CSV columns, and
-``from_rows`` and the CSV reader share ``ExplanationTable._build``, which
-gives consecutive rows with equal day cells one slot.
+writes.  ``ExplanationRow`` is the table's row view; its fields are the
+CSV columns, and ``from_rows`` and the CSV reader share
+``ExplanationTable._build``, which gives consecutive rows with equal day
+cells one slot.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .anomaly import LimitTable
 from .errors import FeedFormatError
-from .ingest import FarRecord
+from .ingest import DayTable, FarRecord
 from .registry import (
     DEFAULT_BR2_THRESHOLD,
     DEFAULT_BR5_CAP,
@@ -99,13 +96,6 @@ def _mode(values: list[str]) -> str:
     return min(counts, key=lambda k: (-counts[k], k))
 
 
-def _fuel_items(inlier_records: Sequence[FarRecord]) -> Iterator[tuple[tuple, float]]:
-    # fuel sits under the feature None, which no registry feature can take
-    for rec in inlier_records:
-        if rec.avg_fuel_consumption is not None:
-            yield (None, rec.route_type, rec.vehicle_group), rec.avg_fuel_consumption
-
-
 class FuelMedians:
     """Inlier fuel medians keyed by (group, route), with the feature registry.
 
@@ -120,8 +110,10 @@ class FuelMedians:
         self._medians = medians
 
     @classmethod
-    def from_records(cls, registry: FeatureRegistry, inlier_records: Sequence[FarRecord]) -> "FuelMedians":
-        return cls(registry, FallbackMedians(_fuel_items(inlier_records)))
+    def from_records(cls, registry: FeatureRegistry, inliers: DayTable) -> "FuelMedians":
+        # fuel sits under the name None, which no registry feature can take
+        cells = [inliers.route_type, inliers.vehicle_group]
+        return cls(registry, FallbackMedians({None: inliers.avg_fuel_consumption}, cells))
 
     def fuel_median(self, vehicle_group: int, route_type: str) -> float | None:
         return self._medians.get((None, route_type, vehicle_group))
@@ -143,20 +135,16 @@ class ReferencePolicy(FuelMedians):
     def from_records(
         cls,
         registry: FeatureRegistry,
-        inlier_records: Sequence[FarRecord],
+        inliers: DayTable,
         categoricals: Sequence[str] = (),
     ) -> "ReferencePolicy":
-        features = (
-            ((name, rec.route_type, rec.vehicle_group), value)
-            for rec in inlier_records
-            for name, value in rec.features.items()
-            if name in registry
-        )
-        levels = (((cat, rec.group_route), str(getattr(rec, cat))) for rec in inlier_records for cat in categoricals)
+        columns = {name: column for name, column in inliers.features.items() if name in registry}
+        columns[None] = inliers.avg_fuel_consumption  # see FuelMedians
+        levels = {cat: list(map(str, getattr(inliers, cat))) for cat in categoricals}
         return cls(
             registry,
-            FallbackMedians(itertools.chain(_fuel_items(inlier_records), features)),
-            FallbackMedians(levels, reduce=_mode),
+            FallbackMedians(columns, [inliers.route_type, inliers.vehicle_group]),
+            FallbackMedians(levels, [list(zip(inliers.vehicle_group, inliers.route_type))], reduce=_mode),
         )
 
     def reference_kind(self, feature: str) -> str:
@@ -377,7 +365,7 @@ class ExplanationTable:
 
 def generate_daily_explanations(
     model: AdditiveModel,
-    records: Sequence[FarRecord],
+    table: DayTable,
     policy: ReferencePolicy,
     limits: LimitTable,
 ) -> ExplanationTable:
@@ -385,9 +373,10 @@ def generate_daily_explanations(
 
     Rows cover actionable registry features and, so the categorical filter
     has real work to do, the model's categorical origins priced against the
-    cell's most common inlier level.  Records whose cell has no published
-    limit are skipped.  Rows come day by day in (vehicle, date) order, each
-    day's numeric features in model column order before its categoricals.
+    cell's most common inlier level.  Days without fuel or a published
+    limit for their cell are skipped.  Rows come day by day in (vehicle,
+    date) order, each day's numeric features in model column order before
+    its categoricals.
     """
     from .model import KIND_NUMERIC, row_sums
 
@@ -404,23 +393,21 @@ def generate_daily_explanations(
         if col.kind != KIND_NUMERIC:
             origins.setdefault(col.origin, []).append(j)
 
-    kept: list[FarRecord] = []
-    lim_sup: list[float] = []
-    for rec in sorted(records, key=lambda r: r.day_key):
-        lim = None if rec.avg_fuel_consumption is None else limits.lookup(rec.vehicle_group, rec.route_type)
-        if lim is not None:
-            kept.append(rec)
-            lim_sup.append(lim.lim_sup)
-    if len(kept) < len(records):
-        logger.info("explanations skipped %d records without fuel or limits", len(records) - len(kept))
+    order = table.by_day()
+    fuel, group, route = table.avg_fuel_consumption, table.vehicle_group, table.route_type
+    lims = [None if fuel[i] is None else limits.lookup(group[i], route[i]) for i in order]
+    days = table.take([i for i, lim in zip(order, lims) if lim is not None])
+    lim_sup = [lim.lim_sup for lim in lims if lim is not None]
+    if len(days) < len(table):
+        logger.info("explanations skipped %d days without fuel or limits", len(table) - len(days))
 
-    X = model.encode(kept)
+    X = model.encode(days)
     C = model.contributions(X)
 
     # one reference row per (group, route) cell: the numeric targets, and
     # each origin's indicators at the cell's mode; only priced columns are looked up
     cell_ids: dict[tuple[int, str], int] = {}
-    cell_of = [cell_ids.setdefault(rec.group_route, len(cell_ids)) for rec in kept]
+    cell_of = [cell_ids.setdefault(cell, len(cell_ids)) for cell in zip(days.vehicle_group, days.route_type)]
     targets = [
         [policy.reference_value(name, g, r) for name in names] + [policy.categorical_mode(g, r, o) for o in origins]
         for g, r in cell_ids
@@ -444,13 +431,13 @@ def generate_daily_explanations(
             out.append(total)
         return out
 
-    relevance = relevance_of(C, len(kept))
+    relevance = relevance_of(C, len(days))
     saving = [
         list(map(sub, rel, map(ref.__getitem__, cell_of)))
         for rel, ref in zip(relevance, relevance_of(C_ref, len(cell_ids)))
     ]
     # entry i * width + k of the flat savings is day i's k-th priced column,
-    # so hits come record by record, numeric columns before origins; "not
+    # so hits come day by day, numeric columns before origins; "not
     # <= 0" keeps a NaN saving as the scalar test did
     flat_saving = itertools.chain.from_iterable(zip(*saving))
     positive = map(not_, map(le, flat_saving, itertools.repeat(0.0)))
@@ -459,17 +446,17 @@ def generate_daily_explanations(
     day = list(map(floordiv, hits, itertools.repeat(width)))
     feature = list(map(mod, hits, itertools.repeat(width)))
     at_hits = lambda columns: list(map(getitem, map(columns.__getitem__, feature), day))
-    values = [X[j] for j in cols] + [[str(getattr(rec, o)) for rec in kept] for o in origins]
+    values = [X[j] for j in cols] + [list(map(str, getattr(days, o))) for o in origins]
 
     table = ExplanationTable(
-        vehicle_id=[rec.vehicle_id for rec in kept],
-        date_tx=[rec.date for rec in kept],
-        route_type=[rec.route_type for rec in kept],
-        vehicle_group=[rec.vehicle_group for rec in kept],
-        intercept=array("d", [model.intercept]) * len(kept),
-        avg_fuel=array("d", [rec.avg_fuel_consumption for rec in kept]),
+        vehicle_id=days.vehicle_id,
+        date_tx=days.date,
+        route_type=days.route_type,
+        vehicle_group=days.vehicle_group,
+        intercept=array("d", [model.intercept]) * len(days),
+        avg_fuel=array("d", days.avg_fuel_consumption),
         limit_group=array("d", lim_sup),
-        y_pred=array("d", [model.intercept + s for s in row_sums(C, len(kept))]),
+        y_pred=array("d", [model.intercept + s for s in row_sums(C, len(days))]),
         y_fuel_new=array("d"),  # made by _select, from the day totals
         features=tuple(names + list(origins)),
         day=day,
@@ -479,8 +466,8 @@ def generate_daily_explanations(
         target=list(map(getitem, map(targets.__getitem__, map(cell_of.__getitem__, day)), feature)),
         y_diff=at_hits(saving),
     )
-    keys, days = table.day_ids()
-    return table._select(None, keys, len(days))
+    keys, key_days = table.day_ids()
+    return table._select(None, keys, len(key_days))
 
 
 @dataclass
@@ -713,17 +700,13 @@ def write_audit_log(entries: Iterable[AuditEntry], path: str | Path) -> None:
 MEDIANS_COLUMNS = ("vehicle_group", "route_type", "feature", "median_value")
 
 
-def write_inlier_medians_csv(
-    policy: ReferencePolicy,
-    records: Sequence[FarRecord],
-    path: str | Path,
-) -> None:
-    """Resolved medians per cell seen in the records, for independent checks.
+def write_inlier_medians_csv(policy: ReferencePolicy, table: DayTable, path: str | Path) -> None:
+    """Resolved medians per (group, route) cell seen in the table, for independent checks.
 
     Fuel medians are written under the pseudo-feature avg_fuel_consumption.
     """
     rows = []
-    for group, route in sorted({rec.group_route for rec in records}):
+    for group, route in sorted(set(zip(table.vehicle_group, table.route_type))):
         fuel = policy.fuel_median(group, route)
         if fuel is not None:
             rows.append((group, route, "avg_fuel_consumption", fuel))

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .ingest import FarRecord
+from .ingest import DayTable
 # the model's names, re-exported for the trainer's callers
 from .model import (DEFAULT_CATEGORICALS, KIND_INDICATOR, KIND_NUMERIC, MODEL_FORMAT, MODEL_VERSION,
                     AdditiveModel, FeatureColumn, encode)
@@ -51,42 +51,40 @@ def _level_sort_key(levels: set[str]) -> list[str]:
         return sorted(levels)
 
 
-def _design(records: Sequence[FarRecord], columns: Sequence[FeatureColumn]) -> np.ndarray:
-    """(records x columns) float64 matrix of the shared encoder's columns."""
-    cells = np.array(encode(records, columns), dtype=np.float64)
-    return np.ascontiguousarray(cells.reshape(len(columns), len(records)).T)
+def _design(table: DayTable, columns: Sequence[FeatureColumn]) -> np.ndarray:
+    """(days x columns) float64 matrix of the shared encoder's columns."""
+    cells = np.array(encode(table, columns), dtype=np.float64)
+    return np.ascontiguousarray(cells.reshape(len(columns), len(table)).T)
 
 
-def _indicator_columns(records: Sequence[FarRecord], categorical_names: Sequence[str]) -> list[FeatureColumn]:
-    """One indicator column per (field, level), over the level set observed in the records."""
+def _indicator_columns(table: DayTable, categorical_names: Sequence[str]) -> list[FeatureColumn]:
+    """One indicator column per (column, level), over the level set observed in the table."""
     return [
         FeatureColumn(name=f"{name}={level}", kind=KIND_INDICATOR, origin=name, level=level)
         for name in categorical_names
-        for level in _level_sort_key({str(getattr(rec, name)) for rec in records})
+        for level in _level_sort_key(set(map(str, getattr(table, name))))
     ]
 
 
-def one_hot(
-    records: Sequence[FarRecord], categorical_names: Sequence[str]
-) -> tuple[np.ndarray, list[FeatureColumn]]:
-    """Expand categorical record fields into indicator columns.
+def one_hot(table: DayTable, categorical_names: Sequence[str]) -> tuple[np.ndarray, list[FeatureColumn]]:
+    """Expand categorical table columns into indicator columns.
 
-    One column per (field, level) using the level set observed in the
-    given records; encoding an unseen level later yields all zeros.
+    One column per (column, level) using the level set observed in the
+    given table; encoding an unseen level later yields all zeros.
     """
-    columns = _indicator_columns(records, categorical_names)
-    return _design(records, columns), columns
+    columns = _indicator_columns(table, categorical_names)
+    return _design(table, columns), columns
 
 
 def build_design(
-    records: Sequence[FarRecord],
+    table: DayTable,
     registry: FeatureRegistry,
     categoricals: Sequence[str] = DEFAULT_CATEGORICALS,
 ) -> tuple[np.ndarray, list[FeatureColumn]]:
     """Design matrix: registry features in order, then one-hot indicators."""
     numeric = [FeatureColumn(name=name, kind=KIND_NUMERIC, origin=name) for name in registry.names]
-    columns = numeric + _indicator_columns(records, categoricals)
-    return _design(records, columns), columns
+    columns = numeric + _indicator_columns(table, categoricals)
+    return _design(table, columns), columns
 
 
 def build_bins(matrix: np.ndarray, max_bins: int = 256) -> list[np.ndarray]:
@@ -301,22 +299,19 @@ def _fit_bags(
 
 
 def fit(
-    records: Sequence[FarRecord],
+    table: DayTable,
     registry: FeatureRegistry,
     config: TrainConfig = TrainConfig(),
     categoricals: Sequence[str] = DEFAULT_CATEGORICALS,
 ) -> AdditiveModel:
-    """Train on the records' avg fuel; see the module docstring for the loop."""
-    if len(records) < 20:
-        raise DataError(f"training needs at least 20 records, got {len(records)}")
-    y = np.asarray(
-        [0.0 if r.avg_fuel_consumption is None else r.avg_fuel_consumption for r in records],
-        dtype=np.float64,
-    )
+    """Train on the table's avg fuel; see the module docstring for the loop."""
+    if len(table) < 20:
+        raise DataError(f"training needs at least 20 records, got {len(table)}")
+    y = np.asarray([0.0 if avg is None else avg for avg in table.avg_fuel_consumption], dtype=np.float64)
     if not np.all(np.isfinite(y)) or not np.all(y > 0):
         raise DataError("training target must be finite and positive on every record")
 
-    X, columns = build_design(records, registry, categoricals)
+    X, columns = build_design(table, registry, categoricals)
     return fit_matrix(X, y, columns, config)
 
 

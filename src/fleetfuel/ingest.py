@@ -1,7 +1,7 @@
-"""Raw telemetry feed to daily Fleet Analytics Records.
+"""Raw telemetry feed to the daily Fleet Analytics Records (FAR) table.
 
 The feed is a CSV of (time_tx, vehicle_id, variable_id, variable_value)
-samples.  This module parses it, aggregates samples into one record per
+samples.  This module parses it, aggregates samples into one row per
 vehicle and calendar day, classifies the day's route context, resolves
 vehicle identities and classes, applies data-quality filters and fills
 missing feature values from group medians.
@@ -9,9 +9,17 @@ missing feature values from group medians.
 ``parse_feed`` puts each row straight into its (vehicle, UTC day) and
 channel sample list; ``aggregate_daily`` reduces and frees them day by day.
 
+Every stage holds its vehicle-days in one ``DayTable``: one list per FAR
+fixed column and one per registry feature, in registry order.  A cell is a
+Python float, or None where the day has no value (a blank CSV cell); lists
+rather than ``array('d')`` keep a blank cell apart from a literal ``nan``.
+Filters and splits copy rows into a new table with ``take``; labelling and
+imputation change a table's columns in place.  ``FarRecord`` is the row
+view, for callers that want one object per day.
+
 Channel naming: a feed variable_id either names a feature declared in the
 registry (aggregated by that feature's declared aggregator) or one of the
-three core channels below, which feed the record's dedicated fields.
+three core channels below, which feed the table's dedicated columns.
 """
 
 from __future__ import annotations
@@ -23,11 +31,10 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
-from .errors import DataError, FeedFormatError
+from .errors import DataError, FeedFormatError, MissingFeatureError
 from .registry import (
     FallbackMedians, FeatureRegistry, VehicleClassRow, VehicleIdentity, csv_reader, median, table_columns, utf8_text,
     write_table,
@@ -35,7 +42,7 @@ from .registry import (
 
 logger = logging.getLogger(__name__)
 
-# Core channels consumed into dedicated FarRecord fields.
+# Core channels consumed into dedicated FAR columns.
 TRIP_FUEL_CHANNEL = "TripFuel"
 TRIP_KMS_CHANNEL = "TripKms"
 CITY_TIME_CHANNEL = "PerTimeCity"
@@ -68,7 +75,7 @@ FEED_COLUMNS = table_columns(RawReading)
 
 @dataclass
 class FarRecord:
-    """Aggregated daily record for one vehicle; the fields before ``features`` are the FAR's fixed columns."""
+    """One vehicle-day: the row view of a DayTable; the fields before ``features`` are the FAR's fixed columns."""
 
     vehicle_id: str
     date: date
@@ -82,13 +89,78 @@ class FarRecord:
     avg_fuel_consumption: float | None = None
     features: dict[str, float] = field(default_factory=dict)
 
-    @property
-    def day_key(self) -> tuple[str, date]:
-        return (self.vehicle_id, self.date)
 
-    @property
-    def group_route(self) -> tuple[int, str]:
-        return (self.vehicle_group, self.route_type)
+FAR_FIXED_COLUMNS = table_columns(FarRecord)[:-1]
+
+
+@dataclass
+class DayTable:
+    """Vehicle-days as columns: row i of every fixed column and of every ``features`` column is one day."""
+
+    vehicle_id: list[str]
+    date: list[date]
+    route_type: list[str]
+    vehicle_group: list[int]
+    vehicle_class: list[int]
+    anomaly_label: list[str]
+    trip_kms: list[float | None]
+    trip_fuel_used: list[float | None]
+    per_time_city: list[float | None]
+    avg_fuel_consumption: list[float | None]
+    features: dict[str, list[float | None]]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[FarRecord], names: Iterable[str] | None = None) -> "DayTable":
+        """The table of these records, in order; ``names`` defaults to their features in order of first sight."""
+        rows = list(rows)
+        names = dict.fromkeys(name for rec in rows for name in rec.features) if names is None else names
+        fixed = [[getattr(rec, column) for rec in rows] for column in FAR_FIXED_COLUMNS]
+        return cls(*fixed, {name: [rec.features.get(name) for rec in rows] for name in names})
+
+    def __len__(self) -> int:
+        return len(self.vehicle_id)
+
+    def __iter__(self) -> Iterator[FarRecord]:
+        """Each row as a FarRecord, whose features are the row's cells that are not None."""
+        fixed, features = self.fixed_columns(), self.features.items()
+        for i in range(len(self)):
+            yield FarRecord(*(c[i] for c in fixed), features={n: c[i] for n, c in features if c[i] is not None})
+
+    def fixed_columns(self) -> list[list]:
+        return [getattr(self, name) for name in FAR_FIXED_COLUMNS]
+
+    def take(self, index: Sequence[int]) -> "DayTable":
+        """A new table of the rows at ``index``, in that order."""
+        cells = lambda column: list(map(column.__getitem__, index))
+        return DayTable(*map(cells, self.fixed_columns()), {name: cells(c) for name, c in self.features.items()})
+
+    def day_keys(self) -> list[tuple[str, date]]:
+        return list(zip(self.vehicle_id, self.date))
+
+    def by_day(self) -> list[int]:
+        """Row indices in (vehicle, date) order; rows with equal keys keep their order."""
+        return sorted(range(len(self)), key=self.day_keys().__getitem__)
+
+    def bad_cell(self, names: Iterable[str] | None = None) -> tuple[int, DataError] | None:
+        """Row and error of the first missing or non-finite cell, row by row, in the ``names`` columns.
+
+        A name is a feature column, or else a fixed one; a name without a column is missing from every row.
+        ``names`` defaults to every feature.  None when every cell is a finite number.
+        """
+        bad = []  # (row, column order, name, cell) of each column's first bad cell
+        for name in self.features if names is None else names:
+            fixed = getattr(self, name) if name in FAR_FIXED_COLUMNS else None
+            cells = self.features.get(name, fixed) or [None] * len(self)
+            if None in cells or not all(map(math.isfinite, cells)):
+                row = next(i for i, x in enumerate(cells) if x is None or not math.isfinite(x))
+                bad.append((row, len(bad), name, cells[row]))
+        if not bad:
+            return None
+        row, _, name, value = min(bad)
+        where = f"{self.vehicle_id[row]}/{self.date[row]}"
+        if value is None:
+            return row, MissingFeatureError(f"record {where} lacks {name!r}")
+        return row, DataError(f"{name!r} is not finite on {where}")
 
 
 @dataclass(frozen=True)
@@ -245,13 +317,15 @@ def aggregate_daily(
     readings: DayReadings,
     registry: FeatureRegistry,
     ignore: Iterable[str] = (),
-) -> tuple[list[FarRecord], AggregateReport]:
-    """Reduce grouped readings to one FarRecord per (vehicle, UTC day), in day order.
+) -> tuple[DayTable, AggregateReport]:
+    """Reduce grouped readings to one row per (vehicle, UTC day), in day order.
 
     Each registry feature is reduced by its declared aggregator; the three
     core channels fill trip_kms / trip_fuel_used / per_time_city.  Channels
     neither declared nor ignored are skipped with a warning.  A day's
-    samples are dropped from ``readings`` once its record is built.
+    samples are dropped from ``readings`` once its row is built.  A sum
+    beyond the float range raises DataError naming the vehicle, day and
+    channel, so no cell is ever infinite.
     """
     if tuple(readings.registry) != tuple(registry):
         raise DataError("readings were grouped under a different feature registry")
@@ -262,21 +336,24 @@ def aggregate_daily(
             logger.warning("unknown channel %r skipped", channel)
             report.unknown_channels[channel] = count
 
-    records = []
-    for vehicle_id, day in sorted(readings.days):
-        rec = FarRecord(vehicle_id=vehicle_id, date=day)
-        for channel, samples in readings.days.pop((vehicle_id, day)).items():
-            if channel == TRIP_FUEL_CHANNEL:
-                rec.trip_fuel_used = _aggregate(samples, "sum")
-            elif channel == TRIP_KMS_CHANNEL:
-                rec.trip_kms = _aggregate(samples, "sum")
-            elif channel == CITY_TIME_CHANNEL:
-                rec.per_time_city = _aggregate(samples, "mean")
-            else:
-                rec.features[channel] = _aggregate(samples, registry[channel].aggregator)
-        records.append(rec)
-    report.n_records = len(records)
-    return records, report
+    keys = sorted(readings.days)
+    n = len(keys)
+    blank = lambda value: [value] * n
+    table = DayTable(
+        [v for v, _ in keys], [d for _, d in keys], blank(ROUTE_COMBINED), blank(-1), blank(0), blank(LABEL_UNASSIGNED),
+        *(blank(None) for _ in range(4)), {name: blank(None) for name in registry.names},
+    )
+    core = {TRIP_FUEL_CHANNEL: (table.trip_fuel_used, "sum"), TRIP_KMS_CHANNEL: (table.trip_kms, "sum"),
+            CITY_TIME_CHANNEL: (table.per_time_city, "mean")}
+    for i, key in enumerate(keys):
+        for channel, samples in readings.days.pop(key).items():
+            column, how = core.get(channel) or (table.features[channel], registry[channel].aggregator)
+            try:
+                column[i] = _aggregate(samples, how)
+            except OverflowError:
+                raise DataError(f"vehicle {key[0]} on {key[1]}: the {how} of channel {channel!r} overflows") from None
+    report.n_records = n
+    return table, report
 
 
 def compute_avg_fuel(trip_fuel_used: float, trip_kms: float) -> float:
@@ -300,29 +377,29 @@ def classify_route(
 
 
 def enrich_records(
-    records: Iterable[FarRecord],
+    table: DayTable,
     identities: Mapping[str, VehicleIdentity],
     thresholds: RouteThresholds = RouteThresholds(),
-) -> list[FarRecord]:
-    """Fill avg fuel, route type and vehicle_group on aggregated records.
+) -> DayTable:
+    """Fill avg fuel, route type and vehicle_group on an aggregated table, in place.
 
-    Records with an unusable distance keep avg_fuel_consumption = None and
+    Rows with an unusable distance keep avg_fuel_consumption = None and
     are left for the quality filter to remove.  A day without a city-time
     fraction cannot be placed at either extreme and falls in 'combined'.
     """
-    out = []
-    for rec in records:
-        if rec.trip_fuel_used is not None and rec.trip_kms is not None and rec.trip_kms > 0:
-            rec.avg_fuel_consumption = compute_avg_fuel(rec.trip_fuel_used, rec.trip_kms)
-        if rec.trip_kms is not None and rec.per_time_city is not None:
-            rec.route_type = classify_route(rec.per_time_city, rec.trip_kms, thresholds)
-        else:
-            rec.route_type = ROUTE_COMBINED
-        ident = identities.get(rec.vehicle_id)
-        if ident is not None:
-            rec.vehicle_group = ident.vehicle_group
-        out.append(rec)
-    return out
+    kms, city = table.trip_kms, table.per_time_city
+    table.avg_fuel_consumption = [
+        compute_avg_fuel(fuel, k) if fuel is not None and k is not None and k > 0 else avg
+        for fuel, k, avg in zip(table.trip_fuel_used, kms, table.avg_fuel_consumption)
+    ]
+    table.route_type = [
+        ROUTE_COMBINED if k is None or c is None else classify_route(c, k, thresholds) for k, c in zip(kms, city)
+    ]
+    table.vehicle_group = [
+        group if ident is None else ident.vehicle_group
+        for group, ident in zip(table.vehicle_group, map(identities.get, table.vehicle_id))
+    ]
+    return table
 
 
 def assign_vehicle_class(
@@ -354,21 +431,17 @@ def assign_vehicle_class(
     return best.vehicle_class
 
 
-def assign_classes(
-    records: Iterable[FarRecord], class_table: Sequence[VehicleClassRow]
-) -> dict[int, int]:
-    """Assign every record its group's class from the group median fuel."""
+def assign_classes(table: DayTable, class_table: Sequence[VehicleClassRow]) -> dict[int, int]:
+    """Assign every row its group's class from the group median fuel."""
     by_group: dict[int, list[float]] = {}
-    recs = list(records)
-    for rec in recs:
-        if rec.avg_fuel_consumption is not None:
-            by_group.setdefault(rec.vehicle_group, []).append(rec.avg_fuel_consumption)
+    for group, avg in zip(table.vehicle_group, table.avg_fuel_consumption):
+        if avg is not None:
+            by_group.setdefault(group, []).append(avg)
     classes = {
         group: assign_vehicle_class(median(vals), class_table)
         for group, vals in by_group.items()
     }
-    for rec in recs:
-        rec.vehicle_class = classes.get(rec.vehicle_group, 0)
+    table.vehicle_class = [classes.get(group, 0) for group in table.vehicle_group]
     return classes
 
 
@@ -384,106 +457,96 @@ class RemovalReport:
         return sum(self.reasons.values())
 
 
-def quality_filter(records: Iterable[FarRecord]) -> tuple[list[FarRecord], RemovalReport]:
-    """Drop records unusable for modelling; count each removal reason.
+def quality_filter(table: DayTable) -> tuple[DayTable, RemovalReport]:
+    """Drop rows unusable for modelling; count each removal reason.
 
-    Removes records with a missing or short trip (< 5 km) or missing fuel.
+    Removes rows with a missing or short trip (< 5 km) or missing fuel.
     Implausibly low and noisy fuel is removed later, against whisker limits,
     by ``anomaly.two_phase_clean``.
     """
-    kept: list[FarRecord] = []
+    kept: list[int] = []
     report = RemovalReport()
-    for rec in records:
-        if rec.trip_kms is None:
+    for i, (kms, fuel, avg) in enumerate(zip(table.trip_kms, table.trip_fuel_used, table.avg_fuel_consumption)):
+        if kms is None:
             report.count("missing_distance")
-            continue
-        if rec.trip_kms < MIN_TRIP_KMS:
+        elif kms < MIN_TRIP_KMS:
             report.count("low_distance")
-            continue
-        if rec.trip_fuel_used is None or rec.avg_fuel_consumption is None:
+        elif fuel is None or avg is None:
             report.count("missing_fuel")
-            continue
-        kept.append(rec)
-    return kept, report
+        else:
+            kept.append(i)
+    return table.take(kept), report
 
 
-def impute_missing(
-    records: Sequence[FarRecord], registry: FeatureRegistry
-) -> list[FarRecord]:
-    """Fill missing feature values: group median, then fleet median, then 0.
+def impute_missing(table: DayTable, registry: FeatureRegistry) -> DayTable:
+    """Fill missing feature values in place: group median, then fleet median, then 0.
 
-    Observed values are never altered.  After this pass every registry
-    feature is present on every record.  Medians are built only when some
-    record lacks a feature.
+    Observed values are never altered.  After this pass the table has a
+    column for every registry feature, and no None cell in it.  Medians
+    are built only when some cell is missing.
     """
-    required = set(registry.names)
-    lacking = [rec for rec in records if not required <= rec.features.keys()]
-    if not lacking:
-        return list(records)
-    medians = FallbackMedians(
-        ((name, rec.vehicle_group), value) for rec in records for name, value in rec.features.items()
-    )
-    for rec in lacking:
-        for name in registry.names:
-            if name not in rec.features:
-                value = medians.get((name, rec.vehicle_group))
-                rec.features[name] = 0.0 if value is None else value
-    return list(records)
+    features = table.features
+    if all(name in features and None not in features[name] for name in registry.names):
+        return table
+    medians = FallbackMedians(features, [table.vehicle_group])
+    for name in registry.names:
+        cells = features.setdefault(name, [None] * len(table))
+        for i, (group, value) in enumerate(zip(table.vehicle_group, cells)):
+            if value is None:
+                fill = medians.get((name, group))
+                cells[i] = 0.0 if fill is None else fill
+    return table
 
 
 # ---------------------------------------------------------------------------
 # FAR CSV round trip
 
-FAR_FIXED_COLUMNS = table_columns(FarRecord)[:-1]
+
+def write_far_csv(table: DayTable, registry: FeatureRegistry, path: str | Path) -> None:
+    """One row per vehicle-day in (vehicle, date) order, fixed columns then registry features."""
+    features = (table.features.get(name) or [None] * len(table) for name in registry.names)
+    rows = sorted(zip(*table.fixed_columns(), *features), key=lambda row: row[:2])  # stable on (vehicle, date)
+    write_table(path, FAR_FIXED_COLUMNS + registry.names, rows)
 
 
-def write_far_csv(
-    records: Iterable[FarRecord], registry: FeatureRegistry, path: str | Path
-) -> None:
-    """One row per vehicle-day, fixed columns then registry features."""
-    names = registry.names
-    fixed = attrgetter(*FAR_FIXED_COLUMNS)
-    rows = ((*fixed(rec), *map(rec.features.get, names)) for rec in sorted(records, key=lambda r: r.day_key))
-    write_table(path, FAR_FIXED_COLUMNS + names, rows)
+def _number(cell: str) -> float | None:
+    return float(cell) if cell else None
 
 
-def read_far_csv(path: str | Path, registry: FeatureRegistry) -> list[FarRecord]:
-    """Records written by write_far_csv, unpacked by position under an exact header.
+#: the parser of each fixed column; a feature cell parses as a number
+_CELL_PARSERS = (str, date.fromisoformat, str, int, int, str, _number)
 
-    A bad row raises FeedFormatError naming the file and line.
+
+def read_far_csv(path: str | Path, registry: FeatureRegistry) -> DayTable:
+    """The table written by write_far_csv, under an exact header, every cell parsed column by column.
+
+    The first row of the wrong width or with a cell that does not parse raises FeedFormatError naming file and line.
     """
+    columns = FAR_FIXED_COLUMNS + registry.names
     with csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
             raise FeedFormatError(f"{path}: empty FAR file")
-        expected = list(FAR_FIXED_COLUMNS + registry.names)
-        if header != expected:
-            extra = sorted(set(header) - set(expected))
-            missing = sorted(set(expected) - set(header))
-            raise FeedFormatError(
-                f"{path}: FAR columns mismatch (missing {missing}, unexpected {extra})"
-            )
-        names = registry.names
-        width = len(header)
-        n_fixed = len(FAR_FIXED_COLUMNS)
-        records = []
-        for row in reader:
-            if len(row) != width:
-                raise ValueError(f"expected {width} fields, got {len(row)}")
-            vehicle_id, day, route_type, group, vclass, label, kms, fuel, city, avg = row[:n_fixed]
-            records.append(
-                FarRecord(
-                    vehicle_id=vehicle_id,
-                    date=date.fromisoformat(day),
-                    route_type=route_type,
-                    vehicle_group=int(group),
-                    vehicle_class=int(vclass),
-                    anomaly_label=label,
-                    trip_kms=float(kms) if kms else None,
-                    trip_fuel_used=float(fuel) if fuel else None,
-                    per_time_city=float(city) if city else None,
-                    avg_fuel_consumption=float(avg) if avg else None,
-                    features={name: float(cell) for name, cell in zip(names, row[n_fixed:]) if cell != ""},
-                )
-            )
-    return records
+        if header != list(columns):
+            extra = sorted(set(header) - set(columns))
+            missing = sorted(set(columns) - set(header))
+            raise FeedFormatError(f"{path}: FAR columns mismatch (missing {missing}, unexpected {extra})")
+        rows = list(reader)
+    parsers = _CELL_PARSERS + (_number,) * (len(columns) - len(_CELL_PARSERS))
+    try:
+        if any(len(row) != len(columns) for row in rows):
+            raise ValueError
+        # float itself parses a number column without a blank cell, faster than _number
+        cells = [list(map(float if parse is _number and "" not in c else parse, c))
+                 for c, parse in zip(list(zip(*rows)) or [()] * len(columns), parsers)]
+    except ValueError:
+        for line, row in enumerate(rows, 2):  # the first bad row, as a row-by-row reader meets it
+            if len(row) != len(columns):
+                raise FeedFormatError(f"{path}: line {line}: expected {len(columns)} fields, got {len(row)}") from None
+            for cell, parse in zip(row, parsers):
+                try:
+                    parse(cell)
+                except ValueError as exc:
+                    raise FeedFormatError(f"{path}: line {line}: {exc}") from None
+    n_fixed = len(FAR_FIXED_COLUMNS)
+    return DayTable(*cells[:n_fixed], dict(zip(registry.names, cells[n_fixed:])))

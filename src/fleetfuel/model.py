@@ -4,13 +4,14 @@ A prediction is the intercept plus one piecewise-constant shape value per
 design column: column j's value at x is ``values[j][bisect_right(cuts[j],
 x)]``, the bin ``np.searchsorted(..., side="right")`` gives, so a value on
 a cut falls in the bin above it.  Cuts and values are lists of Python
-floats; the numpy trainer is ``fleetfuel.gam``.  ``encode`` is the one
-record encoder, the trainer's included, and ``row_sums`` adds a record's
-contributions as numpy's ``sum(axis=1)`` does, so predictions keep their
-bits.  ``model.json`` (version 2) holds the intercept, the training config
-and, per design column in order, its name, kind, origin, level, cuts and
-values (a single-bin column: no cuts, the one value 0.0).  Loading accepts
-only strictly increasing finite cuts and one more finite value than cuts.
+floats; the numpy trainer is ``fleetfuel.gam``.  ``encode``, the one
+encoder of a ``DayTable`` (the trainer's included), gathers the table's
+columns, and ``row_sums`` adds a day's contributions as numpy's
+``sum(axis=1)`` does, so predictions keep their bits.  ``model.json``
+(version 2) holds the intercept, the training config and, per design
+column in order, its name, kind, origin, level, cuts and values (a
+single-bin column: no cuts, the one value 0.0).  Loading accepts only
+strictly increasing finite cuts and one more finite value than cuts.
 """
 
 from __future__ import annotations
@@ -20,20 +21,18 @@ import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from operator import add, eq, itemgetter
+from operator import add, eq
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import DataError, FeedFormatError, MissingFeatureError
+from .errors import DataError, FeedFormatError
+from .ingest import DayTable, FarRecord
 from .registry import TrainConfig, artifact_file
-
-if TYPE_CHECKING:
-    from .ingest import FarRecord
 
 MODEL_FORMAT = "fleetfuel-additive-model"
 MODEL_VERSION = 2
 
-#: FarRecord fields treated as categorical context features.
+#: DayTable columns treated as categorical context features.
 DEFAULT_CATEGORICALS = ("route_type", "vehicle_group", "vehicle_class")
 
 KIND_NUMERIC = "numeric"
@@ -50,48 +49,25 @@ class FeatureColumn:
     level: str | None = None
 
 
-def _numeric_value(rec: FarRecord, name: str) -> float:
-    try:
-        value = rec.features[name]
-    except KeyError:
-        raise MissingFeatureError(f"record {rec.vehicle_id}/{rec.date} lacks feature {name!r}", rec) from None
-    if not math.isfinite(value):
-        raise DataError(f"feature {name!r} is not finite on {rec.vehicle_id}/{rec.date}", rec)
-    return value
+def encode(table: DayTable, columns: Sequence[FeatureColumn]) -> list[list[float]]:
+    """The (days x columns) design as one list per column: the one encoder.
 
-
-def encode(records: Sequence[FarRecord], columns: Sequence[FeatureColumn]) -> list[list[float]]:
-    """The (records x columns) design as one list per column: the one encoder.
-
-    A numeric column reads the record's feature; a missing or non-finite
-    value raises as ``_numeric_value`` does, for the first offending
-    (record, column) in record-major order.  An indicator column is 1.0
-    where the record's categorical field equals the column's level, so a
-    level without a column encodes as all zeros.
+    A numeric column is the table's own feature column; the first missing
+    or non-finite cell among them, row by row, raises (see
+    ``DayTable.bad_cell``).  An indicator column is 1.0 where the
+    day's categorical column equals the column's level, so a level without
+    a column encodes as all zeros.
     """
-    features = [rec.features for rec in records]
-    levels: dict[str, list[str]] = {}
-    out: list[list[float]] = []
-    valid = True
-    for col in columns:
-        if col.kind == KIND_NUMERIC:
-            try:
-                cells = list(map(itemgetter(col.name), features))
-                valid = valid and all(map(math.isfinite, cells))
-            except (KeyError, TypeError):
-                cells, valid = [], False
-        else:
-            if col.origin not in levels:
-                levels[col.origin] = [str(getattr(rec, col.origin)) for rec in records]
-            cells = list(map(float, map(eq, levels[col.origin], repeat(col.level))))
-        out.append(cells)
-    if not valid:
-        # the scalar checks raise on the first bad cell
-        names = [col.name for col in columns if col.kind == KIND_NUMERIC]
-        for rec in records:
-            for name in names:
-                _numeric_value(rec, name)
-    return out
+    bad = table.bad_cell(col.name for col in columns if col.kind == KIND_NUMERIC)
+    if bad is not None:
+        raise bad[1]
+    origins = {col.origin for col in columns if col.kind != KIND_NUMERIC}
+    levels = {origin: list(map(str, getattr(table, origin))) for origin in origins}
+    return [
+        table.features.get(col.name, []) if col.kind == KIND_NUMERIC  # absent only from an empty table
+        else list(map(float, map(eq, levels[col.origin], repeat(col.level))))
+        for col in columns
+    ]
 
 
 def _pairwise(columns: Sequence[Sequence[float]], n_rows: int) -> list[float]:
@@ -152,9 +128,9 @@ class AdditiveModel:
         for j, col in enumerate(self.columns):
             self._index.setdefault(col.name, j)
 
-    def encode(self, records: Sequence[FarRecord]) -> list[list[float]]:
-        """The records' design, one list per model column; see ``encode``."""
-        return encode(records, self.columns)
+    def encode(self, table: DayTable) -> list[list[float]]:
+        """The table's design, one list per model column; see ``encode``."""
+        return encode(table, self.columns)
 
     def lookup(self, j: int, xs: Iterable[float]) -> list[float]:
         """Column j's shape values at the raw values xs."""
@@ -166,15 +142,15 @@ class AdditiveModel:
 
     def predict(self, rec: FarRecord) -> float:
         """Intercept plus the sum of per-feature contributions."""
-        return self.predict_many([rec])[0]
+        return self.predict_many(DayTable.from_rows([rec]))[0]
 
-    def predict_many(self, records: Sequence[FarRecord]) -> list[float]:
-        sums = row_sums(self.contributions(self.encode(records)), len(records))
+    def predict_many(self, table: DayTable) -> list[float]:
+        sums = row_sums(self.contributions(self.encode(table)), len(table))
         return [self.intercept + s for s in sums]
 
     def feature_relevance(self, rec: FarRecord) -> dict[str, float]:
         """Per-feature contribution f_i(x_i); sums (plus intercept) to predict."""
-        contributions = self.contributions(self.encode([rec]))
+        contributions = self.contributions(self.encode(DayTable.from_rows([rec])))
         return {col.name: c[0] for col, c in zip(self.columns, contributions)}
 
     def contribution_at(self, column_name: str, value: float) -> float:

@@ -197,24 +197,29 @@ def median(values: Sequence[float]) -> float:
 
 
 class FallbackMedians:
-    """A reduced value (the median by default) for every prefix of each key.
+    """A reduced value (the median by default) of each column for every prefix of the rows' context.
 
-    Keys order their context widest first, e.g. (feature, route, group), so
-    ``get`` tries the whole key, then ever shorter prefixes down to the
-    feature alone, and returns None when no prefix was ever seen.
+    ``context`` holds per-row key columns, widest first: under (route,
+    group), column ``name`` is reduced per (name,), (name, route) and (name,
+    route, group).  Each key's values are the column's cells that are not
+    None, in row order, so a median tied between 0.0 and -0.0 takes its
+    sign from that order.  ``get`` tries the whole key, then ever shorter
+    prefixes down to the name alone; None when no prefix holds a value.
     """
 
-    def __init__(self, items: Iterable[tuple[tuple, T]], reduce: Callable[[list[T]], T] = median):
-        groups: dict[tuple, list[T]] = {}
-        # each key's prefix lists, found once per key; values keep item order
-        targets: dict[tuple, list[list[T]]] = {}
-        for key, value in items:
-            lists = targets.get(key)
-            if lists is None:
-                lists = targets[key] = [groups.setdefault(key[:n], []) for n in range(1, len(key) + 1)]
-            for values in lists:
-                values.append(value)
-        self._values = {key: reduce(values) for key, values in groups.items()}
+    def __init__(
+        self, columns: Mapping[object, Sequence], context: Sequence[Sequence], reduce: Callable[[list], T] = median
+    ):
+        rows: dict[tuple, Sequence[int]] = {(): range(len(context[0]))}
+        for depth in range(1, len(context) + 1):
+            for i, key in enumerate(zip(*context[:depth])):
+                rows.setdefault(key, []).append(i)
+        self._values = {}
+        for name, column in columns.items():
+            for prefix, index in rows.items():
+                values = [v for v in map(column.__getitem__, index) if v is not None]
+                if values:
+                    self._values[(name, *prefix)] = reduce(values)
 
     def get(self, key: tuple):
         while key:

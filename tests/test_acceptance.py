@@ -25,6 +25,7 @@ from fleetfuel.evaluate import monthly_impact
 from fleetfuel.explain import ExplanationTable, recompute_fuel_new
 from fleetfuel.gam import fit
 from fleetfuel.ingest import (
+    DayTable,
     RouteThresholds,
     aggregate_daily,
     classify_route,
@@ -169,7 +170,7 @@ def test_c01_explanation_anchor():
 def test_c02_co2_anchor(small_registry):
     rec = make_record(day="2021-02-10", trip_kms=100.0, trip_fuel_used=50.0)
     row_like = _behaviour_row(y_diff=14631.0)
-    table = monthly_impact(ExplanationTable.from_rows([row_like]), [rec], small_registry, "anchor")
+    table = monthly_impact(ExplanationTable.from_rows([row_like]), DayTable.from_rows([rec]), small_registry, "anchor")
     co2 = table[0].co2_kg
     ok = abs(co2 - 39157) <= 1.0
     report(2, ok, f"14631 L -> {co2:.2f} kg CO2 (want 39157 +/- 1)")
@@ -381,7 +382,7 @@ def test_c07_anomaly_recall(tmp_path):
     _, limits, noise = two_phase_clean(base)
     low = set(noise.low_days)
     labeled = flag_outliers(
-        [r for r in base if (r.vehicle_id, r.date.isoformat()) not in low], limits
+        base.take([i for i, r in enumerate(base) if (r.vehicle_id, r.date.isoformat()) not in low]), limits
     )
 
     by_cell: dict[tuple, list[float]] = {}
@@ -392,7 +393,7 @@ def test_c07_anomaly_recall(tmp_path):
         q1, q3 = oracle_quartiles(values)
         bars[cell] = q3 + 3.0 * (q3 - q1)
 
-    labels = {r.day_key: r.anomaly_label for r in labeled}
+    labels = dict(zip(labeled.day_keys(), labeled.anomaly_label))
     planted_at_bar = [
         d for d in fleet.days
         if d.planted_outlier and d.fuel_l100 >= bars[(d.synth_group, d.route_type)]

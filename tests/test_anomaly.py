@@ -24,6 +24,7 @@ from fleetfuel.anomaly import (
     write_limits_csv,
 )
 from fleetfuel.errors import InsufficientSupportError
+from fleetfuel.ingest import DayTable
 
 from .conftest import make_record
 
@@ -69,10 +70,10 @@ class TestQuartiles:
 
 
 def records_with_fuel(fuels, group=0, route="highway", prefix="v"):
-    return [
+    return DayTable.from_rows(
         make_record(vehicle_id=f"{prefix}{i}", avg=f, vehicle_group=group, route_type=route)
         for i, f in enumerate(fuels)
-    ]
+    )
 
 
 class TestComputeLimits:
@@ -96,7 +97,7 @@ class TestComputeLimits:
     def test_small_group_borrows_fleet_limits(self):
         big = records_with_fuel([5, 6, 7, 8, 9], group=0)
         small = records_with_fuel([6, 7], group=1, prefix="w")
-        limits = compute_limits(big + small)
+        limits = compute_limits(DayTable.from_rows([*big, *small]))
         borrowed = limits.lookup(1, "highway")
         fleet_sample = [5, 6, 7, 8, 9, 6, 7]
         assert borrowed.borrowed
@@ -115,7 +116,7 @@ class TestTwoPhase:
         # phase 1: whiskers (-2, 14) remove the 100, nothing below
         assert report.n_noise == 1
         assert report.n_low == 0
-        assert [r.avg_fuel_consumption for r in clean] == [2, 4, 6, 8]
+        assert clean.avg_fuel_consumption == [2, 4, 6, 8]
         # phase 2 oracle on {2,4,6,8}: q1=3.5, q3=6.5, iqr=3
         lim = final.lookup(0, "highway")
         assert lim.q1 == pytest.approx(3.5)
@@ -152,20 +153,20 @@ class TestFlagOutliers:
         # force a lim_sup of 9.35 via a constant-ish sample
         lim = limits.lookup(0, "highway")
         assert rec.avg_fuel_consumption > lim.lim_sup
-        flagged = flag_outliers([rec], limits)
-        assert flagged[0].anomaly_label == "outlier"
+        flagged = flag_outliers(DayTable.from_rows([rec]), limits)
+        assert flagged.anomaly_label == ["outlier"]
 
     def test_boundary_is_inlier(self):
         limits = compute_limits(records_with_fuel([9, 9, 9, 9]))
         rec = make_record(avg=9.0)
-        flagged = flag_outliers([rec], limits)
-        assert flagged[0].anomaly_label == "inlier"
+        flagged = flag_outliers(DayTable.from_rows([rec]), limits)
+        assert flagged.anomaly_label == ["inlier"]
 
     def test_missing_limits_unassigned(self):
-        limits = compute_limits([])
+        limits = compute_limits(DayTable.from_rows([]))
         rec = make_record(avg=9.0)
-        flagged = flag_outliers([rec], limits)
-        assert flagged[0].anomaly_label == "unassigned"
+        flagged = flag_outliers(DayTable.from_rows([rec]), limits)
+        assert flagged.anomaly_label == ["unassigned"]
 
     def test_labels_invariant_under_reordering(self):
         rng = random.Random(3)
@@ -174,8 +175,9 @@ class TestFlagOutliers:
         limits = compute_limits(records)
         flag_outliers(records, limits)
         base = {r.vehicle_id: r.anomaly_label for r in records}
-        shuffled = list(records)
-        rng.shuffle(shuffled)
+        order = list(range(len(records)))
+        rng.shuffle(order)
+        shuffled = records.take(order)
         limits2 = compute_limits(shuffled)
         flag_outliers(shuffled, limits2)
         assert {r.vehicle_id: r.anomaly_label for r in shuffled} == base
@@ -188,8 +190,8 @@ class TestPlantedRecall:
         q1, q3 = quartiles(clean.tolist())
         iqr = q3 - q1
         planted = [q3 + 3.0 * iqr + abs(x) for x in rng.normal(1.0, 0.5, size=30)]
-        records = records_with_fuel(list(clean), prefix="c") + records_with_fuel(
-            planted, prefix="p"
+        records = DayTable.from_rows(
+            [*records_with_fuel(list(clean), prefix="c"), *records_with_fuel(planted, prefix="p")]
         )
         _, final, _ = two_phase_clean(records)
         flagged = flag_outliers(records, final)

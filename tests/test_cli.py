@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -326,8 +327,86 @@ def _corrupt_cell(path, line: int, column: str, text: str) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+def _prefix_line(path, line: int, blob: bytes) -> None:
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = blob + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+def _rewrite(path, change) -> None:
+    path.write_bytes(change(path.read_bytes()))
+
+
+#: each corruption of a FAR table, applied to its file
+FAR_CORRUPTIONS = {
+    "non-utf8": lambda path: _prefix_line(path, 3, b"\xff"),
+    "nul": lambda path: _prefix_line(path, 3, b"\x00"),
+    "empty": lambda path: path.write_bytes(b""),
+    "header-only": lambda path: _rewrite(path, lambda data: data[: data.index(b"\n") + 1]),
+    "duplicated-column": lambda path: _rewrite(path, lambda data: data.replace(b",date,", b",vehicle_id,", 1)),
+    "extra-field": lambda path: _prefix_line(path, 3, b"x,"),
+    "inf-distance": lambda path: _corrupt_cell(path, 3, "trip_kms", "inf"),
+    "negative-distance": lambda path: _corrupt_cell(path, 3, "trip_kms", "-50.0"),
+    "1e400-distance": lambda path: _corrupt_cell(path, 3, "trip_kms", "1e400"),
+    "crlf": lambda path: _rewrite(path, lambda data: data.replace(b"\n", b"\r\n")),
+    "bom": lambda path: _rewrite(path, lambda data: codecs.BOM_UTF8 + data),
+    "cut-in-half": lambda path: _rewrite(path, lambda data: data[: len(data) // 2]),
+}
+#: (stage, FAR table it reads)
+FAR_READERS = [
+    ("clean", "far_raw.csv"),
+    ("train", "far_training.csv"),
+    ("explain", "far_labeled.csv"),
+    ("evaluate", "far_labeled.csv"),
+    ("impact", "far_labeled.csv"),
+]
+#: the (corruption, stage) cells that may exit 0, and why; every other cell exits 2 naming the table
+FAR_MAY_PASS = {
+    **{("nul", stage): "the NUL lands in a vehicle id, which is free text" for stage, _ in FAR_READERS},
+    **{("crlf", stage): "the csv module reads CRLF line ends" for stage, _ in FAR_READERS},
+    **{
+        ("negative-distance", stage): "a finite distance is a number; clean's quality filter drops it from "
+        "far_raw.csv, and only impact reads the distance of a cleaned table"
+        for stage, _ in FAR_READERS
+    },
+    **{
+        ("header-only", stage): "a header-only table is a valid empty table (train needs rows)"
+        for stage in ("clean", "explain", "evaluate", "impact")
+    },
+    ("inf-distance", "clean"): "far_raw.csv may hold non-finite fixed cells, such as an infinite avg fuel on a "
+    "day under 5 km, which quality_filter drops; the stages after clean refuse them",
+    ("1e400-distance", "clean"): "1e400 reads as inf; see inf-distance",
+}
+
+
 class TestCorruptInputs:
     """A corrupt artifact exits 2 with a message naming it, not 3 with a traceback."""
+
+    @pytest.mark.parametrize("how", list(FAR_CORRUPTIONS))
+    @pytest.mark.parametrize("stage, table", FAR_READERS)
+    def test_far_matrix(self, finished_run, tmp_path, capsys, stage, table, how):
+        out, cfg = self._copy(finished_run, tmp_path)
+        FAR_CORRUPTIONS[how](out / table)
+        capsys.readouterr()
+        code = run(stage, "--config", cfg, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code in ((0, 2) if (how, stage) in FAR_MAY_PASS else (2,)), err
+        assert "Traceback" not in err
+        if code == 2:
+            assert str(out / table) in err
+
+    @pytest.mark.parametrize("channel", ["TripFuel", "PerTimeCity", "count_jackrabbit", "mean_forward_acc"])
+    def test_feed_sum_overflow(self, finished_run, tmp_path, capsys, channel):
+        out, cfg = self._copy(finished_run, tmp_path)
+        feed = tmp_path / "my_feed.csv"
+        lines = (out / "feed.csv").read_text().splitlines(keepends=True)
+        time_tx, vehicle, _, _ = lines[1].split(",")
+        lines += [f"{time_tx},{vehicle},{channel},1e308\n"] * 2
+        feed.write_text("".join(lines))
+        cfg = _config_with_paths(cfg, tmp_path, feed=feed)
+        before = (out / "far_raw.csv").read_bytes()
+        self._fails_naming(capsys, "ingest", cfg, out, str(feed), vehicle, time_tx[:10], repr(channel), "overflows")
+        assert (out / "far_raw.csv").read_bytes() == before
 
     def _copy(self, finished_run, tmp_path):
         out, cfg = finished_run

@@ -29,6 +29,7 @@ from fleetfuel.evaluate import (
     train_test_split,
 )
 from fleetfuel.explain import BR_ORDER, ExplanationTable, FuelMedians, ReferencePolicy, apply_business_rules, divide
+from fleetfuel.ingest import DayTable
 from fleetfuel.registry import (
     CO2_KG_PER_LITER,
     CatalogReference,
@@ -44,7 +45,7 @@ from .test_explain import base_row, inlier_pool
 
 class TestTrainTestSplit:
     def records(self, n):
-        return [make_record(vehicle_id=f"v{i:03d}", avg=7.0 + i * 0.01) for i in range(n)]
+        return DayTable.from_rows([make_record(vehicle_id=f"v{i:03d}", avg=7.0 + i * 0.01) for i in range(n)])
 
     def test_ninety_ten(self):
         train, test = train_test_split(self.records(100), 0.9, seed=1)
@@ -66,7 +67,7 @@ class TestTrainTestSplit:
     def test_partition(self):
         records = self.records(37)
         train, test = train_test_split(records, 0.9, seed=0)
-        ids = sorted(r.vehicle_id for r in train + test)
+        ids = sorted(train.vehicle_id + test.vehicle_id)
         assert ids == sorted(r.vehicle_id for r in records)
 
 
@@ -299,7 +300,7 @@ class TestZeroFuelAndNanSaving:
 
     def test_evaluate_rules(self, small_registry):
         # no inlier fuel, so BR3 keeps every day and BR2 divides by 0.0
-        assert self.outcome(small_registry, FuelMedians.from_records(small_registry, []), ("BR1", "BR3", "BR2")) == [
+        assert self.outcome(small_registry, FuelMedians.from_records(small_registry, DayTable.from_rows([])), ("BR1", "BR3", "BR2")) == [
             "[('v1', 'rpm_high', 0.5, -0.5), ('v1', 'mean_speed_hwy', 0.0, -0.5), ('v2', 'rpm_high', nan, nan),"
             " ('v2', 'mean_speed_hwy', 0.3, nan), ('v3', 'mean_exterior_temp', 1.5, 10.5)]",
             "[('BR1', 'v1', 'vehicle_group', {'reason': 'categorical'}),"
@@ -310,7 +311,7 @@ class TestZeroFuelAndNanSaving:
         ]
 
     def test_every_rule(self, small_registry):
-        assert self.outcome(small_registry, ReferencePolicy.from_records(small_registry, []), BR_ORDER) == [
+        assert self.outcome(small_registry, ReferencePolicy.from_records(small_registry, DayTable.from_rows([])), BR_ORDER) == [
             "[('v2', 'rpm_high', nan, nan), ('v2', 'mean_speed_hwy', 0.3, nan)]",
             "[('BR1', 'v1', 'vehicle_group', {'reason': 'categorical'}),"
             " ('BR4', 'v1', 'mean_exterior_temp', {'feature_value': 270.0, 'median_inlier': 0.0,"
@@ -387,7 +388,7 @@ class TestOutlierVsExplained:
         ]
         outlier = make_record(vehicle_id="id1", day="2020-04-17", avg=9.96, label="outlier")
         limits = compute_limits(
-            [make_record(vehicle_id=f"l{i}", avg=f) for i, f in enumerate([9.0, 9.1, 9.2, 9.35])]
+            DayTable.from_rows([make_record(vehicle_id=f"l{i}", avg=f) for i, f in enumerate([9.0, 9.1, 9.2, 9.35])])
         )
         lim = limits.lookup(0, "highway")
         return records + [outlier], limits, lim
@@ -398,7 +399,7 @@ class TestOutlierVsExplained:
             base_row(vehicle_id="id1", feature=f, y_diff=d, avg_fuel_consumption=9.96)
             for f, d in (("rpm_high", 1.0), ("mean_speed_hwy", 0.65))
         ]
-        report = outlier_vs_explained(ExplanationTable.from_rows(rows), limits, records, "d1")
+        report = outlier_vs_explained(ExplanationTable.from_rows(rows), limits, DayTable.from_rows(records), "d1")
         assert report.n_outlier_days == 1
         assert report.median_explained == pytest.approx(1.65 / 9.96)
         assert report.median_anomalous == pytest.approx((9.96 - lim.lim_sup) / 9.96)
@@ -406,9 +407,9 @@ class TestOutlierVsExplained:
     def test_no_outliers_returns_none(self, small_registry):
         records = [make_record(vehicle_id="a", avg=7.0, label="inlier")]
         limits = compute_limits(
-            [make_record(vehicle_id=f"l{i}", avg=7.0 + i * 0.1) for i in range(4)]
+            DayTable.from_rows([make_record(vehicle_id=f"l{i}", avg=7.0 + i * 0.1) for i in range(4)])
         )
-        assert outlier_vs_explained(ExplanationTable.from_rows([]), limits, records, "d1") is None
+        assert outlier_vs_explained(ExplanationTable.from_rows([]), limits, DayTable.from_rows(records), "d1") is None
 
     def test_null_case_p_near_one(self):
         records, limits, lim = self.setup_outliers()
@@ -427,7 +428,7 @@ class TestOutlierVsExplained:
                     avg_fuel_consumption=9.96,
                 )
             )
-        report = outlier_vs_explained(ExplanationTable.from_rows(rows), limits, days, "d1")
+        report = outlier_vs_explained(ExplanationTable.from_rows(rows), limits, DayTable.from_rows(days), "d1")
         assert report.p_value == pytest.approx(1.0)
 
     def test_planted_direction_significant(self):
@@ -446,7 +447,7 @@ class TestOutlierVsExplained:
                     avg_fuel_consumption=11.0,
                 )
             )
-        report = outlier_vs_explained(ExplanationTable.from_rows(rows), limits, records, "d1")
+        report = outlier_vs_explained(ExplanationTable.from_rows(rows), limits, DayTable.from_rows(records), "d1")
         assert report.median_explained > report.median_anomalous
         assert report.p_value < 0.01
 
@@ -471,7 +472,7 @@ class TestCatalogMape:
         rows = ExplanationTable.from_rows([base_row(y_fuel_new=8.31)])
         records = [make_record(vehicle_id="v1", day="2020-04-17", avg=9.96, label="outlier")]
         report = catalog_mape(
-            rows, records, {"v1": identity()}, catalog_with(8.31), self.policy(small_registry), "d1"
+            rows, DayTable.from_rows(records), {"v1": identity()}, catalog_with(8.31), self.policy(small_registry), "d1"
         )
         assert report.mape_1 == 0.0
         assert report.n_catalog_days == 1
@@ -480,7 +481,7 @@ class TestCatalogMape:
         rows = ExplanationTable.from_rows([base_row(y_fuel_new=7.0)])
         records = [make_record(vehicle_id="v1", day="2020-04-17", avg=9.96)]
         report = catalog_mape(
-            rows, records, {"v1": identity()}, catalog_with(8.5), self.policy(small_registry), "d1"
+            rows, DayTable.from_rows(records), {"v1": identity()}, catalog_with(8.5), self.policy(small_registry), "d1"
         )
         assert report.pct_below_catalog == 100.0  # 7.0 < 8.5 - 1
 
@@ -488,7 +489,7 @@ class TestCatalogMape:
         rows = ExplanationTable.from_rows([base_row(y_fuel_new=7.8)])
         records = [make_record(vehicle_id="v1", day="2020-04-17", avg=9.96)]
         report = catalog_mape(
-            rows, records, {"v1": identity()}, catalog_with(8.5), self.policy(small_registry), "d1"
+            rows, DayTable.from_rows(records), {"v1": identity()}, catalog_with(8.5), self.policy(small_registry), "d1"
         )
         assert report.pct_below_catalog == 0.0
 
@@ -497,7 +498,7 @@ class TestCatalogMape:
         rows = ExplanationTable.from_rows([base_row(y_fuel_new=9.0)])
         records = [make_record(vehicle_id="v1", day="2020-04-17", avg=9.96, label="outlier")]
         report = catalog_mape(
-            rows, records, {"v1": identity()}, catalog_with(9.0), self.policy(small_registry), "d1"
+            rows, DayTable.from_rows(records), {"v1": identity()}, catalog_with(9.0), self.policy(small_registry), "d1"
         )
         assert report.mape_2 == pytest.approx(abs(9.0 - 8.1) / 8.1)
         assert report.mape_3 == report.mape_2  # the only day is an outlier
@@ -506,7 +507,7 @@ class TestCatalogMape:
         rows = ExplanationTable.from_rows([base_row(y_fuel_new=8.31)])
         records = [make_record(vehicle_id="v1", day="2020-04-17", avg=9.96)]
         report = catalog_mape(
-            rows, records, {}, catalog_with(8.31), self.policy(small_registry), "d1"
+            rows, DayTable.from_rows(records), {}, catalog_with(8.31), self.policy(small_registry), "d1"
         )
         assert report.n_unmatched == 1
         assert report.mape_1 is None
@@ -517,7 +518,7 @@ class TestMonthlyImpact:
         # one explanation of 1 L/100km over 100 km in one month -> 1 liter
         rec = make_record(vehicle_id="v1", day="2020-04-17", trip_kms=100.0, trip_fuel_used=10.0)
         row = base_row(y_diff=1.0)
-        table = monthly_impact(ExplanationTable.from_rows([row]), [rec], small_registry, "d1")
+        table = monthly_impact(ExplanationTable.from_rows([row]), DayTable.from_rows([rec]), small_registry, "d1")
         assert table[0].extra_fuel_all_l == pytest.approx(1.0)
         assert table[0].co2_kg == pytest.approx(1.0 * CO2_KG_PER_LITER)
 
@@ -529,7 +530,7 @@ class TestMonthlyImpact:
 
     def test_no_explanations_month(self, small_registry):
         rec = make_record(vehicle_id="v1", day="2020-07-02", trip_kms=50.0, trip_fuel_used=5.0)
-        table = monthly_impact(ExplanationTable.from_rows([]), [rec], small_registry, "d1")
+        table = monthly_impact(ExplanationTable.from_rows([]), DayTable.from_rows([rec]), small_registry, "d1")
         assert table[0].extra_fuel_all_l == 0.0
         assert table[0].co2_kg == 0.0
         assert table[0].total_fuel_l == 5.0
@@ -540,7 +541,7 @@ class TestMonthlyImpact:
             base_row(feature="rpm_high", y_diff=0.5),
             base_row(feature="mean_exterior_temp", y_diff=0.25),
         ]
-        table = monthly_impact(ExplanationTable.from_rows(rows), [rec], small_registry, "d1")
+        table = monthly_impact(ExplanationTable.from_rows(rows), DayTable.from_rows([rec]), small_registry, "d1")
         assert table[0].extra_fuel_all_l == pytest.approx(1.5)
         assert table[0].extra_fuel_behaviour_l == pytest.approx(1.0)
         assert table[0].co2_kg == pytest.approx(1.0 * CO2_KG_PER_LITER)
@@ -564,8 +565,8 @@ class TestMonthlyImpact:
                     y_diff=float(rng.uniform(0.1, 0.9)),
                 )
             )
-        table = monthly_impact(ExplanationTable.from_rows(rows), records, small_registry, "d1")
-        kms_by_day = {r.day_key: r.trip_kms for r in records}
+        table = monthly_impact(ExplanationTable.from_rows(rows), DayTable.from_rows(records), small_registry, "d1")
+        kms_by_day = {(r.vehicle_id, r.date): r.trip_kms for r in records}
         for entry in table:
             expected_total = sum(
                 r.trip_fuel_used
@@ -589,7 +590,7 @@ class TestMedianVehicleMape:
             make_record(vehicle_id="c", avg=10.0),
         ]
         preds = [11.0, 12.0, 13.0]  # per-vehicle mapes 10, 20, 30
-        assert median_vehicle_mape(records, preds) == pytest.approx(20.0)
+        assert median_vehicle_mape(DayTable.from_rows(records), preds) == pytest.approx(20.0)
 
 
 class TestWriteReportJson:

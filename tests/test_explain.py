@@ -34,7 +34,8 @@ from fleetfuel.explain import (
     write_explanations_csv,
     write_inlier_medians_csv,
 )
-from fleetfuel.model import DEFAULT_CATEGORICALS, AdditiveModel, FeatureColumn, _numeric_value
+from fleetfuel.ingest import DayTable
+from fleetfuel.model import DEFAULT_CATEGORICALS, AdditiveModel, FeatureColumn
 from fleetfuel.registry import FeatureSpec, TrainConfig
 
 from .conftest import make_record, make_registry
@@ -74,7 +75,7 @@ def inlier_pool(registry):
                 features={"rpm_high": 2.0 + i, "mean_speed_hwy": s, "mean_exterior_temp": 285.0 + i},
             )
         )
-    return records
+    return DayTable.from_rows(records)
 
 
 class TestReferenceValue:
@@ -91,7 +92,7 @@ class TestReferenceValue:
             make_record(vehicle_id="other", vehicle_group=9, route_type="city", label="inlier",
                         features={"mean_speed_hwy": 5.0})
         ]
-        policy = ReferencePolicy.from_records(small_registry, pool)
+        policy = ReferencePolicy.from_records(small_registry, DayTable.from_rows(pool))
         assert policy.reference_value("mean_speed_hwy", 0, "highway") == 5.0
 
     def test_kind_matches_registry_flag(self, small_registry):
@@ -115,7 +116,7 @@ def fallback_pool():
                           label="inlier", features={"mean_speed_hwy": value})
         rec.vehicle_class = cls
         records.append(rec)
-    return records
+    return DayTable.from_rows(records)
 
 
 class TestFallbackChains:
@@ -125,8 +126,8 @@ class TestFallbackChains:
             assert medians.fuel_median(0, "highway") == 8.0
             assert medians.fuel_median(5, "highway") == 9.0
             assert medians.fuel_median(0, "combined") == 10.0
-        assert FuelMedians.from_records(small_registry, []).fuel_median(0, "highway") is None
-        assert ReferencePolicy.from_records(small_registry, []).fuel_median(0, "highway") is None
+        assert FuelMedians.from_records(small_registry, DayTable.from_rows([])).fuel_median(0, "highway") is None
+        assert ReferencePolicy.from_records(small_registry, DayTable.from_rows([])).fuel_median(0, "highway") is None
 
     def test_feature_median_cell_route_fleet_zero(self, small_registry):
         policy = ReferencePolicy.from_records(small_registry, fallback_pool())
@@ -141,6 +142,126 @@ class TestFallbackChains:
         # no (0, city) cell: the fleet's mode, not the city route's
         assert policy.categorical_mode(0, "city", "vehicle_class") == "1"
         assert policy.categorical_mode(0, "highway", "vehicle_group") is None
+
+
+# ---------------------------------------------------------------------------
+# Reference: fallback medians grouped record by record, one (key, value) item
+# at a time, as before the columnar day table.  The grouped policy must give
+# the same value, and the same sign of a zero, for every lookup.
+
+
+class ItemMedians:
+    """Each key prefix's values in item order, reduced once; ``get`` falls back to ever shorter prefixes."""
+
+    def __init__(self, items, reduce):
+        groups = {}
+        for key, value in items:
+            for n in range(1, len(key) + 1):
+                groups.setdefault(key[:n], []).append(value)
+        self._values = {key: reduce(values) for key, values in groups.items()}
+
+    def get(self, key):
+        while key:
+            if key in self._values:
+                return self._values[key]
+            key = key[:-1]
+        return None
+
+
+def _reference_median(values):
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+def _reference_mode(levels):
+    counts = {level: levels.count(level) for level in levels}
+    return min(counts, key=lambda level: (-counts[level], level))
+
+
+def reference_lookups(registry, records, categoricals, queries):
+    """repr of every fuel median, feature median and mode the per-record loop gives at each (group, route)."""
+    medians = ItemMedians(
+        [((None, r.route_type, r.vehicle_group), r.avg_fuel_consumption) for r in records
+         if r.avg_fuel_consumption is not None]
+        + [((name, r.route_type, r.vehicle_group), value) for r in records for name, value in r.features.items()
+           if name in registry],
+        _reference_median,
+    )
+    modes = ItemMedians(
+        [((cat, (r.vehicle_group, r.route_type)), str(getattr(r, cat))) for r in records for cat in categoricals],
+        _reference_mode,
+    )
+    out = []
+    for group, route in queries:
+        feature = [medians.get((name, route, group)) for name in registry.names]
+        out.append((repr(medians.get((None, route, group))), [repr(0.0 if v is None else v) for v in feature],
+                    [modes.get((cat, (group, route))) for cat in categoricals]))
+    return out
+
+
+def policy_lookups(policy, registry, categoricals, queries):
+    return [
+        (repr(policy.fuel_median(group, route)),
+         [repr(policy.feature_median(group, route, name)) for name in registry.names],
+         [policy.categorical_mode(group, route, cat) for cat in categoricals])
+        for group, route in queries
+    ]
+
+
+_TIED = st.sampled_from([0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.5])
+
+
+@st.composite
+def inlier_tables(draw):
+    records = []
+    for i in range(draw(st.integers(0, 16))):
+        rec = make_record(
+            vehicle_id=f"v{i}",
+            vehicle_group=draw(st.integers(0, 2)),
+            route_type=draw(st.sampled_from(["city", "highway", "combined"])),
+            avg=draw(_TIED),
+            label="inlier",
+            features={name: draw(_TIED) for name in make_registry().names if draw(st.booleans())},
+        )
+        if draw(st.integers(0, 5)) == 0:
+            rec.avg_fuel_consumption = None
+        rec.vehicle_class = draw(st.integers(0, 2))
+        records.append(rec)
+    return records
+
+
+class TestGroupedMedians:
+    QUERIES = [(group, route) for group in (0, 1, 2, 7) for route in ("city", "highway", "combined", "offroad")]
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=inlier_tables())
+    def test_policy_equals_per_record_reference(self, records):
+        registry = make_registry()
+        policy = ReferencePolicy.from_records(registry, DayTable.from_rows(records, registry.names),
+                                              DEFAULT_CATEGORICALS)
+        assert policy_lookups(policy, registry, DEFAULT_CATEGORICALS, self.QUERIES) == reference_lookups(
+            registry, records, DEFAULT_CATEGORICALS, self.QUERIES
+        )
+        fuel = FuelMedians.from_records(registry, DayTable.from_rows(records))
+        assert [repr(fuel.fuel_median(g, r)) for g, r in self.QUERIES] == [
+            repr(policy.fuel_median(g, r)) for g, r in self.QUERIES
+        ]
+
+    def test_zero_sign_follows_row_order(self, small_registry):
+        # the highway route's values in row order are -0.0, 0.0, -0.0: the median is 0.0, while
+        # group by group (both of group 0's first) it would be -0.0
+        rows = [(0, -0.0), (1, 0.0), (0, -0.0), (2, 0.0), (2, -0.0), (2, 1.0)]
+        records = [
+            make_record(vehicle_id=f"v{i}", vehicle_group=group, avg=7.0, label="inlier",
+                        features={"mean_speed_hwy": value})
+            for i, (group, value) in enumerate(rows)
+        ]
+        policy = ReferencePolicy.from_records(small_registry, DayTable.from_rows(records[:3]))
+        assert repr(policy.feature_median(5, "highway", "mean_speed_hwy")) == "0.0"
+        # in one cell the row order sets the sign too: 0.0, -0.0, 1.0 gives -0.0
+        policy = ReferencePolicy.from_records(small_registry, DayTable.from_rows(records[3:]))
+        assert repr(policy.feature_median(2, "highway", "mean_speed_hwy")) == "-0.0"
 
 
 class TestFuelSaving:
@@ -158,6 +279,11 @@ class TestFuelSaving:
         model = step_model({"mean_speed_hwy": ([80.0], [0.5, 0.1])})
         rec = make_record(features={"mean_speed_hwy": 90.0})
         assert fuel_saving(model, rec, "mean_speed_hwy", 70.0) == pytest.approx(-0.4)
+
+
+def explain_days(model, records, policy, limits):
+    """generate_daily_explanations over the table of these records."""
+    return generate_daily_explanations(model, DayTable.from_rows(records), policy, limits)
 
 
 def explanation_setup(small_registry):
@@ -187,16 +313,16 @@ def explanation_setup(small_registry):
         features={"rpm_high": 9.0, "mean_speed_hwy": 99.5, "mean_exterior_temp": 275.0},
     )
     limits = compute_limits(
-        [make_record(vehicle_id=f"l{i}", avg=f) for i, f in enumerate([7.0, 7.1, 7.2, 7.3])]
+        DayTable.from_rows([make_record(vehicle_id=f"l{i}", avg=f) for i, f in enumerate([7.0, 7.1, 7.2, 7.3])])
     )
-    policy = ReferencePolicy.from_records(small_registry, inliers)
+    policy = ReferencePolicy.from_records(small_registry, DayTable.from_rows(inliers))
     return model, inliers, target, limits, policy
 
 
 class TestGenerateDailyExplanations:
     def test_rows_and_fuel_new(self, small_registry):
         model, inliers, target, limits, policy = explanation_setup(small_registry)
-        rows = generate_daily_explanations(model, [target], policy, limits)
+        rows = explain_days(model, [target], policy, limits)
         by_feature = {r.feature: r for r in rows}
         # rpm_high: f(9)=0.6 vs f(0)=0.0; speed: f(99.5)=0.9 vs f(76)=0; temp: f(275)=0.4 vs f(285)=0
         assert by_feature["rpm_high"].y_diff == pytest.approx(0.6)
@@ -216,24 +342,24 @@ class TestGenerateDailyExplanations:
             avg=7.0,
             features={"rpm_high": 0.0, "mean_speed_hwy": 76.0, "mean_exterior_temp": 286.0},
         )
-        rows = generate_daily_explanations(model, [resting], policy, limits)
+        rows = explain_days(model, [resting], policy, limits)
         assert rows.rows() == []
 
     def test_locality_under_unrelated_vehicles(self, small_registry):
         model, inliers, target, limits, policy = explanation_setup(small_registry)
-        alone = generate_daily_explanations(model, [target], policy, limits)
+        alone = explain_days(model, [target], policy, limits)
         other = make_record(
             vehicle_id="zzz",
             avg=8.5,
             features={"rpm_high": 7.0, "mean_speed_hwy": 90.0, "mean_exterior_temp": 279.0},
         )
-        both = generate_daily_explanations(model, [target, other], policy, limits)
+        both = explain_days(model, [target, other], policy, limits)
         mine = [r for r in both if r.vehicle_id == "vhigh"]
         assert mine == alone.rows()
 
     def test_target_values_follow_policy(self, small_registry):
         model, inliers, target, limits, policy = explanation_setup(small_registry)
-        rows = generate_daily_explanations(model, [target], policy, limits)
+        rows = explain_days(model, [target], policy, limits)
         by_feature = {r.feature: r for r in rows}
         assert by_feature["rpm_high"].target_value == 0.0
         assert by_feature["mean_speed_hwy"].target_value == 77.0  # median of 75..79
@@ -368,7 +494,7 @@ class TestRecomputeFuelNew:
 class TestCsvRoundTrip:
     def test_round_trip(self, small_registry, tmp_path):
         model, inliers, target, limits, policy = explanation_setup(small_registry)
-        rows = generate_daily_explanations(model, [target], policy, limits)
+        rows = explain_days(model, [target], policy, limits)
         path = tmp_path / "expl.csv"
         write_explanations_csv(rows, path)
         loaded = read_explanations_csv(path, small_registry)
@@ -376,7 +502,7 @@ class TestCsvRoundTrip:
 
     def test_round_trip_keeps_numeric_looking_levels(self, small_registry, tmp_path):
         model, inliers, target, limits, policy = categorical_fallback_setup(small_registry)
-        rows = generate_daily_explanations(model, [target] + inliers, policy, limits)
+        rows = explain_days(model, [target] + inliers, policy, limits)
         path = tmp_path / "expl.csv"
         write_explanations_csv(rows, path)
         loaded = read_explanations_csv(path, small_registry)
@@ -387,7 +513,7 @@ class TestCsvRoundTrip:
     def test_medians_export(self, small_registry, tmp_path):
         _, inliers, target, _, policy = explanation_setup(small_registry)
         path = tmp_path / "medians.csv"
-        write_inlier_medians_csv(policy, inliers + [target], path)
+        write_inlier_medians_csv(policy, DayTable.from_rows(inliers + [target]), path)
         text = path.read_text()
         assert "avg_fuel_consumption" in text
         assert "mean_speed_hwy" in text
@@ -396,6 +522,16 @@ class TestCsvRoundTrip:
 # ---------------------------------------------------------------------------
 # Reference: the per-record loop that priced every (day, feature) with scalar
 # bin lookups.  The matrix path must reproduce its rows exactly.
+
+
+def _numeric_value(rec, name):
+    try:
+        value = rec.features[name]
+    except KeyError:
+        raise MissingFeatureError(f"record {rec.vehicle_id}/{rec.date} lacks feature {name!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"feature {name!r} is not finite on {rec.vehicle_id}/{rec.date}")
+    return value
 
 
 def _reference_predict(model, rec):
@@ -429,7 +565,7 @@ def reference_explanations(model, records, policy, limits):
         if col.kind != "numeric" and col.origin not in cat_origins:
             cat_origins.append(col.origin)
     rows = []
-    for rec in sorted(records, key=lambda r: r.day_key):
+    for rec in sorted(records, key=lambda r: (r.vehicle_id, r.date)):
         if rec.avg_fuel_consumption is None:
             continue
         lim = limits.lookup(rec.vehicle_group, rec.route_type)
@@ -521,8 +657,8 @@ def categorical_fallback_setup(small_registry):
         label="outlier",
         features={"rpm_high": 9.0, "mean_speed_hwy": 99.5, "mean_exterior_temp": 275.0},
     )
-    limits = compute_limits(inliers + [target])
-    policy = ReferencePolicy.from_records(small_registry, inliers, ("vehicle_group",))
+    limits = compute_limits(DayTable.from_rows(inliers + [target]))
+    policy = ReferencePolicy.from_records(small_registry, DayTable.from_rows(inliers), ("vehicle_group",))
     return model, inliers, target, limits, policy
 
 
@@ -541,13 +677,13 @@ class TestMatchesReferenceLoop:
         )
         for records in ([target], [target, other], [resting], [other, resting, target], inliers, []):
             expected = reference_explanations(model, records, policy, limits)
-            assert generate_daily_explanations(model, records, policy, limits).rows() == expected
+            assert explain_days(model, records, policy, limits).rows() == expected
 
     def test_categorical_fallback_row(self, small_registry):
         model, inliers, target, limits, policy = categorical_fallback_setup(small_registry)
         assert limits.lookup(1, "highway").borrowed
         assert policy.categorical_mode(1, "highway", "vehicle_group") == "0"
-        rows = generate_daily_explanations(model, [target] + inliers, policy, limits)
+        rows = explain_days(model, [target] + inliers, policy, limits)
         assert rows.rows() == reference_explanations(model, [target] + inliers, policy, limits)
         cat = [r for r in rows if r.feature == "vehicle_group"]
         assert len(cat) == 1
@@ -565,7 +701,7 @@ class TestMatchesReferenceLoop:
     def test_missing_feature_raises(self, small_registry):
         model, inliers, target, limits, policy = explanation_setup(small_registry)
         lacking = make_record(vehicle_id="lack", avg=9.0, features={"rpm_high": 3.0, "mean_speed_hwy": 80.0})
-        for fn in (reference_explanations, generate_daily_explanations):
+        for fn in (reference_explanations, explain_days):
             with pytest.raises(MissingFeatureError, match="mean_exterior_temp"):
                 fn(model, [target, lacking], policy, limits)
 
@@ -577,7 +713,7 @@ class TestMatchesReferenceLoop:
             avg=9.0,
             features={"rpm_high": 3.0, "mean_speed_hwy": bad, "mean_exterior_temp": 280.0},
         )
-        for fn in (reference_explanations, generate_daily_explanations):
+        for fn in (reference_explanations, explain_days):
             with pytest.raises(DataError, match="mean_speed_hwy"):
                 fn(model, [target, broken], policy, limits)
 
@@ -588,7 +724,7 @@ class TestMatchesReferenceLoop:
         no_fuel.avg_fuel_consumption = None
         no_limit = make_record(vehicle_id="nolim", route_type="city", avg=9.0, features={})
         records = [target, no_fuel, no_limit]
-        rows = generate_daily_explanations(model, records, policy, limits)
+        rows = explain_days(model, records, policy, limits)
         assert rows.rows() == reference_explanations(model, records, policy, limits)
         assert {r.vehicle_id for r in rows} == {"vhigh"}
 
@@ -660,10 +796,10 @@ class TestReferenceProperty:
         model, records, support = problem
         registry = _property_registry()
         inliers = [r for r in records if r.anomaly_label == "inlier"]
-        policy = ReferencePolicy.from_records(registry, inliers, ("vehicle_group", "route_type"))
-        limits = compute_limits(records + support)
+        policy = ReferencePolicy.from_records(registry, DayTable.from_rows(inliers), ("vehicle_group", "route_type"))
+        limits = compute_limits(DayTable.from_rows(records + support))
         expected = reference_explanations(model, records, policy, limits)
-        assert generate_daily_explanations(model, records, policy, limits).rows() == expected
+        assert explain_days(model, records, policy, limits).rows() == expected
 
 
 # nonzero tenths: a sum of these rounds differently when its terms are regrouped
@@ -743,17 +879,17 @@ class TestCategoricalProperty:
         model, records, support = problem
         registry = make_registry()
         inliers = [r for r in records if r.anomaly_label == "inlier"]
-        policy = ReferencePolicy.from_records(registry, inliers, DEFAULT_CATEGORICALS)
-        limits = compute_limits(records + support)
+        policy = ReferencePolicy.from_records(registry, DayTable.from_rows(inliers), DEFAULT_CATEGORICALS)
+        limits = compute_limits(DayTable.from_rows(records + support))
         expected = reference_explanations(model, records, policy, limits)
-        assert generate_daily_explanations(model, records, policy, limits).rows() == expected
+        assert explain_days(model, records, policy, limits).rows() == expected
 
 
 class TestReadExplanationsCsv:
     def test_bad_cell_names_file_and_line(self, small_registry, tmp_path):
         model, inliers, target, limits, policy = explanation_setup(small_registry)
         path = tmp_path / "expl.csv"
-        write_explanations_csv(generate_daily_explanations(model, [target], policy, limits), path)
+        write_explanations_csv(explain_days(model, [target], policy, limits), path)
         lines = path.read_text().splitlines()
         lines[2] = lines[2].replace("vhigh,2021-01-05", "vhigh,not-a-date")
         path.write_text("\n".join(lines) + "\n")
@@ -927,7 +1063,7 @@ def rule_problems(draw):
     if no_fuel:
         for rec in inliers:
             rec.avg_fuel_consumption = None
-    policy = ReferencePolicy.from_records(registry, inliers, ("vehicle_group", "route_type"))
+    policy = ReferencePolicy.from_records(registry, DayTable.from_rows(inliers), ("vehicle_group", "route_type"))
     # one record per drawn day; two records may share a vehicle and date
     days = [
         dict(
@@ -976,7 +1112,7 @@ def rule_problems(draw):
             )
     rules = draw(st.sampled_from([BR_ORDER, ("BR1", "BR3", "BR2")]))
     if rules != BR_ORDER:
-        policy = FuelMedians.from_records(registry, inliers)
+        policy = FuelMedians.from_records(registry, DayTable.from_rows(inliers))
     return rows, policy, rules, draw(st.sampled_from([0.01, 0.02])), draw(st.sampled_from([0.8, 0.6]))
 
 

@@ -25,6 +25,7 @@ from fleetfuel.gam import (
     write_train_history_csv,
 )
 from fleetfuel.gam import _Column, _tree_deltas
+from fleetfuel.ingest import DayTable
 from fleetfuel.registry import TrainConfig
 
 from .conftest import make_record
@@ -39,22 +40,22 @@ def numeric_column(name):
 class TestOneHot:
     def test_two_groups_two_columns(self):
         records = [make_record(vehicle_group=0), make_record(vehicle_id="v2", vehicle_group=14)]
-        matrix, columns = one_hot(records, ("vehicle_group",))
+        matrix, columns = one_hot(DayTable.from_rows(records), ("vehicle_group",))
         assert [c.name for c in columns] == ["vehicle_group=0", "vehicle_group=14"]
         assert matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_single_level_constant_column(self):
         records = [make_record(), make_record(vehicle_id="v2")]
-        matrix, columns = one_hot(records, ("route_type",))
+        matrix, columns = one_hot(DayTable.from_rows(records), ("route_type",))
         assert [c.name for c in columns] == ["route_type=highway"]
         assert matrix.tolist() == [[1.0], [1.0]]
 
     def test_unseen_level_all_zeros(self):
         train = [make_record(route_type="city"), make_record(vehicle_id="v2", route_type="highway")]
-        _, columns = one_hot(train, ("route_type",))
+        _, columns = one_hot(DayTable.from_rows(train), ("route_type",))
         model = _tiny_model(columns)
         unseen = make_record(vehicle_id="v3", route_type="combined")
-        assert [cells[0] for cells in model.encode([unseen])] == [0.0, 0.0]
+        assert [cells[0] for cells in model.encode(DayTable.from_rows([unseen]))] == [0.0, 0.0]
 
 
 def _tiny_model(columns):
@@ -103,7 +104,7 @@ class TestFit:
             )
             for i in range(30)
         ]
-        model = fit(records, small_registry, FAST)
+        model = fit(DayTable.from_rows(records), small_registry, FAST)
         assert model.intercept == 7.25
         for values in model.values:
             assert all(v == 0.0 for v in values)
@@ -111,7 +112,7 @@ class TestFit:
     def test_too_few_records(self, small_registry):
         records = [make_record(vehicle_id=f"v{i}", avg=7.0) for i in range(10)]
         with pytest.raises(DataError):
-            fit(records, small_registry, FAST)
+            fit(DayTable.from_rows(records), small_registry, FAST)
 
     def test_nonpositive_target_rejected(self, small_registry):
         records = [
@@ -120,7 +121,7 @@ class TestFit:
         ]
         records[3].avg_fuel_consumption = 0.0
         with pytest.raises(DataError):
-            fit(records, small_registry, FAST)
+            fit(DayTable.from_rows(records), small_registry, FAST)
 
     def test_planted_step_recovery(self):
         rng = np.random.default_rng(42)
@@ -204,7 +205,7 @@ class TestPredictAndRelevance:
                     features={"rpm_high": rpm, "mean_speed_hwy": spd, "mean_exterior_temp": tmp},
                 )
             )
-        return fit(records, small_registry, FAST), records
+        return fit(DayTable.from_rows(records), small_registry, FAST), records
 
     def test_exact_decomposition(self, small_registry):
         model, records = self._trained(small_registry)
@@ -218,7 +219,7 @@ class TestPredictAndRelevance:
             make_record(vehicle_id=f"v{i}", avg=7.25, features={n: 1.0 for n in small_registry.names})
             for i in range(25)
         ]
-        model = fit(records, small_registry, FAST)
+        model = fit(DayTable.from_rows(records), small_registry, FAST)
         assert model.predict(records[0]) == 7.25
         assert all(v == 0.0 for v in model.feature_relevance(records[0]).values())
 
@@ -290,7 +291,7 @@ class TestSerialization:
             )
             for i in range(40)
         ]
-        model = fit(records, small_registry, FAST)
+        model = fit(DayTable.from_rows(records), small_registry, FAST)
         path = tmp_path / "model.json"
         model.save_json(path)
         loaded = AdditiveModel.load_json(path)
@@ -346,7 +347,7 @@ class TestMatrixPath:
             )
             for i in range(60)
         ]
-        return fit(records, small_registry, FAST), records
+        return fit(DayTable.from_rows(records), small_registry, FAST), records
 
     def test_contributions_equal_scalar_lookups(self, small_registry):
         model, records = self._model_and_records(small_registry)
@@ -360,7 +361,7 @@ class TestMatrixPath:
             at_cut[n] = float(model.cuts[j][k])
         at_cut = make_record(vehicle_id="c", features=at_cut)
         records = records + [unseen, at_cut]
-        X = model.encode(records)
+        X = model.encode(DayTable.from_rows(records))
         C = model.contributions(X)
         for i, rec in enumerate(records):
             for j, col in enumerate(model.columns):
@@ -373,12 +374,12 @@ class TestMatrixPath:
 
     def test_predict_many_matches_predict(self, small_registry):
         model, records = self._model_and_records(small_registry)
-        many = model.predict_many(records)
+        many = model.predict_many(DayTable.from_rows(records))
         for i, rec in enumerate(records):
             assert many[i] == model.predict(rec)
             relevance = model.feature_relevance(rec)
             assert model.predict(rec) == model.intercept + float(np.array(list(relevance.values())).sum())
-        assert model.predict_many([]) == []
+        assert model.predict_many(DayTable.from_rows([])) == []
 
     def test_encode_reports_first_bad_record(self, small_registry):
         model, records = self._model_and_records(small_registry)
@@ -386,10 +387,10 @@ class TestMatrixPath:
                                                           "mean_exterior_temp": 280.0})
         missing_later = make_record(vehicle_id="b", features={"rpm_high": 1.0})
         with pytest.raises(DataError) as info:
-            model.encode([nan_first, missing_later])
+            model.encode(DayTable.from_rows([nan_first, missing_later]))
         assert not isinstance(info.value, MissingFeatureError)
         with pytest.raises(MissingFeatureError, match="mean_speed_hwy"):
-            model.encode([missing_later, nan_first])
+            model.encode(DayTable.from_rows([missing_later, nan_first]))
 
 
 class TestDesignMatrix:
@@ -398,7 +399,7 @@ class TestDesignMatrix:
             make_record(vehicle_id="a", vehicle_group=0, features={n: 1.0 for n in small_registry.names}),
             make_record(vehicle_id="b", vehicle_group=1, features={n: 2.0 for n in small_registry.names}),
         ]
-        X, columns = build_design(records, small_registry)
+        X, columns = build_design(DayTable.from_rows(records), small_registry)
         numeric = [c.name for c in columns if c.kind == "numeric"]
         assert numeric == list(small_registry.names)
         assert X.shape == (2, len(columns))

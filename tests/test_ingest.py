@@ -7,6 +7,7 @@ import functools
 import io
 import math
 import random
+import tempfile
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -18,6 +19,7 @@ from fleetfuel.errors import DataError, FeedFormatError
 from fleetfuel.ingest import (
     CORE_CHANNELS,
     FEED_COLUMNS,
+    DayTable,
     FarRecord,
     RawReading,
     RouteThresholds,
@@ -269,7 +271,7 @@ class TestAggregateDaily:
         )
         records, _ = aggregate_daily(readings, small_registry)
         assert len(records) == 1
-        assert records[0].features["mean_speed_hwy"] == 1200.0
+        assert records.features["mean_speed_hwy"] == [1200.0]
 
     def test_trip_fuel_sum(self, small_registry):
         readings = self.feed(
@@ -278,7 +280,7 @@ class TestAggregateDaily:
             small_registry,
         )
         records, _ = aggregate_daily(readings, small_registry)
-        assert records[0].trip_fuel_used == 3.1
+        assert records.trip_fuel_used == [3.1]
 
     def test_sum_is_exactly_rounded(self, small_registry):
         # adding the sorted samples left to right loses the 1.0; math.fsum keeps it
@@ -289,7 +291,7 @@ class TestAggregateDaily:
             small_registry,
         )
         records, _ = aggregate_daily(readings, small_registry)
-        assert records[0].trip_fuel_used == 1.0
+        assert records.trip_fuel_used == [1.0]
 
     def test_grouping_cardinality(self, small_registry):
         rows = []
@@ -302,7 +304,7 @@ class TestAggregateDaily:
     def test_unknown_channel_skipped_with_warning(self, small_registry):
         readings = self.feed("2020-10-31 01:00:00+00:00,b1,Mystery,5\n", small_registry)
         records, report = aggregate_daily(readings, small_registry)
-        assert records == []
+        assert len(records) == 0
         assert report.unknown_channels == {"Mystery": 1}
 
     def test_ignore_list_silences_channel(self, small_registry):
@@ -319,9 +321,9 @@ class TestAggregateDaily:
             for i, v in enumerate((4.0, 9.0, 2.0))
         )
         records, _ = aggregate_daily(self.feed(rows, registry), registry)
-        assert records[0].features["max_probe"] == 9.0
-        assert records[0].features["count_probe"] == 3.0
-        assert records[0].features["last_probe"] == 2.0  # latest timestamp wins
+        assert records.features["max_probe"] == [9.0]
+        assert records.features["count_probe"] == [3.0]
+        assert records.features["last_probe"] == [2.0]  # latest timestamp wins
 
     def test_core_channel_sums_even_if_declared_last(self):
         registry = make_registry(
@@ -331,7 +333,7 @@ class TestAggregateDaily:
         )
         rows = "2020-10-31T01:00:00Z,b1,TripFuel,1.5\n2020-10-31T02:00:00Z,b1,TripFuel,2\n"
         records, _ = aggregate_daily(self.feed(rows, registry), registry)
-        assert (records[0].trip_fuel_used, records[0].features) == (3.5, {})
+        assert (records.trip_fuel_used, list(records)[0].features) == ([3.5], {})
 
     def test_day_samples_freed_once_aggregated(self, small_registry):
         readings = self.feed("2020-10-31T01:00:00Z,b1,rpm_high,1\n2020-11-01T01:00:00Z,b1,rpm_high,1\n", small_registry)
@@ -344,7 +346,7 @@ class TestAggregateDaily:
             aggregate_daily(readings, probe_registry())
         # an equal registry loaded on its own is the same registry
         records, _ = aggregate_daily(readings, make_registry())
-        assert records[0].features == {"rpm_high": 1.0}
+        assert list(records)[0].features == {"rpm_high": 1.0}
 
     def test_permutation_invariant(self):
         registry = probe_registry()
@@ -361,13 +363,11 @@ class TestAggregateDaily:
         for _ in range(20):
             rng.shuffle(lines)
             records, _ = aggregate_daily(self.feed("".join(lines), registry), registry)
-            for rec in records:  # a day's features are keyed in order of first sight
-                rec.features = dict(sorted(rec.features.items()))
             results.add(repr(records))
         assert len(results) == 1
-        assert [repr(rec.features["max_probe"]) for rec in records] == ["0.0", "0.37", "0.74"]
-        assert {repr(rec.features["last_probe"]) for rec in records} == {"0.0"}
-        assert repr(records[1].trip_fuel_used) == "0.0"
+        assert [repr(value) for value in records.features["max_probe"]] == ["0.0", "0.37", "0.74"]
+        assert {repr(value) for value in records.features["last_probe"]} == {"0.0"}
+        assert repr(records.trip_fuel_used[1]) == "0.0"
 
 
 _SMALL_MEMO = functools.lru_cache(maxsize=4)(ingest._day_and_time.__wrapped__)
@@ -420,7 +420,7 @@ class TestMatchesTwoPassReference:
                 mp.setattr(ingest, "_day_and_time", _SMALL_MEMO)
             parsed = parse_feed(io.StringIO(text), registry)
         records, report = aggregate_daily(parsed.readings, registry, ("Ignored",))
-        assert repr(records) == repr(ref_records)
+        assert repr(records) == repr(DayTable.from_rows(ref_records, registry.names))
         assert (report.n_readings, parsed.rejects, list(report.unknown_channels.items())) == (
             len(ref_readings), ref_rejects, list(ref_unknown.items())
         )
@@ -439,7 +439,7 @@ class TestMatchesTwoPassReference:
         text = HEADER + "".join(rows)
         ref_records, _ = _ref_aggregate_daily(_ref_parse_feed(text)[0], registry)
         records, report = aggregate_daily(parse_feed(io.StringIO(text), registry).readings, registry)
-        assert repr(records) == repr(ref_records)
+        assert repr(records) == repr(DayTable.from_rows(ref_records, registry.names))
         assert report.n_readings == 6500
 
 
@@ -503,17 +503,17 @@ class TestVehicleClass:
 
 class TestQualityFilter:
     def test_low_distance_removed(self):
-        kept, report = quality_filter([make_record(trip_kms=3.0)])
-        assert kept == []
+        kept, report = quality_filter(DayTable.from_rows([make_record(trip_kms=3.0)]))
+        assert len(kept) == 0
         assert report.reasons == {"low_distance": 1}
 
     def test_missing_fuel_removed(self):
-        kept, report = quality_filter([make_record(trip_fuel_used=None)])
-        assert kept == []
+        kept, report = quality_filter(DayTable.from_rows([make_record(trip_fuel_used=None)]))
+        assert len(kept) == 0
         assert report.reasons == {"missing_fuel": 1}
 
     def test_boundary_distance_kept(self):
-        kept, report = quality_filter([make_record(trip_kms=5.0, trip_fuel_used=0.5)])
+        kept, report = quality_filter(DayTable.from_rows([make_record(trip_kms=5.0, trip_fuel_used=0.5)]))
         assert len(kept) == 1
         assert report.n_removed == 0
 
@@ -525,16 +525,16 @@ class TestImputeMissing:
             for i, v in enumerate((30.0, 32.0, 34.0))
         ]
         target = make_record(vehicle_id="t", features={"mean_speed_hwy": 80, "mean_exterior_temp": 280})
-        impute_missing(records + [target], small_registry)
-        assert target.features["rpm_high"] == 32.0
+        table = impute_missing(DayTable.from_rows(records + [target]), small_registry)
+        assert table.features["rpm_high"][3] == 32.0
 
     def test_fleet_fallback(self, small_registry):
         other_group = make_record(
             vehicle_id="o", vehicle_group=5, features={"rpm_high": 10.0, "mean_speed_hwy": 80, "mean_exterior_temp": 280}
         )
         target = make_record(vehicle_id="t", vehicle_group=0, features={"mean_speed_hwy": 80, "mean_exterior_temp": 280})
-        impute_missing([other_group, target], small_registry)
-        assert target.features["rpm_high"] == 10.0
+        table = impute_missing(DayTable.from_rows([other_group, target]), small_registry)
+        assert table.features["rpm_high"][1] == 10.0
 
     def test_group_then_fleet_then_zero(self, small_registry):
         observed = [
@@ -544,14 +544,15 @@ class TestImputeMissing:
         ]
         in_group = make_record(vehicle_id="t0", vehicle_group=0)
         no_group = make_record(vehicle_id="t7", vehicle_group=7)
-        impute_missing(observed + [in_group, no_group], small_registry)
+        table = impute_missing(DayTable.from_rows(observed + [in_group, no_group]), small_registry)
+        in_group, no_group = list(table)[-2:]
         assert in_group.features["mean_speed_hwy"] == 32.0
         assert no_group.features["mean_speed_hwy"] == 100.0
         assert in_group.features["rpm_high"] == no_group.features["rpm_high"] == 0.0
 
     def test_zero_when_unobserved_anywhere(self, small_registry):
         target = make_record(features={"mean_speed_hwy": 80})
-        impute_missing([target], small_registry)
+        (target,) = impute_missing(DayTable.from_rows([target]), small_registry)
         assert target.features["rpm_high"] == 0.0
         assert target.features["mean_exterior_temp"] == 0.0
 
@@ -564,8 +565,8 @@ class TestImputeMissing:
             for i in range(6)
         ]
         snapshot = [dict(r.features) for r in records]
-        impute_missing(records, small_registry)
-        for rec, before in zip(records, snapshot):
+        table = impute_missing(DayTable.from_rows(records), small_registry)
+        for rec, before in zip(table, snapshot):
             for name, value in before.items():
                 assert rec.features[name] == value
 
@@ -579,13 +580,13 @@ class TestImputeMissing:
             for i in range(3)
         ]
         snapshot = [dict(r.features) for r in records]
-        assert impute_missing(records, small_registry) == records
-        assert [r.features for r in records] == snapshot
+        table = DayTable.from_rows(records)
+        assert impute_missing(table, small_registry) is table
+        assert [r.features for r in table] == snapshot
 
     def test_no_required_feature_missing_after(self, small_registry):
         records = [make_record(features={}), make_record(vehicle_id="w", features={"rpm_high": 4.0})]
-        impute_missing(records, small_registry)
-        for rec in records:
+        for rec in impute_missing(DayTable.from_rows(records), small_registry):
             for name in small_registry.names:
                 assert name in rec.features
 
@@ -601,18 +602,23 @@ class TestFarCsvRoundTrip:
             ),
         ]
         path = tmp_path / "far.csv"
-        write_far_csv(records, small_registry, path)
+        write_far_csv(DayTable.from_rows(records), small_registry, path)
         loaded = read_far_csv(path, small_registry)
-        assert loaded == sorted(records, key=lambda r: r.day_key)
+        assert list(loaded) == sorted(records, key=lambda r: (r.vehicle_id, r.date))
 
     def test_failed_write_keeps_previous_file(self, small_registry, tmp_path):
         path = tmp_path / "far.csv"
-        write_far_csv([make_record(features={"rpm_high": 3.0})], small_registry, path)
+        write_far_csv(DayTable.from_rows([make_record(features={"rpm_high": 3.0})]), small_registry, path)
         before = path.read_bytes()
-        broken = make_record(vehicle_id="v2")
-        broken.features = None
-        with pytest.raises(AttributeError):
-            write_far_csv([make_record(vehicle_id="v1"), broken], small_registry, path)
+
+        class Unwritable:
+            def __str__(self):
+                raise ValueError("cannot write this cell")
+
+        broken = DayTable.from_rows([make_record(vehicle_id="v1"), make_record(vehicle_id="v2")], small_registry.names)
+        broken.features["rpm_high"][1] = Unwritable()
+        with pytest.raises(ValueError, match="cannot write"):
+            write_far_csv(broken, small_registry, path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
@@ -623,13 +629,63 @@ class TestFarCsvRoundTrip:
             read_far_csv(path, small_registry)
 
 
+_FAR_NUMBERS = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, float("inf")]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def day_tables(draw):
+    """Tables in no particular order, with blank (None) cells, signed zeros and subnormals."""
+    names = make_registry().names
+    n = draw(st.integers(0, 8))
+    cells = lambda strategy: draw(st.lists(strategy, min_size=n, max_size=n))
+    return DayTable(
+        cells(st.text("ab,\" \n9", min_size=1, max_size=4)),
+        cells(st.dates(date(2019, 1, 1), date(2022, 12, 31))),
+        cells(st.sampled_from(["city", "combined", "highway"])),
+        cells(st.integers(-1, 40)),
+        cells(st.integers(0, 10)),
+        cells(st.sampled_from(["inlier", "outlier", "unassigned"])),
+        *(cells(_FAR_NUMBERS) for _ in range(4)),
+        {name: cells(_FAR_NUMBERS) for name in names},
+    )
+
+
+class TestDayTableRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(table=day_tables())
+    def test_read_of_write_equals_table_in_day_order(self, table):
+        registry = make_registry()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/far.csv"
+            write_far_csv(table, registry, path)
+            loaded = read_far_csv(path, registry)
+        expected = table.take(table.by_day())
+        assert loaded == expected
+        assert repr(loaded) == repr(expected)  # the sign of every zero
+
+    def test_iteration_and_from_rows_invert(self, small_registry):
+        records = [
+            make_record(vehicle_id="b", features={"rpm_high": -0.0}),
+            make_record(vehicle_id="a", trip_fuel_used=None, features={"mean_speed_hwy": 5e-324}),
+        ]
+        table = DayTable.from_rows(records, small_registry.names)
+        assert list(table) == records
+        assert repr(DayTable.from_rows(table, small_registry.names)) == repr(table)
+        assert table.features["mean_exterior_temp"] == [None, None]
+        assert repr(table.take([1, 0]).features["rpm_high"]) == "[None, -0.0]"
+
+
 class TestKeptRecordInvariant:
     def test_kept_records_satisfy_formula(self, small_registry):
         records = [
             make_record(vehicle_id=f"v{i}", trip_kms=25.0 * (i + 1), trip_fuel_used=2.0 + i)
             for i in range(8)
         ]
-        kept, _ = quality_filter(records)
+        kept, _ = quality_filter(DayTable.from_rows(records))
         for rec in kept:
             assert rec.trip_kms >= 5.0
             assert rec.avg_fuel_consumption == rec.trip_fuel_used / rec.trip_kms * 100.0
