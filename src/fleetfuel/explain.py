@@ -50,8 +50,6 @@ cells one slot.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import logging
@@ -73,6 +71,7 @@ from .registry import (
     FallbackMedians,
     FeatureRegistry,
     artifact_file,
+    csv_fields,
     csv_reader,
     table_columns,
     write_table,
@@ -560,14 +559,6 @@ def apply_business_rules(
 # CSV / JSONL round trips
 
 
-def _csv_fields(fields: Sequence[str]) -> str:
-    """The fields joined as csv.writer writes them inside a row, without the line end."""
-    buf = io.StringIO()
-    # a trailing empty field keeps a lone empty field from being quoted
-    csv.writer(buf, lineterminator="").writerow([*fields, ""])
-    return buf.getvalue()[:-1]
-
-
 class _Reprs(dict):
     """``repr`` of each float looked up, made once per value; a zero is not kept, as 0.0 and -0.0 are one key."""
 
@@ -593,19 +584,19 @@ def write_explanations_csv(table: ExplanationTable, path: str | Path) -> None:
     intercept, avg, limit = table.intercept.tolist(), table.avg_fuel.tolist(), table.limit_group.tolist()
     y_pred, y_new = table.y_pred.tolist(), table.y_fuel_new.tolist()
     for d in set(table.day):
-        heads[d] = _csv_fields(
+        heads[d] = csv_fields(
             (table.vehicle_id[d], table.date_tx[d].isoformat(), table.route_type[d],
              str(table.vehicle_group[d]), repr(intercept[d]))
         )
         fuel[d] = f"{avg[d]!r},{limit[d]!r},{y_pred[d]!r}"
         fuel_new[d] = repr(y_new[d])
-    names = [_csv_fields([name]) for name in table.features]
+    names = [csv_fields([name]) for name in table.features]
     quoted: dict[object, str] = {}
 
     def text(v) -> str:
         out = quoted.get(v)
         if out is None:
-            out = quoted[v] = _csv_fields([v])
+            out = quoted[v] = csv_fields([v])
         return out
 
     def cells(column: list, number: Callable[[float], str]) -> Iterator[str]:
@@ -614,7 +605,7 @@ def write_explanations_csv(table: ExplanationTable, path: str | Path) -> None:
     reprs = _Reprs()
 
     with artifact_file(path) as fh:
-        fh.write(_csv_fields(EXPLANATION_COLUMNS) + "\n")
+        fh.write(csv_fields(EXPLANATION_COLUMNS) + "\n")
         fh.writelines(
             f"{heads[d]},{names[f]},{rel},{v},{t},{fuel[d]},{dy},{fuel_new[d]}\n"
             for d, f, rel, v, t, dy in zip(

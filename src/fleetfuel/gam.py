@@ -184,7 +184,7 @@ def _tree_deltas(C: np.ndarray, col: _Column, max_leaves: int, lr: float) -> np.
     bounds = np.repeat(np.array([[0, nb]]), bags, axis=0)
     seg_s, seg_c = C[:, -1:], N[:, -1:]
     live = np.ones(bags, dtype=bool)
-    for split in range(1, max_leaves):
+    for split in range(1, min(max_leaves, nb)):  # nb bins hold at most nb segments
         if split == 1:  # the one segment [0, nb): its count terms are cached
             pos, gain = _split_gains(
                 C, N, seg_s - C, col.first_rc, seg_s * seg_s / seg_c, col.first_empty

@@ -171,6 +171,14 @@ def artifact_file(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+def csv_fields(fields: Sequence[str]) -> str:
+    """The fields joined as csv.writer writes them inside a row, without the line end."""
+    buf = io.StringIO()
+    # a trailing empty field keeps a lone empty field from being quoted
+    csv.writer(buf, lineterminator="").writerow([*fields, ""])
+    return buf.getvalue()[:-1]
+
+
 def write_table(path: str | Path, columns: Sequence[str], rows: Iterable[Iterable]) -> None:
     """A CSV artifact: the header, then one line per row, through ``artifact_file``.
 

@@ -17,11 +17,20 @@ raised into top step segments, one driver at a time, until the day's fuel
 reaches the clean Q3 plus the configured multiple of the clean IQR for
 its (group, route) cell.  The model can learn those top segments from the
 small share of ordinary days that visit them individually.
+
+Cost: a planted step is looked up with ``bisect_right`` on the feature's
+cuts, the segment ``np.searchsorted(..., side="right")`` picks, and each
+(group, route) cell's reference contributions are looked up once.  The
+feed, the largest file, formats each distinct cell once (a date's stamps,
+a vehicle, a channel) and each reading by ``float.__repr__``, so its bytes
+are those ``write_table`` writes for its rows.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from datetime import date as date_type, timedelta
 from operator import attrgetter
@@ -43,7 +52,8 @@ from .ingest import (
     compute_avg_fuel,
 )
 from .registry import (
-    VIN_MAP_COLUMNS, CatalogReference, artifact_file, fits, median, read_json_object, table_columns, write_table,
+    AGGREGATORS, VIN_MAP_COLUMNS, CatalogReference, artifact_file, csv_fields, fits, median, read_json_object,
+    table_columns, write_table,
 )
 
 # distances whose /100 factor is a power of two, keyed by route type
@@ -77,13 +87,22 @@ class SynthFeature:
     def __post_init__(self):
         if len(self.values) != len(self.cuts) + 1:
             raise DataError(f"feature {self.name}: need one value per segment")
+        if not all(map(math.isfinite, (self.low, self.high, *self.cuts, *self.values))):
+            raise DataError(f"feature {self.name}: low, high, cuts and values must be finite")
         if list(self.cuts) != sorted(self.cuts):
             raise DataError(f"feature {self.name}: cuts must be ascending")
+        if self.low > self.high:
+            raise DataError(f"feature {self.name}: low {self.low!r} is above high {self.high!r}")
         if not 0.0 <= self.top_fraction <= 1.0:
             raise DataError(f"feature {self.name}: top_fraction out of range")
+        if self.driver and not self.cuts:
+            raise DataError(f"feature {self.name}: a driver feature needs a top step, so at least one cut")
+        if self.aggregator not in AGGREGATORS:
+            raise DataError(f"feature {self.name}: aggregator {self.aggregator!r} is not one of {AGGREGATORS}")
 
     def contribution(self, x: float) -> float:
-        return self.values[int(np.searchsorted(self.cuts, x, side="right"))]
+        """The planted step at x: the segment np.searchsorted(cuts, x, side="right") picks, NaN and ±0.0 included."""
+        return self.values[bisect_right(self.cuts, x)]
 
 
 @dataclass(frozen=True)
@@ -96,8 +115,10 @@ class SynthGroup:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not self.base_fuel > 0:
-            raise DataError("base_fuel must be positive")
+        if not 0 < self.base_fuel < math.inf:
+            raise DataError("base_fuel must be positive and finite")
+        if not 0 <= self.weight < math.inf:
+            raise DataError("weight must be non-negative and finite")
 
 
 @dataclass
@@ -117,12 +138,44 @@ class SynthSpec:
     unmatched_fraction: float = 0.0
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Raise DataError for a value the generator cannot turn into the fleet it describes.
+
+        The groups and features check their own fields when built; this
+        checks the spec's scalars and what holds across its groups, features
+        and routes.  ``generate`` runs it again, as a spec's fields may be
+        reassigned after construction.
+        """
+        if not self.seed >= 0:
+            raise DataError(f"seed must be non-negative, got {self.seed}")
+        if not (self.n_vehicles >= 1 and self.n_days >= 1):
+            raise DataError(f"n_vehicles and n_days must be at least 1, got {self.n_vehicles} and {self.n_days}")
+        try:
+            date_type.fromisoformat(self.start_date)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"start_date {self.start_date!r} is not an ISO date") from exc
+        if not self.groups or not self.features:
+            raise DataError("spec needs at least one group and one feature")
+        if not sum(g.weight for g in self.groups) > 0:
+            raise DataError("the group weights must not all be zero")
+        names = [f.name for f in self.features]
+        if len(set(names)) != len(names):
+            raise DataError(f"duplicate feature name {next(n for n in names if names.count(n) > 1)!r}")
+        unknown = set(self.route_mix) - set(ROUTE_KMS)
+        if unknown:
+            raise DataError(f"route_mix: unknown route {sorted(unknown)[0]!r}, expected one of {sorted(ROUTE_KMS)}")
+        if not all(0 <= w < math.inf for w in self.route_mix.values()) or not sum(self.route_mix.values()) > 0:
+            raise DataError(f"route_mix weights must be non-negative, finite and not all zero, got {self.route_mix}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise DataError("noise_sigma must be non-negative and finite")
+        if not math.isfinite(self.outlier_magnitude_iqr):
+            raise DataError("outlier_magnitude_iqr must be finite")
         if not 0.0 <= self.outlier_rate <= 1.0:
             raise DataError("outlier_rate must be in [0, 1]")
         if not 0.0 <= self.unmatched_fraction <= 1.0:
             raise DataError("unmatched_fraction must be in [0, 1]")
-        if self.noise_sigma < 0:
-            raise DataError("noise_sigma cannot be negative")
 
     def to_json(self, path: str | Path) -> None:
         with artifact_file(path) as fh:
@@ -194,16 +247,8 @@ def default_spec(seed: int = 0, n_vehicles: int = 250, n_days: int = 20, **overr
         SynthFeature("mean_side_to_side_acc", 0.1, 2.0, (0.9,), (0.0, 0.25), "mean"),
         SynthFeature("mean_exterior_temp", 262, 310, (275, 290), (0.5, 0.2, 0.0), "mean"),
     ]
-    spec = SynthSpec(
-        seed=seed,
-        n_vehicles=n_vehicles,
-        n_days=n_days,
-        groups=groups,
-        features=features,
-    )
-    for key, value in overrides.items():
-        setattr(spec, key, value)
-    return spec
+    fleet = {"groups": groups, "features": features, **overrides}
+    return SynthSpec(seed=seed, n_vehicles=n_vehicles, n_days=n_days, **fleet)
 
 
 def _snap_roundtrip(f: float) -> float:
@@ -282,8 +327,7 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> GeneratedFleet:
     Deterministic in the spec (byte-identical files for equal specs);
     vehicles draw from independent sub-seeds in vehicle order.
     """
-    if not spec.groups or not spec.features:
-        raise DataError("spec needs at least one group and one feature")
+    spec.check()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -431,36 +475,44 @@ def _apply_outlier_boosts(
 
 
 def _write_feed(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
-    """Two half-readings per sum channel, two equal readings per mean channel."""
-    by_agg = {f.name: f.aggregator for f in spec.features}
+    """Two half-readings per sum channel, two equal readings per other channel, one of the city-time share.
 
-    def rows():
+    The bytes are those ``write_table`` writes for the rows (time, vehicle,
+    channel, value).  A channel's readings on a day share its value and its
+    minute (the channel's position mod 60), at 08:00 and 16:00.  So each
+    date's lines are one ``str.format`` template with the vehicle cell as
+    field 0 and one value per channel after it: the stamps and the channel
+    cells are formatted once per date, each vehicle cell once, and the
+    values, always Python floats, by ``float.__repr__`` as csv.writer does.
+    """
+    channels = [(TRIP_KMS_CHANNEL, 2), (TRIP_FUEL_CHANNEL, 2), (CITY_TIME_CHANNEL, 1)]
+    channels += [(f.name, 2) for f in spec.features]
+    halves = [f.aggregator == "sum" for f in spec.features]
+    # a brace in a channel name is literal text of the templates
+    names = [csv_fields([name]).replace("{", "{{").replace("}", "}}") for name, _ in channels]
+
+    def template(day: date_type) -> str:
+        stamps = (f"{day.isoformat()} 08:%02d:00+00:00", f"{day.isoformat()} 16:%02d:00+00:00")
+        return "".join(
+            f"{stamp % (idx % 60)},{{0}},{name},{{{idx + 1}}}\n"
+            for idx, (name, (_, readings)) in enumerate(zip(names, channels))
+            for stamp in stamps[:readings]
+        )
+
+    templates = {day: template(day) for day in {d.date for d in days}}
+    vehicles = {vid: csv_fields([vid]) for vid in {d.vehicle_id for d in days}}
+    with artifact_file(path) as fh:
+        fh.write(csv_fields(FEED_COLUMNS) + "\n")
         for d in days:
-            stamp_a = f"{d.date.isoformat()} 08:%02d:00+00:00"
-            stamp_b = f"{d.date.isoformat()} 16:%02d:00+00:00"
             fuel_used = d.fuel_l100 * (d.trip_kms / 100.0)
             check = compute_avg_fuel(fuel_used, d.trip_kms)
             if check != d.fuel_l100:
                 raise DataError(
                     f"round-trip drift on {d.vehicle_id}/{d.date}: {check!r} != {d.fuel_l100!r}"
                 )
-            channels: list[tuple[str, list[float]]] = [
-                (TRIP_KMS_CHANNEL, [d.trip_kms / 2.0, d.trip_kms / 2.0]),
-                (TRIP_FUEL_CHANNEL, [fuel_used / 2.0, fuel_used / 2.0]),
-                (CITY_TIME_CHANNEL, [d.per_time_city]),
-            ]
-            for name, value in d.feature_values.items():
-                if by_agg[name] == "sum":
-                    channels.append((name, [value / 2.0, value / 2.0]))
-                else:
-                    channels.append((name, [value, value]))
-            for idx, (name, readings) in enumerate(channels):
-                minute = idx % 60
-                stamps = (stamp_a % minute, stamp_b % minute)
-                for k, value in enumerate(readings):
-                    yield stamps[k], d.vehicle_id, name, value
-
-    write_table(path, FEED_COLUMNS, rows())
+            values = [d.trip_kms / 2.0, fuel_used / 2.0, d.per_time_city]
+            values += [v / 2.0 if half else v for v, half in zip(d.feature_values.values(), halves)]
+            fh.write(templates[d.date].format(vehicles[d.vehicle_id], *map(float.__repr__, values)))
 
 
 def _write_vin_map(spec: SynthSpec, path: Path) -> None:
@@ -512,15 +564,16 @@ def _write_truth_savings(spec: SynthSpec, days: list[TruthDay], path: Path) -> N
             cell_values.setdefault((d.synth_group, d.route_type, name), []).append(value)
     for key, values in cell_values.items():
         medians[key] = median(values)
+    # each (group, route) cell's reference contribution per feature, looked up once
+    references = {
+        cell: [f.contribution(0.0 if f.reference_zero else medians.get((*cell, f.name), 0.0)) for f in spec.features]
+        for cell in {(d.synth_group, d.route_type) for d in days}
+    }
 
     def rows():
         for d in days:
-            for f in spec.features:
-                if f.reference_zero:
-                    ref = 0.0
-                else:
-                    ref = medians.get((d.synth_group, d.route_type, f.name), 0.0)
-                saving = d.contributions[f.name] - f.contribution(ref)
+            for f, ref in zip(spec.features, references[(d.synth_group, d.route_type)]):
+                saving = d.contributions[f.name] - ref
                 if saving > 0:
                     yield d.vehicle_id, d.date, f.name, saving
 

@@ -379,6 +379,27 @@ FAR_MAY_PASS = {
 }
 
 
+def _spec_edit(where, **changes):
+    """An edit of a synth spec's JSON object that updates the node ``where`` leads to with ``changes``."""
+
+    def edit(spec):
+        node = spec
+        for step in where:
+            node = node[step]
+        node.update(changes)
+
+    return edit
+
+
+def _zero_weights(spec):
+    for group in spec["groups"]:
+        group["weight"] = 0
+
+
+def _repeat_name(spec):
+    spec["features"][1]["name"] = spec["features"][0]["name"]
+
+
 class TestCorruptInputs:
     """A corrupt artifact exits 2 with a message naming it, not 3 with a traceback."""
 
@@ -537,14 +558,46 @@ class TestCorruptInputs:
     def test_synth_spec_value_type(self, finished_run, tmp_path, capsys, where, key, value):
         out, cfg = self._copy(finished_run, tmp_path)
         spec = json.loads((out / "synth_spec.json").read_text())
-        node = spec
-        for step in where:
-            node = node[step]
-        node[key] = value
+        _spec_edit(where, **{key: value})(spec)
         path = tmp_path / "my_spec.json"
         path.write_text(json.dumps(spec))
         cfg = _config_with_paths(cfg, tmp_path, synth_spec=path)
         self._fails_naming(capsys, "synth", cfg, out, str(path), repr(key))
+
+    @pytest.mark.parametrize(
+        "edit, words",
+        [
+            (_spec_edit((), route_mix={"city": -0.3, "combined": 0.3, "highway": 1.0}), "route_mix"),
+            (_spec_edit((), route_mix={"city": 0.0, "combined": 0.0, "highway": 0.0}), "route_mix"),
+            (_spec_edit((), route_mix={}), "route_mix"),
+            (_spec_edit((), route_mix={"city": 0.5, "gravel": 0.5}), "'gravel'"),
+            (_zero_weights, "weights"),
+            (_spec_edit(("groups", 0), weight=-1.0), "weight"),
+            (_spec_edit(("features", 0), low=500), "above high"),
+            (_spec_edit(("features", 0), cuts=[], values=[0.0]), "driver"),
+            (_spec_edit((), start_date="2021-13-45"), "start_date"),
+            (_spec_edit((), n_vehicles=0), "n_vehicles"),
+            (_spec_edit((), n_days=0), "n_days"),
+            (_spec_edit((), n_days=-2), "n_days"),
+            (_repeat_name, "duplicate feature name"),
+            (_spec_edit(("features", 0), aggregator="median"), "aggregator"),
+            (_spec_edit((), noise_sigma=math.nan), "noise_sigma"),
+            (_spec_edit((), seed=-1), "seed"),
+        ],
+        ids=[
+            "negative-route", "zero-routes", "no-routes", "unknown-route", "zero-weights", "negative-weight",
+            "low-above-high", "driver-without-cuts", "bad-date", "no-vehicles", "no-days", "negative-days",
+            "duplicate-feature", "unknown-aggregator", "nan-noise", "negative-seed",
+        ],
+    )
+    def test_synth_spec_bad_value(self, finished_run, tmp_path, capsys, edit, words):
+        out, cfg = self._copy(finished_run, tmp_path)
+        spec = json.loads((out / "synth_spec.json").read_text())
+        edit(spec)
+        path = tmp_path / "my_spec.json"
+        path.write_text(json.dumps(spec))
+        cfg = _config_with_paths(cfg, tmp_path, synth_spec=path)
+        self._fails_naming(capsys, "synth", cfg, out, str(path), words)
 
     @pytest.mark.parametrize(
         "stage, name",

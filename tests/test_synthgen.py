@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fleetfuel.anomaly import quartiles
-from fleetfuel.ingest import aggregate_daily, enrich_records, parse_feed_csv
-from fleetfuel.registry import FeatureRegistry, VinMap, assign_groups
-from fleetfuel.synthgen import default_spec, generate
+from fleetfuel.errors import DataError
+from fleetfuel.ingest import (
+    CITY_TIME_CHANNEL, FEED_COLUMNS, TRIP_FUEL_CHANNEL, TRIP_KMS_CHANNEL, aggregate_daily, enrich_records,
+    parse_feed_csv,
+)
+from fleetfuel.registry import FeatureRegistry, VinMap, assign_groups, write_table
+from fleetfuel.synthgen import SynthFeature, default_spec, generate
 
 
 def small_fleet(tmp_path, **overrides):
@@ -158,3 +165,88 @@ class TestArtifacts:
         spec.to_json(path)
         loaded = SynthSpec.from_json(path)
         assert loaded == spec
+
+
+SPECIAL_X = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+class TestStepLookup:
+    """``contribution`` finds the segment ``np.searchsorted(cuts, x, side="right")`` finds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cuts=st.one_of(
+            st.lists(st.integers(-1000, 1000), max_size=6),
+            st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0])), max_size=6),
+        ).map(sorted),
+        data=st.data(),
+    )
+    def test_matches_searchsorted(self, cuts, data):
+        x = data.draw(
+            st.one_of(
+                st.sampled_from(SPECIAL_X),
+                *([st.sampled_from(cuts)] if cuts else []),
+                st.integers(-1001, 1001),
+                st.floats(allow_nan=True, allow_infinity=True),
+            )
+        )
+        feat = SynthFeature("f", 0, 0, tuple(cuts), tuple(float(i) for i in range(len(cuts) + 1)))
+        assert feat.contribution(x) == int(np.searchsorted(cuts, x, side="right"))
+
+
+def _feed_rows(spec, days):
+    """The feed's rows as the row-at-a-time writer built them: the reference for ``_write_feed``."""
+    by_agg = {f.name: f.aggregator for f in spec.features}
+    for d in days:
+        stamp_a = f"{d.date.isoformat()} 08:%02d:00+00:00"
+        stamp_b = f"{d.date.isoformat()} 16:%02d:00+00:00"
+        fuel_used = d.fuel_l100 * (d.trip_kms / 100.0)
+        channels = [
+            (TRIP_KMS_CHANNEL, [d.trip_kms / 2.0, d.trip_kms / 2.0]),
+            (TRIP_FUEL_CHANNEL, [fuel_used / 2.0, fuel_used / 2.0]),
+            (CITY_TIME_CHANNEL, [d.per_time_city]),
+        ]
+        for name, value in d.feature_values.items():
+            if by_agg[name] == "sum":
+                channels.append((name, [value / 2.0, value / 2.0]))
+            else:
+                channels.append((name, [value, value]))
+        for idx, (name, readings) in enumerate(channels):
+            minute = idx % 60
+            stamps = (stamp_a % minute, stamp_b % minute)
+            for k, value in enumerate(readings):
+                yield stamps[k], d.vehicle_id, name, value
+
+
+class TestFeedWriter:
+    def test_bytes_equal_row_writer(self, tmp_path):
+        spec = default_spec(seed=4, n_vehicles=24, n_days=4, outlier_rate=0.2, unmatched_fraction=0.25)
+        extra = [
+            SynthFeature('idle, "cold"', 0, 40, (10,), (0.0, 0.2), "sum", integer=True),
+            SynthFeature("{brace}", 0.5, 3.0, (1.5,), (0.0, 0.1), "mean"),
+            SynthFeature("level", 0, 100, (50,), (0.1, 0.0), "last"),
+        ]
+        # 66 channels, so the minute of the last ones wraps past 59
+        wide = [SynthFeature(f"wide_{i}", 0, 9, (), (0.0,)) for i in range(51)]
+        spec.features = [*spec.features, *extra, *wide]
+        fleet = generate(spec, tmp_path / "fleet")
+        assert any(d.planted_outlier and d.boost_added > 0 for d in fleet.days)
+        assert any(d.vehicle_id.startswith("XV-") for d in fleet.days)
+        write_table(tmp_path / "reference.csv", FEED_COLUMNS, _feed_rows(spec, fleet.days))
+        assert fleet.feed_path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert b'"idle, ""cold"""' in fleet.feed_path.read_bytes()
+
+
+class TestSpecChecks:
+    def test_generate_checks_reassigned_fields(self, tmp_path):
+        spec = default_spec(seed=1, n_vehicles=2, n_days=1)
+        spec.features = [*spec.features, spec.features[0]]
+        with pytest.raises(DataError, match="duplicate feature name 'rpm_high'"):
+            generate(spec, tmp_path / "fleet")
+        assert not (tmp_path / "fleet" / "feed.csv").exists()
+
+    def test_default_spec_overrides_are_checked(self):
+        with pytest.raises(DataError, match="n_days"):
+            default_spec(n_days=0)
+        with pytest.raises(TypeError):
+            default_spec(bogus=1)
