@@ -100,8 +100,15 @@ def csv_reader(path: str | Path | None, packaged: str | None = None, catch: tupl
 
 
 def fits(value, kind: type) -> bool:
-    """Whether ``value`` is a ``kind`` as it stands: an int passes for a float, a bool never for a number."""
-    return isinstance(value, (int, float) if kind is float else kind) and isinstance(value, bool) == (kind is bool)
+    """Whether ``value`` is a ``kind`` as it stands: an int within float range is a float, a bool never a number."""
+    if not (isinstance(value, (int, float) if kind is float else kind) and isinstance(value, bool) == (kind is bool)):
+        return False
+    if kind is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:  # an int beyond the largest float
+            return False
+    return True
 
 
 def table_columns(row_type: type) -> tuple[str, ...]:

@@ -18,12 +18,27 @@ reaches the clean Q3 plus the configured multiple of the clean IQR for
 its (group, route) cell.  The model can learn those top segments from the
 small share of ordinary days that visit them individually.
 
+Draw order: each vehicle has its own generator, and each of its days
+draws, in this order, one double for the route, one integer for the trip
+distance, one block of doubles (the city-time share, then one per feature,
+two for a feature with a ``top_fraction``: the segment, then the value),
+one normal for the noise and one double for the outlier designation.
+This order reproduces the scalar calls of earlier versions, route
+``choice(p=...)``, distance ``choice(kms)``, city share and feature
+``uniform`` (after a ``random()`` for the segment), bit for bit: they make
+the same calls underneath.  A route is ``bisect_right`` on the cdf
+``choice(p=...)`` builds, a distance ``kms[integers(0, len(kms))]``, and a
+uniform on [a, b] is ``a + (b - a) * u`` in float arithmetic.  NumPy does
+not freeze its streams across versions, so the tests pin these
+equalities.  Outlier boosts draw after every day is drawn, with scalar
+``uniform`` calls on the planted day's vehicle generator.
+
 Cost: a planted step is looked up with ``bisect_right`` on the feature's
 cuts, the segment ``np.searchsorted(..., side="right")`` picks, and each
 (group, route) cell's reference contributions are looked up once.  The
-feed, the largest file, formats each distinct cell once (a date's stamps,
-a vehicle, a channel) and each reading by ``float.__repr__``, so its bytes
-are those ``write_table`` writes for its rows.
+feed and truth tables format each distinct cell once (a date, a vehicle,
+a channel or feature, a group) and each number by its ``repr``, so their
+bytes are those ``write_table`` writes for their rows.
 """
 
 from __future__ import annotations
@@ -33,7 +48,6 @@ import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from datetime import date as date_type, timedelta
-from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
 
@@ -69,6 +83,11 @@ ROUTE_PTC = {
 }
 
 
+def _span(a: float, b: float) -> tuple[float, float]:
+    """The start and width of a uniform draw on [a, b], in doubles as ``Generator.uniform(a, b)`` takes them."""
+    return float(a), float(b) - float(a)
+
+
 @dataclass(frozen=True)
 class SynthFeature:
     """One planted feature: sampling range and step-function fuel map."""
@@ -99,6 +118,21 @@ class SynthFeature:
             raise DataError(f"feature {self.name}: a driver feature needs a top step, so at least one cut")
         if self.aggregator not in AGGREGATORS:
             raise DataError(f"feature {self.name}: aggregator {self.aggregator!r} is not one of {AGGREGATORS}")
+        # the ranges drawn over: a top fraction splits [low, high] at the top cut, and boosts draw above it
+        drawn = [(self.low, self.high)]
+        if self.top_fraction > 0:
+            drawn.append((self.low, self.top_cut))
+        if self.top_fraction > 0 or self.driver:
+            drawn.append((self.top_cut, self.high))
+        for a, b in drawn:
+            width = _span(a, b)[1]
+            if not 0 <= width < math.inf:
+                raise DataError(f"feature {self.name}: cannot draw uniformly from {a!r} to {b!r}, a width of {width!r}")
+
+    @property
+    def top_cut(self) -> float:
+        """Where the top segment starts: the last cut, or low without cuts."""
+        return self.cuts[-1] if self.cuts else self.low
 
     def contribution(self, x: float) -> float:
         """The planted step at x: the segment np.searchsorted(cuts, x, side="right") picks, NaN and ±0.0 included."""
@@ -308,17 +342,13 @@ def _group_counts(spec: SynthSpec) -> list[int]:
     return counts.tolist()
 
 
-def _draw_feature(feat: SynthFeature, rng: np.random.Generator, force_top: bool = False) -> float:
-    top_cut = feat.cuts[-1] if feat.cuts else feat.low
-    if force_top or (feat.top_fraction > 0 and rng.random() < feat.top_fraction):
-        value = rng.uniform(top_cut, feat.high)
-    elif feat.top_fraction > 0:
-        value = rng.uniform(feat.low, top_cut)
-    else:
-        value = rng.uniform(feat.low, feat.high)
-    if feat.integer:
-        value = float(int(round(value)))
-    return min(max(value, feat.low), feat.high)
+def _route_cdf(route_mix: dict[str, float]) -> tuple[list[str], list[float]]:
+    """The routes in name order, and the cdf ``Generator.choice(len(routes), p=...)`` searches with one double."""
+    routes = sorted(route_mix)
+    probs = np.asarray([route_mix[r] for r in routes], dtype=np.float64)
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return routes, cdf.tolist()
 
 
 def generate(spec: SynthSpec, out_dir: str | Path) -> GeneratedFleet:
@@ -333,9 +363,17 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> GeneratedFleet:
 
     start = date_type.fromisoformat(spec.start_date)
     dates = [start + timedelta(days=i) for i in range(spec.n_days)]
-    routes = sorted(spec.route_mix)
-    route_probs = np.asarray([spec.route_mix[r] for r in routes], dtype=np.float64)
-    route_probs = route_probs / route_probs.sum()
+    routes, route_cdf = _route_cdf(spec.route_mix)
+    ptc_spans = {route: _span(*ROUTE_PTC[route]) for route in routes}
+    # per feature: its ranges below and above the top cut if it has a top fraction, else its whole range twice
+    draws = []
+    for f in spec.features:
+        if f.top_fraction > 0:
+            lower, top = _span(f.low, f.top_cut), _span(f.top_cut, f.high)
+        else:
+            lower = top = _span(f.low, f.high)
+        draws.append((f.name, f.top_fraction, lower, top, f.integer, f.low, f.high, f.contribution))
+    n_doubles = 1 + sum(2 if f.top_fraction > 0 else 1 for f in spec.features)
 
     counts = _group_counts(spec)
     vehicle_group: list[int] = []
@@ -356,17 +394,32 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> GeneratedFleet:
 
     days: list[TruthDay] = []
     for v in range(spec.n_vehicles):
-        rng = rngs[v]
+        random, integers, normal = rngs[v].random, rngs[v].integers, rngs[v].normal
         group = spec.groups[vehicle_group[v]]
         for day in dates:
-            route = routes[int(rng.choice(len(routes), p=route_probs))]
-            kms = float(rng.choice(ROUTE_KMS[route]))
-            lo, hi = ROUTE_PTC[route]
-            ptc = float(rng.uniform(lo, hi))
-            values = {f.name: _draw_feature(f, rng) for f in spec.features}
-            noise = float(rng.normal(0.0, spec.noise_sigma)) if spec.noise_sigma else 0.0
-            planted = bool(rng.random() < spec.outlier_rate)
-            contribs = {f.name: f.contribution(values[f.name]) for f in spec.features}
+            route = routes[bisect_right(route_cdf, random())]
+            route_kms = ROUTE_KMS[route]
+            kms = route_kms[integers(0, len(route_kms))]
+            u = random(n_doubles).tolist()
+            ptc_start, ptc_width = ptc_spans[route]
+            ptc = ptc_start + ptc_width * u[0]
+            values: dict[str, float] = {}
+            contribs: dict[str, float] = {}
+            i = 1
+            for name, top_fraction, lower, top, integer, low, high, contribution in draws:
+                if top_fraction > 0:
+                    start, width = top if u[i] < top_fraction else lower
+                    i += 1
+                else:
+                    start, width = lower
+                value = start + width * u[i]
+                i += 1
+                if integer:
+                    value = float(round(value))
+                values[name] = value = min(max(value, low), high)
+                contribs[name] = contribution(value)
+            noise = float(normal(0.0, spec.noise_sigma)) if spec.noise_sigma else 0.0
+            planted = random() < spec.outlier_rate
             planted_sum = 0.0
             for contrib in contribs.values():  # left to right: from Python 3.12, sum() compensates
                 planted_sum += contrib
@@ -459,7 +512,7 @@ def _apply_outlier_boosts(
         for feat in drivers:
             if added >= needed:
                 break
-            top_cut = feat.cuts[-1]
+            top_cut = feat.top_cut
             if d.feature_values[feat.name] >= top_cut:
                 continue
             new_value = float(rng.uniform(top_cut, feat.high))
@@ -500,7 +553,7 @@ def _write_feed(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
         )
 
     templates = {day: template(day) for day in {d.date for d in days}}
-    vehicles = {vid: csv_fields([vid]) for vid in {d.vehicle_id for d in days}}
+    vehicles, _ = _cells(days)
     with artifact_file(path) as fh:
         fh.write(csv_fields(FEED_COLUMNS) + "\n")
         for d in days:
@@ -531,21 +584,35 @@ def _write_catalog(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
     write_table(path, table_columns(CatalogReference), rows)
 
 
+def _cells(days: list[TruthDay]) -> tuple[dict[str, str], dict[date_type, str]]:
+    """Each vehicle's and each date's csv cell, formatted once."""
+    vehicles = {vid: csv_fields([vid]) for vid in {d.vehicle_id for d in days}}
+    dates = {day: csv_fields([day.isoformat()]) for day in {d.date for d in days}}
+    return vehicles, dates
+
+
 def _write_truth_days(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
-    """The fields but the two dicts (the bool as 0/1), then each feature's value, then its contribution."""
+    """The fields but the two dicts (the bool as 0/1), then each feature's value, then its contribution.
+
+    The bytes are those ``write_table`` writes for the rows: the text cells
+    are formatted once each, and the numbers by ``repr``, as csv.writer
+    formats a float or an int.
+    """
     feature_names = [f.name for f in spec.features]
     fixed = table_columns(TruthDay)[:-2]
     header = [*fixed, *(f"value_{n}" for n in feature_names), *(f"contrib_{n}" for n in feature_names)]
-    scalars = attrgetter(*fixed)
-    rows = (
-        (
-            *(int(v) if type(v) is bool else v for v in scalars(d)),
-            *(d.feature_values[n] for n in feature_names),
-            *(d.contributions[n] for n in feature_names),
-        )
-        for d in days
-    )
-    write_table(path, header, rows)
+    vehicles, dates = _cells(days)
+    groups = [csv_fields([str(g), grp.make, grp.model, grp.year, grp.fuel_type]) for g, grp in enumerate(spec.groups)]
+    routes = {route: csv_fields([route]) for route in ROUTE_KMS}
+    with artifact_file(path) as fh:
+        fh.write(csv_fields(header) + "\n")
+        for d in days:
+            numbers = (
+                d.trip_kms, d.per_time_city, d.fuel_l100, d.clean_fuel_l100, int(d.planted_outlier), d.boost_added,
+                d.base_fuel, d.noise_residual, *d.feature_values.values(), *d.contributions.values(),
+            )
+            head = f"{vehicles[d.vehicle_id]},{dates[d.date]},{groups[d.synth_group]},{routes[d.route_type]},"
+            fh.write(head + ",".join(map(repr, numbers)) + "\n")
 
 
 def _write_truth_savings(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
@@ -555,27 +622,28 @@ def _write_truth_savings(spec: SynthSpec, days: list[TruthDay], path: Path) -> N
     the feature over the clean (non-planted) days of the same group and
     route.
     """
-    medians: dict[tuple[int, str, str], float] = {}
-    cell_values: dict[tuple[int, str, str], list[float]] = {}
+    # each (group, route) cell's clean days, then its reference contribution per feature, looked up once
+    clean: dict[tuple[int, str], list[dict[str, float]]] = {}
     for d in days:
-        if d.planted_outlier:
-            continue
-        for name, value in d.feature_values.items():
-            cell_values.setdefault((d.synth_group, d.route_type, name), []).append(value)
-    for key, values in cell_values.items():
-        medians[key] = median(values)
-    # each (group, route) cell's reference contribution per feature, looked up once
+        cell = clean.setdefault((d.synth_group, d.route_type), [])
+        if not d.planted_outlier:
+            cell.append(d.feature_values)
     references = {
-        cell: [f.contribution(0.0 if f.reference_zero else medians.get((*cell, f.name), 0.0)) for f in spec.features]
-        for cell in {(d.synth_group, d.route_type) for d in days}
+        cell: [
+            f.contribution(0.0 if f.reference_zero or not rows else median([r[f.name] for r in rows]))
+            for f in spec.features
+        ]
+        for cell, rows in clean.items()
     }
 
-    def rows():
+    # one line per positive saving, written as write_table writes the rows (vehicle, date, feature, saving)
+    vehicles, dates = _cells(days)
+    features = [csv_fields([f.name]) for f in spec.features]
+    with artifact_file(path) as fh:
+        fh.write(csv_fields(("vehicle_id", "date", "feature", "true_saving")) + "\n")
         for d in days:
-            for f, ref in zip(spec.features, references[(d.synth_group, d.route_type)]):
-                saving = d.contributions[f.name] - ref
-                if saving > 0:
-                    yield d.vehicle_id, d.date, f.name, saving
-
-    write_table(path, ("vehicle_id", "date", "feature", "true_saving"), rows())
+            head = f"{vehicles[d.vehicle_id]},{dates[d.date]},"
+            cells = zip(features, d.contributions.values(), references[(d.synth_group, d.route_type)])
+            fh.write("".join(f"{head}{feature},{saving!r}\n" for feature, contrib, ref in cells
+                             if (saving := contrib - ref) > 0))
 

@@ -552,8 +552,12 @@ class TestCorruptInputs:
             (("groups", 0), "base_fuel", "8.0"),
             (("features", 0), "cuts", ["40", 80, 150]),
             (("features", 0), "integer", 1),
+            (("features", 8), "high", 10**400),
         ],
-        ids=["str-for-int", "bool-for-float", "str-in-route-mix", "str-for-group-float", "str-cut", "int-for-bool"],
+        ids=[
+            "str-for-int", "bool-for-float", "str-in-route-mix", "str-for-group-float", "str-cut", "int-for-bool",
+            "int-beyond-float",
+        ],
     )
     def test_synth_spec_value_type(self, finished_run, tmp_path, capsys, where, key, value):
         out, cfg = self._copy(finished_run, tmp_path)
@@ -583,11 +587,14 @@ class TestCorruptInputs:
             (_spec_edit(("features", 0), aggregator="median"), "aggregator"),
             (_spec_edit((), noise_sigma=math.nan), "noise_sigma"),
             (_spec_edit((), seed=-1), "seed"),
+            (_spec_edit(("features", 8), low=-1e308, high=1e308), "cannot draw uniformly from -1e+308 to 1e+308"),
+            (_spec_edit(("features", 0), cuts=[40, 80, 250]), "cannot draw uniformly from 250 to 200"),
         ],
         ids=[
             "negative-route", "zero-routes", "no-routes", "unknown-route", "zero-weights", "negative-weight",
             "low-above-high", "driver-without-cuts", "bad-date", "no-vehicles", "no-days", "negative-days",
-            "duplicate-feature", "unknown-aggregator", "nan-noise", "negative-seed",
+            "duplicate-feature", "unknown-aggregator", "nan-noise", "negative-seed", "overflowing-range",
+            "top-cut-above-high",
         ],
     )
     def test_synth_spec_bad_value(self, finished_run, tmp_path, capsys, edit, words):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -15,8 +17,10 @@ from fleetfuel.ingest import (
     CITY_TIME_CHANNEL, FEED_COLUMNS, TRIP_FUEL_CHANNEL, TRIP_KMS_CHANNEL, aggregate_daily, enrich_records,
     parse_feed_csv,
 )
-from fleetfuel.registry import FeatureRegistry, VinMap, assign_groups, write_table
-from fleetfuel.synthgen import SynthFeature, default_spec, generate
+from fleetfuel.registry import FeatureRegistry, VinMap, assign_groups, median, table_columns, write_table
+from fleetfuel.synthgen import (
+    ROUTE_KMS, ROUTE_PTC, SynthFeature, SynthGroup, TruthDay, _route_cdf, _span, default_spec, generate,
+)
 
 
 def small_fleet(tmp_path, **overrides):
@@ -124,6 +128,17 @@ class TestOutlierInjection:
     def test_zero_rate_means_no_outliers(self, tmp_path):
         spec, fleet = small_fleet(tmp_path, outlier_rate=0.0)
         assert not any(d.planted_outlier for d in fleet.days)
+
+
+class TestDraws:
+    def test_values_stay_in_range(self, tmp_path):
+        # rounding an integer feature with fractional bounds can leave its range; the draw clamps it back
+        spec = default_spec(seed=5, n_vehicles=6, n_days=10)
+        spec.features = [*spec.features, SynthFeature("rounded", 0.3, 3.7, (2,), (0.0, 0.1), "sum", integer=True)]
+        fleet = generate(spec, tmp_path / "fleet")
+        for f in spec.features:
+            assert all(f.low <= d.feature_values[f.name] <= f.high for d in fleet.days)
+        assert {d.feature_values["rounded"] for d in fleet.days} == {0.3, 1.0, 2.0, 3.0, 3.7}
 
 
 class TestArtifacts:
@@ -250,3 +265,171 @@ class TestSpecChecks:
             default_spec(n_days=0)
         with pytest.raises(TypeError):
             default_spec(bogus=1)
+
+
+def _truth_days_rows(spec, days):
+    """The truth-days header and rows as the row writer built them, the reference for ``_write_truth_days``."""
+    feature_names = [f.name for f in spec.features]
+    fixed = table_columns(TruthDay)[:-2]
+    header = [*fixed, *(f"value_{n}" for n in feature_names), *(f"contrib_{n}" for n in feature_names)]
+    rows = (
+        (
+            *(int(v) if type(v) is bool else v for v in (getattr(d, name) for name in fixed)),
+            *(d.feature_values[n] for n in feature_names),
+            *(d.contributions[n] for n in feature_names),
+        )
+        for d in days
+    )
+    return header, rows
+
+
+def _truth_savings_rows(spec, days):
+    """The truth-savings rows as the row-at-a-time writer built them: the reference for ``_write_truth_savings``."""
+    cell_values = {}
+    for d in days:
+        if not d.planted_outlier:
+            for name, value in d.feature_values.items():
+                cell_values.setdefault((d.synth_group, d.route_type, name), []).append(value)
+    medians = {key: median(values) for key, values in cell_values.items()}
+    for d in days:
+        for f in spec.features:
+            ref = f.contribution(0.0 if f.reference_zero else medians.get((d.synth_group, d.route_type, f.name), 0.0))
+            saving = d.contributions[f.name] - ref
+            if saving > 0:
+                yield d.vehicle_id, d.date, f.name, saving
+
+
+class TestTruthWriters:
+    def test_bytes_equal_row_writer(self, tmp_path):
+        spec = default_spec(seed=4, n_vehicles=24, n_days=4, outlier_rate=0.2, unmatched_fraction=0.25)
+        # int steps and an int base fuel are written as csv.writer writes an int
+        spec.features = [
+            *spec.features,
+            SynthFeature('idle, "cold"', 0, 40, (10,), (0.0, 0.2), "sum", integer=True, reference_zero=True),
+            SynthFeature("{brace}", 0.5, 3.0, (1.5,), (0, 1), "mean"),
+        ]
+        spec.groups = [*spec.groups[:-1], SynthGroup("Borealis", 'Titan "XL", 4x4', "2016", "diesel", 14, 2)]
+        fleet = generate(spec, tmp_path / "fleet")
+        assert any(d.planted_outlier for d in fleet.days)
+        assert any(d.vehicle_id.startswith("XV-") for d in fleet.days)
+        write_table(tmp_path / "days.csv", *_truth_days_rows(spec, fleet.days))
+        write_table(tmp_path / "savings.csv", ("vehicle_id", "date", "feature", "true_saving"),
+                    _truth_savings_rows(spec, fleet.days))
+        days, savings = fleet.truth_days_path.read_bytes(), fleet.truth_savings_path.read_bytes()
+        assert days == (tmp_path / "days.csv").read_bytes()
+        assert savings == (tmp_path / "savings.csv").read_bytes()
+        assert b',1,' in days and b'"Titan ""XL"", 4x4"' in days and b'"idle, ""cold"""' in savings
+        assert b",{brace},1\n" in savings
+
+
+# many generators, each drawing several times, so every branch of numpy's draws is crossed
+SEEDS = range(1000)
+ROUTE_MIXES = [
+    default_spec().route_mix,
+    {"highway": 1.0},
+    {"city": 0.0, "combined": 1, "highway": 2},
+    {"city": 0.1, "combined": 0.7, "highway": 0.2000001},
+]
+# int and float bounds: the default features' ranges and top segments, the city-time shares, a zero width and
+# ints a double cannot hold, whose width numpy takes between their doubles
+DRAWN_RANGES = sorted(
+    {(f.low, f.high) for f in default_spec().features}
+    | {r for f in default_spec().features if f.top_fraction > 0 for r in ((f.low, f.top_cut), (f.top_cut, f.high))}
+    | set(ROUTE_PTC.values())
+    | {(3, 3), (-2.5, 7), (2**60 + 1, 2**60 + 2**20 + 3)}
+)
+
+
+def _pair(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+class TestStreamEquivalence:
+    """The draws ``generate`` makes give the bits and the generator state the scalar calls they replace gave.
+
+    NumPy does not freeze its streams across versions (NEP 19), so these pin
+    what the fleets' byte identity rests on.
+    """
+
+    @pytest.mark.parametrize("route_mix", ROUTE_MIXES, ids=["default", "one-route", "zero-weight", "uneven"])
+    def test_choice_with_p_is_bisect_on_cdf(self, route_mix):
+        routes = sorted(route_mix)
+        p = np.asarray([route_mix[r] for r in routes], dtype=np.float64)
+        p = p / p.sum()
+        assert _route_cdf(route_mix)[0] == routes
+        cdf = _route_cdf(route_mix)[1]
+        for seed in SEEDS:
+            old, new = _pair(seed)
+            for _ in range(4):
+                assert int(old.choice(len(routes), p=p)) == bisect_right(cdf, new.random())
+            assert old.bit_generator.state == new.bit_generator.state
+
+    @pytest.mark.parametrize("kms", sorted(set(ROUTE_KMS.values()), key=len), ids=len)
+    def test_choice_of_sequence_is_integers_index(self, kms):
+        for seed in SEEDS:
+            old, new = _pair(seed)
+            # a double between the integers, as in a day, and two in a row, which share one 64-bit draw
+            for _ in range(3):
+                assert float(old.choice(kms)).hex() == kms[new.integers(0, len(kms))].hex()
+                assert old.random().hex() == new.random().hex()
+            assert float(old.choice(kms)).hex() == kms[new.integers(0, len(kms))].hex()
+            assert float(old.choice(kms)).hex() == kms[new.integers(0, len(kms))].hex()
+            assert old.bit_generator.state == new.bit_generator.state
+
+    @pytest.mark.parametrize("low, high", DRAWN_RANGES)
+    def test_uniform_is_affine_double(self, low, high):
+        start, width = _span(low, high)
+        for seed in SEEDS:
+            old, new = _pair(seed)
+            for _ in range(4):
+                assert float(old.uniform(low, high)).hex() == (start + width * new.random()).hex()
+            assert old.bit_generator.state == new.bit_generator.state
+
+    @pytest.mark.parametrize("k", [1, 2, 13, 29, 45])
+    def test_block_is_scalar_doubles(self, k):
+        for seed in SEEDS:
+            old, new = _pair(seed)
+            new.integers(0, 3)  # a buffered half of a 64-bit draw, left pending
+            old.integers(0, 3)
+            assert [old.random().hex() for _ in range(k)] == [x.hex() for x in new.random(k).tolist()]
+            assert old.bit_generator.state == new.bit_generator.state
+
+
+def _sha256s(directory):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
+
+
+class TestGoldenFleets:
+    """Every fleet file's sha256, pinned: a change of bytes, from the code or from numpy, fails here."""
+
+    @pytest.mark.parametrize(
+        "overrides, digests",
+        [
+            (
+                dict(seed=2, n_vehicles=250, n_days=20),
+                {
+                    "catalog.csv": "6874ebea40f29611a7b02d9a769d3ed263f50b3d4ead987c55d86360d3e11340",
+                    "feed.csv": "37ad146338e690d490b7393f06b20559a45cca2fae4731f31d01b85ebf7d2951",
+                    "truth_days.csv": "1094cb9ec45bf59d6632175046936fa0f838c83ad8796caee3087e854a45e480",
+                    "truth_savings.csv": "9e1c228eed32dc40b2720a3e68ddeeaed438514b86a3cbfa9c4c9cefa3f6315a",
+                    "vin_map.csv": "56a055b7eb12a1dbd071d3297d39edc89ced634d0807d0048c1cbfd826ae9850",
+                },
+            ),
+            (
+                # top-fraction drivers, boosted outliers, unmatched vehicles and all three routes
+                dict(seed=4, n_vehicles=24, n_days=4, outlier_rate=0.2, unmatched_fraction=0.25),
+                {
+                    "catalog.csv": "267552c0030641175b4ac5821c93865422891ec9a0cf76ca62db85532b49f8d6",
+                    "feed.csv": "a2e88f9b0fb307cdd4f503de5942813403605a88b3633706a264406d7a9b3807",
+                    "truth_days.csv": "46b281be5fb7b6132ad3dd86abab3d0a4fa39fce765b8a0fb7d7fd8134074156",
+                    "truth_savings.csv": "aac260cd4ba064d0a53156ab9ecf1e95e628d1c9a20cf2539d6188c9d85b6b91",
+                    "vin_map.csv": "56a055b7eb12a1dbd071d3297d39edc89ced634d0807d0048c1cbfd826ae9850",
+                },
+            ),
+        ],
+        ids=["acceptance", "outliers-unmatched"],
+    )
+    def test_fleet_digests(self, tmp_path, overrides, digests):
+        fleet = generate(default_spec(**overrides), tmp_path / "fleet")
+        assert {d.route_type for d in fleet.days} == set(ROUTE_KMS)
+        assert _sha256s(tmp_path / "fleet") == digests
