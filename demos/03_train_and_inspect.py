@@ -44,11 +44,12 @@ for lo, hi, value in model.shape_curve("rpm_high"):
     hi_s = "+inf" if hi == math.inf else f"{hi:7.1f}"
     print(f"  [{lo_s}, {hi_s})  {value:+.3f} L/100km")
 
-rec = next(iter(test))  # the first test day, as a FarRecord
-relevance = model.feature_relevance(rec)
+# the first test day: preds[0], and its value (c[0]) in each model column's contributions
+rec = next(iter(test))
+relevance = {col.name: c[0] for col, c in zip(model.columns, model.contributions(model.encode(test)))}
 top = sorted(relevance.items(), key=lambda kv: -abs(kv[1]))[:5]
 print(f"\n{rec.vehicle_id} on {rec.date}: actual {rec.avg_fuel_consumption:.2f}, "
-      f"predicted {model.predict(rec):.2f}")
+      f"predicted {preds[0]:.2f}")
 print("largest contributions:")
 for name, value in top:
     print(f"  {name:24s} {value:+.3f}")

@@ -48,7 +48,7 @@ print(f"drops by rule: {dict(sorted(drops.items()))}")
 # pick the day with the biggest surviving total saving
 by_day = {}
 for row in rows:
-    by_day.setdefault(row.day_key, []).append(row)
+    by_day.setdefault((row.vehicle_id, row.date_tx), []).append(row)
 day_key, day_rows = max(by_day.items(), key=lambda kv: sum(r.y_diff for r in kv[1]))
 day_rows.sort(key=lambda r: -r.y_diff)
 first = day_rows[0]

@@ -31,11 +31,9 @@ _EXPORTS = {
         "FuelMedians",
         "ReferencePolicy",
         "apply_business_rules",
-        "fuel_saving",
         "generate_daily_explanations",
-        "recompute_fuel_new",
     ),
-    "gam": ("build_bins", "fit", "one_hot"),
+    "gam": ("build_bins", "fit"),
     "ingest": (
         "DayTable",
         "FarRecord",

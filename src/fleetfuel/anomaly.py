@@ -133,10 +133,19 @@ def compute_limits(table: DayTable) -> LimitTable:
 
 @dataclass
 class NoiseReport:
-    n_low: int = 0
-    n_noise: int = 0
-    low_days: list[tuple[str, str]] = field(default_factory=list)
+    """Phase 1's removals, as positions in the table it cleaned: below the lower whisker, above the upper."""
+
+    low_rows: list[int] = field(default_factory=list)
+    noise_rows: list[int] = field(default_factory=list)
     emptied_cells: list[tuple[int, str]] = field(default_factory=list)
+
+    @property
+    def n_low(self) -> int:
+        return len(self.low_rows)
+
+    @property
+    def n_noise(self) -> int:
+        return len(self.noise_rows)
 
 
 def two_phase_clean(table: DayTable) -> tuple[DayTable, LimitTable, NoiseReport]:
@@ -155,10 +164,9 @@ def two_phase_clean(table: DayTable) -> tuple[DayTable, LimitTable, NoiseReport]
         if lim is None or avg is None:
             kept.append(i)
         elif avg < lim.lim_inf:
-            report.n_low += 1
-            report.low_days.append((table.vehicle_id[i], table.date[i].isoformat()))
+            report.low_rows.append(i)
         elif avg > lim.lim_sup:
-            report.n_noise += 1
+            report.noise_rows.append(i)
         else:
             kept.append(i)
     survivors = table.take(kept)

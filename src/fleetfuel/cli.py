@@ -349,12 +349,11 @@ def stage_clean(ctx: RunContext) -> None:
     classes = assign_classes(base, load_class_table(ctx.config_file("class_table")))
 
     training, limits, noise = two_phase_clean(base)
-    low = set(noise.low_days)
-    labeled = base.take([i for i, (vid, day) in enumerate(base.day_keys()) if (vid, day.isoformat()) not in low])
-    labeled = impute_missing(flag_outliers(labeled, limits), registry)
+    low, noisy = set(noise.low_rows), set(noise.noise_rows)
+    kept = [i for i in range(len(base)) if i not in low]
+    labeled = impute_missing(flag_outliers(base.take(kept), limits), registry)
     # the survivors of cleaning, as labeled and imputed above
-    survivors = set(training.day_keys())
-    training = labeled.take([i for i, key in enumerate(labeled.day_keys()) if key in survivors])
+    training = labeled.take([k for k, i in enumerate(kept) if i not in noisy])
 
     # recorded with ingest's digest: it is read here before it is rewritten
     identities = read_identities_csv(ctx.artifact("identities.csv", "ingest"))

@@ -64,7 +64,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .anomaly import LimitTable
 from .errors import FeedFormatError
-from .ingest import DayTable, FarRecord
+from .ingest import DayTable
 from .registry import (
     DEFAULT_BR2_THRESHOLD,
     DEFAULT_BR5_CAP,
@@ -81,9 +81,6 @@ if TYPE_CHECKING:
     from .model import AdditiveModel
 
 logger = logging.getLogger(__name__)
-
-REFERENCE_ZERO = "zero"
-REFERENCE_MEDIAN = "median_inlier"
 
 BR_ORDER = ("BR1", "BR3", "BR4", "BR2", "BR5")
 
@@ -146,9 +143,6 @@ class ReferencePolicy(FuelMedians):
             FallbackMedians(levels, [list(zip(inliers.vehicle_group, inliers.route_type))], reduce=_mode),
         )
 
-    def reference_kind(self, feature: str) -> str:
-        return REFERENCE_ZERO if self.registry[feature].reference_zero else REFERENCE_MEDIAN
-
     def feature_median(self, vehicle_group: int, route_type: str, feature: str) -> float:
         """Inlier median with route / fleet fallbacks (0.0 when unobserved)."""
         value = self._medians.get((feature, route_type, vehicle_group))
@@ -159,21 +153,9 @@ class ReferencePolicy(FuelMedians):
 
     def reference_value(self, feature: str, vehicle_group: int, route_type: str) -> float:
         """Counterfactual target for the feature on this group and route."""
-        if self.reference_kind(feature) == REFERENCE_ZERO:
+        if self.registry[feature].reference_zero:
             return 0.0
         return self.feature_median(vehicle_group, route_type, feature)
-
-
-def fuel_saving(
-    model: AdditiveModel, record: FarRecord, feature: str, x_ref: float
-) -> float:
-    """Shape-value drop when the feature moves to its reference.
-
-    Negative values mean the reference would cost fuel; callers treat those
-    as no saving and exclude the feature.
-    """
-    current = record.features[feature]
-    return model.contribution_at(feature, current) - model.contribution_at(feature, x_ref)
 
 
 @dataclass
@@ -195,20 +177,8 @@ class ExplanationRow:
     y_diff: float
     y_fuel_new: float
 
-    @property
-    def day_key(self) -> tuple[str, date_type]:
-        return (self.vehicle_id, self.date_tx)
-
 
 EXPLANATION_COLUMNS = table_columns(ExplanationRow)
-
-
-def recompute_fuel_new(avg_fuel: float, y_diffs: Iterable[float]) -> float:
-    """New daily fuel after applying every surviving recommendation."""
-    total = 0.0
-    for y_diff in y_diffs:  # left to right: from Python 3.12, sum() compensates
-        total += y_diff
-    return avg_fuel - total
 
 
 def _sum_by(ids: Iterable[int], weights: Iterable[float], n: int) -> list[float]:
@@ -626,14 +596,27 @@ def read_explanations_csv(path: str | Path, registry: FeatureRegistry) -> Explan
     Consecutive rows with the same per-day cells share a day slot, so those
     cells are parsed once per day.  As BR1 does, a row is numeric when its
     feature is in the registry: its value and target are floats.  Any other
-    row is categorical and keeps its levels as text.
+    row is categorical and keeps its levels as text.  Every number must be
+    finite: the first non-finite cell, row by row, raises naming its line
+    (row p is on line p + 2).
     """
     with csv_reader(path) as reader:
         header = next(reader, None)
         if header != list(EXPLANATION_COLUMNS):
             raise FeedFormatError(f"{path}: unexpected explanation columns {header}")
         level = lambda feature: float if feature in registry else _same
-        return ExplanationTable._build(reader, _parse_day, float, level)
+        table = ExplanationTable._build(reader, _parse_day, float, level)
+    numeric = list(map([name in registry for name in table.features].__getitem__, table.feature))
+    numbers = (table.relevance, table.y_diff, itertools.compress(table.value, numeric),
+               itertools.compress(table.target, numeric), table.intercept, table.avg_fuel, table.limit_group,
+               table.y_pred, table.y_fuel_new)
+    if not all(map(math.isfinite, itertools.chain.from_iterable(numbers))):
+        for p, row in enumerate(table.rows()):
+            for name in EXPLANATION_COLUMNS:
+                cell = getattr(row, name)
+                if type(cell) is float and not math.isfinite(cell):
+                    raise FeedFormatError(f"{path}: line {p + 2}: {name} is not finite ({cell!r})")
+    return table
 
 
 # json.dumps writes non-finite floats under these names

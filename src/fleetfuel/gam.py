@@ -37,8 +37,7 @@ import numpy as np
 from .errors import DataError
 from .ingest import DayTable
 # the model's names, re-exported for the trainer's callers
-from .model import (DEFAULT_CATEGORICALS, KIND_INDICATOR, KIND_NUMERIC, MODEL_FORMAT, MODEL_VERSION,
-                    AdditiveModel, FeatureColumn, encode)
+from .model import DEFAULT_CATEGORICALS, KIND_INDICATOR, KIND_NUMERIC, AdditiveModel, FeatureColumn, encode
 from .registry import FeatureRegistry, TrainConfig, write_table
 
 logger = logging.getLogger(__name__)
@@ -51,40 +50,23 @@ def _level_sort_key(levels: set[str]) -> list[str]:
         return sorted(levels)
 
 
-def _design(table: DayTable, columns: Sequence[FeatureColumn]) -> np.ndarray:
-    """(days x columns) float64 matrix of the shared encoder's columns."""
-    cells = np.array(encode(table, columns), dtype=np.float64)
-    return np.ascontiguousarray(cells.reshape(len(columns), len(table)).T)
-
-
-def _indicator_columns(table: DayTable, categorical_names: Sequence[str]) -> list[FeatureColumn]:
-    """One indicator column per (column, level), over the level set observed in the table."""
-    return [
-        FeatureColumn(name=f"{name}={level}", kind=KIND_INDICATOR, origin=name, level=level)
-        for name in categorical_names
-        for level in _level_sort_key(set(map(str, getattr(table, name))))
-    ]
-
-
-def one_hot(table: DayTable, categorical_names: Sequence[str]) -> tuple[np.ndarray, list[FeatureColumn]]:
-    """Expand categorical table columns into indicator columns.
-
-    One column per (column, level) using the level set observed in the
-    given table; encoding an unseen level later yields all zeros.
-    """
-    columns = _indicator_columns(table, categorical_names)
-    return _design(table, columns), columns
-
-
 def build_design(
     table: DayTable,
     registry: FeatureRegistry,
     categoricals: Sequence[str] = DEFAULT_CATEGORICALS,
 ) -> tuple[np.ndarray, list[FeatureColumn]]:
-    """Design matrix: registry features in order, then one-hot indicators."""
-    numeric = [FeatureColumn(name=name, kind=KIND_NUMERIC, origin=name) for name in registry.names]
-    columns = numeric + _indicator_columns(table, categoricals)
-    return _design(table, columns), columns
+    """(days x columns) float64 design of the shared encoder: registry features in order, then indicators.
+
+    One indicator column per (categorical, level) over the levels observed
+    in the table; encoding an unseen level later yields all zeros.
+    """
+    columns = [FeatureColumn(name=name, kind=KIND_NUMERIC, origin=name) for name in registry.names] + [
+        FeatureColumn(name=f"{name}={level}", kind=KIND_INDICATOR, origin=name, level=level)
+        for name in categoricals
+        for level in _level_sort_key(set(map(str, getattr(table, name))))
+    ]
+    cells = np.array(encode(table, columns), dtype=np.float64)
+    return np.ascontiguousarray(cells.reshape(len(columns), len(table)).T), columns
 
 
 def build_bins(matrix: np.ndarray, max_bins: int = 256) -> list[np.ndarray]:
@@ -107,10 +89,6 @@ def build_bins(matrix: np.ndarray, max_bins: int = 256) -> list[np.ndarray]:
             c = np.unique(np.quantile(col, qs))
         cuts.append(np.asarray(c, dtype=np.float64))
     return cuts
-
-
-def _bin_indices(col: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    return np.searchsorted(cuts, col, side="right").astype(np.int64)
 
 
 def _draw_bags(n: int, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -325,7 +303,7 @@ def fit_matrix(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     cuts = build_bins(X, config.max_bins)
-    bins = [_bin_indices(X[:, j], cuts[j]) for j in range(X.shape[1])]
+    bins = [np.searchsorted(cuts[j], X[:, j], side="right").astype(np.int64) for j in range(X.shape[1])]
     values = [np.zeros(c.size + 1, dtype=np.float64) for c in cuts]
     intercept, histories = float(y.mean()), []
 

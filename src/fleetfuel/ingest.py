@@ -51,7 +51,6 @@ CORE_CHANNELS = {TRIP_FUEL_CHANNEL, TRIP_KMS_CHANNEL, CITY_TIME_CHANNEL}
 ROUTE_CITY = "city"
 ROUTE_COMBINED = "combined"
 ROUTE_HIGHWAY = "highway"
-ROUTE_TYPES = (ROUTE_CITY, ROUTE_COMBINED, ROUTE_HIGHWAY)
 
 LABEL_INLIER = "inlier"
 LABEL_OUTLIER = "outlier"

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError, FeedFormatError
-from .ingest import DayTable, FarRecord
+from .ingest import DayTable
 from .registry import TrainConfig, artifact_file
 
 MODEL_FORMAT = "fleetfuel-additive-model"
@@ -140,18 +140,10 @@ class AdditiveModel:
         """Per-column shape values f_j(X[j]) of a design given column by column."""
         return [self.lookup(j, xs) for j, xs in enumerate(X)]
 
-    def predict(self, rec: FarRecord) -> float:
-        """Intercept plus the sum of per-feature contributions."""
-        return self.predict_many(DayTable.from_rows([rec]))[0]
-
     def predict_many(self, table: DayTable) -> list[float]:
+        """Per day, the intercept plus the sum of its contributions."""
         sums = row_sums(self.contributions(self.encode(table)), len(table))
         return [self.intercept + s for s in sums]
-
-    def feature_relevance(self, rec: FarRecord) -> dict[str, float]:
-        """Per-feature contribution f_i(x_i); sums (plus intercept) to predict."""
-        contributions = self.contributions(self.encode(DayTable.from_rows([rec])))
-        return {col.name: c[0] for col, c in zip(self.columns, contributions)}
 
     def contribution_at(self, column_name: str, value: float) -> float:
         """Shape-function value for one column at a raw feature value."""

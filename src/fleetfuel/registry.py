@@ -333,10 +333,6 @@ class FeatureRegistry:
     def names(self) -> tuple[str, ...]:
         return tuple(self._specs)
 
-    @property
-    def actionable_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self if s.actionable)
-
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureRegistry":
         return cls(_read_specs(path))
@@ -376,10 +372,6 @@ class VehicleIdentity:
     fuel_type: str
     vehicle_group: int
     vehicle_class: int = 0
-
-    @property
-    def group_key(self) -> tuple[str, str, str, str]:
-        return (self.make, self.model, self.year, self.fuel_type)
 
 
 UNKNOWN_IDENTITY = ("unknown", "unknown", "", "unknown")

@@ -318,10 +318,6 @@ class TruthDay:
     feature_values: dict[str, float]
     contributions: dict[str, float]
 
-    @property
-    def day_key(self) -> tuple[str, date_type]:
-        return (self.vehicle_id, self.date)
-
 
 @dataclass
 class GeneratedFleet:

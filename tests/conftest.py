@@ -82,6 +82,23 @@ def make_record(
     return rec
 
 
+def fuel_saving(model, record: FarRecord, feature: str, x_ref: float) -> float:
+    """Scalar reference: the shape-value drop when the feature moves to its reference.
+
+    Negative values mean the reference would cost fuel; explain treats those
+    as no saving and writes no row.
+    """
+    return model.contribution_at(feature, record.features[feature]) - model.contribution_at(feature, x_ref)
+
+
+def recompute_fuel_new(avg_fuel: float, y_diffs) -> float:
+    """Scalar reference: a day's fuel after every surviving recommendation."""
+    total = 0.0
+    for y_diff in y_diffs:  # left to right: from Python 3.12, sum() compensates
+        total += y_diff
+    return avg_fuel - total
+
+
 @pytest.fixture
 def small_registry() -> FeatureRegistry:
     return make_registry()

@@ -22,7 +22,7 @@ import pytest
 from fleetfuel.anomaly import flag_outliers, two_phase_clean
 from fleetfuel.cli import main as cli_main
 from fleetfuel.evaluate import monthly_impact
-from fleetfuel.explain import ExplanationTable, recompute_fuel_new
+from fleetfuel.explain import ExplanationTable
 from fleetfuel.gam import fit
 from fleetfuel.ingest import (
     DayTable,
@@ -39,7 +39,7 @@ from fleetfuel.model import AdditiveModel, FeatureColumn
 from fleetfuel.registry import FeatureRegistry, TrainConfig, VinMap, assign_groups
 from fleetfuel.synthgen import default_spec, generate
 
-from .conftest import make_record
+from .conftest import make_record, recompute_fuel_new
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -157,7 +157,7 @@ def test_c01_explanation_anchor():
     record = make_record(
         features={n: v for n, v in zip(names, [2.41, 9.0, 99.5, 282.65, 11.0, 0.0])}
     )
-    y_pred = model.predict(record)
+    y_pred = model.predict_many(DayTable.from_rows([record]))[0]
 
     ok = abs(fuel_new - 8.31) <= 0.005 and abs(y_pred - 10.39) <= 0.005
     report(1, ok, f"y_fuel_new={fuel_new:.4f} (want 8.31), y_pred={y_pred:.4f} (want 10.39)")
@@ -263,7 +263,7 @@ def test_c05_decomposition_identity(pipeline_run):
     rng = np.random.default_rng(99)
     groups = [0, 1, 2, 3, 17]  # 17 is unseen
     routes = ["city", "combined", "highway", "offroad"]
-    failures = 0
+    records = []
     for i in range(10_000):
         rec = make_record(
             vehicle_id=f"r{i}",
@@ -272,10 +272,13 @@ def test_c05_decomposition_identity(pipeline_run):
             features={name: float(rng.uniform(-50, 4000)) for name in registry.names},
         )
         rec.vehicle_class = int(rng.integers(0, 11))
-        relevance = model.feature_relevance(rec)
-        total = model.intercept + np.array(list(relevance.values())).sum()
-        if model.predict(rec) != total:
-            failures += 1
+        records.append(rec)
+    table = DayTable.from_rows(records)
+    # one row of contributions per record, each summed by numpy on its own
+    C = np.ascontiguousarray(np.array(model.contributions(model.encode(table))).T)
+    failures = sum(
+        pred != model.intercept + row.sum() for pred, row in zip(model.predict_many(table), C)
+    )
     report(5, failures == 0, f"{failures} of 10000 records broke predict == b0 + sum(f_i)")
 
 
@@ -380,10 +383,8 @@ def test_c07_anomaly_recall(tmp_path):
     records = enrich_records(records, identities)
     base, _ = quality_filter(records)
     _, limits, noise = two_phase_clean(base)
-    low = set(noise.low_days)
-    labeled = flag_outliers(
-        base.take([i for i, r in enumerate(base) if (r.vehicle_id, r.date.isoformat()) not in low]), limits
-    )
+    low = set(noise.low_rows)
+    labeled = flag_outliers(base.take([i for i in range(len(base)) if i not in low]), limits)
 
     by_cell: dict[tuple, list[float]] = {}
     for d in fleet.days:
@@ -398,10 +399,10 @@ def test_c07_anomaly_recall(tmp_path):
         d for d in fleet.days
         if d.planted_outlier and d.fuel_l100 >= bars[(d.synth_group, d.route_type)]
     ]
-    hits = sum(1 for d in planted_at_bar if labels.get(d.day_key) == "outlier")
+    hits = sum(1 for d in planted_at_bar if labels.get((d.vehicle_id, d.date)) == "outlier")
     recall = hits / len(planted_at_bar)
     clean_days = [d for d in fleet.days if not d.planted_outlier]
-    false_pos = sum(1 for d in clean_days if labels.get(d.day_key) == "outlier")
+    false_pos = sum(1 for d in clean_days if labels.get((d.vehicle_id, d.date)) == "outlier")
     fpr = false_pos / len(clean_days)
     ok = recall >= 0.95 and fpr <= 0.08 and len(fleet.days) == 10_000
     report(
@@ -447,7 +448,7 @@ MAX_MEDIAN_SAVING_ERROR = 0.06
 def test_priced_savings_match_planted_truth(pipeline_run):
     """Pre-filter rows on actionable features against truth_savings.csv, over the days explain priced."""
     out = pipeline_run["out"]
-    actionable = set(FeatureRegistry.default().actionable_names)
+    actionable = {spec.name for spec in FeatureRegistry.default() if spec.actionable}
     # explain prices a labeled day with fuel whose (group, route) cell has limits
     cells = {(r["vehicle_group"], r["route_type"]) for r in _read_truth(out / "limits.csv")}
     priced = {
@@ -471,6 +472,39 @@ def test_priced_savings_match_planted_truth(pipeline_run):
     print(f"\npriced share {share:.4f} of {len(planted)} planted savings >= 0.1, median error {error:.4f} L/100 km")
     assert share >= MIN_PRICED_SHARE
     assert error <= MAX_MEDIAN_SAVING_ERROR
+
+
+#: bound from the fixture's spec at seeds 1-8 and 13 (spec, train and split
+#: seed alike): priced minus planted ran -0.0185 (seed 6) to +0.0043 (seed 5),
+#: with the planted share 0.129-0.133 of all fuel
+MAX_BEHAVIOUR_SHARE_GAP = 0.025
+
+
+def test_priced_behaviour_share_matches_planted(pipeline_run):
+    """The paper's headline figure: the driving-behaviour share of fleet fuel, priced against planted.
+
+    Priced: the pre-filter "Driving Behaviour" rows' y_diff x trip_kms / 100,
+    over the labeled days' fuel.  Planted: truth_savings.csv on the same
+    features x trip_kms / 100, over the fuel of every day in truth_days.csv.
+    """
+    out = pipeline_run["out"]
+    behaviour = {spec.name for spec in FeatureRegistry.default() if spec.category == "Driving Behaviour"}
+    labeled = _read_truth(out / "far_labeled.csv")
+    kms = {(r["vehicle_id"], r["date"]): float(r["trip_kms"]) for r in labeled}
+    priced = math.fsum(
+        float(r["y_diff"]) * kms[r["vehicle_id"], r["date_tx"]] / 100.0
+        for r in _read_truth(out / "explanations_prefilter.csv")
+        if r["feature"] in behaviour
+    ) / math.fsum(float(r["trip_fuel_used"]) for r in labeled)
+    days = pipeline_run["truth"]
+    truth_kms = {(d["vehicle_id"], d["date"]): float(d["trip_kms"]) for d in days}
+    planted = math.fsum(
+        float(r["true_saving"]) * truth_kms[r["vehicle_id"], r["date"]] / 100.0
+        for r in _read_truth(out / "truth_savings.csv")
+        if r["feature"] in behaviour
+    ) / math.fsum(float(d["fuel_l100"]) * float(d["trip_kms"]) / 100.0 for d in days)
+    print(f"\nbehaviour share of fuel: priced {priced:.4f}, planted {planted:.4f}")
+    assert abs(priced - planted) <= MAX_BEHAVIOUR_SHARE_GAP
 
 
 # ---------------------------------------------------------------------------

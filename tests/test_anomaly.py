@@ -116,6 +116,7 @@ class TestTwoPhase:
         # phase 1: whiskers (-2, 14) remove the 100, nothing below
         assert report.n_noise == 1
         assert report.n_low == 0
+        assert (report.noise_rows, report.low_rows) == ([4], [])
         assert clean.avg_fuel_consumption == [2, 4, 6, 8]
         # phase 2 oracle on {2,4,6,8}: q1=3.5, q3=6.5, iqr=3
         lim = final.lookup(0, "highway")
@@ -123,6 +124,13 @@ class TestTwoPhase:
         assert lim.q3 == pytest.approx(6.5)
         assert lim.lim_sup == pytest.approx(6.5 + 1.5 * 3.0)
         assert lim.lim_inf == pytest.approx(3.5 - 1.5 * 3.0)
+
+    def test_removals_are_positions_of_one_repeated_day(self):
+        # seven copies of one vehicle-day; whiskers (6.0, 12.0) over q1 8.25, q3 9.75
+        fuels = [8.0, 8.5, 9.0, 9.5, 10.0, 0.5, 90.0]
+        clean, _, report = two_phase_clean(DayTable.from_rows(make_record(avg=f) for f in fuels))
+        assert (report.low_rows, report.noise_rows) == ([5], [6])
+        assert clean.avg_fuel_consumption == fuels[:5]
 
     def test_all_inlier_group_is_fixed_point(self):
         records = records_with_fuel([5.0, 5.5, 6.0, 6.5, 7.0])

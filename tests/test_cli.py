@@ -285,6 +285,63 @@ class TestManifest:
         assert stages["evaluate"]["inputs"]["out/identities.csv"] == stages["clean"]["outputs"]["out/identities.csv"]
 
 
+def _csv_rows(path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestCleanRepeatedDay:
+    """clean selects rows by position: a repeated vehicle-day is cleaned on its own fuel, not on its key."""
+
+    def test_noisy_and_low_repeats(self, finished_run, tmp_path):
+        out, cfg = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        # two training days in the middle of the largest cell's fuel, well inside its whiskers
+        cells: dict[tuple, list[dict]] = {}
+        for row in _csv_rows(out / "far_training.csv"):
+            cells.setdefault((row["vehicle_group"], row["route_type"]), []).append(row)
+        cell = sorted(max(cells.values(), key=len), key=lambda r: float(r["avg_fuel_consumption"]))
+        noisy, low = cell[len(cell) // 2], cell[len(cell) // 2 + 1]
+        keys = {"noisy": (noisy["vehicle_id"], noisy["date"]), "low": (low["vehicle_id"], low["date"])}
+
+        with open(out / "far_raw.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        header = rows[0]
+        key_of = lambda row: (row[header.index("vehicle_id")], row[header.index("date")])
+        fuel = header.index("trip_fuel_used"), header.index("avg_fuel_consumption")
+        written, repeats = [header], {}
+        for row in rows[1:]:
+            written.append(row)
+            for what, scale in (("noisy", 10.0), ("low", 0.1)):
+                if key_of(row) == keys[what]:
+                    repeat = list(row)
+                    for k in fuel:
+                        repeat[k] = repr(float(row[k]) * scale)
+                    written.append(repeat)
+                    repeats[what] = (row[fuel[1]], repeat[fuel[1]])
+        with open(copy / "far_raw.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(written)
+
+        assert run("clean", "--config", cfg, "--out", str(copy)) == 0
+        report = json.loads((copy / "clean_report.json").read_text())
+        before = json.loads((out / "clean_report.json").read_text())
+        assert (report["n_noise_fuel"], report["n_low_fuel"]) == (before["n_noise_fuel"] + 1, before["n_low_fuel"] + 1)
+
+        def fuels(table: str, what: str) -> list[str]:
+            return [r["avg_fuel_consumption"] for r in _csv_rows(copy / table)
+                    if (r["vehicle_id"], r["date"]) == keys[what]]
+
+        kept, noise = repeats["noisy"]
+        # the noisy repeat stays labeled (as an outlier) but is not trained on; its twin is both
+        assert sorted(fuels("far_labeled.csv", "noisy")) == sorted([kept, noise])
+        assert fuels("far_training.csv", "noisy") == [kept]
+        # the low repeat is cut from both tables; its twin stays in both
+        kept, _ = repeats["low"]
+        assert fuels("far_labeled.csv", "low") == [kept]
+        assert fuels("far_training.csv", "low") == [kept]
+
+
 class TestStageImports:
     """A stage run in a fresh interpreter imports only the modules it runs."""
 
@@ -337,21 +394,31 @@ def _rewrite(path, change) -> None:
     path.write_bytes(change(path.read_bytes()))
 
 
-#: each corruption of a FAR table, applied to its file
-FAR_CORRUPTIONS = {
-    "non-utf8": lambda path: _prefix_line(path, 3, b"\xff"),
-    "nul": lambda path: _prefix_line(path, 3, b"\x00"),
-    "empty": lambda path: path.write_bytes(b""),
-    "header-only": lambda path: _rewrite(path, lambda data: data[: data.index(b"\n") + 1]),
-    "duplicated-column": lambda path: _rewrite(path, lambda data: data.replace(b",date,", b",vehicle_id,", 1)),
-    "extra-field": lambda path: _prefix_line(path, 3, b"x,"),
-    "inf-distance": lambda path: _corrupt_cell(path, 3, "trip_kms", "inf"),
-    "negative-distance": lambda path: _corrupt_cell(path, 3, "trip_kms", "-50.0"),
-    "1e400-distance": lambda path: _corrupt_cell(path, 3, "trip_kms", "1e400"),
-    "crlf": lambda path: _rewrite(path, lambda data: data.replace(b"\n", b"\r\n")),
-    "bom": lambda path: _rewrite(path, lambda data: codecs.BOM_UTF8 + data),
-    "cut-in-half": lambda path: _rewrite(path, lambda data: data[: len(data) // 2]),
-}
+def _corruptions(second_column: bytes, cell_column: str, cell: str) -> dict:
+    """The twelve corruptions of a CSV artifact, each applied to its file.
+
+    ``duplicated-column`` renames the header's ``second_column`` to the first
+    column's name, ``vehicle_id``; the three cell corruptions, named
+    ``<how>-<cell>``, go on line 3's ``cell_column``.
+    """
+    return {
+        "non-utf8": lambda path: _prefix_line(path, 3, b"\xff"),
+        "nul": lambda path: _prefix_line(path, 3, b"\x00"),
+        "empty": lambda path: path.write_bytes(b""),
+        "header-only": lambda path: _rewrite(path, lambda data: data[: data.index(b"\n") + 1]),
+        "duplicated-column": lambda path: _rewrite(
+            path, lambda data: data.replace(b"," + second_column + b",", b",vehicle_id,", 1)),
+        "extra-field": lambda path: _prefix_line(path, 3, b"x,"),
+        f"inf-{cell}": lambda path: _corrupt_cell(path, 3, cell_column, "inf"),
+        f"negative-{cell}": lambda path: _corrupt_cell(path, 3, cell_column, "-50.0"),
+        f"1e400-{cell}": lambda path: _corrupt_cell(path, 3, cell_column, "1e400"),
+        "crlf": lambda path: _rewrite(path, lambda data: data.replace(b"\n", b"\r\n")),
+        "bom": lambda path: _rewrite(path, lambda data: codecs.BOM_UTF8 + data),
+        "cut-in-half": lambda path: _rewrite(path, lambda data: data[: len(data) // 2]),
+    }
+
+
+FAR_CORRUPTIONS = _corruptions(b"date", "trip_kms", "distance")
 #: (stage, FAR table it reads)
 FAR_READERS = [
     ("clean", "far_raw.csv"),
@@ -376,6 +443,22 @@ FAR_MAY_PASS = {
     ("inf-distance", "clean"): "far_raw.csv may hold non-finite fixed cells, such as an infinite avg fuel on a "
     "day under 5 km, which quality_filter drops; the stages after clean refuse them",
     ("1e400-distance", "clean"): "1e400 reads as inf; see inf-distance",
+}
+
+EXPLANATION_CORRUPTIONS = _corruptions(b"date_tx", "y_diff", "saving")
+#: (stage, explanation table it reads)
+EXPLANATION_READERS = [
+    ("evaluate", "explanations.csv"),
+    ("impact", "explanations.csv"),
+    ("evaluate", "explanations_prefilter.csv"),
+]
+#: the corruptions that may exit 0 in every explanation reader, and why; every other cell exits 2 naming the table
+EXPLANATION_MAY_PASS = {
+    "nul": "the NUL lands in a vehicle id, which is free text",
+    "crlf": "the csv module reads CRLF line ends",
+    "header-only": "a header-only table is a valid table without rows: no day had a saving",
+    "negative-saving": "a finite saving is a number: the reader checks that numbers are finite, not their sign, "
+    "which explain's own rows have by construction",
 }
 
 
@@ -415,6 +498,27 @@ class TestCorruptInputs:
         assert "Traceback" not in err
         if code == 2:
             assert str(out / table) in err
+
+    @pytest.mark.parametrize("how", list(EXPLANATION_CORRUPTIONS))
+    @pytest.mark.parametrize("stage, table", EXPLANATION_READERS)
+    def test_explanation_matrix(self, finished_run, tmp_path, capsys, stage, table, how):
+        out, cfg = self._copy(finished_run, tmp_path)
+        EXPLANATION_CORRUPTIONS[how](out / table)
+        capsys.readouterr()
+        code = run(stage, "--config", cfg, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code in ((0, 2) if how in EXPLANATION_MAY_PASS else (2,)), err
+        assert "Traceback" not in err
+        if code == 2:
+            assert str(out / table) in err
+
+    # the matrix puts inf and 1e400 on y_diff; these reach the per-day and the value columns
+    @pytest.mark.parametrize("column, text", [("avg_fuel_consumption", "nan"), ("feature_value", "-inf")])
+    @pytest.mark.parametrize("stage, table", EXPLANATION_READERS)
+    def test_non_finite_explanation_cell(self, finished_run, tmp_path, capsys, stage, table, column, text):
+        out, cfg = self._copy(finished_run, tmp_path)
+        _corrupt_cell(out / table, 3, column, text)
+        self._fails_naming(capsys, stage, cfg, out, f"{out / table}: line 3: {column} is not finite")
 
     @pytest.mark.parametrize("channel", ["TripFuel", "PerTimeCity", "count_jackrabbit", "mean_forward_acc"])
     def test_feed_sum_overflow(self, finished_run, tmp_path, capsys, channel):

@@ -574,7 +574,7 @@ class TestMonthlyImpact:
                 if f"{r.date.year:04d}-{r.date.month:02d}" == entry.month
             )
             expected_extra = sum(
-                row.y_diff * kms_by_day[row.day_key] / 100.0
+                row.y_diff * kms_by_day[row.vehicle_id, row.date_tx] / 100.0
                 for row in rows
                 if f"{row.date_tx.year:04d}-{row.date_tx.month:02d}" == entry.month
             )

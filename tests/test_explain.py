@@ -26,10 +26,8 @@ from fleetfuel.explain import (
     FuelMedians,
     ReferencePolicy,
     apply_business_rules,
-    fuel_saving,
     generate_daily_explanations,
     read_explanations_csv,
-    recompute_fuel_new,
     write_audit_log,
     write_explanations_csv,
     write_inlier_medians_csv,
@@ -38,7 +36,7 @@ from fleetfuel.ingest import DayTable
 from fleetfuel.model import DEFAULT_CATEGORICALS, AdditiveModel, FeatureColumn
 from fleetfuel.registry import FeatureSpec, TrainConfig
 
-from .conftest import make_record, make_registry
+from .conftest import fuel_saving, make_record, make_registry, recompute_fuel_new
 
 
 def step_model(shapes: dict[str, tuple[list[float], list[float]]], intercept=7.0,
@@ -97,8 +95,13 @@ class TestReferenceValue:
 
     def test_kind_matches_registry_flag(self, small_registry):
         policy = ReferencePolicy.from_records(small_registry, inlier_pool(small_registry))
-        assert policy.reference_kind("rpm_high") == "zero"
-        assert policy.reference_kind("mean_speed_hwy") == "median_inlier"
+        for spec in small_registry:
+            median = policy.feature_median(0, "highway", spec.name)
+            assert policy.reference_value(spec.name, 0, "highway") == (0.0 if spec.reference_zero else median)
+        # the same pool with rpm_high's flag cleared prices it at its median
+        registry = make_registry([replace(small_registry["rpm_high"], reference_zero=False)])
+        policy = ReferencePolicy.from_records(registry, inlier_pool(registry))
+        assert policy.reference_value("rpm_high", 0, "highway") == 3.0
 
 
 def fallback_pool():
@@ -332,7 +335,7 @@ class TestGenerateDailyExplanations:
         for row in rows:
             assert row.y_fuel_new == pytest.approx(9.96 - total)
             assert row.intercept == 7.25
-            assert row.y_pred == pytest.approx(model.predict(target))
+            assert row.y_pred == pytest.approx(model.predict_many(DayTable.from_rows([target]))[0])
             assert row.limit_group == limits.lookup(0, "highway").lim_sup
 
     def test_record_at_reference_everywhere(self, small_registry):
@@ -467,7 +470,7 @@ class TestBusinessRules:
         kept, _ = apply_business_rules(ExplanationTable.from_rows(rows), policy)
         totals = {}
         for row in kept:
-            totals.setdefault(row.day_key, []).append(row)
+            totals.setdefault((row.vehicle_id, row.date_tx), []).append(row)
         for day_rows in totals.values():
             total = sum(r.y_diff for r in day_rows)
             avg = day_rows[0].avg_fuel_consumption
@@ -619,9 +622,10 @@ def reference_explanations(model, records, policy, limits):
             )
     totals = {}
     for row in rows:
-        totals[row.day_key] = totals.get(row.day_key, 0.0) + row.y_diff
+        key = (row.vehicle_id, row.date_tx)
+        totals[key] = totals.get(key, 0.0) + row.y_diff
     return [
-        replace(row, y_fuel_new=recompute_fuel_new(row.avg_fuel_consumption, [totals[row.day_key]]))
+        replace(row, y_fuel_new=recompute_fuel_new(row.avg_fuel_consumption, [totals[row.vehicle_id, row.date_tx]]))
         for row in rows
     ]
 
@@ -896,6 +900,29 @@ class TestReadExplanationsCsv:
         with pytest.raises(FeedFormatError, match=r"expl\.csv: line 3"):
             read_explanations_csv(path, small_registry)
 
+    @pytest.mark.parametrize("column", [
+        "intercept", "feature_relevance", "feature_value", "target_value", "avg_fuel_consumption", "limit_group",
+        "y_pred", "y_diff", "y_fuel_new",
+    ])
+    def test_non_finite_number_names_line_and_column(self, small_registry, tmp_path, column):
+        model, inliers, target, limits, policy = explanation_setup(small_registry)
+        path = tmp_path / "expl.csv"
+        write_explanations_csv(explain_days(model, [target], policy, limits), path)
+        rows = list(csv.reader(path.read_text().splitlines()))
+        rows[2][rows[0].index(column)] = "nan"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        with pytest.raises(FeedFormatError, match=rf"expl\.csv: line 3: {column} is not finite \(nan\)"):
+            read_explanations_csv(path, small_registry)
+
+    def test_non_finite_looking_level_is_text(self, small_registry, tmp_path):
+        model, inliers, target, limits, policy = categorical_fallback_setup(small_registry)
+        path = tmp_path / "expl.csv"
+        write_explanations_csv(explain_days(model, [target] + inliers, policy, limits), path)
+        path.write_text(path.read_text().replace(",vehicle_group,0.05,1,0,", ",vehicle_group,0.05,inf,nan,"))
+        levels = [(r.feature_value, r.target_value) for r in read_explanations_csv(path, small_registry)
+                  if r.feature == "vehicle_group"]
+        assert levels == [("inf", "nan")]
+
     def test_short_row_is_a_format_error(self, small_registry, tmp_path):
         path = tmp_path / "expl.csv"
         path.write_text(",".join(("vehicle_id", "date_tx", "route_type", "vehicle_group", "intercept",
@@ -915,7 +942,8 @@ class TestReadExplanationsCsv:
 def _reference_day_totals(rows):
     totals = {}
     for row in rows:
-        totals[row.day_key] = totals.get(row.day_key, 0.0) + row.y_diff
+        key = (row.vehicle_id, row.date_tx)
+        totals[key] = totals.get(key, 0.0) + row.y_diff
     return totals
 
 
@@ -968,7 +996,7 @@ def reference_business_rules(rows, policy, rules=BR_ORDER, br2_threshold=0.01, b
         elif rule == "BR5":
             totals = _reference_day_totals(current)
             for row in current:
-                total = totals[row.day_key]
+                total = totals[row.vehicle_id, row.date_tx]
                 if total > br5_cap * row.avg_fuel_consumption:
                     drop(row, "BR5", {"total_saving": total, "avg_fuel": row.avg_fuel_consumption, "cap": br5_cap})
                 else:
@@ -976,7 +1004,7 @@ def reference_business_rules(rows, policy, rules=BR_ORDER, br2_threshold=0.01, b
         current = kept
     totals = _reference_day_totals(current)
     return [
-        replace(row, y_fuel_new=recompute_fuel_new(row.avg_fuel_consumption, [totals[row.day_key]]))
+        replace(row, y_fuel_new=recompute_fuel_new(row.avg_fuel_consumption, [totals[row.vehicle_id, row.date_tx]]))
         for row in current
     ], audit
 

@@ -20,13 +20,12 @@ from fleetfuel.gam import (
     build_design,
     fit,
     fit_matrix,
-    one_hot,
     write_shape_curves_csv,
     write_train_history_csv,
 )
 from fleetfuel.gam import _Column, _tree_deltas
 from fleetfuel.ingest import DayTable
-from fleetfuel.registry import TrainConfig
+from fleetfuel.registry import FeatureRegistry, TrainConfig
 
 from .conftest import make_record
 
@@ -38,21 +37,23 @@ def numeric_column(name):
 
 
 class TestOneHot:
+    """Indicator columns: build_design over an empty registry makes only those."""
+
     def test_two_groups_two_columns(self):
         records = [make_record(vehicle_group=0), make_record(vehicle_id="v2", vehicle_group=14)]
-        matrix, columns = one_hot(DayTable.from_rows(records), ("vehicle_group",))
+        matrix, columns = build_design(DayTable.from_rows(records), FeatureRegistry([]), ("vehicle_group",))
         assert [c.name for c in columns] == ["vehicle_group=0", "vehicle_group=14"]
         assert matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_single_level_constant_column(self):
         records = [make_record(), make_record(vehicle_id="v2")]
-        matrix, columns = one_hot(DayTable.from_rows(records), ("route_type",))
+        matrix, columns = build_design(DayTable.from_rows(records), FeatureRegistry([]), ("route_type",))
         assert [c.name for c in columns] == ["route_type=highway"]
         assert matrix.tolist() == [[1.0], [1.0]]
 
     def test_unseen_level_all_zeros(self):
         train = [make_record(route_type="city"), make_record(vehicle_id="v2", route_type="highway")]
-        _, columns = one_hot(DayTable.from_rows(train), ("route_type",))
+        _, columns = build_design(DayTable.from_rows(train), FeatureRegistry([]), ("route_type",))
         model = _tiny_model(columns)
         unseen = make_record(vehicle_id="v3", route_type="combined")
         assert [cells[0] for cells in model.encode(DayTable.from_rows([unseen]))] == [0.0, 0.0]
@@ -209,10 +210,10 @@ class TestPredictAndRelevance:
 
     def test_exact_decomposition(self, small_registry):
         model, records = self._trained(small_registry)
-        for rec in records[:40]:
-            relevance = model.feature_relevance(rec)
-            total = model.intercept + np.array(list(relevance.values())).sum()
-            assert model.predict(rec) == total
+        table = DayTable.from_rows(records[:40])
+        C = model.contributions(model.encode(table))
+        for i, pred in enumerate(model.predict_many(table)):
+            assert pred == model.intercept + np.array([c[i] for c in C]).sum()
 
     def test_all_zero_shapes_predict_intercept(self, small_registry):
         records = [
@@ -220,8 +221,9 @@ class TestPredictAndRelevance:
             for i in range(25)
         ]
         model = fit(DayTable.from_rows(records), small_registry, FAST)
-        assert model.predict(records[0]) == 7.25
-        assert all(v == 0.0 for v in model.feature_relevance(records[0]).values())
+        first = DayTable.from_rows(records[:1])
+        assert model.predict_many(first) == [7.25]
+        assert all(c == [0.0] for c in model.contributions(model.encode(first)))
 
     def test_clamping_to_edge_bin(self, small_registry):
         model, records = self._trained(small_registry)
@@ -234,7 +236,7 @@ class TestPredictAndRelevance:
         model, _ = self._trained(small_registry)
         bad = make_record(features={"rpm_high": 1.0})
         with pytest.raises(MissingFeatureError):
-            model.predict(bad)
+            model.predict_many(DayTable.from_rows([bad]))
 
 
 class TestShapeCurve:
@@ -295,8 +297,8 @@ class TestSerialization:
         path = tmp_path / "model.json"
         model.save_json(path)
         loaded = AdditiveModel.load_json(path)
-        for rec in records[:10]:
-            assert loaded.predict(rec) == model.predict(rec)
+        table = DayTable.from_rows(records[:10])
+        assert loaded.predict_many(table) == model.predict_many(table)
 
     @pytest.mark.parametrize(
         "mangle",
@@ -376,9 +378,10 @@ class TestMatrixPath:
         model, records = self._model_and_records(small_registry)
         many = model.predict_many(DayTable.from_rows(records))
         for i, rec in enumerate(records):
-            assert many[i] == model.predict(rec)
-            relevance = model.feature_relevance(rec)
-            assert model.predict(rec) == model.intercept + float(np.array(list(relevance.values())).sum())
+            one = DayTable.from_rows([rec])
+            assert many[i] == model.predict_many(one)[0]
+            contributions = [c[0] for c in model.contributions(model.encode(one))]
+            assert many[i] == model.intercept + float(np.array(contributions).sum())
         assert model.predict_many(DayTable.from_rows([])) == []
 
     def test_encode_reports_first_bad_record(self, small_registry):

@@ -68,7 +68,7 @@ class TestFeatureRegistry:
         )
         registry = FeatureRegistry.from_csv(path)
         assert registry["foo"].actionable is False
-        assert registry.actionable_names == ()
+        assert [spec.name for spec in registry if spec.actionable] == []
 
 
 class TestVinMap:
@@ -94,7 +94,7 @@ class TestVinMap:
         vin = self.map(tmp_path)
         ids = ["VG00-1", "VG01-1", "XX-1", "VG00-2"]
         identities = assign_groups(ids, vin)
-        groups = {i.group_key: i.vehicle_group for i in identities.values()}
+        groups = {(i.make, i.model, i.year, i.fuel_type): i.vehicle_group for i in identities.values()}
         assert sorted(groups.values()) == list(range(len(groups)))
         assert identities["VG00-1"].vehicle_group == identities["VG00-2"].vehicle_group
 

@@ -56,7 +56,7 @@ class TestNoiselessIdentity:
         identities = assign_groups(sorted({r.vehicle_id for r in records}), vin_map)
         records = enrich_records(records, identities)
 
-        truth = {d.day_key: d for d in fleet.days}
+        truth = {(d.vehicle_id, d.date): d for d in fleet.days}
         assert len(records) == len(truth)
         for rec in records:
             day = truth[(rec.vehicle_id, rec.date)]
