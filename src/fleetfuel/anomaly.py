@@ -206,5 +206,6 @@ def _anomaly_limits(row: dict[str, str]) -> AnomalyLimits:
 
 
 def read_limits_csv(path: str | Path) -> LimitTable:
-    rows = read_table(path, None, LIMITS_COLUMNS, _anomaly_limits)
+    key = "limits of group {0.vehicle_group} on {0.route_type}"
+    rows = read_table(path, None, LIMITS_COLUMNS, _anomaly_limits, key)
     return LimitTable({(lim.vehicle_group, lim.route_type): lim for lim in rows})

@@ -40,6 +40,9 @@ R2_MODERATE = "moderate"
 R2_WEAK = "weak"
 R2_NONE = "none"
 
+#: the registry category whose extra liters the CO2 column converts
+BEHAVIOUR_CATEGORY = "Driving Behaviour"
+
 
 def train_test_split(table: DayTable, fraction: float = 0.9, seed: int = 0) -> tuple[DayTable, DayTable]:
     """Seeded shuffle then split; both partitions non-empty.
@@ -254,14 +257,13 @@ def aggregate_category_impact(
     subcategory = [
         None if spec is None else (spec.category, spec.subcategory) for spec in map(registry.get, table.features)
     ]
-    keys, _ = table.day_ids()
     avg = table.avg_fuel.tolist()
     per_day: dict[int, dict[tuple[str, str], float]] = {}
     for d, f, y_diff in zip(table.day, table.feature, table.y_diff):
         key = subcategory[f]
         if key is None:
             continue
-        impacts = per_day.setdefault(keys[d], {})
+        impacts = per_day.setdefault(d, {})
         impacts[key] = impacts.get(key, 0.0) + divide(y_diff, avg[d])
 
     buckets: dict[tuple[str, str], list[float]] = {}
@@ -393,11 +395,7 @@ def catalog_mape(
     Vehicles with no catalog identity are excluded from the catalog
     comparison and counted.
     """
-    # the day slot of each (vehicle, date)'s first row carries its projected fuel
-    keys, key_days = table.day_ids()
-    day_slot: dict[tuple, int] = {}
-    for d in table.day:
-        day_slot.setdefault(key_days[keys[d]], d)
+    slots = sorted(set(table.day))
     fuel_new = table.y_fuel_new.tolist()
     label_by_day = dict(zip(days.day_keys(), days.anomaly_label))
 
@@ -405,18 +403,12 @@ def catalog_mape(
     mape2: list[float] = []
     mape3: list[float] = []
     below = 0
-    n_catalog_days = 0
-    unmatched = 0
-    for key in sorted(day_slot):
-        d = day_slot[key]
+    for d in slots:
         y_new = fuel_new[d]
         route = table.route_type[d]
         ident = identities.get(table.vehicle_id[d])
         ref = catalog.lookup(ident, route) if ident is not None else None
-        if ref is None:
-            unmatched += 1
-        else:
-            n_catalog_days += 1
+        if ref is not None:
             mape1.append(abs(y_new - ref) / ref)
             if y_new < ref - offset:
                 below += 1
@@ -424,7 +416,7 @@ def catalog_mape(
         if med is not None and med > 0:
             value = abs(y_new - med) / med
             mape2.append(value)
-            if label_by_day.get(key) == LABEL_OUTLIER:
+            if label_by_day.get((table.vehicle_id[d], table.date_tx[d])) == LABEL_OUTLIER:
                 mape3.append(value)
 
     return CatalogMapeReport(
@@ -438,10 +430,10 @@ def catalog_mape(
         pct_mape2_lt_50=_share_below(mape2, 0.5) if mape2 else None,
         pct_mape2_lt_20=_share_below(mape2, 0.2) if mape2 else None,
         pct_mape2_lt_10=_share_below(mape2, 0.1) if mape2 else None,
-        pct_below_catalog=(100.0 * below / n_catalog_days) if n_catalog_days else None,
-        n_days=len(day_slot),
-        n_catalog_days=n_catalog_days,
-        n_unmatched=unmatched,
+        pct_below_catalog=(100.0 * below / len(mape1)) if mape1 else None,
+        n_days=len(slots),
+        n_catalog_days=len(mape1),
+        n_unmatched=len(slots) - len(mape1),
     )
 
 
@@ -467,7 +459,6 @@ def monthly_impact(
     fleet: str,
     co2_per_liter: float = CO2_KG_PER_LITER,
     price_per_liter: float | None = None,
-    behaviour_category: str = "Driving Behaviour",
 ) -> list[MonthlyImpact]:
     """Fuel burned, claimed extra liters and the CO2 behind the behaviour part.
 
@@ -487,7 +478,7 @@ def monthly_impact(
     day_kms = [kms_by_day.get(key) for key in zip(table.vehicle_id, table.date_tx)]
     day_month = [f"{d.year:04d}-{d.month:02d}" for d in table.date_tx]
     behaviour = [
-        spec is not None and spec.category == behaviour_category for spec in map(registry.get, table.features)
+        spec is not None and spec.category == BEHAVIOUR_CATEGORY for spec in map(registry.get, table.features)
     ]
     for d, f, y_diff in zip(table.day, table.feature, table.y_diff):
         kms = day_kms[d]

@@ -38,14 +38,14 @@ the five fuel figures as ``array('d')``).  Each business rule is one list
 mask over the surviving rows, with the comparison a row-by-row filter
 makes, so a NaN falls the same way, and a ratio to a zero fuel is ±inf or
 NaN as IEEE 754 divides; audit entries are built for the dropped rows
-only.  Day totals (BR5 and ``y_fuel_new``) are running per-day sums in row
-order.  The CSV writer formats each day's cells and each repeated float
-once, and audit lines are assembled from cached JSON string escapes and
-``float.__repr__``, byte for byte what ``json.dumps(..., sort_keys=True)``
-writes.  ``ExplanationRow`` is the table's row view; its fields are the
-CSV columns, and ``from_rows`` and the CSV reader share
-``ExplanationTable._build``, which gives consecutive rows with equal day
-cells one slot.
+only.  A day slot is one vehicle-day, and its totals (BR5 and
+``y_fuel_new``) are running per-slot sums in row order.  The CSV writer
+formats each day's cells and each repeated float once, and audit lines are
+assembled from cached JSON string escapes and ``float.__repr__``, byte for
+byte what ``json.dumps(..., sort_keys=True)`` writes.  ``ExplanationRow``
+is the table's row view; its fields are the CSV columns, and ``from_rows``
+and the CSV reader share ``ExplanationTable._build``, which gives rows with
+equal day cells one slot wherever they occur.
 """
 
 from __future__ import annotations
@@ -214,13 +214,12 @@ class ExplanationTable:
 
     Row p recommends moving ``features[feature[p]]`` on day slot ``day[p]``
     from ``value[p]`` to ``target[p]``, saving ``y_diff[p]`` L/100 km.  A
-    day slot holds what every row of one vehicle-day repeats.  Tables
-    filtered from one another share their day columns, except ``y_fuel_new``,
-    which each table computes from its own rows.  Slots are storage, not
-    identities: two slots may hold the same (vehicle, date), and day totals
-    are taken per (vehicle, date).  The per-day floats are ``array('d')``,
-    every other column a list; ``value`` and ``target`` hold floats, or
-    levels (str) on categorical rows.
+    day slot is one vehicle-day: it holds what every row of that day
+    repeats, and day totals are summed per slot.  Tables filtered from one
+    another share their day columns, except ``y_fuel_new``, which each
+    table computes from its own rows.  The per-day floats are
+    ``array('d')``, every other column a list; ``value`` and ``target``
+    hold floats, or levels (str) on categorical rows.
     """
 
     # per day slot
@@ -244,37 +243,36 @@ class ExplanationTable:
 
     @classmethod
     def _build(
-        cls, rows: Iterable[Sequence], day_cells: Callable = _same, number: Callable = float,
-        level: Callable[[str], Callable] = lambda feature: _same,
+        cls, rows: Iterable[Sequence], day_cells: Callable = _same, level: Callable[[str], Callable] = lambda f: _same
     ) -> "ExplanationTable":
         """The table of rows given as cells in ``EXPLANATION_COLUMNS`` order, in order.
 
-        Consecutive rows with equal day cells share a slot, whose fields
-        ``day_cells`` makes once; ``number`` makes each relevance and y_diff,
-        and ``level(feature)``, asked once per feature, makes each value and
-        target of that feature's rows.  A row of another length raises
+        Rows with equal day cells share a slot wherever they occur, whose
+        fields ``day_cells`` makes once; ``level(feature)``, asked once per
+        feature, makes each value and target of that feature's rows, and
+        relevance and y_diff are floats.  A row of another length raises
         ValueError.
         """
         days: list[tuple] = []
         codes: dict[str, int] = {}
         levels: list[Callable] = []
         day, feature, relevance, value, target, y_diff = [], [], [], [], [], []
-        previous, slot = None, -1
+        slots: dict[tuple, int] = {}
         for vid, date_tx, route, group, icpt, name, rel, val, tgt, avg, limit, pred, dy, fuel_new in rows:
             head = (vid, date_tx, route, group, icpt, avg, limit, pred, fuel_new)
-            if head != previous:
+            slot = slots.setdefault(head, len(slots))
+            if slot == len(days):
                 days.append(day_cells(head))
-                previous, slot = head, slot + 1
             code = codes.get(name)
             if code is None:
                 code = codes[name] = len(levels)
                 levels.append(level(name))
             day.append(slot)
             feature.append(code)
-            relevance.append(number(rel))
+            relevance.append(float(rel))
             value.append(levels[code](val))
             target.append(levels[code](tgt))
-            y_diff.append(number(dy))
+            y_diff.append(float(dy))
         columns = [list(c) for c in zip(*days)] if days else [[] for _ in range(9)]
         return cls(
             *columns[:4], *(array("d", c) for c in columns[4:]), tuple(codes),
@@ -283,7 +281,7 @@ class ExplanationTable:
 
     @classmethod
     def from_rows(cls, rows: Iterable[ExplanationRow]) -> "ExplanationTable":
-        """The table of these rows, in order; consecutive rows with equal day fields share a slot."""
+        """The table of these rows, in order; rows with equal day fields share a slot."""
         return cls._build(map(attrgetter(*EXPLANATION_COLUMNS), rows))
 
     def __len__(self) -> int:
@@ -306,29 +304,20 @@ class ExplanationTable:
         return list(map(ExplanationRow, vid, date_tx, route, group, icpt, feature, self.relevance, self.value,
                         self.target, avg, limit, pred, self.y_diff, fuel_new))
 
-    def day_ids(self) -> tuple[list[int], list[tuple[str, date_type]]]:
-        """Per slot, the id of its (vehicle, date), and the (vehicle, date) of each id."""
-        ids: dict[tuple[str, date_type], int] = {}
-        keys = [ids.setdefault(key, len(ids)) for key in zip(self.vehicle_id, self.date_tx)]
-        return keys, list(ids)
-
     def day_totals(self) -> dict[tuple[str, date_type], float]:
-        """Summed y_diff per (vehicle, date), added in row order."""
-        keys, days = self.day_ids()
-        return dict(zip(days, _sum_by(map(keys.__getitem__, self.day), self.y_diff, len(days))))
+        """Summed y_diff per slot, added in row order, keyed by the slot's (vehicle, date)."""
+        return dict(zip(zip(self.vehicle_id, self.date_tx), _sum_by(self.day, self.y_diff, len(self.vehicle_id))))
 
     def n_vehicle_days(self) -> int:
-        """Distinct (vehicle, date) among the rows."""
-        keys, _ = self.day_ids()
-        return len({keys[d] for d in set(self.day)})
+        """Day slots that hold a row."""
+        return len(set(self.day))
 
-    def _select(self, index: Sequence[int] | None, keys: list[int], n_keys: int) -> "ExplanationTable":
+    def _select(self, index: Sequence[int] | None) -> "ExplanationTable":
         """The rows at ``index`` (every row when None), in order, with y_fuel_new recomputed over them."""
         columns = ("day", "feature", "relevance", "value", "target", "y_diff")
         rows = {} if index is None else {c: list(map(getattr(self, c).__getitem__, index)) for c in columns}
         table = replace(self, **rows)
-        totals = _sum_by(map(keys.__getitem__, table.day), table.y_diff, n_keys)
-        table.y_fuel_new = array("d", [avg - totals[k] for avg, k in zip(self.avg_fuel, keys)])
+        table.y_fuel_new = array("d", map(sub, self.avg_fuel, _sum_by(table.day, table.y_diff, len(self.avg_fuel))))
         return table
 
 
@@ -435,8 +424,7 @@ def generate_daily_explanations(
         target=list(map(getitem, map(targets.__getitem__, map(cell_of.__getitem__, day)), feature)),
         y_diff=at_hits(saving),
     )
-    keys, key_days = table.day_ids()
-    return table._select(None, keys, len(key_days))
+    return table._select(None)
 
 
 @dataclass
@@ -466,7 +454,6 @@ def apply_business_rules(
     """
     registry = policy.registry
     names = table.features
-    keys, key_days = table.day_ids()
     day, feature, value, y_diff = table.day, table.feature, table.value, table.y_diff
     avg = table.avg_fuel.tolist()
     iso = [d.isoformat() for d in table.date_tx]
@@ -509,9 +496,8 @@ def apply_business_rules(
             why = lambda j: {"feature_value": value[alive[j]], "median_inlier": median[j],
                              "impact_type": specs[feature[alive[j]]].impact_type}
         elif rule == "BR5":
-            row_keys = list(_at(keys, day, alive))
-            totals = _sum_by(row_keys, map(y_diff.__getitem__, alive), len(key_days))
-            total = list(map(totals.__getitem__, row_keys))
+            totals = _sum_by(map(day.__getitem__, alive), map(y_diff.__getitem__, alive), len(avg))
+            total = list(_at(totals, day, alive))
             keep = [not t > br5_cap * a for t, a in zip(total, _at(avg, day, alive))]
             why = lambda j: {"total_saving": total[j], "avg_fuel": avg[day[alive[j]]], "cap": br5_cap}
         else:
@@ -522,7 +508,7 @@ def apply_business_rules(
                      _at(names, feature, rows), map(why, dropped))
         alive = list(itertools.compress(alive, keep))
 
-    return table._select(alive, keys, len(key_days)), audit
+    return table._select(alive), audit
 
 
 # ---------------------------------------------------------------------------
@@ -593,19 +579,20 @@ def _parse_day(cells: tuple[str, ...]) -> tuple:
 def read_explanations_csv(path: str | Path, registry: FeatureRegistry) -> ExplanationTable:
     """The table written by write_explanations_csv; a bad row raises FeedFormatError naming file and line.
 
-    Consecutive rows with the same per-day cells share a day slot, so those
-    cells are parsed once per day.  As BR1 does, a row is numeric when its
-    feature is in the registry: its value and target are floats.  Any other
-    row is categorical and keeps its levels as text.  Every number must be
-    finite: the first non-finite cell, row by row, raises naming its line
-    (row p is on line p + 2).
+    Rows with the same per-day cells share a day slot, so those cells are
+    parsed once per day.  As BR1 does, a row is numeric when its feature is
+    in the registry: its value and target are floats.  Any other row is
+    categorical and keeps its levels as text.  Every number must be finite:
+    the first non-finite cell, row by row, raises naming its line (row p is
+    on line p + 2).  Then the first row that puts a vehicle-day in a second
+    slot, or names its slot's feature again, raises naming both lines.
     """
     with csv_reader(path) as reader:
         header = next(reader, None)
         if header != list(EXPLANATION_COLUMNS):
             raise FeedFormatError(f"{path}: unexpected explanation columns {header}")
         level = lambda feature: float if feature in registry else _same
-        table = ExplanationTable._build(reader, _parse_day, float, level)
+        table = ExplanationTable._build(reader, _parse_day, level)
     numeric = list(map([name in registry for name in table.features].__getitem__, table.feature))
     numbers = (table.relevance, table.y_diff, itertools.compress(table.value, numeric),
                itertools.compress(table.target, numeric), table.intercept, table.avg_fuel, table.limit_group,
@@ -616,6 +603,16 @@ def read_explanations_csv(path: str | Path, registry: FeatureRegistry) -> Explan
                 cell = getattr(row, name)
                 if type(cell) is float and not math.isfinite(cell):
                     raise FeedFormatError(f"{path}: line {p + 2}: {name} is not finite ({cell!r})")
+    keys = list(zip(table.vehicle_id, table.date_tx))
+    if len(set(keys)) < len(keys) or len(set(zip(table.day, table.feature))) < len(table):
+        slot_of: dict[tuple[str, date_type], tuple[int, int]] = {}  # each vehicle-day's slot and first line
+        line_of: dict[tuple[int, int], int] = {}  # each (slot, feature)'s line
+        for line, d, f in zip(itertools.count(2), table.day, table.feature):
+            slot, seen = slot_of.setdefault(keys[d], (d, line))
+            seen = line_of.setdefault((d, f), line) if slot == d else seen
+            if seen != line:
+                vehicle, day = keys[d]
+                raise FeedFormatError(f"{path}: line {line}: vehicle-day {vehicle}/{day} repeats line {seen}")
     return table
 
 

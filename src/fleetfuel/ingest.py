@@ -8,6 +8,8 @@ missing feature values from group medians.
 
 ``parse_feed`` puts each row straight into its (vehicle, UTC day) and
 channel sample list; ``aggregate_daily`` reduces and frees them day by day.
+A FAR file holds one row per vehicle-day: ``read_far_csv`` refuses a
+repeated (vehicle, date).
 
 Every stage holds its vehicle-days in one ``DayTable``: one list per FAR
 fixed column and one per registry feature, in registry order.  A cell is a
@@ -519,7 +521,8 @@ _CELL_PARSERS = (str, date.fromisoformat, str, int, int, str, _number)
 def read_far_csv(path: str | Path, registry: FeatureRegistry) -> DayTable:
     """The table written by write_far_csv, under an exact header, every cell parsed column by column.
 
-    The first row of the wrong width or with a cell that does not parse raises FeedFormatError naming file and line.
+    The first row of the wrong width or with a cell that does not parse raises FeedFormatError naming file and line;
+    then the first row that repeats a (vehicle, date) raises naming both lines.
     """
     columns = FAR_FIXED_COLUMNS + registry.names
     with csv_reader(path) as reader:
@@ -547,5 +550,9 @@ def read_far_csv(path: str | Path, registry: FeatureRegistry) -> DayTable:
                     parse(cell)
                 except ValueError as exc:
                     raise FeedFormatError(f"{path}: line {line}: {exc}") from None
+    first: dict[tuple[str, date], int] = {}
+    for line, key in enumerate(zip(cells[0], cells[1]), 2):
+        if first.setdefault(key, line) != line:
+            raise FeedFormatError("{}: line {}: vehicle-day {}/{} repeats line {}".format(path, line, *key, first[key]))
     n_fixed = len(FAR_FIXED_COLUMNS)
     return DayTable(*cells[:n_fixed], dict(zip(registry.names, cells[n_fixed:])))

@@ -42,26 +42,33 @@ def read_table(
     packaged: str | None,
     columns: Sequence[str],
     parse: Callable[[dict[str, str]], T],
+    key: str | None = None,
 ) -> list[T]:
     """Rows of a CSV table, each parsed from a dict of its stripped cells.
 
     Reads ``path``, or the packaged data file named ``packaged`` when path
     is None.  The header must hold every name in ``columns``; blank lines
     are skipped.  A missing column, a row whose field count differs from
-    the header's, or a row whose ``parse`` raises ValueError or
-    FleetFuelError raises FeedFormatError as ``<file>: line N: <reason>``,
-    and a byte that is not UTF-8 as ``<file>: not UTF-8 text``.
+    the header's, a row whose ``parse`` raises ValueError or
+    FleetFuelError, or a row whose key (``key.format`` of the parsed row,
+    so that ``01`` and ``1`` are one int) equals an earlier row's raises
+    FeedFormatError as ``<file>: line N: <reason>``, and a byte that is not
+    UTF-8 as ``<file>: not UTF-8 text``.
     """
     with csv_reader(path, packaged, (ValueError, csv.Error, FleetFuelError)) as reader:
         header = next(reader, [])
         missing = sorted(set(columns) - set(header))
         if missing:
             raise ValueError(f"missing columns {missing}")
-        rows = []
+        rows, first = [], {}
         for row in filter(None, reader):  # an empty list is a blank line
             if len(row) != len(header):
                 raise ValueError(f"row does not have the header's {len(header)} fields")
             rows.append(parse(dict(zip(header, map(str.strip, row)))))
+            if key is not None:
+                name = key.format(rows[-1])
+                if first.setdefault(name, reader.line_num) != reader.line_num:
+                    raise ValueError(f"duplicate {name} (first on line {first[name]})")
     return rows
 
 
@@ -344,17 +351,8 @@ class FeatureRegistry:
 
 def _read_specs(path: str | Path | None) -> list[FeatureSpec]:
     """Registry rows of a file (the packaged one for None); a repeated name is an error on its line."""
-    seen: set[str] = set()
-    spec = row_parser(FeatureSpec)
-
-    def parse(row: dict[str, str]) -> FeatureSpec:
-        if row["name"] in seen:
-            raise ValueError(f"duplicate feature name {row['name']!r}")
-        seen.add(row["name"])
-        return spec(row)
-
     required = [name for name in table_columns(FeatureSpec) if name != "description"]
-    return read_table(path, "feature_registry.csv", required, parse)
+    return read_table(path, "feature_registry.csv", required, row_parser(FeatureSpec), "feature name {0.name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +386,7 @@ class VinMap:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "VinMap":
-        return cls(dict(read_table(path, None, VIN_MAP_COLUMNS, _vin_entry)))
+        return cls(dict(read_table(path, None, VIN_MAP_COLUMNS, _vin_entry, "vin_prefix {0[0]!r}")))
 
     def lookup(self, vehicle_id: str) -> tuple[str, str, str, str]:
         """Longest vin_prefix matching the start of vehicle_id, else unknown."""
@@ -433,7 +431,9 @@ def write_identities_csv(
 
 
 def read_identities_csv(path: str | Path) -> dict[str, VehicleIdentity]:
-    rows = read_table(path, None, table_columns(VehicleIdentity), row_parser(VehicleIdentity))
+    rows = read_table(
+        path, None, table_columns(VehicleIdentity), row_parser(VehicleIdentity), "vehicle {0.vehicle_id!r}"
+    )
     return {ident.vehicle_id: ident for ident in rows}
 
 
@@ -512,7 +512,8 @@ class SotaLimit:
 
 def load_sota_limits(path: str | Path | None = None) -> dict[tuple[str, str], SotaLimit]:
     """Literature impact limits per (category, subcategory), in percent."""
-    limits = read_table(path, "sota_limits.csv", table_columns(SotaLimit), row_parser(SotaLimit))
+    key = "limits of {0.category}/{0.subcategory}"
+    limits = read_table(path, "sota_limits.csv", table_columns(SotaLimit), row_parser(SotaLimit), key)
     return {(lim.category, lim.subcategory): lim for lim in limits}
 
 

@@ -23,7 +23,7 @@ from fleetfuel.anomaly import (
     two_phase_clean,
     write_limits_csv,
 )
-from fleetfuel.errors import InsufficientSupportError
+from fleetfuel.errors import FeedFormatError, InsufficientSupportError
 from fleetfuel.ingest import DayTable
 
 from .conftest import make_record
@@ -227,3 +227,13 @@ class TestLimitsCsv:
             b.n_support,
             b.borrowed,
         )
+
+    def test_repeated_cell_is_refused_as_parsed(self, tmp_path):
+        # group 00 is group 0: the repeat is found on the parsed key, not on the cell text
+        path = tmp_path / "limits.csv"
+        write_limits_csv(compute_limits(records_with_fuel([2, 4, 6, 8, 100])), path)
+        header, row = path.read_text().splitlines()
+        path.write_text(f"{header}\n{row}\n0{row}\n")
+        repeat = r"limits\.csv: line 3: duplicate limits of group 0 on highway \(first on line 2\)"
+        with pytest.raises(FeedFormatError, match=repeat):
+            read_limits_csv(path)

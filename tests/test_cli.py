@@ -291,9 +291,9 @@ def _csv_rows(path) -> list[dict]:
 
 
 class TestCleanRepeatedDay:
-    """clean selects rows by position: a repeated vehicle-day is cleaned on its own fuel, not on its key."""
+    """A FAR file holds one row per vehicle-day: clean refuses a repeated one, naming the repeat's line."""
 
-    def test_noisy_and_low_repeats(self, finished_run, tmp_path):
+    def test_noisy_and_low_repeats(self, finished_run, tmp_path, capsys):
         out, cfg = finished_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
@@ -310,7 +310,7 @@ class TestCleanRepeatedDay:
         header = rows[0]
         key_of = lambda row: (row[header.index("vehicle_id")], row[header.index("date")])
         fuel = header.index("trip_fuel_used"), header.index("avg_fuel_consumption")
-        written, repeats = [header], {}
+        written, repeats = [header], []
         for row in rows[1:]:
             written.append(row)
             for what, scale in (("noisy", 10.0), ("low", 0.1)):
@@ -319,27 +319,18 @@ class TestCleanRepeatedDay:
                     for k in fuel:
                         repeat[k] = repr(float(row[k]) * scale)
                     written.append(repeat)
-                    repeats[what] = (row[fuel[1]], repeat[fuel[1]])
+                    repeats.append((len(written), keys[what]))  # the repeat's line, as the header is line 1
         with open(copy / "far_raw.csv", "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(written)
+        before = (copy / "far_labeled.csv").read_bytes()
 
-        assert run("clean", "--config", cfg, "--out", str(copy)) == 0
-        report = json.loads((copy / "clean_report.json").read_text())
-        before = json.loads((out / "clean_report.json").read_text())
-        assert (report["n_noise_fuel"], report["n_low_fuel"]) == (before["n_noise_fuel"] + 1, before["n_low_fuel"] + 1)
-
-        def fuels(table: str, what: str) -> list[str]:
-            return [r["avg_fuel_consumption"] for r in _csv_rows(copy / table)
-                    if (r["vehicle_id"], r["date"]) == keys[what]]
-
-        kept, noise = repeats["noisy"]
-        # the noisy repeat stays labeled (as an outlier) but is not trained on; its twin is both
-        assert sorted(fuels("far_labeled.csv", "noisy")) == sorted([kept, noise])
-        assert fuels("far_training.csv", "noisy") == [kept]
-        # the low repeat is cut from both tables; its twin stays in both
-        kept, _ = repeats["low"]
-        assert fuels("far_labeled.csv", "low") == [kept]
-        assert fuels("far_training.csv", "low") == [kept]
+        capsys.readouterr()
+        assert run("clean", "--config", cfg, "--out", str(copy)) == 2
+        line, (vehicle, day) = min(repeats)
+        assert f"{copy / 'far_raw.csv'}: line {line}: vehicle-day {vehicle}/{day} repeats line {line - 1}" in (
+            capsys.readouterr().err
+        )
+        assert (copy / "far_labeled.csv").read_bytes() == before
 
 
 class TestStageImports:
@@ -395,11 +386,12 @@ def _rewrite(path, change) -> None:
 
 
 def _corruptions(second_column: bytes, cell_column: str, cell: str) -> dict:
-    """The twelve corruptions of a CSV artifact, each applied to its file.
+    """The thirteen corruptions of a CSV artifact, each applied to its file.
 
     ``duplicated-column`` renames the header's ``second_column`` to the first
     column's name, ``vehicle_id``; the three cell corruptions, named
-    ``<how>-<cell>``, go on line 3's ``cell_column``.
+    ``<how>-<cell>``, go on line 3's ``cell_column``; ``repeated-row``
+    appends a copy of line 3.
     """
     return {
         "non-utf8": lambda path: _prefix_line(path, 3, b"\xff"),
@@ -415,6 +407,7 @@ def _corruptions(second_column: bytes, cell_column: str, cell: str) -> dict:
         "crlf": lambda path: _rewrite(path, lambda data: data.replace(b"\n", b"\r\n")),
         "bom": lambda path: _rewrite(path, lambda data: codecs.BOM_UTF8 + data),
         "cut-in-half": lambda path: _rewrite(path, lambda data: data[: len(data) // 2]),
+        "repeated-row": lambda path: _rewrite(path, lambda data: data + data.split(b"\n")[2] + b"\n"),
     }
 
 
@@ -498,6 +491,7 @@ class TestCorruptInputs:
         assert "Traceback" not in err
         if code == 2:
             assert str(out / table) in err
+        self._names_repeat(how, out / table, err)
 
     @pytest.mark.parametrize("how", list(EXPLANATION_CORRUPTIONS))
     @pytest.mark.parametrize("stage, table", EXPLANATION_READERS)
@@ -511,6 +505,14 @@ class TestCorruptInputs:
         assert "Traceback" not in err
         if code == 2:
             assert str(out / table) in err
+        self._names_repeat(how, out / table, err)
+
+    @staticmethod
+    def _names_repeat(how, path, err):
+        """A repeated row is refused on its own line, the file's last, naming line 3."""
+        if how == "repeated-row":
+            last = len(path.read_bytes().splitlines())
+            assert f"{path}: line {last}: vehicle-day " in err and "repeats line 3" in err, err
 
     # the matrix puts inf and 1e400 on y_diff; these reach the per-day and the value columns
     @pytest.mark.parametrize("column, text", [("avg_fuel_consumption", "nan"), ("feature_value", "-inf")])
@@ -770,6 +772,30 @@ class TestCorruptInputs:
         self._fails_naming(capsys, "clean", cfg, out, str(manifest))
         # refused before the stage ran: nothing rewrote the manifest
         assert manifest.read_text() == text[: len(text) // 2]
+
+    @pytest.mark.parametrize(
+        "stage, name, config_key, key",
+        [
+            ("explain", "limits.csv", None, "limits of group "),
+            ("evaluate", "identities.csv", None, "vehicle '"),
+            ("ingest", "vin_map.csv", "vin_map", "vin_prefix '"),
+            ("evaluate", "sota_limits.csv", "sota_limits", "limits of "),
+        ],
+    )
+    def test_keyed_table_repeated_key(self, finished_run, tmp_path, capsys, stage, name, config_key, key):
+        """A keyed table that repeats its first row's key is refused on the repeat, naming line 2."""
+        out, cfg = self._copy(finished_run, tmp_path)
+        if name == "sota_limits.csv":
+            text = resources.files("fleetfuel.data").joinpath(name).read_text(encoding="utf-8")
+        else:
+            text = (out / name).read_text(encoding="utf-8")
+        lines = text.splitlines(keepends=True)
+        table = out / name if config_key is None else tmp_path / f"my_{name}"
+        table.write_text("".join(lines + [lines[1]]), encoding="utf-8")
+        if config_key is not None:
+            cfg = _config_with_paths(cfg, tmp_path, **{config_key: table})
+        repeat = f"line {len(lines) + 1}: duplicate {key}"
+        self._fails_naming(capsys, stage, cfg, out, str(table), repeat, "(first on line 2)")
 
     def test_registry_duplicate_feature(self, finished_run, tmp_path, capsys):
         out, cfg = self._copy(finished_run, tmp_path)

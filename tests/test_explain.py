@@ -8,6 +8,7 @@ import math
 import tempfile
 from dataclasses import replace
 from datetime import date
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +339,19 @@ class TestGenerateDailyExplanations:
             assert row.y_pred == pytest.approx(model.predict_many(DayTable.from_rows([target]))[0])
             assert row.limit_group == limits.lookup(0, "highway").lim_sup
 
+    def test_repeated_vehicle_day_keeps_its_own_fuel(self, small_registry):
+        # a second copy of one vehicle-day at 1.6x its fuel: each slot subtracts only its own savings
+        model, inliers, target, limits, policy = explanation_setup(small_registry)
+        again = replace(target, trip_fuel_used=target.trip_fuel_used * 1.6, avg_fuel_consumption=9.96 * 1.6)
+        pre = explain_days(model, [target, again], policy, limits)
+        kept, audit = apply_business_rules(pre, policy)
+        assert (pre.n_vehicle_days(), kept.n_vehicle_days(), audit) == (2, 2, [])
+        for table in (pre, kept):
+            for fuel in (9.96, 9.96 * 1.6):
+                day = [row for row in table if row.avg_fuel_consumption == fuel]
+                assert len(day) == 3
+                assert {row.y_fuel_new for row in day} == {recompute_fuel_new(fuel, [row.y_diff for row in day])}
+
     def test_record_at_reference_everywhere(self, small_registry):
         model, inliers, _, limits, policy = explanation_setup(small_registry)
         resting = make_record(
@@ -569,6 +583,7 @@ def reference_explanations(model, records, policy, limits):
             cat_origins.append(col.origin)
     rows = []
     for rec in sorted(records, key=lambda r: (r.vehicle_id, r.date)):
+        day_rows = []  # a record is one vehicle-day, whatever other record shares its vehicle and date
         if rec.avg_fuel_consumption is None:
             continue
         lim = limits.lookup(rec.vehicle_group, rec.route_type)
@@ -591,7 +606,7 @@ def reference_explanations(model, records, policy, limits):
             diff = fuel_saving(model, rec, name, x_ref)
             if diff <= 0:
                 continue
-            rows.append(
+            day_rows.append(
                 ExplanationRow(
                     feature=name,
                     feature_relevance=model.contribution_at(name, rec.features[name]),
@@ -610,7 +625,7 @@ def reference_explanations(model, records, policy, limits):
             diff = current - _reference_categorical(model, origin, ref_level)
             if diff <= 0:
                 continue
-            rows.append(
+            day_rows.append(
                 ExplanationRow(
                     feature=origin,
                     feature_relevance=current,
@@ -620,14 +635,9 @@ def reference_explanations(model, records, policy, limits):
                     **common,
                 )
             )
-    totals = {}
-    for row in rows:
-        key = (row.vehicle_id, row.date_tx)
-        totals[key] = totals.get(key, 0.0) + row.y_diff
-    return [
-        replace(row, y_fuel_new=recompute_fuel_new(row.avg_fuel_consumption, [totals[row.vehicle_id, row.date_tx]]))
-        for row in rows
-    ]
+        fuel_new = recompute_fuel_new(rec.avg_fuel_consumption, [row.y_diff for row in day_rows])
+        rows += [replace(row, y_fuel_new=fuel_new) for row in day_rows]
+    return rows
 
 
 def categorical_fallback_setup(small_registry):
@@ -939,10 +949,17 @@ class TestReadExplanationsCsv:
 # reproduce their rows, audit entries and bytes exactly.
 
 
+#: the cells every row of one vehicle-day repeats: rows that agree on all nine are one day
+_DAY_CELLS = attrgetter(
+    "vehicle_id", "date_tx", "route_type", "vehicle_group", "intercept", "avg_fuel_consumption", "limit_group",
+    "y_pred", "y_fuel_new",
+)
+
+
 def _reference_day_totals(rows):
     totals = {}
     for row in rows:
-        key = (row.vehicle_id, row.date_tx)
+        key = _DAY_CELLS(row)
         totals[key] = totals.get(key, 0.0) + row.y_diff
     return totals
 
@@ -996,7 +1013,7 @@ def reference_business_rules(rows, policy, rules=BR_ORDER, br2_threshold=0.01, b
         elif rule == "BR5":
             totals = _reference_day_totals(current)
             for row in current:
-                total = totals[row.vehicle_id, row.date_tx]
+                total = totals[_DAY_CELLS(row)]
                 if total > br5_cap * row.avg_fuel_consumption:
                     drop(row, "BR5", {"total_saving": total, "avg_fuel": row.avg_fuel_consumption, "cap": br5_cap})
                 else:
@@ -1004,7 +1021,7 @@ def reference_business_rules(rows, policy, rules=BR_ORDER, br2_threshold=0.01, b
         current = kept
     totals = _reference_day_totals(current)
     return [
-        replace(row, y_fuel_new=recompute_fuel_new(row.avg_fuel_consumption, [totals[row.vehicle_id, row.date_tx]]))
+        replace(row, y_fuel_new=recompute_fuel_new(row.avg_fuel_consumption, [totals[_DAY_CELLS(row)]]))
         for row in current
     ], audit
 

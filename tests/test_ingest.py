@@ -7,6 +7,7 @@ import functools
 import io
 import math
 import random
+import re
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 
@@ -659,11 +660,20 @@ class TestDayTableRoundTrip:
     @given(table=day_tables())
     def test_read_of_write_equals_table_in_day_order(self, table):
         registry = make_registry()
+        expected = table.take(table.by_day())
+        keys = expected.day_keys()
+        # rows are written in day order, so a repeated vehicle-day sits on the line after its first
+        repeats = [i for i in range(1, len(keys)) if keys[i] == keys[i - 1]]
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/far.csv"
             write_far_csv(table, registry, path)
+            if repeats:
+                vehicle, day = keys[repeats[0]]
+                message = f"far.csv: line {repeats[0] + 2}: vehicle-day {vehicle}/{day} repeats line {repeats[0] + 1}"
+                with pytest.raises(FeedFormatError, match=re.escape(message)):
+                    read_far_csv(path, registry)
+                return
             loaded = read_far_csv(path, registry)
-        expected = table.take(table.by_day())
         assert loaded == expected
         assert repr(loaded) == repr(expected)  # the sign of every zero
 
