@@ -38,11 +38,10 @@ policy = ReferencePolicy.from_records(registry, inliers, DEFAULT_CATEGORICALS)
 
 raw = generate_daily_explanations(model, labeled, policy, limits)
 rows, audit = apply_business_rules(raw, policy, BR_ORDER)
-print(f"{len(raw)} raw rows -> {len(rows)} after business rules ({len(audit)} drops)")
+print(f"{len(raw)} raw rows -> {len(rows)} after business rules ({len(raw) - len(rows)} drops)")
 
-drops = {}
-for entry in audit:
-    drops[entry.rule_id] = drops.get(entry.rule_id, 0) + 1
+# the audit holds one record per rule: its id, the rows it dropped and the values it logged for them
+drops = {rule: len(dropped) for rule, dropped, _ in audit if dropped}
 print(f"drops by rule: {dict(sorted(drops.items()))}")
 
 # pick the day with the biggest surviving total saving

@@ -436,13 +436,13 @@ def stage_explain(ctx: RunContext) -> None:
     )
     write_explanations_csv(final_rows, ctx.output("explanations.csv"))
     write_explanations_csv(pre_rows, ctx.output("explanations_prefilter.csv"))
-    write_audit_log(audit, ctx.output("audit.jsonl"))
+    write_audit_log(audit, pre_rows, ctx.output("audit.jsonl"))
     write_inlier_medians_csv(policy, labeled, ctx.output("inlier_medians.csv"))
     ctx.record_stage("explain")
     print(
         f"explain: {len(final_rows)} rows on "
         f"{final_rows.n_vehicle_days()} vehicle-days "
-        f"({len(audit)} rows dropped by rules)"
+        f"({len(pre_rows) - len(final_rows)} rows dropped by rules)"
     )
 
 

@@ -31,21 +31,22 @@ day's contributions in numpy's pairwise order (``model.row_sums``).  The
 reference medians and modes group the inlier rows by cell once
 (``FallbackMedians``).  The module imports no numpy.
 
-The rows live in one ``ExplanationTable``: per-row lists (day slot,
-feature code, relevance, value, target, saving) next to per-day columns
-that every row of a day shares (vehicle, date, route and group as lists,
-the five fuel figures as ``array('d')``).  Each business rule is one list
-mask over the surviving rows, with the comparison a row-by-row filter
-makes, so a NaN falls the same way, and a ratio to a zero fuel is ±inf or
-NaN as IEEE 754 divides; audit entries are built for the dropped rows
-only.  A day slot is one vehicle-day, and its totals (BR5 and
-``y_fuel_new``) are running per-slot sums in row order.  The CSV writer
-formats each day's cells and each repeated float once, and audit lines are
-assembled from cached JSON string escapes and ``float.__repr__``, byte for
-byte what ``json.dumps(..., sort_keys=True)`` writes.  ``ExplanationRow``
-is the table's row view; its fields are the CSV columns, and ``from_rows``
-and the CSV reader share ``ExplanationTable._build``, which gives rows with
-equal day cells one slot wherever they occur.
+The rows live in one ``ExplanationTable``: per-row lists (day slot, feature
+code, relevance, value, target, saving) next to per-day columns that every
+row of a day shares (vehicle, date, route and group as lists, the five fuel
+figures as ``array('d')``).  Each business rule is one list mask over the
+surviving rows, with the comparison a row-by-row filter makes, so a NaN
+falls the same way, and a ratio to a zero fuel is ±inf or NaN as IEEE 754
+divides.  The audit is columnar too: each rule logs one record, the rows it
+dropped and, cut to those rows, the value columns it computed.  A day slot
+is one vehicle-day, and its totals (BR5 and ``y_fuel_new``) are running
+per-slot sums in row order.  The CSV writer formats each day's cells and
+each repeated float once, and audit lines are assembled from cached JSON
+string escapes and ``float.__repr__``, byte for byte what ``json.dumps(...,
+sort_keys=True)`` writes.  ``ExplanationRow`` is the table's row view; its
+fields are the CSV columns, and ``from_rows`` and the CSV reader share
+``ExplanationTable._build``, which gives rows with equal day cells one slot
+wherever they occur.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ import math
 from array import array
 from dataclasses import dataclass, replace
 from datetime import date as date_type
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from operator import add, and_, attrgetter, floordiv, getitem, le, mod, not_, sub
 from pathlib import Path
@@ -427,13 +429,8 @@ def generate_daily_explanations(
     return table._select(None)
 
 
-@dataclass
-class AuditEntry:
-    rule_id: str
-    vehicle_id: str
-    date_tx: str
-    feature: str
-    values: dict
+#: one rule's drops: its id, the dropped rows of the rule's input table, and one cell per dropped row per value key
+RuleDrops = tuple[str, list[int], dict[str, list]]
 
 
 def apply_business_rules(
@@ -442,46 +439,47 @@ def apply_business_rules(
     rules: Sequence[str] = BR_ORDER,
     br2_threshold: float = DEFAULT_BR2_THRESHOLD,
     br5_cap: float = DEFAULT_BR5_CAP,
-) -> tuple[ExplanationTable, list[AuditEntry]]:
-    """Filter rows through the requested rules, logging every drop.
+) -> tuple[ExplanationTable, list[RuleDrops]]:
+    """Filter rows through the requested rules, logging every drop as columns.
 
     Cheap structural rules run first and the physical cap last so it sees
     the final per-day totals; y_fuel_new is recomputed on the survivors.
     Each rule is one pass over the surviving rows, with the comparison a
-    row-by-row filter would make, so a NaN falls the same way; audit
-    entries are built for the dropped rows only, in row order.  BR1-BR3
-    need only fuel medians; BR4 needs a ReferencePolicy.
+    row-by-row filter would make, so a NaN falls the same way.  Each rule
+    appends one record to the audit, even when it drops nothing: the rule
+    id, the dropped rows of ``table`` in row order, and the value columns
+    the rule computed, each cut to the dropped rows.  BR1-BR3 need only
+    fuel medians; BR4 needs a ReferencePolicy.
     """
     registry = policy.registry
     names = table.features
     day, feature, value, y_diff = table.day, table.feature, table.value, table.y_diff
     avg = table.avg_fuel.tolist()
-    iso = [d.isoformat() for d in table.date_tx]
     cells = list(zip(table.vehicle_group, table.route_type))
     alive: Sequence[int] = range(len(table))
-    audit: list[AuditEntry] = []
+    audit: list[RuleDrops] = []
 
     for rule in rules:
+        # each value column has one cell per surviving row
         if rule == "BR1":
             known = [name in registry for name in names]
             keep = list(_at(known, feature, alive))
-            why = lambda j: {"reason": "categorical"}
+            logged = {"reason": itertools.repeat("categorical")}
         elif rule == "BR2":
             # a zero fuel divides as IEEE 754 does
             pairs = zip(map(y_diff.__getitem__, alive), _at(avg, day, alive))
             impact = [y / a if a else divide(y, a) for y, a in pairs]
             keep = [not x < br2_threshold for x in impact]
-            why = lambda j: {"relative_impact": impact[j]}
+            logged = {"relative_impact": impact}
         elif rule == "BR3":
             fuel = {cell: policy.fuel_median(*cell) for cell in set(cells)}
             medians = list(map(fuel.__getitem__, cells))
             # a missing median keeps the day
             above = [m is None or a > m for a, m in zip(avg, medians)]
             keep = list(_at(above, day, alive))
-            why = lambda j: {"avg_fuel": avg[day[alive[j]]], "median_inlier": medians[day[alive[j]]]}
+            logged = {"avg_fuel": _at(avg, day, alive), "median_inlier": _at(medians, day, alive)}
         elif rule == "BR4":
             specs = [registry.get(name) for name in names]
-            positive = [s is not None and s.impact_type == "Positive" for s in specs]
             # per slot, one median per feature, shared by the slots of a (group, route); None where unchecked
             by_cell = {
                 cell: [None if spec is None else policy.feature_median(*cell, spec.name) for spec in specs]
@@ -489,23 +487,20 @@ def apply_business_rules(
             }
             slot_medians = list(map(by_cell.__getitem__, cells))
             median = [slot_medians[day[p]][feature[p]] for p in alive]
-            keep = [
-                m is None or (v > m if positive[f] else v < m)
-                for m, v, f in zip(median, map(value.__getitem__, alive), map(feature.__getitem__, alive))
-            ]
-            why = lambda j: {"feature_value": value[alive[j]], "median_inlier": median[j],
-                             "impact_type": specs[feature[alive[j]]].impact_type}
+            values = list(map(value.__getitem__, alive))
+            kinds = list(_at([None if spec is None else spec.impact_type for spec in specs], feature, alive))
+            keep = [m is None or (v > m if k == "Positive" else v < m) for m, v, k in zip(median, values, kinds)]
+            logged = {"feature_value": values, "median_inlier": median, "impact_type": kinds}
         elif rule == "BR5":
             totals = _sum_by(map(day.__getitem__, alive), map(y_diff.__getitem__, alive), len(avg))
             total = list(_at(totals, day, alive))
             keep = [not t > br5_cap * a for t, a in zip(total, _at(avg, day, alive))]
-            why = lambda j: {"total_saving": total[j], "avg_fuel": avg[day[alive[j]]], "cap": br5_cap}
+            logged = {"total_saving": total, "avg_fuel": _at(avg, day, alive), "cap": itertools.repeat(br5_cap)}
         else:
             raise ValueError(f"unknown business rule {rule!r}")
-        dropped = list(itertools.compress(range(len(keep)), map(not_, keep)))
-        rows = list(map(alive.__getitem__, dropped))
-        audit += map(AuditEntry, itertools.repeat(rule), _at(table.vehicle_id, day, rows), _at(iso, day, rows),
-                     _at(names, feature, rows), map(why, dropped))
+        dropped = list(map(not_, keep))
+        columns = {key: list(itertools.compress(column, dropped)) for key, column in logged.items()}
+        audit.append((rule, list(itertools.compress(alive, dropped)), columns))
         alive = list(itertools.compress(alive, keep))
 
     return table._select(alive), audit
@@ -620,23 +615,18 @@ def read_explanations_csv(path: str | Path, registry: FeatureRegistry) -> Explan
 _JSON_NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 
-def write_audit_log(entries: Iterable[AuditEntry], path: str | Path) -> None:
+def write_audit_log(audit: Iterable[RuleDrops], table: ExplanationTable, path: str | Path) -> None:
     """One JSON object per dropped row, keys sorted: the bytes of ``json.dumps(entry, sort_keys=True)``.
 
-    Each distinct string is escaped once with the json module's own ASCII
-    escaper, each distinct float is written once with ``float.__repr__``
-    as the encoder does, and each rule's value keys are sorted once; values
-    of any other type go through ``json.dumps``.
+    ``audit`` is what ``apply_business_rules`` returned for ``table``; a
+    row's vehicle, date and feature come from ``table``.  Each rule's keys
+    are sorted once, each distinct string is escaped once with the json
+    module's own ASCII escaper, and each distinct float is written once
+    with ``float.__repr__`` as the encoder does; values of any other type
+    go through ``json.dumps``.
     """
-    strings: dict[str, str] = {}
+    string = cache(encode_basestring_ascii)
     floats: dict[float, str] = {}
-    layouts: dict[tuple[str, ...], list[tuple[str, str]]] = {}
-
-    def string(s: str) -> str:
-        out = strings.get(s)
-        if out is None:
-            out = strings[s] = encode_basestring_ascii(s)
-        return out
 
     def number(x: float) -> str:
         out = floats.get(x)
@@ -653,19 +643,17 @@ def write_audit_log(entries: Iterable[AuditEntry], path: str | Path) -> None:
             return string(v)
         return json.dumps(v, sort_keys=True)
 
-    def values(d: dict) -> str:
-        keys = tuple(d)
-        layout = layouts.get(keys)
-        if layout is None:
-            layout = layouts[keys] = [(k, f"{string(k)}: ") for k in sorted(keys)]
-        return ", ".join([prefix + value(d[k]) for k, prefix in layout])
-
+    vehicles = list(map(string, table.vehicle_id))
+    dates = [string(d.isoformat()) for d in table.date_tx]
+    features = list(map(string, table.features))
     with artifact_file(path) as fh:
-        fh.writelines(
-            f'{{"date": {string(e.date_tx)}, "feature": {string(e.feature)}, "rule_id": {string(e.rule_id)}, '
-            f'"values": {{{values(e.values)}}}, "vehicle_id": {string(e.vehicle_id)}}}\n'
-            for e in entries
-        )
+        for rule, rows, columns in audit:
+            cells = zip(*[list(map(f"{string(key)}: ".__add__, map(value, columns[key]))) for key in sorted(columns)])
+            fh.writelines(
+                f'{{"date": {dates[table.day[r]]}, "feature": {features[table.feature[r]]}, "rule_id": {string(rule)}, '
+                f'"values": {{{", ".join(values)}}}, "vehicle_id": {vehicles[table.day[r]]}}}\n'
+                for r, values in zip(rows, cells)
+            )
 
 
 MEDIANS_COLUMNS = ("vehicle_group", "route_type", "feature", "median_value")

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, fields
@@ -136,7 +137,14 @@ def _parse_flag(raw: str) -> bool:
     raise ValueError(f"cannot parse flag value {raw!r}")
 
 
-_CELL_PARSERS = {str: str, int: int, float: float, bool: _parse_flag}
+def _parse_finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
+_CELL_PARSERS = {str: str, int: int, float: _parse_finite, bool: _parse_flag}
 
 
 @cache
@@ -144,9 +152,9 @@ def row_parser(row_type: type[T]) -> Callable[[dict[str, str]], T]:
     """A ``read_table`` parse that builds the ``row_type`` dataclass from a row's cells.
 
     Each field's converter follows its type and is worked out once per
-    type: ``str``, ``int``, ``float``, or ``bool`` through the flag parser
-    (yes/y/true/1, no/n/false/0 or blank).  A column the row lacks
-    takes the field's default; a cell that does not convert raises
+    type: ``str``, ``int``, a finite ``float``, or ``bool`` through the
+    flag parser (yes/y/true/1, no/n/false/0 or blank).  A column the row
+    lacks takes the field's default; a cell that does not convert raises
     ValueError naming its column.
     """
     hints = get_type_hints(row_type)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -97,6 +98,32 @@ def recompute_fuel_new(avg_fuel: float, y_diffs) -> float:
     for y_diff in y_diffs:  # left to right: from Python 3.12, sum() compensates
         total += y_diff
     return avg_fuel - total
+
+
+@dataclass
+class AuditEntry:
+    """One dropped row of the audit, as the row-by-row rule loop logged it."""
+
+    rule_id: str
+    vehicle_id: str
+    date_tx: str
+    feature: str
+    values: dict
+
+
+def audit_entries(audit, table) -> list[AuditEntry]:
+    """The columnar audit of ``apply_business_rules(table, ...)`` expanded to one entry per dropped row."""
+    return [
+        AuditEntry(rule, table.vehicle_id[table.day[r]], table.date_tx[table.day[r]].isoformat(),
+                   table.features[table.feature[r]], {key: column[i] for key, column in columns.items()})
+        for rule, rows, columns in audit
+        for i, r in enumerate(rows)
+    ]
+
+
+def drop_counts(audit) -> dict[str, int]:
+    """Rows dropped per rule, for every rule the audit holds."""
+    return {rule: len(rows) for rule, rows, _ in audit}
 
 
 @pytest.fixture

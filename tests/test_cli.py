@@ -639,6 +639,29 @@ class TestCorruptInputs:
         cfg = _config_with_paths(cfg, tmp_path, **{key: table})
         self._fails_naming(capsys, stage, cfg, out, table.name, f"line {line}", f"column {column!r}")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize(
+        "stage, name, config_key, column",
+        [
+            ("explain", "limits.csv", None, "lim_sup"),
+            ("evaluate", "limits.csv", None, "lim_sup"),
+            ("evaluate", "catalog.csv", None, "l_per_100km"),
+            ("evaluate", "sota_limits.csv", "sota_limits", "max_pct"),
+        ],
+        ids=["limits-explain", "limits-evaluate", "catalog", "sota_limits"],
+    )
+    def test_config_table_non_finite(self, finished_run, tmp_path, capsys, stage, name, config_key, column, text):
+        """A float cell of a table read through read_table must be finite, whatever the file."""
+        out, cfg = self._copy(finished_run, tmp_path)
+        if config_key is None:
+            table = out / name
+        else:
+            table = tmp_path / f"my_{name}"
+            table.write_text(resources.files("fleetfuel.data").joinpath(name).read_text(encoding="utf-8"))
+            cfg = _config_with_paths(cfg, tmp_path, **{config_key: table})
+        _corrupt_cell(table, 3, column, text)
+        self._fails_naming(capsys, stage, cfg, out, str(table), "line 3", f"column {column!r}")
+
     @pytest.mark.parametrize("how", ["truncated", "unknown-key", "not-object"])
     def test_synth_spec(self, finished_run, tmp_path, capsys, how):
         out, cfg = self._copy(finished_run, tmp_path)

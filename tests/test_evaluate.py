@@ -39,7 +39,7 @@ from fleetfuel.registry import (
     write_report_json,
 )
 
-from .conftest import make_record
+from .conftest import audit_entries, make_record
 from .test_explain import base_row, inlier_pool
 
 
@@ -286,14 +286,15 @@ class TestZeroFuelAndNanSaving:
         ])
 
     def outcome(self, small_registry, policy, rules):
-        kept, audit = apply_business_rules(self.table(), policy, rules)
+        table = self.table()
+        kept, audit = apply_business_rules(table, policy, rules)
         limits = {
             ("Driving Behaviour", "Aggressive Driving"): SotaLimit("Driving Behaviour", "Aggressive Driving", 2.0, 40.0)
         }
         impacts = aggregate_category_impact(kept, small_registry, limits, "f")
         return [
             repr([(r.vehicle_id, r.feature, r.y_diff, r.y_fuel_new) for r in kept.rows()]),
-            repr([(e.rule_id, e.vehicle_id, e.feature, e.values) for e in audit]),
+            repr([(e.rule_id, e.vehicle_id, e.feature, e.values) for e in audit_entries(audit, table)]),
             repr([(i.subcategory, i.median_impact_pct, i.n_days, i.verdict) for i in impacts]),
             repr(list(kept.day_totals().values())),
         ]

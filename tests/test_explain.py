@@ -21,7 +21,6 @@ from fleetfuel.errors import DataError, FeedFormatError, MissingFeatureError
 from fleetfuel.explain import (
     BR_ORDER,
     EXPLANATION_COLUMNS,
-    AuditEntry,
     ExplanationRow,
     ExplanationTable,
     FuelMedians,
@@ -37,7 +36,15 @@ from fleetfuel.ingest import DayTable
 from fleetfuel.model import DEFAULT_CATEGORICALS, AdditiveModel, FeatureColumn
 from fleetfuel.registry import FeatureSpec, TrainConfig
 
-from .conftest import fuel_saving, make_record, make_registry, recompute_fuel_new
+from .conftest import (
+    AuditEntry,
+    audit_entries,
+    drop_counts,
+    fuel_saving,
+    make_record,
+    make_registry,
+    recompute_fuel_new,
+)
 
 
 def step_model(shapes: dict[str, tuple[list[float], list[float]]], intercept=7.0,
@@ -345,7 +352,7 @@ class TestGenerateDailyExplanations:
         again = replace(target, trip_fuel_used=target.trip_fuel_used * 1.6, avg_fuel_consumption=9.96 * 1.6)
         pre = explain_days(model, [target, again], policy, limits)
         kept, audit = apply_business_rules(pre, policy)
-        assert (pre.n_vehicle_days(), kept.n_vehicle_days(), audit) == (2, 2, [])
+        assert (pre.n_vehicle_days(), kept.n_vehicle_days(), drop_counts(audit)) == (2, 2, dict.fromkeys(BR_ORDER, 0))
         for table in (pre, kept):
             for fuel in (9.96, 9.96 * 1.6):
                 day = [row for row in table if row.avg_fuel_consumption == fuel]
@@ -411,13 +418,13 @@ class TestBusinessRules:
         rows = [base_row(feature="vehicle_group", feature_value="14", target_value="0")]
         kept, audit = apply_business_rules(ExplanationTable.from_rows(rows), self.policy(small_registry))
         assert kept.rows() == []
-        assert audit[0].rule_id == "BR1"
+        assert drop_counts(audit)["BR1"] == 1
 
     def test_br2_drops_below_one_percent(self, small_registry):
         rows = [base_row(avg_fuel_consumption=10.0, y_diff=0.05, feature_value=9.0)]
         kept, audit = apply_business_rules(ExplanationTable.from_rows(rows), self.policy(small_registry))
         assert kept.rows() == []
-        assert any(a.rule_id == "BR2" for a in audit)
+        assert drop_counts(audit)["BR2"] == 1
 
     def test_br2_keeps_exactly_one_percent(self, small_registry):
         rows = [base_row(avg_fuel_consumption=10.0, y_diff=0.1, feature_value=9.0)]
@@ -429,14 +436,14 @@ class TestBusinessRules:
         low_day = base_row(avg_fuel_consumption=7.9, y_diff=0.5, feature_value=9.0)
         kept, audit = apply_business_rules(ExplanationTable.from_rows([low_day]), self.policy(small_registry))
         assert kept.rows() == []
-        assert any(a.rule_id == "BR3" for a in audit)
+        assert drop_counts(audit)["BR3"] == 1
 
     def test_br4_positive_needs_value_above_median(self, small_registry):
         # rpm_high inlier median is 3.0; a value below it fails the direction check
         row = base_row(feature_value=1.0, y_diff=0.5)
         kept, audit = apply_business_rules(ExplanationTable.from_rows([row]), self.policy(small_registry))
         assert kept.rows() == []
-        assert any(a.rule_id == "BR4" for a in audit)
+        assert drop_counts(audit)["BR4"] == 1
 
     def test_br4_negative_needs_value_below_median(self, small_registry):
         # mean_exterior_temp inlier median is 286.0 and the impact type Negative
@@ -444,7 +451,7 @@ class TestBusinessRules:
         bad = base_row(feature="mean_exterior_temp", feature_value=290.0, y_diff=0.5)
         kept, audit = apply_business_rules(ExplanationTable.from_rows([ok, bad]), self.policy(small_registry))
         assert [r.feature_value for r in kept] == [280.0]
-        assert any(a.rule_id == "BR4" for a in audit)
+        assert drop_counts(audit)["BR4"] == 1
 
     def test_br5_drops_whole_day(self, small_registry):
         rows = [
@@ -454,7 +461,7 @@ class TestBusinessRules:
         kept, audit = apply_business_rules(ExplanationTable.from_rows(rows), self.policy(small_registry), BR_ORDER)
         # total 9.0 on avg 9.96 is above the 80% cap
         assert kept.rows() == []
-        assert sum(1 for a in audit if a.rule_id == "BR5") == 2
+        assert drop_counts(audit)["BR5"] == 2
 
     def test_fuel_new_recomputed_on_survivors(self, small_registry):
         rows = [
@@ -706,9 +713,10 @@ class TestMatchesReferenceLoop:
         # the categorical row counts in the day's pre-filter total
         day_total = sum(r.y_diff for r in rows if r.vehicle_id == "vgrp1")
         assert cat[0].y_fuel_new == 9.96 - day_total
-        kept, audit = apply_business_rules(ExplanationTable.from_rows(rows), policy)
+        table = ExplanationTable.from_rows(rows)
+        kept, audit = apply_business_rules(table, policy)
         assert all(r.feature != "vehicle_group" for r in kept)
-        assert [(a.rule_id, a.vehicle_id, a.feature) for a in audit if a.rule_id == "BR1"] == [
+        assert [(a.rule_id, a.vehicle_id, a.feature) for a in audit_entries(audit, table) if a.rule_id == "BR1"] == [
             ("BR1", "vgrp1", "vehicle_group")
         ]
 
@@ -946,7 +954,8 @@ class TestReadExplanationsCsv:
 # ---------------------------------------------------------------------------
 # Reference: the row loops that filtered, wrote and logged explanation rows
 # one at a time.  The table's rule masks, CSV writer and audit writer must
-# reproduce their rows, audit entries and bytes exactly.
+# reproduce their rows, audit entries and bytes exactly; the columnar audit
+# is compared after expanding it to one entry per dropped row.
 
 
 #: the cells every row of one vehicle-day repeats: rows that agree on all nine are one day
@@ -1171,34 +1180,46 @@ class TestTableMatchesRowLoops:
         expected_rows, expected_audit = reference_business_rules(rows, policy, rules, br2, cap)
         # repr compares NaN savings and the float/str type of every cell
         assert repr(kept.rows()) == repr(expected_rows)
-        assert repr(audit) == repr(expected_audit)
+        assert [rule for rule, _, _ in audit] == list(rules)  # one record per rule, even one that drops nothing
+        assert repr(audit_entries(audit, table)) == repr(expected_audit)
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
             for name, written, expected in (("pre", table, rows), ("final", kept, expected_rows)):
                 write_explanations_csv(written, out / f"{name}.csv")
                 reference_write_csv(expected, out / f"{name}_ref.csv")
                 assert (out / f"{name}.csv").read_bytes() == (out / f"{name}_ref.csv").read_bytes()
-            write_audit_log(audit, out / "audit.jsonl")
+            write_audit_log(audit, table, out / "audit.jsonl")
             reference_write_audit(expected_audit, out / "audit_ref.jsonl")
             assert (out / "audit.jsonl").read_bytes() == (out / "audit_ref.jsonl").read_bytes()
 
     def test_empty_table(self, small_registry, tmp_path):
         policy = ReferencePolicy.from_records(small_registry, inlier_pool(small_registry))
         kept, audit = apply_business_rules(ExplanationTable.from_rows([]), policy)
-        assert (len(kept), audit, kept.rows(), kept.n_vehicle_days()) == (0, [], [], 0)
+        assert (len(kept), kept.rows(), kept.n_vehicle_days()) == (0, [], 0)
+        assert drop_counts(audit) == dict.fromkeys(BR_ORDER, 0)
         write_explanations_csv(kept, tmp_path / "e.csv")
         reference_write_csv([], tmp_path / "r.csv")
         assert (tmp_path / "e.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
         assert read_explanations_csv(tmp_path / "e.csv", small_registry).rows() == []
 
     def test_audit_escapes_and_non_finite_values(self, tmp_path):
-        entries = [
+        table = ExplanationTable.from_rows([
+            base_row(vehicle_id="\u8eca-\u00fc", date_tx=date(2021, 1, 1), feature='f"q'),
+            base_row(vehicle_id="v", date_tx=date(2021, 1, 2), feature="f"),
+        ])
+        audit = [
+            ("BR2", [0], {"relative_impact": [math.nan]}),
+            ("BR5", [1], {"total_saving": [math.inf], "avg_fuel": [-0.0], "cap": [1]}),
+            ("BR4", [1], {"feature_value": [3], "median_inlier": [0.0], "impact_type": ["Positive"]}),
+        ]
+        entries = audit_entries(audit, table)
+        assert entries == [
             AuditEntry("BR2", "\u8eca-\u00fc", "2021-01-01", 'f"q', {"relative_impact": math.nan}),
             AuditEntry("BR5", "v", "2021-01-02", "f", {"total_saving": math.inf, "avg_fuel": -0.0, "cap": 1}),
             AuditEntry(
                 "BR4", "v", "2021-01-02", "f", {"feature_value": 3, "median_inlier": 0.0, "impact_type": "Positive"}
             ),
         ]
-        write_audit_log(entries, tmp_path / "a.jsonl")
+        write_audit_log(audit, table, tmp_path / "a.jsonl")
         reference_write_audit(entries, tmp_path / "r.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "r.jsonl").read_bytes()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -43,3 +44,13 @@ def test_bare_import_then_star_import_in_fresh_interpreter():
     loaded_on_import, missing_after_star = stdout.split("\n")[:2]
     assert loaded_on_import == ""
     assert missing_after_star == ""
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("0*.py"))
+
+
+def test_demos_run_in_order(tmp_path):
+    # each demo as a script, in one scratch directory: later demos reuse the demo_out/ of earlier ones
+    assert len(DEMOS) == 5
+    for demo in DEMOS:
+        run_python(f"import runpy; runpy.run_path({str(demo)!r}, run_name='__main__')", cwd=tmp_path)
