@@ -33,12 +33,19 @@ not freeze its streams across versions, so the tests pin these
 equalities.  Outlier boosts draw after every day is drawn, with scalar
 ``uniform`` calls on the planted day's vehicle generator.
 
-Cost: a planted step is looked up with ``bisect_right`` on the feature's
-cuts, the segment ``np.searchsorted(..., side="right")`` picks, and each
-(group, route) cell's reference contributions are looked up once.  The
-feed and truth tables format each distinct cell once (a date, a vehicle,
-a channel or feature, a group) and each number by its ``repr``, so their
-bytes are those ``write_table`` writes for their rows.
+Cost: the generator calls stay per day, and the arithmetic on their
+doubles runs on columns, one numpy pass per feature over a batch of whole
+vehicles' days.  The pass makes the float operations of a per-day draw
+(``start + width * u``, ``np.round``, a clamp to the bounds' doubles) and
+finds the planted step with ``np.searchsorted(..., side="right")``, as
+``SynthFeature.contribution`` does, so each value and step is the one a
+per-day draw gives.  Equal integer values share one float.  Each (group,
+route) cell's reference contributions are looked up once.  The feed and
+truth tables format each distinct text cell once (a date, a vehicle, a
+channel or feature, a group), each step value once, a feature's saving
+line once per (reference, step), the city-time share and a mean or last
+value once for both files that write it, and every other number by its
+``repr``; so their bytes are those ``write_table`` writes for their rows.
 """
 
 from __future__ import annotations
@@ -81,6 +88,10 @@ ROUTE_PTC = {
     ROUTE_COMBINED: (0.52, 0.63),
     ROUTE_HIGHWAY: (0.05, 0.49),
 }
+
+
+#: vehicle-days per column pass, in whole vehicles: its scratch arrays stay small beside the fleet it draws
+DRAW_BATCH_DAYS = 512
 
 
 def _span(a: float, b: float) -> tuple[float, float]:
@@ -359,18 +370,6 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> GeneratedFleet:
 
     start = date_type.fromisoformat(spec.start_date)
     dates = [start + timedelta(days=i) for i in range(spec.n_days)]
-    routes, route_cdf = _route_cdf(spec.route_mix)
-    ptc_spans = {route: _span(*ROUTE_PTC[route]) for route in routes}
-    # per feature: its ranges below and above the top cut if it has a top fraction, else its whole range twice
-    draws = []
-    for f in spec.features:
-        if f.top_fraction > 0:
-            lower, top = _span(f.low, f.top_cut), _span(f.top_cut, f.high)
-        else:
-            lower = top = _span(f.low, f.high)
-        draws.append((f.name, f.top_fraction, lower, top, f.integer, f.low, f.high, f.contribution))
-    n_doubles = 1 + sum(2 if f.top_fraction > 0 else 1 for f in spec.features)
-
     counts = _group_counts(spec)
     vehicle_group: list[int] = []
     vehicle_ids: list[str] = []
@@ -387,78 +386,27 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> GeneratedFleet:
 
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_vehicles)
     rngs = [np.random.default_rng(s) for s in seeds]
-
     days: list[TruthDay] = []
-    for v in range(spec.n_vehicles):
-        random, integers, normal = rngs[v].random, rngs[v].integers, rngs[v].normal
-        group = spec.groups[vehicle_group[v]]
-        for day in dates:
-            route = routes[bisect_right(route_cdf, random())]
-            route_kms = ROUTE_KMS[route]
-            kms = route_kms[integers(0, len(route_kms))]
-            u = random(n_doubles).tolist()
-            ptc_start, ptc_width = ptc_spans[route]
-            ptc = ptc_start + ptc_width * u[0]
-            values: dict[str, float] = {}
-            contribs: dict[str, float] = {}
-            i = 1
-            for name, top_fraction, lower, top, integer, low, high, contribution in draws:
-                if top_fraction > 0:
-                    start, width = top if u[i] < top_fraction else lower
-                    i += 1
-                else:
-                    start, width = lower
-                value = start + width * u[i]
-                i += 1
-                if integer:
-                    value = float(round(value))
-                values[name] = value = min(max(value, low), high)
-                contribs[name] = contribution(value)
-            noise = float(normal(0.0, spec.noise_sigma)) if spec.noise_sigma else 0.0
-            planted = random() < spec.outlier_rate
-            planted_sum = 0.0
-            for contrib in contribs.values():  # left to right: from Python 3.12, sum() compensates
-                planted_sum += contrib
-            clean = _snap_roundtrip(group.base_fuel + planted_sum + noise)
-            days.append(
-                TruthDay(
-                    vehicle_id=vehicle_ids[v],
-                    date=day,
-                    synth_group=vehicle_group[v],
-                    make=group.make,
-                    model=group.model,
-                    year=group.year,
-                    fuel_type=group.fuel_type,
-                    route_type=route,
-                    trip_kms=kms,
-                    per_time_city=ptc,
-                    fuel_l100=clean,
-                    clean_fuel_l100=clean,
-                    planted_outlier=planted,
-                    boost_added=0.0,
-                    base_fuel=group.base_fuel,
-                    noise_residual=0.0,
-                    feature_values=values,
-                    contributions=contribs,
-                )
-            )
+    per_batch = max(1, DRAW_BATCH_DAYS // spec.n_days)
+    for v in range(0, spec.n_vehicles, per_batch):
+        batch = slice(v, v + per_batch)
+        days += _draw_days(spec, dates, vehicle_ids[batch], vehicle_group[batch], rngs[batch])
 
     _apply_outlier_boosts(spec, days, vehicle_ids, rngs)
 
     for d in days:
         partial = d.base_fuel
-        for f in spec.features:
-            partial += d.contributions[f.name]
+        for contrib in d.contributions.values():  # in the spec's feature order
+            partial += contrib
         d.noise_residual = d.fuel_l100 - partial
 
     feed_path = out / "feed.csv"
-    _write_feed(spec, days, feed_path)
+    truth_days_path = out / "truth_days.csv"
+    _write_feed_and_truth_days(spec, days, feed_path, truth_days_path)
     vin_map_path = out / "vin_map.csv"
     _write_vin_map(spec, vin_map_path)
     catalog_path = out / "catalog.csv"
     _write_catalog(spec, days, catalog_path)
-    truth_days_path = out / "truth_days.csv"
-    _write_truth_days(spec, days, truth_days_path)
     truth_savings_path = out / "truth_savings.csv"
     _write_truth_savings(spec, days, truth_savings_path)
     return GeneratedFleet(
@@ -469,6 +417,87 @@ def generate(spec: SynthSpec, out_dir: str | Path) -> GeneratedFleet:
         truth_savings_path=truth_savings_path,
         days=days,
     )
+
+
+def _draw_days(spec: SynthSpec, dates: list[date_type], vehicle_ids: list[str], vehicle_group: list[int],
+               rngs: list[np.random.Generator]) -> list[TruthDay]:
+    """The vehicles' days, vehicle by vehicle and date by date, before the outlier boosts.
+
+    Each day makes its generator calls in the module docstring's order, its
+    block of doubles going into one row of a matrix.  The arithmetic on the
+    doubles then runs one feature at a time over all the days, with the
+    float operations a per-day draw makes: ``start + width * u``, rounding,
+    clamping and the step lookup.  The days' dicts are filled one feature at
+    a time, and the matrix is freed before the days are built.
+    """
+    routes, route_cdf = _route_cdf(spec.route_mix)
+    n = len(rngs) * len(dates)
+    values: list[dict[str, float]] = [{} for _ in range(n)]
+    contribs: list[dict[str, float]] = [{} for _ in range(n)]
+    blocks = np.empty((n, 1 + sum(2 if f.top_fraction > 0 else 1 for f in spec.features)))
+    route_of: list[int] = []
+    kms: list[float] = []
+    noise: list[float] = []
+    planted: list[bool] = []
+    for v, rng in enumerate(rngs):
+        random, integers, normal = rng.random, rng.integers, rng.normal
+        for k in range(v * len(dates), (v + 1) * len(dates)):
+            r = bisect_right(route_cdf, random())
+            route_kms = ROUTE_KMS[routes[r]]
+            route_of.append(r)
+            kms.append(route_kms[integers(0, len(route_kms))])
+            random(out=blocks[k])
+            noise.append(float(normal(0.0, spec.noise_sigma)) if spec.noise_sigma else 0.0)
+            planted.append(random() < spec.outlier_rate)
+
+    day_route = np.asarray(route_of)
+    ptc_start, ptc_width = np.asarray([_span(*ROUTE_PTC[route]) for route in routes]).T
+    ptc = (ptc_start[day_route] + ptc_width[day_route] * blocks[:, 0]).tolist()
+    planted_sum = np.zeros(n)
+    i = 1
+    for f in spec.features:
+        # a top fraction draws a segment, then the value below or above the top cut
+        start, width = _span(f.low, f.top_cut if f.top_fraction > 0 else f.high)
+        if f.top_fraction > 0:
+            top = blocks[:, i] < f.top_fraction
+            top_start, top_width = _span(f.top_cut, f.high)
+            start, width = np.where(top, top_start, start), np.where(top, top_width, width)
+            i += 1
+        x = start + width * blocks[:, i]
+        i += 1
+        if f.integer:
+            x = np.round(x) + 0.0  # float(round(-0.4)) is 0.0, where np.round gives -0.0
+        # min(max(x, low), high) on the bounds' doubles, which an int a double cannot hold would not be
+        low, high = float(f.low), float(f.high)
+        x = np.where(x < low, low, x)
+        x = np.where(x > high, high, x)
+        # the least double at or above each cut: a double is at or above it exactly when at or above the cut
+        cuts = [float(c) if float(c) >= c else math.nextafter(float(c), math.inf) for c in f.cuts]
+        step = np.searchsorted(cuts, x, side="right")
+        planted_sum += np.asarray(f.values, dtype=np.float64)[step]  # left to right, as a per-day loop adds
+        column = x.tolist()
+        if f.integer:  # few distinct values recur, so equal days share one float (an integer is never -0.0 here)
+            shared: dict[float, float] = {}
+            column = [shared.setdefault(value, value) for value in column]
+        name, steps = f.name, f.values
+        for row, value in zip(values, column):
+            row[name] = value
+        for row, s in zip(contribs, step.tolist()):
+            row[name] = steps[s]
+    del blocks
+
+    base = np.asarray([g.base_fuel for g in spec.groups], dtype=np.float64)[np.repeat(vehicle_group, len(dates))]
+    fuel = (base + planted_sum + np.asarray(noise)).tolist()
+    days = []
+    cells = ((vehicle_ids[v], g, spec.groups[g], day) for v, g in enumerate(vehicle_group) for day in dates)
+    for (vid, g, group, day), r, kms_k, ptc_k, fuel_k, planted_k, values_k, contribs_k in zip(
+        cells, route_of, kms, ptc, fuel, planted, values, contribs
+    ):
+        clean = _snap_roundtrip(fuel_k)
+        # the fields in their order: no boost yet, and the residual is set once the boosts are in
+        days.append(TruthDay(vid, day, g, group.make, group.model, group.year, group.fuel_type, routes[r], kms_k,
+                             ptc_k, clean, clean, planted_k, 0.0, group.base_fuel, 0.0, values_k, contribs_k))
+    return days
 
 
 def _apply_outlier_boosts(
@@ -514,7 +543,7 @@ def _apply_outlier_boosts(
             new_value = float(rng.uniform(top_cut, feat.high))
             if feat.integer:
                 new_value = float(int(round(new_value)))
-            new_value = min(max(new_value, top_cut), feat.high)
+            new_value = min(max(new_value, float(top_cut)), float(feat.high))
             gain = feat.contribution(new_value) - d.contributions[feat.name]
             d.feature_values[feat.name] = new_value
             d.contributions[feat.name] = feat.contribution(new_value)
@@ -523,16 +552,20 @@ def _apply_outlier_boosts(
         d.fuel_l100 = _snap_roundtrip(d.clean_fuel_l100 + added)
 
 
-def _write_feed(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
-    """Two half-readings per sum channel, two equal readings per other channel, one of the city-time share.
+def _write_feed_and_truth_days(spec: SynthSpec, days: list[TruthDay], feed_path: Path, truth_days_path: Path) -> None:
+    """The feed and the truth days, in one pass over the days.
 
-    The bytes are those ``write_table`` writes for the rows (time, vehicle,
-    channel, value).  A channel's readings on a day share its value and its
-    minute (the channel's position mod 60), at 08:00 and 16:00.  So each
-    date's lines are one ``str.format`` template with the vehicle cell as
-    field 0 and one value per channel after it: the stamps and the channel
-    cells are formatted once per date, each vehicle cell once, and the
-    values, always Python floats, by ``float.__repr__`` as csv.writer does.
+    The feed holds two half-readings per sum channel, two equal readings per
+    other channel and one of the city-time share, at 08:00 and 16:00 and the
+    channel's position mod 60 as the minute.  So each date's lines are one
+    ``str.format`` template with the vehicle cell as field 0 and one value
+    per channel after it.  A truth day holds the fields but the two dicts
+    (the bool as 0/1), then each feature's value, then its contribution: one
+    of the feature's own step objects, whose ``repr`` is taken once.  The
+    city-time share and a mean or last value, written by both files, are
+    formatted once for both.  The bytes are those ``write_table`` writes for
+    the rows: floats by ``float.__repr__`` and ints by ``repr``, as
+    csv.writer formats them.
     """
     channels = [(TRIP_KMS_CHANNEL, 2), (TRIP_FUEL_CHANNEL, 2), (CITY_TIME_CHANNEL, 1)]
     channels += [(f.name, 2) for f in spec.features]
@@ -548,10 +581,17 @@ def _write_feed(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
             for stamp in stamps[:readings]
         )
 
+    feature_names = [f.name for f in spec.features]
+    header = [*table_columns(TruthDay)[:-2], *(f"value_{n}" for n in feature_names),
+              *(f"contrib_{n}" for n in feature_names)]
     templates = {day: template(day) for day in {d.date for d in days}}
-    vehicles, _ = _cells(days)
-    with artifact_file(path) as fh:
-        fh.write(csv_fields(FEED_COLUMNS) + "\n")
+    vehicles, dates = _cells(days)
+    groups = [csv_fields([str(g), grp.make, grp.model, grp.year, grp.fuel_type]) for g, grp in enumerate(spec.groups)]
+    routes = {route: csv_fields([route]) for route in ROUTE_KMS}
+    step_reprs = {id(step): repr(step) for f in spec.features for step in f.values}
+    with artifact_file(feed_path) as feed, artifact_file(truth_days_path) as truth:
+        feed.write(csv_fields(FEED_COLUMNS) + "\n")
+        truth.write(csv_fields(header) + "\n")
         for d in days:
             fuel_used = d.fuel_l100 * (d.trip_kms / 100.0)
             check = compute_avg_fuel(fuel_used, d.trip_kms)
@@ -559,9 +599,18 @@ def _write_feed(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
                 raise DataError(
                     f"round-trip drift on {d.vehicle_id}/{d.date}: {check!r} != {d.fuel_l100!r}"
                 )
-            values = [d.trip_kms / 2.0, fuel_used / 2.0, d.per_time_city]
-            values += [v / 2.0 if half else v for v, half in zip(d.feature_values.values(), halves)]
-            fh.write(templates[d.date].format(vehicles[d.vehicle_id], *map(float.__repr__, values)))
+            vehicle, ptc = vehicles[d.vehicle_id], float.__repr__(d.per_time_city)
+            values = list(map(float.__repr__, d.feature_values.values()))
+            readings = [float.__repr__(v / 2.0) if half else text
+                        for v, text, half in zip(d.feature_values.values(), values, halves)]
+            feed.write(templates[d.date].format(
+                vehicle, float.__repr__(d.trip_kms / 2.0), float.__repr__(fuel_used / 2.0), ptc, *readings))
+            numbers = (d.fuel_l100, d.clean_fuel_l100, int(d.planted_outlier), d.boost_added, d.base_fuel,
+                       d.noise_residual)
+            truth.write(",".join([
+                f"{vehicle},{dates[d.date]},{groups[d.synth_group]},{routes[d.route_type]},{d.trip_kms!r},{ptc}",
+                *map(repr, numbers), *values, *map(step_reprs.__getitem__, map(id, d.contributions.values())),
+            ]) + "\n")
 
 
 def _write_vin_map(spec: SynthSpec, path: Path) -> None:
@@ -587,30 +636,6 @@ def _cells(days: list[TruthDay]) -> tuple[dict[str, str], dict[date_type, str]]:
     return vehicles, dates
 
 
-def _write_truth_days(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
-    """The fields but the two dicts (the bool as 0/1), then each feature's value, then its contribution.
-
-    The bytes are those ``write_table`` writes for the rows: the text cells
-    are formatted once each, and the numbers by ``repr``, as csv.writer
-    formats a float or an int.
-    """
-    feature_names = [f.name for f in spec.features]
-    fixed = table_columns(TruthDay)[:-2]
-    header = [*fixed, *(f"value_{n}" for n in feature_names), *(f"contrib_{n}" for n in feature_names)]
-    vehicles, dates = _cells(days)
-    groups = [csv_fields([str(g), grp.make, grp.model, grp.year, grp.fuel_type]) for g, grp in enumerate(spec.groups)]
-    routes = {route: csv_fields([route]) for route in ROUTE_KMS}
-    with artifact_file(path) as fh:
-        fh.write(csv_fields(header) + "\n")
-        for d in days:
-            numbers = (
-                d.trip_kms, d.per_time_city, d.fuel_l100, d.clean_fuel_l100, int(d.planted_outlier), d.boost_added,
-                d.base_fuel, d.noise_residual, *d.feature_values.values(), *d.contributions.values(),
-            )
-            head = f"{vehicles[d.vehicle_id]},{dates[d.date]},{groups[d.synth_group]},{routes[d.route_type]},"
-            fh.write(head + ",".join(map(repr, numbers)) + "\n")
-
-
 def _write_truth_savings(spec: SynthSpec, days: list[TruthDay], path: Path) -> None:
     """True per-feature saving vs reference for every generated day.
 
@@ -618,28 +643,34 @@ def _write_truth_savings(spec: SynthSpec, days: list[TruthDay], path: Path) -> N
     the feature over the clean (non-planted) days of the same group and
     route.
     """
-    # each (group, route) cell's clean days, then its reference contribution per feature, looked up once
+    # each (group, route) cell's clean days, whose median of a feature sets its reference
     clean: dict[tuple[int, str], list[dict[str, float]]] = {}
     for d in days:
         cell = clean.setdefault((d.synth_group, d.route_type), [])
         if not d.planted_outlier:
             cell.append(d.feature_values)
-    references = {
+
+    # a day's contributions and a cell's references are its features' own step objects, so each feature's
+    # lines after the day's cells, "" for no saving, are formatted once per (reference, step), found by their ids
+    features = [csv_fields([f.name]) for f in spec.features]
+    tables = [
+        {id(ref): {id(step): f"{feature},{step - ref!r}\n" if step - ref > 0 else "" for step in f.values}
+         for ref in f.values}
+        for feature, f in zip(features, spec.features)
+    ]
+    lines = {
         cell: [
-            f.contribution(0.0 if f.reference_zero or not rows else median([r[f.name] for r in rows]))
-            for f in spec.features
+            by_ref[id(f.contribution(0.0 if f.reference_zero or not rows else median([r[f.name] for r in rows])))]
+            for f, by_ref in zip(spec.features, tables)
         ]
         for cell, rows in clean.items()
     }
 
     # one line per positive saving, written as write_table writes the rows (vehicle, date, feature, saving)
     vehicles, dates = _cells(days)
-    features = [csv_fields([f.name]) for f in spec.features]
     with artifact_file(path) as fh:
         fh.write(csv_fields(("vehicle_id", "date", "feature", "true_saving")) + "\n")
         for d in days:
             head = f"{vehicles[d.vehicle_id]},{dates[d.date]},"
-            cells = zip(features, d.contributions.values(), references[(d.synth_group, d.route_type)])
-            fh.write("".join(f"{head}{feature},{saving!r}\n" for feature, contrib, ref in cells
-                             if (saving := contrib - ref) > 0))
-
+            day_lines = map(dict.__getitem__, lines[(d.synth_group, d.route_type)], map(id, d.contributions.values()))
+            fh.write("".join(head + line for line in day_lines if line))

@@ -1,10 +1,11 @@
-"""Shared fixtures: a small feature registry, record builders, a fresh interpreter."""
+"""Shared fixtures: a small feature registry, record builders, scalar oracles, a fresh interpreter."""
 
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 import fleetfuel
 from fleetfuel.ingest import FarRecord
 from fleetfuel.registry import FeatureRegistry, FeatureSpec
+from fleetfuel.synthgen import ROUTE_KMS, ROUTE_PTC, TruthDay, _route_cdf, _snap_roundtrip, _span
 
 
 def make_registry(specs=None) -> FeatureRegistry:
@@ -124,6 +126,77 @@ def audit_entries(audit, table) -> list[AuditEntry]:
 def drop_counts(audit) -> dict[str, int]:
     """Rows dropped per rule, for every rule the audit holds."""
     return {rule: len(rows) for rule, rows, _ in audit}
+
+
+def reference_draw_days(spec, dates, vehicle_ids, vehicle_group, rngs) -> list[TruthDay]:
+    """Scalar reference: the per-vehicle-day draw loop that ``synthgen._draw_days`` replaced, the oracle for it."""
+    routes, route_cdf = _route_cdf(spec.route_mix)
+    ptc_spans = {route: _span(*ROUTE_PTC[route]) for route in routes}
+    # per feature: its ranges below and above the top cut if it has a top fraction, else its whole range twice
+    draws = []
+    for f in spec.features:
+        if f.top_fraction > 0:
+            lower, top = _span(f.low, f.top_cut), _span(f.top_cut, f.high)
+        else:
+            lower = top = _span(f.low, f.high)
+        draws.append((f.name, f.top_fraction, lower, top, f.integer, f.low, f.high, f.contribution))
+    n_doubles = 1 + sum(2 if f.top_fraction > 0 else 1 for f in spec.features)
+
+    days = []
+    for v, rng in enumerate(rngs):
+        random, integers, normal = rng.random, rng.integers, rng.normal
+        group = spec.groups[vehicle_group[v]]
+        for day in dates:
+            route = routes[bisect_right(route_cdf, random())]
+            route_kms = ROUTE_KMS[route]
+            kms = route_kms[integers(0, len(route_kms))]
+            u = random(n_doubles).tolist()
+            ptc_start, ptc_width = ptc_spans[route]
+            ptc = ptc_start + ptc_width * u[0]
+            values = {}
+            contribs = {}
+            i = 1
+            for name, top_fraction, lower, top, integer, low, high, contribution in draws:
+                if top_fraction > 0:
+                    start, width = top if u[i] < top_fraction else lower
+                    i += 1
+                else:
+                    start, width = lower
+                value = start + width * u[i]
+                i += 1
+                if integer:
+                    value = float(round(value))
+                values[name] = value = min(max(value, low), high)
+                contribs[name] = contribution(value)
+            noise = float(normal(0.0, spec.noise_sigma)) if spec.noise_sigma else 0.0
+            planted = random() < spec.outlier_rate
+            planted_sum = 0.0
+            for contrib in contribs.values():  # left to right: from Python 3.12, sum() compensates
+                planted_sum += contrib
+            clean = _snap_roundtrip(group.base_fuel + planted_sum + noise)
+            days.append(
+                TruthDay(
+                    vehicle_id=vehicle_ids[v],
+                    date=day,
+                    synth_group=vehicle_group[v],
+                    make=group.make,
+                    model=group.model,
+                    year=group.year,
+                    fuel_type=group.fuel_type,
+                    route_type=route,
+                    trip_kms=kms,
+                    per_time_city=ptc,
+                    fuel_l100=clean,
+                    clean_fuel_l100=clean,
+                    planted_outlier=planted,
+                    boost_added=0.0,
+                    base_fuel=group.base_fuel,
+                    noise_residual=0.0,
+                    feature_values=values,
+                    contributions=contribs,
+                )
+            )
+    return days
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from fleetfuel.cli import main
-from fleetfuel.synthgen import default_spec
+from fleetfuel.synthgen import SynthFeature, default_spec
 
 from .conftest import run_python
 
@@ -192,6 +192,24 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"paths": {"out_dir": "empty"}, "catalog_offset": 1, "rules": {"br5_cap": 1}}))
         assert run("ingest", "--config", str(cfg)) == 2
         assert "feed.csv" in capsys.readouterr().err
+
+
+class TestSynthBounds:
+    def test_bound_a_double_cannot_hold(self, workdir):
+        # the draws clamp to the bounds' doubles, so an int bound is never written in place of a drawn float
+        spec = default_spec(seed=1, n_vehicles=100, n_days=40)
+        spec.features = [*spec.features, SynthFeature("big", 2**60 + 1, 2**60 + 2**20 + 3, (), (0.0,), "mean")]
+        spec.to_json(workdir / "spec.json")
+        cfg = workdir / "config.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "paths": {"out_dir": "out", "synth_spec": "spec.json"}}))
+        assert run("synth", "--config", str(cfg)) == 0
+        with open(workdir / "out" / "truth_days.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        cells = [row[f"value_{f.name}"] for row in rows for f in spec.features]
+        with open(workdir / "out" / "feed.csv", newline="") as fh:
+            cells += [row["variable_value"] for row in csv.DictReader(fh)]
+        assert len(rows) == 4000 and {row["value_big"] for row in rows} > {"1.152921504606847e+18"}
+        assert all(repr(float(cell)) == cell for cell in cells)
 
 
 class TestDeterminism:

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tempfile
 from bisect import bisect_right
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleetfuel import synthgen
 from fleetfuel.anomaly import quartiles
 from fleetfuel.errors import DataError
 from fleetfuel.ingest import (
@@ -19,8 +23,11 @@ from fleetfuel.ingest import (
 )
 from fleetfuel.registry import FeatureRegistry, VinMap, assign_groups, median, table_columns, write_table
 from fleetfuel.synthgen import (
-    ROUTE_KMS, ROUTE_PTC, SynthFeature, SynthGroup, TruthDay, _route_cdf, _span, default_spec, generate,
+    DRAW_BATCH_DAYS, ROUTE_KMS, ROUTE_PTC, SynthFeature, SynthGroup, SynthSpec, TruthDay, _route_cdf, _span,
+    default_spec, generate,
 )
+
+from .conftest import reference_draw_days
 
 
 def small_fleet(tmp_path, **overrides):
@@ -322,6 +329,85 @@ class TestTruthWriters:
         assert b",{brace},1\n" in savings
 
 
+@st.composite
+def synth_features(draw, name):
+    """A feature of a random spec: int or float bounds, negative and zero-width ranges, int steps, top fractions."""
+    low = draw(st.one_of(st.integers(-5, 5), st.floats(-5, 5)))
+    high = low + draw(st.one_of(st.integers(0, 8), st.floats(0, 8)))
+    # cuts in the range, where a top cut must be, and below it
+    cuts = sorted(draw(st.lists(st.one_of(st.floats(low, high), st.floats(low - 3, low)), max_size=3)))
+    cuts = [c if draw(st.booleans()) or not float(c).is_integer() else int(c) for c in cuts]
+    values = draw(st.lists(st.one_of(st.integers(0, 3), st.floats(0, 2)), min_size=len(cuts) + 1,
+                           max_size=len(cuts) + 1))
+    if cuts and not low <= cuts[-1] <= high:
+        cuts[-1] = high
+    return SynthFeature(
+        name, low, high, tuple(cuts), tuple(values), draw(st.sampled_from(("sum", "mean", "last"))),
+        integer=draw(st.booleans()),
+        top_fraction=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))) if cuts else 0.0,
+        driver=bool(cuts) and draw(st.booleans()),
+        reference_zero=draw(st.booleans()),
+    )
+
+
+@st.composite
+def synth_specs(draw):
+    features = [draw(synth_features(f"f{i}")) for i in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        # bounds a double holds, and a cut it does not: a double at 2**60 is below the cut
+        features.append(SynthFeature("big", 2**60, 2**60 + 4096, (2**60 + 1,), (0.0, 0.5), "mean"))
+    groups = [SynthGroup("Aurora", "Vanta", "2018", "diesel", 8.0),
+              SynthGroup("Borealis", "Titan", "2016", "diesel", 12)]
+    return SynthSpec(
+        seed=draw(st.integers(0, 2**32)),
+        n_vehicles=draw(st.integers(1, 6)),
+        n_days=draw(st.integers(1, 5)),
+        groups=groups[: draw(st.integers(1, 2))],
+        features=features,
+        noise_sigma=draw(st.sampled_from([0.0, 0.3])),
+        outlier_rate=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        outlier_magnitude_iqr=0.5,
+        route_mix=draw(st.sampled_from([default_spec().route_mix, {"highway": 1.0}])),
+        unmatched_fraction=draw(st.sampled_from([0.0, 0.5])),
+    )
+
+
+def _typed_cells(day):
+    """Every field of a truth day and every entry of its dicts, in order, as (name, type, repr)."""
+    cells = []
+    for name, value in vars(day).items():
+        entries = value.items() if isinstance(value, dict) else [(name, value)]
+        cells += [(key, type(v), repr(v)) for key, v in entries]
+    return cells
+
+
+class TestColumnDraw:
+    """The column passes give the days, and so the files, the per-vehicle-day loop gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=synth_specs(), batch=st.sampled_from([1, 7, DRAW_BATCH_DAYS]))
+    def test_equals_per_day_loop(self, spec, batch):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            with mock.patch.object(synthgen, "DRAW_BATCH_DAYS", batch):
+                fleet = generate(spec, out / "columns")
+            with mock.patch.object(synthgen, "_draw_days", reference_draw_days):
+                oracle = generate(spec, out / "loop")
+            assert [_typed_cells(d) for d in fleet.days] == [_typed_cells(d) for d in oracle.days]
+            assert _file_bytes(out / "columns") == _file_bytes(out / "loop")
+            write_table(out / "feed.csv", FEED_COLUMNS, _feed_rows(spec, oracle.days))
+            write_table(out / "days.csv", *_truth_days_rows(spec, oracle.days))
+            write_table(out / "savings.csv", ("vehicle_id", "date", "feature", "true_saving"),
+                        _truth_savings_rows(spec, oracle.days))
+            for name, reference in [("feed.csv", "feed.csv"), ("truth_days.csv", "days.csv"),
+                                    ("truth_savings.csv", "savings.csv")]:
+                assert (out / "columns" / name).read_bytes() == (out / reference).read_bytes()
+
+
+def _file_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
 # many generators, each drawing several times, so every branch of numpy's draws is crossed
 SEEDS = range(1000)
 ROUTE_MIXES = [
@@ -394,6 +480,24 @@ class TestStreamEquivalence:
             assert [old.random().hex() for _ in range(k)] == [x.hex() for x in new.random(k).tolist()]
             assert old.bit_generator.state == new.bit_generator.state
 
+    @pytest.mark.parametrize("k", [1, 2, 13, 29, 45])
+    def test_block_into_a_matrix_row_is_scalar_doubles(self, k):
+        rows = np.empty((3, k))
+        for seed in SEEDS:
+            old, new = _pair(seed)
+            new.integers(0, 3)
+            old.integers(0, 3)
+            new.random(out=rows[1])
+            assert [old.random().hex() for _ in range(k)] == [x.hex() for x in rows[1].tolist()]
+            assert old.bit_generator.state == new.bit_generator.state
+
+
+EDGE_FEATURES = (
+    SynthFeature("tilt", -3, 3, (-1, 1), (0, 1, 2), "sum", integer=True),
+    SynthFeature("count_stops", 0, 40, (10, 30), (0.0, 0.2, 0.9), "sum", integer=True, top_fraction=1.0, driver=True),
+    SynthFeature("fuel_level", 0, 100, (50,), (0.1, 0.0), "last"),
+)
+
 
 def _sha256s(directory):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(directory.iterdir())}
@@ -426,8 +530,21 @@ class TestGoldenFleets:
                     "vin_map.csv": "56a055b7eb12a1dbd071d3297d39edc89ced634d0807d0048c1cbfd826ae9850",
                 },
             ),
+            (
+                # what the two above lack: an int sum feature over -3..3 with int steps (a draw in (-0.5, 0)
+                # rounds to 0.0, not -0.0), a top fraction of 1 and an int-bounded last feature
+                dict(seed=5, n_vehicles=30, n_days=6, outlier_rate=0.2, unmatched_fraction=0.2,
+                     features=[*default_spec().features, *EDGE_FEATURES]),
+                {
+                    "catalog.csv": "41dfc75e203994c9720367621f9f46fd2c28700c112a0a8f84eb98c309e96fa5",
+                    "feed.csv": "ecf7456a24390f2f8947bfc636bf50d517f821e1e0541ecba483f3828f32b091",
+                    "truth_days.csv": "c02d8f87645da85dbaf7a46700cd5c5120597c7cfa9ef69cfc48e1b037f1d517",
+                    "truth_savings.csv": "a21c1c86925df80578b671cd680e5a3f07ed593801ff4d295f43b5b91e0601bb",
+                    "vin_map.csv": "56a055b7eb12a1dbd071d3297d39edc89ced634d0807d0048c1cbfd826ae9850",
+                },
+            ),
         ],
-        ids=["acceptance", "outliers-unmatched"],
+        ids=["acceptance", "outliers-unmatched", "edge-features"],
     )
     def test_fleet_digests(self, tmp_path, overrides, digests):
         fleet = generate(default_spec(**overrides), tmp_path / "fleet")
