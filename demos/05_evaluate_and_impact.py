@@ -24,7 +24,6 @@ from fleetfuel.evaluate import (
 from fleetfuel.explain import BR_ORDER, ReferencePolicy, apply_business_rules, generate_daily_explanations
 from fleetfuel.gam import fit
 from fleetfuel.ingest import aggregate_daily, enrich_records, impute_missing, parse_feed_csv, quality_filter
-from fleetfuel.model import DEFAULT_CATEGORICALS
 from fleetfuel.registry import CatalogTable, FeatureRegistry, TrainConfig, VinMap, assign_groups, load_sota_limits
 from fleetfuel.synthgen import default_spec, generate
 
@@ -42,7 +41,7 @@ training, limits, _ = two_phase_clean(kept)
 labeled = flag_outliers(kept, limits)
 model = fit(training, registry, TrainConfig(learning_rate=0.05, max_rounds=400, patience=30, bags=4, seed=2))
 inliers = labeled.take([i for i, label in enumerate(labeled.anomaly_label) if label == "inlier"])
-policy = ReferencePolicy.from_records(registry, inliers, DEFAULT_CATEGORICALS)
+policy = ReferencePolicy.from_records(registry, inliers)
 raw = generate_daily_explanations(model, labeled, policy, limits)
 rows, _ = apply_business_rules(raw, policy, BR_ORDER)
 

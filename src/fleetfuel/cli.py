@@ -157,9 +157,9 @@ class RunContext:
     """Resolved config, lazy shared tables and the files the running stage touches.
 
     A stage names each file once.  ``config_file`` and ``artifact`` check
-    that a file the stage is about to read exists and record it with its
-    sha256 taken then; ``output`` returns a path in the output directory
-    and records it.  ``record_stage`` writes the record into manifest.json
+    that a path the stage is about to read names a file and record it
+    with its sha256 taken then; ``output`` returns a path in the output
+    directory and records it.  ``record_stage`` writes the record into manifest.json
     and clears it for the next stage.
     """
 
@@ -170,17 +170,19 @@ class RunContext:
         self._registry: FeatureRegistry | None = None
         self._inputs: dict[str, str] = {}
         self._outputs: list[Path] = []
+        if self.out_dir.exists() and not self.out_dir.is_dir():
+            raise FeedFormatError(f"output directory is not a directory: {self.out_dir}")
         # read before any stage runs, so a corrupt manifest stops it early
         manifest = self.out_dir / "manifest.json"
-        self._manifest = read_json_object(manifest, "manifest") if manifest.exists() else {}
+        self._manifest = read_json_object(_input(manifest), "manifest") if manifest.exists() else {}
+        if not isinstance(self._manifest.get("stages", {}), dict):
+            raise FeedFormatError(f"{manifest}: manifest stages is not a JSON object")
 
     @classmethod
     def from_args(cls, args) -> "RunContext":
         config = DEFAULT_CONFIG
         if args.config is not None:
-            cfg_path = Path(args.config)
-            if not cfg_path.exists():
-                raise FeedFormatError(f"missing file: {cfg_path}")
+            cfg_path = _input(Path(args.config))
             try:
                 user = read_json_object(cfg_path, "config")
             except FeedFormatError as exc:
@@ -198,7 +200,7 @@ class RunContext:
     # -- files of the running stage ------------------------------------------
 
     def _read(self, path: Path) -> Path:
-        self._inputs[str(path)] = _digest(path)
+        self._inputs[str(path)] = _digest(_input(path))
         return path
 
     def config_file(self, key: str, default: str | None = None) -> Path | None:
@@ -206,10 +208,7 @@ class RunContext:
         configured = self.config["paths"][key]
         if not configured and default is None:
             return None
-        path = Path(configured) if configured else self.out_dir / default
-        if not path.exists():
-            raise FeedFormatError(f"missing file: {path}")
-        return self._read(path)
+        return self._read(Path(configured) if configured else self.out_dir / default)
 
     def artifact(self, name: str, producer: str) -> Path:
         """Input ``out_dir/name``; MissingStageError names its producer when absent."""
@@ -279,6 +278,13 @@ def _read_cleaned_far(path: Path, registry: FeatureRegistry) -> DayTable:
     if bad is not None:
         raise FeedFormatError(f"{path}: line {bad[0] + 2}: {bad[1]}") from bad[1]
     return table
+
+
+def _input(path: Path) -> Path:
+    """``path`` when it is a file; FeedFormatError naming it when it is missing or not a file."""
+    if not path.is_file():
+        raise FeedFormatError(f"{'not a file' if path.exists() else 'missing file'}: {path}")
+    return path
 
 
 def _digest(path: Path) -> str:
@@ -388,13 +394,14 @@ def stage_clean(ctx: RunContext) -> None:
 def stage_train(ctx: RunContext) -> None:
     from .evaluate import ModelMetrics
 
+    config = ctx.train_config()
     registry = ctx.registry()
     path = ctx.artifact("far_training.csv", "clean")
     table = _read_cleaned_far(path, registry)
     split_cfg = ctx.config["split"]
     with _naming(path):
         train_table, test_table = train_test_split(table, float(split_cfg["fraction"]), int(split_cfg["seed"]))
-        model = fit(train_table, registry, ctx.train_config())
+        model = fit(train_table, registry, config)
     predictions = model.predict_many(test_table)
     n_predictors = sum(1 for cuts in model.cuts if cuts)
     metrics = model_metrics(ctx.config["fleet_id"], test_table, predictions, n_predictors, len(train_table))
@@ -419,12 +426,12 @@ def _load_labeled_inputs(ctx: RunContext):
 
 def stage_explain(ctx: RunContext) -> None:
     from .explain import BR_ORDER, ReferencePolicy
-    from .model import DEFAULT_CATEGORICALS, AdditiveModel
+    from .model import AdditiveModel
 
     # the model first: with several artifacts missing, the report names train
     model = AdditiveModel.load_json(ctx.artifact("model.json", "train"))
     registry, labeled, limits, inliers = _load_labeled_inputs(ctx)
-    policy = ReferencePolicy.from_records(registry, inliers, DEFAULT_CATEGORICALS)
+    policy = ReferencePolicy.from_records(registry, inliers)
     rules_cfg = ctx.config["rules"]
     pre_rows = generate_daily_explanations(model, labeled, policy, limits)
     final_rows, audit = apply_business_rules(

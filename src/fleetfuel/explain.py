@@ -7,7 +7,8 @@ otherwise the median over fuel-inlier days of the same vehicle group and
 route type.  Only positive savings become explanation rows.  Five business
 rules then prune the rows:
 
-  BR1  drop one-hot / categorical features (not actionable);
+  BR1  drop one-hot / categorical features (not actionable); explain
+       prices none, so only rows read back from a file can fall here;
   BR2  drop rows whose relative impact on the day's fuel is below 1%;
   BR3  keep only days whose fuel exceeds the group-route inlier median;
   BR4  require the value above the inlier median for Positive-impact
@@ -15,21 +16,18 @@ rules then prune the rows:
   BR5  drop whole days whose total claimed saving exceeds 80% of the
        day's fuel (not physically possible).
 
-Every row, numeric or categorical, is priced from one contribution
-matrix kept column by column in plain lists.  The priced days are taken
-from the ``DayTable`` in (vehicle, date) order; the model encodes them,
-one list per model column (a numeric column is the table's own), and looks
-up each cell's shape value with ``bisect_right``.  One reference row per
-(group, route) cell, holding the numeric targets with each categorical
-origin's indicators set at the cell's most common inlier level, is looked
-up the same way, for the priced columns only.  An origin's relevance is
-the running sum of its indicator columns in model column order.  Savings
-are relevance minus the cell's reference relevance; their positive
-entries, row-major, are the rows, except where the cell has no mode.  The
-arithmetic per entry is the scalar lookup's, and ``y_pred`` adds each
-day's contributions in numpy's pairwise order (``model.row_sums``).  The
-reference medians and modes group the inlier rows by cell once
-(``FallbackMedians``).  The module imports no numpy.
+Every row is priced from one contribution matrix kept column by column in
+plain lists.  The priced days are taken from the ``DayTable`` in (vehicle,
+date) order; the model encodes them, one list per model column (a numeric
+column is the table's own), and looks up each cell's shape value with
+``bisect_right``.  Only the model's numeric columns of actionable registry
+features are priced.  One reference row per (group, route) cell, holding
+the targets, is looked up the same way.  Savings are relevance minus the
+cell's reference relevance, and their positive entries, row-major, are the
+rows.  The arithmetic per entry is the scalar lookup's, and ``y_pred``
+adds each day's contributions in numpy's pairwise order
+(``model.row_sums``).  The reference medians group the inlier rows by cell
+once (``FallbackMedians``).  The module imports no numpy.
 
 The rows live in one ``ExplanationTable``: per-row lists (day slot, feature
 code, relevance, value, target, saving) next to per-day columns that every
@@ -60,7 +58,7 @@ from dataclasses import dataclass, replace
 from datetime import date as date_type
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from operator import add, and_, attrgetter, floordiv, getitem, le, mod, not_, sub
+from operator import attrgetter, floordiv, getitem, le, mod, not_, sub
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -87,20 +85,13 @@ logger = logging.getLogger(__name__)
 BR_ORDER = ("BR1", "BR3", "BR4", "BR2", "BR5")
 
 
-def _mode(values: list[str]) -> str:
-    counts: dict[str, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return min(counts, key=lambda k: (-counts[k], k))
-
-
 class FuelMedians:
     """Inlier fuel medians keyed by (group, route), with the feature registry.
 
     A missing cell falls back to the route across the fleet, then to the
     whole fleet; with no inlier fuel at all the median is None.  This is all
     that BR1-BR3 and the catalog comparison read; ``ReferencePolicy`` adds
-    the feature medians and categorical modes behind BR4 and the targets.
+    the feature medians behind BR4 and the targets.
     """
 
     def __init__(self, registry: FeatureRegistry, medians: FallbackMedians):
@@ -118,40 +109,22 @@ class FuelMedians:
 
 
 class ReferencePolicy(FuelMedians):
-    """Reference values, inlier medians and categorical modes keyed by (group, route).
+    """Reference values and inlier medians keyed by (group, route).
 
     Medians tier down like imputation does: the (group, route) cell, then
-    the route across the fleet, then the whole fleet, then zero.  Modes go
-    from the cell straight to the fleet.
+    the route across the fleet, then the whole fleet, then zero.
     """
 
-    def __init__(self, registry: FeatureRegistry, medians: FallbackMedians, modes: FallbackMedians):
-        super().__init__(registry, medians)
-        self._modes = modes
-
     @classmethod
-    def from_records(
-        cls,
-        registry: FeatureRegistry,
-        inliers: DayTable,
-        categoricals: Sequence[str] = (),
-    ) -> "ReferencePolicy":
+    def from_records(cls, registry: FeatureRegistry, inliers: DayTable) -> "ReferencePolicy":
         columns = {name: column for name, column in inliers.features.items() if name in registry}
         columns[None] = inliers.avg_fuel_consumption  # see FuelMedians
-        levels = {cat: list(map(str, getattr(inliers, cat))) for cat in categoricals}
-        return cls(
-            registry,
-            FallbackMedians(columns, [inliers.route_type, inliers.vehicle_group]),
-            FallbackMedians(levels, [list(zip(inliers.vehicle_group, inliers.route_type))], reduce=_mode),
-        )
+        return cls(registry, FallbackMedians(columns, [inliers.route_type, inliers.vehicle_group]))
 
     def feature_median(self, vehicle_group: int, route_type: str, feature: str) -> float:
         """Inlier median with route / fleet fallbacks (0.0 when unobserved)."""
         value = self._medians.get((feature, route_type, vehicle_group))
         return 0.0 if value is None else value
-
-    def categorical_mode(self, vehicle_group: int, route_type: str, field_name: str) -> str | None:
-        return self._modes.get((field_name, (vehicle_group, route_type)))
 
     def reference_value(self, feature: str, vehicle_group: int, route_type: str) -> float:
         """Counterfactual target for the feature on this group and route."""
@@ -331,12 +304,10 @@ def generate_daily_explanations(
 ) -> ExplanationTable:
     """Raw explanation rows (positive savings only), before business rules.
 
-    Rows cover actionable registry features and, so the categorical filter
-    has real work to do, the model's categorical origins priced against the
-    cell's most common inlier level.  Days without fuel or a published
-    limit for their cell are skipped.  Rows come day by day in (vehicle,
-    date) order, each day's numeric features in model column order before
-    its categoricals.
+    Rows cover the model's numeric columns of actionable registry features.
+    Days without fuel or a published limit for their cell are skipped.
+    Rows come day by day in (vehicle, date) order, each day's features in
+    model column order.
     """
     from .model import KIND_NUMERIC, row_sums
 
@@ -347,11 +318,6 @@ def generate_daily_explanations(
         if col.kind == KIND_NUMERIC and col.name in registry and registry[col.name].actionable
     ]
     names = [model.columns[j].name for j in cols]
-    # each categorical origin's indicator columns, in model column order
-    origins: dict[str, list[int]] = {}
-    for j, col in enumerate(model.columns):
-        if col.kind != KIND_NUMERIC:
-            origins.setdefault(col.origin, []).append(j)
 
     order = table.by_day()
     fuel, group, route = table.avg_fuel_consumption, table.vehicle_group, table.route_type
@@ -364,49 +330,22 @@ def generate_daily_explanations(
     X = model.encode(days)
     C = model.contributions(X)
 
-    # one reference row per (group, route) cell: the numeric targets, and
-    # each origin's indicators at the cell's mode; only priced columns are looked up
+    # one reference row per (group, route) cell; only priced columns are looked up
     cell_ids: dict[tuple[int, str], int] = {}
     cell_of = [cell_ids.setdefault(cell, len(cell_ids)) for cell in zip(days.vehicle_group, days.route_type)]
-    targets = [
-        [policy.reference_value(name, g, r) for name in names] + [policy.categorical_mode(g, r, o) for o in origins]
-        for g, r in cell_ids
-    ]
-    width = len(cols) + len(origins)
-    by_column = [[t[k] for t in targets] for k in range(width)]
-    C_ref = {j: model.lookup(j, by_column[k]) for k, j in enumerate(cols)}
-    for k, js in enumerate(origins.values(), start=len(cols)):
-        for j in js:
-            C_ref[j] = model.lookup(j, [float(mode == model.columns[j].level) for mode in by_column[k]])
-    priced = [[t is not None for t in row] for row in targets]
-
-    def relevance_of(C, n: int) -> list[list[float]]:
-        # numeric columns as they are; an origin adds its indicators from
-        # 0.0 in column order, as a scalar sum does
-        out = [C[j] for j in cols]
-        for js in origins.values():
-            total = [0.0] * n
-            for j in js:
-                total = list(map(add, total, C[j]))
-            out.append(total)
-        return out
-
-    relevance = relevance_of(C, len(days))
+    targets = [[policy.reference_value(name, g, r) for name in names] for g, r in cell_ids]
     saving = [
-        list(map(sub, rel, map(ref.__getitem__, cell_of)))
-        for rel, ref in zip(relevance, relevance_of(C_ref, len(cell_ids)))
+        list(map(sub, C[j], map(model.lookup(j, [t[k] for t in targets]).__getitem__, cell_of)))
+        for k, j in enumerate(cols)
     ]
     # entry i * width + k of the flat savings is day i's k-th priced column,
-    # so hits come day by day, numeric columns before origins; "not
-    # <= 0" keeps a NaN saving as the scalar test did
+    # so hits come day by day; "not <= 0" keeps a NaN saving as the scalar test did
+    width = len(cols)
     flat_saving = itertools.chain.from_iterable(zip(*saving))
-    positive = map(not_, map(le, flat_saving, itertools.repeat(0.0)))
-    in_cell = itertools.chain.from_iterable(map(priced.__getitem__, cell_of))
-    hits = list(itertools.compress(itertools.count(), map(and_, positive, in_cell)))
+    hits = list(itertools.compress(itertools.count(), map(not_, map(le, flat_saving, itertools.repeat(0.0)))))
     day = list(map(floordiv, hits, itertools.repeat(width)))
     feature = list(map(mod, hits, itertools.repeat(width)))
     at_hits = lambda columns: list(map(getitem, map(columns.__getitem__, feature), day))
-    values = [X[j] for j in cols] + [list(map(str, getattr(days, o))) for o in origins]
 
     table = ExplanationTable(
         vehicle_id=days.vehicle_id,
@@ -418,11 +357,11 @@ def generate_daily_explanations(
         limit_group=array("d", lim_sup),
         y_pred=array("d", [model.intercept + s for s in row_sums(C, len(days))]),
         y_fuel_new=array("d"),  # made by _select, from the day totals
-        features=tuple(names + list(origins)),
+        features=tuple(names),
         day=day,
         feature=feature,
-        relevance=at_hits(relevance),
-        value=at_hits(values),
+        relevance=at_hits([C[j] for j in cols]),
+        value=at_hits([X[j] for j in cols]),
         target=list(map(getitem, map(targets.__getitem__, map(cell_of.__getitem__, day)), feature)),
         y_diff=at_hits(saving),
     )

@@ -50,19 +50,16 @@ def _level_sort_key(levels: set[str]) -> list[str]:
         return sorted(levels)
 
 
-def build_design(
-    table: DayTable,
-    registry: FeatureRegistry,
-    categoricals: Sequence[str] = DEFAULT_CATEGORICALS,
-) -> tuple[np.ndarray, list[FeatureColumn]]:
+def build_design(table: DayTable, registry: FeatureRegistry) -> tuple[np.ndarray, list[FeatureColumn]]:
     """(days x columns) float64 design of the shared encoder: registry features in order, then indicators.
 
-    One indicator column per (categorical, level) over the levels observed
-    in the table; encoding an unseen level later yields all zeros.
+    One indicator column per (categorical of ``DEFAULT_CATEGORICALS``,
+    level) over the levels observed in the table; encoding an unseen level
+    later yields all zeros.
     """
     columns = [FeatureColumn(name=name, kind=KIND_NUMERIC, origin=name) for name in registry.names] + [
         FeatureColumn(name=f"{name}={level}", kind=KIND_INDICATOR, origin=name, level=level)
-        for name in categoricals
+        for name in DEFAULT_CATEGORICALS
         for level in _level_sort_key(set(map(str, getattr(table, name))))
     ]
     cells = np.array(encode(table, columns), dtype=np.float64)
@@ -276,12 +273,7 @@ def _fit_bags(
     return intercepts, bag_shapes, histories
 
 
-def fit(
-    table: DayTable,
-    registry: FeatureRegistry,
-    config: TrainConfig = TrainConfig(),
-    categoricals: Sequence[str] = DEFAULT_CATEGORICALS,
-) -> AdditiveModel:
+def fit(table: DayTable, registry: FeatureRegistry, config: TrainConfig = TrainConfig()) -> AdditiveModel:
     """Train on the table's avg fuel; see the module docstring for the loop."""
     if len(table) < 20:
         raise DataError(f"training needs at least 20 records, got {len(table)}")
@@ -289,7 +281,7 @@ def fit(
     if not np.all(np.isfinite(y)) or not np.all(y > 0):
         raise DataError("training target must be finite and positive on every record")
 
-    X, columns = build_design(table, registry, categoricals)
+    X, columns = build_design(table, registry)
     return fit_matrix(X, y, columns, config)
 
 

@@ -11,7 +11,9 @@ columns, and ``row_sums`` adds a day's contributions as numpy's
 (version 2) holds the intercept, the training config and, per design
 column in order, its name, kind, origin, level, cuts and values (a
 single-bin column: no cuts, the one value 0.0).  Loading accepts only
-strictly increasing finite cuts and one more finite value than cuts.
+text names and origins, a numeric column without a level or an indicator
+of a ``DEFAULT_CATEGORICALS`` origin at a text level, strictly increasing
+finite cuts and one more finite value than cuts.
 """
 
 from __future__ import annotations
@@ -184,8 +186,14 @@ class AdditiveModel:
             raise FeedFormatError(f"unsupported model version {data.get('version')!r}")
         columns, cuts, values = [], [], []
         for feat in data["features"]:
-            name = feat["name"]
-            columns.append(FeatureColumn(name=name, kind=feat["kind"], origin=feat["origin"], level=feat["level"]))
+            name, kind, origin, level = feat["name"], feat["kind"], feat["origin"], feat["level"]
+            # a numeric column has no level; an indicator has a text level of a known categorical
+            known = level is None if kind == KIND_NUMERIC else (
+                kind == KIND_INDICATOR and type(level) is str and origin in DEFAULT_CATEGORICALS
+            )
+            if type(name) is not str or type(origin) is not str or not known:
+                raise FeedFormatError(f"feature {name!r}: bad kind {kind!r}, origin {origin!r} or level {level!r}")
+            columns.append(FeatureColumn(name=name, kind=kind, origin=origin, level=level))
             cuts.append(_finite_numbers(feat["cuts"], f"feature {name!r} cuts"))
             values.append(_finite_numbers(feat["values"], f"feature {name!r} values"))
             if any(a >= b for a, b in zip(cuts[-1], cuts[-1][1:])):

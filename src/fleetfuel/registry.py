@@ -227,19 +227,17 @@ def median(values: Sequence[float]) -> float:
 
 
 class FallbackMedians:
-    """A reduced value (the median by default) of each column for every prefix of the rows' context.
+    """The median of each column for every prefix of the rows' context.
 
     ``context`` holds per-row key columns, widest first: under (route,
-    group), column ``name`` is reduced per (name,), (name, route) and (name,
-    route, group).  Each key's values are the column's cells that are not
-    None, in row order, so a median tied between 0.0 and -0.0 takes its
-    sign from that order.  ``get`` tries the whole key, then ever shorter
+    group), column ``name`` has a median per (name,), (name, route) and
+    (name, route, group).  Each key's values are the column's cells that
+    are not None, in row order, so a median tied between 0.0 and -0.0
+    takes its sign from that order.  ``get`` tries the whole key, then ever shorter
     prefixes down to the name alone; None when no prefix holds a value.
     """
 
-    def __init__(
-        self, columns: Mapping[object, Sequence], context: Sequence[Sequence], reduce: Callable[[list], T] = median
-    ):
+    def __init__(self, columns: Mapping[object, Sequence], context: Sequence[Sequence]):
         rows: dict[tuple, Sequence[int]] = {(): range(len(context[0]))}
         for depth in range(1, len(context) + 1):
             for i, key in enumerate(zip(*context[:depth])):
@@ -249,7 +247,7 @@ class FallbackMedians:
             for prefix, index in rows.items():
                 values = [v for v in map(column.__getitem__, index) if v is not None]
                 if values:
-                    self._values[(name, *prefix)] = reduce(values)
+                    self._values[(name, *prefix)] = median(values)
 
     def get(self, key: tuple):
         while key:

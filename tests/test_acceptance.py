@@ -507,6 +507,16 @@ def test_priced_behaviour_share_matches_planted(pipeline_run):
     assert abs(priced - planted) <= MAX_BEHAVIOUR_SHARE_GAP
 
 
+def test_prefilter_rows_are_actionable_registry_features(pipeline_run):
+    """The model has indicator columns for the categorical contexts, but explain prices none of them."""
+    out = pipeline_run["out"]
+    model = json.loads((out / "model.json").read_text())
+    assert any(col["kind"] == "indicator" for col in model["features"])
+    actionable = {spec.name for spec in FeatureRegistry.default() if spec.actionable}
+    features = {r["feature"] for r in _read_truth(out / "explanations_prefilter.csv")}
+    assert features and features <= actionable
+
+
 # ---------------------------------------------------------------------------
 # Criterion 9: route classifier vs brute force on 10,000 pairs
 

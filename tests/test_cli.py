@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from fleetfuel.cli import main
-from fleetfuel.synthgen import SynthFeature, default_spec
+from fleetfuel.synthgen import SynthFeature, default_spec, generate
 
 from .conftest import run_python
 
@@ -210,6 +210,21 @@ class TestSynthBounds:
             cells += [row["variable_value"] for row in csv.DictReader(fh)]
         assert len(rows) == 4000 and {row["value_big"] for row in rows} > {"1.152921504606847e+18"}
         assert all(repr(float(cell)) == cell for cell in cells)
+
+
+class TestSynthSeedFlag:
+    def test_seed_flag_reseeds_a_spec_file(self, workdir):
+        spec = default_spec(seed=3, n_vehicles=12, n_days=5)
+        spec.to_json(workdir / "spec.json")
+        cfg = workdir / "config.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "paths": {"out_dir": "out", "synth_spec": "spec.json"}}))
+        assert run("synth", "--config", str(cfg), "--seed", "11") == 0
+        assert json.loads((workdir / "out" / "synth_spec.json").read_text())["seed"] == 11
+        spec.seed = 11
+        fleet = generate(spec, workdir / "ref")
+        for path in (fleet.feed_path, fleet.vin_map_path, fleet.catalog_path, fleet.truth_days_path,
+                     fleet.truth_savings_path):
+            assert (workdir / "out" / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 class TestDeterminism:
@@ -581,7 +596,10 @@ class TestCorruptInputs:
 
     @pytest.mark.parametrize(
         "how",
-        ["truncated", "no-features", "version", "unordered-cuts", "nan-cut", "string-cut", "inf-value", "bool-value"],
+        [
+            "truncated", "no-features", "version", "unordered-cuts", "nan-cut", "string-cut", "inf-value", "bool-value",
+            "bogus-kind", "int-name", "int-origin", "numeric-level", "list-level", "unknown-origin",
+        ],
     )
     def test_model_json(self, finished_run, tmp_path, capsys, how):
         out, cfg = self._copy(finished_run, tmp_path)
@@ -592,6 +610,7 @@ class TestCorruptInputs:
         else:
             data = json.loads(text)
             feature = next(f for f in data["features"] if len(f["cuts"]) >= 2)
+            indicator = next(f for f in data["features"] if f["kind"] == "indicator")
             if how == "version":
                 data["version"] = 1
             elif how == "no-features":
@@ -604,10 +623,37 @@ class TestCorruptInputs:
                 feature["cuts"][0] = str(feature["cuts"][0])
             elif how == "inf-value":
                 feature["values"][0] = math.inf
+            elif how == "bogus-kind":
+                feature["kind"] = "bogus"
+            elif how == "int-name":
+                feature["name"] = 5
+            elif how == "int-origin":
+                feature["origin"] = 5
+            elif how == "numeric-level":
+                feature["level"] = "1"
+            elif how == "list-level":
+                indicator["level"] = [1]
+            elif how == "unknown-origin":
+                indicator["origin"] = "rpm_high"
             else:
                 feature["values"][0] = True
             path.write_text(json.dumps(data))
         self._fails_naming(capsys, "explain", cfg, out, "model.json")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("learning_rate", 0.0), ("max_bins", 1), ("validation_fraction", 0.5), ("max_leaves", 1), ("bags", 0),
+         ("max_rounds", 0), ("patience", 0)],
+    )
+    def test_train_config_bound(self, finished_run, tmp_path, capsys, key, value):
+        out, cfg = self._copy(finished_run, tmp_path)
+        config = json.loads(Path(cfg).read_text())
+        config["train"][key] = value
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        before = (out / "model.json").read_bytes()
+        self._fails_naming(capsys, "train", str(cfg), out, key)
+        assert (out / "model.json").read_bytes() == before
 
     @pytest.mark.parametrize("how", ["truncated", "not-object"])
     def test_train_metrics_json(self, finished_run, tmp_path, capsys, how):
@@ -813,6 +859,48 @@ class TestCorruptInputs:
         self._fails_naming(capsys, "clean", cfg, out, str(manifest))
         # refused before the stage ran: nothing rewrote the manifest
         assert manifest.read_text() == text[: len(text) // 2]
+
+    @pytest.mark.parametrize("stages", [[], "x", None], ids=["list", "string", "null"])
+    @pytest.mark.parametrize("stage", ["ingest", "explain", "evaluate"])
+    def test_manifest_stages_not_object(self, finished_run, tmp_path, capsys, stage, stages):
+        out, cfg = self._copy(finished_run, tmp_path)
+        manifest = out / "manifest.json"
+        data = json.loads(manifest.read_text())
+        data["stages"] = stages
+        manifest.write_text(json.dumps(data))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        self._fails_naming(capsys, stage, cfg, out, str(manifest), "stages")
+        # refused before the stage ran: no output was rewritten
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    @pytest.mark.parametrize("stage, key", [("ingest", "feed"), ("ingest", "registry"), ("synth", "synth_spec")])
+    def test_directory_for_config_path(self, finished_run, tmp_path, capsys, stage, key):
+        out, cfg = self._copy(finished_run, tmp_path)
+        folder = tmp_path / key
+        folder.mkdir()
+        cfg = _config_with_paths(cfg, tmp_path, **{key: folder})
+        self._fails_naming(capsys, stage, cfg, out, f"not a file: {folder}")
+
+    def test_directory_for_artifact(self, finished_run, tmp_path, capsys):
+        out, cfg = self._copy(finished_run, tmp_path)
+        (out / "model.json").unlink()
+        (out / "model.json").mkdir()
+        self._fails_naming(capsys, "explain", cfg, out, f"not a file: {out / 'model.json'}")
+
+    @pytest.mark.parametrize("stage", ["ingest", "explain"])
+    def test_directory_for_config(self, tmp_path, capsys, stage):
+        capsys.readouterr()
+        assert run(stage, "--config", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"not a file: {tmp_path}" in err
+
+    @pytest.mark.parametrize("stage", ["synth", "ingest"])
+    def test_file_for_out_dir(self, finished_run, tmp_path, capsys, stage):
+        _, cfg = finished_run
+        target = tmp_path / "out"
+        target.write_text("not a directory")
+        self._fails_naming(capsys, stage, cfg, target, f"output directory is not a directory: {target}")
+        assert target.read_text() == "not a directory"
 
     @pytest.mark.parametrize(
         "stage, name, config_key, key",

@@ -113,20 +113,18 @@ class TestReferenceValue:
 
 
 def fallback_pool():
-    """Inliers whose cell, route and fleet medians and modes all differ.
+    """Inliers whose cell, route and fleet medians all differ.
 
     Fuel and mean_speed_hwy: cell (0, highway) is 8, the highway route over
-    groups 0 and 1 is 9, the fleet is 10.  vehicle_class: the (1, city)
-    cell's mode is 2, which is also the city route's, and the fleet's is 1.
+    groups 0 and 1 is 9, the fleet is 10.
     """
-    cells = [(0, "highway", 8.0, 1), (1, "highway", 10.0, 1), (1, "highway", 10.0, 1),
-             (0, "highway", 8.0, 1), (1, "city", 12.0, 2), (1, "city", 12.0, 2), (1, "city", 20.0, 2)]
-    records = []
-    for i, (group, route, value, cls) in enumerate(cells):
-        rec = make_record(vehicle_id=f"f{i}", vehicle_group=group, route_type=route, avg=value,
-                          label="inlier", features={"mean_speed_hwy": value})
-        rec.vehicle_class = cls
-        records.append(rec)
+    cells = [(0, "highway", 8.0), (1, "highway", 10.0), (1, "highway", 10.0),
+             (0, "highway", 8.0), (1, "city", 12.0), (1, "city", 12.0), (1, "city", 20.0)]
+    records = [
+        make_record(vehicle_id=f"f{i}", vehicle_group=group, route_type=route, avg=value,
+                    label="inlier", features={"mean_speed_hwy": value})
+        for i, (group, route, value) in enumerate(cells)
+    ]
     return DayTable.from_rows(records)
 
 
@@ -146,13 +144,6 @@ class TestFallbackChains:
         assert policy.feature_median(5, "highway", "mean_speed_hwy") == 9.0
         assert policy.feature_median(0, "combined", "mean_speed_hwy") == 10.0
         assert policy.feature_median(0, "highway", "rpm_high") == 0.0
-
-    def test_categorical_mode_cell_then_fleet_skipping_route(self, small_registry):
-        policy = ReferencePolicy.from_records(small_registry, fallback_pool(), ("vehicle_class",))
-        assert policy.categorical_mode(1, "city", "vehicle_class") == "2"
-        # no (0, city) cell: the fleet's mode, not the city route's
-        assert policy.categorical_mode(0, "city", "vehicle_class") == "1"
-        assert policy.categorical_mode(0, "highway", "vehicle_group") is None
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +176,8 @@ def _reference_median(values):
     return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
-def _reference_mode(levels):
-    counts = {level: levels.count(level) for level in levels}
-    return min(counts, key=lambda level: (-counts[level], level))
-
-
-def reference_lookups(registry, records, categoricals, queries):
-    """repr of every fuel median, feature median and mode the per-record loop gives at each (group, route)."""
+def reference_lookups(registry, records, queries):
+    """repr of every fuel median and feature median the per-record loop gives at each (group, route)."""
     medians = ItemMedians(
         [((None, r.route_type, r.vehicle_group), r.avg_fuel_consumption) for r in records
          if r.avg_fuel_consumption is not None]
@@ -199,23 +185,17 @@ def reference_lookups(registry, records, categoricals, queries):
            if name in registry],
         _reference_median,
     )
-    modes = ItemMedians(
-        [((cat, (r.vehicle_group, r.route_type)), str(getattr(r, cat))) for r in records for cat in categoricals],
-        _reference_mode,
-    )
     out = []
     for group, route in queries:
         feature = [medians.get((name, route, group)) for name in registry.names]
-        out.append((repr(medians.get((None, route, group))), [repr(0.0 if v is None else v) for v in feature],
-                    [modes.get((cat, (group, route))) for cat in categoricals]))
+        out.append((repr(medians.get((None, route, group))), [repr(0.0 if v is None else v) for v in feature]))
     return out
 
 
-def policy_lookups(policy, registry, categoricals, queries):
+def policy_lookups(policy, registry, queries):
     return [
         (repr(policy.fuel_median(group, route)),
-         [repr(policy.feature_median(group, route, name)) for name in registry.names],
-         [policy.categorical_mode(group, route, cat) for cat in categoricals])
+         [repr(policy.feature_median(group, route, name)) for name in registry.names])
         for group, route in queries
     ]
 
@@ -237,7 +217,7 @@ def inlier_tables(draw):
         )
         if draw(st.integers(0, 5)) == 0:
             rec.avg_fuel_consumption = None
-        rec.vehicle_class = draw(st.integers(0, 2))
+        rec.vehicle_class = draw(st.integers(0, 2))  # read by no median
         records.append(rec)
     return records
 
@@ -249,11 +229,8 @@ class TestGroupedMedians:
     @given(records=inlier_tables())
     def test_policy_equals_per_record_reference(self, records):
         registry = make_registry()
-        policy = ReferencePolicy.from_records(registry, DayTable.from_rows(records, registry.names),
-                                              DEFAULT_CATEGORICALS)
-        assert policy_lookups(policy, registry, DEFAULT_CATEGORICALS, self.QUERIES) == reference_lookups(
-            registry, records, DEFAULT_CATEGORICALS, self.QUERIES
-        )
+        policy = ReferencePolicy.from_records(registry, DayTable.from_rows(records, registry.names))
+        assert policy_lookups(policy, registry, self.QUERIES) == reference_lookups(registry, records, self.QUERIES)
         fuel = FuelMedians.from_records(registry, DayTable.from_rows(records))
         assert [repr(fuel.fuel_median(g, r)) for g, r in self.QUERIES] == [
             repr(policy.fuel_median(g, r)) for g, r in self.QUERIES
@@ -525,8 +502,7 @@ class TestCsvRoundTrip:
         assert loaded.rows() == rows.rows()
 
     def test_round_trip_keeps_numeric_looking_levels(self, small_registry, tmp_path):
-        model, inliers, target, limits, policy = categorical_fallback_setup(small_registry)
-        rows = explain_days(model, [target] + inliers, policy, limits)
+        rows = categorical_day()
         path = tmp_path / "expl.csv"
         write_explanations_csv(rows, path)
         loaded = read_explanations_csv(path, small_registry)
@@ -569,14 +545,6 @@ def _reference_predict(model, rec):
     return model.intercept + float(row.sum())
 
 
-def _reference_categorical(model, origin, level):
-    total = 0.0
-    for col in model.columns:
-        if col.kind != "numeric" and col.origin == origin:
-            total += model.contribution_at(col.name, 1.0 if col.level == level else 0.0)
-    return total
-
-
 def reference_explanations(model, records, policy, limits):
     registry = policy.registry
     numeric_names = [
@@ -584,10 +552,6 @@ def reference_explanations(model, records, policy, limits):
         for col in model.columns
         if col.kind == "numeric" and col.name in registry and registry[col.name].actionable
     ]
-    cat_origins = []
-    for col in model.columns:
-        if col.kind != "numeric" and col.origin not in cat_origins:
-            cat_origins.append(col.origin)
     rows = []
     for rec in sorted(records, key=lambda r: (r.vehicle_id, r.date)):
         day_rows = []  # a record is one vehicle-day, whatever other record shares its vehicle and date
@@ -623,25 +587,6 @@ def reference_explanations(model, records, policy, limits):
                     **common,
                 )
             )
-        for origin in cat_origins:
-            ref_level = policy.categorical_mode(rec.vehicle_group, rec.route_type, origin)
-            if ref_level is None:
-                continue
-            current_level = str(getattr(rec, origin))
-            current = _reference_categorical(model, origin, current_level)
-            diff = current - _reference_categorical(model, origin, ref_level)
-            if diff <= 0:
-                continue
-            day_rows.append(
-                ExplanationRow(
-                    feature=origin,
-                    feature_relevance=current,
-                    feature_value=current_level,
-                    target_value=ref_level,
-                    y_diff=diff,
-                    **common,
-                )
-            )
         fuel_new = recompute_fuel_new(rec.avg_fuel_consumption, [row.y_diff for row in day_rows])
         rows += [replace(row, y_fuel_new=fuel_new) for row in day_rows]
     return rows
@@ -651,7 +596,9 @@ def categorical_fallback_setup(small_registry):
     """One outlier day in group 1 on a highway, where every inlier is group 0.
 
     Group 1's highway cell has one day, so it borrows the highway limits,
-    and with no inlier of its own the group's mode falls back to the fleet's.
+    and it has no inlier of its own: the one corner where the fleet's most
+    common group (0) differs from the day's own, so a priced context would
+    have made a row.  The model has an indicator column per group.
     """
     model = step_model(
         {
@@ -679,8 +626,26 @@ def categorical_fallback_setup(small_registry):
         features={"rpm_high": 9.0, "mean_speed_hwy": 99.5, "mean_exterior_temp": 275.0},
     )
     limits = compute_limits(DayTable.from_rows(inliers + [target]))
-    policy = ReferencePolicy.from_records(small_registry, DayTable.from_rows(inliers), ("vehicle_group",))
+    policy = ReferencePolicy.from_records(small_registry, DayTable.from_rows(inliers))
     return model, inliers, target, limits, policy
+
+
+def categorical_day():
+    """The borrowed-limit day of ``categorical_fallback_setup`` as explain once wrote it.
+
+    Three numeric rows and a categorical row, from group level 1 to the
+    fleet's 0, whose saving counted in the day's y_fuel_new.  Explain no
+    longer prices categorical contexts, but a file may still hold such a
+    row: the reader keeps its levels as text and BR1 drops it.
+    """
+    day = dict(vehicle_id="vgrp1", date_tx=date(2021, 1, 5), route_type="highway", vehicle_group=1, intercept=7.25,
+               avg_fuel_consumption=9.96, limit_group=7.375, y_pred=9.2, y_fuel_new=8.010000000000002)
+    cells = [("rpm_high", 0.6, 9.0, 0.0, 0.6), ("mean_speed_hwy", 0.9, 99.5, 77.0, 0.9),
+             ("mean_exterior_temp", 0.4, 275.0, 286.0, 0.4), ("vehicle_group", 0.05, "1", "0", 0.05)]
+    return ExplanationTable.from_rows(
+        ExplanationRow(feature=name, feature_relevance=rel, feature_value=value, target_value=target, y_diff=dy, **day)
+        for name, rel, value, target, dy in cells
+    )
 
 
 class TestMatchesReferenceLoop:
@@ -701,24 +666,16 @@ class TestMatchesReferenceLoop:
             assert explain_days(model, records, policy, limits).rows() == expected
 
     def test_categorical_fallback_row(self, small_registry):
+        # the borrowed-limit day gets its numeric rows only, and BR1 has nothing to drop
         model, inliers, target, limits, policy = categorical_fallback_setup(small_registry)
         assert limits.lookup(1, "highway").borrowed
-        assert policy.categorical_mode(1, "highway", "vehicle_group") == "0"
         rows = explain_days(model, [target] + inliers, policy, limits)
         assert rows.rows() == reference_explanations(model, [target] + inliers, policy, limits)
-        cat = [r for r in rows if r.feature == "vehicle_group"]
-        assert len(cat) == 1
-        assert (cat[0].vehicle_id, cat[0].feature_value, cat[0].target_value) == ("vgrp1", "1", "0")
-        assert cat[0].y_diff == 0.05
-        # the categorical row counts in the day's pre-filter total
-        day_total = sum(r.y_diff for r in rows if r.vehicle_id == "vgrp1")
-        assert cat[0].y_fuel_new == 9.96 - day_total
-        table = ExplanationTable.from_rows(rows)
-        kept, audit = apply_business_rules(table, policy)
-        assert all(r.feature != "vehicle_group" for r in kept)
-        assert [(a.rule_id, a.vehicle_id, a.feature) for a in audit_entries(audit, table) if a.rule_id == "BR1"] == [
-            ("BR1", "vgrp1", "vehicle_group")
-        ]
+        day = [r for r in rows if r.vehicle_id == "vgrp1"]
+        assert [r.feature for r in day] == ["rpm_high", "mean_speed_hwy", "mean_exterior_temp"]
+        assert {r.y_fuel_new for r in day} == {recompute_fuel_new(9.96, [r.y_diff for r in day])}
+        _, audit = apply_business_rules(rows, policy)
+        assert drop_counts(audit)["BR1"] == 0
 
     def test_missing_feature_raises(self, small_registry):
         model, inliers, target, limits, policy = explanation_setup(small_registry)
@@ -818,7 +775,7 @@ class TestReferenceProperty:
         model, records, support = problem
         registry = _property_registry()
         inliers = [r for r in records if r.anomaly_label == "inlier"]
-        policy = ReferencePolicy.from_records(registry, DayTable.from_rows(inliers), ("vehicle_group", "route_type"))
+        policy = ReferencePolicy.from_records(registry, DayTable.from_rows(inliers))
         limits = compute_limits(DayTable.from_rows(records + support))
         expected = reference_explanations(model, records, policy, limits)
         assert explain_days(model, records, policy, limits).rows() == expected
@@ -846,9 +803,9 @@ def categorical_problems(draw):
     Each origin has columns for a drawn subset of its levels, so some days
     hold a level without a column, and the indicator columns come in a
     drawn order; vehicle_class has seven to ten, and numpy's pairwise sum
-    regroups eight or more terms.  A (group, route) cell may hold no
-    inlier, so the fleet's mode applies there, and a fleet without inliers
-    has no mode at all.
+    regroups eight or more terms in y_pred.  A (group, route) cell may hold
+    no inlier, so the fleet's medians apply there, and a fleet without
+    inliers has none at all.
     """
     names = make_registry().names
     columns, cuts, values = [], [], []
@@ -901,10 +858,13 @@ class TestCategoricalProperty:
         model, records, support = problem
         registry = make_registry()
         inliers = [r for r in records if r.anomaly_label == "inlier"]
-        policy = ReferencePolicy.from_records(registry, DayTable.from_rows(inliers), DEFAULT_CATEGORICALS)
+        policy = ReferencePolicy.from_records(registry, DayTable.from_rows(inliers))
         limits = compute_limits(DayTable.from_rows(records + support))
         expected = reference_explanations(model, records, policy, limits)
-        assert explain_days(model, records, policy, limits).rows() == expected
+        rows = explain_days(model, records, policy, limits).rows()
+        assert rows == expected
+        # the indicator columns add no row
+        assert {r.feature for r in rows} <= set(registry.names)
 
 
 class TestReadExplanationsCsv:
@@ -933,9 +893,8 @@ class TestReadExplanationsCsv:
             read_explanations_csv(path, small_registry)
 
     def test_non_finite_looking_level_is_text(self, small_registry, tmp_path):
-        model, inliers, target, limits, policy = categorical_fallback_setup(small_registry)
         path = tmp_path / "expl.csv"
-        write_explanations_csv(explain_days(model, [target] + inliers, policy, limits), path)
+        write_explanations_csv(categorical_day(), path)
         path.write_text(path.read_text().replace(",vehicle_group,0.05,1,0,", ",vehicle_group,0.05,inf,nan,"))
         levels = [(r.feature_value, r.target_value) for r in read_explanations_csv(path, small_registry)
                   if r.feature == "vehicle_group"]
@@ -1117,7 +1076,7 @@ def rule_problems(draw):
     if no_fuel:
         for rec in inliers:
             rec.avg_fuel_consumption = None
-    policy = ReferencePolicy.from_records(registry, DayTable.from_rows(inliers), ("vehicle_group", "route_type"))
+    policy = ReferencePolicy.from_records(registry, DayTable.from_rows(inliers))
     # one record per drawn day; two records may share a vehicle and date
     days = [
         dict(

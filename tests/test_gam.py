@@ -37,23 +37,29 @@ def numeric_column(name):
 
 
 class TestOneHot:
-    """Indicator columns: build_design over an empty registry makes only those."""
+    """Indicator columns: build_design over an empty registry makes only those, one origin at a time."""
+
+    @staticmethod
+    def design(records, origin):
+        matrix, columns = build_design(DayTable.from_rows(records), FeatureRegistry([]))
+        index = [j for j, c in enumerate(columns) if c.origin == origin]
+        return matrix[:, index], [columns[j] for j in index]
 
     def test_two_groups_two_columns(self):
         records = [make_record(vehicle_group=0), make_record(vehicle_id="v2", vehicle_group=14)]
-        matrix, columns = build_design(DayTable.from_rows(records), FeatureRegistry([]), ("vehicle_group",))
+        matrix, columns = self.design(records, "vehicle_group")
         assert [c.name for c in columns] == ["vehicle_group=0", "vehicle_group=14"]
         assert matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_single_level_constant_column(self):
         records = [make_record(), make_record(vehicle_id="v2")]
-        matrix, columns = build_design(DayTable.from_rows(records), FeatureRegistry([]), ("route_type",))
+        matrix, columns = self.design(records, "route_type")
         assert [c.name for c in columns] == ["route_type=highway"]
         assert matrix.tolist() == [[1.0], [1.0]]
 
     def test_unseen_level_all_zeros(self):
         train = [make_record(route_type="city"), make_record(vehicle_id="v2", route_type="highway")]
-        _, columns = build_design(DayTable.from_rows(train), FeatureRegistry([]), ("route_type",))
+        _, columns = self.design(train, "route_type")
         model = _tiny_model(columns)
         unseen = make_record(vehicle_id="v3", route_type="combined")
         assert [cells[0] for cells in model.encode(DayTable.from_rows([unseen]))] == [0.0, 0.0]
