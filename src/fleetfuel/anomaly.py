@@ -9,9 +9,8 @@ second upper whisker is the published outlier threshold for the group.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InsufficientSupportError
 from .ingest import LABEL_INLIER, LABEL_OUTLIER, LABEL_UNASSIGNED, DayTable
@@ -44,8 +43,7 @@ def quartiles(values: Sequence[float]) -> tuple[float, float]:
     return at(0.25 * (n - 1)), at(0.75 * (n - 1))
 
 
-@dataclass(frozen=True)
-class AnomalyLimits:
+class AnomalyLimits(NamedTuple):
     """Boxplot whiskers for one (vehicle_group, route_type) cell."""
 
     vehicle_group: int
@@ -125,19 +123,19 @@ def compute_limits(table: DayTable) -> LimitTable:
         if len(values) >= MIN_SUPPORT:
             limits[(group, route)] = AnomalyLimits.from_values(group, route, values)
         elif route in fleet:
-            limits[(group, route)] = replace(fleet[route], vehicle_group=group, route_type=route, borrowed=True)
+            limits[(group, route)] = fleet[route]._replace(vehicle_group=group, route_type=route, borrowed=True)
         else:
             skipped.append((group, route))
     return LimitTable(limits, skipped)
 
 
-@dataclass
 class NoiseReport:
     """Phase 1's removals, as positions in the table it cleaned: below the lower whisker, above the upper."""
 
-    low_rows: list[int] = field(default_factory=list)
-    noise_rows: list[int] = field(default_factory=list)
-    emptied_cells: list[tuple[int, str]] = field(default_factory=list)
+    def __init__(self):
+        self.low_rows: list[int] = []
+        self.noise_rows: list[int] = []
+        self.emptied_cells: list[tuple[int, str]] = []
 
     @property
     def n_low(self) -> int:
@@ -194,7 +192,7 @@ LIMITS_COLUMNS = (*table_columns(AnomalyLimits)[:-1], "borrowed_flag")
 
 
 def write_limits_csv(limits: LimitTable, path: str | Path) -> None:
-    rows = ((*astuple(lim)[:-1], int(lim.borrowed)) for _, lim in limits.items())
+    rows = ((*lim[:-1], int(lim.borrowed)) for _, lim in limits.items())
     write_table(path, LIMITS_COLUMNS, rows)
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import importlib
 import json
@@ -121,8 +120,8 @@ DEFAULT_CONFIG = {
         "synth_spec": None,
         "out_dir": "out",
     },
-    "route_thresholds": dataclasses.asdict(RouteThresholds()),
-    "train": dataclasses.asdict(TrainConfig()),
+    "route_thresholds": RouteThresholds()._asdict(),
+    "train": TrainConfig()._asdict(),
     "split": {"fraction": 0.9, "seed": 0},
     "rules": {"br2_threshold": DEFAULT_BR2_THRESHOLD, "br5_cap": DEFAULT_BR5_CAP},
     "catalog_offset": 1.0,
@@ -240,6 +239,13 @@ class RunContext:
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(**self.config["train"])
+
+    def split(self) -> tuple[float, int]:
+        """The split's training fraction and seed; a fraction outside (0, 1) raises DataError naming the key."""
+        fraction = float(self.config["split"]["fraction"])
+        if not 0.0 < fraction < 1.0:
+            raise DataError(f"config key 'split.fraction' must be in (0, 1), got {fraction!r}")
+        return fraction, int(self.config["split"]["seed"])
 
     # -- manifest -------------------------------------------------------------
 
@@ -364,7 +370,7 @@ def stage_clean(ctx: RunContext) -> None:
     # recorded with ingest's digest: it is read here before it is rewritten
     identities = read_identities_csv(ctx.artifact("identities.csv", "ingest"))
     identities = {
-        vid: dataclasses.replace(ident, vehicle_class=classes.get(ident.vehicle_group, 0))
+        vid: ident._replace(vehicle_class=classes.get(ident.vehicle_group, 0))
         for vid, ident in identities.items()
     }
 
@@ -395,12 +401,12 @@ def stage_train(ctx: RunContext) -> None:
     from .evaluate import ModelMetrics
 
     config = ctx.train_config()
+    fraction, seed = ctx.split()
     registry = ctx.registry()
     path = ctx.artifact("far_training.csv", "clean")
     table = _read_cleaned_far(path, registry)
-    split_cfg = ctx.config["split"]
     with _naming(path):
-        train_table, test_table = train_test_split(table, float(split_cfg["fraction"]), int(split_cfg["seed"]))
+        train_table, test_table = train_test_split(table, fraction, seed)
         model = fit(train_table, registry, config)
     predictions = model.predict_many(test_table)
     n_predictors = sum(1 for cuts in model.cuts if cuts)
@@ -426,11 +432,16 @@ def _load_labeled_inputs(ctx: RunContext):
 
 def stage_explain(ctx: RunContext) -> None:
     from .explain import BR_ORDER, ReferencePolicy
-    from .model import AdditiveModel
+    from .model import KIND_NUMERIC, AdditiveModel
 
     # the model first: with several artifacts missing, the report names train
-    model = AdditiveModel.load_json(ctx.artifact("model.json", "train"))
+    model_path = ctx.artifact("model.json", "train")
+    model = AdditiveModel.load_json(model_path)
     registry, labeled, limits, inliers = _load_labeled_inputs(ctx)
+    # a numeric column is read from the FAR table, which holds the registry's features
+    unknown = [col.name for col in model.columns if col.kind == KIND_NUMERIC and col.name not in registry]
+    if unknown:
+        raise FeedFormatError(f"{model_path}: numeric column {unknown[0]!r} is not a registry feature")
     policy = ReferencePolicy.from_records(registry, inliers)
     rules_cfg = ctx.config["rules"]
     pre_rows = generate_daily_explanations(model, labeled, policy, limits)

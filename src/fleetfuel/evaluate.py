@@ -13,12 +13,10 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .anomaly import LimitTable
 from .errors import DataError
-from .explain import ExplanationTable, FuelMedians, divide
 from .ingest import LABEL_OUTLIER, DayTable
 from .registry import (
     CO2_KG_PER_LITER,
@@ -29,6 +27,9 @@ from .registry import (
     VehicleIdentity,
     median,
 )
+
+if TYPE_CHECKING:  # train reads the metrics alone, without explain
+    from .explain import ExplanationTable, FuelMedians
 
 MAPE_HIGHLY_ACCURATE = "highly_accurate"
 MAPE_GOOD = "good"
@@ -136,8 +137,7 @@ def classify_r2(value: float) -> str:
     return R2_NONE
 
 
-@dataclass(frozen=True)
-class ModelMetrics:
+class ModelMetrics(NamedTuple):
     fleet: str
     median_vehicle_mape: float
     mape_category: str
@@ -229,8 +229,7 @@ def _approx_two_sided(ranks: list[float], w_plus: float, n: int) -> float:
 # Category impact vs literature limits
 
 
-@dataclass(frozen=True)
-class CategoryImpact:
+class CategoryImpact(NamedTuple):
     category: str
     subcategory: str
     fleet: str
@@ -254,6 +253,8 @@ def aggregate_category_impact(
     appears.  Subcategories outside the limits config, plus the unchecked
     ones, are reported without a verdict.
     """
+    from .explain import divide
+
     subcategory = [
         None if spec is None else (spec.category, spec.subcategory) for spec in map(registry.get, table.features)
     ]
@@ -306,8 +307,7 @@ def aggregate_category_impact(
 # Explained extra fuel vs anomaly thresholds
 
 
-@dataclass(frozen=True)
-class OutlierComparison:
+class OutlierComparison(NamedTuple):
     fleet: str
     n_outlier_days: int
     median_explained: float
@@ -354,8 +354,7 @@ def outlier_vs_explained(
 # Catalog comparison
 
 
-@dataclass(frozen=True)
-class CatalogMapeReport:
+class CatalogMapeReport(NamedTuple):
     fleet: str
     mape_1: float | None
     mape_2: float | None
@@ -441,8 +440,7 @@ def catalog_mape(
 # Monthly impact
 
 
-@dataclass(frozen=True)
-class MonthlyImpact:
+class MonthlyImpact(NamedTuple):
     fleet: str
     month: str
     total_fuel_l: float

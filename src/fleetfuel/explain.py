@@ -44,7 +44,8 @@ string escapes and ``float.__repr__``, byte for byte what ``json.dumps(...,
 sort_keys=True)`` writes.  ``ExplanationRow`` is the table's row view; its
 fields are the CSV columns, and ``from_rows`` and the CSV reader share
 ``ExplanationTable._build``, which gives rows with equal day cells one slot
-wherever they occur.
+wherever they occur.  The table is a plain class; ``_select`` builds the
+next one with its own constructor.
 """
 
 from __future__ import annotations
@@ -54,13 +55,12 @@ import json
 import logging
 import math
 from array import array
-from dataclasses import dataclass, replace
 from datetime import date as date_type
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, floordiv, getitem, le, mod, not_, sub
+from operator import floordiv, getitem, le, mod, not_, sub
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .anomaly import LimitTable
 from .errors import FeedFormatError
@@ -133,8 +133,7 @@ class ReferencePolicy(FuelMedians):
         return self.feature_median(vehicle_group, route_type, feature)
 
 
-@dataclass
-class ExplanationRow:
+class ExplanationRow(NamedTuple):
     """One (vehicle, date, feature) recommendation: the row view of an ExplanationTable."""
 
     vehicle_id: str
@@ -183,7 +182,6 @@ def _same(x):
     return x
 
 
-@dataclass(eq=False)
 class ExplanationTable:
     """Explanation rows as columns: per-row columns that index per-day columns.
 
@@ -197,24 +195,28 @@ class ExplanationTable:
     hold floats, or levels (str) on categorical rows.
     """
 
-    # per day slot
-    vehicle_id: list[str]
-    date_tx: list[date_type]
-    route_type: list[str]
-    vehicle_group: list[int]
-    intercept: array
-    avg_fuel: array
-    limit_group: array
-    y_pred: array
-    y_fuel_new: array
-    # per row
-    features: tuple[str, ...]
-    day: list[int]
-    feature: list[int]
-    relevance: list[float]
-    value: list
-    target: list
-    y_diff: list[float]
+    def __init__(self, vehicle_id: list[str], date_tx: list[date_type], route_type: list[str],
+                 vehicle_group: list[int], intercept: array, avg_fuel: array, limit_group: array, y_pred: array,
+                 y_fuel_new: array, features: tuple[str, ...], day: list[int], feature: list[int],
+                 relevance: list[float], value: list, target: list, y_diff: list[float]):
+        # per day slot
+        self.vehicle_id = vehicle_id
+        self.date_tx = date_tx
+        self.route_type = route_type
+        self.vehicle_group = vehicle_group
+        self.intercept = intercept
+        self.avg_fuel = avg_fuel
+        self.limit_group = limit_group
+        self.y_pred = y_pred
+        self.y_fuel_new = y_fuel_new
+        # per row
+        self.features = features
+        self.day = day
+        self.feature = feature
+        self.relevance = relevance
+        self.value = value
+        self.target = target
+        self.y_diff = y_diff
 
     @classmethod
     def _build(
@@ -257,7 +259,7 @@ class ExplanationTable:
     @classmethod
     def from_rows(cls, rows: Iterable[ExplanationRow]) -> "ExplanationTable":
         """The table of these rows, in order; rows with equal day fields share a slot."""
-        return cls._build(map(attrgetter(*EXPLANATION_COLUMNS), rows))
+        return cls._build(rows)
 
     def __len__(self) -> int:
         return len(self.day)
@@ -289,11 +291,13 @@ class ExplanationTable:
 
     def _select(self, index: Sequence[int] | None) -> "ExplanationTable":
         """The rows at ``index`` (every row when None), in order, with y_fuel_new recomputed over them."""
-        columns = ("day", "feature", "relevance", "value", "target", "y_diff")
-        rows = {} if index is None else {c: list(map(getattr(self, c).__getitem__, index)) for c in columns}
-        table = replace(self, **rows)
-        table.y_fuel_new = array("d", map(sub, self.avg_fuel, _sum_by(table.day, table.y_diff, len(self.avg_fuel))))
-        return table
+        rows = [self.day, self.feature, self.relevance, self.value, self.target, self.y_diff]
+        if index is not None:
+            rows = [list(map(column.__getitem__, index)) for column in rows]
+        day, y_diff = rows[0], rows[-1]
+        y_fuel_new = array("d", map(sub, self.avg_fuel, _sum_by(day, y_diff, len(self.avg_fuel))))
+        return ExplanationTable(self.vehicle_id, self.date_tx, self.route_type, self.vehicle_group, self.intercept,
+                                self.avg_fuel, self.limit_group, self.y_pred, y_fuel_new, self.features, *rows)
 
 
 def generate_daily_explanations(

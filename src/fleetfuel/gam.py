@@ -28,7 +28,6 @@ for 8 bags, 1,000 rows and 37 columns, linear in rows.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -38,7 +37,7 @@ from .errors import DataError
 from .ingest import DayTable
 # the model's names, re-exported for the trainer's callers
 from .model import DEFAULT_CATEGORICALS, KIND_INDICATOR, KIND_NUMERIC, AdditiveModel, FeatureColumn, encode
-from .registry import FeatureRegistry, TrainConfig, write_table
+from .registry import FeatureRegistry, Record, TrainConfig, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -189,12 +188,14 @@ def _tree_deltas(C: np.ndarray, col: _Column, max_leaves: int, lr: float) -> np.
     return np.repeat(value.ravel(), lengths.ravel()).reshape(bags, width)
 
 
-@dataclass
-class BagHistory:
-    train_rmse: list[float] = field(default_factory=list)
-    val_rmse: list[float] = field(default_factory=list)
-    best_round: int = -1
-    stopped_round: int = -1
+class BagHistory(Record):
+    """One bag's training and validation RMSE per round, its best round and the round it stopped after."""
+
+    def __init__(self):
+        self.train_rmse: list[float] = []
+        self.val_rmse: list[float] = []
+        self.best_round = -1
+        self.stopped_round = -1
 
 
 def _fit_bags(

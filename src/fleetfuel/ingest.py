@@ -17,7 +17,7 @@ Python float, or None where the day has no value (a blank CSV cell); lists
 rather than ``array('d')`` keep a blank cell apart from a literal ``nan``.
 Filters and splits copy rows into a new table with ``take``; labelling and
 imputation change a table's columns in place.  ``FarRecord`` is the row
-view, for callers that want one object per day.
+view, for callers that want one object per day; both are plain classes.
 
 Channel naming: a feed variable_id either names a feature declared in the
 registry (aggregated by that feature's declared aggregator) or one of the
@@ -31,15 +31,14 @@ import functools
 import logging
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import DataError, FeedFormatError, MissingFeatureError
 from .registry import (
-    FallbackMedians, FeatureRegistry, VehicleClassRow, VehicleIdentity, csv_reader, median, table_columns, utf8_text,
-    write_table,
+    FallbackMedians, FeatureRegistry, Record, VehicleClassRow, VehicleIdentity, csv_reader, median, table_columns,
+    utf8_text, write_table,
 )
 
 logger = logging.getLogger(__name__)
@@ -61,8 +60,7 @@ LABEL_UNASSIGNED = "unassigned"
 MIN_TRIP_KMS = 5.0
 
 
-@dataclass(frozen=True)
-class RawReading:
+class RawReading(NamedTuple):
     """One feed row; its fields declare the feed's columns."""
 
     time_tx: datetime
@@ -74,41 +72,49 @@ class RawReading:
 FEED_COLUMNS = table_columns(RawReading)
 
 
-@dataclass
-class FarRecord:
-    """One vehicle-day: the row view of a DayTable; the fields before ``features`` are the FAR's fixed columns."""
-
-    vehicle_id: str
-    date: date
-    route_type: str = ROUTE_COMBINED
-    vehicle_group: int = -1
-    vehicle_class: int = 0
-    anomaly_label: str = LABEL_UNASSIGNED
-    trip_kms: float | None = None
-    trip_fuel_used: float | None = None
-    per_time_city: float | None = None
-    avg_fuel_consumption: float | None = None
-    features: dict[str, float] = field(default_factory=dict)
+#: the FAR's fixed columns: the attributes of a FarRecord and the columns of a DayTable before ``features``
+FAR_FIXED_COLUMNS = ("vehicle_id", "date", "route_type", "vehicle_group", "vehicle_class", "anomaly_label",
+                     "trip_kms", "trip_fuel_used", "per_time_city", "avg_fuel_consumption")
 
 
-FAR_FIXED_COLUMNS = table_columns(FarRecord)[:-1]
+class FarRecord(Record):
+    """One vehicle-day: the row view of a DayTable, its fixed columns and then its features."""
+
+    def __init__(self, vehicle_id: str, date: date, route_type: str = ROUTE_COMBINED, vehicle_group: int = -1,
+                 vehicle_class: int = 0, anomaly_label: str = LABEL_UNASSIGNED, trip_kms: float | None = None,
+                 trip_fuel_used: float | None = None, per_time_city: float | None = None,
+                 avg_fuel_consumption: float | None = None, features: dict[str, float] | None = None):
+        self.vehicle_id = vehicle_id
+        self.date = date
+        self.route_type = route_type
+        self.vehicle_group = vehicle_group
+        self.vehicle_class = vehicle_class
+        self.anomaly_label = anomaly_label
+        self.trip_kms = trip_kms
+        self.trip_fuel_used = trip_fuel_used
+        self.per_time_city = per_time_city
+        self.avg_fuel_consumption = avg_fuel_consumption
+        self.features = {} if features is None else features
 
 
-@dataclass
-class DayTable:
+class DayTable(Record):
     """Vehicle-days as columns: row i of every fixed column and of every ``features`` column is one day."""
 
-    vehicle_id: list[str]
-    date: list[date]
-    route_type: list[str]
-    vehicle_group: list[int]
-    vehicle_class: list[int]
-    anomaly_label: list[str]
-    trip_kms: list[float | None]
-    trip_fuel_used: list[float | None]
-    per_time_city: list[float | None]
-    avg_fuel_consumption: list[float | None]
-    features: dict[str, list[float | None]]
+    def __init__(self, vehicle_id: list[str], date: list[date], route_type: list[str], vehicle_group: list[int],
+                 vehicle_class: list[int], anomaly_label: list[str], trip_kms: list[float | None],
+                 trip_fuel_used: list[float | None], per_time_city: list[float | None],
+                 avg_fuel_consumption: list[float | None], features: dict[str, list[float | None]]):
+        self.vehicle_id = vehicle_id
+        self.date = date
+        self.route_type = route_type
+        self.vehicle_group = vehicle_group
+        self.vehicle_class = vehicle_class
+        self.anomaly_label = anomaly_label
+        self.trip_kms = trip_kms
+        self.trip_fuel_used = trip_fuel_used
+        self.per_time_city = per_time_city
+        self.avg_fuel_consumption = avg_fuel_consumption
+        self.features = features
 
     @classmethod
     def from_rows(cls, rows: Iterable[FarRecord], names: Iterable[str] | None = None) -> "DayTable":
@@ -164,8 +170,7 @@ class DayTable:
         return row, DataError(f"{name!r} is not finite on {where}")
 
 
-@dataclass(frozen=True)
-class RouteThresholds:
+class RouteThresholds(NamedTuple):
     """Distance / city-time thresholds for the route classifier."""
 
     th_kms: float = 30.0
@@ -173,7 +178,6 @@ class RouteThresholds:
     high_th_time: float = 0.65
 
 
-@dataclass
 class DayReadings:
     """Accepted feed rows by (vehicle, UTC day), then by channel.
 
@@ -182,17 +186,18 @@ class DayReadings:
     order of first sight.  ``len()`` counts every accepted row.
     """
 
-    registry: FeatureRegistry
-    days: dict[tuple[str, date], dict[str, list]]
-    other: dict[str, int]
-    n_rows: int
+    def __init__(self, registry: FeatureRegistry, days: dict[tuple[str, date], dict[str, list]],
+                 other: dict[str, int], n_rows: int):
+        self.registry = registry
+        self.days = days
+        self.other = other
+        self.n_rows = n_rows
 
     def __len__(self) -> int:
         return self.n_rows
 
 
-@dataclass
-class ParsedFeed:
+class ParsedFeed(NamedTuple):
     readings: DayReadings
     rejects: dict[str, int]
 
@@ -307,11 +312,11 @@ def _aggregate(samples: list, how: str) -> float:
     raise DataError(f"unknown aggregator {how!r}")
 
 
-@dataclass
 class AggregateReport:
-    unknown_channels: dict[str, int] = field(default_factory=dict)
-    n_records: int = 0
-    n_readings: int = 0
+    def __init__(self, n_readings: int = 0):
+        self.unknown_channels: dict[str, int] = {}
+        self.n_records = 0
+        self.n_readings = n_readings
 
 
 def aggregate_daily(
@@ -446,9 +451,9 @@ def assign_classes(table: DayTable, class_table: Sequence[VehicleClassRow]) -> d
     return classes
 
 
-@dataclass
 class RemovalReport:
-    reasons: dict[str, int] = field(default_factory=dict)
+    def __init__(self):
+        self.reasons: dict[str, int] = {}
 
     def count(self, reason: str) -> None:
         self.reasons[reason] = self.reasons.get(reason, 0) + 1

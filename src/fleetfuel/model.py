@@ -21,11 +21,10 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from operator import add, eq
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DataError, FeedFormatError
 from .ingest import DayTable
@@ -41,8 +40,7 @@ KIND_NUMERIC = "numeric"
 KIND_INDICATOR = "indicator"
 
 
-@dataclass(frozen=True)
-class FeatureColumn:
+class FeatureColumn(NamedTuple):
     """One model input: a numeric feature or a one-hot indicator."""
 
     name: str
@@ -112,22 +110,20 @@ def _finite_numbers(cells, what: str) -> list[float]:
     return [float(x) for x in cells]
 
 
-@dataclass
 class AdditiveModel:
     """Fitted additive model: intercept plus one shape function per column."""
 
-    intercept: float
-    columns: list[FeatureColumn]
-    cuts: list[list[float]]
-    values: list[list[float]]
-    config: TrainConfig
-    history: list = field(default_factory=list, repr=False)  # gam.BagHistory per bag, when trained
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, intercept: float, columns: list[FeatureColumn], cuts: list[list[float]],
+                 values: list[list[float]], config: TrainConfig, history: list | None = None):
+        self.intercept = intercept
+        self.columns = columns
+        self.cuts = cuts
+        self.values = values
+        self.config = config
+        self.history = [] if history is None else history  # gam.BagHistory per bag, when trained
         # name -> position; the first of any repeated name wins, as in a scan
-        self._index = {}
-        for j, col in enumerate(self.columns):
+        self._index: dict[str, int] = {}
+        for j, col in enumerate(columns):
             self._index.setdefault(col.name, j)
 
     def encode(self, table: DayTable) -> list[list[float]]:
@@ -171,9 +167,9 @@ class AdditiveModel:
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "intercept": self.intercept,
-            "config": asdict(self.config),
+            "config": self.config._asdict(),
             "features": [
-                {**asdict(col), "cuts": cuts, "values": values}
+                {**col._asdict(), "cuts": cuts, "values": values}
                 for col, cuts, values in zip(self.columns, self.cuts, self.values)
             ],
         }

@@ -8,12 +8,16 @@ file and line.  Every CSV file the pipeline reads is opened through
 ``utf8_text``, so a byte that is not UTF-8 raises FeedFormatError naming
 the file.  Every artifact a stage writes goes through ``artifact_file``
 (CSV tables through ``write_table``), so it appears whole or not at all.
-A table is declared once, by its row dataclass: ``table_columns`` gives
+A table is declared once, by its row NamedTuple: ``table_columns`` gives
 its columns and ``row_parser`` converts each cell by its field's type,
-naming the column of a cell that does not convert.  The feature registry
-drives aggregation, imputation, reference policies and the explanation
-taxonomy; the VIN map and class table drive vehicle grouping; the catalog
-and SOTA-limit tables drive the domain evaluations.  The module also holds
+naming the column of a cell that does not convert.  A record that checks
+its fields subclasses its NamedTuple with a checking ``__new__``; mutable
+state is a plain class, and ``Record`` compares and shows it by its
+attributes.  So no stage child imports ``dataclasses`` or compiles the
+methods it would generate.  The feature registry drives aggregation,
+imputation, reference policies and the explanation taxonomy; the VIN map
+and class table drive vehicle grouping; the catalog and SOTA-limit tables
+drive the domain evaluations.  The module also holds
 what the CLI needs before it knows which stage runs: the training config,
 the rule and CO2 defaults, the JSON object reader and the report writers.
 It imports no numpy.
@@ -27,15 +31,17 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, astuple, dataclass, fields
 from functools import cache
-from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar, get_type_hints
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO, TypeVar, get_type_hints
 
 from .errors import DataError, FeedFormatError, FleetFuelError
 
 T = TypeVar("T")
+
+#: the packaged config tables; read from the package's own directory, as ``importlib.resources`` would load
+#: ``inspect`` and ``tempfile`` into every stage on Python 3.12
+DATA_DIR = Path(__file__).with_name("data")
 
 
 def read_table(
@@ -79,11 +85,7 @@ def utf8_text(path: str | Path | None, packaged: str | None = None) -> Iterator[
 
     A byte that is not UTF-8, wherever the block meets it, raises FeedFormatError naming the file.
     """
-    if path is None:
-        fh = io.StringIO(resources.files("fleetfuel.data").joinpath(packaged).read_text(encoding="utf-8"))
-    else:
-        fh = open(path, newline="", encoding="utf-8")
-    with fh:
+    with open(DATA_DIR / packaged if path is None else path, newline="", encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -120,8 +122,18 @@ def fits(value, kind: type) -> bool:
 
 
 def table_columns(row_type: type) -> tuple[str, ...]:
-    """The field names of the ``row_type`` dataclass, in order: the columns of its table."""
-    return tuple(f.name for f in fields(row_type))
+    """The ``_fields`` of ``row_type``, a NamedTuple's field names in order: the columns of its table."""
+    return row_type._fields
+
+
+class Record:
+    """Mutable state that compares equal to, and shows as, its attributes in the order ``__init__`` set them."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 _TRUE = {"yes", "y", "true", "1"}
@@ -149,7 +161,7 @@ _CELL_PARSERS = {str: str, int: int, float: _parse_finite, bool: _parse_flag}
 
 @cache
 def row_parser(row_type: type[T]) -> Callable[[dict[str, str]], T]:
-    """A ``read_table`` parse that builds the ``row_type`` dataclass from a row's cells.
+    """A ``read_table`` parse that builds the ``row_type`` NamedTuple from a row's cells.
 
     Each field's converter follows its type and is worked out once per
     type: ``str``, ``int``, a finite ``float``, or ``bool`` through the
@@ -158,7 +170,7 @@ def row_parser(row_type: type[T]) -> Callable[[dict[str, str]], T]:
     ValueError naming its column.
     """
     hints = get_type_hints(row_type)
-    converters = [(f.name, _CELL_PARSERS[hints[f.name]]) for f in fields(row_type)]
+    converters = [(name, _CELL_PARSERS[hints[name]]) for name in row_type._fields]
 
     def parse(row: dict[str, str]) -> T:
         values = {}
@@ -287,10 +299,7 @@ UNCHECKED_SUBCATEGORIES: frozenset[str] = frozenset({"Other", "Rain"})
 AGGREGATORS = ("sum", "mean", "max", "count", "last")
 IMPACT_TYPES = ("Positive", "Negative")
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    """Registry entry describing one telemetry-derived feature."""
-
+class _FeatureSpecFields(NamedTuple):
     name: str
     unit: str
     aggregator: str
@@ -301,7 +310,14 @@ class FeatureSpec:
     actionable: bool
     description: str = ""
 
-    def __post_init__(self):
+
+class FeatureSpec(_FeatureSpecFields):
+    """Registry entry describing one telemetry-derived feature."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.aggregator not in AGGREGATORS:
             raise FeedFormatError(
                 f"feature {self.name!r}: unknown aggregator {self.aggregator!r}"
@@ -315,6 +331,7 @@ class FeatureSpec:
                 f"feature {self.name!r}: ({self.category!r}, {self.subcategory!r}) "
                 "is not in the factor taxonomy"
             )
+        return self
 
 
 class FeatureRegistry:
@@ -365,8 +382,7 @@ def _read_specs(path: str | Path | None) -> list[FeatureSpec]:
 # Vehicle identity
 
 
-@dataclass(frozen=True)
-class VehicleIdentity:
+class VehicleIdentity(NamedTuple):
     """Resolved identity of one vehicle plus its dense group id."""
 
     vehicle_id: str
@@ -432,8 +448,7 @@ def assign_groups(vehicle_ids: Sequence[str], vin_map: VinMap) -> dict[str, Vehi
 def write_identities_csv(
     identities: Mapping[str, VehicleIdentity], path: str | Path
 ) -> None:
-    rows = (astuple(ident) for _, ident in sorted(identities.items()))
-    write_table(path, table_columns(VehicleIdentity), rows)
+    write_table(path, table_columns(VehicleIdentity), (ident for _, ident in sorted(identities.items())))
 
 
 def read_identities_csv(path: str | Path) -> dict[str, VehicleIdentity]:
@@ -447,8 +462,7 @@ def read_identities_csv(path: str | Path) -> dict[str, VehicleIdentity]:
 # Vehicle class table
 
 
-@dataclass(frozen=True)
-class VehicleClassRow:
+class VehicleClassRow(NamedTuple):
     l100km_min: float
     l100km_max: float
     l100km_med: float
@@ -467,10 +481,7 @@ def load_class_table(path: str | Path | None = None) -> list[VehicleClassRow]:
 # Catalog references
 
 
-@dataclass(frozen=True)
-class CatalogReference:
-    """Catalog fuel for one (make, model, year, fuel_type, route_type)."""
-
+class _CatalogReferenceFields(NamedTuple):
     make: str
     model: str
     year: str
@@ -478,9 +489,17 @@ class CatalogReference:
     route_type: str
     l_per_100km: float
 
-    def __post_init__(self):
+
+class CatalogReference(_CatalogReferenceFields):
+    """Catalog fuel for one (make, model, year, fuel_type, route_type)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.l_per_100km > 0:
             raise FeedFormatError(f"catalog fuel must be positive, got {self.l_per_100km}")
+        return self
 
 
 class CatalogTable:
@@ -508,8 +527,7 @@ class CatalogTable:
 # SOTA impact limits
 
 
-@dataclass(frozen=True)
-class SotaLimit:
+class SotaLimit(NamedTuple):
     category: str
     subcategory: str
     min_pct: float
@@ -532,8 +550,7 @@ DEFAULT_BR2_THRESHOLD = 0.01
 DEFAULT_BR5_CAP = 0.8
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class _TrainConfigFields(NamedTuple):
     learning_rate: float = 0.01
     max_rounds: int = 5000
     patience: int = 50
@@ -543,7 +560,14 @@ class TrainConfig:
     validation_fraction: float = 0.15
     seed: int = 0
 
-    def __post_init__(self):
+
+class TrainConfig(_TrainConfigFields):
+    """The trainer's settings; a bad one raises DataError when the config is built (``_replace`` checks nothing)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.learning_rate > 0:
             raise DataError("learning_rate must be positive")
         if self.max_bins < 2:
@@ -554,6 +578,7 @@ class TrainConfig:
             raise DataError("max_leaves must be at least 2")
         if self.bags < 1 or self.max_rounds < 1 or self.patience < 1:
             raise DataError("bags, max_rounds and patience must be positive")
+        return self
 
 
 def read_json_object(path: str | Path, what: str) -> dict:
@@ -568,16 +593,21 @@ def read_json_object(path: str | Path, what: str) -> dict:
     return data
 
 
+def jsonable(obj):
+    """``obj`` with each NamedTuple in it, at any depth, as the dict of its fields: json would write a list."""
+    if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
+        obj = obj._asdict()
+    if isinstance(obj, dict):
+        return {key: jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(value) for value in obj]
+    return obj
+
+
 def write_report_json(payload, path: str | Path) -> None:
-    """Sorted, indented JSON; a NaN or infinity raises DataError naming the file."""
-
-    def default(obj):
-        if hasattr(obj, "__dataclass_fields__"):
-            return asdict(obj)
-        raise TypeError(f"cannot serialize {type(obj)!r}")
-
+    """Sorted, indented JSON, a NamedTuple as an object; a NaN or infinity raises DataError naming the file."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, default=default, allow_nan=False)
+        text = json.dumps(jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise DataError(f"{path}: report is not valid JSON: {exc}") from exc
     with artifact_file(path) as fh:
@@ -585,11 +615,11 @@ def write_report_json(payload, path: str | Path) -> None:
 
 
 def write_report_csv(items: Iterable, row_type: type, path: str | Path) -> None:
-    """One row per item, columns in the field order of the ``row_type`` dataclass.
+    """One row per item, columns in the field order of the ``row_type`` NamedTuple.
 
     Items are instances of row_type or dicts keyed by its field names (a
     report read back from JSON); a missing key writes an empty cell.
     """
     columns = table_columns(row_type)
-    dicts = (asdict(item) if hasattr(item, "__dataclass_fields__") else dict(item) for item in items)
+    dicts = (item._asdict() if isinstance(item, tuple) else item for item in items)
     write_table(path, columns, ([data.get(col) for col in columns] for data in dicts))

@@ -53,10 +53,9 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
 from datetime import date as date_type, timedelta
 from pathlib import Path
-from typing import get_type_hints
+from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -73,8 +72,8 @@ from .ingest import (
     compute_avg_fuel,
 )
 from .registry import (
-    AGGREGATORS, VIN_MAP_COLUMNS, CatalogReference, artifact_file, csv_fields, fits, median, read_json_object,
-    table_columns, write_table,
+    AGGREGATORS, VIN_MAP_COLUMNS, CatalogReference, Record, artifact_file, csv_fields, fits, jsonable, median,
+    read_json_object, table_columns, write_table,
 )
 
 # distances whose /100 factor is a power of two, keyed by route type
@@ -99,10 +98,7 @@ def _span(a: float, b: float) -> tuple[float, float]:
     return float(a), float(b) - float(a)
 
 
-@dataclass(frozen=True)
-class SynthFeature:
-    """One planted feature: sampling range and step-function fuel map."""
-
+class _SynthFeatureFields(NamedTuple):
     name: str
     low: float
     high: float
@@ -114,7 +110,14 @@ class SynthFeature:
     driver: bool = False
     reference_zero: bool = False
 
-    def __post_init__(self):
+
+class SynthFeature(_SynthFeatureFields):
+    """One planted feature: sampling range and step-function fuel map."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.values) != len(self.cuts) + 1:
             raise DataError(f"feature {self.name}: need one value per segment")
         if not all(map(math.isfinite, (self.low, self.high, *self.cuts, *self.values))):
@@ -139,6 +142,7 @@ class SynthFeature:
             width = _span(a, b)[1]
             if not 0 <= width < math.inf:
                 raise DataError(f"feature {self.name}: cannot draw uniformly from {a!r} to {b!r}, a width of {width!r}")
+        return self
 
     @property
     def top_cut(self) -> float:
@@ -150,8 +154,7 @@ class SynthFeature:
         return self.values[bisect_right(self.cuts, x)]
 
 
-@dataclass(frozen=True)
-class SynthGroup:
+class _SynthGroupFields(NamedTuple):
     make: str
     model: str
     year: str
@@ -159,30 +162,41 @@ class SynthGroup:
     base_fuel: float
     weight: float = 1.0
 
-    def __post_init__(self):
+
+class SynthGroup(_SynthGroupFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.base_fuel < math.inf:
             raise DataError("base_fuel must be positive and finite")
         if not 0 <= self.weight < math.inf:
             raise DataError("weight must be non-negative and finite")
+        return self
 
 
-@dataclass
-class SynthSpec:
-    seed: int = 0
-    n_vehicles: int = 250
-    n_days: int = 20
-    start_date: str = "2021-01-01"
-    groups: list[SynthGroup] = field(default_factory=list)
-    features: list[SynthFeature] = field(default_factory=list)
-    noise_sigma: float = 0.25
-    outlier_rate: float = 0.03
-    outlier_magnitude_iqr: float = 3.5
-    route_mix: dict[str, float] = field(
-        default_factory=lambda: {"city": 0.3, "combined": 0.3, "highway": 0.4}
-    )
-    unmatched_fraction: float = 0.0
+#: the default route mix; a spec holds its own copy
+ROUTE_MIX = {"city": 0.3, "combined": 0.3, "highway": 0.4}
 
-    def __post_init__(self):
+
+class SynthSpec(Record):
+    """A fleet to generate; ``check`` runs when it is built and again in ``generate``."""
+
+    def __init__(self, seed: int = 0, n_vehicles: int = 250, n_days: int = 20, start_date: str = "2021-01-01",
+                 groups: Sequence[SynthGroup] = (), features: Sequence[SynthFeature] = (), noise_sigma: float = 0.25,
+                 outlier_rate: float = 0.03, outlier_magnitude_iqr: float = 3.5,
+                 route_mix: dict[str, float] = ROUTE_MIX, unmatched_fraction: float = 0.0):
+        self.seed = seed
+        self.n_vehicles = n_vehicles
+        self.n_days = n_days
+        self.start_date = start_date
+        self.groups = list(groups)
+        self.features = list(features)
+        self.noise_sigma = noise_sigma
+        self.outlier_rate = outlier_rate
+        self.outlier_magnitude_iqr = outlier_magnitude_iqr
+        self.route_mix = dict(route_mix)
+        self.unmatched_fraction = unmatched_fraction
         self.check()
 
     def check(self) -> None:
@@ -224,7 +238,7 @@ class SynthSpec:
 
     def to_json(self, path: str | Path) -> None:
         with artifact_file(path) as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
+            json.dump(jsonable(vars(self)), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
@@ -237,7 +251,7 @@ class SynthSpec:
                 SynthFeature(**{**_typed(SynthFeature, f), "cuts": tuple(f["cuts"]), "values": tuple(f["values"])})
                 for f in payload.get("features", [])
             ]
-            return cls(**_typed(cls, payload))
+            return cls(**_typed(cls.__init__, payload))
         except (TypeError, KeyError, AttributeError, DataError) as exc:
             raise FeedFormatError(f"{path}: bad synth spec: {exc}") from exc
 
@@ -246,9 +260,12 @@ class SynthSpec:
 _NUMBERS = {tuple[float, ...]: list, dict[str, float]: dict}
 
 
-def _typed(row_type: type, payload: dict) -> dict:
-    """``payload`` if each value, or each number of a list or map, has its field's type; else DataError."""
-    hints = get_type_hints(row_type)
+def _typed(annotated, payload: dict) -> dict:
+    """``payload`` if each value, or each number of a list or map, has its field's type; else DataError.
+
+    The types are the annotations of ``annotated``: a NamedTuple's fields, or a constructor's parameters.
+    """
+    hints = get_type_hints(annotated)
     for name, value in payload.items():
         kind = hints.get(name)
         container = _NUMBERS.get(kind)
@@ -306,32 +323,41 @@ def _snap_roundtrip(f: float) -> float:
     raise DataError(f"value {f!r} does not stabilize under the fuel round trip")
 
 
-@dataclass
 class TruthDay:
-    """Ground truth for one generated vehicle-day."""
+    """Ground truth for one generated vehicle-day; its attributes, in ``_fields`` order, are the truth columns.
 
-    vehicle_id: str
-    date: date_type
-    synth_group: int
-    make: str
-    model: str
-    year: str
-    fuel_type: str
-    route_type: str
-    trip_kms: float
-    per_time_city: float
-    fuel_l100: float
-    clean_fuel_l100: float
-    planted_outlier: bool
-    boost_added: float
-    base_fuel: float
-    noise_residual: float
-    feature_values: dict[str, float]
-    contributions: dict[str, float]
+    The outlier boosts and the noise residual are set after the draw.
+    """
+
+    _fields = ("vehicle_id", "date", "synth_group", "make", "model", "year", "fuel_type", "route_type", "trip_kms",
+               "per_time_city", "fuel_l100", "clean_fuel_l100", "planted_outlier", "boost_added", "base_fuel",
+               "noise_residual", "feature_values", "contributions")
+
+    def __init__(self, vehicle_id: str, date: date_type, synth_group: int, make: str, model: str, year: str,
+                 fuel_type: str, route_type: str, trip_kms: float, per_time_city: float, fuel_l100: float,
+                 clean_fuel_l100: float, planted_outlier: bool, boost_added: float, base_fuel: float,
+                 noise_residual: float, feature_values: dict[str, float], contributions: dict[str, float]):
+        self.vehicle_id = vehicle_id
+        self.date = date
+        self.synth_group = synth_group
+        self.make = make
+        self.model = model
+        self.year = year
+        self.fuel_type = fuel_type
+        self.route_type = route_type
+        self.trip_kms = trip_kms
+        self.per_time_city = per_time_city
+        self.fuel_l100 = fuel_l100
+        self.clean_fuel_l100 = clean_fuel_l100
+        self.planted_outlier = planted_outlier
+        self.boost_added = boost_added
+        self.base_fuel = base_fuel
+        self.noise_residual = noise_residual
+        self.feature_values = feature_values
+        self.contributions = contributions
 
 
-@dataclass
-class GeneratedFleet:
+class GeneratedFleet(NamedTuple):
     feed_path: Path
     vin_map_path: Path
     catalog_path: Path

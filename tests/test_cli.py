@@ -367,7 +367,13 @@ class TestCleanRepeatedDay:
 
 
 class TestStageImports:
-    """A stage run in a fresh interpreter imports only the modules it runs."""
+    """A stage run in a fresh interpreter imports only the modules it runs.
+
+    No stage loads ``dataclasses``, and a stage without numpy loads no ``inspect``: the records are NamedTuples and
+    plain classes, which need neither module.
+    """
+
+    GENERATED = {"dataclasses", "inspect"}
 
     def _modules_after(self, finished_run, tmp_path, *stages) -> set[str]:
         out, cfg = finished_run
@@ -388,16 +394,25 @@ class TestStageImports:
         assert {"fleetfuel.ingest", "fleetfuel.anomaly"} <= loaded
         unwanted = {"numpy", "fleetfuel.gam", "fleetfuel.explain", "fleetfuel.evaluate", "fleetfuel.synthgen"}
         assert loaded & unwanted == set()
+        assert loaded & self.GENERATED == set()
 
     def test_evaluate_and_impact_load_no_numpy(self, finished_run, tmp_path):
         loaded = self._modules_after(finished_run, tmp_path, "evaluate", "impact")
         assert {"fleetfuel.explain", "fleetfuel.evaluate"} <= loaded
         assert loaded & {"numpy", "fleetfuel.gam", "fleetfuel.synthgen"} == set()
+        assert loaded & self.GENERATED == set()
 
     def test_explain_loads_neither_evaluate_nor_synthgen(self, finished_run, tmp_path):
         loaded = self._modules_after(finished_run, tmp_path, "explain")
         assert {"fleetfuel.model", "fleetfuel.explain"} <= loaded
         assert loaded & {"numpy", "fleetfuel.gam", "fleetfuel.evaluate", "fleetfuel.synthgen"} == set()
+        assert loaded & self.GENERATED == set()
+
+    def test_train_loads_neither_explain_nor_dataclasses(self, finished_run, tmp_path):
+        loaded = self._modules_after(finished_run, tmp_path, "train")
+        assert {"numpy", "fleetfuel.gam", "fleetfuel.evaluate"} <= loaded
+        # numpy itself loads inspect
+        assert loaded & {"fleetfuel.explain", "fleetfuel.synthgen", "dataclasses"} == set()
 
 
 def _corrupt_cell(path, line: int, column: str, text: str) -> None:
@@ -599,6 +614,7 @@ class TestCorruptInputs:
         [
             "truncated", "no-features", "version", "unordered-cuts", "nan-cut", "string-cut", "inf-value", "bool-value",
             "bogus-kind", "int-name", "int-origin", "numeric-level", "list-level", "unknown-origin",
+            "unregistered-numeric",
         ],
     )
     def test_model_json(self, finished_run, tmp_path, capsys, how):
@@ -635,10 +651,13 @@ class TestCorruptInputs:
                 indicator["level"] = [1]
             elif how == "unknown-origin":
                 indicator["origin"] = "rpm_high"
+            elif how == "unregistered-numeric":
+                data["features"][0]["name"] = "zzz"
             else:
                 feature["values"][0] = True
             path.write_text(json.dumps(data))
-        self._fails_naming(capsys, "explain", cfg, out, "model.json")
+        named = ["'zzz'"] if how == "unregistered-numeric" else []
+        self._fails_naming(capsys, "explain", cfg, out, "model.json", *named)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -654,6 +673,17 @@ class TestCorruptInputs:
         before = (out / "model.json").read_bytes()
         self._fails_naming(capsys, "train", str(cfg), out, key)
         assert (out / "model.json").read_bytes() == before
+
+    @pytest.mark.parametrize("fraction", [0, 1.5, -1])
+    def test_split_fraction_bound(self, finished_run, tmp_path, capsys, fraction):
+        out, cfg = self._copy(finished_run, tmp_path)
+        config = json.loads(Path(cfg).read_text())
+        config["split"]["fraction"] = fraction
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        # checked with the config, before the training table is read
+        (out / "far_training.csv").unlink()
+        self._fails_naming(capsys, "train", str(cfg), out, "split.fraction")
 
     @pytest.mark.parametrize("how", ["truncated", "not-object"])
     def test_train_metrics_json(self, finished_run, tmp_path, capsys, how):

@@ -5,8 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
 from datetime import date
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -603,8 +603,7 @@ class TestWriteReportJson:
         assert not path.exists()
 
     def test_finite_payload_bytes_unchanged(self, tmp_path):
-        @dataclass
-        class Item:
+        class Item(NamedTuple):
             name: str
             share: float
             n: int | None
@@ -617,6 +616,6 @@ class TestWriteReportJson:
         }
         path = tmp_path / "report.json"
         write_report_json(payload, path)
-        plain = {**payload, "rows": [asdict(r) for r in payload["rows"]]}
+        plain = {**payload, "rows": [r._asdict() for r in payload["rows"]]}
         expected = json.dumps(plain, indent=2, sort_keys=True) + "\n"
         assert path.read_text(encoding="utf-8") == expected

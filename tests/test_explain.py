@@ -6,7 +6,6 @@ import csv
 import json
 import math
 import tempfile
-from dataclasses import replace
 from datetime import date
 from operator import attrgetter
 from pathlib import Path
@@ -32,7 +31,7 @@ from fleetfuel.explain import (
     write_explanations_csv,
     write_inlier_medians_csv,
 )
-from fleetfuel.ingest import DayTable
+from fleetfuel.ingest import DayTable, FarRecord
 from fleetfuel.model import DEFAULT_CATEGORICALS, AdditiveModel, FeatureColumn
 from fleetfuel.registry import FeatureSpec, TrainConfig
 
@@ -107,7 +106,7 @@ class TestReferenceValue:
             median = policy.feature_median(0, "highway", spec.name)
             assert policy.reference_value(spec.name, 0, "highway") == (0.0 if spec.reference_zero else median)
         # the same pool with rpm_high's flag cleared prices it at its median
-        registry = make_registry([replace(small_registry["rpm_high"], reference_zero=False)])
+        registry = make_registry([small_registry["rpm_high"]._replace(reference_zero=False)])
         policy = ReferencePolicy.from_records(registry, inlier_pool(registry))
         assert policy.reference_value("rpm_high", 0, "highway") == 3.0
 
@@ -326,7 +325,9 @@ class TestGenerateDailyExplanations:
     def test_repeated_vehicle_day_keeps_its_own_fuel(self, small_registry):
         # a second copy of one vehicle-day at 1.6x its fuel: each slot subtracts only its own savings
         model, inliers, target, limits, policy = explanation_setup(small_registry)
-        again = replace(target, trip_fuel_used=target.trip_fuel_used * 1.6, avg_fuel_consumption=9.96 * 1.6)
+        again = FarRecord(
+            **{**vars(target), "trip_fuel_used": target.trip_fuel_used * 1.6, "avg_fuel_consumption": 9.96 * 1.6}
+        )
         pre = explain_days(model, [target, again], policy, limits)
         kept, audit = apply_business_rules(pre, policy)
         assert (pre.n_vehicle_days(), kept.n_vehicle_days(), drop_counts(audit)) == (2, 2, dict.fromkeys(BR_ORDER, 0))
@@ -588,7 +589,7 @@ def reference_explanations(model, records, policy, limits):
                 )
             )
         fuel_new = recompute_fuel_new(rec.avg_fuel_consumption, [row.y_diff for row in day_rows])
-        rows += [replace(row, y_fuel_new=fuel_new) for row in day_rows]
+        rows += [row._replace(y_fuel_new=fuel_new) for row in day_rows]
     return rows
 
 
@@ -989,7 +990,7 @@ def reference_business_rules(rows, policy, rules=BR_ORDER, br2_threshold=0.01, b
         current = kept
     totals = _reference_day_totals(current)
     return [
-        replace(row, y_fuel_new=recompute_fuel_new(row.avg_fuel_consumption, [totals[_DAY_CELLS(row)]]))
+        row._replace(y_fuel_new=recompute_fuel_new(row.avg_fuel_consumption, [totals[_DAY_CELLS(row)]]))
         for row in current
     ], audit
 
