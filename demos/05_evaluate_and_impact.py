@@ -15,13 +15,15 @@ Run:  python demos/05_evaluate_and_impact.py
 from pathlib import Path
 
 from fleetfuel.anomaly import flag_outliers, two_phase_clean
-from fleetfuel.evaluate import (
+from fleetfuel.evaluate import catalog_mape, monthly_impact, outlier_vs_explained
+from fleetfuel.explain import (
+    BR_ORDER,
+    ReferencePolicy,
     aggregate_category_impact,
-    catalog_mape,
-    monthly_impact,
-    outlier_vs_explained,
+    apply_business_rules,
+    category_impact_rows,
+    generate_daily_explanations,
 )
-from fleetfuel.explain import BR_ORDER, ReferencePolicy, apply_business_rules, generate_daily_explanations
 from fleetfuel.gam import fit
 from fleetfuel.ingest import aggregate_daily, enrich_records, impute_missing, parse_feed_csv, quality_filter
 from fleetfuel.registry import CatalogTable, FeatureRegistry, TrainConfig, VinMap, assign_groups, load_sota_limits
@@ -45,9 +47,8 @@ policy = ReferencePolicy.from_records(registry, inliers)
 raw = generate_daily_explanations(model, labeled, policy, limits)
 rows, _ = apply_business_rules(raw, policy, BR_ORDER)
 
-# 1. subcategory impacts vs literature limits (uses the lighter rule set)
-impact_rows, _ = apply_business_rules(raw, policy, ("BR1", "BR3", "BR2"))
-impacts = aggregate_category_impact(impact_rows, registry, load_sota_limits(), "demo")
+# 1. subcategory impacts vs literature limits (on the rows that pass the lighter rule set BR1, BR3, BR2)
+impacts = aggregate_category_impact(category_impact_rows(raw, policy), registry, load_sota_limits(), "demo")
 print("median impact per subcategory (percent of daily fuel):")
 for imp in impacts:
     band = f"[{imp.min_pct}, {imp.max_pct}]" if imp.verdict else "(unchecked)"

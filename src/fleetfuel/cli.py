@@ -18,6 +18,11 @@ where the trainer is, in train and synth: ingest, clean, explain, evaluate
 and impact start without it.  explain loads the numpy-free model module,
 and neither the trainer (gam), evaluate nor synthgen.
 
+explain writes the category-impact report from the pre-filter rows it
+holds, under the lighter rule set (BR1, BR3, BR2), and so reads the SOTA
+limits; evaluate reads only the final explanations.  No stage reads
+``explanations_prefilter.csv``, which is written for analysts.
+
 Exit codes: 0 success, 1 usage, 2 data error, 3 internal error.
 """
 
@@ -94,9 +99,10 @@ read_explanations_csv = _deferred("explain", "read_explanations_csv")
 write_explanations_csv = _deferred("explain", "write_explanations_csv")
 write_audit_log = _deferred("explain", "write_audit_log")
 write_inlier_medians_csv = _deferred("explain", "write_inlier_medians_csv")
+category_impact_rows = _deferred("explain", "category_impact_rows")
+aggregate_category_impact = _deferred("explain", "aggregate_category_impact")
 train_test_split = _deferred("evaluate", "train_test_split")
 model_metrics = _deferred("evaluate", "model_metrics")
-aggregate_category_impact = _deferred("evaluate", "aggregate_category_impact")
 outlier_vs_explained = _deferred("evaluate", "outlier_vs_explained")
 catalog_mape = _deferred("evaluate", "catalog_mape")
 monthly_impact = _deferred("evaluate", "monthly_impact")
@@ -431,7 +437,7 @@ def _load_labeled_inputs(ctx: RunContext):
 
 
 def stage_explain(ctx: RunContext) -> None:
-    from .explain import BR_ORDER, ReferencePolicy
+    from .explain import BR_ORDER, CategoryImpact, ReferencePolicy
     from .model import KIND_NUMERIC, AdditiveModel
 
     # the model first: with several artifacts missing, the report names train
@@ -443,19 +449,20 @@ def stage_explain(ctx: RunContext) -> None:
     if unknown:
         raise FeedFormatError(f"{model_path}: numeric column {unknown[0]!r} is not a registry feature")
     policy = ReferencePolicy.from_records(registry, inliers)
+    fleet = ctx.config["fleet_id"]
     rules_cfg = ctx.config["rules"]
+    br2_threshold = float(rules_cfg["br2_threshold"])
     pre_rows = generate_daily_explanations(model, labeled, policy, limits)
     final_rows, audit = apply_business_rules(
-        pre_rows,
-        policy,
-        BR_ORDER,
-        br2_threshold=float(rules_cfg["br2_threshold"]),
-        br5_cap=float(rules_cfg["br5_cap"]),
+        pre_rows, policy, BR_ORDER, br2_threshold=br2_threshold, br5_cap=float(rules_cfg["br5_cap"])
     )
+    impact_rows = category_impact_rows(pre_rows, policy, br2_threshold)
+    impacts = aggregate_category_impact(impact_rows, registry, load_sota_limits(ctx.config_file("sota_limits")), fleet)
     write_explanations_csv(final_rows, ctx.output("explanations.csv"))
     write_explanations_csv(pre_rows, ctx.output("explanations_prefilter.csv"))
     write_audit_log(audit, pre_rows, ctx.output("audit.jsonl"))
     write_inlier_medians_csv(policy, labeled, ctx.output("inlier_medians.csv"))
+    ctx.report("report_category_impact", {"fleet": fleet, "impacts": impacts}, impacts, CategoryImpact)
     ctx.record_stage("explain")
     print(
         f"explain: {len(final_rows)} rows on "
@@ -465,22 +472,14 @@ def stage_explain(ctx: RunContext) -> None:
 
 
 def stage_evaluate(ctx: RunContext) -> None:
-    from .evaluate import CatalogMapeReport, CategoryImpact, ModelMetrics, OutlierComparison
+    from .evaluate import CatalogMapeReport, ModelMetrics, OutlierComparison
     from .explain import FuelMedians
 
     registry, labeled, limits, inliers = _load_labeled_inputs(ctx)
-    # BR1-BR3 and the catalog comparison read only fuel medians
+    # the catalog comparison reads only fuel medians
     fuel = FuelMedians.from_records(registry, inliers)
     fleet = ctx.config["fleet_id"]
     final_rows = read_explanations_csv(ctx.artifact("explanations.csv", "explain"), registry)
-    pre_rows = read_explanations_csv(ctx.artifact("explanations_prefilter.csv", "explain"), registry)
-    rules_cfg = ctx.config["rules"]
-
-    impact_rows, _ = apply_business_rules(
-        pre_rows, fuel, ("BR1", "BR3", "BR2"), br2_threshold=float(rules_cfg["br2_threshold"])
-    )
-    sota = load_sota_limits(ctx.config_file("sota_limits"))
-    impacts = aggregate_category_impact(impact_rows, registry, sota, fleet)
 
     comparison = outlier_vs_explained(final_rows, limits, labeled, fleet)
 
@@ -499,7 +498,6 @@ def stage_evaluate(ctx: RunContext) -> None:
     # model-metrics passthrough so the evaluation directory is self-contained
     train_metrics = read_json_object(ctx.artifact("train_metrics.json", "train"), "train metrics")
     ctx.report("report_model_metrics", train_metrics, [train_metrics], ModelMetrics)
-    ctx.report("report_category_impact", {"fleet": fleet, "impacts": impacts}, impacts, CategoryImpact)
     ctx.report(
         "report_outlier_explained",
         {"fleet": fleet, "comparison": comparison},

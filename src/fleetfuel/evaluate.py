@@ -1,11 +1,12 @@
 """Model metrics and domain-knowledge evaluations.
 
 Covers the regression quality check (median per-vehicle MAPE and adjusted
-R² with their literature categories), aggregation of explained impact per
-factor subcategory against configurable literature limits, the comparison
-of explained extra fuel versus the anomaly thresholds (with an internal
-signed-rank test), catalog-reference MAPE metrics, and the monthly fuel /
-CO2 impact table.
+R² with their literature categories), the comparison of explained extra
+fuel versus the anomaly thresholds (with an internal signed-rank test),
+catalog-reference MAPE metrics, and the monthly fuel / CO2 impact table.
+The impact per factor subcategory against the literature limits is made
+by explain (``explain.aggregate_category_impact``), from the pre-filter
+rows it holds, so no stage reads the pre-filter explanations back.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from .registry import (
     CO2_KG_PER_LITER,
     CatalogTable,
     FeatureRegistry,
-    SotaLimit,
-    UNCHECKED_SUBCATEGORIES,
     VehicleIdentity,
     median,
 )
@@ -223,84 +222,6 @@ def _approx_two_sided(ranks: list[float], w_plus: float, n: int) -> float:
     diff = w_plus - mu
     z = (diff - math.copysign(0.5, diff)) / math.sqrt(var) if diff != 0 else 0.0
     return math.erfc(abs(z) / math.sqrt(2.0))
-
-
-# ---------------------------------------------------------------------------
-# Category impact vs literature limits
-
-
-class CategoryImpact(NamedTuple):
-    category: str
-    subcategory: str
-    fleet: str
-    median_impact_pct: float
-    n_days: int
-    min_pct: float | None
-    max_pct: float | None
-    verdict: str | None
-
-
-def aggregate_category_impact(
-    table: ExplanationTable,
-    registry: FeatureRegistry,
-    sota_limits: Mapping[tuple[str, str], SotaLimit],
-    fleet: str,
-) -> list[CategoryImpact]:
-    """Median per-day relative impact per (category, subcategory).
-
-    Per day, a subcategory's impact is the sum of its rows' savings over
-    the day's fuel; the median is taken over days where the subcategory
-    appears.  Subcategories outside the limits config, plus the unchecked
-    ones, are reported without a verdict.
-    """
-    from .explain import divide
-
-    subcategory = [
-        None if spec is None else (spec.category, spec.subcategory) for spec in map(registry.get, table.features)
-    ]
-    avg = table.avg_fuel.tolist()
-    per_day: dict[int, dict[tuple[str, str], float]] = {}
-    for d, f, y_diff in zip(table.day, table.feature, table.y_diff):
-        key = subcategory[f]
-        if key is None:
-            continue
-        impacts = per_day.setdefault(d, {})
-        impacts[key] = impacts.get(key, 0.0) + divide(y_diff, avg[d])
-
-    buckets: dict[tuple[str, str], list[float]] = {}
-    for impacts in per_day.values():
-        for key, value in impacts.items():
-            buckets.setdefault(key, []).append(value * 100.0)
-
-    out = []
-    for key in sorted(buckets):
-        values = buckets[key]
-        impact = median(values)
-        limit = sota_limits.get(key)
-        if key[1] in UNCHECKED_SUBCATEGORIES or limit is None:
-            verdict = None
-            min_pct = max_pct = None
-        else:
-            min_pct, max_pct = limit.min_pct, limit.max_pct
-            if impact < min_pct:
-                verdict = "below_min"
-            elif impact > max_pct:
-                verdict = "above_max"
-            else:
-                verdict = "within"
-        out.append(
-            CategoryImpact(
-                category=key[0],
-                subcategory=key[1],
-                fleet=fleet,
-                median_impact_pct=impact,
-                n_days=len(values),
-                min_pct=min_pct,
-                max_pct=max_pct,
-                verdict=verdict,
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,13 @@ rules then prune the rows:
   BR5  drop whole days whose total claimed saving exceeds 80% of the
        day's fuel (not physically possible).
 
+The category impact takes the pre-filter rows through the lighter rule set
+BR1, BR3, BR2 (``category_impact_rows``) and compares the median per-day
+impact of each factor subcategory with the literature limits
+(``aggregate_category_impact``).
+The explain stage makes it from the rows it holds, so no stage reads the
+pre-filter explanations back.
+
 Every row is priced from one contribution matrix kept column by column in
 plain lists.  The priced days are taken from the ``DayTable`` in (vehicle,
 date) order; the model encodes them, one list per model column (a numeric
@@ -35,17 +42,17 @@ row of a day shares (vehicle, date, route and group as lists, the five fuel
 figures as ``array('d')``).  Each business rule is one list mask over the
 surviving rows, with the comparison a row-by-row filter makes, so a NaN
 falls the same way, and a ratio to a zero fuel is ±inf or NaN as IEEE 754
-divides.  The audit is columnar too: each rule logs one record, the rows it
-dropped and, cut to those rows, the value columns it computed.  A day slot
-is one vehicle-day, and its totals (BR5 and ``y_fuel_new``) are running
-per-slot sums in row order.  The CSV writer formats each day's cells and
-each repeated float once, and audit lines are assembled from cached JSON
-string escapes and ``float.__repr__``, byte for byte what ``json.dumps(...,
-sort_keys=True)`` writes.  ``ExplanationRow`` is the table's row view; its
-fields are the CSV columns, and ``from_rows`` and the CSV reader share
-``ExplanationTable._build``, which gives rows with equal day cells one slot
-wherever they occur.  The table is a plain class; ``_select`` builds the
-next one with its own constructor.
+divides.  The audit is columnar too: each rule logs one ``RuleDrops``
+record, the rows it dropped and, cut to those rows, the value columns it
+computed.  A day slot is one vehicle-day, and its totals (BR5 and
+``y_fuel_new``) are running per-slot sums in row order.  The CSV writer
+formats each day's cells and each repeated float once, and audit lines are
+assembled from cached JSON string escapes and ``float.__repr__``, byte for
+byte what ``json.dumps(..., sort_keys=True)`` writes.  ``ExplanationRow``
+is the table's row view; its fields are the CSV columns, and ``from_rows``
+and the CSV reader share ``ExplanationTable._build``, which gives rows
+with equal day cells one slot wherever they occur.  The table is a plain
+class; ``_select`` builds the next one with its own constructor.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from operator import floordiv, getitem, le, mod, not_, sub
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .anomaly import LimitTable
 from .errors import FeedFormatError
@@ -68,11 +75,15 @@ from .ingest import DayTable
 from .registry import (
     DEFAULT_BR2_THRESHOLD,
     DEFAULT_BR5_CAP,
+    UNCHECKED_SUBCATEGORIES,
     FallbackMedians,
     FeatureRegistry,
+    FloatReprs,
+    SotaLimit,
     artifact_file,
     csv_fields,
     csv_reader,
+    median,
     table_columns,
     write_table,
 )
@@ -83,6 +94,8 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 BR_ORDER = ("BR1", "BR3", "BR4", "BR2", "BR5")
+#: the lighter rule set whose survivors the category impact aggregates
+IMPACT_RULES = ("BR1", "BR3", "BR2")
 
 
 class FuelMedians:
@@ -372,8 +385,14 @@ def generate_daily_explanations(
     return table._select(None)
 
 
-#: one rule's drops: its id, the dropped rows of the rule's input table, and one cell per dropped row per value key
-RuleDrops = tuple[str, list[int], dict[str, list]]
+class RuleDrops(NamedTuple):
+    """One rule's record in the audit."""
+
+    rule_id: str
+    #: the dropped rows of the rule's input table, in row order
+    rows: list[int]
+    #: per value key, one cell per dropped row
+    columns: dict[str, list]
 
 
 def apply_business_rules(
@@ -443,24 +462,97 @@ def apply_business_rules(
             raise ValueError(f"unknown business rule {rule!r}")
         dropped = list(map(not_, keep))
         columns = {key: list(itertools.compress(column, dropped)) for key, column in logged.items()}
-        audit.append((rule, list(itertools.compress(alive, dropped)), columns))
+        audit.append(RuleDrops(rule, list(itertools.compress(alive, dropped)), columns))
         alive = list(itertools.compress(alive, keep))
 
     return table._select(alive), audit
 
 
+def category_impact_rows(
+    table: ExplanationTable, fuel: FuelMedians, br2_threshold: float = DEFAULT_BR2_THRESHOLD
+) -> ExplanationTable:
+    """The rows of ``table`` the category impact aggregates: those that pass the lighter rule set BR1, BR3, BR2."""
+    return apply_business_rules(table, fuel, IMPACT_RULES, br2_threshold=br2_threshold)[0]
+
+
+# ---------------------------------------------------------------------------
+# Category impact vs literature limits
+
+
+class CategoryImpact(NamedTuple):
+    category: str
+    subcategory: str
+    fleet: str
+    median_impact_pct: float
+    n_days: int
+    min_pct: float | None
+    max_pct: float | None
+    verdict: str | None
+
+
+def aggregate_category_impact(
+    table: ExplanationTable,
+    registry: FeatureRegistry,
+    sota_limits: Mapping[tuple[str, str], SotaLimit],
+    fleet: str,
+) -> list[CategoryImpact]:
+    """Median per-day relative impact per (category, subcategory).
+
+    Per day, a subcategory's impact is the sum of its rows' savings over
+    the day's fuel; the median is taken over days where the subcategory
+    appears.  Subcategories outside the limits config, plus the unchecked
+    ones, are reported without a verdict.
+    """
+    subcategory = [
+        None if spec is None else (spec.category, spec.subcategory) for spec in map(registry.get, table.features)
+    ]
+    avg = table.avg_fuel.tolist()
+    per_day: dict[int, dict[tuple[str, str], float]] = {}
+    for d, f, y_diff in zip(table.day, table.feature, table.y_diff):
+        key = subcategory[f]
+        if key is None:
+            continue
+        impacts = per_day.setdefault(d, {})
+        impacts[key] = impacts.get(key, 0.0) + divide(y_diff, avg[d])
+
+    buckets: dict[tuple[str, str], list[float]] = {}
+    for impacts in per_day.values():
+        for key, value in impacts.items():
+            buckets.setdefault(key, []).append(value * 100.0)
+
+    out = []
+    for key in sorted(buckets):
+        values = buckets[key]
+        impact = median(values)
+        limit = sota_limits.get(key)
+        if key[1] in UNCHECKED_SUBCATEGORIES or limit is None:
+            verdict = None
+            min_pct = max_pct = None
+        else:
+            min_pct, max_pct = limit.min_pct, limit.max_pct
+            if impact < min_pct:
+                verdict = "below_min"
+            elif impact > max_pct:
+                verdict = "above_max"
+            else:
+                verdict = "within"
+        out.append(
+            CategoryImpact(
+                category=key[0],
+                subcategory=key[1],
+                fleet=fleet,
+                median_impact_pct=impact,
+                n_days=len(values),
+                min_pct=min_pct,
+                max_pct=max_pct,
+                verdict=verdict,
+            )
+        )
+    return out
+
+
 # ---------------------------------------------------------------------------
 # CSV / JSONL round trips
-
-
-class _Reprs(dict):
-    """``repr`` of each float looked up, made once per value; a zero is not kept, as 0.0 and -0.0 are one key."""
-
-    def __missing__(self, x: float) -> str:
-        out = repr(x)
-        if x:
-            self[x] = out
-        return out
 
 
 def write_explanations_csv(table: ExplanationTable, path: str | Path) -> None:
@@ -496,7 +588,7 @@ def write_explanations_csv(table: ExplanationTable, path: str | Path) -> None:
     def cells(column: list, number: Callable[[float], str]) -> Iterator[str]:
         return (number(v) if type(v) is float else text(v) for v in column)
 
-    reprs = _Reprs()
+    reprs = FloatReprs()
 
     with artifact_file(path) as fh:
         fh.write(csv_fields(EXPLANATION_COLUMNS) + "\n")

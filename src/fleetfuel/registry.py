@@ -192,17 +192,32 @@ def artifact_file(path: str | Path) -> Iterator[TextIO]:
 
     The block writes ``<path>.tmp``, which is moved over ``path`` when the
     block ends cleanly and removed when it raises, so ``path`` holds either
-    its previous bytes or the whole new file.  There is no fsync: the move
-    guards against a writer that fails, not against a host that crashes.
+    its previous bytes or the whole new file.  A move that fails (a
+    directory in the way, say) raises FeedFormatError naming ``path``.
+    There is no fsync: the move guards against a writer that fails, not
+    against a host that crashes.
     """
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise FeedFormatError(f"{path}: cannot write the file ({exc.strerror or exc})") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+class FloatReprs(dict):
+    """``repr`` of each float looked up, made once per value; a zero is not kept, as 0.0 and -0.0 are one key."""
+
+    def __missing__(self, x: float) -> str:
+        out = repr(x)
+        if x:
+            self[x] = out
+        return out
 
 
 def csv_fields(fields: Sequence[str]) -> str:

@@ -43,9 +43,10 @@ per-day draw gives.  Equal integer values share one float.  Each (group,
 route) cell's reference contributions are looked up once.  The feed and
 truth tables format each distinct text cell once (a date, a vehicle, a
 channel or feature, a group), each step value once, a feature's saving
-line once per (reference, step), the city-time share and a mean or last
-value once for both files that write it, and every other number by its
-``repr``; so their bytes are those ``write_table`` writes for their rows.
+line once per (reference, step), each distinct feature value and sum
+half-reading once over the fleet, the city-time share once for both files
+that write it, and every other number by its ``repr``; so their bytes are
+those ``write_table`` writes for their rows.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ from .ingest import (
     compute_avg_fuel,
 )
 from .registry import (
-    AGGREGATORS, VIN_MAP_COLUMNS, CatalogReference, Record, artifact_file, csv_fields, fits, jsonable, median,
-    read_json_object, table_columns, write_table,
+    AGGREGATORS, VIN_MAP_COLUMNS, CatalogReference, FloatReprs, Record, artifact_file, csv_fields, fits, jsonable,
+    median, read_json_object, table_columns, write_table,
 )
 
 # distances whose /100 factor is a power of two, keyed by route type
@@ -588,14 +589,17 @@ def _write_feed_and_truth_days(spec: SynthSpec, days: list[TruthDay], feed_path:
     per channel after it.  A truth day holds the fields but the two dicts
     (the bool as 0/1), then each feature's value, then its contribution: one
     of the feature's own step objects, whose ``repr`` is taken once.  The
-    city-time share and a mean or last value, written by both files, are
-    formatted once for both.  The bytes are those ``write_table`` writes for
-    the rows: floats by ``float.__repr__`` and ints by ``repr``, as
-    csv.writer formats them.
+    feature cells are formatted a column at a time before the days are
+    written.  An integer feature takes few values, so each distinct value
+    and half-reading of one is formatted once over the fleet
+    (``FloatReprs``, which keeps -0.0 apart from 0.0); the other features'
+    values are mostly distinct and go straight to ``float.__repr__``.  A
+    mean or last value is one text for both files, and so is the city-time
+    share.  The bytes are those ``write_table`` writes for the rows: floats
+    by ``float.__repr__`` and ints by ``repr``, as csv.writer formats them.
     """
     channels = [(TRIP_KMS_CHANNEL, 2), (TRIP_FUEL_CHANNEL, 2), (CITY_TIME_CHANNEL, 1)]
     channels += [(f.name, 2) for f in spec.features]
-    halves = [f.aggregator == "sum" for f in spec.features]
     # a brace in a channel name is literal text of the templates
     names = [csv_fields([name]).replace("{", "{{").replace("}", "}}") for name, _ in channels]
 
@@ -615,10 +619,17 @@ def _write_feed_and_truth_days(spec: SynthSpec, days: list[TruthDay], feed_path:
     groups = [csv_fields([str(g), grp.make, grp.model, grp.year, grp.fuel_type]) for g, grp in enumerate(spec.groups)]
     routes = {route: csv_fields([route]) for route in ROUTE_KMS}
     step_reprs = {id(step): repr(step) for f in spec.features for step in f.values}
+    # each feature's value and reading texts, column by column, then one tuple of each per day
+    reprs = FloatReprs()
+    value_texts, reading_texts = [], []
+    for f, column in zip(spec.features, zip(*(d.feature_values.values() for d in days))):
+        text = reprs.__getitem__ if f.integer else float.__repr__
+        value_texts.append(list(map(text, column)))
+        reading_texts.append(list(map(text, [v / 2.0 for v in column])) if f.aggregator == "sum" else value_texts[-1])
     with artifact_file(feed_path) as feed, artifact_file(truth_days_path) as truth:
         feed.write(csv_fields(FEED_COLUMNS) + "\n")
         truth.write(csv_fields(header) + "\n")
-        for d in days:
+        for d, values, readings in zip(days, zip(*value_texts), zip(*reading_texts)):
             fuel_used = d.fuel_l100 * (d.trip_kms / 100.0)
             check = compute_avg_fuel(fuel_used, d.trip_kms)
             if check != d.fuel_l100:
@@ -626,9 +637,6 @@ def _write_feed_and_truth_days(spec: SynthSpec, days: list[TruthDay], feed_path:
                     f"round-trip drift on {d.vehicle_id}/{d.date}: {check!r} != {d.fuel_l100!r}"
                 )
             vehicle, ptc = vehicles[d.vehicle_id], float.__repr__(d.per_time_city)
-            values = list(map(float.__repr__, d.feature_values.values()))
-            readings = [float.__repr__(v / 2.0) if half else text
-                        for v, text, half in zip(d.feature_values.values(), values, halves)]
             feed.write(templates[d.date].format(
                 vehicle, float.__repr__(d.trip_kms / 2.0), float.__repr__(fuel_used / 2.0), ptc, *readings))
             numbers = (d.fuel_l100, d.clean_fuel_l100, int(d.planted_outlier), d.boost_added, d.base_fuel,

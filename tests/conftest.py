@@ -123,6 +123,35 @@ def audit_entries(audit, table) -> list[AuditEntry]:
     ]
 
 
+def category_impact_from_prefilter_file(out: Path, dest: Path, fleet: str, br2_threshold: float,
+                                        sota: Path | None = None) -> dict[str, bytes]:
+    """Reference: the category-impact report as evaluate made it from ``explanations_prefilter.csv``.
+
+    Reads the pre-filter file and the labeled table back from ``out``,
+    applies BR1, BR3 and BR2 with the inlier fuel medians alone, aggregates,
+    and writes ``report_category_impact.{json,csv}`` into ``dest``; returns
+    each report's bytes by file name.
+    """
+    from fleetfuel.explain import (
+        CategoryImpact, FuelMedians, aggregate_category_impact, apply_business_rules, read_explanations_csv,
+    )
+    from fleetfuel.ingest import read_far_csv
+    from fleetfuel.registry import load_sota_limits, write_report_csv, write_report_json
+
+    registry = FeatureRegistry.default()
+    labeled = read_far_csv(out / "far_labeled.csv", registry)
+    fuel = FuelMedians.from_records(
+        registry, labeled.take([i for i, label in enumerate(labeled.anomaly_label) if label == "inlier"])
+    )
+    pre_rows = read_explanations_csv(out / "explanations_prefilter.csv", registry)
+    impact_rows, _ = apply_business_rules(pre_rows, fuel, ("BR1", "BR3", "BR2"), br2_threshold=br2_threshold)
+    impacts = aggregate_category_impact(impact_rows, registry, load_sota_limits(sota), fleet)
+    dest.mkdir(exist_ok=True)
+    write_report_json({"fleet": fleet, "impacts": impacts}, dest / "report_category_impact.json")
+    write_report_csv(impacts, CategoryImpact, dest / "report_category_impact.csv")
+    return {name: (dest / name).read_bytes() for name in ("report_category_impact.json", "report_category_impact.csv")}
+
+
 def drop_counts(audit) -> dict[str, int]:
     """Rows dropped per rule, for every rule the audit holds."""
     return {rule: len(rows) for rule, rows, _ in audit}

@@ -39,7 +39,7 @@ from fleetfuel.model import AdditiveModel, FeatureColumn
 from fleetfuel.registry import FeatureRegistry, TrainConfig, VinMap, assign_groups
 from fleetfuel.synthgen import default_spec, generate
 
-from .conftest import make_record, recompute_fuel_new
+from .conftest import category_impact_from_prefilter_file, make_record, recompute_fuel_new
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -515,6 +515,13 @@ def test_prefilter_rows_are_actionable_registry_features(pipeline_run):
     actionable = {spec.name for spec in FeatureRegistry.default() if spec.actionable}
     features = {r["feature"] for r in _read_truth(out / "explanations_prefilter.csv")}
     assert features and features <= actionable
+
+
+def test_category_impact_equals_the_prefilter_file_path(pipeline_run, tmp_path):
+    """explain's category-impact report is, byte for byte, the one made by reading the pre-filter file back."""
+    out = pipeline_run["out"]
+    reference = category_impact_from_prefilter_file(out, tmp_path, "acceptance", 0.01)
+    assert {name: (out / name).read_bytes() for name in reference} == reference
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from fleetfuel.cli import main
 from fleetfuel.synthgen import SynthFeature, default_spec, generate
 
-from .conftest import run_python
+from .conftest import category_impact_from_prefilter_file, run_python
 
 SMALL_CONFIG = {
     "fleet_id": "t1",
@@ -293,7 +293,6 @@ class TestManifest:
             "out/far_labeled.csv",
             "out/limits.csv",
             "out/explanations.csv",
-            "out/explanations_prefilter.csv",
             "out/identities.csv",
             "out/catalog.csv",
             "out/train_metrics.json",
@@ -316,6 +315,63 @@ class TestManifest:
         assert read == stages["ingest"]["outputs"]["out/identities.csv"]
         assert read != stages["clean"]["outputs"]["out/identities.csv"]
         assert stages["evaluate"]["inputs"]["out/identities.csv"] == stages["clean"]["outputs"]["out/identities.csv"]
+
+    def test_explain_writes_the_category_impact(self, finished_run):
+        out, _ = finished_run
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        reports = {"out/report_category_impact.json", "out/report_category_impact.csv"}
+        assert reports <= set(stages["explain"]["outputs"])
+        assert reports.isdisjoint(stages["evaluate"]["outputs"])
+        assert all("out/explanations_prefilter.csv" not in entry["inputs"] for entry in stages.values())
+
+    def test_configured_sota_limits_are_an_explain_input(self, finished_run, tmp_path):
+        out, cfg = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        sota = tmp_path / "my_sota_limits.csv"
+        sota.write_text(resources.files("fleetfuel.data").joinpath("sota_limits.csv").read_text(encoding="utf-8"))
+        cfg = _config_with_paths(cfg, tmp_path, sota_limits=sota)
+        for stage in ("explain", "evaluate"):
+            assert run(stage, "--config", cfg, "--out", str(copy)) == 0, stage
+        stages = json.loads((copy / "manifest.json").read_text())["stages"]
+        assert str(sota) in stages["explain"]["inputs"]
+        assert str(sota) not in stages["evaluate"]["inputs"]
+
+
+class TestCategoryImpactReport:
+    """explain's category-impact report is the one evaluate made from the pre-filter file, byte for byte."""
+
+    REPORTS = ("report_category_impact.json", "report_category_impact.csv")
+
+    def test_equals_the_prefilter_file_path(self, finished_run, tmp_path):
+        out, _ = finished_run
+        reference = category_impact_from_prefilter_file(out, tmp_path, SMALL_CONFIG["fleet_id"], 0.01)
+        assert {name: (out / name).read_bytes() for name in self.REPORTS} == reference
+
+    def test_equals_the_prefilter_file_path_under_other_rules(self, finished_run, tmp_path):
+        out, cfg = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        sota = tmp_path / "my_sota_limits.csv"
+        lines = resources.files("fleetfuel.data").joinpath("sota_limits.csv").read_text(encoding="utf-8")
+        sota.write_text("".join(lines.splitlines(keepends=True)[:4]))  # fewer limits: more rows without a verdict
+        config = json.loads(Path(_config_with_paths(cfg, tmp_path, sota_limits=sota)).read_text())
+        config["rules"] = {"br2_threshold": 0.02}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert run("explain", "--config", str(tmp_path / "config.json"), "--out", str(copy)) == 0
+        reference = category_impact_from_prefilter_file(copy, tmp_path / "ref", SMALL_CONFIG["fleet_id"], 0.02, sota)
+        written = {name: (copy / name).read_bytes() for name in self.REPORTS}
+        assert written == reference
+        assert written != {name: (out / name).read_bytes() for name in self.REPORTS}
+
+    def test_evaluate_reads_no_prefilter_file(self, finished_run, tmp_path):
+        out, cfg = finished_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        (copy / "explanations_prefilter.csv").unlink()
+        assert run("evaluate", "--config", cfg, "--out", str(copy)) == 0
+        for path in out.glob("report_*"):
+            assert (copy / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def _csv_rows(path) -> list[dict]:
@@ -491,7 +547,6 @@ EXPLANATION_CORRUPTIONS = _corruptions(b"date_tx", "y_diff", "saving")
 EXPLANATION_READERS = [
     ("evaluate", "explanations.csv"),
     ("impact", "explanations.csv"),
-    ("evaluate", "explanations_prefilter.csv"),
 ]
 #: the corruptions that may exit 0 in every explanation reader, and why; every other cell exits 2 naming the table
 EXPLANATION_MAY_PASS = {
@@ -721,7 +776,7 @@ class TestCorruptInputs:
         "stage, key, packaged, line, column, text",
         [
             ("clean", "class_table", "vehicle_classes.csv", 4, "l100km_max", "wide"),
-            ("evaluate", "sota_limits", "sota_limits.csv", 5, "min_pct", "low"),
+            ("explain", "sota_limits", "sota_limits.csv", 5, "min_pct", "low"),
             ("clean", "registry", "feature_registry.csv", 7, "actionable", "maybe"),
         ],
     )
@@ -740,7 +795,7 @@ class TestCorruptInputs:
             ("explain", "limits.csv", None, "lim_sup"),
             ("evaluate", "limits.csv", None, "lim_sup"),
             ("evaluate", "catalog.csv", None, "l_per_100km"),
-            ("evaluate", "sota_limits.csv", "sota_limits", "max_pct"),
+            ("explain", "sota_limits.csv", "sota_limits", "max_pct"),
         ],
         ids=["limits-explain", "limits-evaluate", "catalog", "sota_limits"],
     )
@@ -836,7 +891,7 @@ class TestCorruptInputs:
             ("explain", "far_labeled.csv"),
             ("impact", "far_labeled.csv"),
             ("impact", "explanations.csv"),
-            ("evaluate", "explanations_prefilter.csv"),
+            ("evaluate", "explanations.csv"),
             ("evaluate", "identities.csv"),
         ],
     )
@@ -911,6 +966,14 @@ class TestCorruptInputs:
         cfg = _config_with_paths(cfg, tmp_path, **{key: folder})
         self._fails_naming(capsys, stage, cfg, out, f"not a file: {folder}")
 
+    def test_directory_for_output(self, finished_run, tmp_path, capsys):
+        out, cfg = self._copy(finished_run, tmp_path)
+        (out / "audit.jsonl").unlink()
+        (out / "audit.jsonl").mkdir()
+        self._fails_naming(capsys, "explain", cfg, out, f"{out / 'audit.jsonl'}: cannot write the file")
+        assert (out / "audit.jsonl").is_dir()
+        assert not list(out.glob("*.tmp"))
+
     def test_directory_for_artifact(self, finished_run, tmp_path, capsys):
         out, cfg = self._copy(finished_run, tmp_path)
         (out / "model.json").unlink()
@@ -938,7 +1001,7 @@ class TestCorruptInputs:
             ("explain", "limits.csv", None, "limits of group "),
             ("evaluate", "identities.csv", None, "vehicle '"),
             ("ingest", "vin_map.csv", "vin_map", "vin_prefix '"),
-            ("evaluate", "sota_limits.csv", "sota_limits", "limits of "),
+            ("explain", "sota_limits.csv", "sota_limits", "limits of "),
         ],
     )
     def test_keyed_table_repeated_key(self, finished_run, tmp_path, capsys, stage, name, config_key, key):

@@ -17,7 +17,6 @@ from fleetfuel.anomaly import compute_limits
 from fleetfuel.errors import DataError
 from fleetfuel.evaluate import (
     adjusted_r2,
-    aggregate_category_impact,
     catalog_mape,
     classify_mape,
     classify_r2,
@@ -28,7 +27,15 @@ from fleetfuel.evaluate import (
     signed_rank_test,
     train_test_split,
 )
-from fleetfuel.explain import BR_ORDER, ExplanationTable, FuelMedians, ReferencePolicy, apply_business_rules, divide
+from fleetfuel.explain import (
+    BR_ORDER,
+    ExplanationTable,
+    FuelMedians,
+    ReferencePolicy,
+    aggregate_category_impact,
+    apply_business_rules,
+    divide,
+)
 from fleetfuel.ingest import DayTable
 from fleetfuel.registry import (
     CO2_KG_PER_LITER,

@@ -15,6 +15,7 @@ from fleetfuel.registry import (
     CatalogTable,
     FeatureRegistry,
     FeatureSpec,
+    FloatReprs,
     VinMap,
     artifact_file,
     assign_groups,
@@ -130,6 +131,14 @@ class TestMedian:
     def test_even_count_averages_middle_pair(self):
         assert median([4.0, 1.0, 3.0, 2.0]) == 2.5
         assert median([0.1, 0.2]) == (0.1 + 0.2) / 2.0
+
+
+class TestFloatReprs:
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, 0.1 + 0.2]) | st.floats(width=64)))
+    def test_equals_repr_and_keeps_the_sign_of_zero(self, values):
+        reprs = FloatReprs()
+        assert [reprs[x] for x in values] == list(map(repr, values))
+        assert [reprs[x] for x in (0.0, -0.0, -0.0, 0.0)] == ["0.0", "-0.0", "-0.0", "0.0"]
 
 
 class TestCatalog:
