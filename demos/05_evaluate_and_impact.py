@@ -47,7 +47,7 @@ policy = ReferencePolicy.from_records(registry, inliers)
 raw = generate_daily_explanations(model, labeled, policy, limits)
 rows, _ = apply_business_rules(raw, policy, BR_ORDER)
 
-# 1. subcategory impacts vs literature limits (on the rows that pass the lighter rule set BR1, BR3, BR2)
+# 1. subcategory impacts vs literature limits (on the rows that pass the lighter rule set BR3, BR2)
 impacts = aggregate_category_impact(category_impact_rows(raw, policy), registry, load_sota_limits(), "demo")
 print("median impact per subcategory (percent of daily fuel):")
 for imp in impacts:

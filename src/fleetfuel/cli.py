@@ -19,7 +19,7 @@ and impact start without it.  explain loads the numpy-free model module,
 and neither the trainer (gam), evaluate nor synthgen.
 
 explain writes the category-impact report from the pre-filter rows it
-holds, under the lighter rule set (BR1, BR3, BR2), and so reads the SOTA
+holds, under the lighter rule set (BR3, BR2), and so reads the SOTA
 limits; evaluate reads only the final explanations.  No stage reads
 ``explanations_prefilter.csv``, which is written for analysts.
 

@@ -396,9 +396,7 @@ def monthly_impact(
     extra_beh: dict[str, float] = {}
     day_kms = [kms_by_day.get(key) for key in zip(table.vehicle_id, table.date_tx)]
     day_month = [f"{d.year:04d}-{d.month:02d}" for d in table.date_tx]
-    behaviour = [
-        spec is not None and spec.category == BEHAVIOUR_CATEGORY for spec in map(registry.get, table.features)
-    ]
+    behaviour = [registry[name].category == BEHAVIOUR_CATEGORY for name in table.features]
     for d, f, y_diff in zip(table.day, table.feature, table.y_diff):
         kms = day_kms[d]
         if kms is None:

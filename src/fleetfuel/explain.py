@@ -7,8 +7,9 @@ otherwise the median over fuel-inlier days of the same vehicle group and
 route type.  Only positive savings become explanation rows.  Five business
 rules then prune the rows:
 
-  BR1  drop one-hot / categorical features (not actionable); explain
-       prices none, so only rows read back from a file can fall here;
+  BR1  drop one-hot / categorical features (not actionable); it holds by
+       construction, with no pass: explain prices, and the CSV reader
+       admits, registry features only;
   BR2  drop rows whose relative impact on the day's fuel is below 1%;
   BR3  keep only days whose fuel exceeds the group-route inlier median;
   BR4  require the value above the inlier median for Positive-impact
@@ -17,7 +18,7 @@ rules then prune the rows:
        day's fuel (not physically possible).
 
 The category impact takes the pre-filter rows through the lighter rule set
-BR1, BR3, BR2 (``category_impact_rows``) and compares the median per-day
+BR3, BR2 (``category_impact_rows``) and compares the median per-day
 impact of each factor subcategory with the literature limits
 (``aggregate_category_impact``).
 The explain stage makes it from the rows it holds, so no stage reads the
@@ -93,9 +94,9 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 
-BR_ORDER = ("BR1", "BR3", "BR4", "BR2", "BR5")
+BR_ORDER = ("BR3", "BR4", "BR2", "BR5")
 #: the lighter rule set whose survivors the category impact aggregates
-IMPACT_RULES = ("BR1", "BR3", "BR2")
+IMPACT_RULES = ("BR3", "BR2")
 
 
 class FuelMedians:
@@ -103,7 +104,7 @@ class FuelMedians:
 
     A missing cell falls back to the route across the fleet, then to the
     whole fleet; with no inlier fuel at all the median is None.  This is all
-    that BR1-BR3 and the catalog comparison read; ``ReferencePolicy`` adds
+    that BR2, BR3 and the catalog comparison read; ``ReferencePolicy`` adds
     the feature medians behind BR4 and the targets.
     """
 
@@ -147,7 +148,7 @@ class ReferencePolicy(FuelMedians):
 
 
 class ExplanationRow(NamedTuple):
-    """One (vehicle, date, feature) recommendation: the row view of an ExplanationTable."""
+    """One (vehicle, date, feature) recommendation of a registry feature: the row view of an ExplanationTable."""
 
     vehicle_id: str
     date_tx: date_type
@@ -156,8 +157,8 @@ class ExplanationRow(NamedTuple):
     intercept: float
     feature: str
     feature_relevance: float
-    feature_value: float | str
-    target_value: float | str
+    feature_value: float
+    target_value: float
     avg_fuel_consumption: float
     limit_group: float
     y_pred: float
@@ -191,10 +192,6 @@ def divide(x: float, y: float) -> float:
         return math.copysign(math.inf, x) * math.copysign(1.0, y)
 
 
-def _same(x):
-    return x
-
-
 class ExplanationTable:
     """Explanation rows as columns: per-row columns that index per-day columns.
 
@@ -204,14 +201,14 @@ class ExplanationTable:
     repeats, and day totals are summed per slot.  Tables filtered from one
     another share their day columns, except ``y_fuel_new``, which each
     table computes from its own rows.  The per-day floats are
-    ``array('d')``, every other column a list; ``value`` and ``target``
-    hold floats, or levels (str) on categorical rows.
+    ``array('d')``, every other column a list.  Every feature is a
+    registry feature, so ``value`` and ``target`` hold floats.
     """
 
     def __init__(self, vehicle_id: list[str], date_tx: list[date_type], route_type: list[str],
                  vehicle_group: list[int], intercept: array, avg_fuel: array, limit_group: array, y_pred: array,
                  y_fuel_new: array, features: tuple[str, ...], day: list[int], feature: list[int],
-                 relevance: list[float], value: list, target: list, y_diff: list[float]):
+                 relevance: list[float], value: list[float], target: list[float], y_diff: list[float]):
         # per day slot
         self.vehicle_id = vehicle_id
         self.date_tx = date_tx
@@ -233,19 +230,19 @@ class ExplanationTable:
 
     @classmethod
     def _build(
-        cls, rows: Iterable[Sequence], day_cells: Callable = _same, level: Callable[[str], Callable] = lambda f: _same
+        cls, rows: Iterable[Sequence], day_cells: Callable[[tuple], tuple] = tuple,
+        registry: FeatureRegistry | None = None,
     ) -> "ExplanationTable":
         """The table of rows given as cells in ``EXPLANATION_COLUMNS`` order, in order.
 
         Rows with equal day cells share a slot wherever they occur, whose
-        fields ``day_cells`` makes once; ``level(feature)``, asked once per
-        feature, makes each value and target of that feature's rows, and
-        relevance and y_diff are floats.  A row of another length raises
-        ValueError.
+        fields ``day_cells`` makes once (``tuple`` keeps them as given);
+        relevance, value, target and y_diff are floats.  A row of another
+        length, or, given a registry, the first row of a feature outside
+        it, raises ValueError.
         """
         days: list[tuple] = []
         codes: dict[str, int] = {}
-        levels: list[Callable] = []
         day, feature, relevance, value, target, y_diff = [], [], [], [], [], []
         slots: dict[tuple, int] = {}
         for vid, date_tx, route, group, icpt, name, rel, val, tgt, avg, limit, pred, dy, fuel_new in rows:
@@ -255,13 +252,14 @@ class ExplanationTable:
                 days.append(day_cells(head))
             code = codes.get(name)
             if code is None:
-                code = codes[name] = len(levels)
-                levels.append(level(name))
+                if registry is not None and name not in registry:
+                    raise ValueError(f"feature {name!r} is not a registry feature")
+                code = codes[name] = len(codes)
             day.append(slot)
             feature.append(code)
             relevance.append(float(rel))
-            value.append(levels[code](val))
-            target.append(levels[code](tgt))
+            value.append(float(val))
+            target.append(float(tgt))
             y_diff.append(float(dy))
         columns = [list(c) for c in zip(*days)] if days else [[] for _ in range(9)]
         return cls(
@@ -410,8 +408,9 @@ def apply_business_rules(
     row-by-row filter would make, so a NaN falls the same way.  Each rule
     appends one record to the audit, even when it drops nothing: the rule
     id, the dropped rows of ``table`` in row order, and the value columns
-    the rule computed, each cut to the dropped rows.  BR1-BR3 need only
-    fuel medians; BR4 needs a ReferencePolicy.
+    the rule computed, each cut to the dropped rows.  BR2 and BR3 need only
+    fuel medians; BR4 needs a ReferencePolicy.  Every feature of ``table``
+    must be a registry feature, as explain prices and the CSV reader admits.
     """
     registry = policy.registry
     names = table.features
@@ -423,11 +422,7 @@ def apply_business_rules(
 
     for rule in rules:
         # each value column has one cell per surviving row
-        if rule == "BR1":
-            known = [name in registry for name in names]
-            keep = list(_at(known, feature, alive))
-            logged = {"reason": itertools.repeat("categorical")}
-        elif rule == "BR2":
+        if rule == "BR2":
             # a zero fuel divides as IEEE 754 does
             pairs = zip(map(y_diff.__getitem__, alive), _at(avg, day, alive))
             impact = [y / a if a else divide(y, a) for y, a in pairs]
@@ -441,17 +436,13 @@ def apply_business_rules(
             keep = list(_at(above, day, alive))
             logged = {"avg_fuel": _at(avg, day, alive), "median_inlier": _at(medians, day, alive)}
         elif rule == "BR4":
-            specs = [registry.get(name) for name in names]
-            # per slot, one median per feature, shared by the slots of a (group, route); None where unchecked
-            by_cell = {
-                cell: [None if spec is None else policy.feature_median(*cell, spec.name) for spec in specs]
-                for cell in set(cells)
-            }
+            # per slot, one median per feature, shared by the slots of a (group, route)
+            by_cell = {cell: [policy.feature_median(*cell, name) for name in names] for cell in set(cells)}
             slot_medians = list(map(by_cell.__getitem__, cells))
             median = [slot_medians[day[p]][feature[p]] for p in alive]
             values = list(map(value.__getitem__, alive))
-            kinds = list(_at([None if spec is None else spec.impact_type for spec in specs], feature, alive))
-            keep = [m is None or (v > m if k == "Positive" else v < m) for m, v, k in zip(median, values, kinds)]
+            kinds = list(_at([registry[name].impact_type for name in names], feature, alive))
+            keep = [v > m if k == "Positive" else v < m for m, v, k in zip(median, values, kinds)]
             logged = {"feature_value": values, "median_inlier": median, "impact_type": kinds}
         elif rule == "BR5":
             totals = _sum_by(map(day.__getitem__, alive), map(y_diff.__getitem__, alive), len(avg))
@@ -471,7 +462,7 @@ def apply_business_rules(
 def category_impact_rows(
     table: ExplanationTable, fuel: FuelMedians, br2_threshold: float = DEFAULT_BR2_THRESHOLD
 ) -> ExplanationTable:
-    """The rows of ``table`` the category impact aggregates: those that pass the lighter rule set BR1, BR3, BR2."""
+    """The rows of ``table`` the category impact aggregates: those that pass the lighter rule set BR3, BR2."""
     return apply_business_rules(table, fuel, IMPACT_RULES, br2_threshold=br2_threshold)[0]
 
 
@@ -503,15 +494,11 @@ def aggregate_category_impact(
     appears.  Subcategories outside the limits config, plus the unchecked
     ones, are reported without a verdict.
     """
-    subcategory = [
-        None if spec is None else (spec.category, spec.subcategory) for spec in map(registry.get, table.features)
-    ]
+    subcategory = [(spec.category, spec.subcategory) for spec in map(registry.__getitem__, table.features)]
     avg = table.avg_fuel.tolist()
     per_day: dict[int, dict[tuple[str, str], float]] = {}
     for d, f, y_diff in zip(table.day, table.feature, table.y_diff):
         key = subcategory[f]
-        if key is None:
-            continue
         impacts = per_day.setdefault(d, {})
         impacts[key] = impacts.get(key, 0.0) + divide(y_diff, avg[d])
 
@@ -558,10 +545,10 @@ def aggregate_category_impact(
 def write_explanations_csv(table: ExplanationTable, path: str | Path) -> None:
     """One CSV line per explanation row, the bytes csv.writer writes for its cells.
 
-    The per-day cells of each day slot the rows use and each distinct text
-    cell are formatted once, through the csv module; a float cell is
-    ``repr`` of a Python float (never of a numpy scalar), which needs no
-    quoting and round-trips exactly.  Relevance, target and saving repeat
+    The per-day cells of each day slot the rows use and each feature name
+    are formatted once, through the csv module; a float cell is ``repr``
+    of a Python float (never of a numpy scalar), which needs no quoting
+    and round-trips exactly.  Relevance, target and saving repeat
     a few values over many rows (one per bin and cell), so each of their
     distinct values is formatted once.
     """
@@ -577,17 +564,6 @@ def write_explanations_csv(table: ExplanationTable, path: str | Path) -> None:
         fuel[d] = f"{avg[d]!r},{limit[d]!r},{y_pred[d]!r}"
         fuel_new[d] = repr(y_new[d])
     names = [csv_fields([name]) for name in table.features]
-    quoted: dict[object, str] = {}
-
-    def text(v) -> str:
-        out = quoted.get(v)
-        if out is None:
-            out = quoted[v] = csv_fields([v])
-        return out
-
-    def cells(column: list, number: Callable[[float], str]) -> Iterator[str]:
-        return (number(v) if type(v) is float else text(v) for v in column)
-
     reprs = FloatReprs()
 
     with artifact_file(path) as fh:
@@ -595,8 +571,8 @@ def write_explanations_csv(table: ExplanationTable, path: str | Path) -> None:
         fh.writelines(
             f"{heads[d]},{names[f]},{rel},{v},{t},{fuel[d]},{dy},{fuel_new[d]}\n"
             for d, f, rel, v, t, dy in zip(
-                table.day, table.feature, map(reprs.__getitem__, table.relevance), cells(table.value, repr),
-                cells(table.target, reprs.__getitem__), map(reprs.__getitem__, table.y_diff),
+                table.day, table.feature, map(reprs.__getitem__, table.relevance), map(repr, table.value),
+                map(reprs.__getitem__, table.target), map(reprs.__getitem__, table.y_diff),
             )
         )
 
@@ -610,23 +586,21 @@ def read_explanations_csv(path: str | Path, registry: FeatureRegistry) -> Explan
     """The table written by write_explanations_csv; a bad row raises FeedFormatError naming file and line.
 
     Rows with the same per-day cells share a day slot, so those cells are
-    parsed once per day.  As BR1 does, a row is numeric when its feature is
-    in the registry: its value and target are floats.  Any other row is
-    categorical and keeps its levels as text.  Every number must be finite:
-    the first non-finite cell, row by row, raises naming its line (row p is
-    on line p + 2).  Then the first row that puts a vehicle-day in a second
-    slot, or names its slot's feature again, raises naming both lines.
+    parsed once per day.  A feature must be a registry feature: the first
+    row of any other raises as it is parsed, naming its line, so before its
+    value can fail to parse as a number and before the checks below.  Every
+    number must be finite: the first non-finite cell, row by row, raises
+    naming its line (row p is on line p + 2).  Then the first row that puts
+    a vehicle-day in a second slot, or names its slot's feature again,
+    raises naming both lines.
     """
     with csv_reader(path) as reader:
         header = next(reader, None)
         if header != list(EXPLANATION_COLUMNS):
             raise FeedFormatError(f"{path}: unexpected explanation columns {header}")
-        level = lambda feature: float if feature in registry else _same
-        table = ExplanationTable._build(reader, _parse_day, level)
-    numeric = list(map([name in registry for name in table.features].__getitem__, table.feature))
-    numbers = (table.relevance, table.y_diff, itertools.compress(table.value, numeric),
-               itertools.compress(table.target, numeric), table.intercept, table.avg_fuel, table.limit_group,
-               table.y_pred, table.y_fuel_new)
+        table = ExplanationTable._build(reader, _parse_day, registry)
+    numbers = (table.relevance, table.y_diff, table.value, table.target, table.intercept, table.avg_fuel,
+               table.limit_group, table.y_pred, table.y_fuel_new)
     if not all(map(math.isfinite, itertools.chain.from_iterable(numbers))):
         for p, row in enumerate(table.rows()):
             for name in EXPLANATION_COLUMNS:

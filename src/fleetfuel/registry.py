@@ -371,9 +371,6 @@ class FeatureRegistry:
     def __getitem__(self, name: str) -> FeatureSpec:
         return self._specs[name]
 
-    def get(self, name: str) -> FeatureSpec | None:
-        return self._specs.get(name)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(self._specs)

@@ -128,7 +128,7 @@ def category_impact_from_prefilter_file(out: Path, dest: Path, fleet: str, br2_t
     """Reference: the category-impact report as evaluate made it from ``explanations_prefilter.csv``.
 
     Reads the pre-filter file and the labeled table back from ``out``,
-    applies BR1, BR3 and BR2 with the inlier fuel medians alone, aggregates,
+    applies BR3 and BR2 with the inlier fuel medians alone, aggregates,
     and writes ``report_category_impact.{json,csv}`` into ``dest``; returns
     each report's bytes by file name.
     """
@@ -144,7 +144,7 @@ def category_impact_from_prefilter_file(out: Path, dest: Path, fleet: str, br2_t
         registry, labeled.take([i for i, label in enumerate(labeled.anomaly_label) if label == "inlier"])
     )
     pre_rows = read_explanations_csv(out / "explanations_prefilter.csv", registry)
-    impact_rows, _ = apply_business_rules(pre_rows, fuel, ("BR1", "BR3", "BR2"), br2_threshold=br2_threshold)
+    impact_rows, _ = apply_business_rules(pre_rows, fuel, ("BR3", "BR2"), br2_threshold=br2_threshold)
     impacts = aggregate_category_impact(impact_rows, registry, load_sota_limits(sota), fleet)
     dest.mkdir(exist_ok=True)
     write_report_json({"fleet": fleet, "impacts": impacts}, dest / "report_category_impact.json")

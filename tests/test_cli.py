@@ -542,7 +542,11 @@ FAR_MAY_PASS = {
     ("1e400-distance", "clean"): "1e400 reads as inf; see inf-distance",
 }
 
-EXPLANATION_CORRUPTIONS = _corruptions(b"date_tx", "y_diff", "saving")
+EXPLANATION_CORRUPTIONS = {
+    **_corruptions(b"date_tx", "y_diff", "saving"),
+    # explain prices registry features only, and a vehicle group is a categorical context
+    "unknown-feature": lambda path: _corrupt_cell(path, 3, "feature", "vehicle_group"),
+}
 #: (stage, explanation table it reads)
 EXPLANATION_READERS = [
     ("evaluate", "explanations.csv"),
@@ -608,6 +612,8 @@ class TestCorruptInputs:
         assert "Traceback" not in err
         if code == 2:
             assert str(out / table) in err
+        if how == "unknown-feature":
+            assert f"{out / table}: line 3: feature 'vehicle_group' is not a registry feature" in err, err
         self._names_repeat(how, out / table, err)
 
     @staticmethod

@@ -285,7 +285,6 @@ class TestZeroFuelAndNanSaving:
             row("v1", 4, 0.0, "rpm_high", 0.5),
             row("v1", 4, 0.0, "mean_speed_hwy", 0.0, 90.0),
             row("v1", 4, 0.0, "mean_exterior_temp", -0.25, 270.0),
-            row("v1", 4, 0.0, "vehicle_group", 0.1, "1"),
             row("v2", 5, 9.96, "rpm_high", math.nan),
             row("v2", 5, 9.96, "mean_speed_hwy", 0.3, 90.0),
             row("v3", 6, 12.0, "rpm_high", 0.05),
@@ -308,11 +307,10 @@ class TestZeroFuelAndNanSaving:
 
     def test_evaluate_rules(self, small_registry):
         # no inlier fuel, so BR3 keeps every day and BR2 divides by 0.0
-        assert self.outcome(small_registry, FuelMedians.from_records(small_registry, DayTable.from_rows([])), ("BR1", "BR3", "BR2")) == [
+        assert self.outcome(small_registry, FuelMedians.from_records(small_registry, DayTable.from_rows([])), ("BR3", "BR2")) == [
             "[('v1', 'rpm_high', 0.5, -0.5), ('v1', 'mean_speed_hwy', 0.0, -0.5), ('v2', 'rpm_high', nan, nan),"
             " ('v2', 'mean_speed_hwy', 0.3, nan), ('v3', 'mean_exterior_temp', 1.5, 10.5)]",
-            "[('BR1', 'v1', 'vehicle_group', {'reason': 'categorical'}),"
-            " ('BR2', 'v1', 'mean_exterior_temp', {'relative_impact': -inf}),"
+            "[('BR2', 'v1', 'mean_exterior_temp', {'relative_impact': -inf}),"
             " ('BR2', 'v3', 'rpm_high', {'relative_impact': 0.004166666666666667})]",
             "[('Aggressive Driving', nan, 2, 'within'), ('Ambient Temperature', 12.5, 1, None)]",
             "[0.5, nan, 1.5]",
@@ -321,8 +319,7 @@ class TestZeroFuelAndNanSaving:
     def test_every_rule(self, small_registry):
         assert self.outcome(small_registry, ReferencePolicy.from_records(small_registry, DayTable.from_rows([])), BR_ORDER) == [
             "[('v2', 'rpm_high', nan, nan), ('v2', 'mean_speed_hwy', 0.3, nan)]",
-            "[('BR1', 'v1', 'vehicle_group', {'reason': 'categorical'}),"
-            " ('BR4', 'v1', 'mean_exterior_temp', {'feature_value': 270.0, 'median_inlier': 0.0,"
+            "[('BR4', 'v1', 'mean_exterior_temp', {'feature_value': 270.0, 'median_inlier': 0.0,"
             " 'impact_type': 'Negative'}),"
             " ('BR4', 'v3', 'mean_exterior_temp', {'feature_value': 270.0, 'median_inlier': 0.0,"
             " 'impact_type': 'Negative'}),"
@@ -341,7 +338,7 @@ class TestZeroFuelAndNanSaving:
 
     def test_day_totals(self):
         assert repr(self.table().day_totals()) == (
-            "{('v1', datetime.date(2021, 1, 4)): 0.35, ('v2', datetime.date(2021, 1, 5)): nan,"
+            "{('v1', datetime.date(2021, 1, 4)): 0.25, ('v2', datetime.date(2021, 1, 5)): nan,"
             " ('v3', datetime.date(2021, 1, 6)): 1.55}"
         )
 

@@ -20,6 +20,7 @@ from fleetfuel.errors import DataError, FeedFormatError, MissingFeatureError
 from fleetfuel.explain import (
     BR_ORDER,
     EXPLANATION_COLUMNS,
+    IMPACT_RULES,
     ExplanationRow,
     ExplanationTable,
     FuelMedians,
@@ -392,12 +393,6 @@ class TestBusinessRules:
     def policy(self, small_registry):
         return ReferencePolicy.from_records(small_registry, inlier_pool(small_registry))
 
-    def test_br1_drops_categorical(self, small_registry):
-        rows = [base_row(feature="vehicle_group", feature_value="14", target_value="0")]
-        kept, audit = apply_business_rules(ExplanationTable.from_rows(rows), self.policy(small_registry))
-        assert kept.rows() == []
-        assert drop_counts(audit)["BR1"] == 1
-
     def test_br2_drops_below_one_percent(self, small_registry):
         rows = [base_row(avg_fuel_consumption=10.0, y_diff=0.05, feature_value=9.0)]
         kept, audit = apply_business_rules(ExplanationTable.from_rows(rows), self.policy(small_registry))
@@ -501,15 +496,6 @@ class TestCsvRoundTrip:
         write_explanations_csv(rows, path)
         loaded = read_explanations_csv(path, small_registry)
         assert loaded.rows() == rows.rows()
-
-    def test_round_trip_keeps_numeric_looking_levels(self, small_registry, tmp_path):
-        rows = categorical_day()
-        path = tmp_path / "expl.csv"
-        write_explanations_csv(rows, path)
-        loaded = read_explanations_csv(path, small_registry)
-        assert loaded.rows() == rows.rows()
-        levels = [(r.feature_value, r.target_value) for r in loaded if r.feature == "vehicle_group"]
-        assert levels == [("1", "0")]
 
     def test_medians_export(self, small_registry, tmp_path):
         _, inliers, target, _, policy = explanation_setup(small_registry)
@@ -631,24 +617,6 @@ def categorical_fallback_setup(small_registry):
     return model, inliers, target, limits, policy
 
 
-def categorical_day():
-    """The borrowed-limit day of ``categorical_fallback_setup`` as explain once wrote it.
-
-    Three numeric rows and a categorical row, from group level 1 to the
-    fleet's 0, whose saving counted in the day's y_fuel_new.  Explain no
-    longer prices categorical contexts, but a file may still hold such a
-    row: the reader keeps its levels as text and BR1 drops it.
-    """
-    day = dict(vehicle_id="vgrp1", date_tx=date(2021, 1, 5), route_type="highway", vehicle_group=1, intercept=7.25,
-               avg_fuel_consumption=9.96, limit_group=7.375, y_pred=9.2, y_fuel_new=8.010000000000002)
-    cells = [("rpm_high", 0.6, 9.0, 0.0, 0.6), ("mean_speed_hwy", 0.9, 99.5, 77.0, 0.9),
-             ("mean_exterior_temp", 0.4, 275.0, 286.0, 0.4), ("vehicle_group", 0.05, "1", "0", 0.05)]
-    return ExplanationTable.from_rows(
-        ExplanationRow(feature=name, feature_relevance=rel, feature_value=value, target_value=target, y_diff=dy, **day)
-        for name, rel, value, target, dy in cells
-    )
-
-
 class TestMatchesReferenceLoop:
     def test_step_model_setups(self, small_registry):
         model, inliers, target, limits, policy = explanation_setup(small_registry)
@@ -667,7 +635,7 @@ class TestMatchesReferenceLoop:
             assert explain_days(model, records, policy, limits).rows() == expected
 
     def test_categorical_fallback_row(self, small_registry):
-        # the borrowed-limit day gets its numeric rows only, and BR1 has nothing to drop
+        # the borrowed-limit day gets its numeric rows only
         model, inliers, target, limits, policy = categorical_fallback_setup(small_registry)
         assert limits.lookup(1, "highway").borrowed
         rows = explain_days(model, [target] + inliers, policy, limits)
@@ -675,8 +643,6 @@ class TestMatchesReferenceLoop:
         day = [r for r in rows if r.vehicle_id == "vgrp1"]
         assert [r.feature for r in day] == ["rpm_high", "mean_speed_hwy", "mean_exterior_temp"]
         assert {r.y_fuel_new for r in day} == {recompute_fuel_new(9.96, [r.y_diff for r in day])}
-        _, audit = apply_business_rules(rows, policy)
-        assert drop_counts(audit)["BR1"] == 0
 
     def test_missing_feature_raises(self, small_registry):
         model, inliers, target, limits, policy = explanation_setup(small_registry)
@@ -893,13 +859,19 @@ class TestReadExplanationsCsv:
         with pytest.raises(FeedFormatError, match=rf"expl\.csv: line 3: {column} is not finite \(nan\)"):
             read_explanations_csv(path, small_registry)
 
-    def test_non_finite_looking_level_is_text(self, small_registry, tmp_path):
+    @pytest.mark.parametrize("levels", [("1", "0"), ("city", "highway"), ("inf", "nan")])
+    def test_non_registry_feature_names_file_line_and_feature(self, small_registry, tmp_path, levels):
+        # a categorical row is refused as it is parsed, before its levels could fail as numbers
+        model, inliers, target, limits, policy = explanation_setup(small_registry)
         path = tmp_path / "expl.csv"
-        write_explanations_csv(categorical_day(), path)
-        path.write_text(path.read_text().replace(",vehicle_group,0.05,1,0,", ",vehicle_group,0.05,inf,nan,"))
-        levels = [(r.feature_value, r.target_value) for r in read_explanations_csv(path, small_registry)
-                  if r.feature == "vehicle_group"]
-        assert levels == [("inf", "nan")]
+        write_explanations_csv(explain_days(model, [target], policy, limits), path)
+        rows = list(csv.reader(path.read_text().splitlines()))
+        for column, text in zip(("feature", "feature_value", "target_value"), ("vehicle_group", *levels)):
+            rows[2][rows[0].index(column)] = text
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        message = r"expl\.csv: line 3: feature 'vehicle_group' is not a registry feature$"
+        with pytest.raises(FeedFormatError, match=message):
+            read_explanations_csv(path, small_registry)
 
     def test_short_row_is_a_format_error(self, small_registry, tmp_path):
         path = tmp_path / "expl.csv"
@@ -943,13 +915,7 @@ def reference_business_rules(rows, policy, rules=BR_ORDER, br2_threshold=0.01, b
 
     for rule in rules:
         kept = []
-        if rule == "BR1":
-            for row in current:
-                if row.feature in registry:
-                    kept.append(row)
-                else:
-                    drop(row, "BR1", {"reason": "categorical"})
-        elif rule == "BR2":
+        if rule == "BR2":
             for row in current:
                 impact = row.y_diff / row.avg_fuel_consumption
                 if impact < br2_threshold:
@@ -965,10 +931,7 @@ def reference_business_rules(rows, policy, rules=BR_ORDER, br2_threshold=0.01, b
                     drop(row, "BR3", {"avg_fuel": row.avg_fuel_consumption, "median_inlier": median})
         elif rule == "BR4":
             for row in current:
-                spec = registry.get(row.feature)
-                if spec is None:
-                    kept.append(row)
-                    continue
+                spec = registry[row.feature]
                 median = policy.feature_median(row.vehicle_group, row.route_type, row.feature)
                 value = row.feature_value
                 if value > median if spec.impact_type == "Positive" else value < median:
@@ -1053,7 +1016,6 @@ _SAVING = st.one_of(
     st.floats(0.01, 0.6, allow_nan=False),
     st.just(math.nan),
 )
-_LEVEL_VALUES = {"vehicle_group": ("0", "1", "2"), "route_type": _ROUTES}
 # savings with full 53-bit mantissas, so that sums depend on their order
 _BUSY_SAVING = st.integers(1, 10**6).map(lambda k: 0.9 + k / 2e6)
 
@@ -1096,15 +1058,10 @@ def rule_problems(draw):
     rows = []
     for _ in range(draw(st.integers(0, 30))):
         day = days[draw(st.integers(0, len(days) - 1))]
-        feature = draw(st.sampled_from(_NAMES + tuple(_LEVEL_VALUES)))
-        if feature in _LEVEL_VALUES:
-            value, target = (draw(st.sampled_from(_LEVEL_VALUES[feature])) for _ in range(2))
-        else:
-            value, target = draw(_GRID), draw(_GRID)
         rows.append(
             ExplanationRow(
-                feature=feature, feature_relevance=draw(_SAVING), feature_value=value, target_value=target,
-                y_diff=draw(_SAVING), **day,
+                feature=draw(st.sampled_from(_NAMES)), feature_relevance=draw(_SAVING), feature_value=draw(_GRID),
+                target_value=draw(_GRID), y_diff=draw(_SAVING), **day,
             )
         )
     # a busy record of the first day's vehicle and date, above every fuel
@@ -1124,7 +1081,7 @@ def rule_problems(draw):
                     **day,
                 )
             )
-    rules = draw(st.sampled_from([BR_ORDER, ("BR1", "BR3", "BR2")]))
+    rules = draw(st.sampled_from([BR_ORDER, IMPACT_RULES]))
     if rules != BR_ORDER:
         policy = FuelMedians.from_records(registry, DayTable.from_rows(inliers))
     return rows, policy, rules, draw(st.sampled_from([0.01, 0.02])), draw(st.sampled_from([0.8, 0.6]))
